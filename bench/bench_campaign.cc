@@ -3,18 +3,21 @@
  * Campaign-fill benchmark: simulated design points per second through
  * the scalar per-cell simulate() path (the seed campaign shape: fresh
  * core, caches, predictor and energy model per cell) vs the
- * lane-batched replay (ISSUE 9: one DecodedTrace shared read-only,
- * kSimLanes configurations per simulateBatch call, all per-simulation
- * state hoisted into a reused SimScratch), at one thread and at full
- * hardware parallelism.
+ * decoded-trace replay (one DecodedTrace shared read-only, one
+ * configuration per pool task, all per-simulation state hoisted into
+ * a reused per-thread SimScratch), at one thread and at full hardware
+ * parallelism. The replay's speedup comes from the decode and from
+ * skipping idle cycles.
  *
- * The batched path must be bit-identical to the scalar one
+ * The replay path must be bit-identical to the scalar one
  * (tests/test_batch_sim.cc); this bench shows why it exists, and
  * additionally proves the SimScratch hoisting claim: a steady-state
- * batched pass (same configs, same scratch) must perform ZERO heap
+ * replay pass (same configs, same scratch) must perform ZERO heap
  * allocations, counted by the operator new/delete overrides below.
+ * It also records the process's peak resident memory (peak_rss_mb),
+ * which the per-thread scratch dominates.
  *
- * Acceptance floor (ISSUE 9): the batched path delivers >= 3x the
+ * Acceptance floor: the replay path delivers >= 3x the
  * scalar single-thread points/s on an 8-core host (>= 5x target). The
  * floor is enforced here when the host has >= 8 hardware threads and
  * tracked by tools/ci/check_bench_regression.py against
@@ -37,6 +40,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "arch/design_space.hh"
 #include "base/json.hh"
 #include "base/parse.hh"
@@ -55,7 +60,7 @@ namespace
  * Global allocation counter for the steady-state zero-allocation
  * check. Replacing the usual (non-aligned) operator new/delete family
  * is enough: nothing on the simulateBatch path heap-allocates
- * over-aligned types (the lane SoA arrays live on the stack).
+ * over-aligned types.
  */
 std::atomic<std::uint64_t> g_allocations{0};
 
@@ -155,55 +160,36 @@ measureScalar(const std::vector<MicroarchConfig> &configs,
 }
 
 /**
- * Batched path: lane groups of kSimLanes configurations replayed per
- * simulateBatch call against one shared DecodedTrace, with each worker
- * thread reusing its own SimScratch -- the campaign.cc fill shape.
+ * Replay path: one configuration per pool task replayed against one
+ * shared DecodedTrace, with each worker thread reusing its own
+ * SimScratch -- the campaign.cc fill shape.
  */
 double
-measureBatched(const std::vector<MicroarchConfig> &configs,
+measureReplay(const std::vector<MicroarchConfig> &configs,
                const DecodedTrace &decoded,
                const SimulationOptions &options, std::size_t threads,
                std::size_t passes)
 {
     const std::size_t n = configs.size();
-    const std::size_t groups = (n + kSimLanes - 1) / kSimLanes;
     std::vector<SimulationResult> out(n);
     ThreadPool pool(threads);
     return measure(n, passes, [&] {
-        pool.parallelFor(0, groups, [&](std::size_t g) {
+        pool.parallelFor(0, n, [&](std::size_t i) {
             thread_local SimScratch scratch; // NOLINT(acdse-local-static)
-            const std::size_t first = g * kSimLanes;
-            const std::size_t count = std::min(kSimLanes, n - first);
-            simulateBatch(std::span<const MicroarchConfig>(
-                              configs.data() + first, count),
-                          decoded, options,
-                          std::span<SimulationResult>(out.data() + first,
-                                                      count),
-                          scratch);
+            simulateBatch(
+                std::span<const MicroarchConfig>(&configs[i], 1), decoded,
+                options, std::span<SimulationResult>(&out[i], 1), scratch);
         });
     });
 }
 
-/**
- * One full batched pass over every config through a caller-owned
- * scratch, no pool: the unit the zero-allocation check measures.
- */
-void
-batchedPass(const std::vector<MicroarchConfig> &configs,
-            const DecodedTrace &decoded,
-            const SimulationOptions &options,
-            std::vector<SimulationResult> &out, SimScratch &scratch)
+/** Peak resident set size of this process so far, in MiB. */
+double
+peakRssMb()
 {
-    const std::size_t n = configs.size();
-    for (std::size_t first = 0; first < n; first += kSimLanes) {
-        const std::size_t count = std::min(kSimLanes, n - first);
-        simulateBatch(std::span<const MicroarchConfig>(
-                          configs.data() + first, count),
-                      decoded, options,
-                      std::span<SimulationResult>(out.data() + first,
-                                                  count),
-                      scratch);
-    }
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
 } // namespace
@@ -234,26 +220,26 @@ main()
 
     const std::size_t passes = 3;
     std::printf("\ncampaign fill, %zu design points x %zu passes per "
-                "cell (points/s, lanes=%zu)\n\n",
-                num_configs, passes, kSimLanes);
+                "cell (points/s)\n\n",
+                num_configs, passes);
 
     const double scalar_t1 =
         measureScalar(configs, trace, options, 1, passes);
-    const double batch_t1 =
-        measureBatched(configs, decoded, options, 1, passes);
+    const double replay_t1 =
+        measureReplay(configs, decoded, options, 1, passes);
     const double scalar_tmax =
         measureScalar(configs, trace, options, hw, passes);
-    const double batch_tmax =
-        measureBatched(configs, decoded, options, hw, passes);
-    const double speedup_t1 = batch_t1 / scalar_t1;
-    const double speedup_tmax = batch_tmax / scalar_tmax;
+    const double replay_tmax =
+        measureReplay(configs, decoded, options, hw, passes);
+    const double speedup_t1 = replay_t1 / scalar_t1;
+    const double speedup_tmax = replay_tmax / scalar_tmax;
 
     std::printf("%-18s  %12s  %12s  %8s\n", "threads", "scalar pts/s",
-                "batch pts/s", "speedup");
+                "replay pts/s", "speedup");
     std::printf("%-18zu  %12.0f  %12.0f  %7.2fx\n", std::size_t{1},
-                scalar_t1, batch_t1, speedup_t1);
+                scalar_t1, replay_t1, speedup_t1);
     std::printf("%-18zu  %12.0f  %12.0f  %7.2fx\n", hw, scalar_tmax,
-                batch_tmax, speedup_tmax);
+                replay_tmax, speedup_tmax);
 
     // Steady-state allocation check: after one warm pass has grown the
     // scratch and filled the cacti memo, a repeat pass over the same
@@ -261,16 +247,18 @@ main()
     // of hoisting per-simulation state into SimScratch.
     std::vector<SimulationResult> out(configs.size());
     SimScratch scratch;
-    batchedPass(configs, decoded, options, out, scratch); // warm
+    simulateBatch(configs, decoded, options, out, scratch); // warm
     const std::uint64_t allocs_before =
         g_allocations.load(std::memory_order_relaxed);
-    batchedPass(configs, decoded, options, out, scratch);
+    simulateBatch(configs, decoded, options, out, scratch);
     const std::uint64_t steady_allocs =
         g_allocations.load(std::memory_order_relaxed) - allocs_before;
-    std::printf("\nsteady-state batched pass: %llu heap allocations "
+    std::printf("\nsteady-state replay pass: %llu heap allocations "
                 "(%zu sims)\n",
                 static_cast<unsigned long long>(steady_allocs),
                 configs.size());
+    const double peak_rss_mb = peakRssMb();
+    std::printf("peak resident memory: %.1f MiB\n", peak_rss_mb);
 
     const CactiMemoStats memo = cactiMemoStats();
     const double memo_total =
@@ -301,9 +289,10 @@ main()
         .key("steady_state_allocations").value(steady_allocs)
         .key("metrics").beginObject()
         .key("campaign_scalar_pps_t1").value(scalar_t1)
-        .key("campaign_points_per_s").value(batch_t1)
+        .key("campaign_points_per_s").value(replay_t1)
         .key("campaign_batch_speedup_t1").value(speedup_t1)
-        .key("campaign_batch_pps_tmax").value(batch_tmax)
+        .key("campaign_batch_pps_tmax").value(replay_tmax)
+        .key("peak_rss_mb").value(peak_rss_mb)
         .endObject();
     // Additive per-stage breakdown (sim/batch span, sim/ and pool/
     // counters); the regression checker only reads "metrics".
@@ -315,21 +304,21 @@ main()
     writeTextAtomic(json_out, json.str());
     std::printf("\nwrote %s\n", json_out.c_str());
 
-    std::printf("\nsingle-thread batch speedup: %.2fx "
+    std::printf("\nsingle-thread replay speedup: %.2fx "
                 "(target: >= 3x on >= 8 hardware threads)\n",
                 speedup_t1);
     bool failed = false;
 #if !defined(ACDSE_NO_SIM_BATCH)
     // With ACDSE_SIM_BATCH=OFF the entry points fall back to scalar
     // simulate(), which constructs its components per call; the
-    // zero-allocation contract only binds the real batched engine.
+    // zero-allocation contract only binds the replay engine.
     if (steady_allocs != 0) {
-        std::printf("FAIL: steady-state batched pass allocated\n");
+        std::printf("FAIL: steady-state replay pass allocated\n");
         failed = true;
     }
 #endif
     if (hw >= 8 && speedup_t1 < 3.0) {
-        std::printf("FAIL: below the batched-replay speedup floor\n");
+        std::printf("FAIL: below the replay speedup floor\n");
         failed = true;
     }
     if (failed)

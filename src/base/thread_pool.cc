@@ -19,6 +19,10 @@ namespace
 // a worker on other workers (which can deadlock a pool of one).
 thread_local bool tl_pool_worker = false;
 
+// Set while a parallelFor() caller runs loop bodies itself, so a loop
+// nested in one of them also runs inline, exactly as on a worker.
+thread_local bool tl_for_caller = false;
+
 /**
  * The pool's metrics, shared by every ThreadPool instance. References
  * into the leaked global registry, so workers of static pools can
@@ -218,8 +222,10 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     const std::size_t total = end - begin;
 
     // Serial paths: a pool of one, a loop of one, or a nested call
-    // from inside a worker (the outer loop owns the parallelism).
-    if (workers_.empty() || total == 1 || tl_pool_worker) {
+    // from inside a worker or a draining caller (the outer loop owns
+    // the parallelism).
+    if (workers_.empty() || total == 1 || tl_pool_worker ||
+        tl_for_caller) {
         for (std::size_t i = begin; i < end; ++i)
             body(i);
         return;
@@ -243,7 +249,9 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     }
     workCv_.notifyAll();
 
-    drain(*job);
+    tl_for_caller = true;
+    drain(*job); // body exceptions are caught into the job
+    tl_for_caller = false;
     MutexLock lock(job->mutex);
     while (job->completed.load(std::memory_order_acquire) != total)
         job->done.wait(job->mutex);

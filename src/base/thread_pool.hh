@@ -22,9 +22,10 @@
  *    hardware concurrency. A pool of size 1 spawns no threads at all
  *    and runs everything inline -- the single-thread fallback.
  *
- *  - Nesting. parallelFor() called from inside any pool worker runs
- *    the whole loop serially inline on that worker (supported, not
- *    rejected): the outermost loop owns the parallelism, inner loops
+ *  - Nesting. parallelFor() called from inside any pool worker, or
+ *    from a loop body the calling thread runs while it participates,
+ *    runs the whole loop serially inline on that thread (supported,
+ *    not rejected): the outermost loop owns the parallelism, inner loops
  *    degrade to plain loops, and no combination of nested calls can
  *    deadlock or oversubscribe. submit() from a worker enqueues
  *    normally; blocking on the returned future from inside a worker of

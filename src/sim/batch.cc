@@ -1,6 +1,7 @@
 #include "sim/batch.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 
@@ -58,28 +59,41 @@ namespace
 {
 
 /**
- * Cycles one lane advances before rotating to the next. With the
- * idle-cycle skip a quantum collapses to a few hundred executed
- * iterations, so a large value amortises swapping lane state in and
- * out of registers while lanes still stay within a few KB of each
- * other in the decoded trace and share its working set.
+ * Reconfigure a recycled component for a new design point, or build it
+ * on first use. Every scratch component takes the same argument in its
+ * constructor and in reconfigure().
  */
-constexpr std::uint64_t kLaneQuantum = 16384;
+template <typename T, typename Arg>
+T &
+recycle(std::optional<T> &component, const Arg &arg)
+{
+    if (component)
+        component->reconfigure(arg);
+    else
+        component.emplace(arg);
+    return *component;
+}
+
+/** Mask selecting an address's L1 line (fetch-line tracking). */
+std::uint64_t
+l1LineMask()
+{
+    return ~static_cast<std::uint64_t>(fixedParams().l1LineBytes - 1);
+}
 
 /**
- * The lane engine: up to kSimLanes one-config pipelines advancing
- * through one decoded trace in interleaved quanta. Per-lane hot state
- * is kept struct-of-arrays in cache-line-aligned members; the bulky
- * storage (ROB/IQ/ring vectors, cache line arrays, predictor tables)
- * lives in the caller's SimScratch and is reconfigured per batch.
+ * The replay engine: one configuration's pipeline driven through a
+ * decoded trace. The bulky storage (ROB/IQ/ring vectors, cache line
+ * arrays, predictor tables) lives in the caller's SimScratch and is
+ * reconfigured per simulation.
  *
- * stepLane() is a faithful transcription of the scalar pipeline loop
- * in OooCore::run() -- every structural limit, stall and energy event
- * in the same order. Any edit there needs a mirror here; the
- * bit-identity suite (tests/test_batch_sim.cc) catches drift.
+ * run() is a faithful transcription of the scalar pipeline loop in
+ * OooCore::run() -- every structural limit, stall and energy event in
+ * the same order. Any edit there needs a mirror here; the bit-identity
+ * suite (tests/test_batch_sim.cc) catches drift.
  *
  * On top of the transcription sit two provably invisible shortcuts,
- * the source of the batched path's speedup:
+ * the source of the replay path's speedup:
  *
  *  - Idle-cycle skipping: a cycle in which no stage changed any
  *    pipeline, cache or predictor state replays identically until the
@@ -98,246 +112,115 @@ constexpr std::uint64_t kLaneQuantum = 16384;
  *    bounds are conservative, so they can only stop the idle skip
  *    early, never carry it past an event.
  */
-class BatchSimulator
+class ReplayCore
 {
   public:
-    BatchSimulator(std::span<const MicroarchConfig> configs,
-                   const DecodedTrace &trace, SimScratch &scratch)
-        : trace_(trace), lanes_(configs.size())
+    ReplayCore(const MicroarchConfig &config, const DecodedTrace &trace,
+               SimScratch &scratch)
+        : trace_(trace), config_(config),
+          energy_(recycle(scratch.energy, config)),
+          hierarchy_(recycle(scratch.hierarchy, config)),
+          bpred_(recycle(scratch.bpred, config.bpredEntries())),
+          btb_(recycle(scratch.btb, config.btbEntries())),
+          core_(scratch.core)
     {
-        ACDSE_CHECK(lanes_ >= 1 && lanes_ <= kSimLanes,
-                     "lane group larger than kSimLanes");
-        const FixedParams &fp = fixedParams();
-        lineMask_ = ~static_cast<std::uint64_t>(fp.l1LineBytes - 1);
-        frontEndStages_ = static_cast<std::uint64_t>(fp.frontEndStages);
-        redirectPenalty_ =
-            static_cast<std::uint64_t>(fp.mispredictRedirect);
-        fpDivLatency_ = static_cast<std::uint64_t>(fp.fpDivLatency);
-        for (std::size_t l = 0; l < lanes_; ++l) {
-            const MicroarchConfig &config = configs[l];
-            SimScratch::Lane &lane = scratch.lanes[l];
-            if (lane.energy)
-                lane.energy->reconfigure(config);
-            else
-                lane.energy.emplace(config);
-            if (lane.hierarchy)
-                lane.hierarchy->reconfigure(config);
-            else
-                lane.hierarchy.emplace(config);
-            if (lane.bpred)
-                lane.bpred->reconfigure(config.bpredEntries());
-            else
-                lane.bpred.emplace(config.bpredEntries());
-            if (lane.btb)
-                lane.btb->reconfigure(config.btbEntries());
-            else
-                lane.btb.emplace(config.btbEntries());
-            energy_[l] = &*lane.energy;
-            hierarchy_[l] = &*lane.hierarchy;
-            bpred_[l] = &*lane.bpred;
-            btb_[l] = &*lane.btb;
-            core_[l] = &lane.core;
-
-            width_[l] = static_cast<std::size_t>(config.width());
-            robSize_[l] = static_cast<std::size_t>(config.robSize());
-            iqSize_[l] = static_cast<std::size_t>(config.iqSize());
-            lsqSize_[l] = static_cast<std::size_t>(config.lsqSize());
-            rdPorts_[l] = config.rfReadPorts();
-            wrPorts_[l] = config.rfWritePorts();
-            maxBranches_[l] =
-                static_cast<std::size_t>(config.maxBranches());
-            const FunctionalUnitCounts fus =
-                functionalUnitsForWidth(config.width());
-            fuCounts_[l] = {fus.intAlu, fus.intMul, fus.fpAlu,
-                            fus.fpMulDiv};
-            numDividers_[l] = static_cast<std::size_t>(fus.fpMulDiv);
-            renameRegs_[l] = static_cast<std::size_t>(
-                std::max(1, config.rfSize() - fp.archRegs));
-            fqCap_[l] =
-                width_[l] *
-                (static_cast<std::size_t>(fp.frontEndStages) + 2);
-        }
     }
 
-    /** Occupied lanes in this group. */
-    std::size_t lanes() const { return lanes_; }
-
-    /** Lane @p l's energy accumulator. */
-    EnergyModel &energy(std::size_t l) { return *energy_[l]; }
+    /** The configuration's energy accumulator. */
+    EnergyModel &energy() { return energy_; }
 
     /**
-     * Timed run of instructions [begin, end) on every lane; writes one
-     * CoreStats per lane into @p stats. Mirrors OooCore::run() exactly.
+     * Timed run of instructions [begin, end). Mirrors OooCore::run()
+     * exactly.
      */
-    void
-    run(std::size_t begin, std::size_t end, CoreStats *stats)
+    CoreStats
+    run(std::size_t begin, std::size_t end)
     {
         end = std::min(end, trace_.size());
         ACDSE_CHECK(begin < end, "empty simulation interval");
-        runBegin_ = begin;
-        runEnd_ = end;
-        cycleLimit_ =
+        const std::uint64_t cycle_limit =
             static_cast<std::uint64_t>(end - begin) * 600 + 200000;
-        stats_ = stats;
+        const std::uint64_t il1_miss0 = hierarchy_.il1().misses();
+        const std::uint64_t dl1_miss0 = hierarchy_.dl1().misses();
+        const std::uint64_t l2_miss0 = hierarchy_.l2().misses();
 
-        for (std::size_t l = 0; l < lanes_; ++l) {
-            stats[l] = CoreStats{};
-            il1Miss0_[l] = hierarchy_[l]->il1().misses();
-            dl1Miss0_[l] = hierarchy_[l]->dl1().misses();
-            l2Miss0_[l] = hierarchy_[l]->l2().misses();
-            memEvents_[l] = HierarchyAccessEvents{};
-
-            // The ROB array is padded to a power of two so slot lookup
-            // is an AND instead of an integer division. Any injective
-            // mapping of the <= robSize in-flight instructions to
-            // distinct slots gives identical results; occupancy is
-            // still limited by robSize below.
-            std::size_t rob_alloc = 1;
-            while (rob_alloc < robSize_[l])
-                rob_alloc <<= 1;
-            robMask_[l] = rob_alloc - 1;
-            CoreScratch &cs = *core_[l];
-            cs.rob.assign(rob_alloc, CoreScratch::RobSlot{});
-            cs.fetchQueue.clear();
-            cs.iq.clear();
-            cs.iq.reserve(iqSize_[l]);
-            cs.iqSleep.clear();
-            cs.iqSleep.reserve(iqSize_[l]);
-            cs.wbRing.assign(kCoreRingSize, 0);
-            cs.resolveRing.assign(kCoreRingSize, 0);
-            cs.divBusy.assign(numDividers_[l], 0);
-
-            commitIdx_[l] = begin;
-            dispatchIdx_[l] = begin;
-            fetchIdx_[l] = begin;
-            robCount_[l] = 0;
-            lsqCount_[l] = 0;
-            regsUsed_[l] = 0;
-            fqHead_[l] = 0;
-            cycle_[l] = 0;
-            fetchBlockedUntil_[l] = 0;
-            fetchWaitBranch_[l] = 0;
-            waitBranchIdx_[l] = 0;
-            inflightBranches_[l] = 0;
-            lastFetchLine_[l] =
-                std::numeric_limits<std::uint64_t>::max();
-        }
-
-        std::size_t remaining = lanes_;
-        std::array<std::uint8_t, kSimLanes> active{};
-        for (std::size_t l = 0; l < lanes_; ++l)
-            active[l] = 1;
-        while (remaining > 0) {
-            for (std::size_t l = 0; l < lanes_; ++l) {
-                if (!active[l])
-                    continue;
-                if (stepLane(l, kLaneQuantum)) {
-                    active[l] = 0;
-                    --remaining;
-                    finishLane(l);
-                }
-            }
-        }
-    }
-
-    /**
-     * Functional warming of instructions [begin, end) on every lane.
-     * Mirrors OooCore::warm() exactly (per-call fetch-line tracking).
-     */
-    void
-    warm(std::size_t begin, std::size_t end)
-    {
-        end = std::min(end, trace_.size());
         const DecodedTrace::Op *ops = trace_.ops();
-        HierarchyAccessEvents discard;
-        // The line sequence is config-independent, so one tracker
-        // serves every lane (each still performs its own accesses).
-        std::uint64_t last_line =
+        const FixedParams &fp = fixedParams();
+        const std::uint64_t line_mask = l1LineMask();
+        const auto front_end_stages =
+            static_cast<std::uint64_t>(fp.frontEndStages);
+        const auto redirect_penalty =
+            static_cast<std::uint64_t>(fp.mispredictRedirect);
+        const auto fp_div_latency =
+            static_cast<std::uint64_t>(fp.fpDivLatency);
+        const auto width = static_cast<std::size_t>(config_.width());
+        const auto rob_size = static_cast<std::size_t>(config_.robSize());
+        const auto iq_size = static_cast<std::size_t>(config_.iqSize());
+        const auto lsq_size = static_cast<std::size_t>(config_.lsqSize());
+        const int rd_ports = config_.rfReadPorts();
+        const int wr_ports = config_.rfWritePorts();
+        const auto max_branches =
+            static_cast<std::size_t>(config_.maxBranches());
+        const FunctionalUnitCounts fus =
+            functionalUnitsForWidth(config_.width());
+        const std::array<int, kNumFuPools> fu_counts = {
+            fus.intAlu, fus.intMul, fus.fpAlu, fus.fpMulDiv};
+        const auto rename_regs = static_cast<std::size_t>(
+            std::max(1, config_.rfSize() - fp.archRegs));
+        const std::size_t fq_cap =
+            width * (static_cast<std::size_t>(fp.frontEndStages) + 2);
+        EnergyModel &energy = energy_;
+        CacheHierarchy &hierarchy = hierarchy_;
+        GsharePredictor &bpred = bpred_;
+        Btb &btb = btb_;
+        CoreStats stats;
+        HierarchyAccessEvents mem_events;
+
+        // The ROB array is padded to a power of two so slot lookup is
+        // an AND instead of an integer division. Any injective mapping
+        // of the <= robSize in-flight instructions to distinct slots
+        // gives identical results; occupancy is still limited by
+        // robSize below.
+        std::size_t rob_alloc = 1;
+        while (rob_alloc < rob_size)
+            rob_alloc <<= 1;
+        const std::size_t rob_mask = rob_alloc - 1;
+        auto &rob = core_.rob;
+        auto &fetch_queue = core_.fetchQueue;
+        auto &iq = core_.iq;
+        auto &iq_sleep = core_.iqSleep;
+        auto &wb_ring = core_.wbRing;
+        auto &resolve_ring = core_.resolveRing;
+        auto &div_busy = core_.divBusy;
+        rob.assign(rob_alloc, CoreScratch::RobSlot{});
+        fetch_queue.clear();
+        iq.clear();
+        iq.reserve(iq_size);
+        iq_sleep.clear();
+        iq_sleep.reserve(iq_size);
+        wb_ring.assign(kCoreRingSize, 0);
+        resolve_ring.assign(kCoreRingSize, 0);
+        div_busy.assign(static_cast<std::size_t>(fus.fpMulDiv), 0);
+
+        std::size_t commit_idx = begin;
+        std::size_t dispatch_idx = begin;
+        std::size_t fetch_idx = begin;
+        std::size_t rob_count = 0;
+        std::size_t lsq_count = 0;
+        std::size_t regs_used = 0;
+        std::size_t fq_head = 0;
+        std::uint64_t cycle = 0;
+        std::uint64_t fetch_blocked_until = 0;
+        bool fetch_wait_branch = false;
+        std::size_t wait_branch_idx = 0;
+        std::size_t inflight_branches = 0;
+        std::uint64_t last_fetch_line =
             std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t i = begin; i < end; ++i) {
-            const DecodedTrace::Op &op = ops[i];
-            const std::uint64_t line = op.pc & lineMask_;
-            if (line != last_line) {
-                for (std::size_t l = 0; l < lanes_; ++l)
-                    hierarchy_[l]->instAccess(op.pc, discard);
-                last_line = line;
-            }
-            if (op.flags & DecodedTrace::kOpMem) {
-                const bool write =
-                    (op.flags & DecodedTrace::kOpStore) != 0;
-                for (std::size_t l = 0; l < lanes_; ++l) {
-                    hierarchy_[l]->dataAccess(op.addrOrTarget, write,
-                                              discard);
-                }
-            } else if (op.flags & DecodedTrace::kOpBranch) {
-                const bool taken =
-                    (op.flags & DecodedTrace::kOpTaken) != 0;
-                for (std::size_t l = 0; l < lanes_; ++l) {
-                    bpred_[l]->update(op.pc, taken);
-                    if (taken && !btb_[l]->lookup(op.pc))
-                        btb_[l]->update(op.pc, op.addrOrTarget);
-                }
-            }
-        }
-    }
-
-  private:
-    /**
-     * Advance lane @p l by up to @p quantum cycles; true when the lane
-     * committed its whole interval. Transcribed from OooCore::run().
-     */
-    bool
-    stepLane(std::size_t l, std::uint64_t quantum)
-    {
-        const DecodedTrace::Op *ops = trace_.ops();
-        const std::size_t begin = runBegin_;
-        const std::size_t end = runEnd_;
-        const std::size_t width = width_[l];
-        const std::size_t rob_size = robSize_[l];
-        const std::size_t rob_mask = robMask_[l];
-        const std::size_t iq_size = iqSize_[l];
-        const std::size_t lsq_size = lsqSize_[l];
-        const int rd_ports = rdPorts_[l];
-        const int wr_ports = wrPorts_[l];
-        const std::size_t max_branches = maxBranches_[l];
-        const std::array<int, kNumFuPools> fu_counts = fuCounts_[l];
-        const std::size_t rename_regs = renameRegs_[l];
-        const std::size_t fq_cap = fqCap_[l];
-        EnergyModel &energy = *energy_[l];
-        CacheHierarchy &hierarchy = *hierarchy_[l];
-        GsharePredictor &bpred = *bpred_[l];
-        Btb &btb = *btb_[l];
-        CoreStats &stats = stats_[l];
-        HierarchyAccessEvents &mem_events = memEvents_[l];
-        CoreScratch &cs = *core_[l];
-        auto &rob = cs.rob;
-        auto &fetch_queue = cs.fetchQueue;
-        auto &iq = cs.iq;
-        auto &iq_sleep = cs.iqSleep;
-        auto &wb_ring = cs.wbRing;
-        auto &resolve_ring = cs.resolveRing;
-        auto &div_busy = cs.divBusy;
-
-        // Hot scalars live in locals for the quantum; the SoA members
-        // are only touched at the boundaries.
-        std::size_t commit_idx = commitIdx_[l];
-        std::size_t dispatch_idx = dispatchIdx_[l];
-        std::size_t fetch_idx = fetchIdx_[l];
-        std::size_t rob_count = robCount_[l];
-        std::size_t lsq_count = lsqCount_[l];
-        std::size_t regs_used = regsUsed_[l];
-        std::size_t fq_head = fqHead_[l];
-        std::uint64_t cycle = cycle_[l];
-        std::uint64_t fetch_blocked_until = fetchBlockedUntil_[l];
-        bool fetch_wait_branch = fetchWaitBranch_[l] != 0;
-        std::size_t wait_branch_idx = waitBranchIdx_[l];
-        std::size_t inflight_branches = inflightBranches_[l];
-        std::uint64_t last_fetch_line = lastFetchLine_[l];
         // True when every IQ entry carries a nonzero sleep bound; the
         // min of those bounds. While the min lies in the future the
         // whole issue scan is provably a no-op (no entry's operands can
         // be ready) and is skipped outright. Conservatively rebuilt by
-        // the first full scan of each quantum.
+        // the first full scan.
         bool iq_all_cached = false;
         std::uint64_t iq_min_sleep = 0;
 
@@ -384,8 +267,7 @@ class BatchSimulator
             return c;
         };
 
-        const std::uint64_t stop_cycle = cycle + quantum;
-        while (commit_idx < end && cycle < stop_cycle) {
+        while (commit_idx < end) {
             // Free the write-port ring slot for this cycle so it can
             // be reused a full ring period later; resolve branches due
             // now.
@@ -512,7 +394,7 @@ class BatchSimulator
                         std::uint64_t div_free = kCoreNotReady;
                         for (auto &busy : div_busy) {
                             if (busy <= cycle) {
-                                busy = cycle + fpDivLatency_;
+                                busy = cycle + fp_div_latency;
                                 can_issue = true;
                                 break;
                             }
@@ -590,7 +472,7 @@ class BatchSimulator
                             fetch_wait_branch = false;
                             fetch_blocked_until = std::max(
                                 fetch_blocked_until,
-                                resolve + redirectPenalty_);
+                                resolve + redirect_penalty);
                         }
                     }
                 }
@@ -690,7 +572,7 @@ class BatchSimulator
                     const DecodedTrace::Op &op = ops[fetch_idx];
 
                     // I-cache: access once per new line.
-                    const std::uint64_t line = op.pc & lineMask_;
+                    const std::uint64_t line = op.pc & line_mask;
                     if (line != last_fetch_line) {
                         const int lat =
                             hierarchy.instAccess(op.pc, mem_events);
@@ -739,7 +621,7 @@ class BatchSimulator
                                 // Correct direction but unknown
                                 // target: decode-time redirect bubble.
                                 fetch_blocked_until =
-                                    cycle + redirectPenalty_;
+                                    cycle + redirect_penalty;
                             }
                             // Cannot fetch past a taken branch this
                             // cycle.
@@ -750,7 +632,7 @@ class BatchSimulator
                     }
 
                     fetch_queue.push_back(
-                        {fetch_idx, cycle + frontEndStages_});
+                        {fetch_idx, cycle + front_end_stages});
                     ++fetch_idx;
                     progress = true;
                     if (stop_after)
@@ -768,13 +650,13 @@ class BatchSimulator
             } else {
                 // Frozen cycle: the pipeline replays it unchanged until
                 // the next scheduled event, so jump straight there.
-                // This is where the batched path beats the scalar
+                // This is where the replay engine beats the scalar
                 // reference -- stall-bound stretches (memory latency,
                 // unresolved branches) collapse to one iteration.
                 // Identity is preserved because a frozen cycle's only
                 // observable effects are the stall counters recorded
                 // above, which are credited per skipped cycle below.
-                std::uint64_t wake = cycleLimit_;
+                std::uint64_t wake = cycle_limit;
                 // Commit: the oldest in-flight instruction completes.
                 if (commit_idx < dispatch_idx) {
                     const CoreScratch::RobSlot &e = slot(commit_idx);
@@ -835,160 +717,122 @@ class BatchSimulator
                         c += run;
                     }
                 }
-                wake = std::max(wake, cycle + 1);
-                wake = std::min({wake, stop_cycle, cycleLimit_});
+                wake = std::clamp(wake, cycle + 1, cycle_limit);
                 const std::uint64_t skipped = wake - cycle - 1;
                 if (skipped > 0) {
                     // Each skipped cycle repeats this cycle's stall
                     // accounting and clears its own write-port slot,
-                    // exactly as the per-cycle loop would have.
+                    // exactly as the per-cycle loop would have: the
+                    // slots (cycle, wake) form at most two contiguous
+                    // runs of the ring.
                     if (dispatch_stall)
                         *dispatch_stall += skipped;
                     if (fetch_stalled)
                         stats.fetchStallBranches += skipped;
-                    if (skipped >= kCoreRingSize) {
-                        std::fill(wb_ring.begin(), wb_ring.end(), 0);
-                    } else {
-                        for (std::uint64_t c = cycle + 1; c < wake; ++c)
-                            wb_ring[c % kCoreRingSize] = 0;
-                    }
+                    const std::size_t first =
+                        (cycle + 1) % kCoreRingSize;
+                    const std::size_t count = static_cast<std::size_t>(
+                        std::min<std::uint64_t>(skipped, kCoreRingSize));
+                    const std::size_t head =
+                        std::min(count, kCoreRingSize - first);
+                    std::memset(wb_ring.data() + first, 0, head);
+                    std::memset(wb_ring.data(), 0, count - head);
                 }
                 cycle = wake;
             }
-            ACDSE_CHECK(cycle < cycleLimit_,
+            ACDSE_CHECK(cycle < cycle_limit,
                          "pipeline deadlock detected in ",
                          trace_.name(), " at instruction ", commit_idx);
         }
 
-        commitIdx_[l] = commit_idx;
-        dispatchIdx_[l] = dispatch_idx;
-        fetchIdx_[l] = fetch_idx;
-        robCount_[l] = rob_count;
-        lsqCount_[l] = lsq_count;
-        regsUsed_[l] = regs_used;
-        fqHead_[l] = fq_head;
-        cycle_[l] = cycle;
-        fetchBlockedUntil_[l] = fetch_blocked_until;
-        fetchWaitBranch_[l] = fetch_wait_branch ? 1 : 0;
-        waitBranchIdx_[l] = wait_branch_idx;
-        inflightBranches_[l] = inflight_branches;
-        lastFetchLine_[l] = last_fetch_line;
-        return commit_idx >= end;
-    }
-
-    /** Final accounting for a lane that committed its interval. */
-    void
-    finishLane(std::size_t l)
-    {
-        CoreStats &stats = stats_[l];
-        stats.cycles = cycle_[l];
-        stats.il1Misses = hierarchy_[l]->il1().misses() - il1Miss0_[l];
-        stats.dl1Misses = hierarchy_[l]->dl1().misses() - dl1Miss0_[l];
-        stats.l2Misses = hierarchy_[l]->l2().misses() - l2Miss0_[l];
-
-        EnergyModel &energy = *energy_[l];
-        const HierarchyAccessEvents &events = memEvents_[l];
+        stats.cycles = cycle;
+        stats.il1Misses = hierarchy.il1().misses() - il1_miss0;
+        stats.dl1Misses = hierarchy.dl1().misses() - dl1_miss0;
+        stats.l2Misses = hierarchy.l2().misses() - l2_miss0;
         energy.add(EnergyEvent::Il1Access,
-                   static_cast<std::uint64_t>(events.il1));
+                   static_cast<std::uint64_t>(mem_events.il1));
         energy.add(EnergyEvent::Dl1Access,
-                   static_cast<std::uint64_t>(events.dl1));
+                   static_cast<std::uint64_t>(mem_events.dl1));
         energy.add(EnergyEvent::L2Access,
-                   static_cast<std::uint64_t>(events.l2));
+                   static_cast<std::uint64_t>(mem_events.l2));
         energy.add(EnergyEvent::MemAccess,
-                   static_cast<std::uint64_t>(events.mem));
+                   static_cast<std::uint64_t>(mem_events.mem));
+        return stats;
     }
 
+    /**
+     * Functional warming of instructions [begin, end). Mirrors
+     * OooCore::warm() exactly (per-call fetch-line tracking).
+     */
+    void
+    warm(std::size_t begin, std::size_t end)
+    {
+        end = std::min(end, trace_.size());
+        const DecodedTrace::Op *ops = trace_.ops();
+        const std::uint64_t line_mask = l1LineMask();
+        HierarchyAccessEvents discard;
+        std::uint64_t last_line =
+            std::numeric_limits<std::uint64_t>::max();
+        for (std::size_t i = begin; i < end; ++i) {
+            const DecodedTrace::Op &op = ops[i];
+            const std::uint64_t line = op.pc & line_mask;
+            if (line != last_line) {
+                hierarchy_.instAccess(op.pc, discard);
+                last_line = line;
+            }
+            if (op.flags & DecodedTrace::kOpMem) {
+                hierarchy_.dataAccess(
+                    op.addrOrTarget,
+                    (op.flags & DecodedTrace::kOpStore) != 0, discard);
+            } else if (op.flags & DecodedTrace::kOpBranch) {
+                const bool taken =
+                    (op.flags & DecodedTrace::kOpTaken) != 0;
+                bpred_.update(op.pc, taken);
+                if (taken && !btb_.lookup(op.pc))
+                    btb_.update(op.pc, op.addrOrTarget);
+            }
+        }
+    }
+
+  private:
     const DecodedTrace &trace_;
-    const std::size_t lanes_;
+    const MicroarchConfig &config_;
 
-    // Shared fixed parameters, hoisted out of the cycle loop.
-    std::uint64_t lineMask_;
-    std::uint64_t frontEndStages_;
-    std::uint64_t redirectPenalty_;
-    std::uint64_t fpDivLatency_;
-
-    // Per-lane components (storage owned by the SimScratch).
-    std::array<EnergyModel *, kSimLanes> energy_;
-    std::array<CacheHierarchy *, kSimLanes> hierarchy_;
-    std::array<GsharePredictor *, kSimLanes> bpred_;
-    std::array<Btb *, kSimLanes> btb_;
-    std::array<CoreScratch *, kSimLanes> core_;
-
-    // Per-lane structural limits (SoA, set once per batch).
-    alignas(64) std::array<std::size_t, kSimLanes> width_;
-    std::array<std::size_t, kSimLanes> robSize_;
-    std::array<std::size_t, kSimLanes> robMask_;
-    std::array<std::size_t, kSimLanes> iqSize_;
-    std::array<std::size_t, kSimLanes> lsqSize_;
-    std::array<int, kSimLanes> rdPorts_;
-    std::array<int, kSimLanes> wrPorts_;
-    std::array<std::size_t, kSimLanes> maxBranches_;
-    std::array<std::array<int, kNumFuPools>, kSimLanes> fuCounts_;
-    std::array<std::size_t, kSimLanes> numDividers_;
-    std::array<std::size_t, kSimLanes> renameRegs_;
-    std::array<std::size_t, kSimLanes> fqCap_;
-
-    // Per-lane run state (SoA, reset per run()).
-    alignas(64) std::array<std::size_t, kSimLanes> commitIdx_;
-    std::array<std::size_t, kSimLanes> dispatchIdx_;
-    std::array<std::size_t, kSimLanes> fetchIdx_;
-    std::array<std::size_t, kSimLanes> robCount_;
-    std::array<std::size_t, kSimLanes> lsqCount_;
-    std::array<std::size_t, kSimLanes> regsUsed_;
-    std::array<std::size_t, kSimLanes> fqHead_;
-    alignas(64) std::array<std::uint64_t, kSimLanes> cycle_;
-    std::array<std::uint64_t, kSimLanes> fetchBlockedUntil_;
-    std::array<std::uint8_t, kSimLanes> fetchWaitBranch_;
-    std::array<std::size_t, kSimLanes> waitBranchIdx_;
-    std::array<std::size_t, kSimLanes> inflightBranches_;
-    std::array<std::uint64_t, kSimLanes> lastFetchLine_;
-    std::array<std::uint64_t, kSimLanes> il1Miss0_;
-    std::array<std::uint64_t, kSimLanes> dl1Miss0_;
-    std::array<std::uint64_t, kSimLanes> l2Miss0_;
-    std::array<HierarchyAccessEvents, kSimLanes> memEvents_;
-
-    // Per-run interval and output.
-    std::size_t runBegin_ = 0;
-    std::size_t runEnd_ = 0;
-    std::uint64_t cycleLimit_ = 0;
-    CoreStats *stats_ = nullptr;
+    // Components (storage owned by the SimScratch).
+    EnergyModel &energy_;
+    CacheHierarchy &hierarchy_;
+    GsharePredictor &bpred_;
+    Btb &btb_;
+    CoreScratch &core_;
 };
 
-/** One lane group: warmup + timed run + result assembly. */
-void
-runGroup(std::span<const MicroarchConfig> configs,
-         const DecodedTrace &trace, const SimulationOptions &options,
-         SimulationResult *results, SimScratch &scratch)
+/** One configuration: warmup + timed run + result assembly. */
+SimulationResult
+replay(const MicroarchConfig &config, const DecodedTrace &trace,
+       const SimulationOptions &options, SimScratch &scratch)
 {
-    BatchSimulator sim(configs, trace, scratch);
-    const std::size_t n = configs.size();
-    std::array<CoreStats, kSimLanes> stats;
-
+    ReplayCore core(config, trace, scratch);
     std::size_t begin = 0;
     if (options.warmupInstructions > 0 && trace.size() > 2) {
         // Warm microarchitectural state with an untimed run over the
         // prefix; discard its statistics and energy events.
         begin = std::min(options.warmupInstructions, trace.size() / 2);
-        sim.run(0, begin, stats.data());
-        for (std::size_t l = 0; l < n; ++l)
-            sim.energy(l).resetCounts();
+        core.run(0, begin);
+        core.energy().resetCounts();
     }
 
-    sim.run(begin, trace.size(), stats.data());
-    for (std::size_t l = 0; l < n; ++l) {
-        SimulationResult &result = results[l];
-        result.stats = stats[l];
-        result.dynamicNj = sim.energy(l).dynamicEnergyNj();
-        result.staticNj =
-            sim.energy(l).staticEnergyNj(stats[l].cycles);
-        result.metrics = Metrics::fromCyclesEnergy(
-            static_cast<double>(stats[l].cycles),
-            result.dynamicNj + result.staticNj);
-        ACDSE_CHECK_FINITE(result.metrics.cycles, "simulated cycles");
-        ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
-        ACDSE_CHECK(result.metrics.cycles > 0.0,
-                     "simulation produced no cycles");
-    }
+    SimulationResult result;
+    result.stats = core.run(begin, trace.size());
+    result.dynamicNj = core.energy().dynamicEnergyNj();
+    result.staticNj = core.energy().staticEnergyNj(result.stats.cycles);
+    result.metrics = Metrics::fromCyclesEnergy(
+        static_cast<double>(result.stats.cycles),
+        result.dynamicNj + result.staticNj);
+    ACDSE_CHECK_FINITE(result.metrics.cycles, "simulated cycles");
+    ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
+    ACDSE_CHECK(result.metrics.cycles > 0.0,
+                 "simulation produced no cycles");
+    return result;
 }
 
 } // namespace
@@ -1003,25 +847,18 @@ simulateBatch(std::span<const MicroarchConfig> configs,
     ACDSE_CHECK(results.size() >= configs.size(),
                  "result span smaller than the config batch");
     const obs::TraceSpan span(obs::Registry::global(), "sim/batch");
-#if defined(ACDSE_NO_SIM_BATCH)
-    // Scalar shape: loop the reference implementation, still reusing
-    // the scratch's pipeline storage.
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        results[i] = simulate(configs[i], trace.source(), options,
-                              scratch.lanes[0].core);
-    }
-#else
-    for (std::size_t first = 0; first < configs.size();
-         first += kSimLanes) {
-        const std::size_t n =
-            std::min(kSimLanes, configs.size() - first);
-        runGroup(configs.subspan(first, n), trace, options,
-                 results.data() + first, scratch);
-    }
-#endif
     std::uint64_t instructions = 0;
-    for (std::size_t i = 0; i < configs.size(); ++i)
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+#if defined(ACDSE_NO_SIM_BATCH)
+        // Scalar shape: the reference implementation, still reusing
+        // the scratch's pipeline storage.
+        results[i] = simulate(configs[i], trace.source(), options,
+                              scratch.core);
+#else
+        results[i] = replay(configs[i], trace, options, scratch);
+#endif
         instructions += results[i].stats.instructions;
+    }
     obs::Registry &registry = obs::Registry::global();
     registry.counter("sim/instructions").add(instructions);
     registry.counter("sim/lanes-occupied").add(configs.size());
@@ -1048,8 +885,8 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
     for (std::size_t i = 0; i < configs.size(); ++i)
         results[i] = simulateWithSimPoints(configs[i], trace, options);
 #else
-    // One analysis serves every lane: simpointAnalyze() is a pure
-    // function of (trace, options), so sharing it preserves
+    // One analysis serves every configuration: simpointAnalyze() is a
+    // pure function of (trace, options), so sharing it preserves
     // bit-identity with the scalar path, which recomputes it per
     // config.
     const SimPointResult analysis = simpointAnalyze(trace, options);
@@ -1060,50 +897,32 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
     SimScratch scratch;
     std::vector<double> cycles_per_interval(analysis.numIntervals);
     std::vector<double> energy_per_interval(analysis.numIntervals);
-    std::array<CoreStats, kSimLanes> stats;
-
-    for (std::size_t first = 0; first < configs.size();
-         first += kSimLanes) {
-        const std::size_t n =
-            std::min(kSimLanes, configs.size() - first);
-        // Per-lane interval estimates for this group.
-        std::array<std::vector<double>, kSimLanes> lane_cycles;
-        std::array<std::vector<double>, kSimLanes> lane_energy;
-        std::array<std::uint64_t, kSimLanes> timed{};
-        for (std::size_t l = 0; l < n; ++l) {
-            lane_cycles[l].assign(analysis.numIntervals, 0.0);
-            lane_energy[l].assign(analysis.numIntervals, 0.0);
-        }
-
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        std::uint64_t timed = 0;
         for (const auto &point : analysis.points) {
             const std::size_t begin = point.intervalIndex * len;
             const std::size_t end =
                 std::min(begin + len, trace.size());
             // Fresh per-point state, as the scalar path constructs a
             // fresh core per point.
-            BatchSimulator sim(configs.subspan(first, n), decoded,
-                               scratch);
+            ReplayCore core(configs[i], decoded, scratch);
             if (begin >= len)
-                sim.warm(begin - len, begin);
-            sim.run(begin, end, stats.data());
-            for (std::size_t l = 0; l < n; ++l) {
-                timed[l] += stats[l].instructions;
-                lane_cycles[l][point.intervalIndex] =
-                    static_cast<double>(stats[l].cycles);
-                lane_energy[l][point.intervalIndex] =
-                    sim.energy(l).totalEnergyNj(stats[l].cycles);
-            }
+                core.warm(begin - len, begin);
+            const CoreStats stats = core.run(begin, end);
+            timed += stats.instructions;
+            cycles_per_interval[point.intervalIndex] =
+                static_cast<double>(stats.cycles);
+            energy_per_interval[point.intervalIndex] =
+                core.energy().totalEnergyNj(stats.cycles);
         }
 
-        for (std::size_t l = 0; l < n; ++l) {
-            SampledResult &result = results[first + l];
-            result.metrics = Metrics::fromCyclesEnergy(
-                simpointWeightedSum(analysis, lane_cycles[l]),
-                simpointWeightedSum(analysis, lane_energy[l]));
-            result.simulatedInstructions = timed[l];
-            result.detailFraction = static_cast<double>(timed[l]) /
-                                    static_cast<double>(trace.size());
-        }
+        SampledResult &result = results[i];
+        result.metrics = Metrics::fromCyclesEnergy(
+            simpointWeightedSum(analysis, cycles_per_interval),
+            simpointWeightedSum(analysis, energy_per_interval));
+        result.simulatedInstructions = timed;
+        result.detailFraction = static_cast<double>(timed) /
+                                static_cast<double>(trace.size());
     }
 #endif
     return results;
@@ -1126,18 +945,13 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
 
     const DecodedTrace decoded(trace);
     SimScratch scratch;
-    std::array<CoreStats, kSimLanes> stats;
-
-    for (std::size_t first = 0; first < configs.size();
-         first += kSimLanes) {
-        const std::size_t n =
-            std::min(kSimLanes, configs.size() - first);
-        // Persistent per-group state: caches and predictors stay warm
-        // across units, exactly like the scalar path's long-lived core.
-        BatchSimulator sim(configs.subspan(first, n), decoded, scratch);
-        std::array<double, kSimLanes> measured_cycles{};
-        std::array<double, kSimLanes> measured_energy{};
-        std::array<std::uint64_t, kSimLanes> timed{};
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        // Caches and predictors stay warm across units, exactly like
+        // the scalar path's long-lived core.
+        ReplayCore core(configs[i], decoded, scratch);
+        double measured_cycles = 0.0;
+        double measured_energy = 0.0;
+        std::uint64_t timed = 0;
         std::size_t measured_units = 0;
 
         for (std::size_t u = 0; u < num_units; ++u) {
@@ -1148,37 +962,30 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
                 (u % options.samplingPeriod) ==
                 (options.offset % options.samplingPeriod);
             if (measure) {
-                for (std::size_t l = 0; l < n; ++l)
-                    sim.energy(l).resetCounts();
-                sim.run(begin, end, stats.data());
-                for (std::size_t l = 0; l < n; ++l) {
-                    measured_cycles[l] +=
-                        static_cast<double>(stats[l].cycles);
-                    measured_energy[l] +=
-                        sim.energy(l).dynamicEnergyNj() +
-                        sim.energy(l).staticEnergyNj(stats[l].cycles);
-                    timed[l] += stats[l].instructions;
-                }
+                core.energy().resetCounts();
+                const CoreStats stats = core.run(begin, end);
+                measured_cycles += static_cast<double>(stats.cycles);
+                measured_energy +=
+                    core.energy().dynamicEnergyNj() +
+                    core.energy().staticEnergyNj(stats.cycles);
+                timed += stats.instructions;
                 ++measured_units;
             } else {
                 // Functional warming only: caches and predictors stay
                 // hot, no timing is modelled.
-                sim.warm(begin, end);
+                core.warm(begin, end);
             }
         }
         ACDSE_CHECK(measured_units > 0, "no units were measured");
 
         const double scale = static_cast<double>(num_units) /
                              static_cast<double>(measured_units);
-        for (std::size_t l = 0; l < n; ++l) {
-            SampledResult &result = results[first + l];
-            result.metrics = Metrics::fromCyclesEnergy(
-                measured_cycles[l] * scale,
-                measured_energy[l] * scale);
-            result.simulatedInstructions = timed[l];
-            result.detailFraction = static_cast<double>(timed[l]) /
-                                    static_cast<double>(trace.size());
-        }
+        SampledResult &result = results[i];
+        result.metrics = Metrics::fromCyclesEnergy(
+            measured_cycles * scale, measured_energy * scale);
+        result.simulatedInstructions = timed;
+        result.detailFraction = static_cast<double>(timed) /
+                                static_cast<double>(trace.size());
     }
 #endif
     return results;

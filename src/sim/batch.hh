@@ -1,42 +1,40 @@
 /**
  * @file
- * Lane-per-config batched simulator replay.
+ * Decoded-trace simulator replay.
  *
  * A design-space campaign evaluates the *same* trace under hundreds of
  * configurations. The scalar path (sim/simulator.hh) rebuilds every
- * simulator structure per call and streams the trace once per config;
- * this path replays one decoded trace against up to kSimLanes
- * configurations simultaneously:
+ * simulator structure per call and re-derives every instruction's
+ * properties per config; this path replays one decoded trace against
+ * each configuration in turn through a single-configuration
+ * event-driven engine:
  *
  *  - DecodedTrace precomputes per-instruction properties (latency,
  *    functional-unit pool, energy event, class flags) once per trace
  *    instead of re-deriving them per config per instruction.
- *  - SimScratch owns per-lane simulator components (caches, predictors,
- *    energy model, pipeline storage) that are *reconfigured* -- not
- *    reallocated -- for each batch, so steady-state replay performs no
- *    heap allocation (bench_campaign asserts this).
- *  - Lanes advance through the trace in interleaved quanta, sharing the
- *    trace working set.
+ *  - SimScratch owns one configuration's simulator components (caches,
+ *    predictors, energy model, pipeline storage), *reconfigured* -- not
+ *    reallocated -- for each simulation, so steady-state replay
+ *    performs no heap allocation (bench_campaign asserts this).
+ *  - The engine skips idle cycles: a stretch in which no pipeline,
+ *    cache or predictor state changes is jumped over in one step.
  *
  * Contract: per-config results are BIT-IDENTICAL to scalar simulate()
  * (tests/test_batch_sim.cc compares all four metrics with EXPECT_EQ on
- * the doubles). This holds because lanes never interact -- each lane
- * executes exactly the scalar algorithm's operation sequence -- and the
- * shared tables in sim/core_ops.hh keep the two transcriptions from
- * drifting. Configure with -DACDSE_SIM_BATCH=OFF to collapse the batch
- * entry points to the scalar path (an escape hatch, not a numerics
- * switch).
+ * the doubles). This holds because the engine executes exactly the
+ * scalar algorithm's operation sequence, and the shared tables in
+ * sim/core_ops.hh keep the two transcriptions from drifting. Configure
+ * with -DACDSE_SIM_BATCH=OFF to route the entry points through the
+ * scalar path (an escape hatch, not a numerics switch).
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
  * and feeds two counters -- "sim/instructions" (instructions committed
- * through the batched path) and "sim/lanes-occupied" (sum of occupied
- * lanes per lane-group; divide by the sim/batch span's call count for
- * average occupancy).
+ * through the replay path) and "sim/lanes-occupied" (configurations
+ * simulated, i.e. cells).
  */
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -54,13 +52,15 @@
 namespace acdse
 {
 
-#if defined(ACDSE_NO_SIM_BATCH)
-/** Lane count (ACDSE_SIM_BATCH=OFF: scalar shape). */
+/**
+ * Configurations per simulateBatch() call that callers tile work by.
+ * Each configuration is replayed on its own: interleaving several
+ * configurations through one trace measured no faster and held one
+ * set of caches, predictors and pipeline storage per configuration in
+ * every worker's scratch. At 1, the natural tiling -- one pool task
+ * per cell -- keeps a single configuration's storage per thread.
+ */
 constexpr std::size_t kSimLanes = 1;
-#else
-/** Configurations replayed simultaneously per lane group. */
-constexpr std::size_t kSimLanes = 8;
-#endif
 
 /**
  * A trace decoded for replay: per-instruction properties the core
@@ -123,39 +123,33 @@ class DecodedTrace
 };
 
 /**
- * Per-lane simulator components, owned by the caller and recycled
- * across simulateBatch() calls. First use constructs each component;
- * every later batch reconfigures it in place (O(1) invalidation via
- * epochs -- see Cache::reconfigure), so steady-state replay allocates
- * nothing. One scratch serves one thread; it is storage, never state:
- * results do not depend on what ran through it before.
+ * One configuration's simulator components, owned by the caller and
+ * recycled across simulations. First use constructs each component;
+ * every later simulation reconfigures it in place (O(1) invalidation
+ * via epochs -- see Cache::reconfigure), so steady-state replay
+ * allocates nothing. One scratch serves one thread; it is storage,
+ * never state: results do not depend on what ran through it before.
  */
 struct SimScratch
 {
-    /** Components for one lane (one configuration). */
-    struct Lane
-    {
-        std::optional<EnergyModel> energy;       //!< event accounting
-        std::optional<CacheHierarchy> hierarchy; //!< L1I/L1D/L2
-        std::optional<GsharePredictor> bpred;    //!< direction predictor
-        std::optional<Btb> btb;                  //!< target buffer
-        CoreScratch core;                        //!< pipeline storage
-    };
-
-    std::array<Lane, kSimLanes> lanes; //!< one per simultaneous config
+    std::optional<EnergyModel> energy;       //!< event accounting
+    std::optional<CacheHierarchy> hierarchy; //!< L1I/L1D/L2
+    std::optional<GsharePredictor> bpred;    //!< direction predictor
+    std::optional<Btb> btb;                  //!< target buffer
+    CoreScratch core;                        //!< pipeline storage
 };
 
 /**
  * Replay @p trace against every configuration in @p configs (any
- * count; processed in lane groups of kSimLanes) and write one
- * SimulationResult per config into @p results. Bit-identical to
- * calling simulate(configs[i], trace.source(), options) per config.
+ * count, one after another) and write one SimulationResult per config
+ * into @p results. Bit-identical to calling
+ * simulate(configs[i], trace.source(), options) per config.
  *
  * @param configs the design points (results follow this order).
- * @param trace   the decoded trace, shared by every lane.
+ * @param trace   the decoded trace (read-only; shareable by threads).
  * @param options warmup control, as for simulate().
  * @param results output span, at least configs.size() entries.
- * @param scratch caller-owned lane components (reused across calls).
+ * @param scratch caller-owned components (reused across calls).
  */
 void simulateBatch(std::span<const MicroarchConfig> configs,
                    const DecodedTrace &trace,
@@ -169,9 +163,10 @@ simulateBatch(std::span<const MicroarchConfig> configs, const Trace &trace,
               const SimulationOptions &options = {});
 
 /**
- * Batched SimPoint estimate: one analysis pass, then every
- * representative interval replayed across all lanes. Element i is
- * bit-identical to simulateWithSimPoints(configs[i], trace, options).
+ * Batched SimPoint estimate: one analysis pass and one decode, then
+ * every representative interval replayed per configuration. Element i
+ * is bit-identical to simulateWithSimPoints(configs[i], trace,
+ * options).
  */
 std::vector<SampledResult>
 simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
@@ -179,9 +174,9 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
                            const SimPointOptions &options = {});
 
 /**
- * Batched SMARTS estimate: measurement units and functional warming
- * advance all lanes together. Element i is bit-identical to
- * simulateWithSmarts(configs[i], trace, options).
+ * Batched SMARTS estimate: one decode, then measurement units and
+ * functional warming replayed per configuration. Element i is
+ * bit-identical to simulateWithSmarts(configs[i], trace, options).
  */
 std::vector<SampledResult>
 simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,

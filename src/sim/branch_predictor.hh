@@ -25,8 +25,8 @@ class GsharePredictor
     /**
      * Re-size the table and forget all training, history and
      * statistics -- equivalent to constructing a fresh predictor but
-     * reusing the counter storage (the lane-batched simulator recycles
-     * one predictor per lane across simulations).
+     * reusing the counter storage (the replay engine recycles one
+     * predictor per worker across simulations).
      */
     void reconfigure(int entries);
 

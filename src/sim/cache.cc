@@ -26,7 +26,9 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
     ACDSE_CHECK((sets_ & (sets_ - 1)) == 0, "set count must be 2^n");
     ACDSE_CHECK(std::has_single_bit(static_cast<unsigned>(lineBytes)),
                  "line size must be 2^n");
-    lines_.resize(static_cast<std::size_t>(sets_) * assoc_);
+    const std::size_t lines = static_cast<std::size_t>(sets_) * assoc_;
+    if (lines > lines_.size())
+        lines_.resize(lines);
     reset();
 }
 
@@ -34,7 +36,11 @@ CacheAccessResult
 Cache::access(std::uint64_t addr, bool write)
 {
     ++accesses_;
+    // The LRU stamps are 32 bits wide; a wrap would silently reorder
+    // them, so a run must reset before 2^32 accesses.
     ++useCounter_;
+    ACDSE_CHECK(useCounter_ != 0,
+                 "cache access counter overflowed its 32-bit LRU stamp");
     const std::uint64_t line_addr = addr >> lineShift_;
     const std::uint64_t set = line_addr & (static_cast<std::uint64_t>(
                                                sets_) - 1);
@@ -45,27 +51,25 @@ Cache::access(std::uint64_t addr, bool write)
     Line *victim = base;
     for (int w = 0; w < assoc_; ++w) {
         Line &line = base[w];
-        const bool valid = line.epoch == epoch_;
-        if (valid && line.tag == tag) {
+        const bool present = valid(line);
+        if (present && line.tag == tag) {
             line.lastUse = useCounter_;
-            line.dirty |= write;
+            line.state |= write ? 1u : 0u;
             return {true, false};
         }
-        if (!valid) {
+        if (!present) {
             victim = &line;
-        } else if (victim->epoch == epoch_ &&
-                   line.lastUse < victim->lastUse) {
+        } else if (valid(*victim) && line.lastUse < victim->lastUse) {
             victim = &line;
         }
     }
 
     ++misses_;
-    const bool writeback = victim->epoch == epoch_ && victim->dirty;
+    const bool writeback = valid(*victim) && (victim->state & 1u);
     writebacks_ += writeback;
-    victim->epoch = epoch_;
+    victim->state = (epoch_ << 1) | (write ? 1u : 0u);
     victim->tag = tag;
     victim->lastUse = useCounter_;
-    victim->dirty = write;
     return {false, writeback};
 }
 
@@ -79,7 +83,7 @@ Cache::probe(std::uint64_t addr) const
                                   static_cast<unsigned>(sets_));
     const Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
     for (int w = 0; w < assoc_; ++w) {
-        if (base[w].epoch == epoch_ && base[w].tag == tag)
+        if (valid(base[w]) && base[w].tag == tag)
             return true;
     }
     return false;
@@ -91,9 +95,10 @@ Cache::reset()
     // O(1) by design: advancing the epoch invalidates every line (the
     // LRU victim scan treats stale-epoch lines exactly like the
     // valid=false lines of a fresh array). On the -- practically
-    // unreachable -- epoch wrap, fall back to a full clear so recycled
+    // unreachable -- epoch wrap, fall back to a full clear (of every
+    // line, including any beyond the current geometry) so recycled
     // epoch values can never resurrect ancient lines.
-    if (++epoch_ == 0) {
+    if (++epoch_ > kMaxEpoch) {
         for (auto &line : lines_)
             line = Line{};
         epoch_ = 1;

@@ -35,10 +35,13 @@ class Cache
     /**
      * Re-shape this cache for a new geometry, invalidating all
      * contents and statistics. Equivalent to constructing a fresh
-     * Cache but reuses the line storage -- the lane-batched simulator
-     * (sim/batch.hh) recycles one Cache per lane across thousands of
+     * Cache but reuses the line storage -- the replay engine
+     * (sim/batch.hh) recycles one Cache per worker across thousands of
      * simulations, and re-allocating + zeroing a multi-megabyte L2
      * line array per simulation would dominate short campaign runs.
+     * Storage only ever grows: lines beyond a smaller geometry keep
+     * their stale epochs, so they are still invalid when a larger
+     * geometry reaches them again.
      */
     void reconfigure(int sizeBytes, int assoc, int lineBytes);
 
@@ -65,29 +68,41 @@ class Cache
     /** Number of sets. */
     int numSets() const { return sets_; }
 
+    /** Largest epoch; the next reset() wraps to a full clear. */
+    static constexpr std::uint32_t kMaxEpoch = (1u << 31) - 1;
+
   private:
+    friend struct CacheTestAccess; // drives the epoch to its wrap
+
     /**
-     * One cache line. Validity is epoch-based: a line is present iff
-     * its epoch matches the cache's current epoch, so reset() and
-     * reconfigure() invalidate every line by bumping epoch_ in O(1)
-     * instead of clearing the array. Value-initialised lines carry
-     * epoch 0, which is never current (epoch_ starts at 1), so freshly
-     * grown storage is invalid without touching it.
+     * One cache line (16 bytes). Validity is epoch-based: a line is
+     * present iff its epoch matches the cache's current epoch, so
+     * reset() and reconfigure() invalidate every line by bumping
+     * epoch_ in O(1) instead of clearing the array. Value-initialised
+     * lines carry epoch 0, which is never current (epoch_ starts at
+     * 1), so freshly grown storage is invalid without touching it.
      */
     struct Line
     {
         std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        std::uint32_t epoch = 0;
-        bool dirty = false;
+        std::uint32_t lastUse = 0; //!< useCounter_ at the last access
+        std::uint32_t state = 0;   //!< epoch << 1 | dirty
     };
+    static_assert(sizeof(Line) == 16);
+
+    /** Whether @p line holds data in the current epoch. */
+    bool
+    valid(const Line &line) const
+    {
+        return (line.state >> 1) == epoch_;
+    }
 
     int sets_;
     int assoc_;
     int lineShift_;
     std::vector<Line> lines_;
     std::uint32_t epoch_ = 1;
-    std::uint64_t useCounter_ = 0;
+    std::uint32_t useCounter_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;

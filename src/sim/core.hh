@@ -46,7 +46,7 @@ constexpr std::uint64_t kCoreNotReady = ~std::uint64_t{0};
  * (ROB slots, fetch queue, issue queue, per-cycle rings, divider busy
  * timers). OooCore::run() historically allocated these per call; a
  * campaign runs hundreds of thousands of short simulations, so callers
- * that loop (Campaign fill, the lane-batched replay path in
+ * that loop (Campaign fill, the decoded-trace replay path in
  * sim/batch.hh) own one scratch per worker and hand it to every run.
  * Contents are overwritten at the start of each run; only capacity
  * carries over.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-instruction-class properties shared by the scalar core model
- * (core.cc) and the lane-batched replay path (batch.cc).
+ * (core.cc) and the decoded-trace replay path (batch.cc).
  *
  * Both paths must map an InstClass to the *same* execution latency,
  * functional-unit pool and energy event, or the batched simulator's

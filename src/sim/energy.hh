@@ -70,7 +70,7 @@ class EnergyModel
     /**
      * Re-derive all per-event costs for a new configuration and zero
      * the event counts -- equivalent to constructing a fresh model
-     * (the lane-batched simulator recycles one model per lane).
+     * (the replay engine recycles one model per worker).
      */
     void reconfigure(const MicroarchConfig &config);
 

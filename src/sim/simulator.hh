@@ -43,8 +43,8 @@ SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,
 
 /**
  * As simulate(), but borrowing @p scratch for the core's pipeline
- * structures. Callers that simulate in a loop (campaign fill, the
- * batched replay fallback) reuse one scratch to avoid per-simulation
+ * structures. Callers that simulate in a loop (the replay path's
+ * ACDSE_SIM_BATCH=OFF fallback) reuse one scratch to avoid per-simulation
  * allocation; results are identical either way.
  */
 SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,

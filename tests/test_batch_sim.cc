@@ -1,16 +1,15 @@
 /**
  * @file
- * Bit-identity contract of the lane-batched simulator replay
+ * Bit-identity contract of the decoded-trace simulator replay
  * (sim/batch.hh): for every batch size, warmup setting and sampling
- * methodology, the batched path must reproduce the scalar path's
- * metrics EXACTLY -- EXPECT_EQ on the doubles, not EXPECT_NEAR. The
- * lanes never interact, so any divergence is a transcription bug, not
- * rounding.
+ * methodology, the replay path must reproduce the scalar path's
+ * metrics EXACTLY -- EXPECT_EQ on the doubles, not EXPECT_NEAR. Both
+ * run the same operation sequence, so any divergence is a
+ * transcription bug, not rounding.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -66,8 +65,8 @@ expectIdentical(const SimulationResult &batched,
               scalar.stats.fetchStallBranches);
 }
 
-// Batch sizes around the lane count: a lone config, a partial group,
-// a full group, and a full group plus a straggler.
+// Batch sizes: a lone config and several configs replayed in sequence
+// through one call's scratch.
 class BatchSimSizes : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -97,29 +96,66 @@ TEST_P(BatchSimSizes, BitIdenticalToScalar)
 INSTANTIATE_TEST_SUITE_P(AroundLaneCount, BatchSimSizes,
                          ::testing::Values(1, 7, 8, 9));
 
+/**
+ * A fixed walk through the sizes a recycled scratch must re-shape
+ * for: L2 (with both L1s), predictor, BTB, ROB and width go
+ * large -> small -> large, in and out of step with each other.
+ */
+std::vector<MicroarchConfig>
+resizingConfigs()
+{
+    struct Sizes
+    {
+        int l2Kb, l1Kb, bpredK, btbK, rob, width;
+    };
+    const Sizes walk[] = {
+        {4096, 128, 32, 4, 160, 8}, {256, 8, 1, 1, 32, 2},
+        {4096, 128, 32, 4, 160, 8}, {1024, 32, 8, 2, 96, 4},
+        {256, 8, 32, 1, 160, 6},    {4096, 128, 1, 4, 32, 2},
+        {256, 8, 1, 1, 32, 2},      {2048, 64, 16, 4, 128, 4},
+        {4096, 128, 32, 4, 160, 8}, {512, 16, 2, 1, 48, 2},
+    };
+    std::vector<MicroarchConfig> configs;
+    for (const Sizes &s : walk) {
+        MicroarchConfig config = DesignSpace::baseline();
+        config.set(Param::L2Size, s.l2Kb);
+        config.set(Param::Il1Size, s.l1Kb);
+        config.set(Param::Dl1Size, s.l1Kb);
+        config.set(Param::BpredSize, s.bpredK);
+        config.set(Param::BtbSize, s.btbK);
+        config.set(Param::RobSize, s.rob);
+        config.set(Param::IqSize, s.rob / 2);
+        config.set(Param::LsqSize, s.rob / 2);
+        config.set(Param::Width, s.width);
+        configs.push_back(config);
+    }
+    return configs;
+}
+
 TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
 {
-    // One scratch serves different traces and different configs in
-    // sequence; reconfigure/epoch-reset must leave no residue from
-    // earlier batches (this is exactly how campaign workers use it).
+    // One scratch serves different traces and differently sized
+    // configs in sequence; reconfigure/epoch-reset must leave no
+    // residue from earlier simulations, whichever way the storage was
+    // last resized (this is exactly how campaign workers use it).
     SimScratch scratch;
     SimulationOptions options;
     options.warmupInstructions = 1000;
+    const auto configs = resizingConfigs();
 
     for (const char *program : {"gcc", "mcf", "equake"}) {
         const Trace trace = makeTrace(program, 6000);
         const DecodedTrace decoded(trace);
-        const auto configs = DesignSpace::sampleValidConfigs(
-            kSimLanes, 17 + static_cast<unsigned>(program[0]));
-        std::vector<SimulationResult> batched(configs.size());
-        simulateBatch(std::span<const MicroarchConfig>(configs),
-                      decoded, options,
-                      std::span<SimulationResult>(batched), scratch);
         for (std::size_t i = 0; i < configs.size(); ++i) {
             SCOPED_TRACE(::testing::Message()
                          << program << " config " << i);
-            expectIdentical(batched[i],
-                            simulate(configs[i], trace, options));
+            ASSERT_TRUE(DesignSpace::isValid(configs[i]));
+            SimulationResult batched;
+            simulateBatch(std::span<const MicroarchConfig>(&configs[i], 1),
+                          decoded, options,
+                          std::span<SimulationResult>(&batched, 1),
+                          scratch);
+            expectIdentical(batched, simulate(configs[i], trace, options));
         }
     }
 }

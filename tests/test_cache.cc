@@ -12,6 +12,17 @@
 
 namespace acdse
 {
+
+/** Test access to Cache's epoch, to reach the wrap without 2^31 resets. */
+struct CacheTestAccess
+{
+    static void
+    setEpoch(Cache &cache, std::uint32_t epoch)
+    {
+        cache.epoch_ = epoch;
+    }
+};
+
 namespace
 {
 
@@ -90,6 +101,69 @@ TEST(Cache, ResetClearsEverything)
     EXPECT_EQ(cache.accesses(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_FALSE(cache.probe(0x000));
+}
+
+TEST(Cache, WriteHitThenEvictionReportsWriteback)
+{
+    Cache cache(64, 1, 32); // 2 sets, 1 way
+    EXPECT_FALSE(cache.access(0x000, false).hit); // clean fill
+    EXPECT_TRUE(cache.access(0x000, true).hit);   // write hit: dirty
+    const CacheAccessResult r = cache.access(0x040, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.writebackDirty);
+    EXPECT_EQ(cache.writebacks(), 1u);
+    // The replacement was filled clean, so evicting it writes nothing.
+    EXPECT_FALSE(cache.access(0x000, false).writebackDirty);
+    EXPECT_EQ(cache.writebacks(), 1u);
+}
+
+TEST(Cache, ReconfigureLargeSmallLargeLeavesNoStaleHits)
+{
+    constexpr std::uint64_t kLarge = 4096;
+    Cache cache(kLarge, 2, 32);
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        cache.access(a, true); // every line present and dirty
+
+    cache.reconfigure(128, 2, 32); // shrinks the geometry, not storage
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.probe(a)) << a;
+    cache.access(0x000, true);
+    cache.access(0x040, false);
+    EXPECT_TRUE(cache.probe(0x000));
+
+    cache.reconfigure(kLarge, 2, 32);
+    EXPECT_EQ(cache.accesses(), 0u);
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.probe(a)) << a;
+    // Refilling evicts nothing: no stale dirty line is written back.
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.access(a, false).hit) << a;
+    EXPECT_EQ(cache.misses(), kLarge / 32);
+    EXPECT_EQ(cache.writebacks(), 0u);
+}
+
+TEST(Cache, EpochWrapClearsEveryLine)
+{
+    constexpr std::uint64_t kLarge = 4096;
+    Cache cache(kLarge, 2, 32);
+    CacheTestAccess::setEpoch(cache, 5);
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        cache.access(a, true); // every line present, dirty, epoch 5
+    ASSERT_TRUE(cache.probe(0x000));
+
+    // Wrap while shrunk, then count back up to the fill's epoch: the
+    // wrap's clear must have reached the lines beyond the small
+    // geometry too, or they resurface here.
+    CacheTestAccess::setEpoch(cache, Cache::kMaxEpoch);
+    cache.reconfigure(128, 2, 32); // wraps to epoch 1
+    cache.reconfigure(kLarge, 2, 32); // epoch 2
+    for (int epoch = 2; epoch < 5; ++epoch)
+        cache.reset();
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.probe(a)) << a;
+    for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.access(a, false).hit) << a;
+    EXPECT_EQ(cache.writebacks(), 0u);
 }
 
 /**

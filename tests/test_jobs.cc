@@ -31,6 +31,7 @@
 #include "core/campaign.hh"
 #include "jobs/campaign_jobs.hh"
 #include "jobs/job_queue.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -46,13 +47,11 @@ using jobs::JobSpec;
 using jobs::JobState;
 using jobs::QueueSnapshot;
 
+/** A new empty directory, unique to this process (tests/temp_dir.hh). */
 fs::path
 freshDir(const std::string &name)
 {
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
+    return testdir::uniqueTempDir(name);
 }
 
 std::string

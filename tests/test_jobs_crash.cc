@@ -34,6 +34,7 @@
 #include "base/journal.hh"
 #include "jobs/campaign_jobs.hh"
 #include "json_reader.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -67,13 +68,11 @@ run(const fs::path &dir, const std::string &command)
     return result;
 }
 
+/** A new empty directory, unique to this process (tests/temp_dir.hh). */
 fs::path
 freshDir(const std::string &name)
 {
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
+    return testdir::uniqueTempDir(name);
 }
 
 std::string
