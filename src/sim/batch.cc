@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -53,10 +54,17 @@ DecodedTrace::DecodedTrace(const Trace &trace) : source_(&trace)
     }
 }
 
-#if !defined(ACDSE_NO_SIM_BATCH)
-
 namespace
 {
+
+/** Events of the replay engine's main loop, for the sim/ counters. */
+struct LoopCounts
+{
+    std::uint64_t stepped = 0; //!< loop iterations
+    std::uint64_t skipped = 0; //!< cycles jumped by the idle skip
+};
+
+#if !defined(ACDSE_NO_SIM_BATCH)
 
 /**
  * Reconfigure a recycled component for a new design point, or build it
@@ -81,36 +89,100 @@ l1LineMask()
     return ~static_cast<std::uint64_t>(fixedParams().l1LineBytes - 1);
 }
 
+/** No slot: the end of a waiter list or of a wheel bucket. */
+constexpr std::uint32_t kNoSlot = CoreScratch::WakeSlot::kEnd;
+
+/** Bits per word of the engine's bitmaps. */
+constexpr std::size_t kWordBits = 64;
+
+/** Words of a bitmap over the buckets of a kCoreRingSize ring. */
+constexpr std::size_t kRingWords = kCoreRingSize / kWordBits;
+
+void
+mark(std::uint64_t *map, std::size_t b)
+{
+    map[b / kWordBits] |= std::uint64_t{1} << (b % kWordBits);
+}
+
+void
+unmark(std::uint64_t *map, std::size_t b)
+{
+    map[b / kWordBits] &= ~(std::uint64_t{1} << (b % kWordBits));
+}
+
+/**
+ * Word @p i of a walk over the @p n-word bitset @p words (n a power of
+ * two) that starts at bit @p start and wraps round: the start word
+ * comes first with the bits below @p start masked off, and again as
+ * word n with only those bits left. Stores the word's index in @p w.
+ */
+std::uint64_t
+rotatedWord(const std::uint64_t *words, std::size_t n, std::size_t start,
+            std::size_t i, std::size_t &w)
+{
+    w = (start / kWordBits + i) & (n - 1);
+    const std::uint64_t below =
+        (std::uint64_t{1} << (start % kWordBits)) - 1;
+    if (i == 0)
+        return words[w] & ~below;
+    return i == n ? words[w] & below : words[w];
+}
+
+/**
+ * The first cycle after @p cycle whose ring bucket is marked in the
+ * kRingWords-word bitmap @p map, or kCoreNotReady when none is.
+ */
+std::uint64_t
+nextMarked(const std::uint64_t *map, std::uint64_t cycle)
+{
+    const std::size_t from = (cycle + 1) % kCoreRingSize;
+    for (std::size_t i = 0; i <= kRingWords; ++i) {
+        std::size_t w = 0;
+        if (const std::uint64_t bits = rotatedWord(map, kRingWords, from,
+                                                   i, w)) {
+            const std::size_t b =
+                w * kWordBits +
+                static_cast<std::size_t>(std::countr_zero(bits));
+            return cycle + 1 + (b - from) % kCoreRingSize;
+        }
+    }
+    return kCoreNotReady;
+}
+
 /**
  * The replay engine: one configuration's pipeline driven through a
- * decoded trace. The bulky storage (ROB/IQ/ring vectors, cache line
- * arrays, predictor tables) lives in the caller's SimScratch and is
- * reconfigured per simulation.
+ * decoded trace. The bulky storage (ROB slots, timing wheel, cache
+ * line arrays, predictor tables) lives in the caller's SimScratch and
+ * is reconfigured per simulation.
  *
- * run() is a faithful transcription of the scalar pipeline loop in
- * OooCore::run() -- every structural limit, stall and energy event in
- * the same order. Any edit there needs a mirror here; the bit-identity
- * suite (tests/test_batch_sim.cc) catches drift.
+ * run() reproduces the scalar pipeline loop in OooCore::run() -- every
+ * structural limit, stall and energy event in the same order. Any edit
+ * there needs a mirror here; the bit-identity suite
+ * (tests/test_batch_sim.cc) catches drift.
  *
- * On top of the transcription sit two provably invisible shortcuts,
- * the source of the replay path's speedup:
+ * Two changes of mechanism, neither visible in the results, are the
+ * source of the replay path's speedup:
+ *
+ *  - Event-driven wakeup/select instead of an issue-queue scan. At
+ *    dispatch each source operand is ready (no producer, or one that
+ *    committed or lies before the interval), known (the producer
+ *    issued, so its result cycle is fixed) or waiting (linked into the
+ *    unissued producer's waiter list). A producer's issue folds its
+ *    result cycle into each waiter; once an entry waits on nothing it
+ *    is put on a timing wheel for the cycle its operands are ready, and
+ *    from there into the ready set. Select walks only the ready set,
+ *    oldest first, with the scalar checks in the scalar order. This
+ *    repeats the scalar scan exactly: an entry whose operands are not
+ *    ready never consumes width, ports or units there, and no result
+ *    is ready in the cycle its producer issues.
  *
  *  - Idle-cycle skipping: a cycle in which no stage changed any
  *    pipeline, cache or predictor state replays identically until the
  *    next scheduled event (a writeback, a fetch-queue arrival, a
- *    block expiring, a branch resolving). The skip block jumps there
- *    in one step and credits the per-cycle stall counters -- the only
- *    observable effect of the skipped cycles -- in bulk.
- *
- *  - An operand wake cache (CoreScratch::iqSleep): an IQ entry whose
- *    operands provably cannot be ready before a known cycle is
- *    skipped by the issue scan without touching its producers until
- *    that bound expires. Bounds propagate down dependency chains by
- *    publishing each blocked entry's earliest-result cycle through
- *    the readyCycle field of its still-unissued ROB slot, and a
- *    queue that is entirely asleep skips its scan outright. All
- *    bounds are conservative, so they can only stop the idle skip
- *    early, never carry it past an event.
+ *    block expiring, a branch resolving, operands coming ready). The
+ *    skip block jumps there in one step and credits the per-cycle
+ *    stall counters -- the only observable effect of the skipped
+ *    cycles -- in bulk.
  */
 class ReplayCore
 {
@@ -128,6 +200,9 @@ class ReplayCore
 
     /** The configuration's energy accumulator. */
     EnergyModel &energy() { return energy_; }
+
+    /** Main-loop events of every run() so far. */
+    const LoopCounts &loopCounts() const { return loops_; }
 
     /**
      * Timed run of instructions [begin, end). Mirrors OooCore::run()
@@ -185,27 +260,34 @@ class ReplayCore
         while (rob_alloc < rob_size)
             rob_alloc <<= 1;
         const std::size_t rob_mask = rob_alloc - 1;
-        auto &rob = core_.rob;
+        const std::size_t ready_words =
+            (rob_alloc + kWordBits - 1) / kWordBits;
+        auto &slots = core_.wakeSlots;
         auto &fetch_queue = core_.fetchQueue;
-        auto &iq = core_.iq;
-        auto &iq_sleep = core_.iqSleep;
+        auto &wheel = core_.wheel;
+        auto &wheel_occupied = core_.wheelOccupied;
+        auto &ready = core_.ready;
         auto &wb_ring = core_.wbRing;
         auto &resolve_ring = core_.resolveRing;
+        auto &resolve_occupied = core_.resolveOccupied;
         auto &div_busy = core_.divBusy;
-        rob.assign(rob_alloc, CoreScratch::RobSlot{});
+        // Every slot is written at dispatch before anything reads it.
+        slots.resize(rob_alloc);
         fetch_queue.clear();
-        iq.clear();
-        iq.reserve(iq_size);
-        iq_sleep.clear();
-        iq_sleep.reserve(iq_size);
+        wheel.assign(kCoreRingSize, kNoSlot);
+        wheel_occupied.assign(kRingWords, 0);
+        ready.assign(ready_words, 0);
         wb_ring.assign(kCoreRingSize, 0);
         resolve_ring.assign(kCoreRingSize, 0);
+        resolve_occupied.assign(kRingWords, 0);
         div_busy.assign(static_cast<std::size_t>(fus.fpMulDiv), 0);
 
         std::size_t commit_idx = begin;
         std::size_t dispatch_idx = begin;
         std::size_t fetch_idx = begin;
         std::size_t rob_count = 0;
+        std::size_t iq_count = 0;
+        std::size_t ready_count = 0;
         std::size_t lsq_count = 0;
         std::size_t regs_used = 0;
         std::size_t fq_head = 0;
@@ -216,44 +298,44 @@ class ReplayCore
         std::size_t inflight_branches = 0;
         std::uint64_t last_fetch_line =
             std::numeric_limits<std::uint64_t>::max();
-        // True when every IQ entry carries a nonzero sleep bound; the
-        // min of those bounds. While the min lies in the future the
-        // whole issue scan is provably a no-op (no entry's operands can
-        // be ready) and is skipped outright. Conservatively rebuilt by
-        // the first full scan.
-        bool iq_all_cached = false;
-        std::uint64_t iq_min_sleep = 0;
+        LoopCounts loops;
 
-        auto slot = [&](std::size_t idx) -> CoreScratch::RobSlot & {
-            return rob[idx & rob_mask];
+        // Put slot s in the wheel bucket of cycle `due` (> cycle). Like
+        // the write-port ring, the wheel relies on every latency being
+        // shorter than the ring.
+        auto schedule = [&](std::size_t s, std::uint64_t due) {
+            ACDSE_CHECK(due - cycle < kCoreRingSize,
+                         "operand wakeup beyond the timing wheel");
+            const std::size_t b = due % kCoreRingSize;
+            slots[s].wheelNext = wheel[b];
+            wheel[b] = static_cast<std::uint32_t>(s);
+            mark(wheel_occupied.data(), b);
         };
 
-        // When does this source operand allow issue? 0 = ready now;
-        // kCoreNotReady = blocked on an unissued producer; otherwise
-        // the producer's completion cycle. The issue loop treats 0 as
-        // "ready" (matching the scalar path's src_ready) and the
-        // idle-skip block min-folds the rest into its wake bound.
-        auto src_wake = [&](std::size_t idx,
-                            std::uint32_t dist) -> std::uint64_t {
+        // Dispatch-time view of one source operand of the instruction
+        // in slot s: ready operands change nothing, a known producer's
+        // result cycle is folded in, and a waiting one links node
+        // 2s+k into its producer's waiter list.
+        auto link_operand = [&](std::size_t idx, std::size_t s,
+                                std::uint32_t dist, std::size_t k) {
             if (!dist)
-                return 0;
+                return;
             const std::size_t producer = idx - dist;
             if (producer < commit_idx ||
                 dist > static_cast<std::uint32_t>(idx - begin))
-                return 0; // committed, or before the interval
-            const CoreScratch::RobSlot &p = slot(producer);
-            if (!p.issued)
-                // While unissued, readyCycle carries a published lower
-                // bound on the eventual result cycle (see the issue
-                // scan) or kCoreNotReady when none is known; an expired
-                // bound means "unknown" again.
-                return p.readyCycle > cycle ? p.readyCycle
-                                            : kCoreNotReady;
-            return p.readyCycle <= cycle ? 0 : p.readyCycle;
+                return; // committed, or before the interval
+            CoreScratch::WakeSlot &p = slots[producer & rob_mask];
+            CoreScratch::WakeSlot &e = slots[s];
+            if (p.readyCycle != kCoreNotReady) {
+                e.operandsReady = std::max(e.operandsReady, p.readyCycle);
+                return;
+            }
+            e.next[k] = p.waiters;
+            p.waiters = static_cast<std::uint32_t>(2 * s + k);
+            ++e.pending;
         };
 
-        // Find the first cycle at or after `from` with a free write
-        // port.
+        // The first cycle at or after `from` with a free write port.
         auto writeback_slot = [&](std::uint64_t from) {
             std::uint64_t c = std::max(from, cycle + 1);
             for (std::size_t hops = 0; hops < kCoreRingSize - 1;
@@ -268,35 +350,42 @@ class ReplayCore
         };
 
         while (commit_idx < end) {
+            ++loops.stepped;
             // Free the write-port ring slot for this cycle so it can
             // be reused a full ring period later; resolve branches due
             // now.
-            const std::uint8_t resolved =
-                resolve_ring[cycle % kCoreRingSize];
+            const std::size_t bucket = cycle % kCoreRingSize;
+            const std::uint8_t resolved = resolve_ring[bucket];
             inflight_branches -= resolved;
-            resolve_ring[cycle % kCoreRingSize] = 0;
+            resolve_ring[bucket] = 0;
+            unmark(resolve_occupied.data(), bucket);
 
-            // Idle-cycle tracking: a cycle where no stage changes any
-            // pipeline, cache or predictor state is "frozen" -- only
-            // per-cycle stall counters tick -- and every following
-            // cycle replays identically until the next scheduled event.
-            // The skip block at the bottom of the loop jumps over such
-            // stretches in one step; these flags record what this cycle
-            // actually did so the jump knows what repeats.
+            // Entries whose operands are ready this cycle join the
+            // ready set.
+            if (wheel[bucket] != kNoSlot) {
+                for (std::uint32_t s = wheel[bucket]; s != kNoSlot;
+                     s = slots[s].wheelNext) {
+                    mark(ready.data(), s);
+                    ++ready_count;
+                }
+                wheel[bucket] = kNoSlot;
+                unmark(wheel_occupied.data(), bucket);
+            }
+
+            // What this cycle did, for the idle skip at the bottom of
+            // the loop: a cycle without progress is replayed as is --
+            // the same stall counters ticking -- until the next event.
             bool progress = resolved != 0;
             std::uint64_t *dispatch_stall = nullptr;
             bool fetch_stalled = false;
-            // Earliest cycle an IQ entry could become issuable,
-            // accumulated for free during the issue scan below.
-            std::uint64_t iq_wake = kCoreNotReady;
 
             // ---- Commit -----------------------------------------------
             for (std::size_t c = 0; c < width && commit_idx < end;
                  ++c) {
                 if (commit_idx >= dispatch_idx)
                     break; // nothing dispatched
-                CoreScratch::RobSlot &e = slot(commit_idx);
-                if (!e.issued || e.readyCycle > cycle)
+                // An unissued slot's readyCycle is kCoreNotReady.
+                if (slots[commit_idx & rob_mask].readyCycle > cycle)
                     break;
                 const DecodedTrace::Op &op = ops[commit_idx];
                 if (op.flags & DecodedTrace::kOpStore) {
@@ -320,166 +409,104 @@ class ReplayCore
                 progress = true;
             }
 
-            // ---- Issue ------------------------------------------------
-            if (iq.empty()) {
-                // nothing to scan
-            } else if (iq_all_cached && iq_min_sleep > cycle) {
-                // Every entry carries an exact future wake bound, so
-                // the scan would keep them all and contribute exactly
-                // the min of the bounds -- take that without scanning.
-                iq_wake = iq_min_sleep;
-            } else {
+            // ---- Issue: select from the ready set, oldest first -------
+            if (ready_count > 0) {
                 std::size_t issued = 0;
                 int rd_left = rd_ports;
                 std::array<int, kNumFuPools> fu_left = fu_counts;
-                std::size_t kept = 0;
-                bool scan_all_cached = true;
-                std::uint64_t scan_min = kCoreNotReady;
-                for (std::size_t pos = 0; pos < iq.size(); ++pos) {
-                    const std::size_t idx = iq[pos];
-                    // Cached fast path: operands provably not ready
-                    // before `sleep` (both producers issued, bound is
-                    // their max readyCycle, immutable), so the faithful
-                    // scan would fail the entry and fold `sleep` into
-                    // iq_wake -- reproduce that without touching the
-                    // producers' slots.
-                    const std::uint64_t sleep = iq_sleep[pos];
-                    if (sleep > cycle) {
-                        iq_wake = std::min(iq_wake, sleep);
-                        scan_min = std::min(scan_min, sleep);
-                        iq[kept] = idx;
-                        iq_sleep[kept] = sleep;
-                        ++kept;
-                        continue;
-                    }
-                    bool can_issue = issued < width;
-                    const DecodedTrace::Op &op = ops[idx];
-                    const auto pool =
-                        static_cast<std::size_t>(op.pool);
-                    int srcs = (op.srcDist1 ? 1 : 0) +
-                               (op.srcDist2 ? 1 : 0);
-                    std::uint64_t next_sleep = 0;
-                    if (can_issue && fu_left[pool] > 0 &&
-                        rd_left >= srcs) {
-                        const std::uint64_t w1 =
-                            src_wake(idx, op.srcDist1);
-                        const std::uint64_t w2 =
-                            src_wake(idx, op.srcDist2);
-                        can_issue = w1 == 0 && w2 == 0;
-                        if (!can_issue) {
-                            // Issue needs BOTH operands, so the max of
-                            // the KNOWN per-operand bounds is a valid
-                            // lower bound on this entry's issue even if
-                            // the other operand's wake is unknown
-                            // (kCoreNotReady). Bounds only ever make
-                            // the idle skip stop earlier, which is
-                            // always safe.
-                            std::uint64_t w = 0;
-                            if (w1 != kCoreNotReady)
-                                w = w1;
-                            if (w2 != kCoreNotReady)
-                                w = std::max(w, w2);
-                            if (w) {
-                                iq_wake = std::min(iq_wake, w);
-                                next_sleep = w;
-                            }
+                const std::size_t head = commit_idx & rob_mask;
+                for (std::size_t i = 0; i <= ready_words && issued < width;
+                     ++i) {
+                    std::size_t w = 0;
+                    std::uint64_t bits =
+                        rotatedWord(ready.data(), ready_words, head, i, w);
+                    while (bits && issued < width) {
+                        const std::size_t s =
+                            w * kWordBits +
+                            static_cast<std::size_t>(std::countr_zero(bits));
+                        bits &= bits - 1;
+                        const std::size_t idx =
+                            commit_idx + ((s - head) & rob_mask);
+                        const DecodedTrace::Op &op = ops[idx];
+                        const auto pool = static_cast<std::size_t>(op.pool);
+                        const int srcs = (op.srcDist1 ? 1 : 0) +
+                                         (op.srcDist2 ? 1 : 0);
+                        // A blocked entry stays ready for a later cycle.
+                        if (fu_left[pool] <= 0 || rd_left < srcs)
+                            continue;
+                        if (op.flags & DecodedTrace::kOpFpDiv) {
+                            // Non-pipelined: need a divider idle right
+                            // now.
+                            auto divider = div_busy.begin();
+                            while (divider != div_busy.end() &&
+                                   *divider > cycle)
+                                ++divider;
+                            if (divider == div_busy.end())
+                                continue;
+                            *divider = cycle + fp_div_latency;
                         }
-                    } else {
-                        can_issue = false;
-                    }
-                    if (can_issue &&
-                        (op.flags & DecodedTrace::kOpFpDiv)) {
-                        // Non-pipelined: need a divider idle right now.
-                        can_issue = false;
-                        std::uint64_t div_free = kCoreNotReady;
-                        for (auto &busy : div_busy) {
-                            if (busy <= cycle) {
-                                busy = cycle + fp_div_latency;
-                                can_issue = true;
-                                break;
-                            }
-                            div_free = std::min(div_free, busy);
+
+                        unmark(ready.data(), s);
+                        --ready_count;
+                        --iq_count;
+                        ++issued;
+                        progress = true;
+                        rd_left -= srcs;
+                        --fu_left[pool];
+                        energy.add(EnergyEvent::IqIssue);
+                        energy.add(EnergyEvent::RfRead,
+                                   static_cast<std::uint64_t>(srcs));
+
+                        int latency = op.latency;
+                        if (op.flags & DecodedTrace::kOpLoad) {
+                            latency += hierarchy.dataAccess(
+                                op.addrOrTarget, false, mem_events);
+                            energy.add(EnergyEvent::LsqSearch);
                         }
-                        if (!can_issue) {
-                            iq_wake = std::min(iq_wake, div_free);
-                            // Busy-until values only grow, so no
-                            // divider frees before div_free: also an
-                            // exact lower bound on this entry's issue.
-                            next_sleep = div_free;
-                        }
-                    }
-                    if (!can_issue) {
-                        if (next_sleep) {
-                            scan_min = std::min(scan_min, next_sleep);
-                            // Chain propagation: no issue before
-                            // next_sleep means no result before
-                            // next_sleep + execution latency. Publish
-                            // that through the unissued slot's
-                            // readyCycle so consumers later in this
-                            // same scan inherit a bound too. Bounds
-                            // are permanent truths (derived from
-                            // immutable schedules), so stale ones need
-                            // no invalidation -- they merely expire.
-                            slot(idx).readyCycle =
-                                next_sleep +
-                                static_cast<std::uint64_t>(op.latency);
+                        const std::uint64_t done =
+                            cycle + static_cast<std::uint64_t>(latency);
+
+                        CoreScratch::WakeSlot &e = slots[s];
+                        if (op.flags & DecodedTrace::kOpProduces) {
+                            e.readyCycle = writeback_slot(done);
+                            energy.add(EnergyEvent::RfWrite);
+                            energy.add(EnergyEvent::ResultBus);
+                            energy.add(EnergyEvent::IqWakeup);
                         } else {
-                            scan_all_cached = false;
+                            e.readyCycle = done;
                         }
-                        iq[kept] = idx;
-                        iq_sleep[kept] = next_sleep;
-                        ++kept;
-                        continue;
-                    }
+                        energy.add(static_cast<EnergyEvent>(op.fuEvent));
 
-                    ++issued;
-                    progress = true;
-                    rd_left -= srcs;
-                    --fu_left[pool];
-                    energy.add(EnergyEvent::IqIssue);
-                    energy.add(EnergyEvent::RfRead,
-                               static_cast<std::uint64_t>(srcs));
+                        // Wakeup: each waiting operand learns the
+                        // result cycle (> cycle, so the wheel fits).
+                        for (std::uint32_t node = e.waiters;
+                             node != kNoSlot;) {
+                            const std::size_t c = node / 2;
+                            CoreScratch::WakeSlot &w_slot = slots[c];
+                            node = w_slot.next[node % 2];
+                            w_slot.operandsReady = std::max(
+                                w_slot.operandsReady, e.readyCycle);
+                            if (--w_slot.pending == 0)
+                                schedule(c, w_slot.operandsReady);
+                        }
 
-                    int latency = op.latency;
-                    if (op.flags & DecodedTrace::kOpLoad) {
-                        latency += hierarchy.dataAccess(
-                            op.addrOrTarget, false, mem_events);
-                        energy.add(EnergyEvent::LsqSearch);
-                    }
-                    const std::uint64_t done =
-                        cycle + static_cast<std::uint64_t>(latency);
-
-                    CoreScratch::RobSlot &e = slot(idx);
-                    e.issued = true;
-                    if (op.flags & DecodedTrace::kOpProduces) {
-                        e.readyCycle = writeback_slot(done);
-                        energy.add(EnergyEvent::RfWrite);
-                        energy.add(EnergyEvent::ResultBus);
-                        energy.add(EnergyEvent::IqWakeup);
-                    } else {
-                        e.readyCycle = done;
-                    }
-                    energy.add(static_cast<EnergyEvent>(op.fuEvent));
-
-                    if (op.flags & DecodedTrace::kOpBranch) {
-                        // Resolution: the branch count drops and, if
-                        // this is the branch fetch is stalled on, fetch
-                        // restarts after the redirect penalty.
-                        const std::uint64_t resolve = done;
-                        ++resolve_ring[resolve % kCoreRingSize];
-                        if (fetch_wait_branch &&
-                            wait_branch_idx == idx) {
-                            fetch_wait_branch = false;
-                            fetch_blocked_until = std::max(
-                                fetch_blocked_until,
-                                resolve + redirect_penalty);
+                        if (op.flags & DecodedTrace::kOpBranch) {
+                            // Resolution: the branch count drops; if
+                            // fetch waits on this branch it restarts
+                            // after the redirect penalty.
+                            ++resolve_ring[done % kCoreRingSize];
+                            mark(resolve_occupied.data(),
+                                 done % kCoreRingSize);
+                            if (fetch_wait_branch &&
+                                wait_branch_idx == idx) {
+                                fetch_wait_branch = false;
+                                fetch_blocked_until = std::max(
+                                    fetch_blocked_until,
+                                    done + redirect_penalty);
+                            }
                         }
                     }
                 }
-                iq.resize(kept);
-                iq_sleep.resize(kept);
-                iq_all_cached = scan_all_cached;
-                iq_min_sleep = scan_min;
             }
 
             // ---- Dispatch ---------------------------------------------
@@ -495,7 +522,7 @@ class ReplayCore
                     dispatch_stall = &stats.dispatchStallRob;
                     break;
                 }
-                if (iq.size() == iq_size) {
+                if (iq_count == iq_size) {
                     ++stats.dispatchStallIq;
                     dispatch_stall = &stats.dispatchStallIq;
                     break;
@@ -513,36 +540,24 @@ class ReplayCore
                     break;
                 }
 
-                CoreScratch::RobSlot &e = slot(f.idx);
-                e.readyCycle = kCoreNotReady;
-                e.issued = false;
-                progress = true;
-                ++rob_count;
-                iq.push_back(f.idx);
-                // Seed the wake cache from the producers' published
-                // schedules so a dispatch into an otherwise-sleeping
-                // queue does not force a full rescan next cycle.
-                {
-                    const std::uint64_t w1 =
-                        src_wake(f.idx, op.srcDist1);
-                    const std::uint64_t w2 =
-                        src_wake(f.idx, op.srcDist2);
-                    std::uint64_t sleep = 0;
-                    if (w1 != kCoreNotReady)
-                        sleep = w1;
-                    if (w2 != kCoreNotReady)
-                        sleep = std::max(sleep, w2);
-                    iq_sleep.push_back(sleep);
-                    if (sleep) {
-                        iq_min_sleep =
-                            std::min(iq_min_sleep, sleep);
-                        slot(f.idx).readyCycle =
-                            sleep +
-                            static_cast<std::uint64_t>(op.latency);
+                const std::size_t s = f.idx & rob_mask;
+                CoreScratch::WakeSlot &e = slots[s];
+                e = {};
+                link_operand(f.idx, s, op.srcDist1, 0);
+                link_operand(f.idx, s, op.srcDist2, 1);
+                // Issue is next cycle at the earliest; only operands
+                // due later than that need the wheel.
+                if (e.pending == 0) {
+                    if (e.operandsReady <= cycle + 1) {
+                        mark(ready.data(), s);
+                        ++ready_count;
                     } else {
-                        iq_all_cached = false;
+                        schedule(s, e.operandsReady);
                     }
                 }
+                progress = true;
+                ++rob_count;
+                ++iq_count;
                 if (op.flags & DecodedTrace::kOpMem) {
                     ++lsq_count;
                     energy.add(EnergyEvent::LsqWrite);
@@ -649,24 +664,26 @@ class ReplayCore
                 ++cycle;
             } else {
                 // Frozen cycle: the pipeline replays it unchanged until
-                // the next scheduled event, so jump straight there.
-                // This is where the replay engine beats the scalar
-                // reference -- stall-bound stretches (memory latency,
-                // unresolved branches) collapse to one iteration.
-                // Identity is preserved because a frozen cycle's only
-                // observable effects are the stall counters recorded
-                // above, which are credited per skipped cycle below.
+                // the next scheduled event, so jump straight there. Its
+                // only observable effects are the stall counters
+                // recorded above, credited per skipped cycle below.
                 std::uint64_t wake = cycle_limit;
                 // Commit: the oldest in-flight instruction completes.
                 if (commit_idx < dispatch_idx) {
-                    const CoreScratch::RobSlot &e = slot(commit_idx);
-                    if (e.issued && e.readyCycle > cycle)
-                        wake = std::min(wake, e.readyCycle);
+                    const std::uint64_t done =
+                        slots[commit_idx & rob_mask].readyCycle;
+                    if (done != kCoreNotReady && done > cycle)
+                        wake = std::min(wake, done);
                 }
-                // Issue: an IQ entry's sources all become ready (or a
-                // divider frees up) -- already accumulated by the scan
-                // above.
-                wake = std::min(wake, iq_wake);
+                // Issue: the next occupied wheel bucket brings operands
+                // ready. Ready entries left over without progress can
+                // only be FP divides waiting for a divider.
+                wake = std::min(wake,
+                                nextMarked(wheel_occupied.data(), cycle));
+                if (ready_count > 0)
+                    wake = std::min(wake, *std::min_element(
+                                              div_busy.begin(),
+                                              div_busy.end()));
                 // Dispatch: the front-end head leaves the fetch
                 // pipeline. (A resource-stalled head is freed by a
                 // commit or issue event, already bounded above.)
@@ -677,48 +694,12 @@ class ReplayCore
                 if (!fetch_wait_branch && fetch_blocked_until > cycle &&
                     fetch_idx < end)
                     wake = std::min(wake, fetch_blocked_until);
-                // Branch resolution: inflight_branches drops. Scan the
-                // resolve ring for the first pending resolution in
-                // (cycle, horizon), eight counters per load: the ring
-                // is almost entirely zero during a stall, so testing a
-                // whole word at a time beats the byte loop.
-                if (inflight_branches > 0) {
-                    const std::uint64_t horizon =
-                        std::min(wake, cycle + kCoreRingSize);
-                    std::uint64_t c = cycle + 1;
-                    while (c < horizon) {
-                        const std::size_t at = c % kCoreRingSize;
-                        const std::uint64_t run = std::min(
-                            horizon - c,
-                            static_cast<std::uint64_t>(kCoreRingSize -
-                                                       at));
-                        const std::uint8_t *base =
-                            resolve_ring.data() + at;
-                        std::uint64_t i = 0;
-                        while (i + 8 <= run) {
-                            std::uint64_t word;
-                            std::memcpy(&word, base + i, 8);
-                            if (word)
-                                break;
-                            i += 8;
-                        }
-                        const std::uint64_t stop =
-                            std::min(run, i + 8);
-                        bool found = false;
-                        for (; i < stop; ++i) {
-                            if (base[i]) {
-                                wake = c + i;
-                                found = true;
-                                break;
-                            }
-                        }
-                        if (found)
-                            break;
-                        c += run;
-                    }
-                }
+                // Branch resolution: inflight_branches drops.
+                wake = std::min(wake,
+                                nextMarked(resolve_occupied.data(), cycle));
                 wake = std::clamp(wake, cycle + 1, cycle_limit);
                 const std::uint64_t skipped = wake - cycle - 1;
+                loops.skipped += skipped;
                 if (skipped > 0) {
                     // Each skipped cycle repeats this cycle's stall
                     // accounting and clears its own write-port slot,
@@ -745,6 +726,8 @@ class ReplayCore
                          trace_.name(), " at instruction ", commit_idx);
         }
 
+        loops_.stepped += loops.stepped;
+        loops_.skipped += loops.skipped;
         stats.cycles = cycle;
         stats.il1Misses = hierarchy.il1().misses() - il1_miss0;
         stats.dl1Misses = hierarchy.dl1().misses() - dl1_miss0;
@@ -804,12 +787,17 @@ class ReplayCore
     GsharePredictor &bpred_;
     Btb &btb_;
     CoreScratch &core_;
+    LoopCounts loops_;
 };
 
-/** One configuration: warmup + timed run + result assembly. */
+/**
+ * One configuration: warmup + timed run + result assembly. Adds the
+ * engine's main-loop events of both runs to @p loops.
+ */
 SimulationResult
 replay(const MicroarchConfig &config, const DecodedTrace &trace,
-       const SimulationOptions &options, SimScratch &scratch)
+       const SimulationOptions &options, SimScratch &scratch,
+       LoopCounts &loops)
 {
     ReplayCore core(config, trace, scratch);
     std::size_t begin = 0;
@@ -832,12 +820,14 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
     ACDSE_CHECK(result.metrics.cycles > 0.0,
                  "simulation produced no cycles");
+    loops.stepped += core.loopCounts().stepped;
+    loops.skipped += core.loopCounts().skipped;
     return result;
 }
 
-} // namespace
-
 #endif // !ACDSE_NO_SIM_BATCH
+
+} // namespace
 
 void
 simulateBatch(std::span<const MicroarchConfig> configs,
@@ -848,6 +838,7 @@ simulateBatch(std::span<const MicroarchConfig> configs,
                  "result span smaller than the config batch");
     const obs::TraceSpan span(obs::Registry::global(), "sim/batch");
     std::uint64_t instructions = 0;
+    LoopCounts loops;
     for (std::size_t i = 0; i < configs.size(); ++i) {
 #if defined(ACDSE_NO_SIM_BATCH)
         // Scalar shape: the reference implementation, still reusing
@@ -855,13 +846,15 @@ simulateBatch(std::span<const MicroarchConfig> configs,
         results[i] = simulate(configs[i], trace.source(), options,
                               scratch.core);
 #else
-        results[i] = replay(configs[i], trace, options, scratch);
+        results[i] = replay(configs[i], trace, options, scratch, loops);
 #endif
         instructions += results[i].stats.instructions;
     }
     obs::Registry &registry = obs::Registry::global();
     registry.counter("sim/instructions").add(instructions);
     registry.counter("sim/lanes-occupied").add(configs.size());
+    registry.counter("sim/cycles-stepped").add(loops.stepped);
+    registry.counter("sim/cycles-skipped").add(loops.skipped);
 }
 
 std::vector<SimulationResult>

@@ -18,6 +18,10 @@
  *    performs no heap allocation (bench_campaign asserts this).
  *  - The engine skips idle cycles: a stretch in which no pipeline,
  *    cache or predictor state changes is jumped over in one step.
+ *  - Issue is event-driven wakeup/select, not a per-cycle scan of the
+ *    issue queue: a producer's issue wakes the consumers linked to it
+ *    at dispatch, a timing wheel holds them until their operands are
+ *    ready, and select walks only the ready entries, oldest first.
  *
  * Contract: per-config results are BIT-IDENTICAL to scalar simulate()
  * (tests/test_batch_sim.cc compares all four metrics with EXPECT_EQ on
@@ -28,9 +32,12 @@
  * scalar path (an escape hatch, not a numerics switch).
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
- * and feeds two counters -- "sim/instructions" (instructions committed
- * through the replay path) and "sim/lanes-occupied" (configurations
- * simulated, i.e. cells).
+ * and feeds four counters -- "sim/instructions" (instructions committed
+ * through the replay path), "sim/lanes-occupied" (configurations
+ * simulated, i.e. cells), "sim/cycles-stepped" (engine loop
+ * iterations) and "sim/cycles-skipped" (cycles jumped by the idle
+ * skip). The two cycle counters include warmup runs and stay at zero
+ * in the scalar shape.
  */
 
 #pragma once

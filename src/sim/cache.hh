@@ -6,10 +6,12 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "arch/microarch_config.hh"
+#include "base/check.hh"
 
 namespace acdse
 {
@@ -172,6 +174,91 @@ class CacheHierarchy
     int l2Latency_;
     int memLatency_;
 };
+
+// The access paths are defined here so the simulator's per-instruction
+// calls inline.
+
+inline CacheAccessResult
+Cache::access(std::uint64_t addr, bool write)
+{
+    ++accesses_;
+    // The LRU stamps are 32 bits wide; a wrap would silently reorder
+    // them, so a run must reset before 2^32 accesses.
+    ++useCounter_;
+    ACDSE_CHECK(useCounter_ != 0,
+                 "cache access counter overflowed its 32-bit LRU stamp");
+    const std::uint64_t line_addr = addr >> lineShift_;
+    const std::uint64_t set = line_addr & (static_cast<std::uint64_t>(
+                                               sets_) - 1);
+    const std::uint64_t tag = line_addr >> std::countr_zero(
+                                  static_cast<unsigned>(sets_));
+    Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
+
+    Line *victim = base;
+    for (int w = 0; w < assoc_; ++w) {
+        Line &line = base[w];
+        const bool present = valid(line);
+        if (present && line.tag == tag) {
+            line.lastUse = useCounter_;
+            line.state |= write ? 1u : 0u;
+            return {true, false};
+        }
+        if (!present) {
+            victim = &line;
+        } else if (valid(*victim) && line.lastUse < victim->lastUse) {
+            victim = &line;
+        }
+    }
+
+    ++misses_;
+    const bool writeback = valid(*victim) && (victim->state & 1u);
+    writebacks_ += writeback;
+    victim->state = (epoch_ << 1) | (write ? 1u : 0u);
+    victim->tag = tag;
+    victim->lastUse = useCounter_;
+    return {false, writeback};
+}
+
+inline int
+CacheHierarchy::dataAccess(std::uint64_t addr, bool write,
+                           HierarchyAccessEvents &events)
+{
+    ++events.dl1;
+    const CacheAccessResult l1 = dl1_.access(addr, write);
+    if (l1.hit)
+        return dl1Latency_;
+    if (l1.writebackDirty)
+        ++events.l2; // dirty victim written into L2
+
+    ++events.l2;
+    const CacheAccessResult l2 = l2_.access(addr, false);
+    if (l2.hit)
+        return dl1Latency_ + l2Latency_;
+    if (l2.writebackDirty)
+        ++events.mem;
+
+    ++events.mem;
+    return dl1Latency_ + l2Latency_ + memLatency_;
+}
+
+inline int
+CacheHierarchy::instAccess(std::uint64_t pc, HierarchyAccessEvents &events)
+{
+    ++events.il1;
+    const CacheAccessResult l1 = il1_.access(pc, false);
+    if (l1.hit)
+        return 1;
+
+    ++events.l2;
+    const CacheAccessResult l2 = l2_.access(pc, false);
+    if (l2.hit)
+        return il1Latency_ + l2Latency_;
+    if (l2.writebackDirty)
+        ++events.mem;
+
+    ++events.mem;
+    return il1Latency_ + l2Latency_ + memLatency_;
+}
 
 } // namespace acdse
 

@@ -50,6 +50,11 @@ constexpr std::uint64_t kCoreNotReady = ~std::uint64_t{0};
  * sim/batch.hh) own one scratch per worker and hand it to every run.
  * Contents are overwritten at the start of each run; only capacity
  * carries over.
+ *
+ * The scalar core uses rob and iq; the replay engine tracks its ROB
+ * and issue queue in wakeSlots, wheel and ready instead, and marks
+ * the busy buckets of its rings in bitmaps. Both use the fetch queue,
+ * the rings and the divider timers.
  */
 struct CoreScratch
 {
@@ -58,6 +63,28 @@ struct CoreScratch
     {
         std::uint64_t readyCycle;   //!< result availability cycle
         bool issued;                //!< left the issue queue
+    };
+
+    /**
+     * The replay engine's ROB slot, with the state of its event-driven
+     * wakeup; a value-initialised slot is a freshly dispatched one.
+     * Waiter lists are intrusive: operand k of the instruction in slot
+     * s is node 2s+k, linked through next[k], so the lists need no
+     * storage beyond the slots.
+     */
+    struct WakeSlot
+    {
+        /** End of a waiter list or of a wheel bucket. */
+        static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+
+        /** Result cycle once issued; kCoreNotReady until then. */
+        std::uint64_t readyCycle = kCoreNotReady;
+        /** Latest result cycle among the issued producers. */
+        std::uint64_t operandsReady = 0;
+        std::uint32_t waiters = kEnd; //!< first node waiting on the result
+        std::uint32_t next[2] = {};   //!< waiter-list link per operand
+        std::uint32_t wheelNext = 0;  //!< next slot in the wheel bucket
+        std::uint32_t pending = 0;    //!< operands on unissued producers
     };
 
     /** One fetched instruction waiting to dispatch (front-end depth). */
@@ -70,16 +97,15 @@ struct CoreScratch
     std::vector<RobSlot> rob;           //!< ROB ring, robSize slots
     std::vector<Fetched> fetchQueue;    //!< FIFO via head index
     std::vector<std::size_t> iq;        //!< age-ordered issue queue
-    /**
-     * Parallel to iq: the earliest cycle the entry's operands can be
-     * ready, or 0 when unknown. A nonzero value is exact -- the max of
-     * both producers' immutable readyCycle -- so the batched engine
-     * skips the entry without rescanning until the value expires. The
-     * scalar core leaves this empty.
-     */
-    std::vector<std::uint64_t> iqSleep;
+    std::vector<WakeSlot> wakeSlots;    //!< replay ROB ring, padded to 2^n
+    /** Timing wheel: kCoreRingSize bucket heads, slots due that cycle. */
+    std::vector<std::uint32_t> wheel;
+    std::vector<std::uint64_t> wheelOccupied; //!< bit per non-empty bucket
+    std::vector<std::uint64_t> ready;   //!< bit per slot ready to issue
     std::vector<std::uint8_t> wbRing;   //!< write-port usage per cycle
     std::vector<std::uint8_t> resolveRing; //!< branch resolutions
+    /** Replay engine: bit per resolveRing bucket with a resolution. */
+    std::vector<std::uint64_t> resolveOccupied;
     std::vector<std::uint64_t> divBusy; //!< per-divider busy-until
 };
 

@@ -15,6 +15,7 @@
 
 #include "arch/design_space.hh"
 #include "base/thread_pool.hh"
+#include "obs/metrics.hh"
 #include "sim/batch.hh"
 #include "sim/cacti.hh"
 #include "sim/sampled_sim.hh"
@@ -158,6 +159,176 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
             expectIdentical(batched, simulate(configs[i], trace, options));
         }
     }
+}
+
+// ---- Select corner cases on hand-built traces ------------------------
+//
+// The replay engine issues from a wakeup-driven ready set instead of
+// scanning the issue queue; these traces pin down the cases where the
+// two could part ways.
+
+/** One instruction of class @p cls reading the producers at @p d1/d2. */
+TraceInstruction
+inst(InstClass cls, std::uint32_t d1 = 0, std::uint32_t d2 = 0)
+{
+    TraceInstruction in{};
+    in.cls = cls;
+    in.srcDist1 = d1;
+    in.srcDist2 = d2;
+    return in;
+}
+
+/**
+ * @p length instructions repeating @p body, at the pcs of a 64-entry
+ * loop (I-cache resident after the first pass). Memory operations
+ * stride through @p stride bytes per instruction, so a large stride
+ * misses every cache level.
+ */
+Trace
+loopTrace(const std::vector<TraceInstruction> &body, std::size_t length,
+          std::uint64_t stride = 8)
+{
+    std::vector<TraceInstruction> insts;
+    for (std::size_t i = 0; i < length; ++i) {
+        TraceInstruction in = body[i % body.size()];
+        in.pc = 0x400000 + 4 * (i % 64);
+        in.addr = 0x10000000 + stride * i;
+        insts.push_back(in);
+    }
+    return Trace("hand", std::move(insts));
+}
+
+/** The baseline with a pinned width and register-file port counts. */
+MicroarchConfig
+pinnedConfig(int width, int readPorts, int writePorts)
+{
+    MicroarchConfig config = DesignSpace::baseline();
+    config.set(Param::Width, width);
+    config.set(Param::RfReadPorts, readPorts);
+    config.set(Param::RfWritePorts, writePorts);
+    return config;
+}
+
+void
+expectReplayMatchesScalar(const Trace &trace, const MicroarchConfig &config,
+                          std::size_t warmup = 0)
+{
+    ASSERT_TRUE(DesignSpace::isValid(config));
+    SimulationOptions options;
+    options.warmupInstructions = warmup;
+    const auto batched = simulateBatch(
+        std::span<const MicroarchConfig>(&config, 1), trace, options);
+    ASSERT_EQ(batched.size(), 1u);
+    expectIdentical(batched[0], simulate(config, trace, options));
+}
+
+TEST(BatchSimSelect, BothOperandsFromOneUnissuedProducer)
+{
+    // Each FP add reads the same producer twice; that producer waits on
+    // a divide chain, so it is still unissued when its reader
+    // dispatches and both operand nodes hang off one waiter list.
+    const Trace trace = loopTrace({inst(InstClass::FpDiv, 4),
+                                   inst(InstClass::FpAlu, 1),
+                                   inst(InstClass::FpAlu, 1, 1),
+                                   inst(InstClass::IntAlu, 1, 1)},
+                                  3000);
+    for (const int width : {2, 4, 8})
+        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4));
+}
+
+TEST(BatchSimSelect, BackToBackDividesShareOneDivider)
+{
+    // Independent divides all come ready at once but width 4 has one
+    // divider: the blocked ones stay ready and the younger integer ops
+    // issue past them, freeing entries of the small issue queue. Behind
+    // a missing load, nothing else happens when the divider frees, so
+    // the idle skip has to stop there by itself.
+    ASSERT_EQ(functionalUnitsForWidth(4).fpMulDiv, 1);
+    const Trace trace = loopTrace({inst(InstClass::Load),
+                                   inst(InstClass::FpDiv),
+                                   inst(InstClass::IntAlu),
+                                   inst(InstClass::FpDiv),
+                                   inst(InstClass::IntAlu),
+                                   inst(InstClass::FpDiv),
+                                   inst(InstClass::IntAlu),
+                                   inst(InstClass::IntAlu)},
+                                  2000, 4096);
+    for (const int width : {2, 4}) {
+        MicroarchConfig config = pinnedConfig(width, 8, 4);
+        config.set(Param::IqSize, 8);
+        expectReplayMatchesScalar(trace, config);
+    }
+}
+
+TEST(BatchSimSelect, YoungerOneSourceOpPassesTwoSourceOpOnReadPorts)
+{
+    // Two read ports at width 8: after an older one-source op takes a
+    // port, the next two-source op is blocked and a younger one-source
+    // op still issues in the same cycle.
+    const Trace trace = loopTrace({inst(InstClass::IntAlu, 40),
+                                   inst(InstClass::IntAlu, 40, 50),
+                                   inst(InstClass::IntAlu, 40),
+                                   inst(InstClass::IntMul, 30, 60),
+                                   inst(InstClass::IntAlu)},
+                                  4000);
+    expectReplayMatchesScalar(trace, pinnedConfig(8, 2, 2));
+    expectReplayMatchesScalar(trace, pinnedConfig(8, 2, 1));
+}
+
+TEST(BatchSimSelect, ConsumerDispatchedAfterItsLoadIssued)
+{
+    // A missing load issues at once; its consumer, a divide, dispatches
+    // several cycles later, when the load's result cycle is already
+    // fixed but still far ahead, so it goes straight onto the timing
+    // wheel. Its latency then shows in the commit time.
+    std::vector<TraceInstruction> body = {inst(InstClass::Load)};
+    for (int i = 0; i < 14; ++i)
+        body.push_back(inst(InstClass::IntAlu));
+    body.push_back(inst(InstClass::FpDiv, 15, 1));
+    const Trace trace = loopTrace(body, 4000, 4096);
+    for (const int width : {2, 4})
+        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4));
+}
+
+TEST(BatchSimSelect, ProducerBeforeTheTimedInterval)
+{
+    // With a 2000-instruction warmup, the first timed instructions read
+    // producers that lie before the timed interval: ready at dispatch.
+    const Trace trace = loopTrace({inst(InstClass::IntAlu, 5, 37),
+                                   inst(InstClass::Load, 11),
+                                   inst(InstClass::FpMul, 1, 29),
+                                   inst(InstClass::Store, 3, 2)},
+                                  6000, 64);
+    for (const int width : {2, 8})
+        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4), 2000);
+}
+
+TEST(BatchSim, LoopCountersCoverEveryCycle)
+{
+#if defined(ACDSE_NO_SIM_BATCH)
+    GTEST_SKIP() << "the scalar shape publishes no loop counters";
+#endif
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "metrics are compiled out";
+    // Without warmup every loop iteration or skipped cycle is one
+    // cycle of a timed run: stepped + skipped = total simulated cycles.
+    const Trace trace = makeTrace("mcf", 6000);
+    const auto configs = DesignSpace::sampleValidConfigs(5, 31);
+    obs::Registry &registry = obs::Registry::global();
+    obs::Counter &stepped = registry.counter("sim/cycles-stepped");
+    obs::Counter &skipped = registry.counter("sim/cycles-skipped");
+    const std::uint64_t stepped0 = stepped.value();
+    const std::uint64_t skipped0 = skipped.value();
+    const auto results =
+        simulateBatch(std::span<const MicroarchConfig>(configs), trace);
+    std::uint64_t cycles = 0;
+    for (const SimulationResult &result : results)
+        cycles += result.stats.cycles;
+    const std::uint64_t stepped_now = stepped.value() - stepped0;
+    const std::uint64_t skipped_now = skipped.value() - skipped0;
+    EXPECT_EQ(stepped_now + skipped_now, cycles);
+    EXPECT_GT(stepped_now, 0u);
+    EXPECT_GT(skipped_now, 0u);
 }
 
 TEST(BatchSim, SimPointBatchBitIdenticalToScalar)

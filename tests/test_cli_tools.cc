@@ -26,6 +26,7 @@
 
 #include "json_reader.hh"
 #include "obs/metrics.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -70,13 +71,11 @@ run(const fs::path &dir, const std::string &command)
     return result;
 }
 
+/** A new empty directory, unique to this process (tests/temp_dir.hh). */
 fs::path
 freshDir(const std::string &name)
 {
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
+    return testdir::uniqueTempDir(name);
 }
 
 testjson::Value

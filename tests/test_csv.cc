@@ -10,16 +10,18 @@
 #include <string>
 
 #include "base/csv.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
 namespace
 {
 
+/** @p name inside a new directory unique to this process. */
 std::string
 tempPath(const std::string &name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (testdir::uniqueTempDir("acdse_csv") / name).string();
 }
 
 TEST(Csv, SplitsLine)

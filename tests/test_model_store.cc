@@ -18,6 +18,7 @@
 #include "ml/mlp.hh"
 #include "ml/scaler.hh"
 #include "serve/model_store.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -63,10 +64,11 @@ trainedPredictor(bool fit_responses = true)
     return predictor;
 }
 
+/** @p name inside a new directory unique to this process. */
 std::string
 tempPath(const std::string &name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (testdir::uniqueTempDir("acdse_store") / name).string();
 }
 
 TEST(BinaryIo, ScalarRoundTrip)

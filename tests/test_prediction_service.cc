@@ -13,6 +13,7 @@
 
 #include "arch/design_space.hh"
 #include "serve/prediction_service.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -212,8 +213,7 @@ TEST(PredictionService, FromFileServesSavedArtifact)
 {
     const ModelArtifact artifact = twoMetricArtifact();
     const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "acdse_service_from_file.acdse")
+        (testdir::uniqueTempDir("acdse_service") / "from_file.acdse")
             .string();
     saveArtifact(path, artifact);
 
