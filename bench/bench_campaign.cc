@@ -308,15 +308,10 @@ main()
                 "(target: >= 3x on >= 8 hardware threads)\n",
                 speedup_t1);
     bool failed = false;
-#if !defined(ACDSE_NO_SIM_BATCH)
-    // With ACDSE_SIM_BATCH=OFF the entry points fall back to scalar
-    // simulate(), which constructs its components per call; the
-    // zero-allocation contract only binds the replay engine.
     if (steady_allocs != 0) {
         std::printf("FAIL: steady-state replay pass allocated\n");
         failed = true;
     }
-#endif
     if (hw >= 8 && speedup_t1 < 3.0) {
         std::printf("FAIL: below the replay speedup floor\n");
         failed = true;

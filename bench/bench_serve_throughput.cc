@@ -95,10 +95,9 @@ syntheticArtifact(std::size_t num_metrics, std::size_t num_models)
 }
 
 /**
- * Run one (threads, batch) cell and return points/second. Timed with
- * a local clock (not the service's own counters) so the measurement
- * also works -- and the floors still gate -- in ACDSE_OBS=OFF builds.
- * The cell's serve-stage metrics are folded into @p stages.
+ * Run one (threads, batch) cell and return points/second, timed with
+ * a local clock around the whole cell. The cell's serve-stage metrics
+ * are folded into @p stages.
  */
 double
 measure(const ModelArtifact &artifact, std::size_t threads,

@@ -115,8 +115,6 @@ fastTanh(double x)
     return detail::fastTanhTail(x);
 }
 
-#ifdef ACDSE_SIMD_VECTOR
-
 namespace detail
 {
 
@@ -225,7 +223,5 @@ fastTanhChunk(simd::Chunk x)
         r[l] = fastTanh(x[l]);
     return r;
 }
-
-#endif // ACDSE_SIMD_VECTOR
 
 } // namespace acdse

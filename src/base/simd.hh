@@ -19,15 +19,8 @@
  * accumulators stay in registers across a whole dot product, one
  * packed op per chunk. (Plain fixed-trip loops express the same
  * thing, but the autovectoriser is free to transpose the loop nest
- * into a shuffle-heavy form slower than scalar code.) Other compilers
- * fall back to plain per-lane loops with identical element-wise
- * semantics.
- *
- * Configure with -DACDSE_SIMD=OFF (which defines ACDSE_NO_SIMD) to
- * collapse the lane width to 1; the batch APIs keep working and, by
- * the bit-exact contract, keep returning the same doubles -- the
- * switch is an escape hatch for compilers that mis-handle the wide
- * kernels, not a numerics knob.
+ * into a shuffle-heavy form slower than scalar code.) The build
+ * requires GCC or Clang, so the vector-extension path is the only one.
  *
  * Why lanes win even without wide registers: the scalar dot product
  * `acc += w[i] * x[i]` is a serial dependency chain through acc, so a
@@ -44,26 +37,12 @@
 namespace acdse::simd
 {
 
-#ifdef ACDSE_NO_SIMD
-/** Lane width with SIMD disabled: scalar-shaped batch kernels. */
-inline constexpr std::size_t kLanes = 1;
-#else
 /**
  * Points per batch block: 8 doubles = four SSE2 / two AVX2 vectors,
  * enough independent chains to hide FP-add latency without spilling
  * the accumulator block out of registers.
  */
 inline constexpr std::size_t kLanes = 8;
-#endif
-
-#if !defined(ACDSE_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-
-/**
- * Defined when the vector-extension Chunk type below is available;
- * kernels key off this to pick the chunk-wise implementation (see
- * ml/mlp.cc and the block activation in base/fast_math.hh).
- */
-#define ACDSE_SIMD_VECTOR 1
 
 /**
  * One machine vector of doubles. 16 bytes is the portable native
@@ -115,8 +94,6 @@ chunkBroadcast(double v)
         c[l] = v;
     return c;
 }
-
-#endif // vector-extension path
 
 /**
  * Transpose one block of @p kLanes row-major points (point l starts at

@@ -47,16 +47,6 @@ poolMetrics()
     return metrics;
 }
 
-/** Enqueue timestamp; 0 (and no clock read) when obs is off. */
-std::uint64_t
-stampNs()
-{
-    if constexpr (obs::kEnabled)
-        return obs::nowNs();
-    else
-        return 0;
-}
-
 } // namespace
 
 /**
@@ -141,7 +131,7 @@ ThreadPool::enqueue(std::function<void()> task)
 {
     {
         MutexLock lock(mutex_);
-        queue_.push_back(Task{std::move(task), stampNs()});
+        queue_.push_back(Task{std::move(task), obs::nowNs()});
         poolMetrics().queueDepth.set(
             static_cast<std::int64_t>(queue_.size()));
     }
@@ -167,12 +157,9 @@ ThreadPool::workerLoop()
             poolMetrics().queueDepth.set(
                 static_cast<std::int64_t>(queue_.size()));
         }
-        if constexpr (obs::kEnabled) {
-            PoolMetrics &metrics = poolMetrics();
-            metrics.tasksRun.add(1);
-            metrics.queueWaitNs.record(obs::nowNs() -
-                                       task.enqueuedNs);
-        }
+        PoolMetrics &metrics = poolMetrics();
+        metrics.tasksRun.add(1);
+        metrics.queueWaitNs.record(obs::nowNs() - task.enqueuedNs);
         task.fn();
     }
 }
@@ -240,7 +227,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     const std::size_t blocks = (total + grain - 1) / grain;
     const std::size_t helpers = std::min(workers_.size(), blocks);
     {
-        const std::uint64_t stamp = stampNs();
+        const std::uint64_t stamp = obs::nowNs();
         MutexLock lock(mutex_);
         for (std::size_t h = 0; h < helpers; ++h)
             queue_.push_back(Task{[job] { drain(*job); }, stamp});

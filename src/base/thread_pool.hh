@@ -138,8 +138,7 @@ class ThreadPool
 
     /**
      * One queued unit of work. The enqueue timestamp feeds the
-     * pool/queue-wait-ns histogram (src/obs); it is 0 when
-     * observability is compiled out.
+     * pool/queue-wait-ns histogram (src/obs).
      */
     struct Task
     {

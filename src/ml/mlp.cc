@@ -14,29 +14,6 @@
 namespace acdse
 {
 
-namespace
-{
-
-// The one activation function, shared by the scalar and batched
-// forward passes so they are bit-identical by construction. fastTanh
-// keeps the serving hot path off libm's ~20 ns tanh; its ~5e-9
-// absolute error is far below the network's own fit error, and
-// training uses the same activation so the model is consistent with
-// its own inference. Note the numerics differ from a pure-libm build
-// (error amplified over training epochs); configure with
-// -DACDSE_FAST_TANH=OFF to stay on std::tanh exactly.
-inline double
-activation(double x)
-{
-#ifdef ACDSE_NO_FAST_TANH
-    return std::tanh(x);
-#else
-    return fastTanh(x);
-#endif
-}
-
-} // namespace
-
 Mlp::Mlp(MlpOptions options) : options_(options)
 {
     ACDSE_CHECK(options_.hiddenNeurons > 0, "need at least one neuron");
@@ -142,6 +119,9 @@ Mlp::trainScaled(const std::vector<std::vector<double>> &xz,
     }
 }
 
+// fastTanh is the one activation: training, this scalar pass and the
+// block kernel below all use it (fastTanhChunk is element-wise the same
+// function), so batched and per-point predictions are bit-identical.
 double
 Mlp::forwardScaled(const std::vector<double> &xz,
                    std::vector<double> *hidden) const
@@ -153,7 +133,7 @@ Mlp::forwardScaled(const std::vector<double> &xz,
         double acc = row[inputDim_]; // hidden bias
         for (std::size_t i = 0; i < inputDim_; ++i)
             acc += row[i] * xz[i];
-        const double act = activation(acc);
+        const double act = fastTanh(acc);
         if (hidden)
             (*hidden)[j] = act;
         out += outputWeights_[j] * act;
@@ -170,8 +150,6 @@ namespace
 // live in registers across the whole dot product. Each chunk op is
 // element-wise IEEE arithmetic -- the same operations, in the same
 // order, as forwardScaled performs per point.
-#ifdef ACDSE_SIMD_VECTOR
-
 void
 forwardBlockKernel(const double *__restrict hidden_weights,
                    const double *__restrict output_weights,
@@ -197,17 +175,8 @@ forwardBlockKernel(const double *__restrict hidden_weights,
             for (std::size_t c = 0; c < kC; ++c)
                 a[c] += simd::chunkLoad(x + c * kW) * w;
         }
-        for (std::size_t c = 0; c < kC; ++c) {
-#ifdef ACDSE_NO_FAST_TANH
-            double act[kW];
-            simd::chunkStore(act, a[c]);
-            for (std::size_t l = 0; l < kW; ++l)
-                act[l] = activation(act[l]);
-            a[c] = simd::chunkLoad(act);
-#else
+        for (std::size_t c = 0; c < kC; ++c)
             a[c] = fastTanhChunk(a[c]);
-#endif
-        }
         const Chunk wo = simd::chunkBroadcast(output_weights[j]);
         for (std::size_t c = 0; c < kC; ++c)
             o[c] += a[c] * wo;
@@ -215,36 +184,6 @@ forwardBlockKernel(const double *__restrict hidden_weights,
     for (std::size_t c = 0; c < kC; ++c)
         simd::chunkStore(out + c * kW, o[c]);
 }
-
-#else // scalar-shaped fallback (ACDSE_NO_SIMD or unknown compiler)
-
-void
-forwardBlockKernel(const double *__restrict hidden_weights,
-                   const double *__restrict output_weights,
-                   std::size_t h, std::size_t d,
-                   const double *__restrict block, double *__restrict out)
-{
-    double o[simd::kLanes];
-    double a[simd::kLanes];
-    for (std::size_t l = 0; l < simd::kLanes; ++l)
-        o[l] = output_weights[h]; // output bias
-    for (std::size_t j = 0; j < h; ++j) {
-        const double *__restrict row = hidden_weights + j * (d + 1);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            a[l] = row[d]; // hidden bias
-        for (std::size_t i = 0; i < d; ++i)
-            for (std::size_t l = 0; l < simd::kLanes; ++l)
-                a[l] += block[i * simd::kLanes + l] * row[i];
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            a[l] = activation(a[l]);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            o[l] += a[l] * output_weights[j];
-    }
-    for (std::size_t l = 0; l < simd::kLanes; ++l)
-        out[l] = o[l];
-}
-
-#endif
 
 } // namespace
 

@@ -86,7 +86,6 @@ StandardScaler::transformBlock(const double *__restrict xs,
     for (std::size_t i = 0; i < d; ++i) {
         const double *x = xs + i * simd::kLanes;
         double *z = zs + i * simd::kLanes;
-#ifdef ACDSE_SIMD_VECTOR
         const simd::Chunk mean = simd::chunkBroadcast(means_[i]);
         const simd::Chunk inv = simd::chunkBroadcast(invScales_[i]);
         for (std::size_t c = 0; c < simd::kChunks; ++c) {
@@ -94,10 +93,6 @@ StandardScaler::transformBlock(const double *__restrict xs,
             simd::chunkStore(
                 z + at, (simd::chunkLoad(x + at) - mean) * inv);
         }
-#else
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            z[l] = (x[l] - means_[i]) * invScales_[i];
-#endif
     }
 }
 

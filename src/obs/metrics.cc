@@ -69,7 +69,7 @@ atomicMax(std::atomic<std::uint64_t> &target, std::uint64_t value)
 } // namespace
 
 void
-Histogram::recordSlow(std::uint64_t value) noexcept
+Histogram::record(std::uint64_t value) noexcept
 {
     Shard &shard = shards_[shardIndex()];
     shard.buckets[bucketOf(value)].fetch_add(1,
@@ -159,7 +159,7 @@ splitmix64(std::uint64_t x) noexcept
 } // namespace
 
 void
-Reservoir::recordSlow(std::uint64_t value) noexcept
+Reservoir::record(std::uint64_t value) noexcept
 {
     const std::uint64_t n =
         count_.fetch_add(1, std::memory_order_relaxed);

@@ -18,12 +18,9 @@
  *    once (static reference, constructor) and then only touches the
  *    wait-free primitives.
  *
- *  - ACDSE_OBS=OFF (-DACDSE_OBS_DISABLED) is the escape hatch: the
- *    registry and the snapshot/export machinery stay compiled (tools
- *    still emit schema-valid, all-zero stats) but every mutation --
- *    Counter::add, Histogram::record, TraceSpan (obs/trace_span.hh) --
- *    compiles to nothing, so instrumented hot loops carry no cost at
- *    all. kEnabled lets tests and callers branch on the mode.
+ *  - Always on: there is no build without instrumentation. Its cost
+ *    is a few relaxed atomics per event, and every bench floor holds
+ *    with it.
  *
  *  - The global registry is deliberately leaked (never destroyed):
  *    worker threads of static thread pools may record metrics during
@@ -48,11 +45,8 @@
 namespace acdse::obs
 {
 
-#if defined(ACDSE_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
+/** Always true: kept for callers that record it in run provenance. */
 inline constexpr bool kEnabled = true;
-#endif
 
 /** Slots per sharded metric; power of two. */
 inline constexpr std::size_t kShards = 16;
@@ -72,12 +66,7 @@ class Counter
   public:
     void add(std::uint64_t n = 1) noexcept
     {
-        if constexpr (kEnabled) {
-            slots_[shardIndex()].value.fetch_add(
-                n, std::memory_order_relaxed);
-        } else {
-            (void)n;
-        }
+        slots_[shardIndex()].value.fetch_add(n, std::memory_order_relaxed);
     }
 
     /** Aggregate over all shards. */
@@ -101,18 +90,12 @@ class Gauge
   public:
     void set(std::int64_t v) noexcept
     {
-        if constexpr (kEnabled)
-            value_.store(v, std::memory_order_relaxed);
-        else
-            (void)v;
+        value_.store(v, std::memory_order_relaxed);
     }
 
     void add(std::int64_t delta) noexcept
     {
-        if constexpr (kEnabled)
-            value_.fetch_add(delta, std::memory_order_relaxed);
-        else
-            (void)delta;
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     std::int64_t value() const noexcept
@@ -161,13 +144,7 @@ struct HistogramSnapshot
 class Histogram
 {
   public:
-    void record(std::uint64_t value) noexcept
-    {
-        if constexpr (kEnabled)
-            recordSlow(value);
-        else
-            (void)value;
-    }
+    void record(std::uint64_t value) noexcept;
 
     HistogramSnapshot read() const noexcept;
 
@@ -205,8 +182,6 @@ class Histogram
         std::atomic<std::uint64_t> max{0};
     };
 
-    void recordSlow(std::uint64_t value) noexcept;
-
     std::array<Shard, kShards> shards_{};
 };
 
@@ -243,21 +218,13 @@ class Reservoir
     /** Retained samples; p999 of a full reservoir rests on ~4 points. */
     static constexpr std::size_t kReservoirCapacity = 4096;
 
-    void record(std::uint64_t value) noexcept
-    {
-        if constexpr (kEnabled)
-            recordSlow(value);
-        else
-            (void)value;
-    }
+    void record(std::uint64_t value) noexcept;
 
     ReservoirSnapshot read() const;
 
     void reset() noexcept;
 
   private:
-    void recordSlow(std::uint64_t value) noexcept;
-
     std::atomic<std::uint64_t> count_{0};
     std::array<std::atomic<std::uint64_t>, kReservoirCapacity>
         samples_{};

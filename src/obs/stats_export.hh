@@ -32,8 +32,7 @@
  * buckets are emitted; "le" is the bucket's inclusive upper edge.
  * Stage self_ms is inclusive time minus same-thread child time, so
  * summing self_ms over all stages on a single-threaded run stays
- * <= total wall time. With ACDSE_OBS=OFF the export machinery still
- * works and emits schema-valid all-zero documents.
+ * <= total wall time.
  */
 
 #pragma once

@@ -30,32 +30,20 @@ namespace acdse::obs
  * while the workers' stages account for theirs. Summing self times
  * across stages therefore stays <= total wall time on one thread and
  * <= aggregate CPU time across many.
- *
- * With ACDSE_OBS=OFF both constructors and the destructor compile to
- * nothing.
  */
 class TraceSpan
 {
   public:
     /** Open a span against an already-interned stage (hot path). */
-    explicit TraceSpan(Stage &stage) noexcept
-    {
-        if constexpr (kEnabled)
-            open(&stage);
-    }
+    explicit TraceSpan(Stage &stage) noexcept { open(&stage); }
 
     /** Intern @p path in @p registry (cold) and open against it. */
     TraceSpan(Registry &registry, std::string_view path)
     {
-        if constexpr (kEnabled)
-            open(&registry.stage(path));
+        open(&registry.stage(path));
     }
 
-    ~TraceSpan()
-    {
-        if constexpr (kEnabled)
-            close();
-    }
+    ~TraceSpan() { close(); }
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;

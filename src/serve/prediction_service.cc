@@ -203,7 +203,7 @@ PredictionService::computeRange(
 std::vector<PredictionRow>
 PredictionService::predict(const std::vector<MicroarchConfig> &queries)
 {
-    const std::uint64_t start = obs::kEnabled ? obs::nowNs() : 0;
+    const std::uint64_t start = obs::nowNs();
     std::vector<PredictionRow> rows(queries.size());
     if (queries.empty())
         return rows;
@@ -219,11 +219,9 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
     } else {
         // Time spent waiting for the batch mutex is the service's
         // queueing latency: concurrent callers serialise here.
-        const std::uint64_t lockStart =
-            obs::kEnabled ? obs::nowNs() : 0;
+        const std::uint64_t lockStart = obs::nowNs();
         MutexLock batch_lock(batchMutex_);
-        if constexpr (obs::kEnabled)
-            queueWaitNs_.record(obs::nowNs() - lockStart);
+        queueWaitNs_.record(obs::nowNs() - lockStart);
         const std::size_t num_chunks =
             (queries.size() + options_.chunk - 1) / options_.chunk;
         // Chunks write disjoint row ranges, so the batch result is
@@ -239,8 +237,7 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
         });
     }
 
-    if constexpr (obs::kEnabled)
-        recordBatch(queries.size(), obs::nowNs() - start);
+    recordBatch(queries.size(), obs::nowNs() - start);
     return rows;
 }
 
@@ -263,7 +260,7 @@ PredictionService::submit(AsyncBatch &batch, TenantId tenant,
     request.batch = &batch;
     request.index = static_cast<std::uint32_t>(batch.submitted_);
     request.tenant = tenant;
-    request.enqueuedNs = obs::kEnabled ? obs::nowNs() : 0;
+    request.enqueuedNs = obs::nowNs();
     request.config = query;
 
     // Raise pending before the push: the drainer may complete the
@@ -357,7 +354,7 @@ void
 PredictionService::serveDrained(ServeRequest *requests,
                                 std::size_t count)
 {
-    const std::uint64_t start = obs::kEnabled ? obs::nowNs() : 0;
+    const std::uint64_t start = obs::nowNs();
 
     // One acquire load pins the model epoch for every request in this
     // drain; the shared_ptr keeps superseded models alive until the
@@ -447,8 +444,7 @@ PredictionService::serveDrained(ServeRequest *requests,
             }
         }
 
-        if constexpr (obs::kEnabled)
-            tenantCounter(tenant).add(n);
+        tenantCounter(tenant).add(n);
         groupBegin = groupEnd;
     }
 
@@ -456,24 +452,19 @@ PredictionService::serveDrained(ServeRequest *requests,
     // and version to the producer's acquire in AsyncBatch::wait().
     for (std::size_t i = 0; i < count; ++i) {
         const ServeRequest &req = requests[i];
-        if constexpr (obs::kEnabled) {
-            const std::uint64_t latency =
-                obs::nowNs() - req.enqueuedNs;
-            requestLatencyNs_.record(latency);
-            latencyReservoir_.record(latency);
-        }
+        const std::uint64_t latency = obs::nowNs() - req.enqueuedNs;
+        requestLatencyNs_.record(latency);
+        latencyReservoir_.record(latency);
         if (req.batch->pending_.fetch_sub(
                 1, std::memory_order_release) == 1)
             req.batch->pending_.notify_all();
     }
 
-    if constexpr (obs::kEnabled) {
-        pointsServed_.add(count);
-        // The drain ran entirely on this thread but interleaves with
-        // popInto bookkeeping; record the stage directly (no
-        // TraceSpan in the drain loop).
-        drainStage_.record(obs::nowNs() - start, 0);
-    }
+    pointsServed_.add(count);
+    // The drain ran entirely on this thread but interleaves with
+    // popInto bookkeeping; record the stage directly (no TraceSpan in
+    // the drain loop).
+    drainStage_.record(obs::nowNs() - start, 0);
 }
 
 void
@@ -485,40 +476,16 @@ PredictionService::recordBatch(std::size_t points,
     batchStage_.record(elapsedNs, 0);
     pointsServed_.add(points);
     batchPoints_.record(points);
-    lastBatchNs_.store(elapsedNs, std::memory_order_relaxed);
     if (options_.statsEveryBatches != 0 &&
         !options_.statsPath.empty() &&
         batchStage_.spans().value() % options_.statsEveryBatches == 0)
         dumpStats();
 }
 
-ServiceStats
-PredictionService::stats() const
-{
-    // Derived from the registry: exact, because Counter sums and the
-    // histogram's min/max/sum fields are exact (only the bucket
-    // boundaries are log-scaled).
-    ServiceStats out;
-    out.batches = batchStage_.spans().value();
-    out.points = pointsServed_.value();
-    out.requests = requestsAccepted_.value();
-    out.rejected = requestsShed_.value();
-    out.totalMs =
-        static_cast<double>(batchStage_.totalNs().value()) / 1e6;
-    out.lastMs = static_cast<double>(
-                     lastBatchNs_.load(std::memory_order_relaxed)) /
-                 1e6;
-    const obs::HistogramSnapshot spans = batchStage_.spanNs().read();
-    out.minMs = static_cast<double>(spans.min) / 1e6;
-    out.maxMs = static_cast<double>(spans.max) / 1e6;
-    return out;
-}
-
 void
 PredictionService::resetStats()
 {
     registry_.reset();
-    lastBatchNs_.store(0, std::memory_order_relaxed);
 }
 
 obs::Snapshot

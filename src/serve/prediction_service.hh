@@ -34,7 +34,7 @@
  *
  * Per-batch latency, lifetime throughput and per-request latency
  * (log2 histogram + exact-quantile reservoir) are kept so a
- * deployment can watch the serving path (ServiceStats,
+ * deployment can watch the serving path (statsSnapshot(),
  * bench/bench_serve_latency.cc).
  *
  * Environment knobs:
@@ -224,37 +224,6 @@ struct ServeRequest
 };
 
 /**
- * Snapshot of the service's serving counters, derived from the
- * service's private metrics registry (src/obs). With ACDSE_OBS=OFF the
- * instrumentation is compiled out and every field reads zero.
- */
-struct ServiceStats
-{
-    std::uint64_t batches = 0;  //!< batches served
-    std::uint64_t points = 0;   //!< query points served
-    std::uint64_t requests = 0; //!< async requests accepted
-    std::uint64_t rejected = 0; //!< async requests shed (QueueFull)
-    double totalMs = 0.0;       //!< summed batch latencies
-    double lastMs = 0.0;        //!< latency of the most recent batch
-    double minMs = 0.0;         //!< fastest batch so far
-    double maxMs = 0.0;         //!< slowest batch so far
-
-    /** Mean batch latency in milliseconds. */
-    double meanMs() const
-    {
-        return batches ? totalMs / static_cast<double>(batches) : 0.0;
-    }
-
-    /** Lifetime throughput in predicted points per second. */
-    double pointsPerSecond() const
-    {
-        return totalMs > 0.0
-                   ? static_cast<double>(points) / (totalMs / 1000.0)
-                   : 0.0;
-    }
-};
-
-/**
  * A running prediction server over versioned, hot-swappable model
  * artifacts.
  *
@@ -369,25 +338,24 @@ class PredictionService
      */
     std::size_t drainOnce();
 
-    /** Snapshot the serving counters. */
-    ServiceStats stats() const;
-
     /** Zero the serving counters (e.g. after a warm-up run). */
     void resetStats();
 
     /**
      * Full snapshot of the service's private metrics registry:
-     * serve/batch, serve/chunk and serve/drain stages, serve/points
-     * and per-tenant counters, request-latency histogram + reservoir.
-     * Callers merge this with the global registry's snapshot for
-     * export.
+     * serve/batch, serve/chunk and serve/drain stages (the serve/batch
+     * stage counts predict() batches; its span histogram holds exact
+     * min/max latencies), the serve/points, serve/requests (accepted)
+     * and serve/shed (QueueFull) counters, per-tenant counters, and
+     * the request-latency histogram + reservoir. Callers merge this
+     * with the global registry's snapshot for export.
      */
     obs::Snapshot statsSnapshot() const;
 
     /**
      * Exact per-request latency quantile in milliseconds from the
-     * async path's reservoir (0 when no async requests were served or
-     * ACDSE_OBS=OFF). @p q in [0, 1].
+     * async path's reservoir (0 when no async requests were served).
+     * @p q in [0, 1].
      */
     double requestLatencyQuantileMs(double q) const;
 
@@ -434,7 +402,6 @@ class PredictionService
     obs::Histogram &queueWaitNs_;
     obs::Histogram &requestLatencyNs_;
     obs::Reservoir &latencyReservoir_;
-    std::atomic<std::uint64_t> lastBatchNs_{0};
 
     // The async ingest path: producers push, the drainer pops.
     MpscRing<ServeRequest> ring_;

@@ -64,8 +64,6 @@ struct LoopCounts
     std::uint64_t skipped = 0; //!< cycles jumped by the idle skip
 };
 
-#if !defined(ACDSE_NO_SIM_BATCH)
-
 /**
  * Reconfigure a recycled component for a new design point, or build it
  * on first use. Every scratch component takes the same argument in its
@@ -825,8 +823,6 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     return result;
 }
 
-#endif // !ACDSE_NO_SIM_BATCH
-
 } // namespace
 
 void
@@ -840,14 +836,7 @@ simulateBatch(std::span<const MicroarchConfig> configs,
     std::uint64_t instructions = 0;
     LoopCounts loops;
     for (std::size_t i = 0; i < configs.size(); ++i) {
-#if defined(ACDSE_NO_SIM_BATCH)
-        // Scalar shape: the reference implementation, still reusing
-        // the scratch's pipeline storage.
-        results[i] = simulate(configs[i], trace.source(), options,
-                              scratch.core);
-#else
         results[i] = replay(configs[i], trace, options, scratch, loops);
-#endif
         instructions += results[i].stats.instructions;
     }
     obs::Registry &registry = obs::Registry::global();
@@ -874,10 +863,6 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
                            const SimPointOptions &options)
 {
     std::vector<SampledResult> results(configs.size());
-#if defined(ACDSE_NO_SIM_BATCH)
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        results[i] = simulateWithSimPoints(configs[i], trace, options);
-#else
     // One analysis serves every configuration: simpointAnalyze() is a
     // pure function of (trace, options), so sharing it preserves
     // bit-identity with the scalar path, which recomputes it per
@@ -917,7 +902,6 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
         result.detailFraction = static_cast<double>(timed) /
                                 static_cast<double>(trace.size());
     }
-#endif
     return results;
 }
 
@@ -926,10 +910,6 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
                         const Trace &trace, const SmartsOptions &options)
 {
     std::vector<SampledResult> results(configs.size());
-#if defined(ACDSE_NO_SIM_BATCH)
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        results[i] = simulateWithSmarts(configs[i], trace, options);
-#else
     ACDSE_CHECK(options.unitInstructions > 0, "empty measurement unit");
     ACDSE_CHECK(options.samplingPeriod > 0,
                  "sampling period must be >0");
@@ -980,7 +960,6 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
         result.detailFraction = static_cast<double>(timed) /
                                 static_cast<double>(trace.size());
     }
-#endif
     return results;
 }
 

@@ -27,17 +27,14 @@
  * (tests/test_batch_sim.cc compares all four metrics with EXPECT_EQ on
  * the doubles). This holds because the engine executes exactly the
  * scalar algorithm's operation sequence, and the shared tables in
- * sim/core_ops.hh keep the two transcriptions from drifting. Configure
- * with -DACDSE_SIM_BATCH=OFF to route the entry points through the
- * scalar path (an escape hatch, not a numerics switch).
+ * sim/core_ops.hh keep the two transcriptions from drifting.
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
  * and feeds four counters -- "sim/instructions" (instructions committed
  * through the replay path), "sim/lanes-occupied" (configurations
  * simulated, i.e. cells), "sim/cycles-stepped" (engine loop
  * iterations) and "sim/cycles-skipped" (cycles jumped by the idle
- * skip). The two cycle counters include warmup runs and stay at zero
- * in the scalar shape.
+ * skip). The two cycle counters include warmup runs.
  */
 
 #pragma once
@@ -112,9 +109,6 @@ class DecodedTrace
     /** Decode @p trace; keeps a reference (trace must outlive this). */
     explicit DecodedTrace(const Trace &trace);
 
-    /** The trace this was decoded from. */
-    const Trace &source() const { return *source_; }
-
     /** Benchmark name (forwarded from the source trace). */
     const std::string &name() const { return source_->name(); }
 
@@ -149,8 +143,8 @@ struct SimScratch
 /**
  * Replay @p trace against every configuration in @p configs (any
  * count, one after another) and write one SimulationResult per config
- * into @p results. Bit-identical to calling
- * simulate(configs[i], trace.source(), options) per config.
+ * into @p results. Bit-identical to calling simulate(configs[i], t,
+ * options) per config, where t is the trace @p trace was decoded from.
  *
  * @param configs the design points (results follow this order).
  * @param trace   the decoded trace (read-only; shareable by threads).

@@ -56,16 +56,9 @@ SimulationResult
 simulate(const MicroarchConfig &config, const Trace &trace,
          const SimulationOptions &options)
 {
-    CoreScratch scratch;
-    return simulate(config, trace, options, scratch);
-}
-
-SimulationResult
-simulate(const MicroarchConfig &config, const Trace &trace,
-         const SimulationOptions &options, CoreScratch &scratch)
-{
     EnergyModel energy(config);
     OooCore core(config, energy);
+    CoreScratch scratch; // shared by the warmup and timed runs
 
     std::size_t begin = 0;
     if (options.warmupInstructions > 0 && trace.size() > 2) {

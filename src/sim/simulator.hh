@@ -41,15 +41,5 @@ struct SimulationResult
 SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,
                           const SimulationOptions &options = {});
 
-/**
- * As simulate(), but borrowing @p scratch for the core's pipeline
- * structures. Callers that simulate in a loop (the replay path's
- * ACDSE_SIM_BATCH=OFF fallback) reuse one scratch to avoid per-simulation
- * allocation; results are identical either way.
- */
-SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,
-                          const SimulationOptions &options,
-                          CoreScratch &scratch);
-
 } // namespace acdse
 

@@ -305,11 +305,6 @@ TEST(BatchSimSelect, ProducerBeforeTheTimedInterval)
 
 TEST(BatchSim, LoopCountersCoverEveryCycle)
 {
-#if defined(ACDSE_NO_SIM_BATCH)
-    GTEST_SKIP() << "the scalar shape publishes no loop counters";
-#endif
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "metrics are compiled out";
     // Without warmup every loop iteration or skipped cycle is one
     // cycle of a timed run: stepped + skipped = total simulated cycles.
     const Trace trace = makeTrace("mcf", 6000);

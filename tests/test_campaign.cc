@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "core/campaign.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -23,9 +23,7 @@ tinyOptions(const std::string &tag)
     options.traceLength = 1500;
     options.warmupInstructions = 300;
     options.quiet = true;
-    options.cacheDir =
-        (std::filesystem::temp_directory_path() / tag).string();
-    std::filesystem::create_directories(options.cacheDir);
+    options.cacheDir = testdir::uniqueTempDir(tag).string();
     return options;
 }
 
@@ -145,7 +143,8 @@ TEST(CampaignDeathTest, ResultBeforeCompute)
 
 TEST(CampaignDeathTest, UnknownProgram)
 {
-    EXPECT_DEATH(Campaign({"not-a-benchmark"}, tinyOptions("acdse_t9")),
+    const CampaignOptions options = tinyOptions("acdse_t9");
+    EXPECT_DEATH(Campaign({"not-a-benchmark"}, options),
                  "unknown benchmark");
 }
 

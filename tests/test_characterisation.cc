@@ -6,9 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/characterisation.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -24,10 +23,8 @@ sharedCampaign()
         options.traceLength = 2500;
         options.warmupInstructions = 500;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_char_tests")
-                               .string();
-        std::filesystem::create_directories(options.cacheDir);
+        options.cacheDir =
+            testdir::uniqueTempDir("acdse_char_tests").string();
         Campaign c({"crc32", "sha", "fft", "qsort"}, options);
         c.ensureComputed();
         return c;

@@ -25,7 +25,6 @@
 #include <string>
 
 #include "json_reader.hh"
-#include "obs/metrics.hh"
 #include "temp_dir.hh"
 
 namespace acdse
@@ -113,6 +112,9 @@ TEST(CliTrainThenServe, EndToEndWithStats)
     ASSERT_EQ(result.exitCode, 0) << result.output;
     EXPECT_TRUE(fs::exists(dir / "model.acdse"));
     ASSERT_TRUE(fs::exists(dir / "stats.json")) << result.output;
+    EXPECT_NE(result.output.find("held-out points: cycles rmae"),
+              std::string::npos)
+        << result.output;
 
     const testjson::Value doc = parseFile(dir / "stats.json");
     EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
@@ -124,17 +126,12 @@ TEST(CliTrainThenServe, EndToEndWithStats)
     for (const auto &[path, stage] : stages.object) {
         if (path.starts_with("train/program/")) {
             ++trainProgramStages;
-            if (obs::kEnabled) {
-                EXPECT_EQ(stage.at("count").asNumber(),
-                          static_cast<double>(kMetricsTrained))
-                    << path;
-            }
+            EXPECT_EQ(stage.at("count").asNumber(),
+                      static_cast<double>(kMetricsTrained))
+                << path;
         }
     }
     EXPECT_EQ(trainProgramStages, kTrainPrograms);
-
-    if (!obs::kEnabled)
-        return; // OFF builds emit valid, all-zero stats; done.
 
     // The campaign, training, fit and serve stages all saw real time.
     EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(),
@@ -198,6 +195,10 @@ TEST(CliServe, ServesQueriesAndWritesStats)
                  " --model model.acdse --input queries.csv --stats"
                  " --stats-out serve_stats.json > out.csv");
     ASSERT_EQ(served.exitCode, 0) << served.output;
+    // --stats reads the service's snapshot: both queries in one batch.
+    EXPECT_NE(served.output.find("stats: 1 batches, 2 points"),
+              std::string::npos)
+        << served.output;
 
     // Output CSV: one header plus one row per query.
     std::ifstream out(dir / "out.csv");
@@ -211,17 +212,15 @@ TEST(CliServe, ServesQueriesAndWritesStats)
 
     const testjson::Value doc = parseFile(dir / "serve_stats.json");
     EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
-    if (obs::kEnabled) {
-        EXPECT_GE(
-            doc.at("stages").at("serve/batch").at("count").asNumber(),
-            1.0);
-        EXPECT_EQ(doc.at("counters").at("serve/points").asNumber(),
-                  2.0);
-        EXPECT_EQ(
-            doc.at("histograms").at("serve/batch-points").at("count")
-                .asNumber(),
-            1.0);
-    }
+    EXPECT_GE(
+        doc.at("stages").at("serve/batch").at("count").asNumber(),
+        1.0);
+    EXPECT_EQ(doc.at("counters").at("serve/points").asNumber(),
+              2.0);
+    EXPECT_EQ(
+        doc.at("histograms").at("serve/batch-points").at("count")
+            .asNumber(),
+        1.0);
 }
 
 TEST(CliServe, RejectsUnknownFlagAndMissingModel)
@@ -282,18 +281,16 @@ TEST(CliExplore, ExploresArtifactAndWritesCsv)
 
     const testjson::Value doc = parseFile(dir / "stats.json");
     EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
-    if (obs::kEnabled) {
-        EXPECT_EQ(doc.at("counters")
-                      .at("explore/points-predicted")
-                      .asNumber(),
-                  3000.0);
-        EXPECT_GE(doc.at("stages").at("explore/tile").at("count")
-                      .asNumber(),
-                  1.0);
-        EXPECT_GE(doc.at("stages").at("explore/reduce").at("count")
-                      .asNumber(),
-                  1.0);
-    }
+    EXPECT_EQ(doc.at("counters")
+                  .at("explore/points-predicted")
+                  .asNumber(),
+              3000.0);
+    EXPECT_GE(doc.at("stages").at("explore/tile").at("count")
+                  .asNumber(),
+              1.0);
+    EXPECT_GE(doc.at("stages").at("explore/reduce").at("count")
+                  .asNumber(),
+              1.0);
 }
 
 TEST(CliExplore, RefinedEnumerationOfReducedGrid)
@@ -416,12 +413,10 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
         EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
         // A worker that lost every claim race registers no
         // jobs/dispatch counter at all; only the sum is deterministic.
-        if (obs::kEnabled && doc.at("counters").has("jobs/dispatch"))
+        if (doc.at("counters").has("jobs/dispatch"))
             dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
     }
-    if (obs::kEnabled) {
-        EXPECT_EQ(dispatched, 9.0);
-    }
+    EXPECT_EQ(dispatched, 9.0);
 }
 
 TEST(CliJobServer, StatusSchemaAndResumeAfterKill)

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <set>
 
 #include "core/evaluation.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -25,10 +25,8 @@ sharedCampaign()
         options.traceLength = 2500;
         options.warmupInstructions = 500;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_eval_tests")
-                               .string();
-        std::filesystem::create_directories(options.cacheDir);
+        options.cacheDir =
+            testdir::uniqueTempDir("acdse_eval_tests").string();
         Campaign c({"crc32", "sha", "adpcm", "stringsearch", "bitcount",
                     "blowfish"},
                    options);

@@ -47,7 +47,6 @@ TEST(FastMath, EdgeCases)
         fastTanh(std::numeric_limits<double>::quiet_NaN())));
 }
 
-#ifdef ACDSE_SIMD_VECTOR
 TEST(FastMath, ChunkMatchesScalarBitExactly)
 {
     // The packed fastTanhChunk must return, in each lane, the exact
@@ -78,7 +77,6 @@ TEST(FastMath, ChunkMatchesScalarBitExactly)
         }
     }
 }
-#endif // ACDSE_SIMD_VECTOR
 
 TEST(FastMath, ContinuousAcrossTableBoundaries)
 {

@@ -131,11 +131,9 @@ TEST(HotSwap, SwapUnderLoadIsLossFreeAndBitExact)
     swapper.join();
 
     // Zero requests failed or were shed across the swap.
-    const ServiceStats stats = service.stats();
-    if constexpr (obs::kEnabled) {
-        EXPECT_EQ(stats.requests, accepted);
-        EXPECT_EQ(stats.rejected, 0u);
-    }
+    const obs::Snapshot snap = service.statsSnapshot();
+    EXPECT_EQ(snap.counters.at("serve/requests"), accepted);
+    EXPECT_EQ(snap.counters.at("serve/shed"), 0u);
     EXPECT_TRUE(sawV1);
     EXPECT_TRUE(sawV2);
     EXPECT_EQ(service.currentVersion(), 2u);
@@ -203,11 +201,9 @@ TEST(HotSwap, ChurnKeepsVersionsMonotonicPerProducer)
 
     EXPECT_EQ(failures.load(), 0);
     EXPECT_GT(service.currentVersion(), 1u);
-    if constexpr (obs::kEnabled) {
-        EXPECT_EQ(service.stats().requests,
-                  static_cast<std::uint64_t>(kProducers) *
-                      kRoundsPerProducer * kBatchSize);
-    }
+    EXPECT_EQ(service.statsSnapshot().counters.at("serve/requests"),
+              static_cast<std::uint64_t>(kProducers) *
+                  kRoundsPerProducer * kBatchSize);
 }
 
 /**

@@ -9,17 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 
 #include "core/characterisation.hh"
 #include "core/evaluation.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
 namespace
 {
 
-/** A mid-size campaign over heterogeneous programs, cached on disk. */
+/** A mid-size campaign over heterogeneous programs, filled per process. */
 Campaign &
 integrationCampaign()
 {
@@ -29,10 +29,8 @@ integrationCampaign()
         options.traceLength = 4000;
         options.warmupInstructions = 1000;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_integration")
-                               .string();
-        std::filesystem::create_directories(options.cacheDir);
+        options.cacheDir =
+            testdir::uniqueTempDir("acdse_integration").string();
         Campaign c({"gzip", "parser", "crafty", "galgel", "eon",
                     "mesa", "twolf", "gap"},
                    options);

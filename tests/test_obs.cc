@@ -4,7 +4,7 @@
  * histogram exactness, log2 bucket edges, span nesting/attribution,
  * multi-thread aggregation (run under TSan via the Obs* name in the
  * sanitizer matrix), snapshot merge/diff algebra, the acdse-stats-v1
- * JSON round-trip, and ACDSE_OBS=OFF no-op behaviour.
+ * JSON round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -31,10 +31,8 @@ TEST(ObsCounter, AddsExactly)
     EXPECT_EQ(counter.value(), 0u);
     counter.add();
     counter.add(41);
-    if constexpr (kEnabled) {
-        EXPECT_EQ(counter.value(), 42u);
-        counter.reset();
-    }
+    EXPECT_EQ(counter.value(), 42u);
+    counter.reset();
     EXPECT_EQ(counter.value(), 0u);
 }
 
@@ -43,10 +41,7 @@ TEST(ObsGauge, SetAndAdd)
     Gauge gauge;
     gauge.set(7);
     gauge.add(-10);
-    if constexpr (kEnabled)
-        EXPECT_EQ(gauge.value(), -3);
-    else
-        EXPECT_EQ(gauge.value(), 0);
+    EXPECT_EQ(gauge.value(), -3);
     gauge.reset();
     EXPECT_EQ(gauge.value(), 0);
 }
@@ -79,10 +74,6 @@ TEST(ObsHistogram, RecordsExactMoments)
     for (std::uint64_t v : {5u, 9u, 0u, 1000u})
         histogram.record(v);
     const HistogramSnapshot snap = histogram.read();
-    if constexpr (!kEnabled) {
-        EXPECT_EQ(snap.count, 0u);
-        return;
-    }
     EXPECT_EQ(snap.count, 4u);
     EXPECT_EQ(snap.sum, 1014u);
     EXPECT_EQ(snap.min, 0u);
@@ -123,16 +114,12 @@ TEST(ObsCounter, MultiThreadAggregationIsExact)
     }
     for (auto &thread : threads)
         thread.join();
-    if constexpr (kEnabled) {
-        EXPECT_EQ(counter.value(), kThreads * kPerThread);
-        const HistogramSnapshot snap = histogram.read();
-        EXPECT_EQ(snap.count, kThreads * kPerThread);
-        EXPECT_EQ(snap.sum, 3u * kThreads * kPerThread);
-        EXPECT_EQ(snap.min, 3u);
-        EXPECT_EQ(snap.max, 3u);
-    } else {
-        EXPECT_EQ(counter.value(), 0u);
-    }
+    EXPECT_EQ(counter.value(), kThreads * kPerThread);
+    const HistogramSnapshot snap = histogram.read();
+    EXPECT_EQ(snap.count, kThreads * kPerThread);
+    EXPECT_EQ(snap.sum, 3u * kThreads * kPerThread);
+    EXPECT_EQ(snap.min, 3u);
+    EXPECT_EQ(snap.max, 3u);
 }
 
 TEST(ObsRegistry, InternsByName)
@@ -172,8 +159,6 @@ TEST(ObsRegistry, ResetZeroesButKeepsNames)
 
 TEST(ObsTraceSpan, AttributesNestedTimeToParent)
 {
-    if constexpr (!kEnabled)
-        GTEST_SKIP() << "spans compiled out (ACDSE_OBS=OFF)";
     Registry registry;
     Stage &outer = registry.stage("t/outer");
     Stage &inner = registry.stage("t/inner");
@@ -206,8 +191,6 @@ TEST(ObsTraceSpan, AttributesNestedTimeToParent)
 
 TEST(ObsTraceSpan, SiblingsAccumulate)
 {
-    if constexpr (!kEnabled)
-        GTEST_SKIP() << "spans compiled out (ACDSE_OBS=OFF)";
     Registry registry;
     Stage &stage = registry.stage("t/repeat");
     for (int i = 0; i < 3; ++i) {
@@ -221,8 +204,6 @@ TEST(ObsTraceSpan, SiblingsAccumulate)
 
 TEST(ObsTraceSpan, SpansOnOtherThreadsHaveNoParent)
 {
-    if constexpr (!kEnabled)
-        GTEST_SKIP() << "spans compiled out (ACDSE_OBS=OFF)";
     Registry registry;
     Stage &outer = registry.stage("t/outer");
     Stage &worker = registry.stage("t/worker");
@@ -251,29 +232,23 @@ TEST(ObsSnapshot, MergeAddsAndDiffSubtracts)
 
     Snapshot merged = a.snapshot();
     merged.merge(b.snapshot());
-    if constexpr (kEnabled) {
-        EXPECT_EQ(merged.counters.at("n"), 5u);
-        EXPECT_EQ(merged.counters.at("only-b"), 1u);
-        EXPECT_EQ(merged.histograms.at("h").count, 2u);
-        EXPECT_EQ(merged.histograms.at("h").min, 4u);
-        EXPECT_EQ(merged.histograms.at("h").max, 64u);
-    }
+    EXPECT_EQ(merged.counters.at("n"), 5u);
+    EXPECT_EQ(merged.counters.at("only-b"), 1u);
+    EXPECT_EQ(merged.histograms.at("h").count, 2u);
+    EXPECT_EQ(merged.histograms.at("h").min, 4u);
+    EXPECT_EQ(merged.histograms.at("h").max, 64u);
 
     const Snapshot before = b.snapshot();
     b.counter("n").add(10);
     b.histogram("h").record(8);
     const Snapshot delta = diff(before, b.snapshot());
-    if constexpr (kEnabled) {
-        EXPECT_EQ(delta.counters.at("n"), 10u);
-        EXPECT_EQ(delta.counters.at("only-b"), 0u);
-        EXPECT_EQ(delta.histograms.at("h").count, 1u);
-        EXPECT_EQ(delta.histograms.at("h").sum, 8u);
-        EXPECT_EQ(
-            delta.histograms.at("h").buckets[Histogram::bucketOf(8)],
-            1u);
-    } else {
-        EXPECT_EQ(delta.counters.at("n"), 0u);
-    }
+    EXPECT_EQ(delta.counters.at("n"), 10u);
+    EXPECT_EQ(delta.counters.at("only-b"), 0u);
+    EXPECT_EQ(delta.histograms.at("h").count, 1u);
+    EXPECT_EQ(delta.histograms.at("h").sum, 8u);
+    EXPECT_EQ(
+        delta.histograms.at("h").buckets[Histogram::bucketOf(8)],
+        1u);
 }
 
 TEST(ObsExport, StatsJsonRoundTrips)
@@ -283,9 +258,6 @@ TEST(ObsExport, StatsJsonRoundTrips)
     registry.gauge("work/depth").set(-2);
     registry.histogram("work/ns").record(100);
     registry.histogram("work/ns").record(3000);
-    // Intern the stage by name first: under ACDSE_OBS=OFF the span
-    // constructor is a no-op and would never create it, but an
-    // explicitly registered stage still exports (as zeros).
     Stage &stage_ref = registry.stage("work/stage");
     {
         const TraceSpan span(stage_ref);
@@ -303,30 +275,21 @@ TEST(ObsExport, StatsJsonRoundTrips)
     const double depth = doc.at("gauges").at("work/depth").asNumber();
     const testjson::Value &hist = doc.at("histograms").at("work/ns");
     const testjson::Value &stage = doc.at("stages").at("work/stage");
-    if constexpr (kEnabled) {
-        EXPECT_EQ(items, 12.0);
-        EXPECT_EQ(depth, -2.0);
-        EXPECT_EQ(hist.at("count").asNumber(), 2.0);
-        EXPECT_EQ(hist.at("sum").asNumber(), 3100.0);
-        EXPECT_EQ(hist.at("min").asNumber(), 100.0);
-        EXPECT_EQ(hist.at("max").asNumber(), 3000.0);
-        // Two occupied buckets, each with an inclusive upper edge that
-        // contains its sample.
-        ASSERT_EQ(hist.at("buckets").array.size(), 2u);
-        EXPECT_GE(hist.at("buckets").array[0].at("le").asNumber(),
-                  100.0);
-        EXPECT_EQ(stage.at("count").asNumber(), 1.0);
-        EXPECT_GE(stage.at("total_ms").asNumber(), 0.0);
-        EXPECT_GE(stage.at("total_ms").asNumber(),
-                  stage.at("self_ms").asNumber() - 1e-9);
-    } else {
-        // OFF builds still emit a schema-valid, all-zero document.
-        EXPECT_EQ(items, 0.0);
-        EXPECT_EQ(depth, 0.0);
-        EXPECT_EQ(hist.at("count").asNumber(), 0.0);
-        EXPECT_TRUE(hist.at("buckets").array.empty());
-        EXPECT_EQ(stage.at("count").asNumber(), 0.0);
-    }
+    EXPECT_EQ(items, 12.0);
+    EXPECT_EQ(depth, -2.0);
+    EXPECT_EQ(hist.at("count").asNumber(), 2.0);
+    EXPECT_EQ(hist.at("sum").asNumber(), 3100.0);
+    EXPECT_EQ(hist.at("min").asNumber(), 100.0);
+    EXPECT_EQ(hist.at("max").asNumber(), 3000.0);
+    // Two occupied buckets, each with an inclusive upper edge that
+    // contains its sample.
+    ASSERT_EQ(hist.at("buckets").array.size(), 2u);
+    EXPECT_GE(hist.at("buckets").array[0].at("le").asNumber(),
+              100.0);
+    EXPECT_EQ(stage.at("count").asNumber(), 1.0);
+    EXPECT_GE(stage.at("total_ms").asNumber(), 0.0);
+    EXPECT_GE(stage.at("total_ms").asNumber(),
+              stage.at("self_ms").asNumber() - 1e-9);
 }
 
 TEST(ObsHistogram, QuantileInterpolatesWithinBuckets)
@@ -338,22 +301,18 @@ TEST(ObsHistogram, QuantileInterpolatesWithinBuckets)
         hist.record(10);
     hist.record(1000);
     const HistogramSnapshot snap = hist.read();
-    if constexpr (kEnabled) {
-        const double p50 = snap.quantile(0.50);
-        EXPECT_GT(p50, 0.0);
-        EXPECT_LE(p50,
-                  static_cast<double>(Histogram::bucketHigh(
-                      Histogram::bucketOf(10))));
-        const double p999 = snap.quantile(0.999);
-        EXPECT_GT(p999, p50);
-        EXPECT_LE(p999,
-                  static_cast<double>(Histogram::bucketHigh(
-                      Histogram::bucketOf(1000))));
-        // Degenerate edges.
-        EXPECT_EQ(HistogramSnapshot{}.quantile(0.5), 0.0);
-    } else {
-        EXPECT_EQ(snap.quantile(0.5), 0.0);
-    }
+    const double p50 = snap.quantile(0.50);
+    EXPECT_GT(p50, 0.0);
+    EXPECT_LE(p50,
+              static_cast<double>(Histogram::bucketHigh(
+                  Histogram::bucketOf(10))));
+    const double p999 = snap.quantile(0.999);
+    EXPECT_GT(p999, p50);
+    EXPECT_LE(p999,
+              static_cast<double>(Histogram::bucketHigh(
+                  Histogram::bucketOf(1000))));
+    // Degenerate edges.
+    EXPECT_EQ(HistogramSnapshot{}.quantile(0.5), 0.0);
 }
 
 TEST(ObsReservoir, ExactQuantilesBelowCapacity)
@@ -364,18 +323,13 @@ TEST(ObsReservoir, ExactQuantilesBelowCapacity)
     for (std::uint64_t i = 0; i < 1000; ++i)
         reservoir.record((i * 617) % 1000 + 1);
     const ReservoirSnapshot snap = reservoir.read();
-    if constexpr (kEnabled) {
-        EXPECT_EQ(snap.count, 1000u);
-        EXPECT_EQ(snap.samples.size(), 1000u);
-        // Nearest-rank on the full stream is exact.
-        EXPECT_EQ(snap.quantile(0.0), 1u);
-        EXPECT_EQ(snap.quantile(1.0), 1000u);
-        EXPECT_EQ(snap.quantile(0.5), 500u);
-        EXPECT_EQ(snap.quantile(0.99), 990u);
-    } else {
-        EXPECT_EQ(snap.count, 0u);
-        EXPECT_EQ(snap.quantile(0.5), 0u);
-    }
+    EXPECT_EQ(snap.count, 1000u);
+    EXPECT_EQ(snap.samples.size(), 1000u);
+    // Nearest-rank on the full stream is exact.
+    EXPECT_EQ(snap.quantile(0.0), 1u);
+    EXPECT_EQ(snap.quantile(1.0), 1000u);
+    EXPECT_EQ(snap.quantile(0.5), 500u);
+    EXPECT_EQ(snap.quantile(0.99), 990u);
 }
 
 TEST(ObsReservoir, DeterministicBeyondCapacityAndResettable)
@@ -394,13 +348,11 @@ TEST(ObsReservoir, DeterministicBeyondCapacityAndResettable)
     fill(b);
     const ReservoirSnapshot sa = a.read();
     const ReservoirSnapshot sb = b.read();
-    if constexpr (kEnabled) {
-        EXPECT_EQ(sa.count, total);
-        EXPECT_EQ(sa.samples.size(), Reservoir::kReservoirCapacity);
-        EXPECT_EQ(sa.samples, sb.samples);
-        // The subsample still spans the stream's range roughly.
-        EXPECT_LT(sa.quantile(0.1), sa.quantile(0.9));
-    }
+    EXPECT_EQ(sa.count, total);
+    EXPECT_EQ(sa.samples.size(), Reservoir::kReservoirCapacity);
+    EXPECT_EQ(sa.samples, sb.samples);
+    // The subsample still spans the stream's range roughly.
+    EXPECT_LT(sa.quantile(0.1), sa.quantile(0.9));
     a.reset();
     const ReservoirSnapshot cleared = a.read();
     EXPECT_EQ(cleared.count, 0u);
@@ -420,25 +372,20 @@ TEST(ObsReservoir, RegistryInternsAndExports)
     const testjson::Value doc = testjson::parse(json);
     ASSERT_TRUE(doc.at("reservoirs").isObject());
     const testjson::Value &exported = doc.at("reservoirs").at("lat");
-    if constexpr (kEnabled) {
-        EXPECT_EQ(snap.reservoirs.at("lat").count, 100u);
-        EXPECT_EQ(exported.at("count").asNumber(), 100.0);
-        EXPECT_EQ(exported.at("retained").asNumber(), 100.0);
-        EXPECT_EQ(exported.at("p50").asNumber(), 50000.0);
-        EXPECT_EQ(exported.at("p99").asNumber(), 99000.0);
-        EXPECT_GE(exported.at("p999").asNumber(),
-                  exported.at("p99").asNumber());
-        // Histogram export now carries quantile keys too.
-        Registry histReg;
-        histReg.histogram("h").record(7);
-        const testjson::Value hdoc = testjson::parse(
-            statsToJson(histReg.snapshot()));
-        EXPECT_GT(hdoc.at("histograms").at("h").at("p50").asNumber(),
-                  0.0);
-    } else {
-        EXPECT_EQ(exported.at("count").asNumber(), 0.0);
-        EXPECT_EQ(exported.at("p99").asNumber(), 0.0);
-    }
+    EXPECT_EQ(snap.reservoirs.at("lat").count, 100u);
+    EXPECT_EQ(exported.at("count").asNumber(), 100.0);
+    EXPECT_EQ(exported.at("retained").asNumber(), 100.0);
+    EXPECT_EQ(exported.at("p50").asNumber(), 50000.0);
+    EXPECT_EQ(exported.at("p99").asNumber(), 99000.0);
+    EXPECT_GE(exported.at("p999").asNumber(),
+              exported.at("p99").asNumber());
+    // Histogram export now carries quantile keys too.
+    Registry histReg;
+    histReg.histogram("h").record(7);
+    const testjson::Value hdoc = testjson::parse(
+        statsToJson(histReg.snapshot()));
+    EXPECT_GT(hdoc.at("histograms").at("h").at("p50").asNumber(),
+              0.0);
 
     registry.reset();
     EXPECT_EQ(registry.reservoir("lat").read().count, 0u);
@@ -455,35 +402,20 @@ TEST(ObsSnapshot, ReservoirMergeAndDiff)
 
     Snapshot merged = a.snapshot();
     merged.merge(b.snapshot());
-    if constexpr (kEnabled) {
-        EXPECT_EQ(merged.reservoirs.at("r").count, 15u);
-        EXPECT_EQ(merged.reservoirs.at("r").samples.size(), 15u);
-        // Merged samples stay sorted for nearest-rank quantiles.
-        EXPECT_TRUE(std::is_sorted(
-            merged.reservoirs.at("r").samples.begin(),
-            merged.reservoirs.at("r").samples.end()));
-    }
+    EXPECT_EQ(merged.reservoirs.at("r").count, 15u);
+    EXPECT_EQ(merged.reservoirs.at("r").samples.size(), 15u);
+    // Merged samples stay sorted for nearest-rank quantiles.
+    EXPECT_TRUE(std::is_sorted(
+        merged.reservoirs.at("r").samples.begin(),
+        merged.reservoirs.at("r").samples.end()));
 
     const Snapshot before = b.snapshot();
     b.reservoir("r").record(20000);
     const Snapshot delta = diff(before, b.snapshot());
-    if constexpr (kEnabled) {
-        // Reservoir diffs keep the after-sample; the count is the
-        // true delta.
-        EXPECT_EQ(delta.reservoirs.at("r").count, 1u);
-        EXPECT_EQ(delta.reservoirs.at("r").samples.size(), 6u);
-    }
-}
-
-TEST(ObsMode, CompiledModeIsConsistent)
-{
-    // kEnabled mirrors the ACDSE_OBS CMake knob; mutation no-ops are
-    // covered per-primitive above. This pins the define itself.
-#if defined(ACDSE_OBS_DISABLED)
-    EXPECT_FALSE(kEnabled);
-#else
-    EXPECT_TRUE(kEnabled);
-#endif
+    // Reservoir diffs keep the after-sample; the count is the
+    // true delta.
+    EXPECT_EQ(delta.reservoirs.at("r").count, 1u);
+    EXPECT_EQ(delta.reservoirs.at("r").samples.size(), 6u);
 }
 
 } // namespace

@@ -11,11 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <vector>
 
 #include "base/thread_pool.hh"
 #include "core/evaluation.hh"
+#include "temp_dir.hh"
 
 namespace acdse
 {
@@ -31,9 +31,7 @@ tinyOptions(const std::string &tag, std::size_t threads)
     options.warmupInstructions = 300;
     options.threads = threads;
     options.quiet = true;
-    options.cacheDir =
-        (std::filesystem::temp_directory_path() / tag).string();
-    std::filesystem::create_directories(options.cacheDir);
+    options.cacheDir = testdir::uniqueTempDir(tag).string();
     return options;
 }
 

@@ -180,24 +180,21 @@ TEST(PredictionService, CountersAddUp)
     service.predict(queries);
     service.predictOne(DesignSpace::baseline());
 
-    // The counters are registry-backed (src/obs); an ACDSE_OBS=OFF
-    // build compiles the instrumentation out and reads all zeros.
-    const ServiceStats stats = service.stats();
-    if constexpr (obs::kEnabled) {
-        EXPECT_EQ(stats.batches, 3u);
-        EXPECT_EQ(stats.points, 201u);
-        EXPECT_GT(stats.totalMs, 0.0);
-        EXPECT_GE(stats.maxMs, stats.minMs);
-        EXPECT_GT(stats.pointsPerSecond(), 0.0);
-    } else {
-        EXPECT_EQ(stats.batches, 0u);
-        EXPECT_EQ(stats.points, 0u);
-        EXPECT_EQ(stats.totalMs, 0.0);
-    }
+    // The counters are registry-backed (src/obs): the serve/batch
+    // stage counts predict() batches, serve/points the points served.
+    const obs::Snapshot snap = service.statsSnapshot();
+    const obs::StageSnapshot &batches = snap.stages.at("serve/batch");
+    EXPECT_EQ(batches.count, 3u);
+    EXPECT_EQ(batches.spans.count, 3u);
+    EXPECT_EQ(snap.counters.at("serve/points"), 201u);
+    EXPECT_GT(batches.totalNs, 0u);
+    EXPECT_GE(batches.spans.max, batches.spans.min);
 
     service.resetStats();
-    EXPECT_EQ(service.stats().batches, 0u);
-    EXPECT_EQ(service.stats().points, 0u);
+    const obs::Snapshot cleared = service.statsSnapshot();
+    EXPECT_EQ(cleared.stages.at("serve/batch").count, 0u);
+    EXPECT_EQ(cleared.stages.at("serve/batch").totalNs, 0u);
+    EXPECT_EQ(cleared.counters.at("serve/points"), 0u);
 }
 
 TEST(PredictionService, EmptyBatchIsANoOp)
@@ -206,7 +203,7 @@ TEST(PredictionService, EmptyBatchIsANoOp)
     options.threads = 2;
     PredictionService service(twoMetricArtifact(), options);
     EXPECT_TRUE(service.predict({}).empty());
-    EXPECT_EQ(service.stats().batches, 0u);
+    EXPECT_EQ(service.statsSnapshot().stages.at("serve/batch").count, 0u);
 }
 
 TEST(PredictionService, FromFileServesSavedArtifact)
@@ -271,11 +268,9 @@ TEST(PredictionService, AsyncPathMatchesSyncExactly)
         // constructor's publish is version 1).
         EXPECT_EQ(batch.versions()[i], 1u);
     }
-    if constexpr (obs::kEnabled) {
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.requests, queries.size());
-        EXPECT_EQ(stats.rejected, 0u);
-    }
+    const obs::Snapshot snap = service.statsSnapshot();
+    EXPECT_EQ(snap.counters.at("serve/requests"), queries.size());
+    EXPECT_EQ(snap.counters.at("serve/shed"), 0u);
 }
 
 TEST(PredictionService, QueueFullShedsTyped)
@@ -302,12 +297,10 @@ TEST(PredictionService, QueueFullShedsTyped)
     EXPECT_EQ(batch.submitted(), kMinRingCapacity);
     EXPECT_EQ(batch.inFlight(), kMinRingCapacity);
 
-    // Rejections are observable (serve/shed) and stats()-visible.
-    if constexpr (obs::kEnabled) {
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.requests, kMinRingCapacity);
-        EXPECT_EQ(stats.rejected, 4u);
-    }
+    // Rejections are observable in the snapshot (serve/shed).
+    const obs::Snapshot snap = service.statsSnapshot();
+    EXPECT_EQ(snap.counters.at("serve/requests"), kMinRingCapacity);
+    EXPECT_EQ(snap.counters.at("serve/shed"), 4u);
 
     // Draining makes room again: the shed requests can be resubmitted
     // and complete normally.
@@ -377,18 +370,15 @@ TEST(PredictionService, TenantsRouteToTheirOwnModels)
               SubmitStatus::UnknownTenant);
 
     // Per-tenant served-point counters appear in the snapshot.
-    if constexpr (obs::kEnabled) {
-        const obs::Snapshot snap = service.statsSnapshot();
-        ASSERT_TRUE(
-            snap.counters.count("serve/tenant/default/points"));
-        ASSERT_TRUE(snap.counters.count("serve/tenant/beta/points"));
-        EXPECT_EQ(snap.counters.at("serve/tenant/default/points"),
-                  queries.size());
-        EXPECT_EQ(snap.counters.at("serve/tenant/beta/points"),
-                  queries.size());
-        EXPECT_EQ(snap.counters.at("serve/tenant/bare/points"),
-                  queries.size());
-    }
+    const obs::Snapshot snap = service.statsSnapshot();
+    ASSERT_TRUE(snap.counters.count("serve/tenant/default/points"));
+    ASSERT_TRUE(snap.counters.count("serve/tenant/beta/points"));
+    EXPECT_EQ(snap.counters.at("serve/tenant/default/points"),
+              queries.size());
+    EXPECT_EQ(snap.counters.at("serve/tenant/beta/points"),
+              queries.size());
+    EXPECT_EQ(snap.counters.at("serve/tenant/bare/points"),
+              queries.size());
 }
 
 TEST(PredictionService, AsyncLatencyMetricsPopulate)
@@ -404,21 +394,18 @@ TEST(PredictionService, AsyncLatencyMetricsPopulate)
                   SubmitStatus::Accepted);
     batch.wait();
 
-    if constexpr (obs::kEnabled) {
-        const obs::Snapshot snap = service.statsSnapshot();
-        ASSERT_TRUE(
-            snap.histograms.count("serve/request-latency-ns"));
-        EXPECT_EQ(snap.histograms.at("serve/request-latency-ns").count,
-                  queries.size());
-        ASSERT_TRUE(snap.reservoirs.count("serve/request-latency"));
-        EXPECT_EQ(snap.reservoirs.at("serve/request-latency").count,
-                  queries.size());
-        // Exact quantiles come from the reservoir; p99 of real
-        // latencies is positive and at least the median.
-        EXPECT_GT(service.requestLatencyQuantileMs(0.99), 0.0);
-        EXPECT_GE(service.requestLatencyQuantileMs(0.99),
-                  service.requestLatencyQuantileMs(0.50));
-    }
+    const obs::Snapshot snap = service.statsSnapshot();
+    ASSERT_TRUE(snap.histograms.count("serve/request-latency-ns"));
+    EXPECT_EQ(snap.histograms.at("serve/request-latency-ns").count,
+              queries.size());
+    ASSERT_TRUE(snap.reservoirs.count("serve/request-latency"));
+    EXPECT_EQ(snap.reservoirs.at("serve/request-latency").count,
+              queries.size());
+    // Exact quantiles come from the reservoir; p99 of real latencies
+    // is positive and at least the median.
+    EXPECT_GT(service.requestLatencyQuantileMs(0.99), 0.0);
+    EXPECT_GE(service.requestLatencyQuantileMs(0.99),
+              service.requestLatencyQuantileMs(0.50));
 }
 
 } // namespace

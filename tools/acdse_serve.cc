@@ -426,21 +426,33 @@ main(int argc, char **argv)
         flush();
 
         if (cli.printStats) {
-            const ServiceStats stats = service.stats();
-            std::fprintf(stderr,
-                         "stats: %llu batches, %llu points, "
-                         "mean %.3f ms/batch (min %.3f, max %.3f), "
-                         "%.0f points/s\n",
-                         static_cast<unsigned long long>(stats.batches),
-                         static_cast<unsigned long long>(stats.points),
-                         stats.meanMs(), stats.minMs, stats.maxMs,
-                         stats.pointsPerSecond());
+            // serve/batch span durations are exact ns (count, sum,
+            // min, max); only their bucket edges are log-scaled.
+            const obs::Snapshot snap = service.statsSnapshot();
+            const obs::HistogramSnapshot &batches =
+                snap.stages.at("serve/batch").spans;
+            const auto points =
+                static_cast<double>(snap.counters.at("serve/points"));
+            std::fprintf(
+                stderr,
+                "stats: %llu batches, %.0f points, "
+                "mean %.3f ms/batch (min %.3f, max %.3f), "
+                "%.0f points/s\n",
+                static_cast<unsigned long long>(batches.count), points,
+                batches.mean() / 1e6,
+                static_cast<double>(batches.min) / 1e6,
+                static_cast<double>(batches.max) / 1e6,
+                batches.sum
+                    ? points * 1e9 / static_cast<double>(batches.sum)
+                    : 0.0);
             if (asyncMode) {
                 std::fprintf(
                     stderr,
                     "async: %llu accepted, %llu shed, p99 %.3f ms\n",
-                    static_cast<unsigned long long>(stats.requests),
-                    static_cast<unsigned long long>(stats.rejected),
+                    static_cast<unsigned long long>(
+                        snap.counters.at("serve/requests")),
+                    static_cast<unsigned long long>(
+                        snap.counters.at("serve/shed")),
                     service.requestLatencyQuantileMs(0.99));
             }
         }

@@ -51,6 +51,23 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          ACDSE_DCHECK (base/check.hh); don't
                          reintroduce it.
 
+  acdse-retired-build-switch
+                         ACDSE_NO_SIMD, ACDSE_NO_FAST_TANH,
+                         ACDSE_NO_SIM_BATCH, ACDSE_OBS_DISABLED and
+                         ACDSE_SIMD_VECTOR name build switches that no
+                         longer exist: the project has one production
+                         build, so code under them is dead and still
+                         compiles silently.
+
+  acdse-test-temp-literal
+                         std::filesystem::temp_directory_path() in
+                         tests/ outside tests/temp_dir.hh. A fixed
+                         name under the host's temp directory is shared
+                         by every concurrent test process and every
+                         checkout on the host, so a cache there can be
+                         stale or rebuilt under a reader; take
+                         directories from testdir::uniqueTempDir.
+
   acdse-obs-span-in-hot-loop
                          obs::TraceSpan construction inside a
                          for/while body in src/. Spans belong at
@@ -122,8 +139,20 @@ ATOMIC_WRITE_IMPLS = {
 # the annotated wrappers that everything else must use.
 RAW_SYNC_IMPL = Path("src/base/sync.hh")
 
+# The one test file allowed to touch the host temp directory: the
+# helper that hands out unique directories under it.
+TEST_TEMP_IMPL = Path("tests/temp_dir.hh")
+
 NOLINT_RE = re.compile(r"NOLINT\(acdse-([a-z-]+)\)")
 
+RETIRED_SWITCH_RE = re.compile(
+    r"\bACDSE_(?:NO_SIMD|NO_FAST_TANH|NO_SIM_BATCH|OBS_DISABLED|"
+    r"SIMD_VECTOR)\b"
+)
+TEST_TEMP_RE = re.compile(r"\btemp_directory_path\s*\(")
+
+# (name, pattern, message, scope): scope is None (every scanned file)
+# or a predicate on the repo-relative path.
 RULES = [
     (
         "checked-parse",
@@ -152,6 +181,21 @@ RULES = [
         "ACDSE_ASSERT is retired; use ACDSE_CHECK or ACDSE_DCHECK from "
         "base/check.hh",
         None,
+    ),
+    (
+        "retired-build-switch",
+        RETIRED_SWITCH_RE,
+        "this build switch was removed (there is one production build); "
+        "code under it is dead",
+        None,
+    ),
+    (
+        "test-temp-literal",
+        TEST_TEMP_RE,
+        "fixed temp-dir names are shared by every test process and "
+        "checkout on the host; use testdir::uniqueTempDir "
+        "(tests/temp_dir.hh)",
+        lambda rel: rel.parts[:1] == ("tests",) and rel != TEST_TEMP_IMPL,
     ),
 ]
 
@@ -270,10 +314,10 @@ def lint_file(root: Path, rel: Path, ast_active: bool = False) -> list[str]:
     for lineno, line in enumerate(lines, 1):
         suppressed = {m.group(1) for m in NOLINT_RE.finditer(line)}
 
-        for name, pattern, message, _ in RULES:
+        for name, pattern, message, scope in RULES:
             if ast_active and name in AST_REPLACES:
                 continue
-            if name in suppressed:
+            if name in suppressed or (scope and not scope(rel)):
                 continue
             if pattern.search(line):
                 findings.append(
@@ -412,6 +456,27 @@ LINE_RULE_CASES = [
      "const auto v = parseU64OrDie(name, s);", False),
     ("std::random_device flags", RULES[1][1],
      "std::random_device rd;", True),
+    ("retired switch #ifdef flags", RETIRED_SWITCH_RE,
+     "#ifdef ACDSE_NO_SIMD", True),
+    ("retired vector macro flags", RETIRED_SWITCH_RE,
+     "#if defined(ACDSE_SIMD_VECTOR)", True),
+    ("live build options are clean", RETIRED_SWITCH_RE,
+     "#if defined(ACDSE_ENABLE_DCHECK) || ACDSE_NATIVE", False),
+    ("fixed temp-dir name flags", TEST_TEMP_RE,
+     'std::filesystem::temp_directory_path() / "acdse_t1"', True),
+    ("uniqueTempDir is clean", TEST_TEMP_RE,
+     'options.cacheDir = testdir::uniqueTempDir("acdse_t1").string();',
+     False),
+]
+
+# (name, rule, repo-relative path, rule applies there) for scoped rules.
+SCOPE_CASES = [
+    ("temp literal in a test is in scope", "test-temp-literal",
+     "tests/test_campaign.cc", True),
+    ("the temp-dir helper itself is exempt", "test-temp-literal",
+     "tests/temp_dir.hh", False),
+    ("benches are out of scope", "test-temp-literal",
+     "bench/bench_jobs.cc", False),
 ]
 
 
@@ -427,7 +492,14 @@ def self_test(root: Path, require_ast: bool = False) -> int:
         status = "ok" if got == expected else "FAIL"
         failures += got != expected
         print(f"{status}: {name} (expected {expected}, got {got})")
-    regex_cases = len(SELF_TEST_CASES) + len(LINE_RULE_CASES)
+    scopes = {name: scope for name, _, _, scope in RULES}
+    for name, rule, path, expected in SCOPE_CASES:
+        got = scopes[rule](Path(path))
+        status = "ok" if got == expected else "FAIL"
+        failures += got != expected
+        print(f"{status}: {name} (expected {expected}, got {got})")
+    regex_cases = (len(SELF_TEST_CASES) + len(LINE_RULE_CASES) +
+                   len(SCOPE_CASES))
 
     import ast_engine
 

@@ -206,13 +206,18 @@ main(int argc, char **argv)
         actual.push_back(
             campaign.result(target_row, eval_idx[i]).cycles);
     }
-    const ServiceStats stats = service.stats();
+    // One predict() batch so far: the serve/batch stage total is its
+    // latency.
+    const double batchMs =
+        service.statsSnapshot().stages.at("serve/batch").totalMs();
     std::printf("served %zu held-out points: cycles rmae %.1f%%, "
                 "correlation %.3f, batch latency %.2f ms (%.0f "
                 "points/s)\n",
                 probes.size(), stats::rmae(predicted, actual),
-                stats::correlation(predicted, actual), stats.lastMs,
-                stats.pointsPerSecond());
+                stats::correlation(predicted, actual), batchMs,
+                batchMs > 0.0 ? static_cast<double>(probes.size()) /
+                                    (batchMs / 1000.0)
+                              : 0.0);
     if (!cli.statsOut.empty()) {
         // The global registry carries campaign/train/fit/pool metrics;
         // the service's private registry carries the serve/ ones.
