@@ -1,27 +1,22 @@
 /**
  * @file
  * Campaign-fill benchmark: simulated design points per second through
- * the scalar per-cell simulate() path (the seed campaign shape: fresh
- * core, caches, predictor and energy model per cell) vs the
- * decoded-trace replay (one DecodedTrace shared read-only, one
- * configuration per pool task, all per-simulation state hoisted into
- * a reused per-thread SimScratch), at one thread and at full hardware
- * parallelism. The replay's speedup comes from the decode and from
- * skipping idle cycles.
+ * the campaign fill shape (one DecodedTrace shared read-only, one
+ * configuration per pool task, every worker replaying on its
+ * threadSimScratch()) at one thread and at full hardware parallelism,
+ * and, for reference, through per-call simulate() (which decodes the
+ * trace on every call).
  *
- * The replay path must be bit-identical to the scalar one
- * (tests/test_batch_sim.cc); this bench shows why it exists, and
- * additionally proves the SimScratch hoisting claim: a steady-state
- * replay pass (same configs, same scratch) must perform ZERO heap
- * allocations, counted by the operator new/delete overrides below.
- * It also records the process's peak resident memory (peak_rss_mb),
- * which the per-thread scratch dominates.
+ * It also proves the SimScratch hoisting claim: a steady-state replay
+ * pass (same configs, same scratch) must perform ZERO heap
+ * allocations, counted by the operator new/delete overrides below,
+ * and records the process's peak resident memory (peak_rss_mb), which
+ * the per-thread scratch dominates.
  *
- * Acceptance floor: the replay path delivers >= 3x the
- * scalar single-thread points/s on an 8-core host (>= 5x target). The
- * floor is enforced here when the host has >= 8 hardware threads and
- * tracked by tools/ci/check_bench_regression.py against
- * bench/baseline.json (campaign_points_per_s).
+ * Gate: the zero-allocation check fails the run here; the
+ * single-thread campaign_points_per_s is held to its floor by
+ * tools/ci/check_bench_regression.py against bench/baseline.json.
+ * The per-call simulate() rate is reported ungated.
  *
  * Environment: ACDSE_CAMPAIGN_BENCH_CONFIGS (default 64) sets the
  * number of design points; ACDSE_CAMPAIGN_BENCH_TRACE (default 6000)
@@ -140,12 +135,9 @@ measure(std::size_t points, std::size_t passes, Sweep &&sweep)
     return static_cast<double>(points * passes) / seconds;
 }
 
-/**
- * Scalar path: one simulate() call per cell, constructing the full
- * component stack each time -- exactly the pre-batch campaign fill.
- */
+/** Per-call path: one simulate() call per cell, decoding each time. */
 double
-measureScalar(const std::vector<MicroarchConfig> &configs,
+measurePerCall(const std::vector<MicroarchConfig> &configs,
               const Trace &trace, const SimulationOptions &options,
               std::size_t threads, std::size_t passes)
 {
@@ -161,8 +153,8 @@ measureScalar(const std::vector<MicroarchConfig> &configs,
 
 /**
  * Replay path: one configuration per pool task replayed against one
- * shared DecodedTrace, with each worker thread reusing its own
- * SimScratch -- the campaign.cc fill shape.
+ * shared DecodedTrace on each worker's threadSimScratch() -- the
+ * campaign.cc fill shape.
  */
 double
 measureReplay(const std::vector<MicroarchConfig> &configs,
@@ -175,10 +167,10 @@ measureReplay(const std::vector<MicroarchConfig> &configs,
     ThreadPool pool(threads);
     return measure(n, passes, [&] {
         pool.parallelFor(0, n, [&](std::size_t i) {
-            thread_local SimScratch scratch; // NOLINT(acdse-local-static)
             simulateBatch(
                 std::span<const MicroarchConfig>(&configs[i], 1), decoded,
-                options, std::span<SimulationResult>(&out[i], 1), scratch);
+                options, std::span<SimulationResult>(&out[i], 1),
+                threadSimScratch());
         });
     });
 }
@@ -223,30 +215,25 @@ main()
                 "cell (points/s)\n\n",
                 num_configs, passes);
 
-    const double scalar_t1 =
-        measureScalar(configs, trace, options, 1, passes);
+    const double simulate_t1 =
+        measurePerCall(configs, trace, options, 1, passes);
     const double replay_t1 =
         measureReplay(configs, decoded, options, 1, passes);
-    const double scalar_tmax =
-        measureScalar(configs, trace, options, hw, passes);
     const double replay_tmax =
         measureReplay(configs, decoded, options, hw, passes);
-    const double speedup_t1 = replay_t1 / scalar_t1;
-    const double speedup_tmax = replay_tmax / scalar_tmax;
 
-    std::printf("%-18s  %12s  %12s  %8s\n", "threads", "scalar pts/s",
-                "replay pts/s", "speedup");
-    std::printf("%-18zu  %12.0f  %12.0f  %7.2fx\n", std::size_t{1},
-                scalar_t1, replay_t1, speedup_t1);
-    std::printf("%-18zu  %12.0f  %12.0f  %7.2fx\n", hw, scalar_tmax,
-                replay_tmax, speedup_tmax);
+    std::printf("%-18s  %12s  %12s\n", "threads", "simulate()",
+                "replay pts/s");
+    std::printf("%-18zu  %12.0f  %12.0f\n", std::size_t{1}, simulate_t1,
+                replay_t1);
+    std::printf("%-18zu  %12s  %12.0f\n", hw, "-", replay_tmax);
 
     // Steady-state allocation check: after one warm pass has grown the
     // scratch and filled the cacti memo, a repeat pass over the same
     // configs must not touch the heap at all -- that is the whole point
     // of hoisting per-simulation state into SimScratch.
     std::vector<SimulationResult> out(configs.size());
-    SimScratch scratch;
+    SimScratch &scratch = threadSimScratch();
     simulateBatch(configs, decoded, options, out, scratch); // warm
     const std::uint64_t allocs_before =
         g_allocations.load(std::memory_order_relaxed);
@@ -288,9 +275,8 @@ main()
             static_cast<std::uint64_t>(trace_length))
         .key("steady_state_allocations").value(steady_allocs)
         .key("metrics").beginObject()
-        .key("campaign_scalar_pps_t1").value(scalar_t1)
+        .key("campaign_simulate_pps_t1").value(simulate_t1)
         .key("campaign_points_per_s").value(replay_t1)
-        .key("campaign_batch_speedup_t1").value(speedup_t1)
         .key("campaign_batch_pps_tmax").value(replay_tmax)
         .key("peak_rss_mb").value(peak_rss_mb)
         .endObject();
@@ -304,22 +290,10 @@ main()
     writeTextAtomic(json_out, json.str());
     std::printf("\nwrote %s\n", json_out.c_str());
 
-    std::printf("\nsingle-thread replay speedup: %.2fx "
-                "(target: >= 3x on >= 8 hardware threads)\n",
-                speedup_t1);
-    bool failed = false;
     if (steady_allocs != 0) {
         std::printf("FAIL: steady-state replay pass allocated\n");
-        failed = true;
-    }
-    if (hw >= 8 && speedup_t1 < 3.0) {
-        std::printf("FAIL: below the replay speedup floor\n");
-        failed = true;
-    }
-    if (failed)
         return 1;
-    std::printf(hw >= 8 ? "PASS\n"
-                        : "PASS (speedup floor not enforced: fewer "
-                          "than 8 hardware threads)\n");
+    }
+    std::printf("PASS\n");
     return 0;
 }

@@ -35,33 +35,32 @@ main()
         const Trace trace =
             TraceGenerator(profileByName(name)).generate(24000);
 
+        SimPointOptions sp_options;
+        sp_options.intervalLength = 2000;
+        sp_options.maxClusters = 6;
+        SmartsOptions sm_options;
+        sm_options.unitInstructions = 500;
+        sm_options.samplingPeriod = 8;
+        const auto sp = simulateWithSimPoints(configs, trace, sp_options);
+        const auto sm = simulateWithSmarts(configs, trace, sm_options);
+
         std::vector<double> full, simpoint, smarts;
         double sp_err = 0.0, sm_err = 0.0;
         double sp_frac = 0.0, sm_frac = 0.0;
-        for (const auto &config : configs) {
+        for (std::size_t i = 0; i < configs.size(); ++i) {
             const double truth =
-                simulate(config, trace).metrics.cycles;
+                simulate(configs[i], trace).metrics.cycles;
             full.push_back(truth);
 
-            SimPointOptions sp_options;
-            sp_options.intervalLength = 2000;
-            sp_options.maxClusters = 6;
-            const SampledResult sp =
-                simulateWithSimPoints(config, trace, sp_options);
-            simpoint.push_back(sp.metrics.cycles);
-            sp_err += 100.0 * std::abs(sp.metrics.cycles - truth) /
+            simpoint.push_back(sp[i].metrics.cycles);
+            sp_err += 100.0 * std::abs(sp[i].metrics.cycles - truth) /
                       truth;
-            sp_frac += sp.detailFraction;
+            sp_frac += sp[i].detailFraction;
 
-            SmartsOptions sm_options;
-            sm_options.unitInstructions = 500;
-            sm_options.samplingPeriod = 8;
-            const SampledResult sm =
-                simulateWithSmarts(config, trace, sm_options);
-            smarts.push_back(sm.metrics.cycles);
-            sm_err += 100.0 * std::abs(sm.metrics.cycles - truth) /
+            smarts.push_back(sm[i].metrics.cycles);
+            sm_err += 100.0 * std::abs(sm[i].metrics.cycles - truth) /
                       truth;
-            sm_frac += sm.detailFraction;
+            sm_frac += sm[i].detailFraction;
         }
         const double n = static_cast<double>(configs.size());
         table.addRow({name, "SimPoint", Table::num(sp_err / n, 1),

@@ -24,10 +24,11 @@ void
 printBreakdown(const char *label, const MicroarchConfig &config,
                const Trace &trace)
 {
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    core.warm(trace, 0, trace.size() / 5);
-    const CoreStats stats = core.run(trace, trace.size() / 5);
+    const DecodedTrace decoded(trace);
+    OooCore core(config, decoded, threadSimScratch());
+    core.warm(0, trace.size() / 5);
+    const CoreStats stats = core.run(trace.size() / 5, trace.size());
+    const EnergyModel &energy = core.energy();
 
     std::printf("--- %s: width=%d rob=%d l2=%dKB bpred=%dK ---\n",
                 label, config.width(), config.robSize(),

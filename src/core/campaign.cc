@@ -1,9 +1,11 @@
 #include "core/campaign.hh"
 
 #include <atomic>
-#include <span>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,19 +38,43 @@ envSize(const char *name, std::size_t fallback)
     return static_cast<std::size_t>(parseU64OrDie(name, value));
 }
 
-/**
- * This worker thread's simulator components, reused across fill cells
- * so steady-state campaign fill performs no per-simulation allocation.
- * Thread-local, so never shared -- parallelFor gives no stable worker
- * index to key a scratch pool by, and a SimScratch is pure storage
- * (results never depend on what ran through it), so per-thread reuse
- * cannot affect determinism.
- */
-SimScratch &
-fillScratch()
+/** Append the bytes of @p value to @p out. */
+template <typename T>
+void
+appendBits(std::string &out, const T &value)
 {
-    thread_local SimScratch scratch; // NOLINT(acdse-local-static)
-    return scratch;
+    char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    out.append(bytes, sizeof(T));
+}
+
+std::uint64_t
+computeNumericsFingerprint()
+{
+    const Trace trace = TraceGenerator(profileByName("gzip")).generate(2000);
+    const MicroarchConfig configs[] = {
+        DesignSpace::baseline(), DesignSpace::sampleValidConfigs(1, 7)[0]};
+    std::string bits;
+    for (const std::size_t warmup : {std::size_t{0}, std::size_t{500}}) {
+        SimulationOptions options;
+        options.warmupInstructions = warmup;
+        for (const SimulationResult &r : simulateBatch(configs, trace,
+                                                       options)) {
+            const CoreStats &st = r.stats;
+            for (const std::uint64_t v :
+                 {st.cycles, st.instructions, st.branches, st.mispredicts,
+                  st.btbMisses, st.il1Misses, st.dl1Misses, st.l2Misses,
+                  st.dispatchStallRob, st.dispatchStallIq,
+                  st.dispatchStallLsq, st.dispatchStallRegs,
+                  st.fetchStallBranches})
+                appendBits(bits, v);
+            for (const Metric metric : kAllMetrics)
+                appendBits(bits, r.metrics.get(metric));
+            appendBits(bits, r.dynamicNj);
+            appendBits(bits, r.staticNj);
+        }
+    }
+    return fnv1a64(bits);
 }
 
 } // namespace
@@ -144,15 +170,25 @@ Campaign::cacheKey() const
     return cacheKeyFor(programs_, options_);
 }
 
+std::uint64_t
+Campaign::numericsFingerprint()
+{
+    static const std::uint64_t fingerprint = computeNumericsFingerprint();
+    return fingerprint;
+}
+
 std::string
 Campaign::cachePath() const
 {
     std::ostringstream os;
-    // The version tag invalidates caches across simulator-model
-    // changes; bump it whenever simulation results change. Unlike
-    // cacheKey() this name deliberately omits the program set: the
-    // cache file is shared and merged across program subsets.
-    os << options_.cacheDir << "/acdse_campaign_v2_c"
+    // The numerics fingerprint invalidates caches across simulator and
+    // trace-generator changes. Unlike cacheKey() this name deliberately
+    // omits the program set: the cache file is shared and merged
+    // across program subsets.
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                  static_cast<unsigned long long>(numericsFingerprint()));
+    os << options_.cacheDir << "/acdse_campaign_" << fingerprint << "_c"
        << options_.numConfigs << "_t" << options_.traceLength << "_w"
        << options_.warmupInstructions << "_s" << std::hex
        << options_.configSeed << ".csv";
@@ -320,9 +356,8 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
 
     // Generate and decode each needed trace serially (cheap); every
     // worker then replays its cells against the shared read-only
-    // decode. Cells are independent, so neither the order nor the
-    // thread count can change any result -- and the replay itself is
-    // bit-identical to scalar simulate().
+    // decode on its thread's scratch. Cells are independent, so neither
+    // the order nor the thread count can change any result.
     std::vector<std::unique_ptr<DecodedTrace>> decoded(
         programs_.size());
     for (const std::size_t cell : pending) {
@@ -356,7 +391,8 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
             std::span<const MicroarchConfig>(
                 &configs_[cell % configs_.size()], 1),
             *decoded[cell / configs_.size()], sim_options,
-            std::span<SimulationResult>(&result, 1), fillScratch());
+            std::span<SimulationResult>(&result, 1),
+            threadSimScratch());
         results_[cell] = result.metrics;
         computed_[cell] = true;
         const std::size_t completed = done.fetch_add(1) + 1;

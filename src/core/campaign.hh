@@ -152,8 +152,22 @@ class Campaign
      */
     std::string cacheKey() const;
 
-    /** The shared campaign cache CSV path for these options. */
+    /**
+     * The shared campaign cache CSV path for these options. Its name
+     * carries numericsFingerprint(), so caches written by a simulator
+     * with other numerics are never read.
+     */
     std::string cachePath() const;
+
+    /**
+     * Fingerprint of the campaign numerics: an FNV-1a hash of the
+     * result bits of a tiny fixed simulation set (2000 instructions of
+     * one suite program on the baseline and on one more config, with
+     * and without warmup). A change to trace generation or the
+     * simulator that moves any of those bits changes it. Computed once
+     * per process.
+     */
+    static std::uint64_t numericsFingerprint();
 
     /**
      * Load result rows from any campaign-cache-format CSV at @p path

@@ -1,792 +1,18 @@
 #include "sim/batch.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cstring>
-#include <limits>
+#include <string_view>
 
 #include "base/check.hh"
-#include "base/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
-#include "sim/core_ops.hh"
-#include "trace/simpoint.hh"
 
 namespace acdse
 {
 
-DecodedTrace::DecodedTrace(const Trace &trace) : source_(&trace)
-{
-    ops_.reserve(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceInstruction &inst = trace[i];
-        Op op;
-        op.pc = inst.pc;
-        op.addrOrTarget =
-            inst.cls == InstClass::Branch ? inst.target : inst.addr;
-        op.srcDist1 = inst.srcDist1;
-        op.srcDist2 = inst.srcDist2;
-        const int latency = execLatency(inst.cls);
-        ACDSE_CHECK(latency >= 1 && latency <= 255,
-                     "execution latency does not fit the decode field");
-        op.latency = static_cast<std::uint8_t>(latency);
-        op.pool = static_cast<std::uint8_t>(fuPoolFor(inst.cls));
-        op.fuEvent = static_cast<std::uint8_t>(fuEnergyFor(inst.cls));
-        std::uint8_t flags = 0;
-        switch (inst.cls) {
-          case InstClass::Load: flags |= kOpLoad; break;
-          case InstClass::Store: flags |= kOpStore; break;
-          case InstClass::FpDiv: flags |= kOpFpDiv; break;
-          case InstClass::Branch:
-            flags |= kOpBranch;
-            if (inst.conditional)
-                flags |= kOpCond;
-            if (inst.taken)
-                flags |= kOpTaken;
-            break;
-          default: break;
-        }
-        if (producesResult(inst.cls))
-            flags |= kOpProduces;
-        op.flags = flags;
-        ops_.push_back(op);
-    }
-}
-
 namespace
 {
-
-/** Events of the replay engine's main loop, for the sim/ counters. */
-struct LoopCounts
-{
-    std::uint64_t stepped = 0; //!< loop iterations
-    std::uint64_t skipped = 0; //!< cycles jumped by the idle skip
-};
-
-/**
- * Reconfigure a recycled component for a new design point, or build it
- * on first use. Every scratch component takes the same argument in its
- * constructor and in reconfigure().
- */
-template <typename T, typename Arg>
-T &
-recycle(std::optional<T> &component, const Arg &arg)
-{
-    if (component)
-        component->reconfigure(arg);
-    else
-        component.emplace(arg);
-    return *component;
-}
-
-/** Mask selecting an address's L1 line (fetch-line tracking). */
-std::uint64_t
-l1LineMask()
-{
-    return ~static_cast<std::uint64_t>(fixedParams().l1LineBytes - 1);
-}
-
-/** No slot: the end of a waiter list or of a wheel bucket. */
-constexpr std::uint32_t kNoSlot = CoreScratch::WakeSlot::kEnd;
-
-/** Bits per word of the engine's bitmaps. */
-constexpr std::size_t kWordBits = 64;
-
-/** Words of a bitmap over the buckets of a kCoreRingSize ring. */
-constexpr std::size_t kRingWords = kCoreRingSize / kWordBits;
-
-void
-mark(std::uint64_t *map, std::size_t b)
-{
-    map[b / kWordBits] |= std::uint64_t{1} << (b % kWordBits);
-}
-
-void
-unmark(std::uint64_t *map, std::size_t b)
-{
-    map[b / kWordBits] &= ~(std::uint64_t{1} << (b % kWordBits));
-}
-
-/**
- * Word @p i of a walk over the @p n-word bitset @p words (n a power of
- * two) that starts at bit @p start and wraps round: the start word
- * comes first with the bits below @p start masked off, and again as
- * word n with only those bits left. Stores the word's index in @p w.
- */
-std::uint64_t
-rotatedWord(const std::uint64_t *words, std::size_t n, std::size_t start,
-            std::size_t i, std::size_t &w)
-{
-    w = (start / kWordBits + i) & (n - 1);
-    const std::uint64_t below =
-        (std::uint64_t{1} << (start % kWordBits)) - 1;
-    if (i == 0)
-        return words[w] & ~below;
-    return i == n ? words[w] & below : words[w];
-}
-
-/**
- * The first cycle after @p cycle whose ring bucket is marked in the
- * kRingWords-word bitmap @p map, or kCoreNotReady when none is.
- */
-std::uint64_t
-nextMarked(const std::uint64_t *map, std::uint64_t cycle)
-{
-    const std::size_t from = (cycle + 1) % kCoreRingSize;
-    for (std::size_t i = 0; i <= kRingWords; ++i) {
-        std::size_t w = 0;
-        if (const std::uint64_t bits = rotatedWord(map, kRingWords, from,
-                                                   i, w)) {
-            const std::size_t b =
-                w * kWordBits +
-                static_cast<std::size_t>(std::countr_zero(bits));
-            return cycle + 1 + (b - from) % kCoreRingSize;
-        }
-    }
-    return kCoreNotReady;
-}
-
-/**
- * The replay engine: one configuration's pipeline driven through a
- * decoded trace. The bulky storage (ROB slots, timing wheel, cache
- * line arrays, predictor tables) lives in the caller's SimScratch and
- * is reconfigured per simulation.
- *
- * run() reproduces the scalar pipeline loop in OooCore::run() -- every
- * structural limit, stall and energy event in the same order. Any edit
- * there needs a mirror here; the bit-identity suite
- * (tests/test_batch_sim.cc) catches drift.
- *
- * Two changes of mechanism, neither visible in the results, are the
- * source of the replay path's speedup:
- *
- *  - Event-driven wakeup/select instead of an issue-queue scan. At
- *    dispatch each source operand is ready (no producer, or one that
- *    committed or lies before the interval), known (the producer
- *    issued, so its result cycle is fixed) or waiting (linked into the
- *    unissued producer's waiter list). A producer's issue folds its
- *    result cycle into each waiter; once an entry waits on nothing it
- *    is put on a timing wheel for the cycle its operands are ready, and
- *    from there into the ready set. Select walks only the ready set,
- *    oldest first, with the scalar checks in the scalar order. This
- *    repeats the scalar scan exactly: an entry whose operands are not
- *    ready never consumes width, ports or units there, and no result
- *    is ready in the cycle its producer issues.
- *
- *  - Idle-cycle skipping: a cycle in which no stage changed any
- *    pipeline, cache or predictor state replays identically until the
- *    next scheduled event (a writeback, a fetch-queue arrival, a
- *    block expiring, a branch resolving, operands coming ready). The
- *    skip block jumps there in one step and credits the per-cycle
- *    stall counters -- the only observable effect of the skipped
- *    cycles -- in bulk.
- */
-class ReplayCore
-{
-  public:
-    ReplayCore(const MicroarchConfig &config, const DecodedTrace &trace,
-               SimScratch &scratch)
-        : trace_(trace), config_(config),
-          energy_(recycle(scratch.energy, config)),
-          hierarchy_(recycle(scratch.hierarchy, config)),
-          bpred_(recycle(scratch.bpred, config.bpredEntries())),
-          btb_(recycle(scratch.btb, config.btbEntries())),
-          core_(scratch.core)
-    {
-    }
-
-    /** The configuration's energy accumulator. */
-    EnergyModel &energy() { return energy_; }
-
-    /** Main-loop events of every run() so far. */
-    const LoopCounts &loopCounts() const { return loops_; }
-
-    /**
-     * Timed run of instructions [begin, end). Mirrors OooCore::run()
-     * exactly.
-     */
-    CoreStats
-    run(std::size_t begin, std::size_t end)
-    {
-        end = std::min(end, trace_.size());
-        ACDSE_CHECK(begin < end, "empty simulation interval");
-        const std::uint64_t cycle_limit =
-            static_cast<std::uint64_t>(end - begin) * 600 + 200000;
-        const std::uint64_t il1_miss0 = hierarchy_.il1().misses();
-        const std::uint64_t dl1_miss0 = hierarchy_.dl1().misses();
-        const std::uint64_t l2_miss0 = hierarchy_.l2().misses();
-
-        const DecodedTrace::Op *ops = trace_.ops();
-        const FixedParams &fp = fixedParams();
-        const std::uint64_t line_mask = l1LineMask();
-        const auto front_end_stages =
-            static_cast<std::uint64_t>(fp.frontEndStages);
-        const auto redirect_penalty =
-            static_cast<std::uint64_t>(fp.mispredictRedirect);
-        const auto fp_div_latency =
-            static_cast<std::uint64_t>(fp.fpDivLatency);
-        const auto width = static_cast<std::size_t>(config_.width());
-        const auto rob_size = static_cast<std::size_t>(config_.robSize());
-        const auto iq_size = static_cast<std::size_t>(config_.iqSize());
-        const auto lsq_size = static_cast<std::size_t>(config_.lsqSize());
-        const int rd_ports = config_.rfReadPorts();
-        const int wr_ports = config_.rfWritePorts();
-        const auto max_branches =
-            static_cast<std::size_t>(config_.maxBranches());
-        const FunctionalUnitCounts fus =
-            functionalUnitsForWidth(config_.width());
-        const std::array<int, kNumFuPools> fu_counts = {
-            fus.intAlu, fus.intMul, fus.fpAlu, fus.fpMulDiv};
-        const auto rename_regs = static_cast<std::size_t>(
-            std::max(1, config_.rfSize() - fp.archRegs));
-        const std::size_t fq_cap =
-            width * (static_cast<std::size_t>(fp.frontEndStages) + 2);
-        EnergyModel &energy = energy_;
-        CacheHierarchy &hierarchy = hierarchy_;
-        GsharePredictor &bpred = bpred_;
-        Btb &btb = btb_;
-        CoreStats stats;
-        HierarchyAccessEvents mem_events;
-
-        // The ROB array is padded to a power of two so slot lookup is
-        // an AND instead of an integer division. Any injective mapping
-        // of the <= robSize in-flight instructions to distinct slots
-        // gives identical results; occupancy is still limited by
-        // robSize below.
-        std::size_t rob_alloc = 1;
-        while (rob_alloc < rob_size)
-            rob_alloc <<= 1;
-        const std::size_t rob_mask = rob_alloc - 1;
-        const std::size_t ready_words =
-            (rob_alloc + kWordBits - 1) / kWordBits;
-        auto &slots = core_.wakeSlots;
-        auto &fetch_queue = core_.fetchQueue;
-        auto &wheel = core_.wheel;
-        auto &wheel_occupied = core_.wheelOccupied;
-        auto &ready = core_.ready;
-        auto &wb_ring = core_.wbRing;
-        auto &resolve_ring = core_.resolveRing;
-        auto &resolve_occupied = core_.resolveOccupied;
-        auto &div_busy = core_.divBusy;
-        // Every slot is written at dispatch before anything reads it.
-        slots.resize(rob_alloc);
-        fetch_queue.clear();
-        wheel.assign(kCoreRingSize, kNoSlot);
-        wheel_occupied.assign(kRingWords, 0);
-        ready.assign(ready_words, 0);
-        wb_ring.assign(kCoreRingSize, 0);
-        resolve_ring.assign(kCoreRingSize, 0);
-        resolve_occupied.assign(kRingWords, 0);
-        div_busy.assign(static_cast<std::size_t>(fus.fpMulDiv), 0);
-
-        std::size_t commit_idx = begin;
-        std::size_t dispatch_idx = begin;
-        std::size_t fetch_idx = begin;
-        std::size_t rob_count = 0;
-        std::size_t iq_count = 0;
-        std::size_t ready_count = 0;
-        std::size_t lsq_count = 0;
-        std::size_t regs_used = 0;
-        std::size_t fq_head = 0;
-        std::uint64_t cycle = 0;
-        std::uint64_t fetch_blocked_until = 0;
-        bool fetch_wait_branch = false;
-        std::size_t wait_branch_idx = 0;
-        std::size_t inflight_branches = 0;
-        std::uint64_t last_fetch_line =
-            std::numeric_limits<std::uint64_t>::max();
-        LoopCounts loops;
-
-        // Put slot s in the wheel bucket of cycle `due` (> cycle). Like
-        // the write-port ring, the wheel relies on every latency being
-        // shorter than the ring.
-        auto schedule = [&](std::size_t s, std::uint64_t due) {
-            ACDSE_CHECK(due - cycle < kCoreRingSize,
-                         "operand wakeup beyond the timing wheel");
-            const std::size_t b = due % kCoreRingSize;
-            slots[s].wheelNext = wheel[b];
-            wheel[b] = static_cast<std::uint32_t>(s);
-            mark(wheel_occupied.data(), b);
-        };
-
-        // Dispatch-time view of one source operand of the instruction
-        // in slot s: ready operands change nothing, a known producer's
-        // result cycle is folded in, and a waiting one links node
-        // 2s+k into its producer's waiter list.
-        auto link_operand = [&](std::size_t idx, std::size_t s,
-                                std::uint32_t dist, std::size_t k) {
-            if (!dist)
-                return;
-            const std::size_t producer = idx - dist;
-            if (producer < commit_idx ||
-                dist > static_cast<std::uint32_t>(idx - begin))
-                return; // committed, or before the interval
-            CoreScratch::WakeSlot &p = slots[producer & rob_mask];
-            CoreScratch::WakeSlot &e = slots[s];
-            if (p.readyCycle != kCoreNotReady) {
-                e.operandsReady = std::max(e.operandsReady, p.readyCycle);
-                return;
-            }
-            e.next[k] = p.waiters;
-            p.waiters = static_cast<std::uint32_t>(2 * s + k);
-            ++e.pending;
-        };
-
-        // The first cycle at or after `from` with a free write port.
-        auto writeback_slot = [&](std::uint64_t from) {
-            std::uint64_t c = std::max(from, cycle + 1);
-            for (std::size_t hops = 0; hops < kCoreRingSize - 1;
-                 ++hops, ++c) {
-                if (wb_ring[c % kCoreRingSize] <
-                    static_cast<std::uint8_t>(wr_ports)) {
-                    ++wb_ring[c % kCoreRingSize];
-                    return c;
-                }
-            }
-            return c;
-        };
-
-        while (commit_idx < end) {
-            ++loops.stepped;
-            // Free the write-port ring slot for this cycle so it can
-            // be reused a full ring period later; resolve branches due
-            // now.
-            const std::size_t bucket = cycle % kCoreRingSize;
-            const std::uint8_t resolved = resolve_ring[bucket];
-            inflight_branches -= resolved;
-            resolve_ring[bucket] = 0;
-            unmark(resolve_occupied.data(), bucket);
-
-            // Entries whose operands are ready this cycle join the
-            // ready set.
-            if (wheel[bucket] != kNoSlot) {
-                for (std::uint32_t s = wheel[bucket]; s != kNoSlot;
-                     s = slots[s].wheelNext) {
-                    mark(ready.data(), s);
-                    ++ready_count;
-                }
-                wheel[bucket] = kNoSlot;
-                unmark(wheel_occupied.data(), bucket);
-            }
-
-            // What this cycle did, for the idle skip at the bottom of
-            // the loop: a cycle without progress is replayed as is --
-            // the same stall counters ticking -- until the next event.
-            bool progress = resolved != 0;
-            std::uint64_t *dispatch_stall = nullptr;
-            bool fetch_stalled = false;
-
-            // ---- Commit -----------------------------------------------
-            for (std::size_t c = 0; c < width && commit_idx < end;
-                 ++c) {
-                if (commit_idx >= dispatch_idx)
-                    break; // nothing dispatched
-                // An unissued slot's readyCycle is kCoreNotReady.
-                if (slots[commit_idx & rob_mask].readyCycle > cycle)
-                    break;
-                const DecodedTrace::Op &op = ops[commit_idx];
-                if (op.flags & DecodedTrace::kOpStore) {
-                    // Stores drain to the D-cache at commit.
-                    hierarchy.dataAccess(op.addrOrTarget, true,
-                                         mem_events);
-                    --lsq_count;
-                } else if (op.flags & DecodedTrace::kOpLoad) {
-                    --lsq_count;
-                }
-                if (op.flags & DecodedTrace::kOpProduces)
-                    --regs_used;
-                if (op.flags & DecodedTrace::kOpBranch) {
-                    ++stats.branches;
-                    energy.add(EnergyEvent::BpredUpdate);
-                }
-                energy.add(EnergyEvent::RobRead);
-                --rob_count;
-                ++commit_idx;
-                ++stats.instructions;
-                progress = true;
-            }
-
-            // ---- Issue: select from the ready set, oldest first -------
-            if (ready_count > 0) {
-                std::size_t issued = 0;
-                int rd_left = rd_ports;
-                std::array<int, kNumFuPools> fu_left = fu_counts;
-                const std::size_t head = commit_idx & rob_mask;
-                for (std::size_t i = 0; i <= ready_words && issued < width;
-                     ++i) {
-                    std::size_t w = 0;
-                    std::uint64_t bits =
-                        rotatedWord(ready.data(), ready_words, head, i, w);
-                    while (bits && issued < width) {
-                        const std::size_t s =
-                            w * kWordBits +
-                            static_cast<std::size_t>(std::countr_zero(bits));
-                        bits &= bits - 1;
-                        const std::size_t idx =
-                            commit_idx + ((s - head) & rob_mask);
-                        const DecodedTrace::Op &op = ops[idx];
-                        const auto pool = static_cast<std::size_t>(op.pool);
-                        const int srcs = (op.srcDist1 ? 1 : 0) +
-                                         (op.srcDist2 ? 1 : 0);
-                        // A blocked entry stays ready for a later cycle.
-                        if (fu_left[pool] <= 0 || rd_left < srcs)
-                            continue;
-                        if (op.flags & DecodedTrace::kOpFpDiv) {
-                            // Non-pipelined: need a divider idle right
-                            // now.
-                            auto divider = div_busy.begin();
-                            while (divider != div_busy.end() &&
-                                   *divider > cycle)
-                                ++divider;
-                            if (divider == div_busy.end())
-                                continue;
-                            *divider = cycle + fp_div_latency;
-                        }
-
-                        unmark(ready.data(), s);
-                        --ready_count;
-                        --iq_count;
-                        ++issued;
-                        progress = true;
-                        rd_left -= srcs;
-                        --fu_left[pool];
-                        energy.add(EnergyEvent::IqIssue);
-                        energy.add(EnergyEvent::RfRead,
-                                   static_cast<std::uint64_t>(srcs));
-
-                        int latency = op.latency;
-                        if (op.flags & DecodedTrace::kOpLoad) {
-                            latency += hierarchy.dataAccess(
-                                op.addrOrTarget, false, mem_events);
-                            energy.add(EnergyEvent::LsqSearch);
-                        }
-                        const std::uint64_t done =
-                            cycle + static_cast<std::uint64_t>(latency);
-
-                        CoreScratch::WakeSlot &e = slots[s];
-                        if (op.flags & DecodedTrace::kOpProduces) {
-                            e.readyCycle = writeback_slot(done);
-                            energy.add(EnergyEvent::RfWrite);
-                            energy.add(EnergyEvent::ResultBus);
-                            energy.add(EnergyEvent::IqWakeup);
-                        } else {
-                            e.readyCycle = done;
-                        }
-                        energy.add(static_cast<EnergyEvent>(op.fuEvent));
-
-                        // Wakeup: each waiting operand learns the
-                        // result cycle (> cycle, so the wheel fits).
-                        for (std::uint32_t node = e.waiters;
-                             node != kNoSlot;) {
-                            const std::size_t c = node / 2;
-                            CoreScratch::WakeSlot &w_slot = slots[c];
-                            node = w_slot.next[node % 2];
-                            w_slot.operandsReady = std::max(
-                                w_slot.operandsReady, e.readyCycle);
-                            if (--w_slot.pending == 0)
-                                schedule(c, w_slot.operandsReady);
-                        }
-
-                        if (op.flags & DecodedTrace::kOpBranch) {
-                            // Resolution: the branch count drops; if
-                            // fetch waits on this branch it restarts
-                            // after the redirect penalty.
-                            ++resolve_ring[done % kCoreRingSize];
-                            mark(resolve_occupied.data(),
-                                 done % kCoreRingSize);
-                            if (fetch_wait_branch &&
-                                wait_branch_idx == idx) {
-                                fetch_wait_branch = false;
-                                fetch_blocked_until = std::max(
-                                    fetch_blocked_until,
-                                    done + redirect_penalty);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // ---- Dispatch ---------------------------------------------
-            for (std::size_t d = 0; d < width; ++d) {
-                if (fq_head >= fetch_queue.size())
-                    break;
-                const CoreScratch::Fetched &f = fetch_queue[fq_head];
-                if (f.readyAt > cycle)
-                    break;
-                const DecodedTrace::Op &op = ops[f.idx];
-                if (rob_count == rob_size) {
-                    ++stats.dispatchStallRob;
-                    dispatch_stall = &stats.dispatchStallRob;
-                    break;
-                }
-                if (iq_count == iq_size) {
-                    ++stats.dispatchStallIq;
-                    dispatch_stall = &stats.dispatchStallIq;
-                    break;
-                }
-                if ((op.flags & DecodedTrace::kOpMem) &&
-                    lsq_count == lsq_size) {
-                    ++stats.dispatchStallLsq;
-                    dispatch_stall = &stats.dispatchStallLsq;
-                    break;
-                }
-                if ((op.flags & DecodedTrace::kOpProduces) &&
-                    regs_used == rename_regs) {
-                    ++stats.dispatchStallRegs;
-                    dispatch_stall = &stats.dispatchStallRegs;
-                    break;
-                }
-
-                const std::size_t s = f.idx & rob_mask;
-                CoreScratch::WakeSlot &e = slots[s];
-                e = {};
-                link_operand(f.idx, s, op.srcDist1, 0);
-                link_operand(f.idx, s, op.srcDist2, 1);
-                // Issue is next cycle at the earliest; only operands
-                // due later than that need the wheel.
-                if (e.pending == 0) {
-                    if (e.operandsReady <= cycle + 1) {
-                        mark(ready.data(), s);
-                        ++ready_count;
-                    } else {
-                        schedule(s, e.operandsReady);
-                    }
-                }
-                progress = true;
-                ++rob_count;
-                ++iq_count;
-                if (op.flags & DecodedTrace::kOpMem) {
-                    ++lsq_count;
-                    energy.add(EnergyEvent::LsqWrite);
-                }
-                if (op.flags & DecodedTrace::kOpProduces)
-                    ++regs_used;
-                energy.add(EnergyEvent::RenameLookup);
-                energy.add(EnergyEvent::RobWrite);
-                energy.add(EnergyEvent::IqWrite);
-                ++dispatch_idx;
-                ++fq_head;
-            }
-            if (fq_head > 2 * fq_cap) {
-                fetch_queue.erase(
-                    fetch_queue.begin(),
-                    fetch_queue.begin() +
-                        static_cast<std::ptrdiff_t>(fq_head));
-                fq_head = 0;
-            }
-
-            // ---- Fetch ------------------------------------------------
-            if (!fetch_wait_branch && cycle >= fetch_blocked_until) {
-                for (std::size_t f = 0; f < width && fetch_idx < end;
-                     ++f) {
-                    if (fetch_queue.size() - fq_head >= fq_cap)
-                        break;
-                    const DecodedTrace::Op &op = ops[fetch_idx];
-
-                    // I-cache: access once per new line.
-                    const std::uint64_t line = op.pc & line_mask;
-                    if (line != last_fetch_line) {
-                        const int lat =
-                            hierarchy.instAccess(op.pc, mem_events);
-                        progress = true;
-                        last_fetch_line = line;
-                        if (lat > 1) {
-                            fetch_blocked_until =
-                                cycle +
-                                static_cast<std::uint64_t>(lat);
-                            break;
-                        }
-                    }
-
-                    bool stop_after = false;
-                    if (op.flags & DecodedTrace::kOpBranch) {
-                        if (inflight_branches >= max_branches) {
-                            ++stats.fetchStallBranches;
-                            fetch_stalled = true;
-                            break;
-                        }
-                        ++inflight_branches;
-                        energy.add(EnergyEvent::BpredLookup);
-                        energy.add(EnergyEvent::BtbLookup);
-                        const bool taken =
-                            (op.flags & DecodedTrace::kOpTaken) != 0;
-                        const bool pred =
-                            (op.flags & DecodedTrace::kOpCond)
-                                ? bpred.predict(op.pc)
-                                : true;
-                        bpred.update(op.pc, taken);
-                        const bool btb_hit = btb.lookup(op.pc);
-                        if (taken && !btb_hit) {
-                            btb.update(op.pc, op.addrOrTarget);
-                            energy.add(EnergyEvent::BtbUpdate);
-                            ++stats.btbMisses;
-                        }
-                        if (pred != taken) {
-                            // Direction mispredict: fetch stops until
-                            // the branch resolves.
-                            ++stats.mispredicts;
-                            fetch_wait_branch = true;
-                            wait_branch_idx = fetch_idx;
-                            stop_after = true;
-                        } else if (taken) {
-                            if (!btb_hit) {
-                                // Correct direction but unknown
-                                // target: decode-time redirect bubble.
-                                fetch_blocked_until =
-                                    cycle + redirect_penalty;
-                            }
-                            // Cannot fetch past a taken branch this
-                            // cycle.
-                            stop_after = true;
-                            last_fetch_line = std::numeric_limits<
-                                std::uint64_t>::max();
-                        }
-                    }
-
-                    fetch_queue.push_back(
-                        {fetch_idx, cycle + front_end_stages});
-                    ++fetch_idx;
-                    progress = true;
-                    if (stop_after)
-                        break;
-                }
-            }
-
-            // This cycle's write-port slot can never be referenced
-            // again (writebacks are always scheduled at cycle+1 or
-            // later), so clear it for reuse one ring period from now.
-            wb_ring[cycle % kCoreRingSize] = 0;
-
-            if (progress) {
-                ++cycle;
-            } else {
-                // Frozen cycle: the pipeline replays it unchanged until
-                // the next scheduled event, so jump straight there. Its
-                // only observable effects are the stall counters
-                // recorded above, credited per skipped cycle below.
-                std::uint64_t wake = cycle_limit;
-                // Commit: the oldest in-flight instruction completes.
-                if (commit_idx < dispatch_idx) {
-                    const std::uint64_t done =
-                        slots[commit_idx & rob_mask].readyCycle;
-                    if (done != kCoreNotReady && done > cycle)
-                        wake = std::min(wake, done);
-                }
-                // Issue: the next occupied wheel bucket brings operands
-                // ready. Ready entries left over without progress can
-                // only be FP divides waiting for a divider.
-                wake = std::min(wake,
-                                nextMarked(wheel_occupied.data(), cycle));
-                if (ready_count > 0)
-                    wake = std::min(wake, *std::min_element(
-                                              div_busy.begin(),
-                                              div_busy.end()));
-                // Dispatch: the front-end head leaves the fetch
-                // pipeline. (A resource-stalled head is freed by a
-                // commit or issue event, already bounded above.)
-                if (fq_head < fetch_queue.size() &&
-                    fetch_queue[fq_head].readyAt > cycle)
-                    wake = std::min(wake, fetch_queue[fq_head].readyAt);
-                // Fetch: a miss or redirect block expires.
-                if (!fetch_wait_branch && fetch_blocked_until > cycle &&
-                    fetch_idx < end)
-                    wake = std::min(wake, fetch_blocked_until);
-                // Branch resolution: inflight_branches drops.
-                wake = std::min(wake,
-                                nextMarked(resolve_occupied.data(), cycle));
-                wake = std::clamp(wake, cycle + 1, cycle_limit);
-                const std::uint64_t skipped = wake - cycle - 1;
-                loops.skipped += skipped;
-                if (skipped > 0) {
-                    // Each skipped cycle repeats this cycle's stall
-                    // accounting and clears its own write-port slot,
-                    // exactly as the per-cycle loop would have: the
-                    // slots (cycle, wake) form at most two contiguous
-                    // runs of the ring.
-                    if (dispatch_stall)
-                        *dispatch_stall += skipped;
-                    if (fetch_stalled)
-                        stats.fetchStallBranches += skipped;
-                    const std::size_t first =
-                        (cycle + 1) % kCoreRingSize;
-                    const std::size_t count = static_cast<std::size_t>(
-                        std::min<std::uint64_t>(skipped, kCoreRingSize));
-                    const std::size_t head =
-                        std::min(count, kCoreRingSize - first);
-                    std::memset(wb_ring.data() + first, 0, head);
-                    std::memset(wb_ring.data(), 0, count - head);
-                }
-                cycle = wake;
-            }
-            ACDSE_CHECK(cycle < cycle_limit,
-                         "pipeline deadlock detected in ",
-                         trace_.name(), " at instruction ", commit_idx);
-        }
-
-        loops_.stepped += loops.stepped;
-        loops_.skipped += loops.skipped;
-        stats.cycles = cycle;
-        stats.il1Misses = hierarchy.il1().misses() - il1_miss0;
-        stats.dl1Misses = hierarchy.dl1().misses() - dl1_miss0;
-        stats.l2Misses = hierarchy.l2().misses() - l2_miss0;
-        energy.add(EnergyEvent::Il1Access,
-                   static_cast<std::uint64_t>(mem_events.il1));
-        energy.add(EnergyEvent::Dl1Access,
-                   static_cast<std::uint64_t>(mem_events.dl1));
-        energy.add(EnergyEvent::L2Access,
-                   static_cast<std::uint64_t>(mem_events.l2));
-        energy.add(EnergyEvent::MemAccess,
-                   static_cast<std::uint64_t>(mem_events.mem));
-        return stats;
-    }
-
-    /**
-     * Functional warming of instructions [begin, end). Mirrors
-     * OooCore::warm() exactly (per-call fetch-line tracking).
-     */
-    void
-    warm(std::size_t begin, std::size_t end)
-    {
-        end = std::min(end, trace_.size());
-        const DecodedTrace::Op *ops = trace_.ops();
-        const std::uint64_t line_mask = l1LineMask();
-        HierarchyAccessEvents discard;
-        std::uint64_t last_line =
-            std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t i = begin; i < end; ++i) {
-            const DecodedTrace::Op &op = ops[i];
-            const std::uint64_t line = op.pc & line_mask;
-            if (line != last_line) {
-                hierarchy_.instAccess(op.pc, discard);
-                last_line = line;
-            }
-            if (op.flags & DecodedTrace::kOpMem) {
-                hierarchy_.dataAccess(
-                    op.addrOrTarget,
-                    (op.flags & DecodedTrace::kOpStore) != 0, discard);
-            } else if (op.flags & DecodedTrace::kOpBranch) {
-                const bool taken =
-                    (op.flags & DecodedTrace::kOpTaken) != 0;
-                bpred_.update(op.pc, taken);
-                if (taken && !btb_.lookup(op.pc))
-                    btb_.update(op.pc, op.addrOrTarget);
-            }
-        }
-    }
-
-  private:
-    const DecodedTrace &trace_;
-    const MicroarchConfig &config_;
-
-    // Components (storage owned by the SimScratch).
-    EnergyModel &energy_;
-    CacheHierarchy &hierarchy_;
-    GsharePredictor &bpred_;
-    Btb &btb_;
-    CoreScratch &core_;
-    LoopCounts loops_;
-};
 
 /**
  * One configuration: warmup + timed run + result assembly. Adds the
@@ -795,9 +21,9 @@ class ReplayCore
 SimulationResult
 replay(const MicroarchConfig &config, const DecodedTrace &trace,
        const SimulationOptions &options, SimScratch &scratch,
-       LoopCounts &loops)
+       CoreLoopCounts &loops)
 {
-    ReplayCore core(config, trace, scratch);
+    OooCore core(config, trace, scratch);
     std::size_t begin = 0;
     if (options.warmupInstructions > 0 && trace.size() > 2) {
         // Warm microarchitectural state with an untimed run over the
@@ -814,13 +40,57 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     result.metrics = Metrics::fromCyclesEnergy(
         static_cast<double>(result.stats.cycles),
         result.dynamicNj + result.staticNj);
+    // Everything downstream (training sets, the campaign cache, served
+    // predictions) assumes simulation output is finite and positive;
+    // catch a broken energy/timing model here, not three layers later
+    // as a NaN prediction.
     ACDSE_CHECK_FINITE(result.metrics.cycles, "simulated cycles");
     ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
     ACDSE_CHECK(result.metrics.cycles > 0.0,
                  "simulation produced no cycles");
-    loops.stepped += core.loopCounts().stepped;
-    loops.skipped += core.loopCounts().skipped;
+    loops.add(core.loopCounts());
     return result;
+}
+
+/** Counter names of the CoreStage bits, in bit order. */
+constexpr std::string_view kStageCounters[kCoreStages] = {
+    "sim/stage-progress/resolve", "sim/stage-progress/commit",
+    "sim/stage-progress/issue", "sim/stage-progress/dispatch",
+    "sim/stage-progress/fetch"};
+
+/** Counter names of the idle-skip buckets (static: no allocation). */
+constexpr std::string_view kSkipCounters[kSkipBuckets] = {
+    "sim/idle-skip-log2/00", "sim/idle-skip-log2/01",
+    "sim/idle-skip-log2/02", "sim/idle-skip-log2/03",
+    "sim/idle-skip-log2/04", "sim/idle-skip-log2/05",
+    "sim/idle-skip-log2/06", "sim/idle-skip-log2/07",
+    "sim/idle-skip-log2/08", "sim/idle-skip-log2/09",
+    "sim/idle-skip-log2/10", "sim/idle-skip-log2/11"};
+
+/** Flush one call's loop events into the registry's sim/ counters. */
+void
+flushLoopCounts(obs::Registry &registry, const CoreLoopCounts &loops)
+{
+    std::uint64_t classes[3] = {}; // idle, one stage, several
+    std::uint64_t stages[kCoreStages] = {};
+    for (unsigned mask = 0; mask < loops.byStages.size(); ++mask) {
+        const std::uint64_t n = loops.byStages[mask];
+        classes[std::min(std::popcount(mask), 2)] += n;
+        for (std::size_t s = 0; s < kCoreStages; ++s) {
+            if (mask & (1u << s))
+                stages[s] += n;
+        }
+    }
+    registry.counter("sim/cycles-stepped")
+        .add(classes[0] + classes[1] + classes[2]);
+    registry.counter("sim/cycles-skipped").add(loops.skipped);
+    registry.counter("sim/iterations-idle").add(classes[0]);
+    registry.counter("sim/iterations-one-stage").add(classes[1]);
+    registry.counter("sim/iterations-multi-stage").add(classes[2]);
+    for (std::size_t s = 0; s < kCoreStages; ++s)
+        registry.counter(kStageCounters[s]).add(stages[s]);
+    for (std::size_t b = 0; b < kSkipBuckets; ++b)
+        registry.counter(kSkipCounters[b]).add(loops.skipLengths[b]);
 }
 
 } // namespace
@@ -834,7 +104,7 @@ simulateBatch(std::span<const MicroarchConfig> configs,
                  "result span smaller than the config batch");
     const obs::TraceSpan span(obs::Registry::global(), "sim/batch");
     std::uint64_t instructions = 0;
-    LoopCounts loops;
+    CoreLoopCounts loops;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         results[i] = replay(configs[i], trace, options, scratch, loops);
         instructions += results[i].stats.instructions;
@@ -842,8 +112,7 @@ simulateBatch(std::span<const MicroarchConfig> configs,
     obs::Registry &registry = obs::Registry::global();
     registry.counter("sim/instructions").add(instructions);
     registry.counter("sim/lanes-occupied").add(configs.size());
-    registry.counter("sim/cycles-stepped").add(loops.stepped);
-    registry.counter("sim/cycles-skipped").add(loops.skipped);
+    flushLoopCounts(registry, loops);
 }
 
 std::vector<SimulationResult>
@@ -851,115 +120,8 @@ simulateBatch(std::span<const MicroarchConfig> configs, const Trace &trace,
               const SimulationOptions &options)
 {
     const DecodedTrace decoded(trace);
-    SimScratch scratch;
     std::vector<SimulationResult> results(configs.size());
-    simulateBatch(configs, decoded, options, results, scratch);
-    return results;
-}
-
-std::vector<SampledResult>
-simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
-                           const Trace &trace,
-                           const SimPointOptions &options)
-{
-    std::vector<SampledResult> results(configs.size());
-    // One analysis serves every configuration: simpointAnalyze() is a
-    // pure function of (trace, options), so sharing it preserves
-    // bit-identity with the scalar path, which recomputes it per
-    // config.
-    const SimPointResult analysis = simpointAnalyze(trace, options);
-    ACDSE_CHECK(!analysis.points.empty(), "no simulation points");
-    const std::size_t len = options.intervalLength;
-
-    const DecodedTrace decoded(trace);
-    SimScratch scratch;
-    std::vector<double> cycles_per_interval(analysis.numIntervals);
-    std::vector<double> energy_per_interval(analysis.numIntervals);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        std::uint64_t timed = 0;
-        for (const auto &point : analysis.points) {
-            const std::size_t begin = point.intervalIndex * len;
-            const std::size_t end =
-                std::min(begin + len, trace.size());
-            // Fresh per-point state, as the scalar path constructs a
-            // fresh core per point.
-            ReplayCore core(configs[i], decoded, scratch);
-            if (begin >= len)
-                core.warm(begin - len, begin);
-            const CoreStats stats = core.run(begin, end);
-            timed += stats.instructions;
-            cycles_per_interval[point.intervalIndex] =
-                static_cast<double>(stats.cycles);
-            energy_per_interval[point.intervalIndex] =
-                core.energy().totalEnergyNj(stats.cycles);
-        }
-
-        SampledResult &result = results[i];
-        result.metrics = Metrics::fromCyclesEnergy(
-            simpointWeightedSum(analysis, cycles_per_interval),
-            simpointWeightedSum(analysis, energy_per_interval));
-        result.simulatedInstructions = timed;
-        result.detailFraction = static_cast<double>(timed) /
-                                static_cast<double>(trace.size());
-    }
-    return results;
-}
-
-std::vector<SampledResult>
-simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
-                        const Trace &trace, const SmartsOptions &options)
-{
-    std::vector<SampledResult> results(configs.size());
-    ACDSE_CHECK(options.unitInstructions > 0, "empty measurement unit");
-    ACDSE_CHECK(options.samplingPeriod > 0,
-                 "sampling period must be >0");
-    const std::size_t unit = options.unitInstructions;
-    const std::size_t num_units = (trace.size() + unit - 1) / unit;
-
-    const DecodedTrace decoded(trace);
-    SimScratch scratch;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        // Caches and predictors stay warm across units, exactly like
-        // the scalar path's long-lived core.
-        ReplayCore core(configs[i], decoded, scratch);
-        double measured_cycles = 0.0;
-        double measured_energy = 0.0;
-        std::uint64_t timed = 0;
-        std::size_t measured_units = 0;
-
-        for (std::size_t u = 0; u < num_units; ++u) {
-            const std::size_t begin = u * unit;
-            const std::size_t end =
-                std::min(begin + unit, trace.size());
-            const bool measure =
-                (u % options.samplingPeriod) ==
-                (options.offset % options.samplingPeriod);
-            if (measure) {
-                core.energy().resetCounts();
-                const CoreStats stats = core.run(begin, end);
-                measured_cycles += static_cast<double>(stats.cycles);
-                measured_energy +=
-                    core.energy().dynamicEnergyNj() +
-                    core.energy().staticEnergyNj(stats.cycles);
-                timed += stats.instructions;
-                ++measured_units;
-            } else {
-                // Functional warming only: caches and predictors stay
-                // hot, no timing is modelled.
-                core.warm(begin, end);
-            }
-        }
-        ACDSE_CHECK(measured_units > 0, "no units were measured");
-
-        const double scale = static_cast<double>(num_units) /
-                             static_cast<double>(measured_units);
-        SampledResult &result = results[i];
-        result.metrics = Metrics::fromCyclesEnergy(
-            measured_cycles * scale, measured_energy * scale);
-        result.simulatedInstructions = timed;
-        result.detailFraction = static_cast<double>(timed) /
-                                static_cast<double>(trace.size());
-    }
+    simulateBatch(configs, decoded, options, results, threadSimScratch());
     return results;
 }
 

@@ -6,7 +6,9 @@
  * SMARTS [2] is the other standard technique. Both are implemented
  * here on top of the cycle-level core so their accuracy/speed
  * trade-off can be measured against full simulation
- * (bench_sampling_methods):
+ * (bench_sampling_methods). Each takes a span of configurations: the
+ * trace is decoded (and, for SimPoint, analysed) once and replayed per
+ * configuration on the calling thread's threadSimScratch().
  *
  *  - SimPoint: simulate one representative interval per program phase
  *    (phases found by clustering basic-block vectors) and combine the
@@ -17,6 +19,9 @@
  */
 
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "arch/microarch_config.hh"
 #include "sim/metrics.hh"
@@ -35,17 +40,19 @@ struct SampledResult
 };
 
 /**
- * SimPoint-style estimate: time only the representative intervals and
- * scale by the cluster weights. Microarchitectural state is warmed by
- * running (untimed) from the preceding interval where available.
+ * SimPoint-style estimates: time only the representative intervals and
+ * scale by the cluster weights. Each interval starts from fresh
+ * microarchitectural state, functionally warmed over the preceding
+ * interval where there is one.
  *
- * @param config  the design point.
+ * @param configs the design points (results follow this order).
  * @param trace   the full trace.
  * @param options interval length / cluster budget for the analysis.
  */
-SampledResult simulateWithSimPoints(const MicroarchConfig &config,
-                                    const Trace &trace,
-                                    const SimPointOptions &options = {});
+std::vector<SampledResult>
+simulateWithSimPoints(std::span<const MicroarchConfig> configs,
+                      const Trace &trace,
+                      const SimPointOptions &options = {});
 
 /** Parameters for SMARTS-style systematic sampling. */
 struct SmartsOptions
@@ -56,13 +63,13 @@ struct SmartsOptions
 };
 
 /**
- * SMARTS-style estimate: every k-th unit is measured in detail; the
- * units in between are run through the same pipeline for functional
- * warming but their cycles are replaced by the measured-unit average.
+ * SMARTS-style estimates: every k-th unit is measured in detail; the
+ * units in between only warm the caches and predictors functionally,
+ * and their cycles are replaced by the measured-unit average.
  */
-SampledResult simulateWithSmarts(const MicroarchConfig &config,
-                                 const Trace &trace,
-                                 const SmartsOptions &options = {});
+std::vector<SampledResult>
+simulateWithSmarts(std::span<const MicroarchConfig> configs,
+                   const Trace &trace, const SmartsOptions &options = {});
 
 } // namespace acdse
 

@@ -4,7 +4,10 @@
  *
  * This is the function the whole evaluation pipeline treats as "run a
  * simulation" -- the expensive black box the paper's predictors are
- * designed to avoid calling 18 billion times.
+ * designed to avoid calling 18 billion times. It is the one-config
+ * case of simulateBatch() (sim/batch.hh): it decodes the trace and
+ * replays it through the core model on the calling thread's
+ * threadSimScratch(), so a call allocates no simulator components.
  */
 
 #pragma once
@@ -37,7 +40,11 @@ struct SimulationResult
     double staticNj;    //!< leakage + clock energy share
 };
 
-/** Run one full simulation of @p trace on @p config. */
+/**
+ * Run one full simulation of @p trace on @p config. Callers simulating
+ * one trace under many configs should decode once and use
+ * simulateBatch(); the results are bit-identical.
+ */
 SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,
                           const SimulationOptions &options = {});
 

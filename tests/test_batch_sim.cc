@@ -1,16 +1,21 @@
 /**
  * @file
- * Bit-identity contract of the decoded-trace simulator replay
- * (sim/batch.hh): for every batch size, warmup setting and sampling
- * methodology, the replay path must reproduce the scalar path's
- * metrics EXACTLY -- EXPECT_EQ on the doubles, not EXPECT_NEAR. Both
- * run the same operation sequence, so any divergence is a
- * transcription bug, not rounding.
+ * Bit-identity contract of the batched entry points (sim/batch.hh,
+ * sim/sampled_sim.hh): a batch of configurations, replayed one after
+ * another on one scratch, must reproduce each configuration simulated
+ * on its own ("scalar": one config per call) EXACTLY -- EXPECT_EQ on
+ * the doubles, not EXPECT_NEAR -- for every batch size, warmup
+ * setting, sampling methodology and thread count. Both run the same
+ * operation sequence, so any divergence is state leaking through the
+ * recycled storage, not rounding. The model's own numbers are pinned
+ * by the goldens (tests/test_sim_golden.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "arch/design_space.hh"
@@ -138,7 +143,8 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
     // One scratch serves different traces and differently sized
     // configs in sequence; reconfigure/epoch-reset must leave no
     // residue from earlier simulations, whichever way the storage was
-    // last resized (this is exactly how campaign workers use it).
+    // last resized. The reference runs on the thread's own scratch,
+    // which has a different history.
     SimScratch scratch;
     SimulationOptions options;
     options.warmupInstructions = 1000;
@@ -159,148 +165,6 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
             expectIdentical(batched, simulate(configs[i], trace, options));
         }
     }
-}
-
-// ---- Select corner cases on hand-built traces ------------------------
-//
-// The replay engine issues from a wakeup-driven ready set instead of
-// scanning the issue queue; these traces pin down the cases where the
-// two could part ways.
-
-/** One instruction of class @p cls reading the producers at @p d1/d2. */
-TraceInstruction
-inst(InstClass cls, std::uint32_t d1 = 0, std::uint32_t d2 = 0)
-{
-    TraceInstruction in{};
-    in.cls = cls;
-    in.srcDist1 = d1;
-    in.srcDist2 = d2;
-    return in;
-}
-
-/**
- * @p length instructions repeating @p body, at the pcs of a 64-entry
- * loop (I-cache resident after the first pass). Memory operations
- * stride through @p stride bytes per instruction, so a large stride
- * misses every cache level.
- */
-Trace
-loopTrace(const std::vector<TraceInstruction> &body, std::size_t length,
-          std::uint64_t stride = 8)
-{
-    std::vector<TraceInstruction> insts;
-    for (std::size_t i = 0; i < length; ++i) {
-        TraceInstruction in = body[i % body.size()];
-        in.pc = 0x400000 + 4 * (i % 64);
-        in.addr = 0x10000000 + stride * i;
-        insts.push_back(in);
-    }
-    return Trace("hand", std::move(insts));
-}
-
-/** The baseline with a pinned width and register-file port counts. */
-MicroarchConfig
-pinnedConfig(int width, int readPorts, int writePorts)
-{
-    MicroarchConfig config = DesignSpace::baseline();
-    config.set(Param::Width, width);
-    config.set(Param::RfReadPorts, readPorts);
-    config.set(Param::RfWritePorts, writePorts);
-    return config;
-}
-
-void
-expectReplayMatchesScalar(const Trace &trace, const MicroarchConfig &config,
-                          std::size_t warmup = 0)
-{
-    ASSERT_TRUE(DesignSpace::isValid(config));
-    SimulationOptions options;
-    options.warmupInstructions = warmup;
-    const auto batched = simulateBatch(
-        std::span<const MicroarchConfig>(&config, 1), trace, options);
-    ASSERT_EQ(batched.size(), 1u);
-    expectIdentical(batched[0], simulate(config, trace, options));
-}
-
-TEST(BatchSimSelect, BothOperandsFromOneUnissuedProducer)
-{
-    // Each FP add reads the same producer twice; that producer waits on
-    // a divide chain, so it is still unissued when its reader
-    // dispatches and both operand nodes hang off one waiter list.
-    const Trace trace = loopTrace({inst(InstClass::FpDiv, 4),
-                                   inst(InstClass::FpAlu, 1),
-                                   inst(InstClass::FpAlu, 1, 1),
-                                   inst(InstClass::IntAlu, 1, 1)},
-                                  3000);
-    for (const int width : {2, 4, 8})
-        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4));
-}
-
-TEST(BatchSimSelect, BackToBackDividesShareOneDivider)
-{
-    // Independent divides all come ready at once but width 4 has one
-    // divider: the blocked ones stay ready and the younger integer ops
-    // issue past them, freeing entries of the small issue queue. Behind
-    // a missing load, nothing else happens when the divider frees, so
-    // the idle skip has to stop there by itself.
-    ASSERT_EQ(functionalUnitsForWidth(4).fpMulDiv, 1);
-    const Trace trace = loopTrace({inst(InstClass::Load),
-                                   inst(InstClass::FpDiv),
-                                   inst(InstClass::IntAlu),
-                                   inst(InstClass::FpDiv),
-                                   inst(InstClass::IntAlu),
-                                   inst(InstClass::FpDiv),
-                                   inst(InstClass::IntAlu),
-                                   inst(InstClass::IntAlu)},
-                                  2000, 4096);
-    for (const int width : {2, 4}) {
-        MicroarchConfig config = pinnedConfig(width, 8, 4);
-        config.set(Param::IqSize, 8);
-        expectReplayMatchesScalar(trace, config);
-    }
-}
-
-TEST(BatchSimSelect, YoungerOneSourceOpPassesTwoSourceOpOnReadPorts)
-{
-    // Two read ports at width 8: after an older one-source op takes a
-    // port, the next two-source op is blocked and a younger one-source
-    // op still issues in the same cycle.
-    const Trace trace = loopTrace({inst(InstClass::IntAlu, 40),
-                                   inst(InstClass::IntAlu, 40, 50),
-                                   inst(InstClass::IntAlu, 40),
-                                   inst(InstClass::IntMul, 30, 60),
-                                   inst(InstClass::IntAlu)},
-                                  4000);
-    expectReplayMatchesScalar(trace, pinnedConfig(8, 2, 2));
-    expectReplayMatchesScalar(trace, pinnedConfig(8, 2, 1));
-}
-
-TEST(BatchSimSelect, ConsumerDispatchedAfterItsLoadIssued)
-{
-    // A missing load issues at once; its consumer, a divide, dispatches
-    // several cycles later, when the load's result cycle is already
-    // fixed but still far ahead, so it goes straight onto the timing
-    // wheel. Its latency then shows in the commit time.
-    std::vector<TraceInstruction> body = {inst(InstClass::Load)};
-    for (int i = 0; i < 14; ++i)
-        body.push_back(inst(InstClass::IntAlu));
-    body.push_back(inst(InstClass::FpDiv, 15, 1));
-    const Trace trace = loopTrace(body, 4000, 4096);
-    for (const int width : {2, 4})
-        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4));
-}
-
-TEST(BatchSimSelect, ProducerBeforeTheTimedInterval)
-{
-    // With a 2000-instruction warmup, the first timed instructions read
-    // producers that lie before the timed interval: ready at dispatch.
-    const Trace trace = loopTrace({inst(InstClass::IntAlu, 5, 37),
-                                   inst(InstClass::Load, 11),
-                                   inst(InstClass::FpMul, 1, 29),
-                                   inst(InstClass::Store, 3, 2)},
-                                  6000, 64);
-    for (const int width : {2, 8})
-        expectReplayMatchesScalar(trace, pinnedConfig(width, 8, 4), 2000);
 }
 
 TEST(BatchSim, LoopCountersCoverEveryCycle)
@@ -326,6 +190,55 @@ TEST(BatchSim, LoopCountersCoverEveryCycle)
     EXPECT_GT(skipped_now, 0u);
 }
 
+TEST(BatchSim, StageCountersPartitionIterations)
+{
+    // Every loop iteration is idle, one-stage or multi-stage; every
+    // idle iteration lands in one idle-skip bucket; each stage moved in
+    // at most the non-idle iterations and at least one-stage ones.
+    const Trace trace = makeTrace("gcc", 6000);
+    const auto configs = DesignSpace::sampleValidConfigs(4, 77);
+    obs::Registry &registry = obs::Registry::global();
+    const obs::Snapshot before = registry.snapshot();
+    SimulationOptions options;
+    options.warmupInstructions = 1000;
+    simulateBatch(std::span<const MicroarchConfig>(configs), trace, options);
+    const obs::Snapshot delta = obs::diff(before, registry.snapshot());
+    auto counter = [&](const std::string &name) {
+        const auto it = delta.counters.find(name);
+        return it == delta.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t stepped = counter("sim/cycles-stepped");
+    const std::uint64_t idle = counter("sim/iterations-idle");
+    const std::uint64_t one = counter("sim/iterations-one-stage");
+    const std::uint64_t multi = counter("sim/iterations-multi-stage");
+    EXPECT_GT(stepped, 0u);
+    EXPECT_GT(idle, 0u);
+    EXPECT_GT(one, 0u);
+    EXPECT_GT(multi, 0u);
+    EXPECT_EQ(idle + one + multi, stepped);
+
+    std::uint64_t skip_buckets = 0;
+    for (std::size_t b = 0; b < kSkipBuckets; ++b) {
+        char name[32];
+        std::snprintf(name, sizeof(name), "sim/idle-skip-log2/%02zu", b);
+        skip_buckets += counter(name);
+    }
+    EXPECT_EQ(skip_buckets, idle);
+
+    std::uint64_t stage_sum = 0;
+    for (const char *stage :
+         {"resolve", "commit", "issue", "dispatch", "fetch"}) {
+        const std::uint64_t moved =
+            counter(std::string("sim/stage-progress/") + stage);
+        SCOPED_TRACE(stage);
+        EXPECT_GT(moved, 0u);
+        EXPECT_LE(moved, one + multi);
+        stage_sum += moved;
+    }
+    EXPECT_GE(stage_sum, one + 2 * multi);
+    EXPECT_LE(stage_sum, one + kCoreStages * multi);
+}
+
 TEST(BatchSim, SimPointBatchBitIdenticalToScalar)
 {
     const Trace trace = makeTrace("gzip", 24000);
@@ -334,13 +247,14 @@ TEST(BatchSim, SimPointBatchBitIdenticalToScalar)
     options.intervalLength = 2000;
     options.maxClusters = 6;
 
-    const auto batched = simulateWithSimPointsBatch(
+    const auto batched = simulateWithSimPoints(
         std::span<const MicroarchConfig>(configs), trace, options);
     ASSERT_EQ(batched.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "config " << i);
-        const SampledResult scalar =
-            simulateWithSimPoints(configs[i], trace, options);
+        const SampledResult scalar = simulateWithSimPoints(
+            std::span<const MicroarchConfig>(&configs[i], 1), trace,
+            options)[0];
         EXPECT_EQ(batched[i].metrics.cycles, scalar.metrics.cycles);
         EXPECT_EQ(batched[i].metrics.energyNj, scalar.metrics.energyNj);
         EXPECT_EQ(batched[i].metrics.ed, scalar.metrics.ed);
@@ -360,13 +274,14 @@ TEST(BatchSim, SmartsBatchBitIdenticalToScalar)
     options.samplingPeriod = 8;
     options.offset = 3;
 
-    const auto batched = simulateWithSmartsBatch(
+    const auto batched = simulateWithSmarts(
         std::span<const MicroarchConfig>(configs), trace, options);
     ASSERT_EQ(batched.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "config " << i);
-        const SampledResult scalar =
-            simulateWithSmarts(configs[i], trace, options);
+        const SampledResult scalar = simulateWithSmarts(
+            std::span<const MicroarchConfig>(&configs[i], 1), trace,
+            options)[0];
         EXPECT_EQ(batched[i].metrics.cycles, scalar.metrics.cycles);
         EXPECT_EQ(batched[i].metrics.energyNj, scalar.metrics.energyNj);
         EXPECT_EQ(batched[i].metrics.ed, scalar.metrics.ed);
@@ -395,7 +310,8 @@ TEST(BatchSim, CactiMemoisationServesRepeatedGeometry)
 }
 
 // TSan-facing: concurrent batches share one immutable DecodedTrace
-// and the process-wide cacti memo table; each worker owns its scratch.
+// and the process-wide cacti memo table; each worker replays on its
+// own thread's scratch, as campaign fill does.
 // Run under ACDSE_SANITIZE=thread by the CI thread-safety job (suite
 // name is matched by the BatchSim regex in ci.yml).
 TEST(BatchSimConcurrency, ParallelBatchesShareDecodedTrace)
@@ -410,7 +326,6 @@ TEST(BatchSimConcurrency, ParallelBatchesShareDecodedTrace)
     std::vector<SimulationResult> batched(configs.size());
     pool.parallelFor(0, (configs.size() + kSimLanes - 1) / kSimLanes,
                      [&](std::size_t g) {
-                         SimScratch scratch;
                          const std::size_t first = g * kSimLanes;
                          const std::size_t n = std::min(
                              kSimLanes, configs.size() - first);
@@ -420,7 +335,7 @@ TEST(BatchSimConcurrency, ParallelBatchesShareDecodedTrace)
                              decoded, options,
                              std::span<SimulationResult>(
                                  batched.data() + first, n),
-                             scratch);
+                             threadSimScratch());
                      });
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "config " << i);

@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
+#include "arch/design_space.hh"
+#include "base/thread_pool.hh"
 #include "core/campaign.hh"
+#include "sim/simulator.hh"
 #include "temp_dir.hh"
+#include "trace/suites.hh"
+#include "trace/trace_generator.hh"
 
 namespace acdse
 {
@@ -133,6 +139,35 @@ TEST(Campaign, SameSeedSameConfigs)
     Campaign a({"crc32"}, tinyOptions("acdse_t7"));
     Campaign b({"sha"}, tinyOptions("acdse_t7"));
     EXPECT_EQ(a.configs(), b.configs());
+}
+
+TEST(Campaign, NumericsFingerprintIsStableAndNamesTheCache)
+{
+    // First computed on pool workers racing each other, one of them
+    // on a scratch another simulation just used; every thread and
+    // every later call sees the same value.
+    ThreadPool pool(4);
+    std::vector<std::uint64_t> seen(8);
+    pool.parallelFor(0, seen.size(), [&](std::size_t i) {
+        if (i % 2 == 1) {
+            simulate(DesignSpace::sampleValidConfigs(1, i)[0],
+                     TraceGenerator(profileByName("mcf")).generate(500));
+        }
+        seen[i] = Campaign::numericsFingerprint();
+    });
+    const std::uint64_t fingerprint = Campaign::numericsFingerprint();
+    for (const std::uint64_t value : seen)
+        EXPECT_EQ(value, fingerprint);
+    EXPECT_EQ(Campaign::numericsFingerprint(), fingerprint);
+
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    const Campaign campaign({"sha"}, tinyOptions("acdse_t9"));
+    EXPECT_NE(campaign.cachePath().find(std::string("/acdse_campaign_") +
+                                        hex + "_"),
+              std::string::npos)
+        << campaign.cachePath();
 }
 
 TEST(CampaignDeathTest, ResultBeforeCompute)

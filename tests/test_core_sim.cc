@@ -7,6 +7,7 @@
 
 #include "arch/design_space.hh"
 #include "base/rng.hh"
+#include "sim/core.hh"
 #include "sim/simulator.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
@@ -34,12 +35,18 @@ idealTrace(std::size_t length)
     return Trace("ideal", std::move(insts));
 }
 
+/** One timed run over all of @p t on a fresh core for @p config. */
+CoreStats
+runCore(const MicroarchConfig &config, const Trace &t)
+{
+    const DecodedTrace decoded(t);
+    return OooCore(config, decoded, threadSimScratch()).run(0, t.size());
+}
+
 TEST(OooCore, CommitsEveryInstruction)
 {
     const Trace t = makeTrace("gzip");
-    EnergyModel energy(DesignSpace::baseline());
-    OooCore core(DesignSpace::baseline(), energy);
-    const CoreStats stats = core.run(t);
+    const CoreStats stats = runCore(DesignSpace::baseline(), t);
     EXPECT_EQ(stats.instructions, t.size());
     EXPECT_GT(stats.cycles, 0u);
 }
@@ -49,9 +56,7 @@ TEST(OooCore, IpcNeverExceedsWidth)
     for (int width : {2, 4, 8}) {
         MicroarchConfig config = DesignSpace::baseline();
         config.set(Param::Width, width);
-        EnergyModel energy(config);
-        OooCore core(config, energy);
-        const CoreStats stats = core.run(idealTrace(8000));
+        const CoreStats stats = runCore(config, idealTrace(8000));
         EXPECT_LE(stats.ipc(), static_cast<double>(width) + 1e-9);
     }
 }
@@ -60,10 +65,8 @@ TEST(OooCore, IndependentAluCodeApproachesWidth)
 {
     // Ideal trace, 4-wide: the only limits are read ports (none: no
     // sources) and the ALU pool; IPC should be close to the width.
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    const CoreStats stats = core.run(idealTrace(12000));
+    const CoreStats stats =
+        runCore(DesignSpace::baseline(), idealTrace(12000));
     EXPECT_GT(stats.ipc(), 3.0);
 }
 
@@ -74,9 +77,8 @@ TEST(OooCore, WiderIsFasterOnIlpRichCode)
     MicroarchConfig wide = DesignSpace::baseline();
     wide.set(Param::Width, 8);
     const Trace t = idealTrace(12000);
-    EnergyModel e1(narrow), e2(wide);
-    const CoreStats n = OooCore(narrow, e1).run(t);
-    const CoreStats w = OooCore(wide, e2).run(t);
+    const CoreStats n = runCore(narrow, t);
+    const CoreStats w = runCore(wide, t);
     EXPECT_LT(w.cycles, n.cycles);
 }
 
@@ -93,21 +95,27 @@ TEST(OooCore, SerialChainBoundByLatency)
     Trace t("chain", std::move(insts));
     MicroarchConfig config = DesignSpace::baseline();
     config.set(Param::Width, 8);
-    EnergyModel energy(config);
-    const CoreStats stats = OooCore(config, energy).run(t);
+    const CoreStats stats = runCore(config, t);
     EXPECT_GE(stats.cycles, t.size());
 }
 
 TEST(OooCore, DeterministicAcrossRuns)
 {
+    // One core on fresh storage, one on the thread's scratch after an
+    // unrelated run: the scratch is storage, never state.
     const Trace t = makeTrace("twolf");
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats a = OooCore(config, e1).run(t);
-    const CoreStats b = OooCore(config, e2).run(t);
+    const DecodedTrace decoded(t);
+    const MicroarchConfig config = DesignSpace::baseline();
+    SimScratch fresh;
+    OooCore first(config, decoded, fresh);
+    const CoreStats a = first.run(0, t.size());
+    runCore(DesignSpace::sampleValidConfigs(1, 9)[0], makeTrace("mcf"));
+    OooCore second(config, decoded, threadSimScratch());
+    const CoreStats b = second.run(0, t.size());
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_NEAR(e1.dynamicEnergyNj(), e2.dynamicEnergyNj(), 1e-9);
+    EXPECT_EQ(first.energy().dynamicEnergyNj(),
+              second.energy().dynamicEnergyNj());
 }
 
 TEST(OooCore, BiggerDcacheClearlyReducesMisses)
@@ -117,8 +125,7 @@ TEST(OooCore, BiggerDcacheClearlyReducesMisses)
     auto misses = [&](int kb) {
         MicroarchConfig config = DesignSpace::baseline();
         config.set(Param::Dl1Size, kb);
-        EnergyModel energy(config);
-        return OooCore(config, energy).run(t).dl1Misses;
+        return runCore(config, t).dl1Misses;
     };
     EXPECT_LT(misses(128) * 3 / 2, misses(8));
 }
@@ -144,10 +151,9 @@ TEST(OooCore, HardBranchesCostCycles)
         }
         return Trace(random ? "rand" : "easy", std::move(insts));
     };
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats easy = OooCore(config, e1).run(build(false));
-    const CoreStats hard = OooCore(config, e2).run(build(true));
+    const MicroarchConfig config = DesignSpace::baseline();
+    const CoreStats easy = runCore(config, build(false));
+    const CoreStats hard = runCore(config, build(true));
     EXPECT_GT(hard.mispredicts, easy.mispredicts + 100);
     EXPECT_GT(hard.cycles, easy.cycles);
 }
@@ -156,22 +162,40 @@ TEST(OooCore, MemoryBoundCodeIsSlow)
 {
     const Trace fast = makeTrace("crc32", 8000);
     const Trace slow = makeTrace("mcf", 8000);
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats f = OooCore(config, e1).run(fast);
-    const CoreStats s = OooCore(config, e2).run(slow);
+    const MicroarchConfig config = DesignSpace::baseline();
+    const CoreStats f = runCore(config, fast);
+    const CoreStats s = runCore(config, slow);
     EXPECT_GT(f.ipc(), 2.0 * s.ipc());
 }
 
 TEST(OooCore, IntervalRunsPartition)
 {
+    // Two runs on one core: the second starts where the first ended,
+    // with the caches and predictors it left warm.
     const Trace t = makeTrace("gap", 6000);
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    const CoreStats first = core.run(t, 0, 3000);
-    const CoreStats second = core.run(t, 3000, 6000);
+    const DecodedTrace decoded(t);
+    OooCore core(DesignSpace::baseline(), decoded, threadSimScratch());
+    const CoreStats first = core.run(0, 3000);
+    const CoreStats second = core.run(3000, 6000);
     EXPECT_EQ(first.instructions + second.instructions, 6000u);
+}
+
+TEST(OooCore, FunctionalWarmingReducesTimedMisses)
+{
+    // warm() on a core leaves its caches and predictors hot for the
+    // next run() on it.
+    const Trace t = makeTrace("galgel", 12000);
+    const DecodedTrace decoded(t);
+    const MicroarchConfig config = DesignSpace::baseline();
+    SimScratch cold_storage;
+    const CoreStats cold =
+        OooCore(config, decoded, cold_storage).run(6000, 12000);
+    OooCore warmed(config, decoded, threadSimScratch());
+    warmed.warm(0, 6000);
+    const CoreStats hot = warmed.run(6000, 12000);
+    EXPECT_EQ(hot.instructions, cold.instructions);
+    EXPECT_LT(hot.il1Misses + hot.dl1Misses,
+              cold.il1Misses + cold.dl1Misses);
 }
 
 TEST(OooCore, WarmupReducesTimedMisses)
@@ -198,9 +222,8 @@ TEST(OooCore, TinyRegisterFileStallsDispatch)
     MicroarchConfig tiny = DesignSpace::baseline();
     tiny.set(Param::RfSize, 40);
     const Trace t = makeTrace("swim", 8000);
-    EnergyModel e1(big), e2(tiny);
-    const CoreStats b = OooCore(big, e1).run(t);
-    const CoreStats s = OooCore(tiny, e2).run(t);
+    const CoreStats b = runCore(big, t);
+    const CoreStats s = runCore(tiny, t);
     EXPECT_GT(s.dispatchStallRegs, b.dispatchStallRegs);
     EXPECT_GT(s.cycles, b.cycles);
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "arch/design_space.hh"
 #include "base/statistics.hh"
@@ -26,6 +27,22 @@ Trace
 makeTrace(const std::string &name, std::size_t length)
 {
     return TraceGenerator(profileByName(name)).generate(length);
+}
+
+SampledResult
+simPoints(const MicroarchConfig &config, const Trace &trace,
+          const SimPointOptions &options)
+{
+    return simulateWithSimPoints(
+        std::span<const MicroarchConfig>(&config, 1), trace, options)[0];
+}
+
+SampledResult
+smarts(const MicroarchConfig &config, const Trace &trace,
+       const SmartsOptions &options = {})
+{
+    return simulateWithSmarts(std::span<const MicroarchConfig>(&config, 1),
+                              trace, options)[0];
 }
 
 double
@@ -59,7 +76,7 @@ TEST_P(SampledSimAccuracy, SimPointTracksFullSimulation)
     for (const auto &config : configs) {
         const SimulationResult full = simulate(config, trace);
         const SampledResult sampled =
-            simulateWithSimPoints(config, trace, options);
+            simPoints(config, trace, options);
         full_cycles.push_back(full.metrics.cycles);
         sampled_cycles.push_back(sampled.metrics.cycles);
         worst_rel = std::max(worst_rel,
@@ -86,7 +103,7 @@ TEST_P(SampledSimAccuracy, SmartsTracksFullSimulation)
     for (const auto &config : configs) {
         const SimulationResult full = simulate(config, trace);
         const SampledResult sampled =
-            simulateWithSmarts(config, trace, options);
+            smarts(config, trace, options);
         full_cycles.push_back(full.metrics.cycles);
         sampled_cycles.push_back(sampled.metrics.cycles);
         worst_rel = std::max(worst_rel,
@@ -109,8 +126,8 @@ TEST(SampledSim, SimPointTimesOnlyRepresentatives)
     SimPointOptions options;
     options.intervalLength = 1000;
     options.maxClusters = 5;
-    const SampledResult sampled = simulateWithSimPoints(
-        DesignSpace::baseline(), trace, options);
+    const SampledResult sampled =
+        simPoints(DesignSpace::baseline(), trace, options);
     // At most 5 representative intervals of 1000 instructions.
     EXPECT_LE(sampled.simulatedInstructions, 5000u);
     EXPECT_GT(sampled.metrics.cycles, 0.0);
@@ -127,10 +144,10 @@ TEST(SampledSim, SmartsDenserSamplingIsCloser)
     SmartsOptions dense;
     dense.samplingPeriod = 2;
     const double sparse_err = relError(
-        simulateWithSmarts(config, trace, sparse).metrics.cycles,
+        smarts(config, trace, sparse).metrics.cycles,
         full.metrics.cycles);
     const double dense_err = relError(
-        simulateWithSmarts(config, trace, dense).metrics.cycles,
+        smarts(config, trace, dense).metrics.cycles,
         full.metrics.cycles);
     // Denser sampling must not be (much) worse.
     EXPECT_LT(dense_err, sparse_err + 0.05);
@@ -143,8 +160,8 @@ TEST(SampledSim, SmartsOffsetChangesUnits)
     SmartsOptions a, b;
     a.offset = 0;
     b.offset = 3;
-    const SampledResult ra = simulateWithSmarts(config, trace, a);
-    const SampledResult rb = simulateWithSmarts(config, trace, b);
+    const SampledResult ra = smarts(config, trace, a);
+    const SampledResult rb = smarts(config, trace, b);
     EXPECT_NE(ra.metrics.cycles, rb.metrics.cycles);
 }
 
@@ -154,7 +171,7 @@ TEST(SampledSimDeathTest, RejectsZeroUnit)
     SmartsOptions options;
     options.unitInstructions = 0;
     EXPECT_DEATH(
-        simulateWithSmarts(DesignSpace::baseline(), trace, options),
+        smarts(DesignSpace::baseline(), trace, options),
         "empty measurement unit");
 }
 

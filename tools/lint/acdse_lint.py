@@ -68,6 +68,17 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          stale or rebuilt under a reader; take
                          directories from testdir::uniqueTempDir.
 
+  acdse-one-sim-scratch
+                         A SimScratch object declared in src/ outside
+                         src/sim/core.cc (thread_local, static, local
+                         or heap). Library code simulates on one
+                         scratch per thread, threadSimScratch(); every
+                         extra one adds its caches and pipeline
+                         storage (the L2 line array alone is up to
+                         1 MiB) to the process's peak memory. Take a
+                         SimScratch & from threadSimScratch() instead.
+                         Tests and benches are exempt.
+
   acdse-obs-span-in-hot-loop
                          obs::TraceSpan construction inside a
                          for/while body in src/. Spans belong at
@@ -143,6 +154,10 @@ RAW_SYNC_IMPL = Path("src/base/sync.hh")
 # helper that hands out unique directories under it.
 TEST_TEMP_IMPL = Path("tests/temp_dir.hh")
 
+# The one file allowed to declare a SimScratch object: the per-thread
+# accessor every library simulation goes through.
+SIM_SCRATCH_IMPL = Path("src/sim/core.cc")
+
 NOLINT_RE = re.compile(r"NOLINT\(acdse-([a-z-]+)\)")
 
 RETIRED_SWITCH_RE = re.compile(
@@ -150,6 +165,14 @@ RETIRED_SWITCH_RE = re.compile(
     r"SIMD_VECTOR)\b"
 )
 TEST_TEMP_RE = re.compile(r"\btemp_directory_path\s*\(")
+# A SimScratch object (not a reference or pointer): a declaration, a
+# heap allocation or a container of them.
+SIM_SCRATCH_RE = re.compile(
+    r"\bSimScratch\s+[A-Za-z_]\w*\s*[;({=\[]"
+    r"|\bnew\s+SimScratch\b"
+    r"|\b(?:make_unique|make_shared|optional|vector|array|deque|"
+    r"unique_ptr|shared_ptr)\s*<\s*SimScratch\s*[,>]"
+)
 
 # (name, pattern, message, scope): scope is None (every scanned file)
 # or a predicate on the repo-relative path.
@@ -196,6 +219,13 @@ RULES = [
         "checkout on the host; use testdir::uniqueTempDir "
         "(tests/temp_dir.hh)",
         lambda rel: rel.parts[:1] == ("tests",) and rel != TEST_TEMP_IMPL,
+    ),
+    (
+        "one-sim-scratch",
+        SIM_SCRATCH_RE,
+        "library code simulates on one scratch per thread; take "
+        "threadSimScratch() (sim/core.hh) instead of declaring another",
+        lambda rel: rel.parts[:1] == ("src",) and rel != SIM_SCRATCH_IMPL,
     ),
 ]
 
@@ -467,6 +497,22 @@ LINE_RULE_CASES = [
     ("uniqueTempDir is clean", TEST_TEMP_RE,
      'options.cacheDir = testdir::uniqueTempDir("acdse_t1").string();',
      False),
+    ("thread_local scratch flags", SIM_SCRATCH_RE,
+     "    thread_local SimScratch scratch;", True),
+    ("local scratch flags", SIM_SCRATCH_RE, "    SimScratch scratch;", True),
+    ("braced local scratch flags", SIM_SCRATCH_RE,
+     "    SimScratch s{};", True),
+    ("heap scratch flags", SIM_SCRATCH_RE,
+     "auto s = std::make_unique<SimScratch>();", True),
+    ("scratch container flags", SIM_SCRATCH_RE,
+     "std::vector<SimScratch> scratches(n);", True),
+    ("shared-scratch reference is clean", SIM_SCRATCH_RE,
+     "    SimScratch &scratch = threadSimScratch();", False),
+    ("scratch parameter is clean", SIM_SCRATCH_RE,
+     "                   SimScratch &scratch);", False),
+    ("accessor declaration is clean", SIM_SCRATCH_RE,
+     "SimScratch &threadSimScratch();", False),
+    ("struct definition is clean", SIM_SCRATCH_RE, "struct SimScratch", False),
 ]
 
 # (name, rule, repo-relative path, rule applies there) for scoped rules.
@@ -477,6 +523,14 @@ SCOPE_CASES = [
      "tests/temp_dir.hh", False),
     ("benches are out of scope", "test-temp-literal",
      "bench/bench_jobs.cc", False),
+    ("a scratch in the library is in scope", "one-sim-scratch",
+     "src/core/campaign.cc", True),
+    ("the shared accessor's file is exempt", "one-sim-scratch",
+     "src/sim/core.cc", False),
+    ("tests may declare scratches", "one-sim-scratch",
+     "tests/test_batch_sim.cc", False),
+    ("benches may declare scratches", "one-sim-scratch",
+     "bench/bench_campaign.cc", False),
 ]
 
 
