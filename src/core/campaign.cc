@@ -142,6 +142,13 @@ Campaign::trace(std::size_t programIdx)
     return *slot;
 }
 
+bool
+Campaign::holdsTrace(std::size_t programIdx) const
+{
+    ACDSE_CHECK(programIdx < programs_.size(), "bad program index");
+    return traces_[programIdx] != nullptr;
+}
+
 std::string
 Campaign::cacheKeyFor(const std::vector<std::string> &programs,
                       const CampaignOptions &options)
@@ -362,8 +369,13 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
         programs_.size());
     for (const std::size_t cell : pending) {
         const std::size_t p = cell / configs_.size();
-        if (!decoded[p])
+        if (!decoded[p]) {
             decoded[p] = std::make_unique<DecodedTrace>(trace(p));
+            // The decode is self-contained: drop the trace before
+            // replay, so the campaign holds results, not traces. A
+            // later fill of this program regenerates it.
+            traces_[p].reset();
+        }
     }
 
     // The shared pool unless the campaign pins an explicit width (as

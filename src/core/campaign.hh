@@ -53,6 +53,9 @@ struct CampaignOptions
  * Results are computed lazily on first access (all missing cells in one
  * parallel batch) and persisted to a CSV cache keyed by the campaign
  * parameters, so repeated bench/example runs cost seconds, not minutes.
+ * Each program's trace is only an input to the fill: a fill that
+ * simulates any cell of a program decodes its trace and drops it, so
+ * the campaign keeps results, not traces (see trace()).
  */
 class Campaign
 {
@@ -103,8 +106,18 @@ class Campaign
     /** The options this campaign runs with. */
     const CampaignOptions &options() const { return options_; }
 
-    /** The generated trace for one program (cached). */
+    /**
+     * The generated trace for one program. It is cached until a fill
+     * (computeCells(), ensureComputed()) simulates any cell of the
+     * program, which drops it; a later call regenerates it,
+     * bit-identical because generation is deterministic. The returned
+     * reference therefore stays valid only until the next fill that
+     * simulates that program.
+     */
     const Trace &trace(std::size_t programIdx);
+
+    /** Whether the campaign currently caches @p programIdx's trace. */
+    bool holdsTrace(std::size_t programIdx) const;
 
     // -- Cell-level interface (used by the job system, src/jobs) -----
     //
@@ -205,6 +218,7 @@ class Campaign
     // worker threads write distinct cells concurrently, and
     // vector<bool> packs bits into shared words (a data race).
     std::vector<char> computed_;
+    /** Cached traces, dropped by any fill that simulates the program. */
     std::vector<std::unique_ptr<Trace>> traces_;
     bool allComputed_ = false;
 };

@@ -76,7 +76,7 @@ Btb::reconfigure(int entries)
     entries_.resize(static_cast<std::size_t>(entries));
     mask_ = static_cast<std::uint64_t>(entries) - 1;
     // Epoch bump invalidates every entry in O(1); on wrap, clear so a
-    // recycled epoch value cannot resurrect stale targets.
+    // recycled epoch value cannot resurrect stale entries.
     if (++epoch_ == 0) {
         for (auto &e : entries_)
             e = Entry{};
@@ -97,12 +97,11 @@ Btb::lookup(std::uint64_t pc) const
 }
 
 void
-Btb::update(std::uint64_t pc, std::uint64_t target)
+Btb::update(std::uint64_t pc)
 {
     Entry &e = entries_[(pc >> 2) & mask_];
     e.epoch = epoch_;
     e.tag = pc;
-    e.target = target;
 }
 
 } // namespace acdse

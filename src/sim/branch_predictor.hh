@@ -62,7 +62,8 @@ class GsharePredictor
 /**
  * Direct-mapped, tagged branch target buffer. A taken branch that
  * misses in the BTB cannot redirect fetch immediately even when the
- * direction prediction is correct.
+ * direction prediction is correct. The trace supplies every target, so
+ * only whether an entry is present matters and no target is stored.
  */
 class Btb
 {
@@ -76,11 +77,11 @@ class Btb
      */
     void reconfigure(int entries);
 
-    /** Whether the branch at @p pc has a target stored. */
+    /** Whether the branch at @p pc has an entry. */
     bool lookup(std::uint64_t pc) const;
 
     /** Install/refresh the entry for @p pc. */
-    void update(std::uint64_t pc, std::uint64_t target);
+    void update(std::uint64_t pc);
 
     /** @name Statistics. */
     /** @{ */
@@ -93,7 +94,6 @@ class Btb
     struct Entry
     {
         std::uint64_t tag = 0;
-        std::uint64_t target = 0;
         std::uint32_t epoch = 0;
     };
 

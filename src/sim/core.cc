@@ -159,15 +159,14 @@ nextMarked(const std::uint64_t *map, std::uint64_t cycle)
 
 } // namespace
 
-DecodedTrace::DecodedTrace(const Trace &trace) : source_(&trace)
+DecodedTrace::DecodedTrace(const Trace &trace) : name_(trace.name())
 {
     ops_.reserve(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const TraceInstruction &inst = trace[i];
         Op op;
         op.pc = inst.pc;
-        op.addrOrTarget =
-            inst.cls == InstClass::Branch ? inst.target : inst.addr;
+        op.addr = inst.addr;
         op.srcDist1 = inst.srcDist1;
         op.srcDist2 = inst.srcDist2;
         const int latency = execLatency(inst.cls);
@@ -406,7 +405,7 @@ OooCore::run(std::size_t begin, std::size_t end)
             const DecodedTrace::Op &op = ops[commit_idx];
             if (op.flags & DecodedTrace::kOpStore) {
                 // Stores drain to the D-cache at commit.
-                hierarchy.dataAccess(op.addrOrTarget, true, mem_events);
+                hierarchy.dataAccess(op.addr, true, mem_events);
                 --lsq_count;
             } else if (op.flags & DecodedTrace::kOpLoad) {
                 --lsq_count;
@@ -473,7 +472,7 @@ OooCore::run(std::size_t begin, std::size_t end)
 
                     int latency = op.latency;
                     if (op.flags & DecodedTrace::kOpLoad) {
-                        latency += hierarchy.dataAccess(op.addrOrTarget,
+                        latency += hierarchy.dataAccess(op.addr,
                                                         false, mem_events);
                         energy.add(EnergyEvent::LsqSearch);
                     }
@@ -625,7 +624,7 @@ OooCore::run(std::size_t begin, std::size_t end)
                     bpred.update(op.pc, taken);
                     const bool btb_hit = btb.lookup(op.pc);
                     if (taken && !btb_hit) {
-                        btb.update(op.pc, op.addrOrTarget);
+                        btb.update(op.pc);
                         energy.add(EnergyEvent::BtbUpdate);
                         ++stats.btbMisses;
                     }
@@ -759,14 +758,14 @@ OooCore::warm(std::size_t begin, std::size_t end)
             last_line = line;
         }
         if (op.flags & DecodedTrace::kOpMem) {
-            hierarchy_.dataAccess(op.addrOrTarget,
+            hierarchy_.dataAccess(op.addr,
                                   (op.flags & DecodedTrace::kOpStore) != 0,
                                   discard);
         } else if (op.flags & DecodedTrace::kOpBranch) {
             const bool taken = (op.flags & DecodedTrace::kOpTaken) != 0;
             bpred_.update(op.pc, taken);
             if (taken && !btb_.lookup(op.pc))
-                btb_.update(op.pc, op.addrOrTarget);
+                btb_.update(op.pc);
         }
     }
 }

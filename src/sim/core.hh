@@ -54,9 +54,12 @@ constexpr std::uint64_t kCoreNotReady = ~std::uint64_t{0};
 /**
  * A trace decoded for replay: per-instruction properties the core
  * model would otherwise re-derive per config per instruction,
- * precomputed once. Immutable after construction and therefore safe to
- * share across threads (campaign workers decode each program's trace
- * once and replay it from every worker).
+ * precomputed once. Self-contained -- it copies what it needs and keeps
+ * no reference to its source Trace, which may be destroyed right after
+ * decoding (campaign fill drops a program's trace that way). Immutable
+ * after construction and therefore safe to share across threads
+ * (campaign workers decode each program's trace once and replay it from
+ * every worker).
  */
 class DecodedTrace
 {
@@ -75,14 +78,14 @@ class DecodedTrace
     /** @} */
 
     /**
-     * One decoded instruction (32 bytes). addrOrTarget holds the
-     * effective address for loads/stores and the branch target for
-     * branches -- no instruction uses both.
+     * One decoded instruction (32 bytes). No timing path reads a
+     * branch target (a BTB hit depends only on the tag), so only the
+     * data address of loads and stores is kept.
      */
     struct Op
     {
         std::uint64_t pc;           //!< instruction address
-        std::uint64_t addrOrTarget; //!< data address / branch target
+        std::uint64_t addr;         //!< data address (loads/stores)
         std::uint32_t srcDist1;     //!< distance to first producer
         std::uint32_t srcDist2;     //!< distance to second producer
         std::uint8_t latency;       //!< execution latency (no memory)
@@ -91,11 +94,11 @@ class DecodedTrace
         std::uint8_t flags;         //!< kOp* bits
     };
 
-    /** Decode @p trace; keeps a reference (trace must outlive this). */
+    /** Decode @p trace; keeps no reference to it. */
     explicit DecodedTrace(const Trace &trace);
 
-    /** Benchmark name (forwarded from the source trace). */
-    const std::string &name() const { return source_->name(); }
+    /** Benchmark name (copied from the source trace). */
+    const std::string &name() const { return name_; }
 
     /** Number of dynamic instructions. */
     std::size_t size() const { return ops_.size(); }
@@ -104,7 +107,7 @@ class DecodedTrace
     const Op *ops() const { return ops_.data(); }
 
   private:
-    const Trace *source_;
+    std::string name_;
     std::vector<Op> ops_;
 };
 

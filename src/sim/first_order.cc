@@ -36,7 +36,7 @@ firstOrderEstimate(const MicroarchConfig &config, const Trace &trace)
             if (pred != inst.taken)
                 ++mispredicts;
             if (inst.taken && !btb.lookup(inst.pc)) {
-                btb.update(inst.pc, inst.target);
+                btb.update(inst.pc);
                 ++btb_misses;
             }
         }

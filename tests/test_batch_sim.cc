@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -164,6 +165,38 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
                           scratch);
             expectIdentical(batched, simulate(configs[i], trace, options));
         }
+    }
+}
+
+TEST(BatchSim, DecodedTraceOutlivesItsTrace)
+{
+    // A decode is self-contained: replaying it after its source trace
+    // is destroyed (ASan would flag any read of the freed trace) gives
+    // exactly what a decode of a live trace gives.
+    std::optional<DecodedTrace> orphan;
+    {
+        const Trace dropped = makeTrace("gcc", 6000);
+        orphan.emplace(dropped);
+    }
+    const Trace live = makeTrace("gcc", 6000);
+    const DecodedTrace reference(live);
+    EXPECT_EQ(orphan->name(), "gcc");
+    EXPECT_EQ(orphan->size(), live.size());
+
+    const auto configs = DesignSpace::sampleValidConfigs(4, 77);
+    SimulationOptions options;
+    options.warmupInstructions = 1000;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "config " << i);
+        const std::span<const MicroarchConfig> config(&configs[i], 1);
+        SimulationResult fromOrphan, fromLive;
+        simulateBatch(config, *orphan, options,
+                      std::span<SimulationResult>(&fromOrphan, 1),
+                      threadSimScratch());
+        simulateBatch(config, reference, options,
+                      std::span<SimulationResult>(&fromLive, 1),
+                      threadSimScratch());
+        expectIdentical(fromOrphan, fromLive);
     }
 }
 

@@ -107,18 +107,18 @@ TEST(Btb, MissThenHit)
 {
     Btb btb(1024);
     EXPECT_FALSE(btb.lookup(0x400500));
-    btb.update(0x400500, 0x400800);
+    btb.update(0x400500);
     EXPECT_TRUE(btb.lookup(0x400500));
 }
 
 TEST(Btb, TagDistinguishesAliases)
 {
     Btb btb(16); // tiny: many PCs share a slot
-    btb.update(0x400000, 0x1);
+    btb.update(0x400000);
     EXPECT_TRUE(btb.lookup(0x400000));
     // Same index (pc>>2 mod 16), different tag.
     EXPECT_FALSE(btb.lookup(0x400000 + 16 * 4));
-    btb.update(0x400000 + 16 * 4, 0x2);
+    btb.update(0x400000 + 16 * 4);
     EXPECT_TRUE(btb.lookup(0x400000 + 16 * 4));
     EXPECT_FALSE(btb.lookup(0x400000)); // evicted
 }
@@ -130,7 +130,7 @@ TEST(Btb, CountsLookupsAndMisses)
     btb.lookup(0x1000);
     EXPECT_EQ(btb.lookups(), 2u);
     EXPECT_EQ(btb.misses(), 2u);
-    btb.update(0x1000, 0x2000);
+    btb.update(0x1000);
     btb.lookup(0x1000);
     EXPECT_EQ(btb.misses(), 2u);
 }

@@ -104,6 +104,79 @@ TEST(Campaign, SubsetSaveDoesNotClobberSharedCache)
               fresh_crc.metricRow(0, Metric::Cycles));
 }
 
+void
+expectSameTrace(const Trace &a, const Trace &b)
+{
+    EXPECT_EQ(a.name(), b.name());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "instruction " << i);
+        EXPECT_EQ(a[i].pc, b[i].pc);
+        EXPECT_EQ(a[i].addr, b[i].addr);
+        EXPECT_EQ(a[i].target, b[i].target);
+        EXPECT_EQ(a[i].srcDist1, b[i].srcDist1);
+        EXPECT_EQ(a[i].srcDist2, b[i].srcDist2);
+        EXPECT_EQ(a[i].cls, b[i].cls);
+        EXPECT_EQ(a[i].taken, b[i].taken);
+        EXPECT_EQ(a[i].conditional, b[i].conditional);
+    }
+}
+
+TEST(Campaign, FillDropsTracesOfProgramsItSimulates)
+{
+    const CampaignOptions options = tinyOptions("acdse_t11");
+    Campaign campaign({"crc32", "sha"}, options);
+    const std::size_t n = campaign.configs().size();
+
+    // A fill of half of sha's cells already drops its trace; crc32,
+    // which the fill does not touch, keeps its own.
+    campaign.trace(0);
+    campaign.trace(1);
+    std::vector<std::size_t> firstHalf, rest;
+    for (std::size_t c = 0; c < n; ++c) {
+        rest.push_back(c);
+        (c < n / 2 ? firstHalf : rest).push_back(n + c);
+    }
+    campaign.computeCells(firstHalf);
+    EXPECT_TRUE(campaign.holdsTrace(0));
+    EXPECT_FALSE(campaign.holdsTrace(1));
+
+    // The next shard regenerates sha's trace; once every cell is
+    // simulated the campaign holds no trace at all.
+    campaign.computeCells(rest);
+    EXPECT_FALSE(campaign.holdsTrace(0));
+    EXPECT_FALSE(campaign.holdsTrace(1));
+
+    // trace() regenerates on demand, bit-identical.
+    const std::size_t length =
+        options.traceLength + options.warmupInstructions;
+    const Trace crc32 = TraceGenerator(profileByName("crc32"))
+                            .generate(length);
+    expectSameTrace(campaign.trace(0), crc32);
+    EXPECT_TRUE(campaign.holdsTrace(0));
+
+    // Every cell matches a simulation of a trace that was never
+    // released.
+    const Trace live[] = {
+        crc32, TraceGenerator(profileByName("sha")).generate(length)};
+    SimulationOptions sim_options;
+    sim_options.warmupInstructions = options.warmupInstructions;
+    for (std::size_t p = 0; p < 2; ++p) {
+        for (std::size_t c = 0; c < n; ++c) {
+            SCOPED_TRACE(::testing::Message()
+                         << "program " << p << " config " << c);
+            const Metrics expected =
+                simulate(campaign.configs()[c], live[p], sim_options)
+                    .metrics;
+            const Metrics &got = campaign.result(p, c);
+            EXPECT_EQ(got.cycles, expected.cycles);
+            EXPECT_EQ(got.energyNj, expected.energyNj);
+            EXPECT_EQ(got.ed, expected.ed);
+            EXPECT_EQ(got.edd, expected.edd);
+        }
+    }
+}
+
 TEST(Campaign, DeterministicResults)
 {
     Campaign a({"stringsearch"}, tinyOptions("acdse_t4a"));
