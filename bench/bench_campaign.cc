@@ -11,7 +11,9 @@
  * pass (same configs, same scratch) must perform ZERO heap
  * allocations, counted by the operator new/delete overrides below,
  * and records the process's peak resident memory (peak_rss_mb), which
- * the per-thread scratch dominates.
+ * the per-thread scratch dominates, and the size of the main thread's
+ * scratch after the whole sample has run through it (sim_scratch_kib,
+ * SimScratch::storageBytes()).
  *
  * Gate: the zero-allocation check fails the run here; the
  * single-thread campaign_points_per_s is held to its floor by
@@ -246,6 +248,10 @@ main()
                 configs.size());
     const double peak_rss_mb = peakRssMb();
     std::printf("peak resident memory: %.1f MiB\n", peak_rss_mb);
+    const double sim_scratch_kib =
+        static_cast<double>(scratch.storageBytes()) / 1024.0;
+    std::printf("simulator scratch: %.1f KiB per thread\n",
+                sim_scratch_kib);
 
     const CactiMemoStats memo = cactiMemoStats();
     const double memo_total =
@@ -279,6 +285,7 @@ main()
         .key("campaign_points_per_s").value(replay_t1)
         .key("campaign_batch_pps_tmax").value(replay_tmax)
         .key("peak_rss_mb").value(peak_rss_mb)
+        .key("sim_scratch_kib").value(sim_scratch_kib)
         .endObject();
     // Additive per-stage breakdown (sim/batch span, sim/ and pool/
     // counters); the regression checker only reads "metrics".

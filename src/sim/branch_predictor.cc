@@ -22,7 +22,7 @@ GsharePredictor::reconfigure(int entries)
                  "gshare table size must be a power of two");
     counters_.assign(static_cast<std::size_t>(entries),
                      1); // weakly not-taken
-    mask_ = static_cast<std::uint64_t>(entries) - 1;
+    mask_ = static_cast<std::uint32_t>(entries) - 1;
     // Fixed short history: larger tables then monotonically reduce
     // destructive aliasing between branches (the effect the design
     // space varies) without diluting training across more contexts
@@ -34,21 +34,21 @@ GsharePredictor::reconfigure(int entries)
     mispredicts_ = 0;
 }
 
-std::uint64_t
-GsharePredictor::index(std::uint64_t pc) const
+std::uint32_t
+GsharePredictor::index(std::uint32_t pc) const
 {
     return ((pc >> 2) ^ history_) & mask_;
 }
 
 bool
-GsharePredictor::predict(std::uint64_t pc) const
+GsharePredictor::predict(std::uint32_t pc) const
 {
     ++lookups_;
     return counters_[index(pc)] >= 2;
 }
 
 void
-GsharePredictor::update(std::uint64_t pc, bool taken)
+GsharePredictor::update(std::uint32_t pc, bool taken)
 {
     std::uint8_t &counter = counters_[index(pc)];
     const bool predicted = counter >= 2;
@@ -58,8 +58,8 @@ GsharePredictor::update(std::uint64_t pc, bool taken)
         ++counter;
     else if (!taken && counter > 0)
         --counter;
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) &
-               ((1ULL << historyBits_) - 1);
+    history_ = ((history_ << 1) | (taken ? 1u : 0u)) &
+               ((1u << historyBits_) - 1);
 }
 
 Btb::Btb(int entries)
@@ -74,7 +74,7 @@ Btb::reconfigure(int entries)
                      std::has_single_bit(static_cast<unsigned>(entries)),
                  "BTB size must be a power of two");
     entries_.resize(static_cast<std::size_t>(entries));
-    mask_ = static_cast<std::uint64_t>(entries) - 1;
+    mask_ = static_cast<std::uint32_t>(entries) - 1;
     // Epoch bump invalidates every entry in O(1); on wrap, clear so a
     // recycled epoch value cannot resurrect stale entries.
     if (++epoch_ == 0) {
@@ -87,7 +87,7 @@ Btb::reconfigure(int entries)
 }
 
 bool
-Btb::lookup(std::uint64_t pc) const
+Btb::lookup(std::uint32_t pc) const
 {
     ++lookups_;
     const Entry &e = entries_[(pc >> 2) & mask_];
@@ -97,7 +97,7 @@ Btb::lookup(std::uint64_t pc) const
 }
 
 void
-Btb::update(std::uint64_t pc)
+Btb::update(std::uint32_t pc)
 {
     Entry &e = entries_[(pc >> 2) & mask_];
     e.epoch = epoch_;

@@ -31,10 +31,10 @@ class GsharePredictor
     void reconfigure(int entries);
 
     /** Predict the direction of the branch at @p pc. */
-    bool predict(std::uint64_t pc) const;
+    bool predict(std::uint32_t pc) const;
 
     /** Train on the actual outcome and shift the global history. */
-    void update(std::uint64_t pc, bool taken);
+    void update(std::uint32_t pc, bool taken);
 
     /** @name Statistics. */
     /** @{ */
@@ -48,12 +48,15 @@ class GsharePredictor
     }
     /** @} */
 
+    /** Bytes of counter storage held (its capacity). */
+    std::size_t storageBytes() const { return counters_.capacity(); }
+
   private:
-    std::uint64_t index(std::uint64_t pc) const;
+    std::uint32_t index(std::uint32_t pc) const;
 
     std::vector<std::uint8_t> counters_;
-    std::uint64_t mask_;
-    std::uint64_t history_ = 0;
+    std::uint32_t mask_;
+    std::uint32_t history_ = 0;
     int historyBits_;
     mutable std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;
@@ -78,10 +81,10 @@ class Btb
     void reconfigure(int entries);
 
     /** Whether the branch at @p pc has an entry. */
-    bool lookup(std::uint64_t pc) const;
+    bool lookup(std::uint32_t pc) const;
 
     /** Install/refresh the entry for @p pc. */
-    void update(std::uint64_t pc);
+    void update(std::uint32_t pc);
 
     /** @name Statistics. */
     /** @{ */
@@ -89,16 +92,27 @@ class Btb
     std::uint64_t misses() const { return misses_; }
     /** @} */
 
+    /** Bytes of entry storage held (its capacity). */
+    std::size_t
+    storageBytes() const
+    {
+        return entries_.capacity() * sizeof(Entry);
+    }
+
   private:
-    /** Valid iff epoch matches the BTB's current epoch (see Cache). */
+    /**
+     * Valid iff epoch matches the BTB's current epoch (see Cache); the
+     * tag is the branch's whole address.
+     */
     struct Entry
     {
-        std::uint64_t tag = 0;
+        std::uint32_t tag = 0;
         std::uint32_t epoch = 0;
     };
+    static_assert(sizeof(Entry) == 8);
 
     std::vector<Entry> entries_;
-    std::uint64_t mask_;
+    std::uint32_t mask_;
     std::uint32_t epoch_ = 1;
     mutable std::uint64_t lookups_ = 0;
     mutable std::uint64_t misses_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/check.hh"
@@ -19,6 +20,7 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
 {
     ACDSE_CHECK(sizeBytes > 0 && assoc > 0 && lineBytes > 0,
                  "cache dimensions must be positive");
+    ACDSE_CHECK(assoc <= kMaxAssoc, "associativity above ", kMaxAssoc);
     sets_ = sizeBytes / (assoc * lineBytes);
     assoc_ = assoc;
     lineShift_ = std::countr_zero(static_cast<unsigned>(lineBytes));
@@ -26,23 +28,34 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
     ACDSE_CHECK((sets_ & (sets_ - 1)) == 0, "set count must be 2^n");
     ACDSE_CHECK(std::has_single_bit(static_cast<unsigned>(lineBytes)),
                  "line size must be 2^n");
-    const std::size_t lines = static_cast<std::size_t>(sets_) * assoc_;
-    if (lines > lines_.size())
-        lines_.resize(lines);
+    setShift_ = std::countr_zero(static_cast<unsigned>(sets_));
+    const std::size_t stride = kTagWord + 2 * static_cast<std::size_t>(
+                                              assoc);
+    if (stride != stride_) {
+        // Headers move: stale tags or stamps could read as a current
+        // epoch, so every word goes back to epoch 0.
+        std::fill(blocks_.begin(), blocks_.end(), 0u);
+        stride_ = stride;
+    }
+    const std::size_t words = static_cast<std::size_t>(sets_) * stride_;
+    if (words > blocks_.size())
+        blocks_.resize(words);
     reset();
 }
 
 bool
-Cache::probe(std::uint64_t addr) const
+Cache::probe(std::uint32_t addr) const
 {
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (static_cast<std::uint64_t>(
-                                               sets_) - 1);
-    const std::uint64_t tag = line_addr >> std::countr_zero(
-                                  static_cast<unsigned>(sets_));
-    const Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
+    const std::uint32_t line_addr = addr >> lineShift_;
+    const std::uint32_t set =
+        line_addr & (static_cast<std::uint32_t>(sets_) - 1);
+    const std::uint32_t tag = line_addr >> setShift_;
+    const std::uint32_t *blk = &blocks_[set * stride_];
+    if (blk[kEpochWord] != epoch_)
+        return false;
+    const std::uint32_t valid = blk[kMaskWord] & 0xffffu;
     for (int w = 0; w < assoc_; ++w) {
-        if (valid(base[w]) && base[w].tag == tag)
+        if ((valid >> w & 1u) && blk[kTagWord + w] == tag)
             return true;
     }
     return false;
@@ -51,15 +64,12 @@ Cache::probe(std::uint64_t addr) const
 void
 Cache::reset()
 {
-    // O(1) by design: advancing the epoch invalidates every line (the
-    // LRU victim scan treats stale-epoch lines exactly like the
-    // valid=false lines of a fresh array). On the -- practically
-    // unreachable -- epoch wrap, fall back to a full clear (of every
-    // line, including any beyond the current geometry) so recycled
-    // epoch values can never resurrect ancient lines.
-    if (++epoch_ > kMaxEpoch) {
-        for (auto &line : lines_)
-            line = Line{};
+    // O(1) by design: advancing the epoch empties every set. On the
+    // -- practically unreachable -- epoch wrap, fall back to a full
+    // clear (of every set, including any beyond the current geometry)
+    // so recycled epoch values can never resurrect ancient lines.
+    if (++epoch_ == 0) {
+        std::fill(blocks_.begin(), blocks_.end(), 0u);
         epoch_ = 1;
     }
     useCounter_ = accesses_ = misses_ = writebacks_ = 0;

@@ -23,13 +23,27 @@ struct CacheAccessResult
     bool writebackDirty; //!< whether a dirty victim was evicted
 };
 
-/** One set-associative write-back cache with true-LRU replacement. */
+/**
+ * One set-associative write-back cache with true-LRU replacement over
+ * the simulated machine's 32-bit addresses.
+ *
+ * Each set is one block of 32-bit words: a two-word header (the
+ * set's epoch, then its valid mask in the low and its dirty mask in
+ * the high 16 bits), the tags of its ways, then their LRU stamps -- 72
+ * bytes for an 8-way set, 40 for a 4-way and 24 for a 2-way one.
+ * Validity is epoch-based: a set whose epoch is not the cache's
+ * current one is empty, so reset() and reconfigure() empty every set
+ * in O(1) by advancing the epoch, and the first access to a set in a
+ * new epoch clears its masks. Value-initialised blocks carry epoch 0,
+ * which is never current (epoch_ starts at 1), so freshly grown
+ * storage is empty without touching it.
+ */
 class Cache
 {
   public:
     /**
      * @param sizeBytes total capacity (power of two).
-     * @param assoc     associativity.
+     * @param assoc     associativity (at most kMaxAssoc).
      * @param lineBytes line size (power of two).
      */
     Cache(int sizeBytes, int assoc, int lineBytes);
@@ -37,21 +51,22 @@ class Cache
     /**
      * Re-shape this cache for a new geometry, invalidating all
      * contents and statistics. Equivalent to constructing a fresh
-     * Cache but reuses the line storage -- the replay engine
+     * Cache but reuses the set storage -- the replay engine
      * (sim/batch.hh) recycles one Cache per worker across thousands of
-     * simulations, and re-allocating + zeroing a multi-megabyte L2
-     * line array per simulation would dominate short campaign runs.
-     * Storage only ever grows: lines beyond a smaller geometry keep
-     * their stale epochs, so they are still invalid when a larger
-     * geometry reaches them again.
+     * simulations, and re-allocating + zeroing a large L2 per
+     * simulation would dominate short campaign runs. Storage only
+     * ever grows: sets beyond a smaller geometry keep their stale
+     * epochs, so they are still empty when a larger geometry reaches
+     * them again. A new associativity moves every set's header, so it
+     * clears the whole storage instead.
      */
     void reconfigure(int sizeBytes, int assoc, int lineBytes);
 
     /** Access one address; fills the line on a miss. */
-    CacheAccessResult access(std::uint64_t addr, bool write);
+    CacheAccessResult access(std::uint32_t addr, bool write);
 
     /** Whether the address would hit, without changing any state. */
-    bool probe(std::uint64_t addr) const;
+    bool probe(std::uint32_t addr) const;
 
     /** @name Statistics. */
     /** @{ */
@@ -70,39 +85,35 @@ class Cache
     /** Number of sets. */
     int numSets() const { return sets_; }
 
+    /** Bytes of set storage held (its capacity, not the geometry's). */
+    std::size_t
+    storageBytes() const
+    {
+        return blocks_.capacity() * sizeof(std::uint32_t);
+    }
+
+    /** Largest associativity: the valid and dirty masks are 16 bits. */
+    static constexpr int kMaxAssoc = 16;
+
     /** Largest epoch; the next reset() wraps to a full clear. */
-    static constexpr std::uint32_t kMaxEpoch = (1u << 31) - 1;
+    static constexpr std::uint32_t kMaxEpoch = ~std::uint32_t{0};
 
   private:
     friend struct CacheTestAccess; // drives the epoch to its wrap
 
-    /**
-     * One cache line (16 bytes). Validity is epoch-based: a line is
-     * present iff its epoch matches the cache's current epoch, so
-     * reset() and reconfigure() invalidate every line by bumping
-     * epoch_ in O(1) instead of clearing the array. Value-initialised
-     * lines carry epoch 0, which is never current (epoch_ starts at
-     * 1), so freshly grown storage is invalid without touching it.
-     */
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint32_t lastUse = 0; //!< useCounter_ at the last access
-        std::uint32_t state = 0;   //!< epoch << 1 | dirty
-    };
-    static_assert(sizeof(Line) == 16);
-
-    /** Whether @p line holds data in the current epoch. */
-    bool
-    valid(const Line &line) const
-    {
-        return (line.state >> 1) == epoch_;
-    }
+    /** @name Word offsets within a set's block. */
+    /** @{ */
+    static constexpr std::size_t kEpochWord = 0; //!< the set's epoch
+    static constexpr std::size_t kMaskWord = 1;  //!< valid | dirty << 16
+    static constexpr std::size_t kTagWord = 2;   //!< assoc tags, then stamps
+    /** @} */
 
     int sets_;
     int assoc_;
     int lineShift_;
-    std::vector<Line> lines_;
+    int setShift_;           //!< log2(sets_)
+    std::size_t stride_ = 0; //!< words per set block
+    std::vector<std::uint32_t> blocks_;
     std::uint32_t epoch_ = 1;
     std::uint32_t useCounter_ = 0;
     std::uint64_t accesses_ = 0;
@@ -141,14 +152,14 @@ class CacheHierarchy
      * Data access (load or store). Returns total latency in cycles and
      * accumulates energy events into @p events.
      */
-    int dataAccess(std::uint64_t addr, bool write,
+    int dataAccess(std::uint32_t addr, bool write,
                    HierarchyAccessEvents &events);
 
     /**
      * Instruction-fetch access for one I-cache line. Returns latency
      * (1 on a hit).
      */
-    int instAccess(std::uint64_t pc, HierarchyAccessEvents &events);
+    int instAccess(std::uint32_t pc, HierarchyAccessEvents &events);
 
     /** @name Component access for statistics/tests. */
     /** @{ */
@@ -156,6 +167,14 @@ class CacheHierarchy
     const Cache &dl1() const { return dl1_; }
     const Cache &l2() const { return l2_; }
     /** @} */
+
+    /** Bytes of set storage held by the three caches. */
+    std::size_t
+    storageBytes() const
+    {
+        return il1_.storageBytes() + dl1_.storageBytes() +
+               l2_.storageBytes();
+    }
 
     /** @name Latencies derived from the Cacti model. */
     /** @{ */
@@ -179,7 +198,7 @@ class CacheHierarchy
 // calls inline.
 
 inline CacheAccessResult
-Cache::access(std::uint64_t addr, bool write)
+Cache::access(std::uint32_t addr, bool write)
 {
     ++accesses_;
     // The LRU stamps are 32 bits wide; a wrap would silently reorder
@@ -187,40 +206,56 @@ Cache::access(std::uint64_t addr, bool write)
     ++useCounter_;
     ACDSE_CHECK(useCounter_ != 0,
                  "cache access counter overflowed its 32-bit LRU stamp");
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (static_cast<std::uint64_t>(
-                                               sets_) - 1);
-    const std::uint64_t tag = line_addr >> std::countr_zero(
-                                  static_cast<unsigned>(sets_));
-    Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
+    const std::uint32_t line_addr = addr >> lineShift_;
+    const std::uint32_t set =
+        line_addr & (static_cast<std::uint32_t>(sets_) - 1);
+    const std::uint32_t tag = line_addr >> setShift_;
+    std::uint32_t *blk = &blocks_[set * stride_];
+    if (blk[kEpochWord] != epoch_) {
+        blk[kEpochWord] = epoch_;
+        blk[kMaskWord] = 0;
+    }
+    const std::uint32_t valid = blk[kMaskWord] & 0xffffu;
+    std::uint32_t *tags = blk + kTagWord;
+    std::uint32_t *last_use = tags + assoc_;
 
-    Line *victim = base;
-    for (int w = 0; w < assoc_; ++w) {
-        Line &line = base[w];
-        const bool present = valid(line);
-        if (present && line.tag == tag) {
-            line.lastUse = useCounter_;
-            line.state |= write ? 1u : 0u;
-            return {true, false};
-        }
-        if (!present) {
-            victim = &line;
-        } else if (valid(*victim) && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
+    // Compare every tag without branching, then keep the valid ways.
+    std::uint32_t match = 0;
+    for (int w = 0; w < assoc_; ++w)
+        match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
+    match &= valid;
+    if (match) {
+        const int w = std::countr_zero(match);
+        last_use[w] = useCounter_;
+        blk[kMaskWord] |= (write ? 1u : 0u) << (16 + w);
+        return {true, false};
     }
 
+    // Victim: the highest-index invalid way, else the least recently
+    // used one (stamps are unique, so the minimum is).
     ++misses_;
-    const bool writeback = valid(*victim) && (victim->state & 1u);
+    const std::uint32_t all = (1u << assoc_) - 1;
+    int victim = 0;
+    if (valid != all) {
+        victim = 31 - std::countl_zero(~valid & all);
+    } else {
+        for (int w = 1; w < assoc_; ++w) {
+            if (last_use[w] < last_use[victim])
+                victim = w;
+        }
+    }
+    const std::uint32_t bit = 1u << victim;
+    const bool writeback = (blk[kMaskWord] >> 16) & bit;
     writebacks_ += writeback;
-    victim->state = (epoch_ << 1) | (write ? 1u : 0u);
-    victim->tag = tag;
-    victim->lastUse = useCounter_;
+    blk[kMaskWord] = ((blk[kMaskWord] | bit) & ~(bit << 16)) |
+                     (write ? bit << 16 : 0u);
+    tags[victim] = tag;
+    last_use[victim] = useCounter_;
     return {false, writeback};
 }
 
 inline int
-CacheHierarchy::dataAccess(std::uint64_t addr, bool write,
+CacheHierarchy::dataAccess(std::uint32_t addr, bool write,
                            HierarchyAccessEvents &events)
 {
     ++events.dl1;
@@ -242,7 +277,7 @@ CacheHierarchy::dataAccess(std::uint64_t addr, bool write,
 }
 
 inline int
-CacheHierarchy::instAccess(std::uint64_t pc, HierarchyAccessEvents &events)
+CacheHierarchy::instAccess(std::uint32_t pc, HierarchyAccessEvents &events)
 {
     ++events.il1;
     const CacheAccessResult l1 = il1_.access(pc, false);

@@ -166,7 +166,8 @@ DecodedTrace::DecodedTrace(const Trace &trace) : name_(trace.name())
         const TraceInstruction &inst = trace[i];
         Op op;
         op.pc = inst.pc;
-        op.addr = inst.addr;
+        // A branch's addr is its target, which no timing path reads.
+        op.addr = isMemClass(inst.cls) ? inst.addr : 0;
         op.srcDist1 = inst.srcDist1;
         op.srcDist2 = inst.srcDist2;
         const int latency = execLatency(inst.cls);
@@ -194,6 +195,26 @@ DecodedTrace::DecodedTrace(const Trace &trace) : name_(trace.name())
         op.flags = flags;
         ops_.push_back(op);
     }
+}
+
+std::size_t
+CoreScratch::storageBytes() const
+{
+    auto bytes = [](const auto &v) {
+        return v.capacity() * sizeof(v[0]);
+    };
+    return bytes(fetchQueue) + bytes(wakeSlots) + bytes(wheel) +
+           bytes(wheelOccupied) + bytes(ready) + bytes(wbRing) +
+           bytes(resolveRing) + bytes(resolveOccupied) + bytes(divBusy);
+}
+
+std::size_t
+SimScratch::storageBytes() const
+{
+    return sizeof(SimScratch) + core.storageBytes() +
+           (hierarchy ? hierarchy->storageBytes() : 0) +
+           (bpred ? bpred->storageBytes() : 0) +
+           (btb ? btb->storageBytes() : 0);
 }
 
 SimScratch &

@@ -78,14 +78,14 @@ class DecodedTrace
     /** @} */
 
     /**
-     * One decoded instruction (32 bytes). No timing path reads a
+     * One decoded instruction (20 bytes). No timing path reads a
      * branch target (a BTB hit depends only on the tag), so only the
      * data address of loads and stores is kept.
      */
     struct Op
     {
-        std::uint64_t pc;           //!< instruction address
-        std::uint64_t addr;         //!< data address (loads/stores)
+        std::uint32_t pc;           //!< instruction address
+        std::uint32_t addr;         //!< data address (memory ops), else 0
         std::uint32_t srcDist1;     //!< distance to first producer
         std::uint32_t srcDist2;     //!< distance to second producer
         std::uint8_t latency;       //!< execution latency (no memory)
@@ -160,6 +160,9 @@ struct CoreScratch
     /** Bit per resolveRing bucket with a resolution. */
     std::vector<std::uint64_t> resolveOccupied;
     std::vector<std::uint64_t> divBusy; //!< per-divider busy-until
+
+    /** Bytes of storage held by the vectors above (their capacity). */
+    std::size_t storageBytes() const;
 };
 
 /**
@@ -170,10 +173,12 @@ struct CoreScratch
  * It is storage, never state: results do not depend on what ran
  * through it before.
  *
- * Library code owns exactly one per thread, threadSimScratch(); a
- * second one would only add its footprint (the L2 line array alone is
- * up to 1 MiB) to the process's peak memory. The acdse-one-sim-scratch
- * lint rule keeps it that way.
+ * Every table holds the simulated machine's 32-bit addresses at that
+ * width, so a scratch that has run the largest design point holds
+ * about 750 KiB, 576 KiB of it the L2's 72-byte sets. Library code
+ * owns exactly one per thread, threadSimScratch(); a second one would
+ * only add that footprint to the process's peak memory. The
+ * acdse-one-sim-scratch lint rule keeps it that way.
  */
 struct SimScratch
 {
@@ -182,6 +187,13 @@ struct SimScratch
     std::optional<GsharePredictor> bpred;    //!< direction predictor
     std::optional<Btb> btb;                  //!< target buffer
     CoreScratch core;                        //!< pipeline storage
+
+    /**
+     * Bytes this scratch holds: its own size plus the capacity of
+     * every table it owns. Capacity only grows, so this is the
+     * footprint of the largest configuration run through it so far.
+     */
+    std::size_t storageBytes() const;
 };
 
 /**

@@ -41,7 +41,7 @@ firstOrderEstimate(const MicroarchConfig &config, const Trace &trace)
             }
         }
         const std::uint64_t il1_before = hierarchy.il1().misses();
-        hierarchy.instAccess(inst.pc & ~31ULL, events);
+        hierarchy.instAccess(inst.pc & ~31u, events);
         il1_misses += hierarchy.il1().misses() - il1_before;
     }
 

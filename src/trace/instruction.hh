@@ -50,7 +50,12 @@ producesResult(InstClass cls)
 }
 
 /**
- * One dynamic instruction.
+ * One dynamic instruction (20 bytes).
+ *
+ * The simulated machine has a 32-bit address space: the code and data
+ * regions sit well below 2^32 (TraceGenerator checks that they do), so
+ * addresses -- and every simulator table indexed or tagged by them --
+ * are 32 bits wide.
  *
  * Register dependences are encoded positionally: srcDist[k] is the
  * distance (in dynamic instructions) back to the producer of source
@@ -60,9 +65,12 @@ producesResult(InstClass cls)
  */
 struct TraceInstruction
 {
-    std::uint64_t pc;        //!< instruction address (bytes)
-    std::uint64_t addr;      //!< effective address for loads/stores
-    std::uint64_t target;    //!< branch target (valid for branches)
+    std::uint32_t pc;        //!< instruction address (bytes)
+    /**
+     * Effective address for loads and stores, the target for branches
+     * (the address of the next instruction), 0 otherwise.
+     */
+    std::uint32_t addr;
     std::uint32_t srcDist1;  //!< distance to first producer (0 = none)
     std::uint32_t srcDist2;  //!< distance to second producer (0 = none)
     InstClass cls;           //!< functional class

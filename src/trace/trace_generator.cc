@@ -40,6 +40,7 @@ struct StaticBlock
 
 constexpr std::uint64_t kCodeBase = 0x0040'0000;
 constexpr std::uint64_t kDataBase = 0x1000'0000;
+constexpr std::uint64_t kAddressSpace = std::uint64_t{1} << 32;
 constexpr int kInstBytes = 4;
 
 } // namespace
@@ -174,6 +175,12 @@ TraceGenerator::generate(std::size_t length) const
     // --- Data-memory state ----------------------------------------------
     const auto footprint = static_cast<std::uint64_t>(
         p.dataFootprintKb * 1024.0);
+    // Code ends at pc and data at kDataBase + footprint; both regions
+    // must fit the simulated machine's 32-bit address space.
+    ACDSE_CHECK(pc <= kAddressSpace && kDataBase + footprint <= kAddressSpace,
+                 "program '", p.name, "' does not fit a 32-bit address "
+                 "space (code ends at ", pc, ", data at ",
+                 kDataBase + footprint, ")");
     const auto hot_bytes = static_cast<std::uint64_t>(std::min(
         p.hotRegionKb * 1024.0, p.dataFootprintKb * 1024.0));
     const int num_streams = std::max(1, p.numStreams);
@@ -223,8 +230,8 @@ TraceGenerator::generate(std::size_t length) const
         // Body instructions (all but the final branch).
         for (int k = 0; k + 1 < b.size && insts.size() < length; ++k) {
             TraceInstruction inst{};
-            inst.pc = b.startPc + static_cast<std::uint64_t>(k) *
-                                      kInstBytes;
+            inst.pc = static_cast<std::uint32_t>(
+                b.startPc + static_cast<std::uint64_t>(k) * kInstBytes);
             inst.cls = mix_classes[rng.nextDiscrete(mix)];
             const std::size_t emitted = insts.size();
             if (!rng.nextBool(p.independentFraction)) {
@@ -244,7 +251,7 @@ TraceGenerator::generate(std::size_t length) const
                         irregular = true;
                     }
                 }
-                inst.addr = next_addr(irregular);
+                inst.addr = static_cast<std::uint32_t>(next_addr(irregular));
                 if (inst.cls == InstClass::Load)
                     last_load = emitted + 1;
             }
@@ -257,8 +264,8 @@ TraceGenerator::generate(std::size_t length) const
         const std::uint32_t visit = visit_counts[cur]++;
         const bool budget_spent = visit >= visit_budget[cur];
         TraceInstruction br{};
-        br.pc = b.startPc +
-                static_cast<std::uint64_t>(b.size - 1) * kInstBytes;
+        br.pc = static_cast<std::uint32_t>(
+            b.startPc + static_cast<std::uint64_t>(b.size - 1) * kInstBytes);
         br.cls = InstClass::Branch;
         br.conditional = b.kind != BranchKind::Unconditional;
         switch (budget_spent && b.kind != BranchKind::Unconditional
@@ -288,7 +295,7 @@ TraceGenerator::generate(std::size_t length) const
         if (br.conditional && rng.nextBool(0.3))
             br.srcDist1 = dep_dist(insts.size());
         const std::uint32_t next = br.taken ? b.takenBlock : b.fallBlock;
-        br.target = blocks[next].startPc;
+        br.addr = static_cast<std::uint32_t>(blocks[next].startPc);
         insts.push_back(br);
         cur = next;
     }

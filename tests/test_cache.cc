@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/design_space.hh"
+#include "arch/parameter.hh"
 #include "base/rng.hh"
 #include "sim/cache.hh"
 
@@ -164,6 +167,206 @@ TEST(Cache, EpochWrapClearsEveryLine)
     for (std::uint64_t a = 0; a < kLarge; a += 32)
         EXPECT_FALSE(cache.access(a, false).hit) << a;
     EXPECT_EQ(cache.writebacks(), 0u);
+}
+
+/**
+ * Reference model: a true-LRU write-back cache kept as one recency
+ * list per set, most recent first. Nothing about it is shared with
+ * Cache -- no epochs, no way indices, no packed masks -- so it pins
+ * only the observable behaviour: which accesses hit, which misses
+ * write a dirty victim back, and the counts.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(int sizeBytes, int assoc, int lineBytes)
+        : assoc_(static_cast<std::size_t>(assoc)),
+          lineBytes_(static_cast<std::uint64_t>(lineBytes)),
+          sets_(static_cast<std::size_t>(sizeBytes / (assoc * lineBytes)))
+    {
+    }
+
+    CacheAccessResult
+    access(std::uint32_t addr, bool write)
+    {
+        ++accesses;
+        const std::uint64_t line = addr / lineBytes_;
+        std::vector<Entry> &set = sets_[line % sets_.size()];
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            if (set[i].line == line) {
+                Entry hit = set[i];
+                hit.dirty = hit.dirty || write;
+                set.erase(set.begin() + static_cast<std::ptrdiff_t>(i));
+                set.insert(set.begin(), hit);
+                return {true, false};
+            }
+        }
+        ++misses;
+        bool writeback = false;
+        if (set.size() == assoc_) {
+            writeback = set.back().dirty;
+            set.pop_back();
+        }
+        writebacks += writeback;
+        set.insert(set.begin(), Entry{line, write});
+        return {false, writeback};
+    }
+
+    bool
+    probe(std::uint32_t addr) const
+    {
+        const std::uint64_t line = addr / lineBytes_;
+        for (const Entry &e : sets_[line % sets_.size()]) {
+            if (e.line == line)
+                return true;
+        }
+        return false;
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Entry
+    {
+        std::uint64_t line;
+        bool dirty;
+    };
+
+    std::size_t assoc_;
+    std::uint64_t lineBytes_;
+    std::vector<std::vector<Entry>> sets_;
+};
+
+/** One cache shape: capacity, associativity, line size. */
+struct Geometry
+{
+    int bytes, assoc, lineBytes;
+};
+
+/** Every IL1, DL1 and L2 geometry of the design space. */
+std::vector<Geometry>
+designSpaceGeometries()
+{
+    const FixedParams &fp = fixedParams();
+    std::vector<Geometry> shapes;
+    for (const int kb : paramSpec(Param::Il1Size).values)
+        shapes.push_back({kb * 1024, fp.il1Assoc, fp.l1LineBytes});
+    for (const int kb : paramSpec(Param::Dl1Size).values)
+        shapes.push_back({kb * 1024, fp.dl1Assoc, fp.l1LineBytes});
+    for (const int kb : paramSpec(Param::L2Size).values)
+        shapes.push_back({kb * 1024, fp.l2Assoc, fp.l2LineBytes});
+    return shapes;
+}
+
+/** A random start for a window of four times @p shape's capacity. */
+std::uint64_t
+randomWindow(const Geometry &shape, Rng &rng)
+{
+    return rng.nextBounded((std::uint64_t{1} << 32) -
+                           4 * static_cast<std::uint64_t>(shape.bytes));
+}
+
+/**
+ * Drive @p cache and a fresh reference of @p shape through the same
+ * random stream of @p count reads and writes, comparing every access,
+ * a probe of another address before each one, and the counts. The
+ * addresses fall in the window of four times the capacity at @p base:
+ * about half spread over it, half on the lines of four sets (4 x assoc
+ * tags each, so those sets fill, evict and write back), and a few
+ * anywhere in the 32-bit space.
+ */
+void
+expectMatchesReference(Cache &cache, const Geometry &shape, Rng &rng,
+                       std::uint64_t base, int count)
+{
+    ReferenceCache ref(shape.bytes, shape.assoc, shape.lineBytes);
+    const auto bytes = static_cast<std::uint64_t>(shape.bytes);
+    const auto way_bytes = bytes / static_cast<std::uint64_t>(shape.assoc);
+    const auto line = static_cast<std::uint64_t>(shape.lineBytes);
+    auto next = [&] {
+        const double roll = rng.nextDouble();
+        std::uint64_t addr = 0;
+        if (roll < 0.45) {
+            addr = base + rng.nextBounded(4 * bytes);
+        } else if (roll < 0.95) {
+            addr = base +
+                   rng.nextBounded(4 * static_cast<std::uint64_t>(
+                                           shape.assoc)) * way_bytes +
+                   rng.nextBounded(4) * line + rng.nextBounded(line);
+        } else {
+            addr = rng.next();
+        }
+        return static_cast<std::uint32_t>(addr);
+    };
+    for (int i = 0; i < count; ++i) {
+        SCOPED_TRACE(::testing::Message() << "access " << i);
+        const std::uint32_t probed = next();
+        ASSERT_EQ(cache.probe(probed), ref.probe(probed));
+        const std::uint32_t addr = next();
+        const bool write = rng.nextBool(0.3);
+        const CacheAccessResult got = cache.access(addr, write);
+        const CacheAccessResult want = ref.access(addr, write);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.writebackDirty, want.writebackDirty);
+    }
+    EXPECT_EQ(cache.accesses(), ref.accesses);
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.writebacks(), ref.writebacks);
+}
+
+TEST(CacheOracle, EveryDesignSpaceGeometryMatchesTrueLru)
+{
+    Rng rng(2024);
+    for (const Geometry &shape : designSpaceGeometries()) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.bytes << " B, " << shape.assoc << "-way");
+        Cache cache(shape.bytes, shape.assoc, shape.lineBytes);
+        expectMatchesReference(cache, shape, rng,
+                               randomWindow(shape, rng), 20000);
+    }
+}
+
+TEST(CacheOracle, ReconfigureWalkAndResetMatchTrueLru)
+{
+    // One recycled cache re-shaped large -> small -> large, across
+    // associativities (which move every set's header), and reset()
+    // between two streams over the same addresses on each shape: each
+    // must behave as a fresh cache would.
+    const std::vector<Geometry> walk = {
+        {4096 * 1024, 8, 64}, {8 * 1024, 2, 32},   {128 * 1024, 4, 32},
+        {256 * 1024, 8, 64},  {4096 * 1024, 8, 64}, {16 * 1024, 4, 32},
+        {8 * 1024, 2, 32},    {2048 * 1024, 8, 64}, {128 * 1024, 2, 32},
+    };
+    Rng rng(99);
+    Cache cache(walk[0].bytes, walk[0].assoc, walk[0].lineBytes);
+    for (std::size_t step = 0; step < walk.size(); ++step) {
+        const Geometry &shape = walk[step];
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        cache.reconfigure(shape.bytes, shape.assoc, shape.lineBytes);
+        const std::uint64_t base = randomWindow(shape, rng);
+        expectMatchesReference(cache, shape, rng, base, 12000);
+        cache.reset();
+        expectMatchesReference(cache, shape, rng, base, 4000);
+    }
+}
+
+TEST(Cache, NewAssociativityForgetsEveryLine)
+{
+    // A 1-way set is 4 words (epoch, masks, tag, stamp), a 2-way set
+    // 6. Lay out old words so that, were they kept, 2-way set 1 would
+    // read as current and valid: its header falls on 1-way set 1's tag
+    // (6, the epoch after the re-shape) and stamp (1: way 0 valid),
+    // its first tag on 1-way set 2's epoch (5).
+    Cache cache(128, 1, 32); // 4 sets
+    CacheTestAccess::setEpoch(cache, 5);
+    cache.access((6 * 4 + 1) * 32, false); // set 1, tag 6, stamp 1
+    cache.access((0 * 4 + 2) * 32, false); // set 2, tag 0
+    cache.reconfigure(256, 2, 32);         // 4 sets again, epoch 6
+    const std::uint32_t decoy = (5 * 4 + 1) * 32; // set 1, tag 5
+    EXPECT_FALSE(cache.probe(decoy));
+    EXPECT_FALSE(cache.access(decoy, false).hit);
 }
 
 /**

@@ -113,7 +113,6 @@ expectSameTrace(const Trace &a, const Trace &b)
         SCOPED_TRACE(::testing::Message() << "instruction " << i);
         EXPECT_EQ(a[i].pc, b[i].pc);
         EXPECT_EQ(a[i].addr, b[i].addr);
-        EXPECT_EQ(a[i].target, b[i].target);
         EXPECT_EQ(a[i].srcDist1, b[i].srcDist1);
         EXPECT_EQ(a[i].srcDist2, b[i].srcDist2);
         EXPECT_EQ(a[i].cls, b[i].cls);

@@ -17,6 +17,10 @@ namespace acdse
 namespace
 {
 
+// Two 32-bit addresses, two producer distances and four one-byte
+// fields: the stream every simulation replays.
+static_assert(sizeof(DecodedTrace::Op) == 20);
+
 Trace
 makeTrace(const std::string &name, std::size_t length = 6000)
 {
@@ -143,7 +147,7 @@ TEST(OooCore, HardBranchesCostCycles)
                 inst.cls = InstClass::Branch;
                 inst.conditional = true;
                 inst.taken = random ? rng.nextBool(0.5) : true;
-                inst.target = 0x400000 + 4 * ((i + 1) % 512);
+                inst.addr = 0x400000 + 4 * ((i + 1) % 512);
             } else {
                 inst.cls = InstClass::IntAlu;
             }

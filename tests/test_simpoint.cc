@@ -24,13 +24,13 @@ twoPhaseTrace(std::size_t length)
     for (std::size_t i = 0; i < length; ++i) {
         TraceInstruction inst{};
         const bool phase_b = i >= length / 2;
-        const std::uint64_t base = phase_b ? 0x500000 : 0x400000;
+        const std::uint32_t base = phase_b ? 0x500000 : 0x400000;
         inst.pc = base + 4 * (i % 16);
         if (i % 16 == 15) {
             inst.cls = InstClass::Branch;
             inst.conditional = true;
             inst.taken = true;
-            inst.target = base;
+            inst.addr = base;
         } else {
             inst.cls = phase_b ? InstClass::FpAlu : InstClass::IntAlu;
         }

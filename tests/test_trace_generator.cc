@@ -16,6 +16,10 @@ namespace acdse
 namespace
 {
 
+// The simulated machine's addresses are 32 bits wide; an instruction
+// is two addresses, two producer distances and three one-byte fields.
+static_assert(sizeof(TraceInstruction) == 20);
+
 Trace
 makeTrace(const std::string &name, std::size_t length = 12000)
 {
@@ -161,7 +165,7 @@ TEST(TraceGenerator, BranchTargetsAreRealBlockStarts)
     const Trace t = makeTrace("twolf", 6000);
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
         if (t[i].cls == InstClass::Branch && t[i].taken) {
-            EXPECT_EQ(t[i + 1].pc, t[i].target);
+            EXPECT_EQ(t[i + 1].pc, t[i].addr);
         }
     }
 }
@@ -206,6 +210,15 @@ INSTANTIATE_TEST_SUITE_P(Suites, AllProgramsGenerate,
 TEST(TraceGeneratorDeathTest, UnknownProgramIsFatal)
 {
     EXPECT_DEATH(profileByName("does-not-exist"), "unknown benchmark");
+}
+
+TEST(TraceGeneratorDeathTest, DataRegionBeyond32BitsIsFatal)
+{
+    // Data starts at 0x10000000, so a 4 GiB footprint ends past 2^32.
+    ProgramProfile profile = profileByName("gzip");
+    profile.dataFootprintKb = 4.0 * 1024 * 1024;
+    const TraceGenerator generator(profile);
+    EXPECT_DEATH(generator.generate(100), "32-bit address space");
 }
 
 } // namespace

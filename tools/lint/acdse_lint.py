@@ -74,10 +74,10 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          or heap). Library code simulates on one
                          scratch per thread, threadSimScratch(); every
                          extra one adds its caches and pipeline
-                         storage (the L2 line array alone is up to
-                         1 MiB) to the process's peak memory. Take a
-                         SimScratch & from threadSimScratch() instead.
-                         Tests and benches are exempt.
+                         storage (about 750 KiB after the largest
+                         design point) to the process's peak memory.
+                         Take a SimScratch & from threadSimScratch()
+                         instead. Tests and benches are exempt.
 
   acdse-obs-span-in-hot-loop
                          obs::TraceSpan construction inside a
