@@ -41,8 +41,8 @@
 
 #include "arch/design_space.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "obs/stats_export.hh"
 #include "sim/batch.hh"
 #include "sim/cacti.hh"
@@ -112,14 +112,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
 
 /** Time @p passes runs of @p sweep over @p points and return points/s. */
 template <typename Sweep>
@@ -192,9 +184,9 @@ int
 main()
 {
     const std::size_t num_configs =
-        envSize("ACDSE_CAMPAIGN_BENCH_CONFIGS", 64);
+        bench::envSize("ACDSE_CAMPAIGN_BENCH_CONFIGS", 64);
     const std::size_t trace_length =
-        envSize("ACDSE_CAMPAIGN_BENCH_TRACE", 6000);
+        bench::envSize("ACDSE_CAMPAIGN_BENCH_TRACE", 6000);
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before =
         obs::Registry::global().snapshot();
@@ -263,12 +255,8 @@ main()
                     ? 100.0 * static_cast<double>(memo.hits) / memo_total
                     : 0.0);
 
-    const std::string json_out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_campaign.json");
-    }();
+    const std::string json_out =
+        bench::benchJsonPath("BENCH_campaign.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -1,7 +1,10 @@
 /**
  * @file
  * Shared plumbing for the figure/table reproduction binaries: the
- * standard campaign (disk-cached), repeat counts, and uniform headers.
+ * standard campaign (disk-cached), repeat counts, and uniform headers;
+ * and for the throughput benches: environment-sized knobs, the
+ * ACDSE_BENCH_JSON output path and a synthetic metric that trains
+ * models without simulating.
  *
  * Each binary regenerates one table or figure of the paper; see
  * DESIGN.md Section 4 for the full experiment index and EXPERIMENTS.md
@@ -10,11 +13,13 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "arch/microarch_config.hh"
 #include "base/parse.hh"
 #include "core/campaign.hh"
 #include "trace/suites.hh"
@@ -73,6 +78,41 @@ banner(const char *experiment, const char *description)
                 kPaperT, kPaperR, repeats());
     std::printf("================================================="
                 "=============\n\n");
+}
+
+/**
+ * The value of environment variable @p name as a size (garbage is
+ * fatal), or @p fallback when it is unset or empty.
+ */
+inline std::size_t
+envSize(const char *name, std::size_t fallback)
+{
+    if (const char *value = std::getenv(name); value && *value)
+        return static_cast<std::size_t>(parseU64OrDie(name, value));
+    return fallback;
+}
+
+/** Where a bench writes its JSON: ACDSE_BENCH_JSON, else @p fallback. */
+inline std::string
+benchJsonPath(const char *fallback)
+{
+    if (const char *value = std::getenv("ACDSE_BENCH_JSON");
+        value && *value)
+        return value;
+    return fallback;
+}
+
+/**
+ * A smooth positive analytic "program" over the design space: lets a
+ * bench train and fit ensembles without any simulation.
+ */
+inline double
+syntheticMetric(const MicroarchConfig &config, double wide, double mem)
+{
+    return 1000.0 + wide * 4000.0 / config.width() +
+           mem * 60000.0 /
+               std::sqrt(static_cast<double>(config.l2Bytes() / 1024)) +
+           20000.0 / std::sqrt(static_cast<double>(config.robSize()));
 }
 
 /** Seed for repeat @p r (fixed base so every run is reproducible). */

@@ -34,8 +34,8 @@
 
 #include "arch/design_space.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "explore/explorer.hh"
 #include "obs/stats_export.hh"
 
@@ -43,14 +43,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
 
 /** A cycles-like objective: wide, large machines run faster. */
 double
@@ -162,7 +154,7 @@ int
 main()
 {
     const std::size_t num_models =
-        envSize("ACDSE_EXPLORE_BENCH_MODELS", 4);
+        bench::envSize("ACDSE_EXPLORE_BENCH_MODELS", 4);
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before = obs::Registry::global().snapshot();
 
@@ -228,12 +220,8 @@ main()
                 "bit-identical\n",
                 hw);
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_explore.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_explore.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

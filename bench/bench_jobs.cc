@@ -23,21 +23,13 @@
 
 #include "base/journal.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
+#include "bench/bench_common.hh"
 #include "jobs/job_queue.hh"
 
 using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -52,9 +44,10 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main()
 {
-    const std::size_t appends = envSize("ACDSE_JOBS_BENCH_APPENDS",
-                                        20000);
-    const std::size_t numJobs = envSize("ACDSE_JOBS_BENCH_JOBS", 512);
+    const std::size_t appends =
+        bench::envSize("ACDSE_JOBS_BENCH_APPENDS", 20000);
+    const std::size_t numJobs =
+        bench::envSize("ACDSE_JOBS_BENCH_JOBS", 512);
 
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "acdse_bench_jobs";
@@ -118,12 +111,8 @@ main()
                 "under flock)\n",
                 claimsPerS);
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_jobs.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_jobs.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -33,8 +33,8 @@
 
 #include "arch/design_space.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "core/architecture_centric_predictor.hh"
 #include "obs/stats_export.hh"
 
@@ -42,24 +42,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
-
-/** A smooth positive analytic "program" over the design space. */
-double
-syntheticMetric(const MicroarchConfig &config, double wide, double mem)
-{
-    return 1000.0 + wide * 4000.0 / config.width() +
-           mem * 60000.0 /
-               std::sqrt(static_cast<double>(config.l2Bytes() / 1024)) +
-           20000.0 / std::sqrt(static_cast<double>(config.robSize()));
-}
 
 /** Build one fitted ensemble without any simulation. */
 ArchitectureCentricPredictor
@@ -79,14 +61,16 @@ syntheticPredictor(std::size_t num_models)
         sets[j].name = name;
         sets[j].configs = train;
         for (const auto &config : train)
-            sets[j].values.push_back(syntheticMetric(config, wide, mem));
+            sets[j].values.push_back(
+                bench::syntheticMetric(config, wide, mem));
     }
     ArchitectureCentricPredictor predictor;
     predictor.trainOffline(sets);
 
     std::vector<double> response_values;
     for (const auto &config : responses)
-        response_values.push_back(syntheticMetric(config, 1.0, 1.0));
+        response_values.push_back(
+            bench::syntheticMetric(config, 1.0, 1.0));
     predictor.fitResponses(responses, response_values);
     return predictor;
 }
@@ -160,7 +144,7 @@ int
 main()
 {
     const std::size_t num_models =
-        envSize("ACDSE_PREDICT_BENCH_MODELS", 8);
+        bench::envSize("ACDSE_PREDICT_BENCH_MODELS", 8);
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before =
         obs::Registry::global().snapshot();
@@ -198,12 +182,8 @@ main()
     std::printf("%-18zu  %12.0f  %12.0f  %7.2fx\n", hw, scalar_tmax,
                 batch_tmax, speedup_tmax);
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_predict_batch.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_predict_batch.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -40,7 +40,7 @@
 
 #include "arch/design_space.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
+#include "bench/bench_common.hh"
 #include "obs/stats_export.hh"
 #include "serve/prediction_service.hh"
 
@@ -48,24 +48,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
-
-/** A smooth positive analytic "program" over the design space. */
-double
-syntheticMetric(const MicroarchConfig &config, double wide, double mem)
-{
-    return 1000.0 + wide * 4000.0 / config.width() +
-           mem * 60000.0 /
-               std::sqrt(static_cast<double>(config.l2Bytes() / 1024)) +
-           20000.0 / std::sqrt(static_cast<double>(config.robSize()));
-}
 
 /** Build a trained two-metric artifact without any simulation. */
 ModelArtifact
@@ -91,14 +73,14 @@ syntheticArtifact(std::size_t num_models, double scale)
             sets[j].configs = train;
             for (const auto &config : train)
                 sets[j].values.push_back(
-                    syntheticMetric(config, wide, mem));
+                    bench::syntheticMetric(config, wide, mem));
         }
         ArchitectureCentricPredictor predictor;
         predictor.trainOffline(sets);
         std::vector<double> response_values;
         for (const auto &config : responses)
             response_values.push_back(
-                syntheticMetric(config, scale, 1.0));
+                bench::syntheticMetric(config, scale, 1.0));
         predictor.fitResponses(responses, response_values);
         artifact.add(static_cast<Metric>(m), std::move(predictor));
     }
@@ -158,11 +140,11 @@ int
 main()
 {
     const std::size_t num_models =
-        envSize("ACDSE_SERVE_BENCH_MODELS", 8);
-    const std::size_t soakMs = envSize("ACDSE_SERVE_SOAK_MS", 2000);
+        bench::envSize("ACDSE_SERVE_BENCH_MODELS", 8);
+    const std::size_t soakMs = bench::envSize("ACDSE_SERVE_SOAK_MS", 2000);
     const std::size_t producers =
-        envSize("ACDSE_SERVE_SOAK_PRODUCERS", 2);
-    const std::size_t swaps = envSize("ACDSE_SERVE_SOAK_SWAPS", 4);
+        bench::envSize("ACDSE_SERVE_SOAK_PRODUCERS", 2);
+    const std::size_t swaps = bench::envSize("ACDSE_SERVE_SOAK_SWAPS", 4);
 
     std::printf("building synthetic artifacts (%zu-ANN ensembles)...\n",
                 num_models);
@@ -236,12 +218,8 @@ main()
                 static_cast<unsigned long long>(
                     service.currentVersion()));
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_serve_latency.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_serve_latency.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -30,7 +30,7 @@
 
 #include "arch/design_space.hh"
 #include "base/json.hh"
-#include "base/parse.hh"
+#include "bench/bench_common.hh"
 #include "obs/stats_export.hh"
 #include "serve/prediction_service.hh"
 
@@ -38,24 +38,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
-
-/** A smooth positive analytic "program" over the design space. */
-double
-syntheticMetric(const MicroarchConfig &config, double wide, double mem)
-{
-    return 1000.0 + wide * 4000.0 / config.width() +
-           mem * 60000.0 /
-               std::sqrt(static_cast<double>(config.l2Bytes() / 1024)) +
-           20000.0 / std::sqrt(static_cast<double>(config.robSize()));
-}
 
 /** Build a trained artifact without any simulation. */
 ModelArtifact
@@ -80,14 +62,14 @@ syntheticArtifact(std::size_t num_metrics, std::size_t num_models)
             sets[j].configs = train;
             for (const auto &config : train)
                 sets[j].values.push_back(
-                    syntheticMetric(config, wide, mem));
+                    bench::syntheticMetric(config, wide, mem));
         }
         ArchitectureCentricPredictor predictor;
         predictor.trainOffline(sets);
         std::vector<double> response_values;
         for (const auto &config : responses)
             response_values.push_back(
-                syntheticMetric(config, 1.0, 1.0));
+                bench::syntheticMetric(config, 1.0, 1.0));
         predictor.fitResponses(responses, response_values);
         artifact.add(static_cast<Metric>(m), std::move(predictor));
     }
@@ -141,9 +123,10 @@ int
 main()
 {
     const std::size_t num_metrics =
-        std::min<std::size_t>(envSize("ACDSE_SERVE_BENCH_METRICS", 4),
-                              kNumMetrics);
-    const std::size_t num_models = envSize("ACDSE_SERVE_BENCH_MODELS", 8);
+        std::min<std::size_t>(
+            bench::envSize("ACDSE_SERVE_BENCH_METRICS", 4), kNumMetrics);
+    const std::size_t num_models =
+        bench::envSize("ACDSE_SERVE_BENCH_MODELS", 8);
 
     std::printf("building synthetic artifact (%zu metrics x %zu-ANN "
                 "ensembles)...\n",
@@ -186,12 +169,8 @@ main()
         std::printf("\n");
     }
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_serve.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_serve.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "base/json.hh"
-#include "base/parse.hh"
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "core/evaluation.hh"
 #include "ml/matrix.hh"
 #include "obs/stats_export.hh"
@@ -42,14 +42,6 @@ using namespace acdse;
 
 namespace
 {
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    if (const char *value = std::getenv(name); value && *value)
-        return static_cast<std::size_t>(parseU64OrDie(name, value));
-    return fallback;
-}
 
 double
 seconds(std::chrono::steady_clock::time_point start)
@@ -159,7 +151,7 @@ main()
 {
     const std::size_t max_threads = ThreadPool::defaultThreads();
     const std::size_t hw = std::thread::hardware_concurrency();
-    const std::size_t reps = envSize("ACDSE_BENCH_REPEATS", 3);
+    const std::size_t reps = bench::envSize("ACDSE_BENCH_REPEATS", 3);
 
     const std::vector<std::string> programs{
         "crc32", "sha",   "adpcm",    "stringsearch",
@@ -220,12 +212,8 @@ main()
     std::printf("dense matmul (256x64 multiply+gram): %.1f iters/s\n",
                 matmul);
 
-    const std::string out = [] {
-        if (const char *value = std::getenv("ACDSE_BENCH_JSON");
-            value && *value)
-            return std::string(value);
-        return std::string("BENCH_train.json");
-    }();
+    const std::string out =
+        bench::benchJsonPath("BENCH_train.json");
     JsonWriter json;
     json.beginObject()
         .key("schema").value("acdse-bench-v1")

@@ -96,20 +96,23 @@ chunkBroadcast(double v)
 }
 
 /**
- * Transpose one block of @p kLanes row-major points (point l starts at
+ * Transpose @p count (1..kLanes) row-major points (point l starts at
  * rows + l * d) into a feature-major block: soa[i * kLanes + l] =
- * feature i of point l. Pure data movement -- done once per block and
- * shared by every consumer of the block (e.g. each member of an
- * ensemble), instead of each of them re-gathering the same strided
- * rows.
+ * feature i of point l. Lanes past @p count repeat the last point, so
+ * a tail block runs the same kernels on real data and callers keep
+ * only the first @p count results. Pure data movement -- done once
+ * per block and shared by every consumer of the block (e.g. each
+ * member of an ensemble).
  */
 inline void
-transposeBlock(const double *__restrict rows, std::size_t d,
-               double *__restrict soa)
+transposeBlock(const double *__restrict rows, std::size_t count,
+               std::size_t d, double *__restrict soa)
 {
-    for (std::size_t l = 0; l < kLanes; ++l)
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        const double *row = rows + (l < count ? l : count - 1) * d;
         for (std::size_t i = 0; i < d; ++i)
-            soa[i * kLanes + l] = rows[l * d + i];
+            soa[i * kLanes + l] = row[i];
+    }
 }
 
 } // namespace acdse::simd

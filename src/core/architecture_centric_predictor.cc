@@ -1,5 +1,7 @@
 #include "core/architecture_centric_predictor.hh"
 
+#include <algorithm>
+
 #include "base/binary_io.hh"
 #include "base/check.hh"
 #include "base/logging.hh"
@@ -146,37 +148,14 @@ ArchitectureCentricPredictor::predictBatchFromFeatures(
     const double *features, std::size_t count, double *out,
     BatchPredictScratch &scratch) const
 {
-    ACDSE_DCHECK(ready(), "predict before training/responses");
-    const std::size_t m = programModels_.size();
-    const std::size_t d = featureDim();
-    // Transpose each full block to feature-major once and run the
-    // block entry point on it; remainder points run each model's
-    // ordinary batch path (the scalar path on a sub-block count) into
-    // a model-major slab for one regressor pass. Per-point arithmetic
-    // is identical either way, so out[] is bit-identical to the scalar
-    // predict at any count.
-    const std::size_t full = count - count % simd::kLanes;
-    scratch.soa.resize(d * simd::kLanes);
-    for (std::size_t base = 0; base < full; base += simd::kLanes) {
-        simd::transposeBlock(features + base * d, d, scratch.soa.data());
-        predictBlockSoaFromFeatures(scratch.soa.data(), out + base,
-                                    scratch);
-    }
-    if (full < count) {
-        const std::size_t rem = count - full;
-        scratch.ensemble.resize(m * rem);
-        for (std::size_t j = 0; j < m; ++j) {
-            programModels_[j]->predictBatchFromFeatures(
-                features + full * d, rem,
-                scratch.ensemble.data() + j * rem, scratch.mlp);
-        }
-        regressor_.predictSoa(scratch.ensemble.data(), rem, out + full);
-    }
+    const ArchitectureCentricPredictor *self = this;
+    predictRows({&self, 1}, features, count, out, scratch);
 }
 
 void
 ArchitectureCentricPredictor::predictBlockSoaFromFeatures(
-    const double *soa, double *out, BatchPredictScratch &scratch) const
+    const double *soa, std::size_t count, double *out,
+    BatchPredictScratch &scratch) const
 {
     ACDSE_DCHECK(ready(), "predict before training/responses");
     const std::size_t m = programModels_.size();
@@ -184,13 +163,38 @@ ArchitectureCentricPredictor::predictBlockSoaFromFeatures(
     // Every member model consumes the shared feature-major block
     // directly; the model-major outputs are exactly a feature-major
     // block for the regressor, combined lane-wise in the same
-    // ascending-model order as the scalar predict.
+    // ascending-model order as the scalar predict. Lanes past count
+    // hold stale outputs, which the regressor combines harmlessly.
     for (std::size_t j = 0; j < m; ++j) {
         programModels_[j]->predictBlockSoaFromFeatures(
-            soa, scratch.ensemble.data() + j * simd::kLanes,
+            soa, count, scratch.ensemble.data() + j * simd::kLanes,
             scratch.mlp);
     }
     regressor_.predictSoa(scratch.ensemble.data(), simd::kLanes, out);
+}
+
+void
+predictRows(std::span<const ArchitectureCentricPredictor *const> predictors,
+            const double *rows, std::size_t count, double *out,
+            BatchPredictScratch &scratch)
+{
+    if (predictors.empty())
+        return;
+    constexpr std::size_t lanes = simd::kLanes;
+    const std::size_t d = predictors.front()->featureDim();
+    for (const ArchitectureCentricPredictor *predictor : predictors)
+        ACDSE_DCHECK(predictor->featureDim() == d, "mixed feature widths");
+    scratch.soa.resize(d * lanes);
+    double block[lanes];
+    for (std::size_t base = 0; base < count; base += lanes) {
+        const std::size_t n = std::min(lanes, count - base);
+        simd::transposeBlock(rows + base * d, n, d, scratch.soa.data());
+        for (std::size_t k = 0; k < predictors.size(); ++k) {
+            predictors[k]->predictBlockSoaFromFeatures(
+                scratch.soa.data(), n, block, scratch);
+            std::copy_n(block, n, out + k * count + base);
+        }
+    }
 }
 
 void

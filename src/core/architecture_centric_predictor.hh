@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,11 +58,11 @@ struct PredictScratch
 };
 
 /**
- * Reusable buffers for
- * ArchitectureCentricPredictor::predictBatchFromFeatures. Grows to
- * O(ensemble size x batch count); callers stream fixed-size blocks
- * (the evaluator scores 256-point blocks, the service predicts one
- * worker chunk at a time) so the footprint stays cache-sized.
+ * Reusable buffers for predictRows() and
+ * ArchitectureCentricPredictor::predictBatchFromFeatures. Holds one
+ * block's worth of state (ensemble size x simd::kLanes), whatever the
+ * batch count, so one instance per scoring thread keeps the batch hot
+ * path free of heap allocations after the first call.
  */
 struct BatchPredictScratch
 {
@@ -126,28 +127,13 @@ class ArchitectureCentricPredictor
     /**
      * Predict @p count design points at once: point c occupies
      * features[c * featureDim() .. (c+1) * featureDim()) row-major and
-     * its prediction lands in out[c]. Each simd::kLanes-wide block is
-     * transposed to feature-major once and every ensemble ANN runs its
-     * vectorised block kernel on that shared layout, then the fitted
-     * linear combination folds the model-major outputs lane-wise
-     * (LinearRegression::predictSoa). out[c] is bit-identical to
-     * predictFromFeatures on point c at any count and thread count.
+     * its prediction lands in out[c]. The one-predictor case of
+     * predictRows(), so out[c] is bit-identical to predictFromFeatures
+     * on point c at any count and thread count.
      */
     void predictBatchFromFeatures(const double *features,
                                   std::size_t count, double *out,
                                   BatchPredictScratch &scratch) const;
-
-    /**
-     * Predict one full simd::kLanes-wide block already transposed to
-     * feature-major layout (soa[f * kLanes + lane]); out receives
-     * kLanes predictions, bit-identical to predictFromFeatures per
-     * lane. This is the engine-facing entry point: a caller scoring
-     * several metrics of the same points -- the exploration engine
-     * runs one ensemble per metric -- transposes each block once and
-     * hands the shared layout to every ensemble.
-     */
-    void predictBlockSoaFromFeatures(const double *soa, double *out,
-                                     BatchPredictScratch &scratch) const;
 
     /**
      * Error of the fit on its own responses (the "training error" of
@@ -195,6 +181,19 @@ class ArchitectureCentricPredictor
     void load(BinaryReader &r);
 
   private:
+    friend void predictRows(
+        std::span<const ArchitectureCentricPredictor *const> predictors,
+        const double *rows, std::size_t count, double *out,
+        BatchPredictScratch &scratch);
+
+    /**
+     * predictRows()'s kernel: predictions for the first @p count lanes
+     * of one SoA block; all kLanes lanes of @p out are written.
+     */
+    void predictBlockSoaFromFeatures(const double *soa, std::size_t count,
+                                     double *out,
+                                     BatchPredictScratch &scratch) const;
+
     ArchCentricOptions options_;
     std::vector<std::string> programNames_;
     std::vector<std::shared_ptr<const ProgramSpecificPredictor>>
@@ -204,6 +203,22 @@ class ArchitectureCentricPredictor
     bool offlineTrained_ = false;
     bool responsesFitted_ = false;
 };
+
+/**
+ * The one batch scorer: predict @p count design points, row-major in
+ * @p rows (featureDim() doubles each, the same for every predictor),
+ * with every predictor; predictors[k]'s prediction for point i lands
+ * in out[k * count + i], and nothing past out[predictors.size() *
+ * count] is written. Each simd::kLanes block, a short tail padded with
+ * copies of its last row (simd::transposeBlock), is transposed once
+ * for all the predictors, and out[k * count + i] is bit-identical to
+ * predictors[k]->predictFromFeatures on point i. Allocation-free on a
+ * warm @p scratch.
+ */
+void predictRows(
+    std::span<const ArchitectureCentricPredictor *const> predictors,
+    const double *rows, std::size_t count, double *out,
+    BatchPredictScratch &scratch);
 
 } // namespace acdse
 

@@ -87,12 +87,13 @@ ProgramSpecificPredictor::predictBatchFromFeatures(
 
 void
 ProgramSpecificPredictor::predictBlockSoaFromFeatures(
-    const double *soa, double *out, MlpBatchScratch &scratch) const
+    const double *soa, std::size_t count, double *out,
+    MlpBatchScratch &scratch) const
 {
     ACDSE_DCHECK(trained(), "predict before train");
-    mlp_.predictBlockSoa(soa, out, scratch);
+    mlp_.predictBlockSoa(soa, count, out, scratch);
     if (options_.logTarget) {
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
+        for (std::size_t l = 0; l < count; ++l)
             out[l] = std::exp(out[l]);
     }
 }

@@ -77,13 +77,14 @@ class ProgramSpecificPredictor
                                   MlpBatchScratch &scratch) const;
 
     /**
-     * Predict one full simd::kLanes-wide block already transposed to
-     * feature-major layout (see Mlp::predictBlockSoa); out receives
-     * kLanes predictions, bit-identical to predictFromFeatures per
-     * lane. The ensemble transposes each block once and hands it to
-     * every member through this entry point.
+     * Predict the first @p count lanes of one simd::kLanes-wide block
+     * already transposed to feature-major layout (see
+     * Mlp::predictBlockSoa) into out[0 .. count), bit-identical to
+     * predictFromFeatures per lane. The ensemble transposes each block
+     * once and hands it to every member through this entry point.
      */
-    void predictBlockSoaFromFeatures(const double *soa, double *out,
+    void predictBlockSoaFromFeatures(const double *soa, std::size_t count,
+                                     double *out,
                                      MlpBatchScratch &scratch) const;
 
     /** Whether train() has been called. */

@@ -7,7 +7,6 @@
 #include "base/check.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "base/simd.hh"
 #include "base/thread_pool.hh"
 #include "obs/trace_span.hh"
 
@@ -175,37 +174,6 @@ struct TileReduction
     TileGenerator::TileStats stats;
 };
 
-/**
- * Score one tile's feature rows with every ensemble. Full SIMD blocks
- * are transposed to feature-major once and shared across all metric
- * ensembles; the remainder runs each ensemble's ordinary batch path.
- */
-void
-predictTile(std::span<const MetricEnsemble> ensembles,
-            const std::vector<double> &features, std::size_t count,
-            std::vector<std::vector<double>> &outs,
-            std::vector<BatchPredictScratch> &scratch,
-            std::vector<double> &soa)
-{
-    const std::size_t full = count - count % simd::kLanes;
-    soa.resize(kNumParams * simd::kLanes);
-    for (std::size_t base = 0; base < full; base += simd::kLanes) {
-        simd::transposeBlock(features.data() + base * kNumParams,
-                             kNumParams, soa.data());
-        for (std::size_t k = 0; k < ensembles.size(); ++k) {
-            ensembles[k].predictor->predictBlockSoaFromFeatures(
-                soa.data(), outs[k].data() + base, scratch[k]);
-        }
-    }
-    if (full < count) {
-        for (std::size_t k = 0; k < ensembles.size(); ++k) {
-            ensembles[k].predictor->predictBatchFromFeatures(
-                features.data() + full * kNumParams, count - full,
-                outs[k].data() + full, scratch[k]);
-        }
-    }
-}
-
 } // namespace
 
 ExploreResult
@@ -223,6 +191,9 @@ explore(std::span<const MetricEnsemble> ensembles,
                     " features, the design space has ", kNumParams);
     }
     const std::size_t m = ensembles.size();
+    std::vector<const ArchitectureCentricPredictor *> predictors(m);
+    for (std::size_t k = 0; k < m; ++k)
+        predictors[k] = ensembles[k].predictor;
     std::size_t pareto_x = m, pareto_y = m;
     for (std::size_t k = 0; k < m; ++k) {
         if (ensembles[k].metric == options.paretoX)
@@ -279,19 +250,18 @@ explore(std::span<const MetricEnsemble> ensembles,
         reduction->stats = generator.generate(tile, values, features);
         const std::size_t n = values.size();
 
-        std::vector<std::vector<double>> outs(m, std::vector<double>(n));
-        std::vector<BatchPredictScratch> scratch(m);
-        std::vector<double> soa;
-        if (n > 0)
-            predictTile(ensembles, features, n, outs, scratch, soa);
+        // Metric k's prediction for point i lands in outs[k * n + i].
+        std::vector<double> outs(m * n);
+        BatchPredictScratch scratch;
+        predictRows(predictors, features.data(), n, outs.data(), scratch);
 
         for (std::size_t i = 0; i < n; ++i) {
-            reduction->front.add(values[i], outs[pareto_x][i],
-                                 outs[pareto_y][i]);
+            reduction->front.add(values[i], outs[pareto_x * n + i],
+                                 outs[pareto_y * n + i]);
         }
         for (std::size_t k = 0; k < m; ++k) {
             for (std::size_t i = 0; i < n; ++i)
-                reduction->topk[k].add(values[i], outs[k][i]);
+                reduction->topk[k].add(values[i], outs[k * n + i]);
         }
 
         generated_ctr.add(reduction->stats.generated);

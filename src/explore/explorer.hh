@@ -9,10 +9,10 @@
  * points -- deterministic enumeration of a (reduced) grid, or seeded
  * uniform sampling of the full space -- with the validity rules fused
  * into production so invalid points are never materialised. Each tile
- * is packed into the SIMD feature-block layout, pushed through every
- * requested metric ensemble with one shared transpose per block
- * (ArchitectureCentricPredictor::predictBlockSoaFromFeatures), and
- * folded into streaming reducers: an exact cycles-vs-energy Pareto
+ * is scored by the one batch scorer, predictRows(), which transposes
+ * each SIMD block of points (the tail padded to a full block) once
+ * and hands it to every requested metric ensemble. The predictions
+ * fold into streaming reducers: an exact cycles-vs-energy Pareto
  * frontier and a bounded top-k per metric. Tiles run in parallel on
  * the shared ThreadPool; per-tile RNG derivation and index-ordered
  * merges keep the result bit-identical at any thread count.

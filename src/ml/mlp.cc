@@ -1,8 +1,10 @@
 #include "ml/mlp.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "base/binary_io.hh"
 #include "base/check.hh"
@@ -149,7 +151,11 @@ namespace
 // analysis), accumulating in local chunk variables so the accumulators
 // live in registers across the whole dot product. Each chunk op is
 // element-wise IEEE arithmetic -- the same operations, in the same
-// order, as forwardScaled performs per point.
+// order, as forwardScaled performs per point. It computes the first kC
+// chunks of the block: a tail block skips the chunks that hold only
+// padding, so a one-point tail costs about one scalar forward pass,
+// not a full block.
+template <std::size_t kC>
 void
 forwardBlockKernel(const double *__restrict hidden_weights,
                    const double *__restrict output_weights,
@@ -157,7 +163,6 @@ forwardBlockKernel(const double *__restrict hidden_weights,
                    const double *__restrict block, double *__restrict out)
 {
     using simd::Chunk;
-    constexpr std::size_t kC = simd::kChunks;
     constexpr std::size_t kW = simd::kChunkLanes;
     Chunk o[kC];
     const Chunk ob = simd::chunkBroadcast(output_weights[h]);
@@ -185,30 +190,44 @@ forwardBlockKernel(const double *__restrict hidden_weights,
         simd::chunkStore(out + c * kW, o[c]);
 }
 
+/** forwardBlockKernel<c> at index c - 1, for c = 1..kChunks. */
+template <std::size_t... C>
+constexpr auto
+blockKernels(std::index_sequence<C...>)
+{
+    return std::array{&forwardBlockKernel<C + 1>...};
+}
+
 } // namespace
 
-void
-Mlp::forwardBlock(const double *__restrict block,
+std::size_t
+Mlp::forwardBlock(const double *__restrict block, std::size_t count,
                   double *__restrict out) const
 {
     // One point per lane: lane l's operation sequence is exactly
     // forwardScaled on point l -- bias, then features in ascending
     // order, activation, then output terms in ascending neuron order
     // -- so each lane reproduces the scalar result bit for bit.
-    forwardBlockKernel(hiddenWeights_.data(), outputWeights_.data(),
-                       static_cast<std::size_t>(options_.hiddenNeurons),
-                       inputDim_, block, out);
+    static constexpr auto kKernels =
+        blockKernels(std::make_index_sequence<simd::kChunks>{});
+    const std::size_t chunks =
+        (count + simd::kChunkLanes - 1) / simd::kChunkLanes;
+    kKernels[chunks - 1](hiddenWeights_.data(), outputWeights_.data(),
+                         static_cast<std::size_t>(options_.hiddenNeurons),
+                         inputDim_, block, out);
+    return chunks * simd::kChunkLanes;
 }
 
 void
-Mlp::predictBlockSoa(const double *soa, double *out,
+Mlp::predictBlockSoa(const double *soa, std::size_t count, double *out,
                      MlpBatchScratch &scratch) const
 {
     ACDSE_DCHECK(trained_, "predict before train");
+    ACDSE_DCHECK(count >= 1 && count <= simd::kLanes, "bad lane count");
     scratch.block.resize(inputDim_ * simd::kLanes);
     inputScaler_.transformBlock(soa, scratch.block.data());
-    forwardBlock(scratch.block.data(), out);
-    targetScaler_.unscaleBatch(out, simd::kLanes);
+    targetScaler_.unscaleBatch(
+        out, forwardBlock(scratch.block.data(), count, out));
 }
 
 void
@@ -218,18 +237,15 @@ Mlp::predictBatch(const double *xs, std::size_t count, double *out,
     ACDSE_CHECK(trained_, "predict before train");
     constexpr std::size_t lanes = simd::kLanes;
     const std::size_t d = inputDim_;
-    const std::size_t full = count - count % lanes;
-
+    // A short tail is padded to a full block; only its real lanes
+    // are kept.
     scratch.soa.resize(d * lanes);
-    for (std::size_t base = 0; base < full; base += lanes) {
-        simd::transposeBlock(xs + base * d, d, scratch.soa.data());
-        predictBlockSoa(scratch.soa.data(), out + base, scratch);
-    }
-    // Remainder lanes take the scalar path -- the same arithmetic, so
-    // the batch is uniform regardless of where the block edge falls.
-    for (std::size_t c = full; c < count; ++c) {
-        scratch.point.assign(xs + c * d, xs + (c + 1) * d);
-        out[c] = predict(scratch.point, scratch.scaled);
+    double block[lanes];
+    for (std::size_t base = 0; base < count; base += lanes) {
+        const std::size_t n = std::min(lanes, count - base);
+        simd::transposeBlock(xs + base * d, n, d, scratch.soa.data());
+        predictBlockSoa(scratch.soa.data(), n, block, scratch);
+        std::copy_n(block, n, out + base);
     }
 }
 

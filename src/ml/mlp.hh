@@ -6,7 +6,9 @@
  * linear output, trained with stochastic back-propagation. This is the
  * program-specific predictor of Ipek et al. that the architecture-
  * centric model both builds on (as its offline per-program models) and
- * compares against (Fig. 13).
+ * compares against (Fig. 13). predictBatch() runs simd::kLanes points
+ * per lane-parallel block, a short tail padded with copies of its last
+ * point, bit-identical to predict().
  */
 
 #pragma once
@@ -42,8 +44,6 @@ struct MlpBatchScratch
 {
     std::vector<double> block; //!< feature-major scaled SoA block
     std::vector<double> soa;   //!< feature-major raw transposed block
-    std::vector<double> point; //!< remainder-path feature-row copy
-    std::vector<double> scaled; //!< remainder-path scaled input
 };
 
 /**
@@ -82,28 +82,32 @@ class Mlp
     /**
      * Predict @p count samples at once: point c occupies
      * xs[c * inputDim() .. (c+1) * inputDim()) row-major, and its
-     * prediction lands in out[c]. Full simd::kLanes-wide blocks run
+     * prediction lands in out[c]. Every simd::kLanes-wide block runs
      * through the vectorised lane kernels (one amortised scaler
-     * transform per block, batched activations); remainder points take
-     * the scalar predict() path. Every lane performs the scalar path's
-     * exact operation sequence, so out[c] == predict(point c) bit for
-     * bit at any batch size -- enforced by tests/test_batch_predict.cc.
+     * transform per block, batched activations); a short tail block is
+     * padded with copies of its last point (simd::transposeBlock) and
+     * only its real lanes are written. Every lane performs the scalar
+     * path's exact operation sequence, so out[c] == predict(point c)
+     * bit for bit at any batch size -- enforced by
+     * tests/test_batch_predict.cc.
      * Thread-safe on a trained network, like predict().
      */
     void predictBatch(const double *xs, std::size_t count, double *out,
                       MlpBatchScratch &scratch) const;
 
     /**
-     * Predict one full block of simd::kLanes points already transposed
-     * to feature-major layout (soa[i * kLanes + l] = raw feature i of
-     * point l, see simd::transposeBlock); out receives kLanes
-     * predictions. This is the ensemble hot path: the caller
-     * transposes each block once and every member model consumes it
-     * directly, instead of each model re-gathering the same strided
-     * rows. Bit-identical to predict() per lane, like predictBatch.
+     * Predict one block of simd::kLanes points already transposed to
+     * feature-major layout (soa[i * kLanes + l] = raw feature i of
+     * point l, see simd::transposeBlock) whose first @p count
+     * (1..kLanes) lanes are real; out[0 .. count) receives their
+     * predictions and the other lanes of out are unspecified. This is
+     * the ensemble hot path: the caller transposes each block once and
+     * every member model consumes it directly, instead of each model
+     * re-gathering the same strided rows. Bit-identical to predict()
+     * per lane, like predictBatch.
      */
-    void predictBlockSoa(const double *soa, double *out,
-                         MlpBatchScratch &scratch) const;
+    void predictBlockSoa(const double *soa, std::size_t count,
+                         double *out, MlpBatchScratch &scratch) const;
 
     /** Whether train() has been called. */
     bool trained() const { return trained_; }
@@ -135,11 +139,13 @@ class Mlp
     /**
      * Forward pass on one simd::kLanes-wide feature-major block of
      * already-scaled inputs; writes the (still target-scaled) network
-     * outputs for all lanes to @p out. The buffers must not overlap
-     * (__restrict: lets the lane loops vectorise).
+     * outputs to @p out for the whole chunks that cover the first
+     * @p count lanes and returns how many lanes that is. The buffers
+     * must not overlap (__restrict: lets the lane loops vectorise).
      */
-    void forwardBlock(const double *__restrict block,
-                      double *__restrict out) const;
+    std::size_t forwardBlock(const double *__restrict block,
+                             std::size_t count,
+                             double *__restrict out) const;
 
     /** One full SGD run on scaled data at the given learning rate. */
     void trainScaled(const std::vector<std::vector<double>> &xz,

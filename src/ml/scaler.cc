@@ -64,21 +64,6 @@ StandardScaler::transformInto(const std::vector<double> &x,
 }
 
 void
-StandardScaler::transformBatch(const double *__restrict xs,
-                               std::size_t lanes,
-                               double *__restrict zs) const
-{
-    const std::size_t d = means_.size();
-    for (std::size_t i = 0; i < d; ++i) {
-        const double mean = means_[i];
-        const double inv = invScales_[i];
-        double *z = zs + i * lanes;
-        for (std::size_t l = 0; l < lanes; ++l)
-            z[l] = (xs[l * d + i] - mean) * inv;
-    }
-}
-
-void
 StandardScaler::transformBlock(const double *__restrict xs,
                                double *__restrict zs) const
 {

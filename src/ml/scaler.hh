@@ -33,26 +33,13 @@ class StandardScaler
                        std::vector<double> &out) const;
 
     /**
-     * Transform @p lanes row-major points (point l starts at
-     * xs + l * dims()) into a feature-major block:
-     * zs[i * lanes + l] = scaled feature i of point l. One mean/scale
-     * load serves the whole block -- the amortisation the batched
-     * predict kernels are built on -- and the per-element arithmetic
-     * is identical to transformInto, so each lane is bit-identical to
-     * the scalar transform of that point. @p xs and @p zs must not
-     * overlap (__restrict: lets the lane loop vectorise).
-     */
-    void transformBatch(const double *__restrict xs, std::size_t lanes,
-                        double *__restrict zs) const;
-
-    /**
      * Transform one already-transposed feature-major block of
      * simd::kLanes points: zs[i * kLanes + l] = scaled feature i of
-     * point l, from xs in the same layout. The per-element arithmetic
-     * is identical to transformInto -- this is transformBatch with the
-     * strided gather hoisted out (see simd::transposeBlock), so an
-     * ensemble transposes each block once instead of per model. @p xs
-     * and @p zs must not overlap.
+     * point l, from xs in the same layout (see simd::transposeBlock).
+     * One mean/scale load serves the whole block, and the per-element
+     * arithmetic is identical to transformInto, so each lane is
+     * bit-identical to the scalar transform of that point. @p xs and
+     * @p zs must not overlap.
      */
     void transformBlock(const double *__restrict xs,
                         double *__restrict zs) const;

@@ -8,7 +8,6 @@
 #include "base/check.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
-#include "base/simd.hh"
 #include "obs/stats_export.hh"
 #include "obs/trace_span.hh"
 
@@ -27,6 +26,48 @@ constexpr int kDrainSpinPolls = 256;
 
 /** Bounded park interval; a lost wake-up costs at most this. */
 constexpr std::uint64_t kDrainParkNs = 1'000'000; // 1 ms
+
+/** Buffers for scoreQueries(), reused across one call's groups. */
+struct ScoreScratch
+{
+    std::vector<double> features; //!< row-major query features
+    std::vector<double> out;      //!< metric-major predictions
+    BatchPredictScratch batch;
+};
+
+/**
+ * Predict every metric of @p artifact for @p n queries in one
+ * predictRows() pass, which transposes each SIMD block (a short tail
+ * padded) once for all metrics: row(i) receives query(i)'s values,
+ * NaN for metrics the artifact lacks. Bit-identical to the scalar
+ * per-point predict.
+ */
+template <typename QueryAt, typename RowAt>
+void
+scoreQueries(const ModelArtifact &artifact, std::size_t n,
+             QueryAt &&query, RowAt &&row, ScoreScratch &scratch)
+{
+    scratch.features.resize(n * kNumParams);
+    for (std::size_t i = 0; i < n; ++i) {
+        query(i).featuresInto(&scratch.features[i * kNumParams]);
+        row(i).values.fill(std::numeric_limits<double>::quiet_NaN());
+    }
+    // An artifact holds at most one entry per metric.
+    const auto &entries = artifact.entries();
+    std::array<const ArchitectureCentricPredictor *, kNumMetrics>
+        predictors{};
+    for (std::size_t k = 0; k < entries.size(); ++k)
+        predictors[k] = &entries[k].predictor;
+    scratch.out.resize(entries.size() * n);
+    predictRows({predictors.data(), entries.size()},
+                scratch.features.data(), n, scratch.out.data(),
+                scratch.batch);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        const auto metric = static_cast<std::size_t>(entries[k].metric);
+        for (std::size_t i = 0; i < n; ++i)
+            row(i).values[metric] = scratch.out[k * n + i];
+    }
+}
 
 } // namespace
 
@@ -177,27 +218,14 @@ PredictionService::computeRange(
     std::vector<PredictionRow> &rows, std::size_t begin,
     std::size_t end) const
 {
-    // Assemble the chunk's feature matrix once (row-major, one row per
-    // query) and run each metric's ensemble through its vectorised
-    // batch kernel over the whole chunk, then scatter the contiguous
-    // per-metric outputs into the rows. Bit-identical to the former
-    // per-point predictFromFeatures loop at any chunk/thread count.
-    const std::size_t n = end - begin;
-    std::vector<double> features(n * kNumParams);
-    std::vector<double> out(n);
-    BatchPredictScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-        queries[begin + i].featuresInto(&features[i * kNumParams]);
-        rows[begin + i].values.fill(
-            std::numeric_limits<double>::quiet_NaN());
-    }
-    for (const auto &entry : artifact.entries()) {
-        entry.predictor.predictBatchFromFeatures(features.data(), n,
-                                                 out.data(), scratch);
-        const auto metric = static_cast<std::size_t>(entry.metric);
-        for (std::size_t i = 0; i < n; ++i)
-            rows[begin + i].values[metric] = out[i];
-    }
+    ScoreScratch scratch;
+    scoreQueries(
+        artifact, end - begin,
+        [&](std::size_t i) -> const MicroarchConfig & {
+            return queries[begin + i];
+        },
+        [&](std::size_t i) -> PredictionRow & { return rows[begin + i]; },
+        scratch);
 }
 
 std::vector<PredictionRow>
@@ -239,12 +267,6 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
 
     recordBatch(queries.size(), obs::nowNs() - start);
     return rows;
-}
-
-PredictionRow
-PredictionService::predictOne(const MicroarchConfig &query)
-{
-    return predict({query}).front();
 }
 
 SubmitStatus
@@ -372,11 +394,7 @@ PredictionService::serveDrained(ServeRequest *requests,
                          return requests[a].tenant < requests[b].tenant;
                      });
 
-    std::vector<double> features;
-    std::vector<std::vector<double>> outs;
-    std::vector<double> soa(kNumParams * simd::kLanes);
-    BatchPredictScratch scratch;
-
+    ScoreScratch scratch;
     std::size_t groupBegin = 0;
     while (groupBegin < count) {
         const TenantId tenant = requests[order[groupBegin]].tenant;
@@ -386,85 +404,61 @@ PredictionService::serveDrained(ServeRequest *requests,
             ++groupEnd;
         const std::size_t n = groupEnd - groupBegin;
         const ServedModel *served = table->modelFor(tenant);
+        const auto request = [&](std::size_t i) -> const ServeRequest & {
+            return requests[order[groupBegin + i]];
+        };
 
-        if (served == nullptr) {
-            // Registered tenant, nothing published yet: answer NaN
-            // rows stamped version 0 rather than failing the request.
-            for (std::size_t g = groupBegin; g < groupEnd; ++g) {
-                const ServeRequest &req = requests[order[g]];
-                req.batch->rows_[req.index].values.fill(
-                    std::numeric_limits<double>::quiet_NaN());
-                req.batch->versions_[req.index] = 0;
-            }
-        } else {
-            features.resize(n * kNumParams);
-            for (std::size_t i = 0; i < n; ++i) {
-                const ServeRequest &req =
-                    requests[order[groupBegin + i]];
-                req.config.featuresInto(&features[i * kNumParams]);
-                req.batch->rows_[req.index].values.fill(
-                    std::numeric_limits<double>::quiet_NaN());
-                req.batch->versions_[req.index] = served->version;
-            }
-            // Full SIMD blocks transpose to feature-major once,
-            // shared across every metric's block kernel; the
-            // remainder takes the ordinary batch path. Bit-identical
-            // to predict() (the explorer uses the same tiling).
-            const auto &entries = served->artifact.entries();
-            outs.resize(entries.size());
-            for (auto &metricOut : outs)
-                metricOut.resize(n);
-            const std::size_t full = n - n % simd::kLanes;
-            for (std::size_t base = 0; base < full;
-                 base += simd::kLanes) {
-                simd::transposeBlock(features.data() +
-                                         base * kNumParams,
-                                     kNumParams, soa.data());
-                for (std::size_t k = 0; k < entries.size(); ++k) {
-                    entries[k].predictor.predictBlockSoaFromFeatures(
-                        soa.data(), outs[k].data() + base, scratch);
-                }
-            }
-            if (full < n) {
-                for (std::size_t k = 0; k < entries.size(); ++k) {
-                    entries[k].predictor.predictBatchFromFeatures(
-                        features.data() + full * kNumParams, n - full,
-                        outs[k].data() + full, scratch);
-                }
-            }
-            for (std::size_t k = 0; k < entries.size(); ++k) {
-                const auto metric =
-                    static_cast<std::size_t>(entries[k].metric);
-                for (std::size_t i = 0; i < n; ++i) {
-                    const ServeRequest &req =
-                        requests[order[groupBegin + i]];
-                    req.batch->rows_[req.index].values[metric] =
-                        outs[k][i];
-                }
-            }
+        const auto row = [&](std::size_t i) -> PredictionRow & {
+            return request(i).batch->rows_[request(i).index];
+        };
+
+        // The whole group in one pass, a short group as one padded
+        // block; bit-identical to predict(). A registered tenant with
+        // nothing published yet gets NaN rows stamped version 0 rather
+        // than a failed request.
+        if (served != nullptr) {
+            scoreQueries(
+                served->artifact, n,
+                [&](std::size_t i) -> const MicroarchConfig & {
+                    return request(i).config;
+                },
+                row, scratch);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (served == nullptr)
+                row(i).values.fill(std::numeric_limits<double>::quiet_NaN());
+            request(i).batch->versions_[request(i).index] =
+                served != nullptr ? served->version : 0;
         }
 
         tenantCounter(tenant).add(n);
         groupBegin = groupEnd;
     }
 
-    // Complete every request: the release decrement publishes the row
-    // and version to the producer's acquire in AsyncBatch::wait().
     for (std::size_t i = 0; i < count; ++i) {
-        const ServeRequest &req = requests[i];
-        const std::uint64_t latency = obs::nowNs() - req.enqueuedNs;
+        const std::uint64_t latency =
+            obs::nowNs() - requests[i].enqueuedNs;
         requestLatencyNs_.record(latency);
         latencyReservoir_.record(latency);
-        if (req.batch->pending_.fetch_sub(
-                1, std::memory_order_release) == 1)
-            req.batch->pending_.notify_all();
     }
-
     pointsServed_.add(count);
     // The drain ran entirely on this thread but interleaves with
     // popInto bookkeeping; record the stage directly (no TraceSpan in
     // the drain loop).
     drainStage_.record(obs::nowNs() - start, 0);
+    // Dump before completing, so no dump covering a producer's
+    // requests is still writing the stats file once its wait()
+    // returns.
+    maybeDumpStats();
+
+    // Complete every request: the release decrement publishes the row
+    // and version to the producer's acquire in AsyncBatch::wait().
+    for (std::size_t i = 0; i < count; ++i) {
+        const ServeRequest &req = requests[i];
+        if (req.batch->pending_.fetch_sub(
+                1, std::memory_order_release) == 1)
+            req.batch->pending_.notify_all();
+    }
 }
 
 void
@@ -476,9 +470,16 @@ PredictionService::recordBatch(std::size_t points,
     batchStage_.record(elapsedNs, 0);
     pointsServed_.add(points);
     batchPoints_.record(points);
+    maybeDumpStats();
+}
+
+void
+PredictionService::maybeDumpStats() const
+{
+    const std::uint64_t served =
+        batchStage_.spans().value() + drainStage_.spans().value();
     if (options_.statsEveryBatches != 0 &&
-        !options_.statsPath.empty() &&
-        batchStage_.spans().value() % options_.statsEveryBatches == 0)
+        served % options_.statsEveryBatches == 0)
         dumpStats();
 }
 
@@ -506,6 +507,7 @@ PredictionService::dumpStats() const
 {
     if (options_.statsPath.empty())
         return;
+    MutexLock lock(statsMutex_);
     obs::writeStatsFile(options_.statsPath, registry_.snapshot());
 }
 

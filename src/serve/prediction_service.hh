@@ -18,12 +18,14 @@
  *
  *  - submit()/AsyncBatch: the ingest path for many concurrent
  *    producers. Each request travels a bounded lock-free MPSC ring
- *    (serve/ring_buffer.hh) to a dedicated drainer thread that forms
- *    SIMD-sized batches and runs the vectorised block kernels
- *    (predictBlockSoaFromFeatures) -- bit-identical to predict() on
- *    the same model. A full ring fails submit() with
- *    SubmitStatus::QueueFull immediately (typed load-shedding, never
- *    unbounded queueing), counted under serve/shed.
+ *    (serve/ring_buffer.hh) to a dedicated drainer thread that groups
+ *    the drained requests by tenant. Both paths score through the one
+ *    batch scorer, predictRows(): each SIMD block, a short group's
+ *    padded tail included, is transposed once for all metrics, so
+ *    results are bit-identical to per-point prediction. A full ring
+ *    fails submit() with SubmitStatus::QueueFull immediately (typed
+ *    load-shedding, never unbounded queueing), counted under
+ *    serve/shed.
  *
  * Hot swap: models live in a ModelRegistry (serve/model_table.hh).
  * publish() atomically replaces a tenant's model; batches in flight
@@ -111,7 +113,7 @@ struct ServeOptions
      */
     std::string statsPath;
 
-    /** Periodic dump cadence in batches; 0 disables periodic dumps. */
+    /** Dump cadence in predict() batches + drains; 0 disables it. */
     std::size_t statsEveryBatches = 0;
 
     /** Defaults with any ACDSE_SERVE_* environment overrides applied. */
@@ -311,9 +313,6 @@ class PredictionService
         const std::vector<MicroarchConfig> &queries)
         ACDSE_EXCLUDES(batchMutex_);
 
-    /** Predict a single point (counts as a batch of one). */
-    PredictionRow predictOne(const MicroarchConfig &query);
-
     /**
      * Enqueue one query on the async ingest path. On Accepted the
      * result lands in @p batch at row index batch.submitted()-1 once
@@ -372,6 +371,9 @@ class PredictionService
     /** Fold one finished batch into the registry. */
     void recordBatch(std::size_t points, std::uint64_t elapsedNs);
 
+    /** dumpStats() every options.statsEveryBatches batches + drains. */
+    void maybeDumpStats() const;
+
     /** The drainer thread: pop, batch, predict, complete, repeat. */
     void drainLoop();
 
@@ -387,6 +389,10 @@ class PredictionService
 
     // Serialises public predict() callers.
     Mutex batchMutex_;
+
+    // Serialises stats dumps: the drainer and predict() callers may
+    // dump at once, through the same temporary file.
+    mutable Mutex statsMutex_;
 
     // Serving metrics: a private registry (declared before the
     // references into it) so per-service stats stay isolated from the

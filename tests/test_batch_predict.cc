@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "arch/design_space.hh"
@@ -104,8 +105,10 @@ TEST(BatchDeterminism, ScalerBatchMatchesScalar)
         for (std::size_t i = 0; i < d; ++i)
             rows[l * d + i] = samples[l][i];
     }
+    std::vector<double> soa(d * lanes);
+    simd::transposeBlock(rows.data(), lanes, d, soa.data());
     std::vector<double> block(d * lanes);
-    scaler.transformBatch(rows.data(), lanes, block.data());
+    scaler.transformBlock(soa.data(), block.data());
 
     std::vector<double> scalar;
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -318,6 +321,94 @@ TEST(BatchDeterminism, ConcurrentBatchedPredictIsExact)
 
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(concurrent[i], serial[i]) << "point " << i;
+}
+
+/** Counts that straddle every tail shape, plus two large odd ones. */
+std::vector<std::size_t>
+rowCounts()
+{
+    std::vector<std::size_t> counts;
+    for (std::size_t count = 0; count <= 17; ++count)
+        counts.push_back(count);
+    counts.push_back(2047);
+    counts.push_back(2049);
+    return counts;
+}
+
+/**
+ * predictRows over @p predictors must equal each predictor's scalar
+ * predictFromFeatures on every row, and write nothing past
+ * out[predictors.size() * count].
+ */
+void
+expectRowsMatchScalar(
+    const std::vector<const ArchitectureCentricPredictor *> &predictors,
+    const std::vector<double> &rows, std::size_t count,
+    BatchPredictScratch &scratch)
+{
+    constexpr double kSentinel = -12345.0;
+    const std::size_t p = predictors.size();
+    std::vector<double> out(p * count + 1,
+                            std::numeric_limits<double>::quiet_NaN());
+    out[p * count] = kSentinel;
+    predictRows(predictors, rows.data(), count, out.data(), scratch);
+    EXPECT_EQ(out[p * count], kSentinel)
+        << p << " predictors, count " << count;
+
+    PredictScratch scalar_scratch;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::vector<double> features(
+            rows.begin() + static_cast<std::ptrdiff_t>(i * kNumParams),
+            rows.begin() +
+                static_cast<std::ptrdiff_t>((i + 1) * kNumParams));
+        for (std::size_t k = 0; k < p; ++k) {
+            EXPECT_EQ(out[k * count + i],
+                      predictors[k]->predictFromFeatures(features,
+                                                         scalar_scratch))
+                << p << " predictors, count " << count << ", predictor "
+                << k << ", row " << i;
+        }
+    }
+}
+
+TEST(BatchDeterminism, PredictRowsMatchesScalarAtEveryTail)
+{
+    std::vector<ArchitectureCentricPredictor> ensembles;
+    for (std::size_t k = 0; k < 4; ++k)
+        ensembles.push_back(
+            fittedEnsemble(2 + k, 0.4 * static_cast<double>(k)));
+    const auto rows = featureRows(DesignSpace::sampleValidConfigs(2049, 83));
+
+    BatchPredictScratch scratch;
+    for (std::size_t p = 1; p <= ensembles.size(); ++p) {
+        std::vector<const ArchitectureCentricPredictor *> predictors;
+        for (std::size_t k = 0; k < p; ++k)
+            predictors.push_back(&ensembles[k]);
+        for (std::size_t count : rowCounts())
+            expectRowsMatchScalar(predictors, rows, count, scratch);
+    }
+}
+
+TEST(BatchDeterminism, PredictRowsPadsAnOffRangeTailExactly)
+{
+    // The last real row of every tail lies far outside the training
+    // range, so its hidden pre-activations leave the fastTanh table
+    // and the padded lanes, copies of that row, take the chunk's
+    // scalar fallback together with it.
+    const ArchitectureCentricPredictor near = fittedEnsemble(3, 0.2);
+    const ArchitectureCentricPredictor far = fittedEnsemble(2, 1.1);
+    const std::vector<const ArchitectureCentricPredictor *> predictors{
+        &near, &far};
+    const auto base = featureRows(DesignSpace::sampleValidConfigs(17, 91));
+
+    BatchPredictScratch scratch;
+    for (std::size_t count = 1; count <= 17; ++count) {
+        std::vector<double> rows = base;
+        double *last = &rows[(count - 1) * kNumParams];
+        for (std::size_t f = 0; f < kNumParams; ++f)
+            last[f] = (f % 2 ? -1.0e6 : 1.0e6) * (last[f] + 1.0);
+        expectRowsMatchScalar(predictors, rows, count, scratch);
+    }
 }
 
 } // namespace

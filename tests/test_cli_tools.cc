@@ -223,6 +223,37 @@ TEST(CliServe, ServesQueriesAndWritesStats)
         1.0);
 }
 
+TEST(CliServe, AsyncStatsReportTheDrains)
+{
+    const fs::path dir = freshDir("acdse_cli_serve_async");
+    const RunResult trained =
+        run(dir, trainCmd("--out model.acdse"));
+    ASSERT_EQ(trained.exitCode, 0) << trained.output;
+    {
+        std::ofstream queries(dir / "queries.csv");
+        for (int i = 0; i < 20; ++i)
+            queries << "4,96,32,24,80,8,4,16,4,16,32,32,2048\n";
+    }
+    // --max-queue routes every batch through the ingest ring, so the
+    // work is done by drains, not predict() batches.
+    const RunResult served = run(
+        dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_SERVE +
+                 " --model model.acdse --input queries.csv --batch 5"
+                 " --max-queue 64 --stats > out.csv");
+    ASSERT_EQ(served.exitCode, 0) << served.output;
+    const std::string prefix = "stats: ";
+    const std::size_t at = served.output.find(prefix);
+    ASSERT_NE(at, std::string::npos) << served.output;
+    std::istringstream line(served.output.substr(at + prefix.size()));
+    unsigned long long drains = 0;
+    std::string unit;
+    line >> drains >> unit;
+    EXPECT_EQ(unit, "drains,") << served.output;
+    EXPECT_GT(drains, 0u) << served.output;
+    EXPECT_NE(served.output.find("20 points"), std::string::npos)
+        << served.output;
+}
+
 TEST(CliServe, RejectsUnknownFlagAndMissingModel)
 {
     const fs::path dir = freshDir("acdse_cli_serve_badflag");

@@ -86,7 +86,7 @@ TEST(PredictionService, AbsentMetricsAreNaN)
     options.threads = 1;
     PredictionService service(std::move(artifact), options);
     const PredictionRow row =
-        service.predictOne(DesignSpace::baseline());
+        service.predict({DesignSpace::baseline()}).front();
     EXPECT_FALSE(std::isnan(row.get(Metric::Cycles)));
     EXPECT_TRUE(std::isnan(row.get(Metric::Energy)));
     EXPECT_TRUE(std::isnan(row.get(Metric::Ed)));
@@ -178,7 +178,7 @@ TEST(PredictionService, CountersAddUp)
     const auto queries = DesignSpace::sampleValidConfigs(100, 5);
     service.predict(queries);
     service.predict(queries);
-    service.predictOne(DesignSpace::baseline());
+    service.predict({DesignSpace::baseline()});
 
     // The counters are registry-backed (src/obs): the serve/batch
     // stage counts predict() batches, serve/points the points served.
@@ -220,7 +220,7 @@ TEST(PredictionService, FromFileServesSavedArtifact)
         PredictionService::fromFile(path, options);
     std::remove(path.c_str());
     const MicroarchConfig probe = DesignSpace::baseline();
-    EXPECT_EQ(service.predictOne(probe).get(Metric::Cycles),
+    EXPECT_EQ(service.predict({probe}).front().get(Metric::Cycles),
               artifact.predictor(Metric::Cycles).predict(probe));
 }
 
@@ -315,6 +315,26 @@ TEST(PredictionService, QueueFullShedsTyped)
         EXPECT_EQ(batch.rows()[i].get(Metric::Cycles),
                   service.model()->artifact.predictor(Metric::Cycles)
                       .predict(queries[i]));
+}
+
+TEST(PredictionService, DrainsCountTowardPeriodicStatsDumps)
+{
+    const std::filesystem::path stats =
+        testdir::uniqueTempDir("acdse_service_drain_stats") /
+        "stats.json";
+    ServeOptions options;
+    options.threads = 1;
+    options.startDrainer = false;
+    options.statsPath = stats.string();
+    options.statsEveryBatches = 1;
+    PredictionService service(twoMetricArtifact(), options);
+
+    AsyncBatch batch(1);
+    ASSERT_EQ(service.submit(batch, DesignSpace::baseline()),
+              SubmitStatus::Accepted);
+    EXPECT_FALSE(std::filesystem::exists(stats));
+    EXPECT_EQ(service.drainOnce(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(stats));
 }
 
 TEST(PredictionService, TenantsRouteToTheirOwnModels)

@@ -426,20 +426,23 @@ main(int argc, char **argv)
         flush();
 
         if (cli.printStats) {
-            // serve/batch span durations are exact ns (count, sum,
-            // min, max); only their bucket edges are log-scaled.
+            // Span durations are exact ns (count, sum, min, max); only
+            // their bucket edges are log-scaled. Sync batches run under
+            // serve/batch, async ones under the drainer's serve/drain.
             const obs::Snapshot snap = service.statsSnapshot();
+            const char *unit = asyncMode ? "drain" : "batch";
+            const char *units = asyncMode ? "drains" : "batches";
             const obs::HistogramSnapshot &batches =
-                snap.stages.at("serve/batch").spans;
+                snap.stages.at(std::string("serve/") + unit).spans;
             const auto points =
                 static_cast<double>(snap.counters.at("serve/points"));
             std::fprintf(
                 stderr,
-                "stats: %llu batches, %.0f points, "
-                "mean %.3f ms/batch (min %.3f, max %.3f), "
+                "stats: %llu %s, %.0f points, "
+                "mean %.3f ms/%s (min %.3f, max %.3f), "
                 "%.0f points/s\n",
-                static_cast<unsigned long long>(batches.count), points,
-                batches.mean() / 1e6,
+                static_cast<unsigned long long>(batches.count), units,
+                points, batches.mean() / 1e6, unit,
                 static_cast<double>(batches.min) / 1e6,
                 static_cast<double>(batches.max) / 1e6,
                 batches.sum

@@ -79,6 +79,16 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          Take a SimScratch & from threadSimScratch()
                          instead. Tests and benches are exempt.
 
+  acdse-one-block-tiler
+                         A simd::transposeBlock call in src/ outside
+                         src/ml/mlp.cc and
+                         src/core/architecture_centric_predictor.cc.
+                         Splitting feature rows into SIMD blocks (and
+                         padding the tail) has one owner: score rows
+                         with predictRows() (or an ensemble's
+                         predictBatchFromFeatures) instead of tiling
+                         them by hand.
+
   acdse-obs-span-in-hot-loop
                          obs::TraceSpan construction inside a
                          for/while body in src/. Spans belong at
@@ -158,6 +168,13 @@ TEST_TEMP_IMPL = Path("tests/temp_dir.hh")
 # accessor every library simulation goes through.
 SIM_SCRATCH_IMPL = Path("src/sim/core.cc")
 
+# The files allowed to tile rows into SIMD blocks: the single-model
+# batch path and the one ensemble batch scorer, predictRows().
+BLOCK_TILER_IMPLS = {
+    Path("src/ml/mlp.cc"),
+    Path("src/core/architecture_centric_predictor.cc"),
+}
+
 NOLINT_RE = re.compile(r"NOLINT\(acdse-([a-z-]+)\)")
 
 RETIRED_SWITCH_RE = re.compile(
@@ -173,6 +190,8 @@ SIM_SCRATCH_RE = re.compile(
     r"|\b(?:make_unique|make_shared|optional|vector|array|deque|"
     r"unique_ptr|shared_ptr)\s*<\s*SimScratch\s*[,>]"
 )
+# A call of the block transpose (not a mention of it in a comment).
+BLOCK_TILER_RE = re.compile(r"\bsimd::transposeBlock\s*\(")
 
 # (name, pattern, message, scope): scope is None (every scanned file)
 # or a predicate on the repo-relative path.
@@ -226,6 +245,15 @@ RULES = [
         "library code simulates on one scratch per thread; take "
         "threadSimScratch() (sim/core.hh) instead of declaring another",
         lambda rel: rel.parts[:1] == ("src",) and rel != SIM_SCRATCH_IMPL,
+    ),
+    (
+        "one-block-tiler",
+        BLOCK_TILER_RE,
+        "batch scoring has one block tiler; call predictRows() "
+        "(core/architecture_centric_predictor.hh) instead of "
+        "transposing blocks by hand",
+        lambda rel: rel.parts[:1] == ("src",)
+        and rel not in BLOCK_TILER_IMPLS,
     ),
 ]
 
@@ -513,6 +541,17 @@ LINE_RULE_CASES = [
     ("accessor declaration is clean", SIM_SCRATCH_RE,
      "SimScratch &threadSimScratch();", False),
     ("struct definition is clean", SIM_SCRATCH_RE, "struct SimScratch", False),
+    ("hand-rolled block transpose flags", BLOCK_TILER_RE,
+     "        simd::transposeBlock(features.data() + base * kNumParams,",
+     True),
+    ("spaced transpose call flags", BLOCK_TILER_RE,
+     "simd::transposeBlock (rows, n, d, soa);", True),
+    ("comment mention is clean", BLOCK_TILER_RE,
+     " * strided gather hoisted out (see simd::transposeBlock), so an",
+     False),
+    ("the definition is clean", BLOCK_TILER_RE,
+     "transposeBlock(const double *__restrict rows, std::size_t count,",
+     False),
 ]
 
 # (name, rule, repo-relative path, rule applies there) for scoped rules.
@@ -531,6 +570,16 @@ SCOPE_CASES = [
      "tests/test_batch_sim.cc", False),
     ("benches may declare scratches", "one-sim-scratch",
      "bench/bench_campaign.cc", False),
+    ("a tiler in the explorer is in scope", "one-block-tiler",
+     "src/explore/explorer.cc", True),
+    ("a tiler in the service is in scope", "one-block-tiler",
+     "src/serve/prediction_service.cc", True),
+    ("the single-model batch path is exempt", "one-block-tiler",
+     "src/ml/mlp.cc", False),
+    ("the ensemble batch scorer is exempt", "one-block-tiler",
+     "src/core/architecture_centric_predictor.cc", False),
+    ("tests may transpose blocks", "one-block-tiler",
+     "tests/test_batch_predict.cc", False),
 ]
 
 
