@@ -12,17 +12,13 @@ namespace acdse
 MicroarchConfig::MicroarchConfig()
 {
     for (std::size_t i = 0; i < kNumParams; ++i)
-        values_[i] = paramSpecs()[i].baseline;
+        values_[i] = static_cast<std::uint16_t>(paramSpecs()[i].baseline);
 }
 
 MicroarchConfig::MicroarchConfig(const std::array<int, kNumParams> &values)
-    : values_(values)
 {
-    for (std::size_t i = 0; i < kNumParams; ++i) {
-        ACDSE_CHECK(paramSpecs()[i].contains(values_[i]),
-                     "illegal value ", values_[i], " for parameter ",
-                     paramSpecs()[i].name);
-    }
+    for (std::size_t i = 0; i < kNumParams; ++i)
+        set(static_cast<Param>(i), values[i]);
 }
 
 void
@@ -30,7 +26,8 @@ MicroarchConfig::set(Param p, int value)
 {
     ACDSE_CHECK(paramSpec(p).contains(value), "illegal value ", value,
                  " for parameter ", paramSpec(p).name);
-    values_[static_cast<std::size_t>(p)] = value;
+    values_[static_cast<std::size_t>(p)] =
+        static_cast<std::uint16_t>(value);
 }
 
 std::vector<double>

@@ -31,7 +31,10 @@ class MicroarchConfig
     /** Construct the baseline configuration of Table 1. */
     MicroarchConfig();
 
-    /** Construct from explicit per-parameter values (Param order). */
+    /**
+     * Construct from explicit per-parameter values (Param order); every
+     * value must be legal for its parameter.
+     */
     explicit MicroarchConfig(const std::array<int, kNumParams> &values);
 
     /** Value of one parameter. */
@@ -77,7 +80,10 @@ class MicroarchConfig
     void featuresInto(double *out) const;
 
     /** All 13 values in Param order. */
-    const std::array<int, kNumParams> &raw() const { return values_; }
+    const std::array<std::uint16_t, kNumParams> &raw() const
+    {
+        return values_;
+    }
 
     /**
      * Stable textual key, e.g. "4/96/32/..." -- used for the on-disk
@@ -95,8 +101,16 @@ class MicroarchConfig
     std::uint64_t hash() const;
 
   private:
-    std::array<int, kNumParams> values_;
+    /**
+     * The values, validated before they are narrowed: every legal
+     * value fits in 16 bits (arch/parameter.cc), so a configuration is
+     * 26 bytes and a queued serving request fits one cache line.
+     */
+    std::array<std::uint16_t, kNumParams> values_;
 };
+
+static_assert(sizeof(MicroarchConfig) == 26,
+              "a configuration is 13 16-bit values");
 
 } // namespace acdse
 

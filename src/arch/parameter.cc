@@ -1,6 +1,8 @@
 #include "arch/parameter.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "base/check.hh"
 #include "base/logging.hh"
@@ -36,6 +38,28 @@ constexpr std::array<int, 4> kBranchValues{8, 16, 24, 32};
 constexpr std::array<int, 5> kIl1Values{8, 16, 32, 64, 128};
 constexpr std::array<int, 5> kDl1Values{8, 16, 32, 64, 128};
 constexpr std::array<int, 5> kL2Values{256, 512, 1024, 2048, 4096};
+
+/** Whether every value in @p values is representable as uint16_t. */
+template <std::size_t N>
+constexpr bool
+fitsIn16Bits(const std::array<int, N> &values)
+{
+    for (int value : values) {
+        if (value < 0 || value > std::numeric_limits<std::uint16_t>::max())
+            return false;
+    }
+    return true;
+}
+
+// MicroarchConfig stores each value in 16 bits.
+static_assert(fitsIn16Bits(kWidthValues) && fitsIn16Bits(kRobValues) &&
+                  fitsIn16Bits(kIqValues) && fitsIn16Bits(kLsqValues) &&
+                  fitsIn16Bits(kRfValues) && fitsIn16Bits(kRfReadValues) &&
+                  fitsIn16Bits(kRfWriteValues) &&
+                  fitsIn16Bits(kBpredValues) && fitsIn16Bits(kBtbValues) &&
+                  fitsIn16Bits(kBranchValues) && fitsIn16Bits(kIl1Values) &&
+                  fitsIn16Bits(kDl1Values) && fitsIn16Bits(kL2Values),
+              "every legal parameter value must fit in 16 bits");
 
 const std::array<ParamSpec, kNumParams> kSpecs{{
     {Param::Width, "Width", "", kWidthValues, 4},

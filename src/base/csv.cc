@@ -1,11 +1,9 @@
 #include "base/csv.hh"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace acdse
@@ -47,12 +45,13 @@ readCsv(const std::string &path, CsvFile &out)
     return true;
 }
 
-void
-writeCsv(const std::string &path, const CsvFile &file)
+namespace
 {
-    std::ofstream os(path);
-    if (!os)
-        panic("cannot open '", path, "' for writing");
+
+/** The CSV text of @p file: a header line, then one line per row. */
+void
+formatCsv(std::ostream &os, const CsvFile &file)
+{
     auto write_row = [&](const std::vector<std::string> &row) {
         for (std::size_t i = 0; i < row.size(); ++i) {
             os << row[i];
@@ -64,6 +63,17 @@ writeCsv(const std::string &path, const CsvFile &file)
     write_row(file.header);
     for (const auto &row : file.rows)
         write_row(row);
+}
+
+} // namespace
+
+void
+writeCsv(const std::string &path, const CsvFile &file)
+{
+    std::ofstream os(path);
+    if (!os)
+        panic("cannot open '", path, "' for writing");
+    formatCsv(os, file);
     if (!os)
         panic("failed while writing '", path, "'");
 }
@@ -71,14 +81,9 @@ writeCsv(const std::string &path, const CsvFile &file)
 void
 writeCsvAtomic(const std::string &path, const CsvFile &file)
 {
-    std::ostringstream tmp_name;
-    tmp_name << path << ".tmp." << ::getpid();
-    const std::string tmp = tmp_name.str();
-    writeCsv(tmp, file);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        panic("cannot rename '", tmp, "' to '", path, "'");
-    }
+    std::ostringstream os;
+    formatCsv(os, file);
+    writeTextAtomic(path, os.str());
 }
 
 } // namespace acdse

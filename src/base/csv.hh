@@ -31,12 +31,13 @@ bool readCsv(const std::string &path, CsvFile &out);
 void writeCsv(const std::string &path, const CsvFile &file);
 
 /**
- * Write a CSV file atomically: the content goes to a process-unique
- * temporary file that is rename()d over @p path, so concurrent readers
- * (and racing writers sharing one cache file) see either the old file
- * or the complete new one, never a truncated in-between state. The
- * temporary lives in the same directory as @p path, as rename() is
- * only atomic within a filesystem.
+ * Write a CSV file atomically through writeTextAtomic() (base/json.hh):
+ * the content goes to a temporary file unique to this call that is
+ * rename()d over @p path, so concurrent readers (and racing writers
+ * sharing one cache file) see either the old file or one complete new
+ * one, never a truncated in-between state. The temporary lives in the
+ * same directory as @p path, as rename() is only atomic within a
+ * filesystem.
  */
 void writeCsvAtomic(const std::string &path, const CsvFile &file);
 

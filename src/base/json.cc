@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -177,17 +179,37 @@ JsonWriter::str() const
     return out_;
 }
 
-void
-writeTextAtomic(const std::string &path, const std::string &content)
+namespace
 {
-    std::ostringstream tmp_name;
-    tmp_name << path << ".tmp." << ::getpid();
-    const std::string tmp = tmp_name.str();
+
+/**
+ * `<path>.tmp.<pid>.<n>`, where n counts every call in this process:
+ * two processes, or two threads of one process, writing the same path
+ * never share a temporary, so each rename() publishes one whole write.
+ */
+std::string
+uniqueTempPath(const std::string &path)
+{
+    static std::atomic<std::uint64_t> sequence{0};
+    std::ostringstream name;
+    name << path << ".tmp." << ::getpid() << '.'
+         << sequence.fetch_add(1, std::memory_order_relaxed);
+    return name.str();
+}
+
+} // namespace
+
+void
+writeTextAtomic(const std::string &path, std::string_view content)
+{
+    const std::string tmp = uniqueTempPath(path);
     {
-        std::ofstream os(tmp);
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             panic("cannot open '", tmp, "' for writing");
-        os << content;
+        os.write(content.data(),
+                 static_cast<std::streamsize>(content.size()));
+        os.flush();
         if (!os)
             panic("failed while writing '", tmp, "'");
     }

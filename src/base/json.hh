@@ -68,8 +68,13 @@ class JsonWriter
 /**
  * Write @p content to @p path atomically (temp file + rename), so a
  * concurrent reader or a crash can never observe a truncated file.
+ * The bytes are written unchanged. Every call gets its own temporary
+ * in @p path's directory, named with the process id and a
+ * process-wide sequence number, so concurrent writers of one path
+ * (threads or processes) each publish one complete file and the last
+ * rename wins. This is the one atomic-write primitive:
+ * writeCsvAtomic() and saveArtifact() go through it.
  */
-void writeTextAtomic(const std::string &path,
-                     const std::string &content);
+void writeTextAtomic(const std::string &path, std::string_view content);
 
 } // namespace acdse

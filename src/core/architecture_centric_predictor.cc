@@ -163,14 +163,15 @@ ArchitectureCentricPredictor::predictBlockSoaFromFeatures(
     // Every member model consumes the shared feature-major block
     // directly; the model-major outputs are exactly a feature-major
     // block for the regressor, combined lane-wise in the same
-    // ascending-model order as the scalar predict. Lanes past count
-    // hold stale outputs, which the regressor combines harmlessly.
+    // ascending-model order as the scalar predict. Rows keep the
+    // kLanes stride; the regressor reads only the first count lanes.
     for (std::size_t j = 0; j < m; ++j) {
         programModels_[j]->predictBlockSoaFromFeatures(
             soa, count, scratch.ensemble.data() + j * simd::kLanes,
             scratch.mlp);
     }
-    regressor_.predictSoa(scratch.ensemble.data(), simd::kLanes, out);
+    regressor_.predictSoa(scratch.ensemble.data(), simd::kLanes, count,
+                          out);
 }
 
 void

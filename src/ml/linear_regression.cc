@@ -95,16 +95,17 @@ LinearRegression::predict(const std::vector<double> &x) const
 
 void
 LinearRegression::predictSoa(const double *__restrict xs,
-                             std::size_t lanes,
+                             std::size_t stride, std::size_t count,
                              double *__restrict out) const
 {
     ACDSE_CHECK(fitted_, "predict before fit");
-    for (std::size_t l = 0; l < lanes; ++l)
+    ACDSE_DCHECK(count <= stride, "more samples than the row stride");
+    for (std::size_t l = 0; l < count; ++l)
         out[l] = intercept_;
     for (std::size_t j = 0; j < weights_.size(); ++j) {
         const double w = weights_[j];
-        const double *x = xs + j * lanes;
-        for (std::size_t l = 0; l < lanes; ++l)
+        const double *x = xs + j * stride;
+        for (std::size_t l = 0; l < count; ++l)
             out[l] += w * x[l];
     }
 }

@@ -41,16 +41,17 @@ class LinearRegression
     double predict(const std::vector<double> &x) const;
 
     /**
-     * Predict a feature-major block of @p lanes samples: sample l has
-     * feature j at xs[j * lanes + l], and its prediction lands in
-     * out[l]. Features accumulate in the same ascending order as
-     * predict(), so each lane is bit-identical to the scalar call --
-     * this is the ensemble-combination step of the batched
+     * Predict the first @p count samples of a feature-major block of
+     * row stride @p stride: sample l has feature j at
+     * xs[j * stride + l], and its prediction lands in out[l], for
+     * l < count <= stride. Features accumulate in the same ascending
+     * order as predict(), so each lane is bit-identical to the scalar
+     * call -- this is the ensemble-combination step of the batched
      * architecture-centric predict path. @p xs and @p out must not
      * overlap (__restrict: lets the lane loop vectorise).
      */
-    void predictSoa(const double *__restrict xs, std::size_t lanes,
-                    double *__restrict out) const;
+    void predictSoa(const double *__restrict xs, std::size_t stride,
+                    std::size_t count, double *__restrict out) const;
 
     /** The fitted weights (without intercept). */
     const std::vector<double> &weights() const { return weights_; }

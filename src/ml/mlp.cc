@@ -225,7 +225,7 @@ Mlp::predictBlockSoa(const double *soa, std::size_t count, double *out,
     ACDSE_DCHECK(trained_, "predict before train");
     ACDSE_DCHECK(count >= 1 && count <= simd::kLanes, "bad lane count");
     scratch.block.resize(inputDim_ * simd::kLanes);
-    inputScaler_.transformBlock(soa, scratch.block.data());
+    inputScaler_.transformBlock(soa, count, scratch.block.data());
     targetScaler_.unscaleBatch(
         out, forwardBlock(scratch.block.data(), count, out));
 }

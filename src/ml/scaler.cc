@@ -65,15 +65,19 @@ StandardScaler::transformInto(const std::vector<double> &x,
 
 void
 StandardScaler::transformBlock(const double *__restrict xs,
+                               std::size_t count,
                                double *__restrict zs) const
 {
+    ACDSE_DCHECK(count >= 1 && count <= simd::kLanes, "bad lane count");
     const std::size_t d = means_.size();
+    const std::size_t chunks =
+        (count + simd::kChunkLanes - 1) / simd::kChunkLanes;
     for (std::size_t i = 0; i < d; ++i) {
         const double *x = xs + i * simd::kLanes;
         double *z = zs + i * simd::kLanes;
         const simd::Chunk mean = simd::chunkBroadcast(means_[i]);
         const simd::Chunk inv = simd::chunkBroadcast(invScales_[i]);
-        for (std::size_t c = 0; c < simd::kChunks; ++c) {
+        for (std::size_t c = 0; c < chunks; ++c) {
             const std::size_t at = c * simd::kChunkLanes;
             simd::chunkStore(
                 z + at, (simd::chunkLoad(x + at) - mean) * inv);

@@ -36,12 +36,15 @@ class StandardScaler
      * Transform one already-transposed feature-major block of
      * simd::kLanes points: zs[i * kLanes + l] = scaled feature i of
      * point l, from xs in the same layout (see simd::transposeBlock).
-     * One mean/scale load serves the whole block, and the per-element
-     * arithmetic is identical to transformInto, so each lane is
-     * bit-identical to the scalar transform of that point. @p xs and
-     * @p zs must not overlap.
+     * Only the machine-vector chunks covering the first @p count
+     * lanes are computed; later lanes of @p zs are left untouched, so
+     * a one-point tail costs one chunk per feature. One mean/scale
+     * load serves the whole block, and the per-element arithmetic is
+     * identical to transformInto, so each lane is bit-identical to
+     * the scalar transform of that point. @p xs and @p zs must not
+     * overlap.
      */
-    void transformBlock(const double *__restrict xs,
+    void transformBlock(const double *__restrict xs, std::size_t count,
                         double *__restrict zs) const;
 
     /** Whether fit() has been called. */

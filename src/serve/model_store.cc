@@ -1,13 +1,11 @@
 #include "serve/model_store.hh"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "base/binary_io.hh"
 #include "base/check.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace acdse
@@ -134,27 +132,9 @@ saveArtifact(const std::string &path, const ModelArtifact &artifact)
     ACDSE_CHECK(!path.empty(), "artifact path is empty");
     ACDSE_CHECK(!artifact.empty(),
                 "refusing to save an artifact with no predictors");
-    const std::string bytes = encodeArtifact(artifact);
-
     // Write-then-rename: the artifact appears atomically under its
     // final name, so a concurrent loadArtifact never sees a torn file.
-    std::ostringstream tmp_name;
-    tmp_name << path << ".tmp." << ::getpid();
-    const std::string tmp = tmp_name.str();
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            panic("cannot open '", tmp, "' for writing");
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        os.flush();
-        if (!os)
-            panic("failed while writing '", tmp, "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        panic("cannot rename '", tmp, "' to '", path, "'");
-    }
+    writeTextAtomic(path, encodeArtifact(artifact));
 }
 
 ModelArtifact

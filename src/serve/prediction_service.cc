@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 
 #include "base/check.hh"
 #include "base/logging.hh"
@@ -71,6 +72,18 @@ scoreQueries(const ModelArtifact &artifact, std::size_t n,
 
 } // namespace
 
+struct PredictionService::DrainScratch
+{
+    explicit DrainScratch(std::size_t drainBatch) : requests(drainBatch)
+    {
+        order.reserve(drainBatch);
+    }
+
+    std::vector<ServeRequest> requests; //!< popInto() target
+    std::vector<std::uint64_t> order;   //!< (tenant << 32 | index) keys
+    ScoreScratch score;
+};
+
 ServeOptions
 ServeOptions::fromEnvironment()
 {
@@ -93,12 +106,20 @@ ServeOptions::fromEnvironment()
 }
 
 AsyncBatch::AsyncBatch(std::size_t capacity)
-    : rows_(capacity), versions_(capacity, 0)
 {
     ACDSE_CHECK(capacity > 0, "AsyncBatch needs a positive capacity");
     ACDSE_CHECK(capacity <= std::numeric_limits<std::uint32_t>::max(),
                 "AsyncBatch capacity ", capacity, " overflows the ",
                 "pending counter");
+    capacity_ = static_cast<std::uint32_t>(capacity);
+    block_ = std::make_unique_for_overwrite<std::byte[]>(
+        capacity * (sizeof(PredictionRow) + sizeof(std::uint64_t)));
+    std::uninitialized_value_construct_n(
+        reinterpret_cast<PredictionRow *>(block_.get()), capacity);
+    std::uninitialized_value_construct_n(
+        reinterpret_cast<std::uint64_t *>(
+            block_.get() + capacity * sizeof(PredictionRow)),
+        capacity);
 }
 
 void
@@ -121,7 +142,7 @@ AsyncBatch::reset()
     ACDSE_CHECK(pending_.load(std::memory_order_acquire) == 0,
                 "reset() with requests in flight; wait() first");
     submitted_ = 0;
-    std::fill(versions_.begin(), versions_.end(), std::uint64_t{0});
+    std::fill_n(versionData(), capacity_, std::uint64_t{0});
 }
 
 PredictionService::PredictionService(ModelArtifact artifact,
@@ -137,7 +158,8 @@ PredictionService::PredictionService(ModelArtifact artifact,
       queueWaitNs_(registry_.histogram("serve/queue-wait-ns")),
       requestLatencyNs_(registry_.histogram("serve/request-latency-ns")),
       latencyReservoir_(registry_.reservoir("serve/request-latency")),
-      ring_(options_.maxQueue)
+      ring_(options_.maxQueue),
+      drainScratch_(std::make_unique<DrainScratch>(options_.drainBatch))
 {
     ACDSE_CHECK(options_.chunk > 0, "chunk size must be positive");
     ACDSE_CHECK(options_.drainBatch > 0,
@@ -164,13 +186,7 @@ PredictionService::~PredictionService()
     } else {
         // Manual-drain mode: complete what tests left queued so no
         // AsyncBatch outlives its rows with pending_ stuck non-zero.
-        std::vector<ServeRequest> scratch(options_.drainBatch);
-        while (true) {
-            const std::size_t n =
-                ring_.popInto(scratch.data(), scratch.size());
-            if (n == 0)
-                break;
-            serveDrained(scratch.data(), n);
+        while (popAndServe() != 0) {
         }
     }
 }
@@ -275,12 +291,12 @@ PredictionService::submit(AsyncBatch &batch, TenantId tenant,
 {
     if (tenant >= models_.table()->tenantCount())
         return SubmitStatus::UnknownTenant;
-    ACDSE_CHECK(batch.submitted_ < batch.capacity(),
+    ACDSE_CHECK(batch.submitted_ < batch.capacity_,
                 "AsyncBatch over capacity: wait() and reset() first");
 
     ServeRequest request;
     request.batch = &batch;
-    request.index = static_cast<std::uint32_t>(batch.submitted_);
+    request.index = batch.submitted_;
     request.tenant = tenant;
     request.enqueuedNs = obs::nowNs();
     request.config = query;
@@ -313,9 +329,14 @@ PredictionService::drainOnce()
     ACDSE_CHECK(!options_.startDrainer,
                 "drainOnce() requires startDrainer=false; the drainer "
                 "thread owns the consumer role otherwise");
-    std::vector<ServeRequest> requests(options_.drainBatch);
-    const std::size_t n =
-        ring_.popInto(requests.data(), requests.size());
+    return popAndServe();
+}
+
+std::size_t
+PredictionService::popAndServe()
+{
+    std::vector<ServeRequest> &requests = drainScratch_->requests;
+    const std::size_t n = ring_.popInto(requests.data(), requests.size());
     if (n != 0)
         serveDrained(requests.data(), n);
     return n;
@@ -324,14 +345,10 @@ PredictionService::drainOnce()
 void
 PredictionService::drainLoop()
 {
-    std::vector<ServeRequest> requests(options_.drainBatch);
     int idlePolls = 0;
     while (true) {
-        const std::size_t n =
-            ring_.popInto(requests.data(), requests.size());
-        if (n != 0) {
+        if (popAndServe() != 0) {
             idlePolls = 0;
-            serveDrained(requests.data(), n);
             continue;
         }
         if (stop_.load(std::memory_order_acquire)) {
@@ -373,7 +390,7 @@ PredictionService::tenantCounter(TenantId tenant)
 }
 
 void
-PredictionService::serveDrained(ServeRequest *requests,
+PredictionService::serveDrained(const ServeRequest *requests,
                                 std::size_t count)
 {
     const std::uint64_t start = obs::nowNs();
@@ -383,33 +400,31 @@ PredictionService::serveDrained(ServeRequest *requests,
     // last such pin drops (serve/model_table.hh).
     const std::shared_ptr<const ModelTable> table = models_.table();
 
-    // Group requests by tenant (stable counting sort by tenant id) so
-    // each group runs its model's SIMD block kernels over contiguous
-    // feature rows.
-    std::vector<std::uint32_t> order(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         return requests[a].tenant < requests[b].tenant;
-                     });
+    // Group requests by tenant so each group runs its model's SIMD
+    // block kernels over contiguous feature rows: sorting (tenant,
+    // arrival index) keys keeps arrival order within a tenant and,
+    // unlike std::stable_sort, needs no temporary buffer.
+    std::vector<std::uint64_t> &order = drainScratch_->order;
+    order.resize(count);
+    for (std::size_t i = 0; i < count; ++i)
+        order[i] = (std::uint64_t{requests[i].tenant} << 32) | i;
+    std::sort(order.begin(), order.end());
 
-    ScoreScratch scratch;
     std::size_t groupBegin = 0;
     while (groupBegin < count) {
-        const TenantId tenant = requests[order[groupBegin]].tenant;
+        const auto tenant = static_cast<TenantId>(order[groupBegin] >> 32);
         std::size_t groupEnd = groupBegin + 1;
-        while (groupEnd < count &&
-               requests[order[groupEnd]].tenant == tenant)
+        while (groupEnd < count && (order[groupEnd] >> 32) == tenant)
             ++groupEnd;
         const std::size_t n = groupEnd - groupBegin;
         const ServedModel *served = table->modelFor(tenant);
         const auto request = [&](std::size_t i) -> const ServeRequest & {
-            return requests[order[groupBegin + i]];
+            return requests[static_cast<std::uint32_t>(
+                order[groupBegin + i])];
         };
 
         const auto row = [&](std::size_t i) -> PredictionRow & {
-            return request(i).batch->rows_[request(i).index];
+            return request(i).batch->rowData()[request(i).index];
         };
 
         // The whole group in one pass, a short group as one padded
@@ -422,12 +437,12 @@ PredictionService::serveDrained(ServeRequest *requests,
                 [&](std::size_t i) -> const MicroarchConfig & {
                     return request(i).config;
                 },
-                row, scratch);
+                row, drainScratch_->score);
         }
         for (std::size_t i = 0; i < n; ++i) {
             if (served == nullptr)
                 row(i).values.fill(std::numeric_limits<double>::quiet_NaN());
-            request(i).batch->versions_[request(i).index] =
+            request(i).batch->versionData()[request(i).index] =
                 served != nullptr ? served->version : 0;
         }
 

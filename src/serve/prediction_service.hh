@@ -53,6 +53,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +150,10 @@ class PredictionService;
  * async path: the producer submit()s up to capacity() requests
  * against it, wait()s, then reads rows() and versions().
  *
+ * Layout: one heap block holds capacity() rows followed by
+ * capacity() version stamps, so a handle costs its 24-byte object
+ * plus a single allocation of 40 bytes per row.
+ *
  * Thread model: one producer per batch. submit() bookkeeping on the
  * batch is deliberately unsynchronised between producers (each
  * producer owns its own AsyncBatch); completion travels from the
@@ -166,7 +172,7 @@ class AsyncBatch
     AsyncBatch &operator=(const AsyncBatch &) = delete;
 
     /** Most requests this handle can carry between resets. */
-    std::size_t capacity() const { return rows_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Requests accepted against this handle since the last reset. */
     std::size_t submitted() const { return submitted_; }
@@ -184,12 +190,15 @@ class AsyncBatch
      * Result rows, indexed by submission order. Valid for indices
      * < submitted() once wait() returned.
      */
-    const std::vector<PredictionRow> &rows() const { return rows_; }
+    std::span<const PredictionRow> rows() const
+    {
+        return {rowData(), capacity_};
+    }
 
     /** The model version that served each row (0 = no model). */
-    const std::vector<std::uint64_t> &versions() const
+    std::span<const std::uint64_t> versions() const
     {
-        return versions_;
+        return {versionData(), capacity_};
     }
 
     /** Forget completed results and start a fresh round of submits. */
@@ -198,23 +207,43 @@ class AsyncBatch
   private:
     friend class PredictionService;
 
-    std::vector<PredictionRow> rows_;
-    std::vector<std::uint64_t> versions_;
+    /** The block's first capacity_ entries: the result rows. */
+    PredictionRow *rowData() const
+    {
+        return std::launder(
+            reinterpret_cast<PredictionRow *>(block_.get()));
+    }
+
+    /** The version stamps, stored right after the rows. */
+    std::uint64_t *versionData() const
+    {
+        return std::launder(reinterpret_cast<std::uint64_t *>(
+            block_.get() + capacity_ * sizeof(PredictionRow)));
+    }
+
+    /** capacity_ rows, then capacity_ versions. */
+    std::unique_ptr<std::byte[]> block_;
+
+    std::uint32_t capacity_ = 0;
 
     /** Producer-side cursor: next row index to hand out. */
-    std::size_t submitted_ = 0;
+    std::uint32_t submitted_ = 0;
 
     /**
      * Requests enqueued but not yet completed. The drainer's final
      * fetch_sub(release) pairs with the waiter's acquire loads, which
-     * is what publishes rows_/versions_ back to the producer.
+     * is what publishes the rows and versions back to the producer.
      */
     std::atomic<std::uint32_t> pending_{0};
 };
 
+static_assert(sizeof(AsyncBatch) <= 32,
+              "a completion handle is one pointer and three counters");
+
 /**
  * One queued request travelling the ingest ring from a producer
- * thread to the drainer.
+ * thread to the drainer. With the ring's sequence word it fills
+ * exactly one cache line per slot.
  */
 struct ServeRequest
 {
@@ -224,6 +253,11 @@ struct ServeRequest
     std::uint64_t enqueuedNs = 0; //!< submit timestamp (latency)
     MicroarchConfig config{};    //!< the query point
 };
+
+static_assert(sizeof(ServeRequest) <= 56,
+              "a request leaves room for the ring's sequence word");
+static_assert(MpscRing<ServeRequest>::slotBytes() == kCacheLine,
+              "one ring slot per cache line");
 
 /**
  * A running prediction server over versioned, hot-swappable model
@@ -333,7 +367,7 @@ class PredictionService
      * Drain up to options.drainBatch queued requests on the calling
      * thread; returns the number served. Only legal with
      * startDrainer=false (CHECKed): it exists so tests can pump the
-     * ingest path deterministically.
+     * ingest path deterministically. A warm call does not allocate.
      */
     std::size_t drainOnce();
 
@@ -377,8 +411,11 @@ class PredictionService
     /** The drainer thread: pop, batch, predict, complete, repeat. */
     void drainLoop();
 
+    /** Pop up to options.drainBatch requests and serve them. */
+    std::size_t popAndServe();
+
     /** Serve @p count drained requests against the current table. */
-    void serveDrained(ServeRequest *requests, std::size_t count);
+    void serveDrained(const ServeRequest *requests, std::size_t count);
 
     /** Drainer-side cache of the per-tenant served-point counters. */
     obs::Counter &tenantCounter(TenantId tenant);
@@ -391,7 +428,8 @@ class PredictionService
     Mutex batchMutex_;
 
     // Serialises stats dumps: the drainer and predict() callers may
-    // dump at once, through the same temporary file.
+    // dump at once, and snapshotting under the lock keeps the file
+    // from going back to an older snapshot.
     mutable Mutex statsMutex_;
 
     // Serving metrics: a private registry (declared before the
@@ -430,6 +468,16 @@ class PredictionService
      * drainer, or the drainOnce() caller when startDrainer=false).
      */
     std::vector<obs::Counter *> tenantPoints_;
+
+    /**
+     * The consumer role's reusable buffers (popped requests, grouping
+     * keys, scoring scratch), so a warm drain does not allocate.
+     * Owned like tenantPoints_: the drainer thread while it runs, else
+     * the drainOnce() caller; the destructor touches them only after
+     * joining the drainer, which hands the role to its own thread.
+     */
+    struct DrainScratch;
+    std::unique_ptr<DrainScratch> drainScratch_;
 
     std::thread drainer_;
 };

@@ -82,6 +82,15 @@ class MpscRing
     std::size_t capacity() const noexcept { return capacity_; }
 
     /**
+     * Bytes per slot: the sequence word plus one T, padded to whole
+     * cache lines.
+     */
+    static constexpr std::size_t slotBytes() noexcept
+    {
+        return sizeof(Slot);
+    }
+
+    /**
      * Enqueue one value; returns false -- without blocking or
      * spinning on the consumer -- when the ring is full. Safe from
      * any number of threads.

@@ -107,15 +107,23 @@ TEST(BatchDeterminism, ScalerBatchMatchesScalar)
     }
     std::vector<double> soa(d * lanes);
     simd::transposeBlock(rows.data(), lanes, d, soa.data());
-    std::vector<double> block(d * lanes);
-    scaler.transformBlock(soa.data(), block.data());
-
+    // A short count computes only the chunks covering it and leaves
+    // the later lanes untouched.
     std::vector<double> scalar;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        scaler.transformInto(samples[l], scalar);
-        for (std::size_t i = 0; i < d; ++i)
-            EXPECT_EQ(block[i * lanes + l], scalar[i])
-                << "lane " << l << " feature " << i;
+    for (std::size_t count = 1; count <= lanes; ++count) {
+        std::vector<double> block(d * lanes, -7.0);
+        scaler.transformBlock(soa.data(), count, block.data());
+        const std::size_t covered =
+            (count + simd::kChunkLanes - 1) / simd::kChunkLanes *
+            simd::kChunkLanes;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            scaler.transformInto(samples[l], scalar);
+            for (std::size_t i = 0; i < d; ++i)
+                EXPECT_EQ(block[i * lanes + l],
+                          l < covered ? scalar[i] : -7.0)
+                    << "count " << count << " lane " << l << " feature "
+                    << i;
+        }
     }
 }
 
@@ -141,10 +149,16 @@ TEST(BatchDeterminism, LinearRegressionSoaMatchesScalar)
         for (std::size_t j = 0; j < 5; ++j)
             soa[j * lanes + l] = xs[l][j];
     }
-    std::vector<double> out(lanes);
-    regression.predictSoa(soa.data(), lanes, out.data());
-    for (std::size_t l = 0; l < lanes; ++l)
-        EXPECT_EQ(out[l], regression.predict(xs[l])) << "lane " << l;
+    // Every prefix of the block, at the block's own stride; lanes
+    // past count are never written.
+    for (std::size_t count = 1; count <= lanes; ++count) {
+        std::vector<double> out(lanes, -1.0);
+        regression.predictSoa(soa.data(), lanes, count, out.data());
+        for (std::size_t l = 0; l < count; ++l)
+            EXPECT_EQ(out[l], regression.predict(xs[l])) << "lane " << l;
+        for (std::size_t l = count; l < lanes; ++l)
+            EXPECT_EQ(out[l], -1.0) << "lane " << l;
+    }
 }
 
 TEST(BatchDeterminism, MlpBatchMatchesScalarAcrossSizes)

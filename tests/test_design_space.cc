@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <unordered_set>
 
 #include "arch/design_space.hh"
@@ -173,6 +174,56 @@ TEST(MicroarchConfigDeathTest, SetRejectsIllegalValue)
 {
     MicroarchConfig config;
     EXPECT_DEATH(config.set(Param::Width, 3), "illegal value");
+}
+
+TEST(MicroarchConfigDeathTest, RejectsValuesAbove16BitsBeforeNarrowing)
+{
+    // Each value narrows to a legal one (65536 + 2048 -> 2048), so
+    // only a check made before the narrowing rejects it.
+    MicroarchConfig config;
+    EXPECT_DEATH(config.set(Param::L2Size, 65536 + 2048), "illegal value");
+    std::array<int, kNumParams> values{};
+    for (std::size_t i = 0; i < kNumParams; ++i)
+        values[i] = MicroarchConfig().raw()[i];
+    values[static_cast<std::size_t>(Param::Width)] = 65536 + 4;
+    EXPECT_DEATH(MicroarchConfig{values}, "illegal value");
+}
+
+TEST(MicroarchConfig, EveryLegalValueRoundTrips)
+{
+    for (const ParamSpec &spec : paramSpecs()) {
+        const auto i = static_cast<std::size_t>(spec.id);
+        for (int value : spec.values) {
+            MicroarchConfig config;
+            config.set(spec.id, value);
+            EXPECT_EQ(config.get(spec.id), value) << spec.name;
+            EXPECT_EQ(config.raw()[i], value) << spec.name;
+
+            std::array<int, kNumParams> values{};
+            for (std::size_t j = 0; j < kNumParams; ++j)
+                values[j] = paramSpecs()[j].baseline;
+            values[i] = value;
+            EXPECT_EQ(MicroarchConfig(values), config) << spec.name;
+        }
+    }
+}
+
+TEST(MicroarchConfig, HashAndKeyArePinned)
+{
+    // Recorded from the int-valued layout: the 16-bit storage must
+    // keep every cache key and hash unchanged.
+    const MicroarchConfig baseline;
+    EXPECT_EQ(baseline.key(), "4/96/32/48/96/8/4/16/4/16/32/32/2048");
+    EXPECT_EQ(baseline.hash(), 0x4c50c5dcee90363bULL);
+
+    const auto sampled = DesignSpace::sampleValidConfigs(3, 2024);
+    ASSERT_EQ(sampled.size(), 3u);
+    EXPECT_EQ(sampled[0].key(), "6/96/16/16/96/12/1/16/2/8/16/16/256");
+    EXPECT_EQ(sampled[0].hash(), 0xd70b42c6c6fcb69cULL);
+    EXPECT_EQ(sampled[1].key(), "4/112/80/48/88/4/4/32/4/24/128/128/4096");
+    EXPECT_EQ(sampled[1].hash(), 0xd6ec8ad3019d0b87ULL);
+    EXPECT_EQ(sampled[2].key(), "4/136/80/56/160/4/2/8/4/32/128/64/512");
+    EXPECT_EQ(sampled[2].hash(), 0x4ec4f8d06ce600c9ULL);
 }
 
 TEST(MicroarchConfig, FeatureVectorUsesLog2ForPow2Params)

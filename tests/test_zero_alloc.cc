@@ -1,11 +1,12 @@
 /**
  * @file
- * Steady-state zero-allocation checks for the two hot paths: a repeat
- * simulateBatch pass on a warm threadSimScratch(), and a repeat
- * predictRows call on a warm BatchPredictScratch, must not touch the
- * heap at all. Every operator new in this binary is counted by the
- * replacements below, which is why these checks live in their own
- * executable.
+ * Steady-state zero-allocation checks for the hot paths: a repeat
+ * simulateBatch pass on a warm threadSimScratch(), a repeat
+ * predictRows call on a warm BatchPredictScratch, and a warm drain of
+ * the serving ring must not touch the heap at all; an AsyncBatch
+ * completion handle costs exactly one allocation. Every operator new
+ * in this binary is counted by the replacements below, which is why
+ * these checks live in their own executable.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "arch/design_space.hh"
 #include "core/architecture_centric_predictor.hh"
+#include "serve/prediction_service.hh"
 #include "sim/batch.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
@@ -171,6 +174,58 @@ TEST(ZeroAlloc, WarmPredictRowsCall)
                   0u)
             << "count " << count;
     }
+}
+
+TEST(ZeroAlloc, AsyncBatchIsOneBlock)
+{
+    // Rows and version stamps share one heap block.
+    for (std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                 std::size_t{256}}) {
+        std::optional<AsyncBatch> batch;
+        EXPECT_EQ(allocationsDuring([&] { batch.emplace(capacity); }), 1u)
+            << "capacity " << capacity;
+        EXPECT_EQ(batch->rows().size(), capacity);
+        EXPECT_EQ(batch->versions().size(), capacity);
+        EXPECT_EQ(batch->versions()[capacity - 1], 0u);
+    }
+}
+
+TEST(ZeroAlloc, WarmDrainOnce)
+{
+    ModelArtifact first;
+    first.add(Metric::Cycles, fittedEnsemble(3, 0.0));
+    first.add(Metric::Energy, fittedEnsemble(2, 0.5));
+    ModelArtifact second;
+    second.add(Metric::Cycles, fittedEnsemble(2, 1.0));
+    ServeOptions options;
+    options.threads = 1;
+    options.startDrainer = false;
+    PredictionService service(std::move(first), options);
+    const TenantId other = service.registerTenant("other");
+    service.publish(other, std::move(second));
+
+    const auto configs = DesignSpace::sampleValidConfigs(11, 5);
+    AsyncBatch batch(configs.size());
+    const auto submitAll = [&] {
+        batch.reset();
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            ASSERT_EQ(service.submit(batch, i % 3 ? kDefaultTenant : other,
+                                     configs[i]),
+                      SubmitStatus::Accepted);
+        }
+    };
+
+    // The first drain interns the tenant counters and grows the
+    // consumer's buffers; the repeat over two tenants reuses them.
+    submitAll();
+    ASSERT_EQ(service.drainOnce(), configs.size());
+    submitAll();
+    std::size_t drained = 0;
+    EXPECT_EQ(allocationsDuring([&] { drained = service.drainOnce(); }),
+              0u);
+    EXPECT_EQ(drained, configs.size());
+    batch.wait();
+    EXPECT_EQ(batch.versions()[0], service.currentVersion());
 }
 
 } // namespace
