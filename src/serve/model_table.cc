@@ -1,5 +1,7 @@
 #include "serve/model_table.hh"
 
+#include <utility>
+
 #include "arch/microarch_config.hh"
 #include "base/check.hh"
 
@@ -27,9 +29,8 @@ checkServableArtifact(const ModelArtifact &artifact)
 }
 
 ModelRegistry::ModelRegistry()
+    : table_(std::make_shared<const ModelTable>())
 {
-    table_.store(std::make_shared<const ModelTable>(),
-                 std::memory_order_release);
 }
 
 TenantId
@@ -45,12 +46,12 @@ ModelRegistry::registerTenant(const std::string &name)
     // Grow the published table to cover the new tenant slot so
     // readers can index it without bounds anxiety. Copy-on-write:
     // the old snapshot stays frozen for its in-flight holders.
-    auto next = std::make_shared<ModelTable>(
-        *table_.load(std::memory_order_acquire));
+    auto next = std::make_shared<ModelTable>(*table_);
     next->models_.resize(names_.size());
-    table_.store(std::shared_ptr<const ModelTable>(std::move(next)),
-                 std::memory_order_release);
-    return static_cast<TenantId>(names_.size() - 1);
+    table_ = std::move(next);
+    const auto id = static_cast<TenantId>(names_.size() - 1);
+    tenantCount_.store(id + 1, std::memory_order_release);
+    return id;
 }
 
 TenantId
@@ -75,11 +76,15 @@ std::uint64_t
 ModelRegistry::publish(TenantId tenant, ModelArtifact artifact)
 {
     checkServableArtifact(artifact);
+    // Declared before the lock, so a superseded table that nothing
+    // else pins is destroyed after the unlock, not while table()
+    // callers wait.
+    std::shared_ptr<const ModelTable> superseded;
     MutexLock lock(mutex_);
     ACDSE_CHECK(tenant < names_.size(), "tenant ", tenant,
                 " is not registered");
     // Build the successor table off to the side; nothing the readers
-    // can observe mutates until the single publishing store below.
+    // can observe mutates until the single publishing assignment.
     auto model = std::make_shared<ServedModel>();
     const std::uint64_t version =
         version_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -87,12 +92,10 @@ ModelRegistry::publish(TenantId tenant, ModelArtifact artifact)
     model->tenant = tenant;
     model->artifact = std::move(artifact);
 
-    auto next = std::make_shared<ModelTable>(
-        *table_.load(std::memory_order_acquire));
+    auto next = std::make_shared<ModelTable>(*table_);
     next->models_.resize(names_.size());
     next->models_[tenant] = std::move(model);
-    table_.store(std::shared_ptr<const ModelTable>(std::move(next)),
-                 std::memory_order_release);
+    superseded = std::exchange(table_, std::move(next));
     return version;
 }
 

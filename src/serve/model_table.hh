@@ -7,12 +7,12 @@
  * arms) onto trained artifacts, and operators replace those artifacts
  * while traffic is in flight. The requirements are exactly RCU's:
  *
- *  - Readers (the request path) must never block or fail during a
- *    swap: they take one acquire load to pin a consistent snapshot
- *    and serve the whole batch from it.
+ *  - Readers (the request path) must never wait for a swap or fail
+ *    during one: they copy one shared_ptr to pin a consistent
+ *    snapshot and serve the whole batch from it.
  *  - Writers (publish) build a *new* immutable ModelTable off to the
  *    side, stamp it with the next version, and publish it with one
- *    atomic pointer store. Nothing in the old table is mutated, ever.
+ *    pointer assignment. Nothing in the old table is mutated, ever.
  *  - Retirement is the shared_ptr epoch: a superseded ServedModel
  *    stays alive exactly as long as some in-flight batch still holds
  *    its snapshot, and is destroyed when the last such batch drops it
@@ -92,11 +92,12 @@ class ModelTable
  * The mutable publisher: registers tenants, validates artifacts and
  * atomically publishes new ModelTable snapshots.
  *
- * Thread model: table() is safe from any thread and lock-free on the
- * reader side of the swap (one atomic shared_ptr load; in-flight
- * snapshots pin their epoch). registerTenant() and publish() are
- * serialised by an internal mutex -- copying the tenant vector is the
- * writer's cost, invisible to readers.
+ * Thread model: every member is safe from any thread. table() holds
+ * an internal mutex only to copy the snapshot pointer; in-flight
+ * snapshots pin their epoch. registerTenant() and publish() build the
+ * successor table under the same mutex -- copying the tenant vector
+ * of shared_ptrs is the writer's cost. tenantCount() takes no lock,
+ * so the request path can check a tenant id without one.
  */
 class ModelRegistry
 {
@@ -134,9 +135,19 @@ class ModelRegistry
         ACDSE_EXCLUDES(mutex_);
 
     /** The current snapshot (never null; may be empty of models). */
-    std::shared_ptr<const ModelTable> table() const
+    std::shared_ptr<const ModelTable> table() const ACDSE_EXCLUDES(mutex_)
     {
-        return table_.load(std::memory_order_acquire);
+        MutexLock lock(mutex_);
+        return table_;
+    }
+
+    /**
+     * Number of registered tenants. Tenants are never removed, and a
+     * table() taken after a count is read covers at least that many.
+     */
+    TenantId tenantCount() const
+    {
+        return tenantCount_.load(std::memory_order_acquire);
     }
 
     /** The most recently assigned version (0 before any publish). */
@@ -149,11 +160,19 @@ class ModelRegistry
     mutable Mutex mutex_;
     std::vector<std::string> names_ ACDSE_GUARDED_BY(mutex_);
 
+    /** names_.size(), stored after the table that covers it. */
+    std::atomic<TenantId> tenantCount_{0};
+
     /** Monotonic publish ordinal (read lock-free, bumped in publish). */
     std::atomic<std::uint64_t> version_{0};
 
-    /** The published snapshot; readers load-acquire, publish stores. */
-    std::atomic<std::shared_ptr<const ModelTable>> table_;
+    /**
+     * The published snapshot. A plain shared_ptr under mutex_, not a
+     * std::atomic<std::shared_ptr>: libstdc++ 12's load() drops its
+     * lock bit with a relaxed store, so the next store()'s pointer
+     * write is not ordered after a reader's pointer read.
+     */
+    std::shared_ptr<const ModelTable> table_ ACDSE_GUARDED_BY(mutex_);
 };
 
 /**

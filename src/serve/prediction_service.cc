@@ -289,7 +289,7 @@ SubmitStatus
 PredictionService::submit(AsyncBatch &batch, TenantId tenant,
                           const MicroarchConfig &query)
 {
-    if (tenant >= models_.table()->tenantCount())
+    if (tenant >= models_.tenantCount())
         return SubmitStatus::UnknownTenant;
     ACDSE_CHECK(batch.submitted_ < batch.capacity_,
                 "AsyncBatch over capacity: wait() and reset() first");
@@ -395,7 +395,7 @@ PredictionService::serveDrained(const ServeRequest *requests,
 {
     const std::uint64_t start = obs::nowNs();
 
-    // One acquire load pins the model epoch for every request in this
+    // One snapshot copy pins the model epoch for every request in this
     // drain; the shared_ptr keeps superseded models alive until the
     // last such pin drops (serve/model_table.hh).
     const std::shared_ptr<const ModelTable> table = models_.table();

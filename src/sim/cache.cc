@@ -29,10 +29,9 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
     ACDSE_CHECK(std::has_single_bit(static_cast<unsigned>(lineBytes)),
                  "line size must be 2^n");
     setShift_ = std::countr_zero(static_cast<unsigned>(sets_));
-    const std::size_t stride = kTagWord + 2 * static_cast<std::size_t>(
-                                              assoc);
+    const std::size_t stride = kTagWord + static_cast<std::size_t>(assoc);
     if (stride != stride_) {
-        // Headers move: stale tags or stamps could read as a current
+        // Headers move: stale tags or ages could read as a current
         // epoch, so every word goes back to epoch 0.
         std::fill(blocks_.begin(), blocks_.end(), 0u);
         stride_ = stride;
@@ -40,6 +39,12 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
     const std::size_t words = static_cast<std::size_t>(sets_) * stride_;
     if (words > blocks_.size())
         blocks_.resize(words);
+    initAges_ = 0;
+    for (int lane = 7; lane >= 0; --lane) {
+        initAges_ = initAges_ << 8 |
+                    static_cast<std::uint64_t>(lane < assoc ? lane : 0x7f);
+    }
+    oldestAges_ = static_cast<std::uint64_t>(assoc - 1) * kLaneOnes;
     reset();
 }
 
@@ -72,7 +77,7 @@ Cache::reset()
         std::fill(blocks_.begin(), blocks_.end(), 0u);
         epoch_ = 1;
     }
-    useCounter_ = accesses_ = misses_ = writebacks_ = 0;
+    accesses_ = misses_ = writebacks_ = 0;
 }
 
 CacheHierarchy::CacheHierarchy(const MicroarchConfig &config)

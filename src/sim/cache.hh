@@ -8,10 +8,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "arch/microarch_config.hh"
-#include "base/check.hh"
 
 namespace acdse
 {
@@ -27,16 +27,24 @@ struct CacheAccessResult
  * One set-associative write-back cache with true-LRU replacement over
  * the simulated machine's 32-bit addresses.
  *
- * Each set is one block of 32-bit words: a two-word header (the
- * set's epoch, then its valid mask in the low and its dirty mask in
- * the high 16 bits), the tags of its ways, then their LRU stamps -- 72
- * bytes for an 8-way set, 40 for a 4-way and 24 for a 2-way one.
+ * Each set is one block of 32-bit words: a header of the set's epoch
+ * and its valid mask in the low and dirty mask in the high 16 bits,
+ * then one 64-bit word of per-way recency ages (byte w is way w's age,
+ * 0 the most recent; the ages of a set are a permutation of
+ * 0..assoc-1), then the tags of its ways -- 48 bytes for an 8-way
+ * set, 32 for a 4-way and 24 for a 2-way one. A touch of the way of
+ * age a ages every way younger than a by one and makes it age 0; the
+ * victim of a miss is the way of age assoc-1. Ways are only ever
+ * invalidated all at once, so the invalid ways of a set are always its
+ * oldest: a set entering an epoch starts with way w at age w, and it
+ * fills its highest-index invalid way first.
+ *
  * Validity is epoch-based: a set whose epoch is not the cache's
  * current one is empty, so reset() and reconfigure() empty every set
  * in O(1) by advancing the epoch, and the first access to a set in a
- * new epoch clears its masks. Value-initialised blocks carry epoch 0,
- * which is never current (epoch_ starts at 1), so freshly grown
- * storage is empty without touching it.
+ * new epoch clears its masks and restarts its ages. Value-initialised
+ * blocks carry epoch 0, which is never current (epoch_ starts at 1),
+ * so freshly grown storage is empty without touching it.
  */
 class Cache
 {
@@ -92,8 +100,8 @@ class Cache
         return blocks_.capacity() * sizeof(std::uint32_t);
     }
 
-    /** Largest associativity: the valid and dirty masks are 16 bits. */
-    static constexpr int kMaxAssoc = 16;
+    /** Largest associativity: a set's ages are the bytes of one word. */
+    static constexpr int kMaxAssoc = 8;
 
     /** Largest epoch; the next reset() wraps to a full clear. */
     static constexpr std::uint32_t kMaxEpoch = ~std::uint32_t{0};
@@ -105,8 +113,13 @@ class Cache
     /** @{ */
     static constexpr std::size_t kEpochWord = 0; //!< the set's epoch
     static constexpr std::size_t kMaskWord = 1;  //!< valid | dirty << 16
-    static constexpr std::size_t kTagWord = 2;   //!< assoc tags, then stamps
+    static constexpr std::size_t kAgeWord = 2;   //!< two words of byte ages
+    static constexpr std::size_t kTagWord = 4;   //!< assoc tags
     /** @} */
+
+    /** One in every byte lane, and every lane's top bit. */
+    static constexpr std::uint64_t kLaneOnes = 0x0101010101010101ull;
+    static constexpr std::uint64_t kLaneTops = 0x8080808080808080ull;
 
     int sets_;
     int assoc_;
@@ -114,8 +127,11 @@ class Cache
     int setShift_;           //!< log2(sets_)
     std::size_t stride_ = 0; //!< words per set block
     std::vector<std::uint32_t> blocks_;
+    /** A new epoch's ages: way w at age w, unused lanes at 0x7f. */
+    std::uint64_t initAges_ = 0;
+    /** assoc-1 in every lane: the age of a set's LRU way. */
+    std::uint64_t oldestAges_ = 0;
     std::uint32_t epoch_ = 1;
-    std::uint32_t useCounter_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;
@@ -201,57 +217,58 @@ inline CacheAccessResult
 Cache::access(std::uint32_t addr, bool write)
 {
     ++accesses_;
-    // The LRU stamps are 32 bits wide; a wrap would silently reorder
-    // them, so a run must reset before 2^32 accesses.
-    ++useCounter_;
-    ACDSE_CHECK(useCounter_ != 0,
-                 "cache access counter overflowed its 32-bit LRU stamp");
     const std::uint32_t line_addr = addr >> lineShift_;
     const std::uint32_t set =
         line_addr & (static_cast<std::uint32_t>(sets_) - 1);
     const std::uint32_t tag = line_addr >> setShift_;
     std::uint32_t *blk = &blocks_[set * stride_];
+    std::uint64_t ages = initAges_;
     if (blk[kEpochWord] != epoch_) {
         blk[kEpochWord] = epoch_;
         blk[kMaskWord] = 0;
+    } else {
+        std::memcpy(&ages, blk + kAgeWord, sizeof ages);
     }
     const std::uint32_t valid = blk[kMaskWord] & 0xffffu;
     std::uint32_t *tags = blk + kTagWord;
-    std::uint32_t *last_use = tags + assoc_;
 
     // Compare every tag without branching, then keep the valid ways.
     std::uint32_t match = 0;
     for (int w = 0; w < assoc_; ++w)
         match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
     match &= valid;
+    int way;
+    bool writeback = false;
     if (match) {
-        const int w = std::countr_zero(match);
-        last_use[w] = useCounter_;
-        blk[kMaskWord] |= (write ? 1u : 0u) << (16 + w);
-        return {true, false};
+        way = std::countr_zero(match);
+        blk[kMaskWord] |= (write ? 1u : 0u) << (16 + way);
+    } else {
+        // Victim: the way of age assoc-1, the only zero lane of
+        // ages ^ oldestAges_ (every lane is below 0x80, so adding 0x7f
+        // sets a lane's top bit exactly when the lane is non-zero).
+        ++misses_;
+        const std::uint64_t diff = ages ^ oldestAges_;
+        way = std::countr_zero(~(diff + kLaneTops - kLaneOnes) &
+                               kLaneTops) >> 3;
+        const std::uint32_t bit = 1u << way;
+        writeback = (blk[kMaskWord] >> 16) & bit;
+        writebacks_ += writeback;
+        blk[kMaskWord] = ((blk[kMaskWord] | bit) & ~(bit << 16)) |
+                         (write ? bit << 16 : 0u);
+        tags[way] = tag;
     }
 
-    // Victim: the highest-index invalid way, else the least recently
-    // used one (stamps are unique, so the minimum is).
-    ++misses_;
-    const std::uint32_t all = (1u << assoc_) - 1;
-    int victim = 0;
-    if (valid != all) {
-        victim = 31 - std::countl_zero(~valid & all);
-    } else {
-        for (int w = 1; w < assoc_; ++w) {
-            if (last_use[w] < last_use[victim])
-                victim = w;
-        }
-    }
-    const std::uint32_t bit = 1u << victim;
-    const bool writeback = (blk[kMaskWord] >> 16) & bit;
-    writebacks_ += writeback;
-    blk[kMaskWord] = ((blk[kMaskWord] | bit) & ~(bit << 16)) |
-                     (write ? bit << 16 : 0u);
-    tags[victim] = tag;
-    last_use[victim] = useCounter_;
-    return {false, writeback};
+    // Touch: every lane younger than the way's age a gains one (a lane
+    // keeps its top bit after subtracting a exactly when it is >= a),
+    // then the way becomes age 0.
+    const int shift = 8 * way;
+    const std::uint64_t age = ages >> shift & 0xffu;
+    const std::uint64_t older = ((ages | kLaneTops) - age * kLaneOnes) &
+                                kLaneTops;
+    ages += (~older & kLaneTops) >> 7;
+    ages &= ~(std::uint64_t{0xff} << shift);
+    std::memcpy(blk + kAgeWord, &ages, sizeof ages);
+    return {match != 0, writeback};
 }
 
 inline int

@@ -175,7 +175,7 @@ struct CoreScratch
  *
  * Every table holds the simulated machine's 32-bit addresses at that
  * width, so a scratch that has run the largest design point holds
- * about 750 KiB, 576 KiB of it the L2's 72-byte sets. Library code
+ * about 550 KiB, 384 KiB of it the L2's 48-byte sets. Library code
  * owns exactly one per thread, threadSimScratch(); a second one would
  * only add that footprint to the process's peak memory. The
  * acdse-one-sim-scratch lint rule keeps it that way.

@@ -328,6 +328,68 @@ TEST(CacheOracle, EveryDesignSpaceGeometryMatchesTrueLru)
     }
 }
 
+TEST(CacheOracle, EveryAssociativityMatchesTrueLru)
+{
+    // Every associativity the class accepts, 1 to kMaxAssoc ways, in
+    // a small and a large shape: the byte ages of a set must order its
+    // ways exactly as a recency list does.
+    Rng rng(4242);
+    for (int assoc = 1; assoc <= Cache::kMaxAssoc; assoc *= 2) {
+        for (const int bytes : {assoc * 4 * 32, 64 * 1024}) {
+            const Geometry shape{bytes, assoc, 32};
+            SCOPED_TRACE(::testing::Message()
+                         << bytes << " B, " << assoc << "-way");
+            Cache cache(shape.bytes, shape.assoc, shape.lineBytes);
+            expectMatchesReference(cache, shape, rng,
+                                   randomWindow(shape, rng), 12000);
+        }
+    }
+}
+
+TEST(CacheOracle, PermutedHitsThenMissesEvictInLruOrder)
+{
+    // One 8-way set, filled with dirty and clean lines, re-ordered by
+    // hits in a fixed permutation, then pushed out by 8 new lines:
+    // each miss must take exactly the reference's victim. The cache
+    // is re-shaped from 2 ways first, so the 8-way set must start its
+    // epoch with 8-way ages, not a stale 2-way word.
+    const Geometry shape{4 * 8 * 32, 8, 32}; // 4 sets
+    const std::uint32_t way_bytes = 4 * 32;  // same set, next tag
+    Cache cache(4 * 2 * 32, 2, 32);
+    for (std::uint32_t i = 0; i < 8; ++i)
+        cache.access(i * way_bytes, true);
+    cache.reconfigure(shape.bytes, shape.assoc, shape.lineBytes);
+    ReferenceCache ref(shape.bytes, shape.assoc, shape.lineBytes);
+
+    auto expectSame = [&](std::uint32_t addr, bool write) {
+        const CacheAccessResult got = cache.access(addr, write);
+        const CacheAccessResult want = ref.access(addr, write);
+        EXPECT_EQ(got.hit, want.hit);
+        EXPECT_EQ(got.writebackDirty, want.writebackDirty);
+    };
+    for (std::uint32_t t = 0; t < 8; ++t) {
+        SCOPED_TRACE(::testing::Message() << "fill " << t);
+        expectSame(t * way_bytes, t % 3 == 0);
+    }
+    for (const std::uint32_t t : {5u, 2u, 7u, 0u, 3u, 6u, 1u, 4u, 2u, 5u}) {
+        SCOPED_TRACE(::testing::Message() << "hit " << t);
+        expectSame(t * way_bytes, t == 5);
+    }
+    for (std::uint32_t t = 8; t < 16; ++t) {
+        SCOPED_TRACE(::testing::Message() << "miss " << t);
+        expectSame(t * way_bytes, false);
+        // Everything not yet evicted is still present.
+        for (std::uint32_t old = 0; old < t; ++old) {
+            EXPECT_EQ(cache.probe(old * way_bytes),
+                      ref.probe(old * way_bytes))
+                << old;
+        }
+    }
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.writebacks(), ref.writebacks);
+    EXPECT_EQ(cache.writebacks(), 4u); // tags 0, 3 and 6, then 5 by a hit
+}
+
 TEST(CacheOracle, ReconfigureWalkAndResetMatchTrueLru)
 {
     // One recycled cache re-shaped large -> small -> large, across
@@ -455,6 +517,11 @@ TEST(CacheHierarchy, InstFetchFillsL2)
 TEST(CacheDeathTest, RejectsNonPowerOfTwoSets)
 {
     EXPECT_DEATH(Cache(96, 1, 32), "2\\^n");
+}
+
+TEST(CacheDeathTest, RejectsMoreWaysThanOneAgeWordHolds)
+{
+    EXPECT_DEATH(Cache(16 * 1024, 16, 32), "associativity above");
 }
 
 } // namespace

@@ -57,6 +57,7 @@ TEST(ModelTable, StartsEmptyWithNoTenants)
     const auto table = registry.table();
     ASSERT_NE(table, nullptr);
     EXPECT_EQ(table->tenantCount(), 0u);
+    EXPECT_EQ(registry.tenantCount(), 0u);
     EXPECT_EQ(table->modelFor(0), nullptr);
     EXPECT_EQ(registry.currentVersion(), 0u);
 }
@@ -78,6 +79,7 @@ TEST(ModelTable, RegisterTenantIsIdempotentByName)
     EXPECT_EQ(names[1], "beta");
     // Registration alone grows the table; no model yet.
     EXPECT_EQ(registry.table()->tenantCount(), 2u);
+    EXPECT_EQ(registry.tenantCount(), 2u);
     EXPECT_EQ(registry.table()->modelFor(b), nullptr);
 }
 
