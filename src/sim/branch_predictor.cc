@@ -20,8 +20,8 @@ GsharePredictor::reconfigure(int entries)
     ACDSE_CHECK(entries > 0 &&
                      std::has_single_bit(static_cast<unsigned>(entries)),
                  "gshare table size must be a power of two");
-    counters_.assign(static_cast<std::size_t>(entries),
-                     1); // weakly not-taken
+    // Every counter weakly not-taken (1), four to a byte.
+    counters_.assign((static_cast<std::size_t>(entries) + 3) / 4, 0x55);
     mask_ = static_cast<std::uint32_t>(entries) - 1;
     // Fixed short history: larger tables then monotonically reduce
     // destructive aliasing between branches (the effect the design
@@ -44,13 +44,18 @@ bool
 GsharePredictor::predict(std::uint32_t pc) const
 {
     ++lookups_;
-    return counters_[index(pc)] >= 2;
+    const std::uint32_t i = index(pc);
+    // A counter predicts taken when its high bit is set (>= 2).
+    return counters_[i >> 2] >> (2 * (i & 3u) + 1) & 1u;
 }
 
 void
 GsharePredictor::update(std::uint32_t pc, bool taken)
 {
-    std::uint8_t &counter = counters_[index(pc)];
+    const std::uint32_t i = index(pc);
+    std::uint8_t &byte = counters_[i >> 2];
+    const unsigned shift = 2 * (i & 3u);
+    unsigned counter = byte >> shift & 3u;
     const bool predicted = counter >= 2;
     if (predicted != taken)
         ++mispredicts_;
@@ -58,6 +63,8 @@ GsharePredictor::update(std::uint32_t pc, bool taken)
         ++counter;
     else if (!taken && counter > 0)
         --counter;
+    byte = static_cast<std::uint8_t>((byte & ~(3u << shift)) |
+                                     counter << shift);
     history_ = ((history_ << 1) | (taken ? 1u : 0u)) &
                ((1u << historyBits_) - 1);
 }

@@ -15,6 +15,11 @@ namespace acdse
 /**
  * Gshare: a table of 2-bit saturating counters indexed by PC xor
  * global history; history length is log2(table size) as usual.
+ *
+ * The counters are packed four to a byte, counter i in bits
+ * 2(i mod 4) .. 2(i mod 4)+1 of byte i/4, so the design space's
+ * largest, 32K-entry table holds 8 KiB, and forgetting all training
+ * fills the bytes with 0x55 (every counter at 1, weakly not-taken).
  */
 class GsharePredictor
 {
@@ -54,6 +59,7 @@ class GsharePredictor
   private:
     std::uint32_t index(std::uint32_t pc) const;
 
+    /** Four 2-bit counters per byte. */
     std::vector<std::uint8_t> counters_;
     std::uint32_t mask_;
     std::uint32_t history_ = 0;

@@ -41,10 +41,10 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
         blocks_.resize(words);
     initAges_ = 0;
     for (int lane = 7; lane >= 0; --lane) {
-        initAges_ = initAges_ << 8 |
-                    static_cast<std::uint64_t>(lane < assoc ? lane : 0x7f);
+        initAges_ = initAges_ << 4 |
+                    static_cast<std::uint32_t>(lane < assoc ? lane : 7);
     }
-    oldestAges_ = static_cast<std::uint64_t>(assoc - 1) * kLaneOnes;
+    oldestAges_ = static_cast<std::uint32_t>(assoc - 1) * kLaneOnes;
     reset();
 }
 
@@ -56,9 +56,9 @@ Cache::probe(std::uint32_t addr) const
         line_addr & (static_cast<std::uint32_t>(sets_) - 1);
     const std::uint32_t tag = line_addr >> setShift_;
     const std::uint32_t *blk = &blocks_[set * stride_];
-    if (blk[kEpochWord] != epoch_)
+    if ((blk[kHeaderWord] & kEpochMask) != epoch_)
         return false;
-    const std::uint32_t valid = blk[kMaskWord] & 0xffffu;
+    const std::uint32_t valid = blk[kHeaderWord] >> kValidShift & 0xffu;
     for (int w = 0; w < assoc_; ++w) {
         if ((valid >> w & 1u) && blk[kTagWord + w] == tag)
             return true;
@@ -69,11 +69,12 @@ Cache::probe(std::uint32_t addr) const
 void
 Cache::reset()
 {
-    // O(1) by design: advancing the epoch empties every set. On the
-    // -- practically unreachable -- epoch wrap, fall back to a full
-    // clear (of every set, including any beyond the current geometry)
-    // so recycled epoch values can never resurrect ancient lines.
-    if (++epoch_ == 0) {
+    // O(1) by design: advancing the epoch empties every set. The
+    // epoch is the low 16 bits of a set's header, so every 65,535th
+    // reset wraps it; then fall back to a full clear (of every set,
+    // including any beyond the current geometry) so recycled epoch
+    // values can never resurrect ancient lines.
+    if (++epoch_ > kMaxEpoch) {
         std::fill(blocks_.begin(), blocks_.end(), 0u);
         epoch_ = 1;
     }

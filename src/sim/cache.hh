@@ -8,7 +8,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "arch/microarch_config.hh"
@@ -27,24 +26,27 @@ struct CacheAccessResult
  * One set-associative write-back cache with true-LRU replacement over
  * the simulated machine's 32-bit addresses.
  *
- * Each set is one block of 32-bit words: a header of the set's epoch
- * and its valid mask in the low and dirty mask in the high 16 bits,
- * then one 64-bit word of per-way recency ages (byte w is way w's age,
- * 0 the most recent; the ages of a set are a permutation of
- * 0..assoc-1), then the tags of its ways -- 48 bytes for an 8-way
- * set, 32 for a 4-way and 24 for a 2-way one. A touch of the way of
- * age a ages every way younger than a by one and makes it age 0; the
- * victim of a miss is the way of age assoc-1. Ways are only ever
- * invalidated all at once, so the invalid ways of a set are always its
- * oldest: a set entering an epoch starts with way w at age w, and it
- * fills its highest-index invalid way first.
+ * Each set is one block of 32-bit words: a header word holding the
+ * set's epoch in its low 16 bits, its valid mask in bits 16-23 and its
+ * dirty mask in bits 24-31; then one word of per-way recency ages
+ * (nibble w is way w's age, 0 the most recent; the ages of a set are a
+ * permutation of 0..assoc-1, unused lanes held at 7); then the tags of
+ * its ways -- 40 bytes for an 8-way set, 24 for a 4-way and 16 for a
+ * 2-way one. A touch of the way of age a ages every way younger than
+ * a by one and makes it age 0; the victim of a miss is the way of age
+ * assoc-1. Ways are only ever invalidated all at once, so the invalid
+ * ways of a set are always its oldest: a set entering an epoch starts
+ * with way w at age w, and it fills its highest-index invalid way
+ * first.
  *
  * Validity is epoch-based: a set whose epoch is not the cache's
  * current one is empty, so reset() and reconfigure() empty every set
  * in O(1) by advancing the epoch, and the first access to a set in a
  * new epoch clears its masks and restarts its ages. Value-initialised
  * blocks carry epoch 0, which is never current (epoch_ starts at 1),
- * so freshly grown storage is empty without touching it.
+ * so freshly grown storage is empty without touching it. The epoch
+ * field is 16 bits wide, so every 65,535th reset wraps it and clears
+ * the whole storage instead.
  */
 class Cache
 {
@@ -100,26 +102,32 @@ class Cache
         return blocks_.capacity() * sizeof(std::uint32_t);
     }
 
-    /** Largest associativity: a set's ages are the bytes of one word. */
+    /** Largest associativity: a set's ages are the nibbles of one word. */
     static constexpr int kMaxAssoc = 8;
 
     /** Largest epoch; the next reset() wraps to a full clear. */
-    static constexpr std::uint32_t kMaxEpoch = ~std::uint32_t{0};
+    static constexpr std::uint32_t kMaxEpoch = 0xffffu;
 
   private:
     friend struct CacheTestAccess; // drives the epoch to its wrap
 
     /** @name Word offsets within a set's block. */
     /** @{ */
-    static constexpr std::size_t kEpochWord = 0; //!< the set's epoch
-    static constexpr std::size_t kMaskWord = 1;  //!< valid | dirty << 16
-    static constexpr std::size_t kAgeWord = 2;   //!< two words of byte ages
-    static constexpr std::size_t kTagWord = 4;   //!< assoc tags
+    static constexpr std::size_t kHeaderWord = 0; //!< epoch|valid|dirty
+    static constexpr std::size_t kAgeWord = 1;    //!< nibble ages
+    static constexpr std::size_t kTagWord = 2;    //!< assoc tags
     /** @} */
 
-    /** One in every byte lane, and every lane's top bit. */
-    static constexpr std::uint64_t kLaneOnes = 0x0101010101010101ull;
-    static constexpr std::uint64_t kLaneTops = 0x8080808080808080ull;
+    /** @name Header fields: epoch, then the valid and dirty masks. */
+    /** @{ */
+    static constexpr std::uint32_t kEpochMask = 0xffffu;
+    static constexpr int kValidShift = 16;
+    static constexpr int kDirtyShift = 24;
+    /** @} */
+
+    /** One in every nibble lane, and every lane's top bit. */
+    static constexpr std::uint32_t kLaneOnes = 0x11111111u;
+    static constexpr std::uint32_t kLaneTops = 0x88888888u;
 
     int sets_;
     int assoc_;
@@ -127,10 +135,10 @@ class Cache
     int setShift_;           //!< log2(sets_)
     std::size_t stride_ = 0; //!< words per set block
     std::vector<std::uint32_t> blocks_;
-    /** A new epoch's ages: way w at age w, unused lanes at 0x7f. */
-    std::uint64_t initAges_ = 0;
+    /** A new epoch's ages: way w at age w, unused lanes at 7. */
+    std::uint32_t initAges_ = 0;
     /** assoc-1 in every lane: the age of a set's LRU way. */
-    std::uint64_t oldestAges_ = 0;
+    std::uint32_t oldestAges_ = 0;
     std::uint32_t epoch_ = 1;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
@@ -222,14 +230,13 @@ Cache::access(std::uint32_t addr, bool write)
         line_addr & (static_cast<std::uint32_t>(sets_) - 1);
     const std::uint32_t tag = line_addr >> setShift_;
     std::uint32_t *blk = &blocks_[set * stride_];
-    std::uint64_t ages = initAges_;
-    if (blk[kEpochWord] != epoch_) {
-        blk[kEpochWord] = epoch_;
-        blk[kMaskWord] = 0;
-    } else {
-        std::memcpy(&ages, blk + kAgeWord, sizeof ages);
+    std::uint32_t header = blk[kHeaderWord];
+    std::uint32_t ages = blk[kAgeWord];
+    if ((header & kEpochMask) != epoch_) {
+        header = epoch_;
+        ages = initAges_;
     }
-    const std::uint32_t valid = blk[kMaskWord] & 0xffffu;
+    const std::uint32_t valid = header >> kValidShift & 0xffu;
     std::uint32_t *tags = blk + kTagWord;
 
     // Compare every tag without branching, then keep the valid ways.
@@ -241,33 +248,34 @@ Cache::access(std::uint32_t addr, bool write)
     bool writeback = false;
     if (match) {
         way = std::countr_zero(match);
-        blk[kMaskWord] |= (write ? 1u : 0u) << (16 + way);
+        header |= (write ? 1u : 0u) << (kDirtyShift + way);
     } else {
         // Victim: the way of age assoc-1, the only zero lane of
-        // ages ^ oldestAges_ (every lane is below 0x80, so adding 0x7f
-        // sets a lane's top bit exactly when the lane is non-zero).
+        // ages ^ oldestAges_ (every lane is below 8, so adding 7 sets a
+        // lane's top bit exactly when the lane is non-zero).
         ++misses_;
-        const std::uint64_t diff = ages ^ oldestAges_;
+        const std::uint32_t diff = ages ^ oldestAges_;
         way = std::countr_zero(~(diff + kLaneTops - kLaneOnes) &
-                               kLaneTops) >> 3;
+                               kLaneTops) >> 2;
         const std::uint32_t bit = 1u << way;
-        writeback = (blk[kMaskWord] >> 16) & bit;
+        writeback = header >> kDirtyShift & bit;
         writebacks_ += writeback;
-        blk[kMaskWord] = ((blk[kMaskWord] | bit) & ~(bit << 16)) |
-                         (write ? bit << 16 : 0u);
+        header = ((header | bit << kValidShift) & ~(bit << kDirtyShift)) |
+                 (write ? bit << kDirtyShift : 0u);
         tags[way] = tag;
     }
 
     // Touch: every lane younger than the way's age a gains one (a lane
     // keeps its top bit after subtracting a exactly when it is >= a),
     // then the way becomes age 0.
-    const int shift = 8 * way;
-    const std::uint64_t age = ages >> shift & 0xffu;
-    const std::uint64_t older = ((ages | kLaneTops) - age * kLaneOnes) &
+    const int shift = 4 * way;
+    const std::uint32_t age = ages >> shift & 0xfu;
+    const std::uint32_t older = ((ages | kLaneTops) - age * kLaneOnes) &
                                 kLaneTops;
-    ages += (~older & kLaneTops) >> 7;
-    ages &= ~(std::uint64_t{0xff} << shift);
-    std::memcpy(blk + kAgeWord, &ages, sizeof ages);
+    ages += (~older & kLaneTops) >> 3;
+    ages &= ~(0xfu << shift);
+    blk[kHeaderWord] = header;
+    blk[kAgeWord] = ages;
     return {match != 0, writeback};
 }
 

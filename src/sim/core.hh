@@ -174,8 +174,10 @@ struct CoreScratch
  * through it before.
  *
  * Every table holds the simulated machine's 32-bit addresses at that
- * width, so a scratch that has run the largest design point holds
- * about 550 KiB, 384 KiB of it the L2's 48-byte sets. Library code
+ * width and its metadata at its information content (one header word
+ * and one word of nibble LRU ages per cache set, four gshare counters
+ * per byte), so a scratch that has run the largest design point holds
+ * about 437 KiB, 320 KiB of it the L2's 40-byte sets. Library code
  * owns exactly one per thread, threadSimScratch(); a second one would
  * only add that footprint to the process's peak memory. The
  * acdse-one-sim-scratch lint rule keeps it that way.

@@ -173,7 +173,8 @@ TEST(BatchSim, ScratchAfterLargestDesignPointFitsItsBudget)
 {
     // Every parameter at its largest value sizes every table of a
     // scratch to its largest; the tables store 32-bit addresses and
-    // tags, so the whole scratch stays below 560 KiB.
+    // tags, a cache set's metadata is two words and a gshare counter
+    // two bits, so the whole scratch stays below 440 KiB.
     std::array<int, kNumParams> values{};
     for (std::size_t i = 0; i < kNumParams; ++i)
         values[i] = paramSpecs()[i].max();
@@ -187,14 +188,17 @@ TEST(BatchSim, ScratchAfterLargestDesignPointFitsItsBudget)
                   SimulationOptions{},
                   std::span<SimulationResult>(&result, 1), scratch);
 
-    // One block per set: 8 header bytes, an 8-byte word of LRU ages,
-    // then a 4-byte tag per way. 4 MiB of 64-byte lines is 8192 8-way
-    // sets; 128 KiB of 32-byte lines is 2048 2-way or 1024 4-way sets.
-    EXPECT_EQ(scratch.hierarchy->l2().storageBytes(), 8192u * 48);
-    EXPECT_EQ(scratch.hierarchy->il1().storageBytes(), 2048u * 24);
-    EXPECT_EQ(scratch.hierarchy->dl1().storageBytes(), 1024u * 32);
+    // One block per set: a 4-byte header (epoch, valid and dirty
+    // masks), a 4-byte word of nibble LRU ages, then a 4-byte tag per
+    // way. 4 MiB of 64-byte lines is 8192 8-way sets; 128 KiB of
+    // 32-byte lines is 2048 2-way or 1024 4-way sets. 32K gshare
+    // counters pack four to a byte.
+    EXPECT_EQ(scratch.hierarchy->l2().storageBytes(), 8192u * 40);
+    EXPECT_EQ(scratch.hierarchy->il1().storageBytes(), 2048u * 16);
+    EXPECT_EQ(scratch.hierarchy->dl1().storageBytes(), 1024u * 24);
+    EXPECT_EQ(scratch.bpred->storageBytes(), 8u * 1024);
     EXPECT_EQ(scratch.btb->storageBytes(), 4096u * 8);
-    EXPECT_LE(scratch.storageBytes(), 560u * 1024);
+    EXPECT_LE(scratch.storageBytes(), 440u * 1024);
 }
 
 TEST(BatchSim, DecodedTraceOutlivesItsTrace)

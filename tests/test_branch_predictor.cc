@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "base/rng.hh"
 #include "sim/branch_predictor.hh"
 
@@ -101,6 +105,90 @@ TEST(Gshare, BiggerTableNoWorseUnderAliasingPressure)
     const std::uint64_t small = run(1024);
     const std::uint64_t large = run(32768);
     EXPECT_LT(large, small);
+}
+
+/**
+ * Reference gshare: one unpacked byte per 2-bit counter, the same
+ * index and history rules. Nothing about GsharePredictor's packing is
+ * shared with it.
+ */
+struct ReferenceGshare
+{
+    explicit ReferenceGshare(int entries)
+        : counters(static_cast<std::size_t>(entries), 1),
+          mask(static_cast<std::uint32_t>(entries) - 1),
+          historyBits(std::min(
+              6, std::countr_zero(static_cast<unsigned>(entries))))
+    {
+    }
+
+    std::uint32_t
+    index(std::uint32_t pc) const
+    {
+        return ((pc >> 2) ^ history) & mask;
+    }
+
+    bool predict(std::uint32_t pc) const { return counters[index(pc)] >= 2; }
+
+    void
+    update(std::uint32_t pc, bool taken)
+    {
+        std::uint8_t &counter = counters[index(pc)];
+        mispredicts += (counter >= 2) != taken;
+        if (taken && counter < 3)
+            ++counter;
+        else if (!taken && counter > 0)
+            --counter;
+        history = ((history << 1) | (taken ? 1u : 0u)) &
+                  ((1u << historyBits) - 1);
+    }
+
+    std::vector<std::uint8_t> counters;
+    std::uint32_t mask;
+    int historyBits;
+    std::uint32_t history = 0;
+    std::uint64_t mispredicts = 0;
+};
+
+TEST(BranchPredictor, PackedCountersMatchReference)
+{
+    // Every design-space size (1K-32K entries) fresh, then one
+    // recycled predictor walked through shrinks and grows: each must
+    // predict exactly as the unpacked reference does, branch by
+    // branch. The branches' PCs span the largest table several times
+    // over, so every counter lane of every byte is trained.
+    Rng rng(2025);
+    std::vector<std::uint32_t> pcs(6000);
+    std::vector<double> bias(pcs.size());
+    for (std::size_t i = 0; i < pcs.size(); ++i) {
+        pcs[i] = 0x400000u +
+                 4u * static_cast<std::uint32_t>(rng.nextBounded(1 << 17));
+        bias[i] = rng.nextDouble(0.0, 1.0);
+    }
+    auto expectSame = [&](GsharePredictor &bp, int entries) {
+        SCOPED_TRACE(::testing::Message() << entries << " entries");
+        ReferenceGshare ref(entries);
+        for (int n = 0; n < 20000; ++n) {
+            const std::size_t b = rng.nextBounded(pcs.size());
+            const bool taken = rng.nextBool(bias[b]);
+            ASSERT_EQ(bp.predict(pcs[b]), ref.predict(pcs[b])) << n;
+            bp.update(pcs[b], taken);
+            ref.update(pcs[b], taken);
+            ASSERT_EQ(bp.mispredicts(), ref.mispredicts) << n;
+        }
+        EXPECT_EQ(bp.lookups(), 20000u);
+    };
+    for (int k = 1; k <= 32; k *= 2) {
+        GsharePredictor bp(k * 1024);
+        expectSame(bp, k * 1024);
+        EXPECT_EQ(bp.storageBytes(), static_cast<std::size_t>(k) * 256);
+    }
+    GsharePredictor recycled(32 * 1024);
+    for (const int k : {32, 1, 16, 2, 32, 4, 8, 1}) {
+        recycled.reconfigure(k * 1024);
+        expectSame(recycled, k * 1024);
+    }
+    EXPECT_EQ(recycled.storageBytes(), 8u * 1024); // capacity is kept
 }
 
 TEST(Btb, MissThenHit)

@@ -16,7 +16,7 @@
 namespace acdse
 {
 
-/** Test access to Cache's epoch, to reach the wrap without 2^31 resets. */
+/** Test access to Cache's epoch, to reach its wrap in a few resets. */
 struct CacheTestAccess
 {
     static void
@@ -165,6 +165,41 @@ TEST(Cache, EpochWrapClearsEveryLine)
     for (std::uint64_t a = 0; a < kLarge; a += 32)
         EXPECT_FALSE(cache.probe(a)) << a;
     for (std::uint64_t a = 0; a < kLarge; a += 32)
+        EXPECT_FALSE(cache.access(a, false).hit) << a;
+    EXPECT_EQ(cache.writebacks(), 0u);
+}
+
+TEST(Cache, EpochWrapAtSixteenBitsForgetsEveryLine)
+{
+    // The epoch is the low 16 bits of a set's header. Lines filled at
+    // the last two epochs must be told apart from the current one, and
+    // after the wrap, counting all 65,535 resets back up to the fill's
+    // epoch must not bring its lines back.
+    static_assert(Cache::kMaxEpoch == 0xffff);
+    constexpr std::uint32_t kBytes = 1024;
+    Cache cache(kBytes, 4, 32); // 8 sets
+    auto fill = [&] {
+        for (std::uint32_t a = 0; a < kBytes; a += 32)
+            cache.access(a, true);
+        for (std::uint32_t a = 0; a < kBytes; a += 32)
+            ASSERT_TRUE(cache.probe(a)) << a;
+    };
+    auto expectEmpty = [&] {
+        for (std::uint32_t a = 0; a < kBytes; a += 32)
+            EXPECT_FALSE(cache.probe(a)) << a;
+    };
+
+    CacheTestAccess::setEpoch(cache, Cache::kMaxEpoch - 1);
+    fill();
+    cache.reset(); // epoch 0xffff: the field holds it
+    expectEmpty();
+    fill();
+    cache.reset(); // wraps to epoch 1 with a full clear
+    expectEmpty();
+    for (std::uint32_t epoch = 1; epoch < Cache::kMaxEpoch; ++epoch)
+        cache.reset();
+    expectEmpty(); // back at 0xffff, the fill's epoch
+    for (std::uint32_t a = 0; a < kBytes; a += 32)
         EXPECT_FALSE(cache.access(a, false).hit) << a;
     EXPECT_EQ(cache.writebacks(), 0u);
 }
@@ -331,7 +366,7 @@ TEST(CacheOracle, EveryDesignSpaceGeometryMatchesTrueLru)
 TEST(CacheOracle, EveryAssociativityMatchesTrueLru)
 {
     // Every associativity the class accepts, 1 to kMaxAssoc ways, in
-    // a small and a large shape: the byte ages of a set must order its
+    // a small and a large shape: the nibble ages of a set must order its
     // ways exactly as a recency list does.
     Rng rng(4242);
     for (int assoc = 1; assoc <= Cache::kMaxAssoc; assoc *= 2) {
@@ -416,17 +451,18 @@ TEST(CacheOracle, ReconfigureWalkAndResetMatchTrueLru)
 
 TEST(Cache, NewAssociativityForgetsEveryLine)
 {
-    // A 1-way set is 4 words (epoch, masks, tag, stamp), a 2-way set
-    // 6. Lay out old words so that, were they kept, 2-way set 1 would
-    // read as current and valid: its header falls on 1-way set 1's tag
-    // (6, the epoch after the re-shape) and stamp (1: way 0 valid),
-    // its first tag on 1-way set 2's epoch (5).
+    // A 1-way set is 3 words (header, ages, tag), a 2-way set 4. Lay
+    // out old words so that, were they kept, 2-way set 1 would read as
+    // current and valid: its header falls on 1-way set 1's age word
+    // (0x77777770: epoch 0x7770, the epoch after the re-shape, and
+    // ways 0-2 valid), its first tag on 1-way set 2's header (epoch
+    // 0x776f, way 0 valid).
     Cache cache(128, 1, 32); // 4 sets
-    CacheTestAccess::setEpoch(cache, 5);
-    cache.access((6 * 4 + 1) * 32, false); // set 1, tag 6, stamp 1
-    cache.access((0 * 4 + 2) * 32, false); // set 2, tag 0
-    cache.reconfigure(256, 2, 32);         // 4 sets again, epoch 6
-    const std::uint32_t decoy = (5 * 4 + 1) * 32; // set 1, tag 5
+    CacheTestAccess::setEpoch(cache, 0x776f);
+    cache.access((9 * 4 + 1) * 32, false); // set 1
+    cache.access((0 * 4 + 2) * 32, false); // set 2: header 0x1776f
+    cache.reconfigure(256, 2, 32);         // 4 sets again, epoch 0x7770
+    const std::uint32_t decoy = (0x1776f * 4 + 1) * 32; // set 1
     EXPECT_FALSE(cache.probe(decoy));
     EXPECT_FALSE(cache.access(decoy, false).hit);
 }
