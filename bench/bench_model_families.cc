@@ -71,8 +71,17 @@ main()
     Campaign &campaign = bench::standardCampaign();
     const auto spec = bench::suiteIndices(campaign, Suite::SpecCpu2000);
 
+    const std::size_t configs = campaign.configs().size();
     Table table({"sims", "family", "rmae (%)", "correlation"});
     for (std::size_t sims : {32ul, 128ul, 512ul}) {
+        // A budget must leave held-out configurations to test on.
+        if (sims >= configs) {
+            std::printf("note: skipping the %zu-simulation budget: the "
+                        "campaign has %zu configurations (raise "
+                        "ACDSE_CONFIGS)\n",
+                        sims, configs);
+            continue;
+        }
         stats::RunningStats ann_e, ann_c, rbf_e, rbf_c, spl_e, spl_c;
         for (std::size_t r = 0; r < bench::repeats(); ++r) {
             const std::uint64_t seed = bench::repeatSeed(r);

@@ -170,7 +170,8 @@ main()
             std::this_thread::sleep_until(
                 start + std::chrono::milliseconds(
                             (s + 1) * soakMs / (swaps + 1)));
-            service.publish(s % 2 == 0
+            service.publish(kDefaultTenant,
+                            s % 2 == 0
                                 ? syntheticArtifact(num_models, 1.5)
                                 : syntheticArtifact(num_models, 1.0));
         }

@@ -9,10 +9,13 @@
  *   using namespace acdse;
  *   Campaign campaign = Campaign::standard();      // simulations
  *   Evaluator evaluator(campaign);                 // methodology
+ *   const std::size_t applu = campaign.programIndex("applu");
+ *   std::vector<std::size_t> training;             // all but applu
+ *   for (std::size_t p = 0; p < campaign.programs().size(); ++p)
+ *       if (p != applu)
+ *           training.push_back(p);
  *   auto quality = evaluator.evaluateArchCentric(
- *       campaign.programIndex("applu"), Metric::Cycles,
- *       evaluator.leaveOneOut(campaign.programIndex("applu")),
- *       512, 32, seed);
+ *       applu, Metric::Cycles, training, 512, 32, seed);
  * @endcode
  */
 

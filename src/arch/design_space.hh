@@ -55,14 +55,6 @@ class DesignSpace
      */
     static std::vector<MicroarchConfig> sampleValidConfigs(
         std::size_t count, std::uint64_t seed);
-
-    /**
-     * Deterministically enumerate valid configurations spread over the
-     * space by sampling with a fixed seed -- convenience wrapper used by
-     * the examples.
-     */
-    static std::vector<MicroarchConfig> representativeSample(
-        std::size_t count);
 };
 
 } // namespace acdse

@@ -31,15 +31,6 @@ MicroarchConfig::set(Param p, int value)
 }
 
 std::vector<double>
-MicroarchConfig::asVector() const
-{
-    std::vector<double> v(kNumParams);
-    for (std::size_t i = 0; i < kNumParams; ++i)
-        v[i] = static_cast<double>(values_[i]);
-    return v;
-}
-
-std::vector<double>
 MicroarchConfig::asFeatureVector() const
 {
     std::vector<double> v(kNumParams);
@@ -69,32 +60,6 @@ MicroarchConfig::key() const
         os << values_[i];
     }
     return os.str();
-}
-
-std::string
-MicroarchConfig::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < kNumParams; ++i) {
-        const ParamSpec &spec = paramSpecs()[i];
-        os << spec.name << " = " << values_[i];
-        if (spec.unit[0] != '\0')
-            os << ' ' << spec.unit;
-        os << '\n';
-    }
-    return os.str();
-}
-
-std::uint64_t
-MicroarchConfig::hash() const
-{
-    // FNV-1a over the value indices.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < kNumParams; ++i) {
-        h ^= static_cast<std::uint64_t>(values_[i]);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 } // namespace acdse

@@ -60,9 +60,6 @@ class MicroarchConfig
     int l2Bytes() const { return get(Param::L2Size) * 1024; }
     /** @} */
 
-    /** The raw 13-vector used as predictor input. */
-    std::vector<double> asVector() const;
-
     /**
      * The 13-vector with log2 applied to the power-of-two-spaced
      * parameters (predictor tables and caches): the response surface
@@ -91,14 +88,8 @@ class MicroarchConfig
      */
     std::string key() const;
 
-    /** Human-readable multi-line description. */
-    std::string toString() const;
-
     /** Equality on all 13 values. */
     bool operator==(const MicroarchConfig &other) const = default;
-
-    /** Hash for use in unordered containers. */
-    std::uint64_t hash() const;
 
   private:
     /**

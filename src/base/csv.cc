@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "base/json.hh"
-#include "base/logging.hh"
 
 namespace acdse
 {
@@ -66,17 +65,6 @@ formatCsv(std::ostream &os, const CsvFile &file)
 }
 
 } // namespace
-
-void
-writeCsv(const std::string &path, const CsvFile &file)
-{
-    std::ofstream os(path);
-    if (!os)
-        panic("cannot open '", path, "' for writing");
-    formatCsv(os, file);
-    if (!os)
-        panic("failed while writing '", path, "'");
-}
 
 void
 writeCsvAtomic(const std::string &path, const CsvFile &file)

@@ -27,9 +27,6 @@ struct CsvFile
  */
 bool readCsv(const std::string &path, CsvFile &out);
 
-/** Write a CSV file to disk; panics on I/O failure. */
-void writeCsv(const std::string &path, const CsvFile &file);
-
 /**
  * Write a CSV file atomically through writeTextAtomic() (base/json.hh):
  * the content goes to a temporary file unique to this call that is

@@ -48,14 +48,4 @@ FileLock::unlock()
               std::strerror(errno));
 }
 
-bool
-FileLock::tryLock()
-{
-    if (::flock(fd_, LOCK_EX | LOCK_NB) == 0)
-        return true;
-    if (errno == EWOULDBLOCK || errno == EINTR)
-        return false;
-    panic("flock try('", path_, "') failed: ", std::strerror(errno));
-}
-
 } // namespace acdse

@@ -50,9 +50,6 @@ class ACDSE_CAPABILITY("mutex") FileLock
     /** Release the exclusive lock. */
     void unlock() ACDSE_RELEASE();
 
-    /** Take the lock only if it is free; true on success. */
-    bool tryLock() ACDSE_TRY_ACQUIRE(true);
-
     /** The lock file's path. */
     const std::string &path() const { return path_; }
 

@@ -80,15 +80,4 @@ parseI64OrDie(std::string_view what, std::string_view text)
     return *value;
 }
 
-double
-parseF64OrDie(std::string_view what, std::string_view text)
-{
-    const auto value = parseF64(text);
-    if (!value) {
-        fatal(what, " expects a finite number, got '", std::string(text),
-              "'");
-    }
-    return *value;
-}
-
 } // namespace acdse

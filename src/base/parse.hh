@@ -43,7 +43,6 @@ std::optional<double> parseF64(std::string_view text);
 /** @{ */
 std::uint64_t parseU64OrDie(std::string_view what, std::string_view text);
 std::int64_t parseI64OrDie(std::string_view what, std::string_view text);
-double parseF64OrDie(std::string_view what, std::string_view text);
 /** @} */
 
 } // namespace acdse

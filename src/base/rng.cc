@@ -138,10 +138,4 @@ Rng::nextDiscrete(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ULL);
-}
-
 } // namespace acdse

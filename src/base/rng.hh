@@ -70,9 +70,6 @@ class Rng
         }
     }
 
-    /** Derive an independent child generator (for parallel streams). */
-    Rng split();
-
   private:
     std::uint64_t s[4];
     double spareGaussian;

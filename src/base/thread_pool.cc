@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 
 #include "base/check.hh"
 #include "base/parse.hh"
@@ -101,12 +102,6 @@ ThreadPool::global()
     return pool;
 }
 
-bool
-ThreadPool::onWorkerThread()
-{
-    return tl_pool_worker;
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
     const std::size_t size = resolveThreads(threads);
@@ -124,18 +119,6 @@ ThreadPool::~ThreadPool()
     workCv_.notifyAll();
     for (auto &worker : workers_)
         worker.join();
-}
-
-void
-ThreadPool::enqueue(std::function<void()> task)
-{
-    {
-        MutexLock lock(mutex_);
-        queue_.push_back(Task{std::move(task), obs::nowNs()});
-        poolMetrics().queueDepth.set(
-            static_cast<std::int64_t>(queue_.size()));
-    }
-    workCv_.notifyOne();
 }
 
 void

@@ -10,9 +10,10 @@
  *  - Determinism. The pool never changes results. parallelFor() gives
  *    every index to exactly one task, tasks write to caller-indexed
  *    slots, and any reduction happens in index order on the caller.
- *    Code that draws randomness derives a per-index seed (base/rng
- *    splitting) instead of sharing a generator, so a 1-thread and an
- *    N-thread run of the same loop are bit-identical
+ *    Code that draws randomness seeds one Rng per index from the
+ *    loop's seed and the index (see tileSeed in explore/explorer.cc)
+ *    instead of sharing a generator, so a 1-thread and an N-thread run
+ *    of the same loop are bit-identical
  *    (tests/test_parallel_determinism.cc enforces this).
  *
  *  - Sizing. A pool of size N is N-1 spawned workers plus the calling
@@ -27,18 +28,14 @@
  *    runs the whole loop serially inline on that thread (supported,
  *    not rejected): the outermost loop owns the parallelism, inner loops
  *    degrade to plain loops, and no combination of nested calls can
- *    deadlock or oversubscribe. submit() from a worker enqueues
- *    normally; blocking on the returned future from inside a worker of
- *    the same pool is the one pattern that can deadlock and is
- *    documented as forbidden.
+ *    deadlock or oversubscribe.
  *
  *  - Exceptions. A throwing task aborts the remaining (unstarted)
  *    indices of its parallelFor and the lowest-indexed exception
- *    observed is rethrown on the caller. submit() carries exceptions
- *    through the returned future.
+ *    observed is rethrown on the caller.
  *
- *  - Teardown. The destructor completes all queued submit() work, then
- *    joins; nothing is silently dropped.
+ *  - Teardown. The destructor wakes the workers and joins them; a
+ *    worker exits only once the queue of loop helpers is empty.
  */
 
 #pragma once
@@ -47,10 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "base/sync.hh"
@@ -82,9 +76,6 @@ class ThreadPool
     /** The process-wide shared pool (sized by defaultThreads()). */
     static ThreadPool &global();
 
-    /** True on a thread spawned by any ThreadPool. */
-    static bool onWorkerThread();
-
     /** @param threads total parallelism; 0 resolves the default. */
     explicit ThreadPool(std::size_t threads = 0);
 
@@ -112,27 +103,6 @@ class ThreadPool
                      const std::function<void(std::size_t)> &body,
                      std::size_t grain = 1);
 
-    /**
-     * Enqueue one task and return its future. On a pool with no
-     * workers the task runs inline before submit() returns (the future
-     * is already ready). Exceptions propagate through the future.
-     */
-    template <typename Fn>
-    auto
-    submit(Fn fn) -> std::future<std::invoke_result_t<Fn>>
-    {
-        using Result = std::invoke_result_t<Fn>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::move(fn));
-        std::future<Result> future = task->get_future();
-        if (workers_.empty()) {
-            (*task)();
-            return future;
-        }
-        enqueue([task] { (*task)(); });
-        return future;
-    }
-
   private:
     struct ForJob;
 
@@ -145,9 +115,6 @@ class ThreadPool
         std::function<void()> fn;
         std::uint64_t enqueuedNs = 0;
     };
-
-    /** Push one type-erased task and wake a worker. */
-    void enqueue(std::function<void()> task);
 
     /** Worker main loop: pop tasks until stopped and drained. */
     void workerLoop();

@@ -171,12 +171,6 @@ Campaign::cacheKeyFor(const std::vector<std::string> &programs,
     return os.str();
 }
 
-std::string
-Campaign::cacheKey() const
-{
-    return cacheKeyFor(programs_, options_);
-}
-
 std::uint64_t
 Campaign::numericsFingerprint()
 {
@@ -189,9 +183,9 @@ Campaign::cachePath() const
 {
     std::ostringstream os;
     // The numerics fingerprint invalidates caches across simulator and
-    // trace-generator changes. Unlike cacheKey() this name deliberately
-    // omits the program set: the cache file is shared and merged
-    // across program subsets.
+    // trace-generator changes. Unlike cacheKeyFor() this name
+    // deliberately omits the program set: the cache file is shared and
+    // merged across program subsets.
     char fingerprint[17];
     std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                   static_cast<unsigned long long>(numericsFingerprint()));
@@ -430,14 +424,6 @@ Campaign::cellResult(std::size_t cell) const
     ACDSE_CHECK(cell < results_.size(), "bad cell index");
     ACDSE_CHECK(computed_[cell], "cell accessed before computation");
     return results_[cell];
-}
-
-void
-Campaign::storeCell(std::size_t cell, const Metrics &metrics)
-{
-    ACDSE_CHECK(cell < results_.size(), "bad cell index");
-    results_[cell] = metrics;
-    computed_[cell] = true;
 }
 
 const Metrics &

@@ -124,7 +124,7 @@ class Campaign
     // A cell is one (program, configuration) pair, row-major:
     // cell = program * configs().size() + config. The job runner
     // shards the cell range, computes shards in worker processes and
-    // feeds results back through storeCell()/loadCacheRowsFrom(), so
+    // feeds results back through loadCacheRowsFrom(), so
     // everything here must keep bit-identical semantics with
     // ensureComputed()'s own fill path.
 
@@ -136,9 +136,6 @@ class Campaign
 
     /** The metrics of one computed cell. */
     const Metrics &cellResult(std::size_t cell) const;
-
-    /** Store an externally computed result for one cell. */
-    void storeCell(std::size_t cell, const Metrics &metrics);
 
     /**
      * Simulate exactly the given cells (already-computed ones are
@@ -154,16 +151,6 @@ class Campaign
     void computeCells(const std::vector<std::size_t> &cells,
                       const std::function<void(std::size_t)> &progress =
                           {});
-
-    /**
-     * The campaign identity string: every sampling/simulation
-     * parameter plus a hash of the program set. Two campaigns agree on
-     * every cell's meaning iff their keys are equal, so job-system
-     * artifacts (journal, shard checkpoints, plans) embed this key in
-     * their file names to keep concurrent runs with different
-     * parameters in one ACDSE_CACHE_DIR from colliding.
-     */
-    std::string cacheKey() const;
 
     /**
      * The shared campaign cache CSV path for these options. Its name
@@ -202,7 +189,14 @@ class Campaign
     /** Merge all computed cells into the shared cache, atomically. */
     void saveCache() const;
 
-    /** See campaignCacheKey() -- the static form of cacheKey(). */
+    /**
+     * The campaign identity string: every sampling/simulation
+     * parameter plus a hash of the program set. Two campaigns agree on
+     * every cell's meaning iff their keys are equal, so job-system
+     * artifacts (journal, shard checkpoints, plans) embed this key in
+     * their file names to keep concurrent runs with different
+     * parameters in one ACDSE_CACHE_DIR from colliding.
+     */
     static std::string cacheKeyFor(
         const std::vector<std::string> &programs,
         const CampaignOptions &options);

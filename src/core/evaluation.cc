@@ -224,20 +224,6 @@ Evaluator::evaluateProgramSpecific(std::size_t programIdx, Metric metric,
     return quality;
 }
 
-std::vector<std::size_t>
-Evaluator::leaveOneOut(std::size_t testProgramIdx,
-                       std::size_t poolSize) const
-{
-    const std::size_t limit =
-        poolSize ? poolSize : campaign_.programs().size();
-    std::vector<std::size_t> training;
-    for (std::size_t p = 0; p < limit; ++p) {
-        if (p != testProgramIdx)
-            training.push_back(p);
-    }
-    return training;
-}
-
 ArchitectureCentricPredictor
 Evaluator::makeOfflinePredictor(
     const std::vector<std::size_t> &trainingPrograms, Metric metric,

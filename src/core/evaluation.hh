@@ -119,14 +119,6 @@ class Evaluator
                            std::uint64_t seed);
 
     /**
-     * Leave-one-out convenience: all campaign programs except the test
-     * program (optionally restricted to the first @p suiteSize programs,
-     * for SPEC-only training as in Section 7.3).
-     */
-    std::vector<std::size_t> leaveOneOut(std::size_t testProgramIdx,
-                                         std::size_t poolSize = 0) const;
-
-    /**
      * Build an architecture-centric predictor (offline phase only) from
      * cached models -- used by benches that then fit responses
      * themselves (e.g. Fig. 1).

@@ -153,16 +153,6 @@ TileGenerator::generate(std::size_t tile,
     return stats;
 }
 
-const std::vector<ScoredConfig> &
-ExploreResult::topkFor(Metric metric) const
-{
-    for (std::size_t k = 0; k < metrics.size(); ++k) {
-        if (metrics[k] == metric)
-            return topk[k];
-    }
-    panic("metric '", metricName(metric), "' was not explored");
-}
-
 namespace
 {
 

@@ -100,9 +100,6 @@ struct ExploreResult
     /** Per metric (parallel to metrics): the top-k points, best first. */
     std::vector<std::vector<ScoredConfig>> topk;
     ExploreStats stats; //!< stream accounting
-
-    /** The top-k list of one metric; panics if it was not scored. */
-    const std::vector<ScoredConfig> &topkFor(Metric metric) const;
 };
 
 /**

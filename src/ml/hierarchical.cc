@@ -11,19 +11,6 @@ namespace acdse
 {
 
 std::vector<std::size_t>
-Dendrogram::members(std::size_t node) const
-{
-    if (node < leaves)
-        return {node};
-    const std::size_t m = node - leaves;
-    ACDSE_CHECK(m < merges.size(), "bad dendrogram node id");
-    auto left = members(merges[m].left);
-    auto right = members(merges[m].right);
-    left.insert(left.end(), right.begin(), right.end());
-    return left;
-}
-
-std::vector<std::size_t>
 Dendrogram::cut(std::size_t k) const
 {
     ACDSE_CHECK(k >= 1 && k <= leaves, "bad cluster count");

@@ -31,12 +31,6 @@ struct Dendrogram
     std::vector<DendrogramMerge> merges;    //!< the n-1 merges
 
     /**
-     * Leaf ids of the subtree rooted at @p node (node < leaves means
-     * the single leaf itself).
-     */
-    std::vector<std::size_t> members(std::size_t node) const;
-
-    /**
      * Cut the tree so that @p k clusters remain; returns per-leaf
      * cluster ids in [0, k).
      */

@@ -73,21 +73,6 @@ Matrix::transposeTimes(const std::vector<double> &y) const
     return out;
 }
 
-std::vector<double>
-Matrix::times(const std::vector<double> &x) const
-{
-    ACDSE_CHECK(x.size() == cols_, "A x shape mismatch: A is ", rows_,
-                "x", cols_, ", x has ", x.size());
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < cols_; ++c)
-            acc += (*this)(r, c) * x[c];
-        out[r] = acc;
-    }
-    return out;
-}
-
 bool
 Matrix::choleskySolve(const std::vector<double> &b,
                       std::vector<double> &x) const
@@ -132,15 +117,6 @@ Matrix::choleskySolve(const std::vector<double> &b,
         x[ii] = sum / l(ii, ii);
     }
     return true;
-}
-
-Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix out(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        out(i, i) = 1.0;
-    return out;
 }
 
 } // namespace acdse

@@ -63,9 +63,6 @@ class Matrix
     /** A^T * y for a length-rows vector. */
     std::vector<double> transposeTimes(const std::vector<double> &y) const;
 
-    /** A * x for a length-cols vector. */
-    std::vector<double> times(const std::vector<double> &x) const;
-
     /**
      * Solve (this) * x = b for a symmetric positive-definite matrix via
      * Cholesky decomposition.
@@ -73,9 +70,6 @@ class Matrix
      */
     bool choleskySolve(const std::vector<double> &b,
                        std::vector<double> &x) const;
-
-    /** Identity matrix of the given order. */
-    static Matrix identity(std::size_t n);
 
   private:
     std::size_t rows_;

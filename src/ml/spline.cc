@@ -94,16 +94,6 @@ SplineModel::basis(const std::vector<double> &x) const
     return b;
 }
 
-std::size_t
-SplineModel::basisSize() const
-{
-    ACDSE_CHECK(trained_, "basisSize before train");
-    std::size_t size = 0;
-    for (const auto &knots : knots_)
-        size += 1 + (knots.size() >= 3 ? knots.size() - 2 : 0);
-    return size;
-}
-
 double
 SplineModel::predict(const std::vector<double> &x) const
 {

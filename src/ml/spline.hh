@@ -45,9 +45,6 @@ class SplineModel
     /** Whether train() has been called. */
     bool trained() const { return trained_; }
 
-    /** Size of the expanded basis (for tests). */
-    std::size_t basisSize() const;
-
   private:
     /** Restricted-cubic-spline basis of one sample. */
     std::vector<double> basis(const std::vector<double> &x) const;

@@ -13,12 +13,6 @@ thread_local TraceSpan *tl_current = nullptr;
 
 } // namespace
 
-const TraceSpan *
-TraceSpan::current() noexcept
-{
-    return tl_current;
-}
-
 void
 TraceSpan::open(Stage *stage) noexcept
 {

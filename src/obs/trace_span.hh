@@ -48,11 +48,6 @@ class TraceSpan
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    /** The innermost open span on this thread (tests/debugging). */
-    static const TraceSpan *current() noexcept;
-
-    const Stage *stage() const noexcept { return stage_; }
-
   private:
     void open(Stage *stage) noexcept;
     void close() noexcept;

@@ -28,6 +28,9 @@ constexpr int kDrainSpinPolls = 256;
 /** Bounded park interval; a lost wake-up costs at most this. */
 constexpr std::uint64_t kDrainParkNs = 1'000'000; // 1 ms
 
+/** Most requests the drainer folds into one prediction batch. */
+constexpr std::size_t kDrainBatch = 256;
+
 /** Buffers for scoreQueries(), reused across one call's groups. */
 struct ScoreScratch
 {
@@ -74,10 +77,7 @@ scoreQueries(const ModelArtifact &artifact, std::size_t n,
 
 struct PredictionService::DrainScratch
 {
-    explicit DrainScratch(std::size_t drainBatch) : requests(drainBatch)
-    {
-        order.reserve(drainBatch);
-    }
+    DrainScratch() : requests(kDrainBatch) { order.reserve(kDrainBatch); }
 
     std::vector<ServeRequest> requests; //!< popInto() target
     std::vector<std::uint64_t> order;   //!< (tenant << 32 | index) keys
@@ -159,11 +159,9 @@ PredictionService::PredictionService(ModelArtifact artifact,
       requestLatencyNs_(registry_.histogram("serve/request-latency-ns")),
       latencyReservoir_(registry_.reservoir("serve/request-latency")),
       ring_(options_.maxQueue),
-      drainScratch_(std::make_unique<DrainScratch>(options_.drainBatch))
+      drainScratch_(std::make_unique<DrainScratch>())
 {
     ACDSE_CHECK(options_.chunk > 0, "chunk size must be positive");
-    ACDSE_CHECK(options_.drainBatch > 0,
-                "drain batch size must be positive");
     const TenantId tenant = models_.registerTenant("default");
     ACDSE_CHECK(tenant == kDefaultTenant,
                 "default tenant must get id 0");

@@ -71,7 +71,11 @@
 namespace acdse
 {
 
-/** Prediction-service tuning parameters. */
+/**
+ * Prediction-service tuning parameters. The drain batch, the most
+ * requests the drainer folds into one scoring pass, is not one of
+ * them: it is fixed at 256 (kDrainBatch in prediction_service.cc).
+ */
 struct ServeOptions
 {
     /**
@@ -97,9 +101,6 @@ struct ServeOptions
      * hide.
      */
     std::size_t maxQueue = std::size_t{1} << 14;
-
-    /** Most requests the drainer folds into one prediction batch. */
-    std::size_t drainBatch = 256;
 
     /**
      * Spin the drainer thread up on construction. Tests that need a
@@ -318,12 +319,6 @@ class PredictionService
      */
     std::uint64_t publish(TenantId tenant, ModelArtifact artifact);
 
-    /** publish() to the default tenant. */
-    std::uint64_t publish(ModelArtifact artifact)
-    {
-        return publish(kDefaultTenant, std::move(artifact));
-    }
-
     /** The most recently assigned model version. */
     std::uint64_t currentVersion() const
     {
@@ -364,8 +359,8 @@ class PredictionService
     }
 
     /**
-     * Drain up to options.drainBatch queued requests on the calling
-     * thread; returns the number served. Only legal with
+     * Drain up to one drain batch (256) of queued requests on the
+     * calling thread; returns the number served. Only legal with
      * startDrainer=false (CHECKed): it exists so tests can pump the
      * ingest path deterministically. A warm call does not allocate.
      */
@@ -411,7 +406,7 @@ class PredictionService
     /** The drainer thread: pop, batch, predict, complete, repeat. */
     void drainLoop();
 
-    /** Pop up to options.drainBatch requests and serve them. */
+    /** Pop up to one drain batch of requests and serve them. */
     std::size_t popAndServe();
 
     /** Serve @p count drained requests against the current table. */

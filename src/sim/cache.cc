@@ -48,24 +48,6 @@ Cache::reconfigure(int sizeBytes, int assoc, int lineBytes)
     reset();
 }
 
-bool
-Cache::probe(std::uint32_t addr) const
-{
-    const std::uint32_t line_addr = addr >> lineShift_;
-    const std::uint32_t set =
-        line_addr & (static_cast<std::uint32_t>(sets_) - 1);
-    const std::uint32_t tag = line_addr >> setShift_;
-    const std::uint32_t *blk = &blocks_[set * stride_];
-    if ((blk[kHeaderWord] & kEpochMask) != epoch_)
-        return false;
-    const std::uint32_t valid = blk[kHeaderWord] >> kValidShift & 0xffu;
-    for (int w = 0; w < assoc_; ++w) {
-        if ((valid >> w & 1u) && blk[kTagWord + w] == tag)
-            return true;
-    }
-    return false;
-}
-
 void
 Cache::reset()
 {

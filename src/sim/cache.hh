@@ -75,9 +75,6 @@ class Cache
     /** Access one address; fills the line on a miss. */
     CacheAccessResult access(std::uint32_t addr, bool write);
 
-    /** Whether the address would hit, without changing any state. */
-    bool probe(std::uint32_t addr) const;
-
     /** @name Statistics. */
     /** @{ */
     std::uint64_t accesses() const { return accesses_; }
@@ -109,7 +106,9 @@ class Cache
     static constexpr std::uint32_t kMaxEpoch = 0xffffu;
 
   private:
-    friend struct CacheTestAccess; // drives the epoch to its wrap
+    // Drives the epoch to its wrap and looks lines up without
+    // touching their ages.
+    friend struct CacheTestAccess;
 
     /** @name Word offsets within a set's block. */
     /** @{ */

@@ -32,9 +32,6 @@ enum class InstClass : std::uint8_t
 constexpr std::size_t kNumInstClasses =
     static_cast<std::size_t>(InstClass::NumClasses);
 
-/** Printable name of an instruction class. */
-const char *instClassName(InstClass cls);
-
 /** Whether the class reads/writes memory. */
 inline bool
 isMemClass(InstClass cls)

@@ -27,9 +27,6 @@ enum class Suite
     MiBench,        //!< the paper's cross-suite test set
 };
 
-/** Printable name of a suite. */
-const char *suiteName(Suite suite);
-
 /**
  * All generation knobs for one synthetic benchmark.
  *

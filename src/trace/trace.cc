@@ -3,26 +3,9 @@
 #include <unordered_set>
 
 #include "base/check.hh"
-#include "base/logging.hh"
 
 namespace acdse
 {
-
-const char *
-instClassName(InstClass cls)
-{
-    switch (cls) {
-      case InstClass::IntAlu: return "int-alu";
-      case InstClass::IntMul: return "int-mul";
-      case InstClass::FpAlu: return "fp-alu";
-      case InstClass::FpMul: return "fp-mul";
-      case InstClass::FpDiv: return "fp-div";
-      case InstClass::Load: return "load";
-      case InstClass::Store: return "store";
-      case InstClass::Branch: return "branch";
-      default: panic("bad instruction class");
-    }
-}
 
 Trace::Trace(std::string name, std::vector<TraceInstruction> instructions)
     : name_(std::move(name)), instructions_(std::move(instructions))

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "base/check.hh"
-#include "base/logging.hh"
 #include "base/rng.hh"
 
 namespace acdse
@@ -44,16 +43,6 @@ constexpr std::uint64_t kAddressSpace = std::uint64_t{1} << 32;
 constexpr int kInstBytes = 4;
 
 } // namespace
-
-const char *
-suiteName(Suite suite)
-{
-    switch (suite) {
-      case Suite::SpecCpu2000: return "SPEC CPU 2000";
-      case Suite::MiBench: return "MiBench";
-      default: panic("bad suite");
-    }
-}
 
 std::uint64_t
 ProgramProfile::seedFromName(const std::string &name)

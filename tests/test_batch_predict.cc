@@ -225,7 +225,7 @@ fittedEnsemble(std::size_t num_models, double shift)
         const double mem = 2.0 - 0.15 * static_cast<double>(j);
         // snprintf, not `"p" + std::to_string(j)`: the latter trips
         // a GCC 12 -O3 -Wrestrict false positive (GCC PR105651).
-        char name[16];
+        char name[24]; // "p" + any size_t: -Wformat-truncation
         std::snprintf(name, sizeof(name), "p%zu", j);
         sets[j].name = name;
         sets[j].configs = train;

@@ -24,6 +24,26 @@ struct CacheTestAccess
     {
         cache.epoch_ = epoch;
     }
+
+    /** Whether @p addr would hit, without changing any state. */
+    static bool
+    probe(const Cache &cache, std::uint32_t addr)
+    {
+        const std::uint32_t line_addr = addr >> cache.lineShift_;
+        const std::uint32_t set =
+            line_addr & (static_cast<std::uint32_t>(cache.sets_) - 1);
+        const std::uint32_t tag = line_addr >> cache.setShift_;
+        const std::uint32_t *blk = &cache.blocks_[set * cache.stride_];
+        const std::uint32_t header = blk[Cache::kHeaderWord];
+        if ((header & Cache::kEpochMask) != cache.epoch_)
+            return false;
+        const std::uint32_t valid = header >> Cache::kValidShift & 0xffu;
+        for (int w = 0; w < cache.assoc_; ++w) {
+            if ((valid >> w & 1u) && blk[Cache::kTagWord + w] == tag)
+                return true;
+        }
+        return false;
+    }
 };
 
 namespace
@@ -89,10 +109,10 @@ TEST(Cache, ProbeDoesNotMutate)
 {
     Cache cache(128, 2, 32);
     cache.access(0x000, false);
-    EXPECT_TRUE(cache.probe(0x000));
-    EXPECT_FALSE(cache.probe(0x040));
+    EXPECT_TRUE(CacheTestAccess::probe(cache, 0x000));
+    EXPECT_FALSE(CacheTestAccess::probe(cache, 0x040));
     const std::uint64_t accesses = cache.accesses();
-    cache.probe(0x080);
+    CacheTestAccess::probe(cache, 0x080);
     EXPECT_EQ(cache.accesses(), accesses);
 }
 
@@ -103,7 +123,7 @@ TEST(Cache, ResetClearsEverything)
     cache.reset();
     EXPECT_EQ(cache.accesses(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_FALSE(cache.probe(0x000));
+    EXPECT_FALSE(CacheTestAccess::probe(cache, 0x000));
 }
 
 TEST(Cache, WriteHitThenEvictionReportsWriteback)
@@ -129,15 +149,15 @@ TEST(Cache, ReconfigureLargeSmallLargeLeavesNoStaleHits)
 
     cache.reconfigure(128, 2, 32); // shrinks the geometry, not storage
     for (std::uint64_t a = 0; a < kLarge; a += 32)
-        EXPECT_FALSE(cache.probe(a)) << a;
+        EXPECT_FALSE(CacheTestAccess::probe(cache, a)) << a;
     cache.access(0x000, true);
     cache.access(0x040, false);
-    EXPECT_TRUE(cache.probe(0x000));
+    EXPECT_TRUE(CacheTestAccess::probe(cache, 0x000));
 
     cache.reconfigure(kLarge, 2, 32);
     EXPECT_EQ(cache.accesses(), 0u);
     for (std::uint64_t a = 0; a < kLarge; a += 32)
-        EXPECT_FALSE(cache.probe(a)) << a;
+        EXPECT_FALSE(CacheTestAccess::probe(cache, a)) << a;
     // Refilling evicts nothing: no stale dirty line is written back.
     for (std::uint64_t a = 0; a < kLarge; a += 32)
         EXPECT_FALSE(cache.access(a, false).hit) << a;
@@ -152,7 +172,7 @@ TEST(Cache, EpochWrapClearsEveryLine)
     CacheTestAccess::setEpoch(cache, 5);
     for (std::uint64_t a = 0; a < kLarge; a += 32)
         cache.access(a, true); // every line present, dirty, epoch 5
-    ASSERT_TRUE(cache.probe(0x000));
+    ASSERT_TRUE(CacheTestAccess::probe(cache, 0x000));
 
     // Wrap while shrunk, then count back up to the fill's epoch: the
     // wrap's clear must have reached the lines beyond the small
@@ -163,7 +183,7 @@ TEST(Cache, EpochWrapClearsEveryLine)
     for (int epoch = 2; epoch < 5; ++epoch)
         cache.reset();
     for (std::uint64_t a = 0; a < kLarge; a += 32)
-        EXPECT_FALSE(cache.probe(a)) << a;
+        EXPECT_FALSE(CacheTestAccess::probe(cache, a)) << a;
     for (std::uint64_t a = 0; a < kLarge; a += 32)
         EXPECT_FALSE(cache.access(a, false).hit) << a;
     EXPECT_EQ(cache.writebacks(), 0u);
@@ -182,11 +202,11 @@ TEST(Cache, EpochWrapAtSixteenBitsForgetsEveryLine)
         for (std::uint32_t a = 0; a < kBytes; a += 32)
             cache.access(a, true);
         for (std::uint32_t a = 0; a < kBytes; a += 32)
-            ASSERT_TRUE(cache.probe(a)) << a;
+            ASSERT_TRUE(CacheTestAccess::probe(cache, a)) << a;
     };
     auto expectEmpty = [&] {
         for (std::uint32_t a = 0; a < kBytes; a += 32)
-            EXPECT_FALSE(cache.probe(a)) << a;
+            EXPECT_FALSE(CacheTestAccess::probe(cache, a)) << a;
     };
 
     CacheTestAccess::setEpoch(cache, Cache::kMaxEpoch - 1);
@@ -338,7 +358,7 @@ expectMatchesReference(Cache &cache, const Geometry &shape, Rng &rng,
     for (int i = 0; i < count; ++i) {
         SCOPED_TRACE(::testing::Message() << "access " << i);
         const std::uint32_t probed = next();
-        ASSERT_EQ(cache.probe(probed), ref.probe(probed));
+        ASSERT_EQ(CacheTestAccess::probe(cache, probed), ref.probe(probed));
         const std::uint32_t addr = next();
         const bool write = rng.nextBool(0.3);
         const CacheAccessResult got = cache.access(addr, write);
@@ -415,7 +435,7 @@ TEST(CacheOracle, PermutedHitsThenMissesEvictInLruOrder)
         expectSame(t * way_bytes, false);
         // Everything not yet evicted is still present.
         for (std::uint32_t old = 0; old < t; ++old) {
-            EXPECT_EQ(cache.probe(old * way_bytes),
+            EXPECT_EQ(CacheTestAccess::probe(cache, old * way_bytes),
                       ref.probe(old * way_bytes))
                 << old;
         }
@@ -463,7 +483,7 @@ TEST(Cache, NewAssociativityForgetsEveryLine)
     cache.access((0 * 4 + 2) * 32, false); // set 2: header 0x1776f
     cache.reconfigure(256, 2, 32);         // 4 sets again, epoch 0x7770
     const std::uint32_t decoy = (0x1776f * 4 + 1) * 32; // set 1
-    EXPECT_FALSE(cache.probe(decoy));
+    EXPECT_FALSE(CacheTestAccess::probe(cache, decoy));
     EXPECT_FALSE(cache.access(decoy, false).hit);
 }
 

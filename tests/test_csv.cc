@@ -51,7 +51,7 @@ TEST(Csv, RoundTrip)
     CsvFile out;
     out.header = {"program", "value"};
     out.rows = {{"gzip", "1.5"}, {"mcf", "2.25"}};
-    writeCsv(path, out);
+    writeCsvAtomic(path, out);
 
     CsvFile in;
     ASSERT_TRUE(readCsv(path, in));

@@ -59,22 +59,19 @@ TEST(SampleIndices, FullDraw)
     EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(Evaluator, LeaveOneOutExcludesTestProgram)
-{
-    Evaluator ev(sharedCampaign());
-    const auto training = ev.leaveOneOut(2);
-    EXPECT_EQ(training.size(), 5u);
-    for (std::size_t p : training)
-        EXPECT_NE(p, 2u);
-}
-
 TEST(Evaluator, LeaveOneOutWithPool)
 {
+    // A sweep fold trains on the pool minus its test program: the
+    // SPEC-only training of Section 7.3.
     Evaluator ev(sharedCampaign());
-    const auto training = ev.leaveOneOut(1, 4);
-    EXPECT_EQ(training.size(), 3u);
-    for (std::size_t p : training)
-        EXPECT_LT(p, 4u);
+    const auto swept = ev.evaluateArchCentricSweep(
+        {1}, Metric::Cycles, 16, 8, 31, {0, 1, 2, 3});
+    ASSERT_EQ(swept.size(), 1u);
+    const PredictionQuality single =
+        ev.evaluateArchCentric(1, Metric::Cycles, {0, 2, 3}, 16, 8, 31);
+    EXPECT_EQ(swept[0].rmaePercent, single.rmaePercent);
+    EXPECT_EQ(swept[0].correlation, single.correlation);
+    EXPECT_EQ(swept[0].trainingErrorPercent, single.trainingErrorPercent);
 }
 
 TEST(Evaluator, ProgramSpecificProducesFiniteQuality)
@@ -92,7 +89,7 @@ TEST(Evaluator, ArchCentricRunsLeaveOneOut)
 {
     Evaluator ev(sharedCampaign());
     const PredictionQuality q = ev.evaluateArchCentric(
-        0, Metric::Energy, ev.leaveOneOut(0), 24, 12, 99);
+        0, Metric::Energy, {1, 2, 3, 4, 5}, 24, 12, 99);
     EXPECT_TRUE(std::isfinite(q.rmaePercent));
     EXPECT_GT(q.correlation, 0.0); // energy spaces correlate strongly
     EXPECT_GT(q.trainingErrorPercent, 0.0);
@@ -114,7 +111,7 @@ TEST(Evaluator, OfflinePredictorReady)
 {
     Evaluator ev(sharedCampaign());
     auto predictor =
-        ev.makeOfflinePredictor(ev.leaveOneOut(3), Metric::Ed, 16, 5);
+        ev.makeOfflinePredictor({0, 1, 2, 4, 5}, Metric::Ed, 16, 5);
     EXPECT_TRUE(predictor.offlineTrained());
     EXPECT_FALSE(predictor.ready()); // responses not yet fitted
     EXPECT_EQ(predictor.trainingPrograms().size(), 5u);

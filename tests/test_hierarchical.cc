@@ -84,16 +84,6 @@ TEST(Hierarchical, CutIntoNIsIdentity)
     EXPECT_EQ(distinct.size(), 5u);
 }
 
-TEST(Hierarchical, MembersCoverSubtrees)
-{
-    const Dendrogram tree = hierarchicalCluster(pairsAndOutlier());
-    const auto all = tree.members(tree.leaves + tree.merges.size() - 1);
-    EXPECT_EQ(all.size(), 5u);
-    const auto leaf = tree.members(3);
-    ASSERT_EQ(leaf.size(), 1u);
-    EXPECT_EQ(leaf[0], 3u);
-}
-
 TEST(Hierarchical, RenderContainsAllNames)
 {
     const Dendrogram tree = hierarchicalCluster(pairsAndOutlier());

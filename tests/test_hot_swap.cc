@@ -92,7 +92,7 @@ TEST(HotSwap, SwapUnderLoadIsLossFreeAndBitExact)
         // v2 is pre-trained: publish itself is the only work here.
         while (!swapped.load(std::memory_order_acquire))
             std::this_thread::yield();
-        service.publish(v2);
+        service.publish(kDefaultTenant, v2);
     });
 
     AsyncBatch batch(queries.size());
@@ -161,7 +161,7 @@ TEST(HotSwap, ChurnKeepsVersionsMonotonicPerProducer)
         double scale = 1.0;
         while (!stopSwapping.load(std::memory_order_acquire)) {
             scale += 0.25;
-            service.publish(versionedArtifact(scale));
+            service.publish(kDefaultTenant, versionedArtifact(scale));
         }
     });
 
@@ -226,7 +226,7 @@ TEST(HotSwap, SyncPredictSeesNewVersionNextBatch)
         EXPECT_EQ(before[i].get(Metric::Cycles),
                   v1.predictor(Metric::Cycles).predict(queries[i]));
 
-    service.publish(versionedArtifact(3.0));
+    service.publish(kDefaultTenant, versionedArtifact(3.0));
 
     const auto after = service.predict(queries);
     for (std::size_t i = 0; i < queries.size(); ++i)

@@ -164,14 +164,10 @@ TEST(ObsTraceSpan, AttributesNestedTimeToParent)
     Stage &inner = registry.stage("t/inner");
     {
         const TraceSpan outerSpan(outer);
-        EXPECT_EQ(TraceSpan::current()->stage(), &outer);
         {
             const TraceSpan innerSpan(inner);
-            EXPECT_EQ(TraceSpan::current()->stage(), &inner);
         }
-        EXPECT_EQ(TraceSpan::current()->stage(), &outer);
     }
-    EXPECT_EQ(TraceSpan::current(), nullptr);
 
     const Snapshot snap = registry.snapshot();
     const StageSnapshot &outerSnap = snap.stages.at("t/outer");
@@ -209,10 +205,7 @@ TEST(ObsTraceSpan, SpansOnOtherThreadsHaveNoParent)
     Stage &worker = registry.stage("t/worker");
     {
         const TraceSpan outerSpan(outer);
-        std::thread([&] {
-            EXPECT_EQ(TraceSpan::current(), nullptr);
-            const TraceSpan workerSpan(worker);
-        }).join();
+        std::thread([&] { const TraceSpan workerSpan(worker); }).join();
     }
     const Snapshot snap = registry.snapshot();
     // Cross-thread spans are deliberately not attributed as children.

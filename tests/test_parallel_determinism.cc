@@ -155,8 +155,10 @@ TEST_F(EvaluationDeterminism, WarmedCacheDoesNotChangeResults)
 TEST_F(EvaluationDeterminism, OfflineTrainingIsPoolContextInvariant)
 {
     // trainOffline parallelises over the shared pool; run it once from
-    // the main thread (pooled path) and once from inside a worker
-    // (inline path) -- identical predictors must come out.
+    // the main thread (pooled path) and once from inside an outer
+    // parallelFor body (inline path) -- identical predictors must come
+    // out. Index 0 runs on a worker or on the draining caller; both
+    // run nested loops inline.
     std::vector<ProgramTrainingSet> sets(3);
     Campaign &c = campaign();
     for (std::size_t j = 0; j < sets.size(); ++j) {
@@ -170,7 +172,10 @@ TEST_F(EvaluationDeterminism, OfflineTrainingIsPoolContextInvariant)
 
     ThreadPool pool(4);
     ArchitectureCentricPredictor inlined;
-    pool.submit([&] { inlined.trainOffline(sets); }).get();
+    pool.parallelFor(0, 2, [&](std::size_t i) {
+        if (i == 0)
+            inlined.trainOffline(sets);
+    });
 
     const auto &probe = c.configs();
     std::vector<double> responses;
@@ -179,8 +184,10 @@ TEST_F(EvaluationDeterminism, OfflineTrainingIsPoolContextInvariant)
     const std::vector<MicroarchConfig> response_configs(
         probe.begin(), probe.begin() + 6);
     pooled.fitResponses(response_configs, responses);
-    pool.submit([&] { inlined.fitResponses(response_configs, responses); })
-        .get();
+    pool.parallelFor(0, 2, [&](std::size_t i) {
+        if (i == 0)
+            inlined.fitResponses(response_configs, responses);
+    });
 
     for (const auto &config : probe)
         EXPECT_EQ(pooled.predict(config), inlined.predict(config));

@@ -95,15 +95,12 @@ TEST(ParseDeathTest, OrDieWrappersAreFatalWithContext)
                 testing::ExitedWithCode(1), "ACDSE_THREADS expects");
     EXPECT_EXIT(parseI64OrDie("--offset", "abc"),
                 testing::ExitedWithCode(1), "--offset expects");
-    EXPECT_EXIT(parseF64OrDie("--scale", "nan"),
-                testing::ExitedWithCode(1), "--scale expects");
 }
 
 TEST(ParseDeathTest, OrDieWrappersPassGoodValuesThrough)
 {
     EXPECT_EQ(parseU64OrDie("--batch", "256"), 256u);
     EXPECT_EQ(parseI64OrDie("--offset", "-3"), -3);
-    EXPECT_DOUBLE_EQ(parseF64OrDie("--scale", "0.5"), 0.5);
 }
 
 TEST(CheckDeathTest, CheckPanicsWithFileLineAndMessage)

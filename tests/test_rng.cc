@@ -151,16 +151,6 @@ TEST(Rng, ShuffleActuallyMoves)
     EXPECT_GT(moved, 80);
 }
 
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng parent(37);
-    Rng child = parent.split();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += parent.next() == child.next();
-    EXPECT_LT(same, 3);
-}
-
 /** The same seed must produce the same draws for any sampler. */
 class RngDeterminism : public ::testing::TestWithParam<std::uint64_t>
 {

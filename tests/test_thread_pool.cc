@@ -2,16 +2,14 @@
  * @file
  * Unit tests for the shared work scheduler (base/thread_pool): full
  * index coverage, exception propagation, the documented nested-call
- * semantics (inline serialisation), empty/single ranges, the sizing
- * rule, and teardown with queued work.
+ * semantics (inline serialisation), empty/single ranges and the sizing
+ * rule.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -147,68 +145,6 @@ TEST(ThreadPool, NestedCallsAcrossPoolsAlsoSerialise)
         });
     });
     EXPECT_EQ(sum.load(), 4u * 6u);
-}
-
-TEST(ThreadPool, SubmitReturnsValueThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::logic_error("submitted failure"); });
-    EXPECT_THROW(future.get(), std::logic_error);
-}
-
-TEST(ThreadPool, SubmitOnSingleThreadPoolRunsInline)
-{
-    ThreadPool pool(1);
-    auto future = pool.submit([] { return std::this_thread::get_id(); });
-    EXPECT_EQ(future.get(), std::this_thread::get_id());
-}
-
-TEST(ThreadPool, TeardownCompletesQueuedWork)
-{
-    // A latch (not a sleep) backs the queue up deterministically: the
-    // single worker blocks in the first task until every later task is
-    // enqueued, so the destructor provably starts with work pending
-    // and must drain it rather than drop it.
-    std::atomic<int> completed{0};
-    std::latch gate(1);
-    std::vector<std::future<void>> futures;
-    {
-        ThreadPool pool(2); // one worker
-        futures.push_back(pool.submit([&] {
-            gate.wait();
-            completed.fetch_add(1);
-        }));
-        for (int i = 0; i < 7; ++i)
-            futures.push_back(
-                pool.submit([&] { completed.fetch_add(1); }));
-        gate.count_down();
-        // Destructor runs here, racing the worker for the tail of the
-        // queue; either way all eight tasks must have completed by the
-        // time it returns.
-    }
-    EXPECT_EQ(completed.load(), 8);
-    for (auto &future : futures) {
-        EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
-                  std::future_status::ready);
-    }
-}
-
-TEST(ThreadPool, OnWorkerThreadDistinguishesCallers)
-{
-    EXPECT_FALSE(ThreadPool::onWorkerThread());
-    ThreadPool pool(2);
-    auto future =
-        pool.submit([] { return ThreadPool::onWorkerThread(); });
-    EXPECT_TRUE(future.get());
-    EXPECT_FALSE(ThreadPool::onWorkerThread());
 }
 
 TEST(ThreadPoolDeathTest, InvertedRangeFails)

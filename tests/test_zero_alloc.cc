@@ -132,7 +132,7 @@ fittedEnsemble(std::size_t num_models, double shift)
     };
     std::vector<ProgramTrainingSet> sets(num_models);
     for (std::size_t j = 0; j < num_models; ++j) {
-        char name[16];
+        char name[24]; // "p" + any size_t: -Wformat-truncation
         std::snprintf(name, sizeof(name), "p%zu", j);
         sets[j].name = name;
         sets[j].configs = train;

@@ -6,6 +6,8 @@ Usage:
     check_coverage.py [--build-dir build-cov] [--root .]
         [--floor FRACTION] [--html coverage.html]
         [--summary-json coverage.json]
+    check_coverage.py --list-unreached --build-dir DIR [--build-dir DIR]
+    check_coverage.py --self-test
 
 Requires a tree configured with ``-DACDSE_COVERAGE=ON`` (gcc
 ``--coverage``) whose tests have already run: the ``.gcda`` counters
@@ -19,6 +21,14 @@ TUs are therefore counted once, with their best count.
 The gate applies to ``src/`` only. Tests, tools and benches appear in
 the report but never gate: the point is that the library is exercised,
 not that the harness covers itself.
+
+``--list-unreached`` is not a gate. It prints every ``src/`` function
+in which no executable line ran, merged over every ``--build-dir``
+given (tools/ci/production_run.sh passes the root build and a perfbench
+build after driving the production entry points). It judges from line
+counts, not from gcov's function entry counts: at -O2 an inlined
+function reports an entry count of 0 even when its body ran.
+``--self-test`` checks that rule on a synthetic gcov-JSON fixture.
 
 Floor-ratcheting procedure
 --------------------------
@@ -63,8 +73,8 @@ def gcov_json(gcno, build_dir):
         return None
 
 
-def collect(build_dir, root):
-    """Merge all .gcno exports into {relpath: {line: max_count}}."""
+def gcov_docs(build_dir):
+    """Yield the parsed gcov JSON export of every .gcno in a tree."""
     gcnos = []
     for dirpath, _dirnames, filenames in os.walk(build_dir):
         for name in filenames:
@@ -75,14 +85,25 @@ def collect(build_dir, root):
             f"no .gcno files under {build_dir}: configure with "
             "-DACDSE_COVERAGE=ON and build first"
         )
-
-    root = os.path.realpath(root)
-    merged = {}
     for gcno in sorted(gcnos):
         doc = gcov_json(gcno, build_dir)
-        if doc is None:
-            continue
-        cwd = doc.get("current_working_directory", build_dir)
+        if doc is not None:
+            doc.setdefault("current_working_directory", build_dir)
+            yield doc
+
+
+def merge(docs, root):
+    """Merge gcov JSON docs into (lines, functions) under root.
+
+    lines is {relpath: {line: max_count}}; functions is
+    {(relpath, start_line, end_line): name}, one entry per source
+    range however many translation units compiled it.
+    """
+    root = os.path.realpath(root)
+    merged = {}
+    functions = {}
+    for doc in docs:
+        cwd = doc["current_working_directory"]
         for entry in doc.get("files", []):
             path = entry.get("file", "")
             if not os.path.isabs(path):
@@ -98,7 +119,37 @@ def collect(build_dir, root):
                 if number is None:
                     continue
                 lines[number] = max(lines.get(number, 0), count)
-    return merged
+            for function in entry.get("functions", []):
+                key = (rel, function["start_line"], function["end_line"])
+                functions.setdefault(
+                    key, function.get("demangled_name", function["name"]))
+    return merged, functions
+
+
+def collect(build_dirs, root):
+    """merge() over the gcov exports of every build tree."""
+    docs = (doc for build_dir in build_dirs
+            for doc in gcov_docs(build_dir))
+    return merge(docs, root)
+
+
+def unreached(merged, functions, prefix="src" + os.sep):
+    """Functions under prefix in which no executable line ran.
+
+    Judged from the merged line counts, never from a function's entry
+    count: an inlined function reports 0 entries even when it ran, and
+    a header function counts as reached if it ran in any translation
+    unit. A function with no executable line is never listed.
+    """
+    found = []
+    for (rel, start, end), name in sorted(functions.items()):
+        if not rel.startswith(prefix):
+            continue
+        counts = [count for number, count in merged.get(rel, {}).items()
+                  if start <= number <= end]
+        if counts and not any(counts):
+            found.append((rel, start, name))
+    return found
 
 
 def directory_of(rel):
@@ -199,18 +250,103 @@ def html_report(per_file, per_dir, merged, gated, floor, path):
         handle.write("\n".join(out))
 
 
+# ---------------------------------------------------------------------------
+# Self-test of --list-unreached on a synthetic gcov-JSON fixture.
+
+SELF_TEST_ROOT = "/acdse-coverage-self-test"
+
+
+def _self_test_docs():
+    """Two translation units' gcov JSON, in gcov's own shape."""
+    def function(name, start, end, entries):
+        return {"name": "_Z" + name, "demangled_name": name + "()",
+                "start_line": start, "end_line": end,
+                "execution_count": entries}
+
+    def lines(*pairs):
+        return [{"line_number": number, "count": count}
+                for number, count in pairs]
+
+    header = "src/base/helper.hh"
+    # The header's function runs in the first unit and not the second,
+    # so a merge that let the last unit win would list it.
+    runs = {"current_working_directory": SELF_TEST_ROOT, "files": [
+        {"file": header,
+         "functions": [function("helper", 3, 5, 7)],
+         "lines": lines((3, 7), (4, 7))},
+    ]}
+    cold = {"current_working_directory": SELF_TEST_ROOT, "files": [
+        {"file": "src/core/a.cc",
+         "functions": [function("inlined", 10, 13, 0),
+                       function("dead", 15, 18, 0)],
+         "lines": lines((10, 0), (11, 168), (12, 168), (15, 0),
+                        (16, 0), (17, 0))},
+        {"file": header,
+         "functions": [function("helper", 3, 5, 0)],
+         "lines": lines((3, 0), (4, 0))},
+        {"file": "/usr/include/c++/12/vector",
+         "functions": [function("system", 1, 2, 0)],
+         "lines": lines((1, 0))},
+        {"file": "tests/test_a.cc",
+         "functions": [function("testOnly", 1, 3, 0)],
+         "lines": lines((2, 0))},
+    ]}
+    return [runs, cold]
+
+
+def self_test():
+    merged, functions = merge(_self_test_docs(), SELF_TEST_ROOT)
+    listed = {name for _rel, _line, name in unreached(merged, functions)}
+    cases = [
+        ("entry count 0 but body lines ran (inlined): not listed",
+         "inlined()" not in listed),
+        ("every line count 0: listed", "dead()" in listed),
+        ("header function ran in another translation unit: not listed",
+         "helper()" not in listed),
+        ("nothing outside src/ is listed", listed == {"dead()"}),
+    ]
+    failures = 0
+    for desc, ok in cases:
+        print(f"[{'ok' if ok else 'FAIL'}] {desc}")
+        failures += 0 if ok else 1
+    print(f"self-test: {failures} failure(s)")
+    return 1 if failures else 0
+
+
+def list_unreached(build_dirs, root):
+    merged, functions = collect(build_dirs, root)
+    found = unreached(merged, functions)
+    print(f"src/ functions with no executed line: {len(found)}")
+    for rel, line, name in found:
+        print(f"  {rel}:{line}  {name}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--build-dir", default="build-cov")
+    parser.add_argument("--build-dir", action="append",
+                        help="gcov build tree (repeatable; default "
+                             "build-cov)")
     parser.add_argument("--root", default=".")
     parser.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
     parser.add_argument("--html", default="")
     parser.add_argument("--summary-json", default="",
                         help="write {schema, total, floor, per_dir} "
                              "JSON here (read by job_summary.py)")
+    parser.add_argument("--list-unreached", action="store_true",
+                        help="print the src/ functions in which no "
+                             "line ran, then exit 0 (not a gate)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check --list-unreached on a synthetic "
+                             "fixture and exit")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    build_dirs = args.build_dir or ["build-cov"]
+    if args.list_unreached:
+        return list_unreached(build_dirs, args.root)
 
-    merged = collect(args.build_dir, args.root)
+    merged, _functions = collect(build_dirs, args.root)
     per_file, per_dir = summarise(merged)
     gated = [0, 0]
     for rel, pair in per_file.items():
