@@ -20,9 +20,8 @@
  * tools/ci/check_bench_regression.py against bench/baseline.json.
  * The per-call simulate() rate is reported ungated.
  *
- * Environment: ACDSE_CAMPAIGN_BENCH_CONFIGS (default 64) sets the
- * number of design points; ACDSE_CAMPAIGN_BENCH_TRACE (default 6000)
- * the trace length; ACDSE_BENCH_JSON overrides the BENCH_campaign.json
+ * Scale: 64 design points over a 6000-instruction trace.
+ * Environment: ACDSE_BENCH_JSON overrides the BENCH_campaign.json
  * output path (schema acdse-bench-v1).
  */
 
@@ -183,10 +182,8 @@ peakRssMb()
 int
 main()
 {
-    const std::size_t num_configs =
-        bench::envSize("ACDSE_CAMPAIGN_BENCH_CONFIGS", 64);
-    const std::size_t trace_length =
-        bench::envSize("ACDSE_CAMPAIGN_BENCH_TRACE", 6000);
+    constexpr std::size_t num_configs = 64;
+    constexpr std::size_t trace_length = 6000;
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before =
         obs::Registry::global().snapshot();

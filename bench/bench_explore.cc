@@ -19,9 +19,9 @@
  * (explore_points_per_s). The bench also asserts that the single- and
  * max-thread runs reduce to bit-identical results.
  *
- * Environment: ACDSE_EXPLORE_BENCH_MODELS (default 4) sets the
- * ensemble size per metric; ACDSE_BENCH_JSON overrides the
- * BENCH_explore.json output path (schema acdse-bench-v1).
+ * Each metric's ensemble has 4 ANNs. Environment: ACDSE_BENCH_JSON
+ * overrides the BENCH_explore.json output path (schema
+ * acdse-bench-v1).
  */
 
 #include <chrono>
@@ -153,8 +153,7 @@ identical(const explore::ExploreResult &a,
 int
 main()
 {
-    const std::size_t num_models =
-        bench::envSize("ACDSE_EXPLORE_BENCH_MODELS", 4);
+    constexpr std::size_t num_models = 4;
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before = obs::Registry::global().snapshot();
 

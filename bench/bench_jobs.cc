@@ -8,10 +8,9 @@
  * to catch a quietly quadratic replay or a fsync sneaking into the
  * append path.
  *
- * Environment:
- *   ACDSE_JOBS_BENCH_APPENDS  journal records appended (default 20000)
- *   ACDSE_JOBS_BENCH_JOBS     queue jobs claimed (default 512)
- *   ACDSE_BENCH_JSON          output path (default BENCH_jobs.json)
+ * Scale: 20000 journal records appended, 512 queue jobs claimed.
+ * Environment: ACDSE_BENCH_JSON overrides the output path (default
+ * BENCH_jobs.json).
  */
 
 #include <chrono>
@@ -44,10 +43,8 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main()
 {
-    const std::size_t appends =
-        bench::envSize("ACDSE_JOBS_BENCH_APPENDS", 20000);
-    const std::size_t numJobs =
-        bench::envSize("ACDSE_JOBS_BENCH_JOBS", 512);
+    constexpr std::size_t appends = 20000;
+    constexpr std::size_t numJobs = 512;
 
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "acdse_bench_jobs";

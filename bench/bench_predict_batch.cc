@@ -17,9 +17,8 @@
  * enforced here when the host has >= 8 hardware threads and tracked by
  * tools/ci/check_bench_regression.py against bench/baseline.json.
  *
- * Environment: ACDSE_PREDICT_BENCH_MODELS (default 8) sets the
- * ensemble size; ACDSE_BENCH_JSON overrides the
- * BENCH_predict_batch.json output path (schema acdse-bench-v1).
+ * The ensemble has 8 ANNs. Environment: ACDSE_BENCH_JSON overrides
+ * the BENCH_predict_batch.json output path (schema acdse-bench-v1).
  */
 
 #include <algorithm>
@@ -143,8 +142,7 @@ measureBatch(const ArchitectureCentricPredictor &predictor,
 int
 main()
 {
-    const std::size_t num_models =
-        bench::envSize("ACDSE_PREDICT_BENCH_MODELS", 8);
+    constexpr std::size_t num_models = 8;
     const std::size_t hw = std::thread::hardware_concurrency();
     const obs::Snapshot obs_before =
         obs::Registry::global().snapshot();

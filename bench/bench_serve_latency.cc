@@ -16,7 +16,8 @@
  * *ceilings* for the latency quantiles.
  *
  * Latency quantiles come from the service's exact-sample reservoir
- * (serve/request-latency).
+ * (serve/request-latency). Each ensemble has 8 ANNs; the service runs
+ * with the default ServeOptions.
  *
  * Environment:
  *   ACDSE_SERVE_SOAK_MS        measured window per producer (default
@@ -24,7 +25,6 @@
  *   ACDSE_SERVE_SOAK_PRODUCERS producer threads (default 2)
  *   ACDSE_SERVE_SOAK_SWAPS     hot-swaps spread across the window
  *                              (default 4; 0 disables swapping)
- *   ACDSE_SERVE_BENCH_MODELS   ensemble size (default 8)
  *   ACDSE_BENCH_JSON           output path (default
  *                              BENCH_serve_latency.json)
  */
@@ -139,8 +139,7 @@ produce(PredictionService &service,
 int
 main()
 {
-    const std::size_t num_models =
-        bench::envSize("ACDSE_SERVE_BENCH_MODELS", 8);
+    constexpr std::size_t num_models = 8;
     const std::size_t soakMs = bench::envSize("ACDSE_SERVE_SOAK_MS", 2000);
     const std::size_t producers =
         bench::envSize("ACDSE_SERVE_SOAK_PRODUCERS", 2);
@@ -151,8 +150,7 @@ main()
     const ModelArtifact v1 = syntheticArtifact(num_models, 1.0);
     const ModelArtifact v2 = syntheticArtifact(num_models, 1.5);
 
-    ServeOptions options = ServeOptions::fromEnvironment();
-    PredictionService service(v1, options);
+    PredictionService service(v1);
     const auto queries = DesignSpace::sampleValidConfigs(1024, 42);
 
     std::printf("soaking: %zu producers x %zu ms, %zu hot-swaps, ring "

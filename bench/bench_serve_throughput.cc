@@ -14,10 +14,9 @@
  * Acceptance floor (ISSUE 1): >= 100k single-point predictions/sec
  * batched across the thread pool with the full 4-metric artifact.
  *
- * Environment: ACDSE_SERVE_BENCH_METRICS (default 4) limits the
- * artifact's metric count; ACDSE_SERVE_BENCH_MODELS (default 8) sets
- * the ensemble size; ACDSE_BENCH_JSON overrides the BENCH_serve.json
- * output path (schema acdse-bench-v1, read by
+ * The artifact carries all four metrics, each an 8-ANN ensemble.
+ * Environment: ACDSE_BENCH_JSON overrides the BENCH_serve.json output
+ * path (schema acdse-bench-v1, read by
  * tools/ci/check_bench_regression.py).
  */
 
@@ -88,8 +87,6 @@ measure(const ModelArtifact &artifact, std::size_t threads,
 {
     ServeOptions options;
     options.threads = threads;
-    // Measure the pool even for small batches.
-    options.inlineBelow = threads > 1 ? 0 : queries.size();
     PredictionService service(artifact, options);
 
     // One warm-up pass, then the measured passes.
@@ -122,11 +119,8 @@ measure(const ModelArtifact &artifact, std::size_t threads,
 int
 main()
 {
-    const std::size_t num_metrics =
-        std::min<std::size_t>(
-            bench::envSize("ACDSE_SERVE_BENCH_METRICS", 4), kNumMetrics);
-    const std::size_t num_models =
-        bench::envSize("ACDSE_SERVE_BENCH_MODELS", 8);
+    constexpr std::size_t num_metrics = kNumMetrics;
+    constexpr std::size_t num_models = 8;
 
     std::printf("building synthetic artifact (%zu metrics x %zu-ANN "
                 "ensembles)...\n",

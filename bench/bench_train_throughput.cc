@@ -151,7 +151,7 @@ main()
 {
     const std::size_t max_threads = ThreadPool::defaultThreads();
     const std::size_t hw = std::thread::hardware_concurrency();
-    const std::size_t reps = bench::envSize("ACDSE_BENCH_REPEATS", 3);
+    constexpr std::size_t reps = 3; // timed repeats per cell, best kept
 
     const std::vector<std::string> programs{
         "crc32", "sha",   "adpcm",    "stringsearch",

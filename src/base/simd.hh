@@ -53,7 +53,7 @@ inline constexpr std::size_t kLanes = 8;
  * back in memory, the exact thing the block design exists to avoid).
  *
  * Deliberately 16 bytes even when the build targets AVX/AVX-512
- * (ACDSE_NATIVE): at a fixed 8-point block, wider chunks mean fewer
+ * (-march=native): at a fixed 8-point block, wider chunks mean fewer
  * independent accumulator chains -- 64-byte chunks leave a single
  * latency-bound chain per neuron and measured ~30% *slower* than
  * four 16-byte chains on an AVX-512 host; 32-byte chunks measured

@@ -26,9 +26,10 @@ ArchitectureCentricPredictor::trainOffline(
     ACDSE_CHECK(!trainingSets.empty(),
                  "need at least one offline training program");
     // One ANN per training program, trained across the shared pool.
-    // Every model trains from its own options (weight-init RNG seeded
-    // per model) into its own slot, so the parallel result is
-    // bit-identical to the serial one.
+    // Every model is built from the same options_.programModel (one
+    // weight-init seed for all of them) and is a pure function of its
+    // own training set, written to its own slot, so the parallel
+    // result is bit-identical to the serial one.
     const obs::TraceSpan offlineSpan(obs::Registry::global(),
                                      "train/offline");
     // Intern the per-program stages before fanning out so the worker

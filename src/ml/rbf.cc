@@ -10,10 +10,17 @@
 namespace acdse
 {
 
+namespace
+{
+
+/** Output-layer ridge strength (relative, see LinearRegression::fit). */
+constexpr double kRidge = 1e-6;
+
+} // namespace
+
 RbfNetwork::RbfNetwork(RbfOptions options) : options_(options)
 {
     ACDSE_CHECK(options_.centers > 0, "need at least one center");
-    ACDSE_CHECK(options_.widthScale > 0.0, "width must be positive");
 }
 
 void
@@ -47,15 +54,14 @@ RbfNetwork::train(const std::vector<std::vector<double>> &xs,
         }
     }
     const double sigma =
-        options_.widthScale *
-        (pairs ? total / static_cast<double>(pairs) / 2.0 : 1.0);
+        pairs ? total / static_cast<double>(pairs) / 2.0 : 1.0;
     invTwoSigmaSq_ = 1.0 / (2.0 * sigma * sigma);
 
     // Closed-form output layer.
     std::vector<std::vector<double>> phi(xz.size());
     for (std::size_t i = 0; i < xz.size(); ++i)
         phi[i] = activations(xz[i]);
-    output_.fit(phi, yz, options_.ridge);
+    output_.fit(phi, yz, kRidge);
     trained_ = true;
 }
 

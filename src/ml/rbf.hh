@@ -23,8 +23,6 @@ namespace acdse
 struct RbfOptions
 {
     std::size_t centers = 32;   //!< number of basis functions
-    double widthScale = 1.0;    //!< width multiplier on the heuristic
-    double ridge = 1e-6;        //!< output-layer regularisation
     std::uint64_t seed = 1;     //!< k-means seed
 };
 

@@ -13,6 +13,9 @@ namespace acdse
 namespace
 {
 
+/** Relative ridge strength of the expanded fit (LinearRegression::fit). */
+constexpr double kRidge = 1e-6;
+
 double
 cube(double v)
 {
@@ -63,7 +66,7 @@ SplineModel::train(const std::vector<std::vector<double>> &xs,
     std::vector<std::vector<double>> design(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i)
         design[i] = basis(xs[i]);
-    regression_.fit(design, yz, options_.ridge);
+    regression_.fit(design, yz, kRidge);
     trained_ = true;
 }
 

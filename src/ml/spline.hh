@@ -25,7 +25,6 @@ namespace acdse
 struct SplineOptions
 {
     int knots = 4;          //!< knots per dimension (>= 3)
-    double ridge = 1e-6;    //!< regularisation of the expanded fit
 };
 
 /** Additive restricted-cubic-spline regression model. */

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 
 #include "base/check.hh"
 #include "base/logging.hh"
-#include "base/parse.hh"
 #include "obs/stats_export.hh"
 #include "obs/trace_span.hh"
 
@@ -30,6 +28,19 @@ constexpr std::uint64_t kDrainParkNs = 1'000'000; // 1 ms
 
 /** Most requests the drainer folds into one prediction batch. */
 constexpr std::size_t kDrainBatch = 256;
+
+/**
+ * Query points per predict() work unit: small enough to balance load
+ * across workers, large enough that the per-chunk claim is amortised
+ * away.
+ */
+constexpr std::size_t kChunk = 64;
+
+/**
+ * predict() batches of at most this many points run inline on the
+ * calling thread: waking the pool costs more than the work itself.
+ */
+constexpr std::size_t kInlineBelow = 128;
 
 /** Buffers for scoreQueries(), reused across one call's groups. */
 struct ScoreScratch
@@ -83,27 +94,6 @@ struct PredictionService::DrainScratch
     std::vector<std::uint64_t> order;   //!< (tenant << 32 | index) keys
     ScoreScratch score;
 };
-
-ServeOptions
-ServeOptions::fromEnvironment()
-{
-    ServeOptions options;
-    // ACDSE_SERVE_THREADS is a serving-specific override; when unset,
-    // threads stays 0 and the service sizes itself with the shared
-    // ThreadPool rule (ACDSE_THREADS, else hardware parallelism), the
-    // same rule the campaign and the evaluator use.
-    if (const char *value = std::getenv("ACDSE_SERVE_THREADS");
-        value && *value) {
-        options.threads = static_cast<std::size_t>(
-            parseU64OrDie("ACDSE_SERVE_THREADS", value));
-    }
-    if (const char *value = std::getenv("ACDSE_SERVE_QUEUE");
-        value && *value) {
-        options.maxQueue = static_cast<std::size_t>(
-            parseU64OrDie("ACDSE_SERVE_QUEUE", value));
-    }
-    return options;
-}
 
 AsyncBatch::AsyncBatch(std::size_t capacity)
 {
@@ -161,7 +151,6 @@ PredictionService::PredictionService(ModelArtifact artifact,
       ring_(options_.maxQueue),
       drainScratch_(std::make_unique<DrainScratch>())
 {
-    ACDSE_CHECK(options_.chunk > 0, "chunk size must be positive");
     const TenantId tenant = models_.registerTenant("default");
     ACDSE_CHECK(tenant == kDefaultTenant,
                 "default tenant must get id 0");
@@ -256,7 +245,7 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
         model(kDefaultTenant);
     const ModelArtifact &artifact = served->artifact;
 
-    if (pool_.workers() == 0 || queries.size() <= options_.inlineBelow) {
+    if (pool_.workers() == 0 || queries.size() <= kInlineBelow) {
         computeRange(artifact, queries, rows, 0, queries.size());
     } else {
         // Time spent waiting for the batch mutex is the service's
@@ -265,16 +254,15 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
         MutexLock batch_lock(batchMutex_);
         queueWaitNs_.record(obs::nowNs() - lockStart);
         const std::size_t num_chunks =
-            (queries.size() + options_.chunk - 1) / options_.chunk;
+            (queries.size() + kChunk - 1) / kChunk;
         // Chunks write disjoint row ranges, so the batch result is
         // identical at every thread count; parallelFor blocks until
         // the last chunk finished, so queries/rows never outlive the
         // workers touching them.
         pool_.parallelFor(0, num_chunks, [&](std::size_t chunk) {
             const obs::TraceSpan chunkSpan(chunkStage_);
-            const std::size_t begin = chunk * options_.chunk;
-            const std::size_t end =
-                std::min(begin + options_.chunk, queries.size());
+            const std::size_t begin = chunk * kChunk;
+            const std::size_t end = std::min(begin + kChunk, queries.size());
             computeRange(artifact, queries, rows, begin, end);
         });
     }

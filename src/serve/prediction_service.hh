@@ -38,13 +38,6 @@
  * (log2 histogram + exact-quantile reservoir) are kept so a
  * deployment can watch the serving path (statsSnapshot(),
  * bench/bench_serve_latency.cc).
- *
- * Environment knobs:
- *  - ACDSE_SERVE_THREADS  serving threads; unset falls through to the
- *                         shared sizing rule (ACDSE_THREADS, else the
- *                         hardware parallelism)
- *  - ACDSE_SERVE_QUEUE    ingest ring capacity (rounded to a power of
- *                         two); unset keeps ServeOptions::maxQueue
  */
 
 #pragma once
@@ -72,9 +65,11 @@ namespace acdse
 {
 
 /**
- * Prediction-service tuning parameters. The drain batch, the most
- * requests the drainer folds into one scoring pass, is not one of
- * them: it is fixed at 256 (kDrainBatch in prediction_service.cc).
+ * Prediction-service tuning parameters. The batch geometry is not
+ * among them: predict() splits a batch into 64-point chunks and runs
+ * batches of at most 128 points inline, and the drainer folds at most
+ * 256 requests into one scoring pass (kChunk, kInlineBelow and
+ * kDrainBatch in prediction_service.cc).
  */
 struct ServeOptions
 {
@@ -83,16 +78,6 @@ struct ServeOptions
      * ThreadPool::resolveThreads (ACDSE_THREADS, else hardware).
      */
     std::size_t threads = 0;
-    /**
-     * Query points per work unit. Small enough to balance load across
-     * workers, large enough that the per-chunk claim is amortised away.
-     */
-    std::size_t chunk = 64;
-    /**
-     * Batches at most this size are predicted inline on the calling
-     * thread: waking the pool costs more than the work itself.
-     */
-    std::size_t inlineBelow = 128;
 
     /**
      * Ingest ring capacity in requests (rounded up to a power of
@@ -118,9 +103,6 @@ struct ServeOptions
 
     /** Dump cadence in predict() batches + drains; 0 disables it. */
     std::size_t statsEveryBatches = 0;
-
-    /** Defaults with any ACDSE_SERVE_* environment overrides applied. */
-    static ServeOptions fromEnvironment();
 };
 
 /** Predictions for one query point, indexed by Metric. */
@@ -278,16 +260,14 @@ class PredictionService
   public:
     /** Serve an in-memory artifact (published as the default tenant). */
     explicit PredictionService(ModelArtifact artifact,
-                               ServeOptions options =
-                                   ServeOptions::fromEnvironment());
+                               ServeOptions options = {});
 
     /**
      * Load an artifact file and serve it.
      * @throws SerializationError if the file fails integrity checks.
      */
     static PredictionService fromFile(const std::string &path,
-                                      ServeOptions options =
-                                          ServeOptions::fromEnvironment());
+                                      ServeOptions options = {});
 
     PredictionService(const PredictionService &) = delete;
     PredictionService &operator=(const PredictionService &) = delete;

@@ -12,11 +12,18 @@
 namespace acdse
 {
 
+namespace
+{
+
+/** Dimension of the randomly projected basic-block vectors. */
+constexpr std::size_t kProjectedDims = 16;
+
+} // namespace
+
 SimPointResult
 simpointAnalyze(const Trace &trace, const SimPointOptions &options)
 {
     ACDSE_CHECK(options.intervalLength > 0, "interval length must be > 0");
-    ACDSE_CHECK(options.projectedDims > 0, "need at least one dimension");
 
     const std::size_t n = trace.size();
     const std::size_t num_intervals =
@@ -26,7 +33,7 @@ simpointAnalyze(const Trace &trace, const SimPointOptions &options)
     // execution count into a small dense vector, which is what the
     // original SimPoint does to keep clustering tractable.
     std::vector<std::vector<double>> bbvs(
-        num_intervals, std::vector<double>(options.projectedDims, 0.0));
+        num_intervals, std::vector<double>(kProjectedDims, 0.0));
 
     auto project = [&](std::uint64_t block_pc, std::size_t interval,
                        double count) {
@@ -34,7 +41,7 @@ simpointAnalyze(const Trace &trace, const SimPointOptions &options)
         // giving a sparse random projection.
         std::uint64_t h = block_pc * 0x9e3779b97f4a7c15ULL;
         h ^= h >> 29;
-        const std::size_t dim = h % options.projectedDims;
+        const std::size_t dim = h % kProjectedDims;
         const double sign = (h >> 32) & 1 ? 1.0 : -1.0;
         bbvs[interval][dim] += sign * count;
     };

@@ -32,7 +32,6 @@ struct SimPointOptions
 {
     std::size_t intervalLength = 2000;  //!< instructions per interval
     std::size_t maxClusters = 30;       //!< paper: up to 30 clusters
-    std::size_t projectedDims = 16;     //!< random-projection dimension
     std::uint64_t seed = 7;             //!< clustering seed
 };
 

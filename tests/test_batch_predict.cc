@@ -270,7 +270,9 @@ TEST(BatchDeterminism, ServiceMatchesScalarForEveryMetric)
 {
     // All four served metrics go through the batched chunk path; each
     // row value must equal the per-point scalar ensemble prediction,
-    // inline (single-thread) and chunked across the pool alike.
+    // inline (single-thread) and chunked across the pool alike. 333
+    // points are above the inline cutoff and split into 64-point
+    // chunks: five full ones plus a remainder.
     ModelArtifact artifact;
     artifact.setTag("batch determinism");
     for (std::size_t m = 0; m < kNumMetrics; ++m) {
@@ -283,8 +285,6 @@ TEST(BatchDeterminism, ServiceMatchesScalarForEveryMetric)
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         ServeOptions options;
         options.threads = threads;
-        options.inlineBelow = threads > 1 ? 0 : queries.size();
-        options.chunk = 64; // 333 points: full chunks plus a remainder
         PredictionService service(artifact, options);
         runs.push_back(service.predict(queries));
     }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "arch/parameter.hh"
 
 namespace acdse
@@ -27,6 +31,24 @@ struct CountCase
     int max;
     int baseline;
 };
+
+/**
+ * Print a case as its parameter's spec name, kept alphanumeric ("RF
+ * read" -> RF_read). ctest's gtest_discover_tests names each case
+ * after this print (AllParams/Table1Counts.MatchesPaper/RF_read);
+ * gtest's default print is CountCase's raw bytes, padding included,
+ * which change from build to build.
+ */
+void
+PrintTo(const CountCase &c, std::ostream *os)
+{
+    std::string name = paramSpec(c.param).name;
+    for (char &ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    }
+    *os << name;
+}
 
 class Table1Counts : public ::testing::TestWithParam<CountCase>
 {

@@ -96,6 +96,8 @@ TEST(PredictionService, AbsentMetricsAreNaN)
 TEST(PredictionService, ThreadPoolMatchesSingleThread)
 {
     const ModelArtifact artifact = twoMetricArtifact();
+    // 700 points: above the 128-point inline cutoff, so the batch runs
+    // on the pool as ten full 64-point chunks plus a remainder.
     const auto queries = DesignSpace::sampleValidConfigs(700, 4);
 
     ServeOptions single;
@@ -105,8 +107,6 @@ TEST(PredictionService, ThreadPoolMatchesSingleThread)
 
     ServeOptions pooled;
     pooled.threads = 4;
-    pooled.chunk = 16;       // force many chunks
-    pooled.inlineBelow = 0;  // force the pool path
     PredictionService service(artifact, pooled);
     EXPECT_EQ(service.poolThreads(), 3u);
 
@@ -129,11 +129,12 @@ TEST(PredictionService, ThreadPoolMatchesSingleThread)
  * Regression test for the stale-worker hand-off race: a worker that
  * wakes for a batch only after the batch has completed must not claim
  * chunks of the *next* batch against the previous batch's (destroyed)
- * queries/rows. Tiny back-to-back batches with one-point chunks and a
- * wide pool maximise the window where a late worker still holds the
- * old batch pointers while a new batch resets the chunk cursor; the
- * symptom of the race is rows of the new batch left NaN (its chunk 0
- * was "done" by the stale worker against the old batch).
+ * queries/rows. The smallest pooled batches (129 points: two full
+ * chunks and a one-point remainder) back to back on a wide pool keep
+ * that window open; the symptom of the race is rows of the new batch
+ * left NaN (a chunk was "done" by the stale worker against the old
+ * batch). ThreadPool.BackToBackTinyLoopsNeverDropIndices drives the
+ * same race with two-index loops directly on the pool.
  */
 TEST(PredictionService, BackToBackBatchesNeverDropChunks)
 {
@@ -145,13 +146,9 @@ TEST(PredictionService, BackToBackBatchesNeverDropChunks)
 
     ServeOptions churn;
     churn.threads = 8;
-    churn.chunk = 1;       // one point per claim: maximal hand-off churn
-    churn.inlineBelow = 0; // force the pool path even for tiny batches
     PredictionService service(artifact, churn);
 
-    const auto all = DesignSpace::sampleValidConfigs(3, 7);
-    const std::vector<MicroarchConfig> queries(all.begin(),
-                                               all.begin() + 2);
+    const auto queries = DesignSpace::sampleValidConfigs(129, 7);
     const auto expected = reference.predict(queries);
     for (int round = 0; round < 2000; ++round) {
         const auto rows = service.predict(queries);
@@ -171,11 +168,10 @@ TEST(PredictionService, CountersAddUp)
 {
     ServeOptions options;
     options.threads = 2;
-    options.inlineBelow = 0;
-    options.chunk = 8;
     PredictionService service(twoMetricArtifact(), options);
 
-    const auto queries = DesignSpace::sampleValidConfigs(100, 5);
+    // 200 points: two pooled batches, then a one-point inline batch.
+    const auto queries = DesignSpace::sampleValidConfigs(200, 5);
     service.predict(queries);
     service.predict(queries);
     service.predict({DesignSpace::baseline()});
@@ -186,7 +182,7 @@ TEST(PredictionService, CountersAddUp)
     const obs::StageSnapshot &batches = snap.stages.at("serve/batch");
     EXPECT_EQ(batches.count, 3u);
     EXPECT_EQ(batches.spans.count, 3u);
-    EXPECT_EQ(snap.counters.at("serve/points"), 201u);
+    EXPECT_EQ(snap.counters.at("serve/points"), 401u);
     EXPECT_GT(batches.totalNs, 0u);
     EXPECT_GE(batches.spans.max, batches.spans.min);
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -57,6 +58,37 @@ TEST(ThreadPool, ParallelForHonoursOffsetRange)
     std::atomic<std::size_t> sum{0};
     pool.parallelFor(10, 20, [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 145u); // 10 + 11 + ... + 19
+}
+
+/**
+ * Regression test for the stale-worker hand-off race: a helper that
+ * wakes for a loop only after the loop completed must find its range
+ * exhausted and leave, never claim indices of the next loop or run the
+ * previous loop's body, and the caller must not return before every
+ * index ran. Two-index loops back to back on a wide pool keep that
+ * window open. Each index waits until the other has started, so every
+ * round hands an index to a second thread; each round writes slots no
+ * earlier round touched, so a late write cannot stand in for a
+ * missing one.
+ */
+TEST(ThreadPool, BackToBackTinyLoopsNeverDropIndices)
+{
+    constexpr int kRounds = 2000;
+    ThreadPool pool(8);
+    std::vector<std::array<int, 2>> out(kRounds, {-1, -1});
+    std::vector<std::atomic<int>> started(kRounds);
+    for (int round = 0; round < kRounds; ++round) {
+        pool.parallelFor(0, 2, [&](std::size_t i) {
+            started[round].fetch_add(1);
+            while (started[round].load() < 2)
+                std::this_thread::yield();
+            out[round][i] = 2 * round + static_cast<int>(i);
+        });
+        for (std::size_t i = 0; i < 2; ++i) {
+            ASSERT_EQ(out[round][i], 2 * round + static_cast<int>(i))
+                << "round " << round << " index " << i;
+        }
+    }
 }
 
 TEST(ThreadPool, ZeroTaskParallelForIsANoOp)

@@ -37,9 +37,6 @@
  *               [--batch N] [--threads N] [--stats]
  *               [--max-queue N] [--tenants NAME=FILE,...]
  *               [--hot-swap-watch]
- *
- * Environment: ACDSE_SERVE_THREADS / ACDSE_SERVE_QUEUE are honoured
- * when --threads / --max-queue are not given.
  */
 
 #include <climits>
@@ -294,9 +291,8 @@ main(int argc, char **argv)
     // rides the ingest ring.
     const bool asyncMode = tenantMode || cli.maxQueue != 0;
 
-    ServeOptions serve_options = ServeOptions::fromEnvironment();
-    if (cli.threads)
-        serve_options.threads = cli.threads;
+    ServeOptions serve_options;
+    serve_options.threads = cli.threads;
     if (cli.maxQueue)
         serve_options.maxQueue = cli.maxQueue;
     // Periodic dumps come straight from the service (its private

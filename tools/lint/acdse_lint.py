@@ -54,11 +54,20 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
 
   acdse-retired-build-switch
                          ACDSE_NO_SIMD, ACDSE_NO_FAST_TANH,
-                         ACDSE_NO_SIM_BATCH, ACDSE_OBS_DISABLED and
-                         ACDSE_SIMD_VECTOR name build switches that no
-                         longer exist: the project has one production
-                         build, so code under them is dead and still
-                         compiles silently.
+                         ACDSE_NO_SIM_BATCH, ACDSE_OBS_DISABLED,
+                         ACDSE_SIMD_VECTOR and ACDSE_NATIVE name build
+                         switches that no longer exist: the project
+                         has one production build, so code under them
+                         is dead and still compiles silently.
+
+  acdse-env-knob         A getenv() call in src/ outside
+                         src/base/thread_pool.cc (ACDSE_THREADS),
+                         src/core/campaign.cc (the campaign scale and
+                         cache directory) and src/jobs/campaign_jobs.cc
+                         (the crash suite's fault hooks). Each setting
+                         has one way to be set: a library default
+                         belongs in an options struct or a constant,
+                         and a tool exposes it as a flag.
 
   acdse-test-temp-literal
                          std::filesystem::temp_directory_path() in
@@ -175,11 +184,20 @@ BLOCK_TILER_IMPLS = {
     Path("src/core/architecture_centric_predictor.cc"),
 }
 
+# The library files allowed to read the environment: the thread-count
+# rule, the campaign scale and cache directory, and the jobs fault
+# hooks.
+ENV_READERS = {
+    Path("src/base/thread_pool.cc"),
+    Path("src/core/campaign.cc"),
+    Path("src/jobs/campaign_jobs.cc"),
+}
+
 NOLINT_RE = re.compile(r"NOLINT\(acdse-([a-z-]+)\)")
 
 RETIRED_SWITCH_RE = re.compile(
     r"\bACDSE_(?:NO_SIMD|NO_FAST_TANH|NO_SIM_BATCH|OBS_DISABLED|"
-    r"SIMD_VECTOR)\b"
+    r"SIMD_VECTOR|NATIVE)\b"
 )
 TEST_TEMP_RE = re.compile(r"\btemp_directory_path\s*\(")
 # A SimScratch object (not a reference or pointer): a declaration, a
@@ -192,6 +210,8 @@ SIM_SCRATCH_RE = re.compile(
 )
 # A call of the block transpose (not a mention of it in a comment).
 BLOCK_TILER_RE = re.compile(r"\bsimd::transposeBlock\s*\(")
+# An environment read (std::getenv, getenv or secure_getenv).
+ENV_KNOB_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 # (name, pattern, message, scope): scope is None (every scanned file)
 # or a predicate on the repo-relative path.
@@ -254,6 +274,14 @@ RULES = [
         "transposing blocks by hand",
         lambda rel: rel.parts[:1] == ("src",)
         and rel not in BLOCK_TILER_IMPLS,
+    ),
+    (
+        "env-knob",
+        ENV_KNOB_RE,
+        "a second way to set a setting; give the library an option or "
+        "a constant and the tool a flag instead of reading the "
+        "environment",
+        lambda rel: rel.parts[:1] == ("src",) and rel not in ENV_READERS,
     ),
 ]
 
@@ -519,8 +547,10 @@ LINE_RULE_CASES = [
      "#ifdef ACDSE_NO_SIMD", True),
     ("retired vector macro flags", RETIRED_SWITCH_RE,
      "#if defined(ACDSE_SIMD_VECTOR)", True),
+    ("retired native switch flags", RETIRED_SWITCH_RE,
+     "if(ACDSE_NATIVE)", True),
     ("live build options are clean", RETIRED_SWITCH_RE,
-     "#if defined(ACDSE_ENABLE_DCHECK) || ACDSE_NATIVE", False),
+     "#if defined(ACDSE_ENABLE_DCHECK) || ACDSE_COVERAGE", False),
     ("fixed temp-dir name flags", TEST_TEMP_RE,
      'std::filesystem::temp_directory_path() / "acdse_t1"', True),
     ("uniqueTempDir is clean", TEST_TEMP_RE,
@@ -553,6 +583,16 @@ LINE_RULE_CASES = [
     ("the definition is clean", BLOCK_TILER_RE,
      "transposeBlock(const double *__restrict rows, std::size_t count,",
      False),
+    ("std::getenv flags", ENV_KNOB_RE,
+     '    if (const char *value = std::getenv("ACDSE_SERVE_QUEUE");', True),
+    ("unqualified getenv flags", ENV_KNOB_RE,
+     'const char *dir = getenv("HOME");', True),
+    ("secure_getenv flags", ENV_KNOB_RE,
+     'const char *dir = secure_getenv("HOME");', True),
+    ("a getenv mention in a comment is clean", ENV_KNOB_RE,
+     " * read once with std::getenv, not per call", False),
+    ("an option field is clean", ENV_KNOB_RE,
+     "    serve_options.maxQueue = cli.maxQueue;", False),
 ]
 
 # (name, rule, repo-relative path, rule applies there) for scoped rules.
@@ -581,6 +621,18 @@ SCOPE_CASES = [
      "src/core/architecture_centric_predictor.cc", False),
     ("tests may transpose blocks", "one-block-tiler",
      "tests/test_batch_predict.cc", False),
+    ("an environment read in the service is in scope", "env-knob",
+     "src/serve/prediction_service.cc", True),
+    ("the thread-count rule is exempt", "env-knob",
+     "src/base/thread_pool.cc", False),
+    ("the campaign scale settings are exempt", "env-knob",
+     "src/core/campaign.cc", False),
+    ("the jobs fault hooks are exempt", "env-knob",
+     "src/jobs/campaign_jobs.cc", False),
+    ("benches may read the environment", "env-knob",
+     "bench/bench_common.hh", False),
+    ("tools may read the environment", "env-knob",
+     "tools/acdse_serve.cc", False),
 ]
 
 
