@@ -1,6 +1,10 @@
 #include "base/binary_io.hh"
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
+
+#include "base/check.hh"
 
 namespace acdse
 {
@@ -10,6 +14,10 @@ namespace
 
 /** Hard cap on length prefixes: a corrupt length must not OOM us. */
 constexpr std::uint64_t kMaxLength = 1ull << 32;
+
+/** Bytes of a sealed image before its payload. */
+constexpr std::size_t kSealMagicBytes = 8;
+constexpr std::size_t kSealHeaderBytes = kSealMagicBytes + 4 + 8 + 8;
 
 } // namespace
 
@@ -139,6 +147,65 @@ fnv1a64(std::string_view data)
         hash *= 0x100000001b3ull;
     }
     return hash;
+}
+
+std::string
+sealBytes(std::string_view magic, std::uint32_t version,
+          std::string_view payload)
+{
+    ACDSE_CHECK(magic.size() == kSealMagicBytes,
+                "a sealed image's magic is 8 bytes");
+    std::string bytes(magic);
+    BinaryWriter header;
+    header.u32(version);
+    header.u64(payload.size());
+    header.u64(fnv1a64(payload));
+    bytes += header.buffer();
+    bytes += payload;
+    return bytes;
+}
+
+std::string_view
+unsealBytes(std::string_view bytes, std::string_view magic,
+            std::uint32_t version, std::string_view what)
+{
+    ACDSE_CHECK(magic.size() == kSealMagicBytes,
+                "a sealed image's magic is 8 bytes");
+    const std::string name(what);
+    if (bytes.size() < kSealHeaderBytes)
+        throw SerializationError(name + " too small to hold a header");
+    if (bytes.substr(0, kSealMagicBytes) != magic)
+        throw SerializationError("bad magic: not an " + name);
+
+    BinaryReader header(bytes.substr(kSealMagicBytes));
+    const std::uint32_t found = header.u32();
+    if (found != version)
+        throw SerializationError(
+            "unsupported " + name + " version " + std::to_string(found) +
+            " (this build reads version " + std::to_string(version) +
+            ")");
+    const std::uint64_t size = header.u64();
+    const std::uint64_t checksum = header.u64();
+
+    const std::string_view payload = bytes.substr(kSealHeaderBytes);
+    if (payload.size() != size)
+        throw SerializationError(
+            name + " payload size mismatch (truncated or padded file)");
+    if (fnv1a64(payload) != checksum)
+        throw SerializationError(name +
+                                 " checksum mismatch (corrupt file)");
+    return payload;
+}
+
+std::optional<std::string>
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
 }
 
 } // namespace acdse

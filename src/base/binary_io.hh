@@ -8,15 +8,20 @@
  * predictor loaded from an artifact must produce predictions identical
  * to the freshly-trained one.
  *
- * Errors while *decoding* (truncated buffer, absurd lengths) throw
- * SerializationError rather than panic(): corrupt input files are a
- * caller problem, and a long-running prediction server must be able to
- * reject a bad artifact without dying.
+ * sealBytes()/unsealBytes() frame an encoded payload as a file: every
+ * trained model on disk (the model store's artifacts, the job server's
+ * per-program checkpoints) goes through that one pair.
+ *
+ * Errors while *decoding* (truncated buffer, absurd lengths, a failed
+ * checksum) throw SerializationError rather than panic(): corrupt input
+ * files are a caller problem, and a long-running prediction server must
+ * be able to reject a bad artifact without dying.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -108,6 +113,36 @@ class BinaryReader
  * integrity check on a local model file needs.
  */
 std::uint64_t fnv1a64(std::string_view data);
+
+/**
+ * Frame @p payload as a sealed file image (all integers little-endian):
+ *
+ *   offset  size  field
+ *        0     8  magic, naming what the payload holds
+ *        8     4  format version
+ *       12     8  payload size in bytes
+ *       20     8  FNV-1a 64 checksum of the payload
+ *       28     n  payload
+ *
+ * @p magic must be exactly 8 bytes.
+ */
+std::string sealBytes(std::string_view magic, std::uint32_t version,
+                      std::string_view payload);
+
+/**
+ * The payload of a sealBytes() image, viewed inside @p bytes.
+ * @p what names the expected content in error messages ("ACDSE model
+ * artifact").
+ * @throws SerializationError on another magic, another version, a size
+ *         mismatch (truncated or padded) or a checksum mismatch.
+ */
+std::string_view unsealBytes(std::string_view bytes,
+                             std::string_view magic,
+                             std::uint32_t version,
+                             std::string_view what);
+
+/** A whole file's bytes; nullopt when it cannot be opened. */
+std::optional<std::string> readFileBytes(const std::string &path);
 
 } // namespace acdse
 

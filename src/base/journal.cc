@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -68,15 +66,13 @@ Journal::exists() const
 JournalReplay
 Journal::replay() const
 {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = readFileBytes(path_);
+    if (!bytes) {
         if (!exists())
             return {}; // never written: a valid empty journal
         throw JournalError("cannot read journal '" + path_ + "'");
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return decode(buffer.str());
+    return decode(*bytes);
 }
 
 JournalReplay

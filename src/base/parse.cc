@@ -1,5 +1,6 @@
 #include "base/parse.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <string>
@@ -56,6 +57,20 @@ parseF64(std::string_view text)
     if (!std::isfinite(value))
         return std::nullopt;
     return value;
+}
+
+std::vector<std::string>
+splitList(std::string_view text, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= text.size()) {
+        const std::size_t end = std::min(text.find(sep, start), text.size());
+        if (end > start)
+            out.emplace_back(text.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
 }
 
 std::uint64_t

@@ -13,14 +13,17 @@
  * string is a valid in-range number: no leading/trailing whitespace or
  * garbage, no overflow, no '-' for unsigned. The *OrDie wrappers are
  * for CLI/environment parsing where a bad value should stop the
- * process with a message naming the offending input.
+ * process with a message naming the offending input. splitList() cuts
+ * a list-valued flag or field into its items.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace acdse
 {
@@ -33,6 +36,12 @@ std::optional<std::int64_t> parseI64(std::string_view text);
 
 /** Parse a full string as a finite double; nullopt otherwise. */
 std::optional<double> parseF64(std::string_view text);
+
+/**
+ * The items of a @p sep separated list, in order. Empty items are
+ * skipped, so "a,,b," gives {"a", "b"} and "" gives {}.
+ */
+std::vector<std::string> splitList(std::string_view text, char sep);
 
 /**
  * @name Fatal-on-error wrappers.

@@ -217,7 +217,10 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         poolMetrics().queueDepth.set(
             static_cast<std::int64_t>(queue_.size()));
     }
-    workCv_.notifyAll();
+    // One wake-up per queued helper: a short loop on a wide pool must
+    // not wake every sleeping worker to find the queue already empty.
+    for (std::size_t h = 0; h < helpers; ++h)
+        workCv_.notifyOne();
 
     tl_for_caller = true;
     drain(*job); // body exceptions are caught into the job

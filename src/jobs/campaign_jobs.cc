@@ -4,9 +4,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,6 +14,7 @@
 #include "base/parse.hh"
 #include "core/architecture_centric_predictor.hh"
 #include "obs/trace_span.hh"
+#include "serve/model_store.hh"
 
 namespace acdse::jobs
 {
@@ -24,7 +22,11 @@ namespace acdse::jobs
 namespace
 {
 
-constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v1";
+constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v2";
+
+/** The sealBytes() framing of the per-program model checkpoints. */
+constexpr std::string_view kCheckpointMagic = "ACDSEPGM";
+constexpr std::uint32_t kCheckpointVersion = 1;
 
 std::string
 joinList(const std::vector<std::string> &items)
@@ -50,29 +52,11 @@ joinIndices(const std::vector<std::size_t> &items)
     return out;
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t sep = text.find(';', start);
-        const std::size_t end =
-            sep == std::string::npos ? text.size() : sep;
-        if (end > start)
-            out.push_back(text.substr(start, end - start));
-        if (sep == std::string::npos)
-            break;
-        start = sep + 1;
-    }
-    return out;
-}
-
 std::vector<std::size_t>
 splitIndices(const std::string &text, const char *what)
 {
     std::vector<std::size_t> out;
-    for (const auto &item : splitList(text)) {
+    for (const auto &item : splitList(text, ';')) {
         const auto value = parseU64(item);
         if (!value)
             throw JobError(std::string("bad ") + what +
@@ -82,34 +66,37 @@ splitIndices(const std::string &text, const char *what)
     return out;
 }
 
-/** Whole-file read; nullopt when the file does not exist. */
-std::optional<std::string>
-readFileBytes(const std::string &path)
+/**
+ * The checkpointed per-program model at @p path; nullptr when it is
+ * missing or fails its checksum or parse. A damaged checkpoint counts
+ * as never written.
+ */
+std::shared_ptr<const ProgramSpecificPredictor>
+loadCheckpoint(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    const std::optional<std::string> bytes = readFileBytes(path);
+    if (!bytes)
+        return nullptr;
+    try {
+        BinaryReader reader(unsealBytes(*bytes, kCheckpointMagic,
+                                        kCheckpointVersion,
+                                        "ACDSE program-model checkpoint"));
+        auto model = std::make_shared<ProgramSpecificPredictor>();
+        model->load(reader);
+        return reader.exhausted() ? model : nullptr;
+    } catch (const SerializationError &) {
+        return nullptr;
+    }
 }
 
-/** Whether a saved model/predictor artifact loads cleanly. */
-template <typename ModelT>
-bool
-artifactLoads(const std::string &path)
+/** The provenance tag of a plan's model artifact. */
+std::string
+artifactTag(const CampaignJobPlan &plan)
 {
-    const auto bytes = readFileBytes(path);
-    if (!bytes)
-        return false;
-    try {
-        BinaryReader reader(*bytes);
-        ModelT probe;
-        probe.load(reader);
-        return reader.exhausted();
-    } catch (const SerializationError &) {
-        return false;
-    }
+    return "acdse-jobs campaign=" + plan.key() +
+           " target=" + plan.newProgram +
+           " T=" + std::to_string(plan.trainIdx.size()) +
+           " R=" + std::to_string(plan.responseIdx.size());
 }
 
 /**
@@ -154,7 +141,12 @@ CampaignJobPlan::trainPrograms() const
 std::string
 CampaignJobPlan::key() const
 {
-    return Campaign::cacheKeyFor(programs, options);
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                  static_cast<unsigned long long>(
+                      Campaign::numericsFingerprint()));
+    return std::string(fingerprint) + "_" +
+           Campaign::cacheKeyFor(programs, options);
 }
 
 std::string
@@ -214,10 +206,8 @@ CampaignJobPlan::jobs() const
                            program + ":" + std::to_string(m)});
         }
     }
-    for (const std::size_t m : metrics) {
-        out.push_back({"fit_m" + std::to_string(m), "fit-responses", 2,
-                       std::to_string(m)});
-    }
+    if (trains())
+        out.push_back({"fit", "fit-responses", 2, joinIndices(metrics)});
     return out;
 }
 
@@ -254,9 +244,9 @@ CampaignJobPlan::modelPath(const std::string &program,
 }
 
 std::string
-CampaignJobPlan::predictorPath(std::size_t metric) const
+CampaignJobPlan::artifactPath() const
 {
-    return prefix() + ".predictor_m" + std::to_string(metric) + ".bin";
+    return prefix() + ".acdse";
 }
 
 void
@@ -317,7 +307,7 @@ CampaignJobPlan::load(const std::string &path)
                        "' has an unsupported format tag");
 
     CampaignJobPlan plan;
-    plan.programs = splitList(get("programs"));
+    plan.programs = splitList(get("programs"), ';');
     plan.options.numConfigs =
         static_cast<std::size_t>(getU64("configs"));
     plan.options.traceLength =
@@ -427,11 +417,10 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
         runTrainProgram(spec.arg.substr(0, sep),
                         static_cast<std::size_t>(*metric));
     } else if (spec.kind == "fit-responses") {
-        const auto metric = parseU64(spec.arg);
-        if (!metric || *metric >= kNumMetrics)
+        if (spec.arg != joinIndices(plan_.metrics))
             throw JobError("bad fit-responses argument '" + spec.arg +
                            "'");
-        runFitResponses(static_cast<std::size_t>(*metric));
+        runFitResponses();
     } else {
         throw JobError("unknown job kind '" + spec.kind + "'");
     }
@@ -465,7 +454,7 @@ CampaignJobRunner::runTrainProgram(const std::string &program,
                                    std::size_t metric)
 {
     const std::string path = plan_.modelPath(program, metric);
-    if (artifactLoads<ProgramSpecificPredictor>(path))
+    if (loadCheckpoint(path))
         return; // idempotent re-execution
 
     loadAllShards();
@@ -482,50 +471,48 @@ CampaignJobRunner::runTrainProgram(const std::string &program,
                                     plan_.trainIdx));
     BinaryWriter writer;
     model.save(writer);
-    writeTextAtomic(path, writer.buffer());
+    writeTextAtomic(path, sealBytes(kCheckpointMagic, kCheckpointVersion,
+                                    writer.buffer()));
 }
 
 void
-CampaignJobRunner::runFitResponses(std::size_t metric)
+CampaignJobRunner::runFitResponses()
 {
-    const std::string path = plan_.predictorPath(metric);
-    if (artifactLoads<ArchitectureCentricPredictor>(path))
+    const std::string path = plan_.artifactPath();
+    try {
+        loadArtifact(path);
         return; // idempotent re-execution
-
-    loadAllShards();
-    std::vector<std::string> names = plan_.trainPrograms();
-    std::vector<std::shared_ptr<const ProgramSpecificPredictor>> models;
-    for (const auto &name : names) {
-        const auto bytes = readFileBytes(plan_.modelPath(name, metric));
-        if (!bytes) {
-            throw JobError("missing trained model for '" + name +
-                           "' (metric " + std::to_string(metric) + ")");
-        }
-        auto model = std::make_shared<ProgramSpecificPredictor>();
-        try {
-            BinaryReader reader(*bytes);
-            model->load(reader);
-            if (!reader.exhausted())
-                throw SerializationError("trailing bytes");
-        } catch (const SerializationError &e) {
-            throw JobError("corrupt trained model for '" + name +
-                           "': " + e.what());
-        }
-        models.push_back(std::move(model));
+    } catch (const SerializationError &) {
+        // Missing or damaged: (re)compute it.
     }
 
-    ArchitectureCentricPredictor predictor;
-    predictor.useModels(std::move(names), std::move(models));
+    loadAllShards();
     const std::size_t newIdx =
         campaign().programIndex(plan_.newProgram);
     requireCells(newIdx, plan_.responseIdx, "fit-responses");
-    predictor.fitResponses(
-        campaign().configsAt(plan_.responseIdx),
-        campaign().metricAt(newIdx, static_cast<Metric>(metric),
-                            plan_.responseIdx));
-    BinaryWriter writer;
-    predictor.save(writer);
-    writeTextAtomic(path, writer.buffer());
+    ModelArtifact artifact;
+    artifact.setTag(artifactTag(plan_));
+    for (const std::size_t m : plan_.metrics) {
+        std::vector<std::string> names = plan_.trainPrograms();
+        std::vector<std::shared_ptr<const ProgramSpecificPredictor>>
+            models;
+        for (const auto &name : names) {
+            auto model = loadCheckpoint(plan_.modelPath(name, m));
+            if (!model) {
+                throw JobError("missing or corrupt model checkpoint " +
+                               plan_.modelPath(name, m));
+            }
+            models.push_back(std::move(model));
+        }
+        ArchitectureCentricPredictor predictor;
+        predictor.useModels(std::move(names), std::move(models));
+        predictor.fitResponses(
+            campaign().configsAt(plan_.responseIdx),
+            campaign().metricAt(newIdx, static_cast<Metric>(m),
+                                plan_.responseIdx));
+        artifact.add(static_cast<Metric>(m), std::move(predictor));
+    }
+    saveArtifact(path, artifact);
 }
 
 void
@@ -566,12 +553,13 @@ CampaignJobRunner::finalize()
         }
     }
     c.saveCache();
-    for (const std::size_t m : plan_.metrics) {
-        if (!artifactLoads<ArchitectureCentricPredictor>(
-                plan_.predictorPath(m))) {
-            throw JobError("missing or corrupt predictor artifact " +
-                           plan_.predictorPath(m));
-        }
+    if (!plan_.trains())
+        return;
+    try {
+        loadArtifact(plan_.artifactPath());
+    } catch (const SerializationError &e) {
+        throw JobError("model artifact " + plan_.artifactPath() +
+                       " does not load: " + e.what());
     }
 }
 
@@ -583,12 +571,13 @@ CampaignJobRunner::runInProcess()
     if (!plan_.trains())
         return;
 
-    const std::vector<std::string> names = plan_.trainPrograms();
     const std::size_t newIdx = c.programIndex(plan_.newProgram);
+    ModelArtifact artifact;
+    artifact.setTag(artifactTag(plan_));
     for (const std::size_t m : plan_.metrics) {
         const Metric metric = static_cast<Metric>(m);
         std::vector<ProgramTrainingSet> sets;
-        for (const auto &name : names) {
+        for (const auto &name : plan_.trainPrograms()) {
             const std::size_t programIdx = c.programIndex(name);
             sets.push_back({name, c.configsAt(plan_.trainIdx),
                             c.metricAt(programIdx, metric,
@@ -599,10 +588,9 @@ CampaignJobRunner::runInProcess()
         predictor.fitResponses(
             c.configsAt(plan_.responseIdx),
             c.metricAt(newIdx, metric, plan_.responseIdx));
-        BinaryWriter writer;
-        predictor.save(writer);
-        writeTextAtomic(plan_.predictorPath(m), writer.buffer());
+        artifact.add(metric, std::move(predictor));
     }
+    saveArtifact(plan_.artifactPath(), artifact);
 }
 
 } // namespace acdse::jobs

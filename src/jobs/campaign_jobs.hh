@@ -12,25 +12,35 @@
  *                             writes `<prefix>.shard<i>.csv`
  *   phase 1  train-program    one job per (training program, metric);
  *                             writes `<prefix>.model_<prog>_m<m>.bin`
- *   phase 2  fit-responses    one job per metric; writes
- *                             `<prefix>.predictor_m<m>.bin`
+ *   phase 2  fit-responses    one job for all plan metrics; writes
+ *                             the model artifact `<prefix>.acdse`
  *
- * Every artifact lands via atomic rename and every handler first
- * checks whether its artifact already exists and is loadable, so jobs
- * are idempotent: a SIGKILL at *any* point loses at most in-flight
- * work, and re-executing after resume reproduces the same bytes
- * (simulation and training are deterministic).
+ * Trained models on disk have one framing, sealBytes()
+ * (base/binary_io.hh): magic, version, payload size and checksum. The
+ * per-program checkpoints carry their own magic, and `<prefix>.acdse`
+ * is an ordinary model-store artifact (serve/model_store.hh) that
+ * acdse-serve and acdse-explore load as is.
  *
- * `<prefix>` embeds the campaign cache key -- every sampling
- * parameter plus a hash of the program set -- so concurrent runs with
- * different seeds or program sets in one ACDSE_CACHE_DIR can never
- * collide on shards, journal, plan or models.
+ * Every output lands via atomic rename and every handler first checks
+ * whether its output already exists and is intact; a checkpoint or
+ * artifact that fails its checksum counts as not done and is
+ * recomputed, never reused. So jobs are idempotent: a SIGKILL at *any*
+ * point loses at most in-flight work, and re-executing after resume
+ * reproduces the same bytes (simulation and training are
+ * deterministic).
+ *
+ * `<prefix>` embeds the simulator numerics fingerprint
+ * (Campaign::numericsFingerprint) and the campaign cache key -- every
+ * sampling parameter plus a hash of the program set -- so runs with
+ * other numerics, seeds or program sets in one ACDSE_CACHE_DIR can
+ * never collide on shards, journal, plan or models.
  *
  * Bit-identity contract, enforced by the crash suite: the campaign
- * cache CSV and the per-metric predictor artifacts produced by (a) an
- * uninterrupted job run, (b) a killed-and-resumed job run, and (c)
- * CampaignJobRunner::runInProcess() (the pre-existing in-process
- * Campaign::ensureComputed + trainOffline path) are byte-identical.
+ * cache CSV, the per-program checkpoints and the model artifact
+ * produced by (a) an uninterrupted job run and (b) a killed-and-resumed
+ * job run are byte-identical, and so are the cache and the artifact
+ * that CampaignJobRunner::runInProcess() (the in-process
+ * Campaign::ensureComputed + trainOffline path) writes.
  */
 
 #pragma once
@@ -73,7 +83,10 @@ struct CampaignJobPlan
     /** The training programs: every program except newProgram. */
     std::vector<std::string> trainPrograms() const;
 
-    /** The campaign identity key (Campaign::cacheKeyFor). */
+    /**
+     * The run identity key: the numerics fingerprint as hex, then
+     * Campaign::cacheKeyFor.
+     */
     std::string key() const;
 
     /** FNV-1a hash of the canonical plan encoding, as hex. */
@@ -102,7 +115,7 @@ struct CampaignJobPlan
     std::string shardPath(std::size_t shard) const;
     std::string modelPath(const std::string &program,
                           std::size_t metric) const;
-    std::string predictorPath(std::size_t metric) const;
+    std::string artifactPath() const; //!< the servable `.acdse`
     /** @} */
 
     /** Persist to planPath() atomically. */
@@ -142,16 +155,16 @@ class CampaignJobRunner
 
     /**
      * After the queue drains: assemble every shard into the shared
-     * campaign cache (Campaign::saveCache) and verify the trained
-     * artifacts all load. @throws JobError if anything is missing.
+     * campaign cache (Campaign::saveCache) and verify that the model
+     * artifact decodes. @throws JobError if anything is missing.
      */
     void finalize();
 
     /**
      * The equivalent computation without the job system: plain
      * Campaign::ensureComputed + ArchitectureCentricPredictor
-     * trainOffline/fitResponses, writing the same predictor artifact
-     * paths. Produces byte-identical artifacts to a drained job run.
+     * trainOffline/fitResponses, writing the same artifactPath().
+     * Produces a byte-identical artifact to a drained job run.
      */
     void runInProcess();
 
@@ -161,7 +174,7 @@ class CampaignJobRunner
   private:
     void runSimulateShard(std::size_t shard, const std::string &jobId);
     void runTrainProgram(const std::string &program, std::size_t metric);
-    void runFitResponses(std::size_t metric);
+    void runFitResponses();
 
     /** Load every shard checkpoint into the campaign. */
     void loadAllShards();

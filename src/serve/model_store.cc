@@ -1,8 +1,5 @@
 #include "serve/model_store.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "base/binary_io.hh"
 #include "base/check.hh"
 #include "base/json.hh"
@@ -66,46 +63,14 @@ encodeArtifact(const ModelArtifact &artifact)
         payload.u32(static_cast<std::uint32_t>(entry.metric));
         entry.predictor.save(payload);
     }
-
-    std::string bytes(kArtifactMagic);
-    BinaryWriter header;
-    header.u32(kArtifactVersion);
-    header.u64(payload.buffer().size());
-    header.u64(fnv1a64(payload.buffer()));
-    bytes += header.buffer();
-    bytes += payload.buffer();
-    return bytes;
+    return sealBytes(kArtifactMagic, kArtifactVersion, payload.buffer());
 }
 
 ModelArtifact
 decodeArtifact(std::string_view bytes)
 {
-    constexpr std::size_t header_size = 8 + 4 + 8 + 8;
-    if (bytes.size() < header_size)
-        throw SerializationError("artifact too small to hold a header");
-    if (bytes.substr(0, kArtifactMagic.size()) != kArtifactMagic)
-        throw SerializationError(
-            "bad magic: not an ACDSE model artifact");
-
-    BinaryReader header(bytes.substr(kArtifactMagic.size()));
-    const std::uint32_t version = header.u32();
-    if (version != kArtifactVersion)
-        throw SerializationError(
-            "unsupported artifact version " + std::to_string(version) +
-            " (this build reads version " +
-            std::to_string(kArtifactVersion) + ")");
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t checksum = header.u64();
-
-    const std::string_view payload = bytes.substr(header_size);
-    if (payload.size() != payload_size)
-        throw SerializationError(
-            "artifact payload size mismatch (truncated or padded file)");
-    if (fnv1a64(payload) != checksum)
-        throw SerializationError(
-            "artifact checksum mismatch (corrupt file)");
-
-    BinaryReader r(payload);
+    BinaryReader r(unsealBytes(bytes, kArtifactMagic, kArtifactVersion,
+                               "ACDSE model artifact"));
     ModelArtifact artifact;
     artifact.setTag(r.str());
     const std::uint32_t count = r.u32();
@@ -140,15 +105,10 @@ saveArtifact(const std::string &path, const ModelArtifact &artifact)
 ModelArtifact
 loadArtifact(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const std::optional<std::string> bytes = readFileBytes(path);
+    if (!bytes)
         throw SerializationError("cannot open artifact '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in)
-        throw SerializationError("failed reading artifact '" + path +
-                                 "'");
-    return decodeArtifact(buffer.str());
+    return decodeArtifact(*bytes);
 }
 
 } // namespace acdse

@@ -7,17 +7,14 @@
  * is hours of work, while predicting any of the ~18 billion design
  * points afterwards is microseconds. The model store captures the
  * expensive half in a single artifact file so that training happens
- * once -- in a campaign binary -- and every later process (the
+ * once -- in train_then_serve or the acdse-jobs job server -- and
+ * every later process (the
  * acdse-serve CLI, a benchmark, a test) loads it in milliseconds.
  *
- * Artifact file layout (all integers little-endian):
- *
- *   offset  size  field
- *        0     8  magic "ACDSEMDL"
- *        8     4  format version (kArtifactVersion)
- *       12     8  payload size in bytes
- *       20     8  FNV-1a 64 checksum of the payload
- *       28     n  payload (tag + per-metric predictors)
+ * An artifact file is a sealBytes() image (base/binary_io.hh): the
+ * magic "ACDSEMDL", the format version kArtifactVersion, the payload
+ * size and its FNV-1a 64 checksum, then the payload (tag + per-metric
+ * predictors).
  *
  * Loading rejects a bad magic, an unsupported version and any
  * size/checksum mismatch with SerializationError; a serving process

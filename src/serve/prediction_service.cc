@@ -7,7 +7,6 @@
 
 #include "base/check.hh"
 #include "base/logging.hh"
-#include "obs/stats_export.hh"
 #include "obs/trace_span.hh"
 
 namespace acdse
@@ -447,10 +446,6 @@ PredictionService::serveDrained(const ServeRequest *requests,
     // popInto bookkeeping; record the stage directly (no TraceSpan in
     // the drain loop).
     drainStage_.record(obs::nowNs() - start, 0);
-    // Dump before completing, so no dump covering a producer's
-    // requests is still writing the stats file once its wait()
-    // returns.
-    maybeDumpStats();
 
     // Complete every request: the release decrement publishes the row
     // and version to the producer's acquire in AsyncBatch::wait().
@@ -471,17 +466,6 @@ PredictionService::recordBatch(std::size_t points,
     batchStage_.record(elapsedNs, 0);
     pointsServed_.add(points);
     batchPoints_.record(points);
-    maybeDumpStats();
-}
-
-void
-PredictionService::maybeDumpStats() const
-{
-    const std::uint64_t served =
-        batchStage_.spans().value() + drainStage_.spans().value();
-    if (options_.statsEveryBatches != 0 &&
-        served % options_.statsEveryBatches == 0)
-        dumpStats();
 }
 
 void
@@ -501,15 +485,6 @@ PredictionService::requestLatencyQuantileMs(double q) const
 {
     const obs::ReservoirSnapshot sample = latencyReservoir_.read();
     return static_cast<double>(sample.quantile(q)) / 1e6;
-}
-
-void
-PredictionService::dumpStats() const
-{
-    if (options_.statsPath.empty())
-        return;
-    MutexLock lock(statsMutex_);
-    obs::writeStatsFile(options_.statsPath, registry_.snapshot());
 }
 
 } // namespace acdse

@@ -93,16 +93,6 @@ struct ServeOptions
      * set this false and pump the queue with drainOnce().
      */
     bool startDrainer = true;
-
-    /**
-     * When non-empty, the service dumps its metrics (acdse-stats-v1,
-     * see obs/stats_export.hh) to this path: every statsEveryBatches
-     * batches if that is non-zero, and on every dumpStats() call.
-     */
-    std::string statsPath;
-
-    /** Dump cadence in predict() batches + drains; 0 disables it. */
-    std::size_t statsEveryBatches = 0;
 };
 
 /** Predictions for one query point, indexed by Metric. */
@@ -367,9 +357,6 @@ class PredictionService
      */
     double requestLatencyQuantileMs(double q) const;
 
-    /** Write statsSnapshot() to options.statsPath (no-op if unset). */
-    void dumpStats() const;
-
   private:
     /** Predict queries[begin, end) into rows with @p artifact. */
     void computeRange(const ModelArtifact &artifact,
@@ -379,9 +366,6 @@ class PredictionService
 
     /** Fold one finished batch into the registry. */
     void recordBatch(std::size_t points, std::uint64_t elapsedNs);
-
-    /** dumpStats() every options.statsEveryBatches batches + drains. */
-    void maybeDumpStats() const;
 
     /** The drainer thread: pop, batch, predict, complete, repeat. */
     void drainLoop();
@@ -401,11 +385,6 @@ class PredictionService
 
     // Serialises public predict() callers.
     Mutex batchMutex_;
-
-    // Serialises stats dumps: the drainer and predict() callers may
-    // dump at once, and snapshotting under the lock keeps the file
-    // from going back to an older snapshot.
-    mutable Mutex statsMutex_;
 
     // Serving metrics: a private registry (declared before the
     // references into it) so per-service stats stay isolated from the

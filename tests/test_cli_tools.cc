@@ -18,11 +18,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "json_reader.hh"
 #include "temp_dir.hh"
@@ -223,6 +225,51 @@ TEST(CliServe, ServesQueriesAndWritesStats)
         1.0);
 }
 
+TEST(CliServe, StatsEveryDumpsFromTheInputLoop)
+{
+    // --stats-every N rewrites --stats-out after every N-th input
+    // batch. Feed 3 batches of 2 rows through a pipe that stays open:
+    // the tool then waits for input, and its stats file must show
+    // exactly the 2 batches the one periodic dump covered. Closing the
+    // pipe ends the run, and the exit dump covers all 3.
+    const fs::path dir = freshDir("acdse_cli_serve_every");
+    const RunResult trained = run(dir, trainCmd("--out model.acdse"));
+    ASSERT_EQ(trained.exitCode, 0) << trained.output;
+
+    const fs::path stats = dir / "stats.json";
+    const std::string command =
+        "cd '" + dir.string() + "' && ACDSE_THREADS=1 " +
+        ACDSE_TOOL_SERVE +
+        " --model model.acdse --batch 2 --stats-out stats.json"
+        " --stats-every 2 > out.csv 2> serve.log";
+    FILE *input = ::popen(command.c_str(), "w");
+    ASSERT_NE(input, nullptr);
+    for (int row = 0; row < 6; ++row)
+        std::fputs("4,96,32,24,80,8,4,16,4,16,32,32,2048\n", input);
+    std::fflush(input);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!fs::exists(stats) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(fs::exists(stats)) << "no periodic dump";
+    const testjson::Value periodic = parseFile(stats);
+    EXPECT_EQ(periodic.at("counters").at("serve/points").asNumber(),
+              4.0);
+    EXPECT_EQ(
+        periodic.at("stages").at("serve/batch").at("count").asNumber(),
+        2.0);
+
+    const int status = ::pclose(input);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "acdse-serve exit status " << status;
+    const testjson::Value atExit = parseFile(stats);
+    EXPECT_EQ(atExit.at("counters").at("serve/points").asNumber(), 6.0);
+    EXPECT_EQ(
+        atExit.at("stages").at("serve/batch").at("count").asNumber(),
+        3.0);
+}
+
 TEST(CliServe, AsyncStatsReportTheDrains)
 {
     const fs::path dir = freshDir("acdse_cli_serve_async");
@@ -391,8 +438,8 @@ TEST(CliServe, RejectsCorruptArtifact)
 }
 
 /**
- * The pinned tiny acdse-jobs invocation (9 jobs: 3 shards, 4 training
- * jobs, 2 fits). Deeper fault-injection coverage -- kill matrices,
+ * The pinned tiny acdse-jobs invocation (8 jobs: 3 shards, 4 training
+ * jobs, 1 fit). Deeper fault-injection coverage -- kill matrices,
  * journal corruption sweeps, bit-identity against a reference run --
  * lives in test_jobs_crash.cc; this suite covers the CLI surface:
  * exit codes, artifacts and the status schema.
@@ -417,18 +464,18 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
                          " --stats-out stats.json"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
 
-    std::size_t plans = 0, journals = 0, shards = 0, predictors = 0;
+    std::size_t plans = 0, journals = 0, shards = 0, artifacts = 0;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
         plans += name.ends_with(".plan.csv");
         journals += name.ends_with(".journal");
         shards += name.find(".shard") != std::string::npos;
-        predictors += name.find(".predictor_m") != std::string::npos;
+        artifacts += name.ends_with(".acdse");
     }
     EXPECT_EQ(plans, 1u);
     EXPECT_EQ(journals, 1u);
     EXPECT_EQ(shards, 3u);
-    EXPECT_EQ(predictors, 2u);
+    EXPECT_EQ(artifacts, 1u);
 
     // The parent and each worker wrote acdse-stats-v1 files; the
     // workers' ones carry the jobs/dispatch counter.
@@ -447,7 +494,58 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
         if (doc.at("counters").has("jobs/dispatch"))
             dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
     }
-    EXPECT_EQ(dispatched, 9.0);
+    EXPECT_EQ(dispatched, 8.0);
+}
+
+TEST(CliJobServer, ArtifactServesAndExplores)
+{
+    // The job server's end product is an ordinary model artifact:
+    // acdse-serve and acdse-explore load it as is. A per-program
+    // checkpoint is framed under another magic, so handing one to
+    // acdse-serve is a clean "bad magic" error, not a misparse.
+    const fs::path dir = freshDir("acdse_cli_jobs_serve");
+    const RunResult result =
+        run(dir, jobsCmd(std::string(kJobsRunArgs)));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    std::string artifact, checkpoint;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.ends_with(".acdse"))
+            artifact = name;
+        if (name.ends_with(".model_gzip_m0.bin"))
+            checkpoint = name;
+    }
+    ASSERT_FALSE(artifact.empty());
+    ASSERT_FALSE(checkpoint.empty());
+    EXPECT_NE(result.output.find(artifact), std::string::npos)
+        << result.output;
+
+    {
+        std::ofstream queries(dir / "queries.csv");
+        queries << "4,96,32,24,80,8,4,16,4,16,32,32,2048\n";
+        queries << "8,160,64,48,128,16,8,32,2,24,64,64,4096\n";
+    }
+    const std::string serve = std::string("ACDSE_THREADS=1 ") +
+                              ACDSE_TOOL_SERVE + " --input queries.csv";
+    const RunResult served =
+        run(dir, serve + " --model " + artifact + " > out.csv");
+    ASSERT_EQ(served.exitCode, 0) << served.output;
+    std::ifstream out(dir / "out.csv");
+    std::string header;
+    std::getline(out, header);
+    EXPECT_TRUE(header.ends_with(",cycles,energy")) << header;
+
+    const RunResult explored =
+        run(dir, std::string(ACDSE_TOOL_EXPLORE) + " --model " +
+                     artifact + " --samples 500 --topk 2 --threads 1");
+    ASSERT_EQ(explored.exitCode, 0) << explored.output;
+    EXPECT_TRUE(fs::exists(dir / "frontier.csv"));
+
+    const RunResult refused =
+        run(dir, serve + " --model " + checkpoint + " > /dev/null");
+    EXPECT_EQ(refused.exitCode, 1);
+    EXPECT_NE(refused.output.find("bad magic"), std::string::npos)
+        << refused.output;
 }
 
 TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
@@ -464,7 +562,7 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const testjson::Value doc = testjson::parse(result.output);
     EXPECT_EQ(doc.at("schema").asString(), "acdse-jobs-status-v1");
-    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 9.0);
+    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 8.0);
     EXPECT_EQ(doc.at("jobs").at("done").asNumber(), 2.0);
     EXPECT_FALSE(doc.at("drained").boolean);
     EXPECT_FALSE(doc.at("stuck").boolean);
@@ -472,7 +570,7 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
          {"simulate-shard", "train-program", "fit-responses"}) {
         EXPECT_TRUE(doc.at("kinds").has(kind)) << kind;
     }
-    EXPECT_EQ(doc.at("states").array.size(), 9u);
+    EXPECT_EQ(doc.at("states").array.size(), 8u);
 
     result = run(dir, jobsCmd("resume --dir . --workers 2"));
     ASSERT_EQ(result.exitCode, 0) << result.output;

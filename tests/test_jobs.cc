@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -508,12 +509,22 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
     EXPECT_NE(base.shardPath(0), otherPrograms.shardPath(0));
     EXPECT_NE(base.modelPath("gzip", 0),
               otherSeed.modelPath("gzip", 0));
-    EXPECT_NE(base.predictorPath(0), otherSeed.predictorPath(0));
+    EXPECT_NE(base.artifactPath(), otherSeed.artifactPath());
     EXPECT_NE(base.planHash(), otherSeed.planHash());
 
-    // The static helper agrees with Campaign's own idea of the key.
+    // The key is the simulator numerics fingerprint, then Campaign's
+    // own cache key: job directories from a build with other numerics
+    // never share a prefix, journal or plan hash with this one.
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                  static_cast<unsigned long long>(
+                      Campaign::numericsFingerprint()));
     EXPECT_EQ(base.key(),
-              Campaign::cacheKeyFor(base.programs, base.options));
+              std::string(fingerprint) + "_" +
+                  Campaign::cacheKeyFor(base.programs, base.options));
+    EXPECT_NE(base.prefix().find(fingerprint), std::string::npos);
+    EXPECT_EQ(base.journalName(), "acdse_jobs_" + base.key());
+    EXPECT_EQ(base.artifactPath(), base.prefix() + ".acdse");
 }
 
 TEST(JobsPlan, JobExpansionAndPhases)
@@ -526,8 +537,15 @@ TEST(JobsPlan, JobExpansionAndPhases)
               (std::vector<std::string>{"gzip", "mcf"}));
 
     const std::vector<JobSpec> jobs = plan.jobs();
-    // 3 shards + 2 training programs x 2 metrics + 2 fits.
-    ASSERT_EQ(jobs.size(), 9u);
+    // 3 shards + 2 training programs x 2 metrics + one fit for both
+    // metrics.
+    ASSERT_EQ(jobs.size(), 8u);
+    EXPECT_EQ(jobs.back().kind, "fit-responses");
+
+    // A simulate-only plan has neither training nor fit jobs.
+    CampaignJobPlan simOnly = plan;
+    simOnly.metrics.clear();
+    EXPECT_EQ(simOnly.jobs().size(), 3u);
     for (const auto &spec : jobs) {
         if (spec.kind == "simulate-shard")
             EXPECT_EQ(spec.phase, 0u);
@@ -590,6 +608,20 @@ TEST(JobsPlan, LoadRejectsDamagedPlans)
         out << text;
     }
     EXPECT_THROW(CampaignJobPlan::load(tampered.string()), JobError);
+
+    // A plan whose stored key carries another numerics fingerprint
+    // (written by a build that simulates differently) is refused.
+    text = readBytes(fs::path(plan.planPath()));
+    const std::size_t keyAt = text.find("campaign,") + 9;
+    ASSERT_EQ(text.substr(keyAt, plan.key().size()), plan.key());
+    text[keyAt] = text[keyAt] == '0' ? '1' : '0';
+    const fs::path forged = dir / "forged.plan.csv";
+    {
+        std::ofstream out(forged, // NOLINT(acdse-atomic-write)
+                          std::ios::binary);
+        out << text;
+    }
+    EXPECT_THROW(CampaignJobPlan::load(forged.string()), JobError);
 
     CampaignJobPlan invalid = plan;
     invalid.newProgram = "not-a-program";

@@ -12,7 +12,7 @@
  *
  * Everything is pinned single-threaded with a tiny campaign (24
  * configurations x 3 programs, 1200-instruction traces) so one full
- * 9-job run takes tens of milliseconds; even the kill-at-every-
+ * 8-job run takes tens of milliseconds; even the kill-at-every-
  * boundary chain stays well inside CI budget.
  *
  * The binary path arrives as the ACDSE_TOOL_JOBS compile definition
@@ -87,8 +87,8 @@ readBytes(const fs::path &path)
 
 /**
  * The pinned tiny-campaign invocation every test shares: 3 programs x
- * 24 configs = 72 cells in 3 shards of 30, two metrics -> 9 jobs
- * (3 simulate-shard, 4 train-program, 2 fit-responses).
+ * 24 configs = 72 cells in 3 shards of 30, two metrics -> 8 jobs
+ * (3 simulate-shard, 4 train-program, 1 fit-responses).
  */
 std::string
 jobsCmd(const std::string &subcommand)
@@ -138,23 +138,36 @@ referenceDir()
     return dir;
 }
 
+/** Flip one bit in the middle of the file at @p path. */
+void
+flipMiddleBit(const fs::path &path)
+{
+    std::string bytes = readBytes(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    bytes[bytes.size() / 2] = static_cast<char>(
+        static_cast<unsigned char>(bytes[bytes.size() / 2]) ^ 0x08u);
+    std::ofstream out(path, // NOLINT(acdse-atomic-write)
+                      std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
 /**
  * Assert the final artifacts in @p got are byte-identical to the
- * reference run: the merged campaign cache CSV, both per-metric
- * predictor ensembles and all four per-program model checkpoints.
+ * reference run: the merged campaign cache CSV, the model artifact
+ * and all four per-program model checkpoints.
  */
 void
 expectArtifactsMatchReference(const fs::path &got)
 {
     const fs::path &ref = referenceDir();
-    std::size_t cacheFiles = 0, predictors = 0, models = 0;
+    std::size_t cacheFiles = 0, artifacts = 0, models = 0;
     for (const auto &entry : fs::directory_iterator(ref)) {
         const std::string name = entry.path().filename().string();
         if (name.starts_with("acdse_campaign_") &&
             name.ends_with(".csv")) {
             ++cacheFiles;
-        } else if (name.find(".predictor_m") != std::string::npos) {
-            ++predictors;
+        } else if (name.ends_with(".acdse")) {
+            ++artifacts;
         } else if (name.find(".model_") != std::string::npos) {
             ++models;
         } else {
@@ -165,7 +178,7 @@ expectArtifactsMatchReference(const fs::path &got)
             << name << " differs from the uninterrupted run";
     }
     EXPECT_EQ(cacheFiles, 1u);
-    EXPECT_EQ(predictors, 2u);
+    EXPECT_EQ(artifacts, 1u);
     EXPECT_EQ(models, 4u);
 }
 
@@ -182,9 +195,9 @@ statusOf(const fs::path &dir, int expectExit)
 
 TEST(CrashResume, InProcessPathMatchesJobServer)
 {
-    // The job server and the pre-existing in-process path
+    // The job server and the in-process path
     // (Campaign::ensureComputed + trainOffline/fitResponses) must
-    // produce byte-identical caches and predictor ensembles.
+    // produce a byte-identical cache and model artifact.
     const fs::path inproc = freshDir("acdse_crash_inprocess");
     jobs::CampaignJobPlan plan;
     plan.programs = {"gzip", "mcf", "vpr"};
@@ -210,7 +223,7 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
         const std::string name = entry.path().filename().string();
         const bool cache = name.starts_with("acdse_campaign_") &&
                            name.ends_with(".csv");
-        if (!cache && name.find(".predictor_m") == std::string::npos)
+        if (!cache && !name.ends_with(".acdse"))
             continue; // in-process writes no shard/model checkpoints
         ASSERT_TRUE(fs::exists(inproc / name)) << "missing " << name;
         EXPECT_TRUE(readBytes(inproc / name) ==
@@ -232,16 +245,16 @@ TEST(CrashResume, KillAtEveryJobBoundary)
         result = run(dir, kill + jobsCmd("resume --dir . --workers 1"));
     }
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    // 9 jobs -> 9 killed sessions + 1 that finds the queue drained.
-    EXPECT_EQ(sessions, 10) << "kill chain length changed";
+    // 8 jobs -> 8 killed sessions + 1 that finds the queue drained.
+    EXPECT_EQ(sessions, 9) << "kill chain length changed";
     expectArtifactsMatchReference(dir);
 
     const testjson::Value status = statusOf(dir, 0);
     EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v1");
-    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 9.0);
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 8.0);
     EXPECT_TRUE(status.at("drained").boolean);
-    // Ten sessions = ten journal generations.
-    EXPECT_EQ(status.at("generation").asNumber(), 10.0);
+    // Nine sessions = nine journal generations.
+    EXPECT_EQ(status.at("generation").asNumber(), 9.0);
 }
 
 TEST(CrashResume, KillMidShard)
@@ -338,7 +351,7 @@ TEST(CrashResume, RecordedJournalSurvivesCorruptionSweep)
     const std::string bytes = readBytes(journalFile);
     ASSERT_GT(bytes.size(), 500u) << "journal suspiciously small";
     const auto reference = Journal::decode(bytes).records;
-    ASSERT_GE(reference.size(), 20u); // plan + 9 jobs + gen + 18 state
+    ASSERT_GE(reference.size(), 20u); // plan + 8 jobs + gen + 16 state
 
     const auto isPrefix =
         [&reference](
@@ -385,10 +398,10 @@ TEST(CrashResume, TruncatedJournalResumesIdentically)
 
     const fs::path journalFile = findFile(dir, "acdse_jobs_", ".journal");
     std::string bytes = readBytes(journalFile);
-    // Keep the plan, the 9 job records and the generation record (11
+    // Keep the plan, the 8 job records and the generation record (10
     // lines) plus 5 bytes of the next line to simulate the torn tail.
     std::size_t offset = 0;
-    for (int line = 0; line < 11; ++line)
+    for (int line = 0; line < 10; ++line)
         offset = bytes.find('\n', offset) + 1;
     ASSERT_LT(offset + 5, bytes.size());
     {
@@ -430,6 +443,71 @@ TEST(CrashResume, CorruptedJournalIsATypedErrorNotAWrongResume)
     EXPECT_NE(result.output.find("error"), std::string::npos);
     result = run(dir, jobsCmd("resume --dir . --workers 1"));
     EXPECT_EQ(result.exitCode, 1) << result.output;
+}
+
+TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
+{
+    // Bit rot in a per-program checkpoint and in the model artifact,
+    // with the journal lost: the rerun must treat both files as not
+    // done and rewrite them, never train on or keep the damaged bytes.
+    const fs::path dir = freshDir("acdse_crash_bitrot");
+    RunResult result = run(dir, jobsCmd(runArgs(1)));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    const fs::path checkpoint =
+        findFile(dir, "acdse_jobs_", ".model_gzip_m0.bin");
+    const fs::path artifact = findFile(dir, "acdse_jobs_", ".acdse");
+    flipMiddleBit(checkpoint);
+    flipMiddleBit(artifact);
+    fs::remove(findFile(dir, "acdse_jobs_", ".journal"));
+
+    result = run(dir, jobsCmd(runArgs(1)));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    expectArtifactsMatchReference(dir);
+
+    // With the journal intact every job is done, so nothing rewrites a
+    // damaged artifact: the run ends in a typed error, not success.
+    flipMiddleBit(artifact);
+    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    EXPECT_EQ(result.exitCode, 1) << result.output;
+    EXPECT_NE(result.output.find("checksum mismatch"), std::string::npos)
+        << result.output;
+}
+
+TEST(CrashResume, ParentLayoutIsATypedError)
+{
+    // A half-run directory laid out before checkpoints were sealed and
+    // the fit wrote one artifact: its plan (format v1, a key without
+    // the numerics fingerprint) must be refused, not resumed into a
+    // mix of old and new files.
+    const fs::path dir = freshDir("acdse_crash_v1_layout");
+    {
+        std::ofstream plan( // NOLINT(acdse-atomic-write)
+            dir / "acdse_jobs_c24_t1200_w200_sac5e0001_pda5036430e1719a9"
+                  ".plan.csv");
+        plan << "key,value\n"
+                "format,acdse-jobs-plan-v1\n"
+                "campaign,c24_t1200_w200_sac5e0001_pda5036430e1719a9\n"
+                "programs,gzip;mcf;vpr\n"
+                "configs,24\n"
+                "trace_len,1200\n"
+                "warmup,200\n"
+                "seed,2891841537\n"
+                "threads,0\n"
+                "quiet,1\n"
+                "shard_cells,30\n"
+                "train_idx,0;1;2;3;4;5;6;7;8;9;10;11\n"
+                "response_idx,12;13;14;15;16;17;18;19\n"
+                "metrics,0;1\n"
+                "new_program,vpr\n";
+    }
+    for (const char *command : {"resume --dir . --workers 1",
+                                "status --dir ."}) {
+        const RunResult result = run(dir, jobsCmd(command));
+        EXPECT_EQ(result.exitCode, 1) << command << ": " << result.output;
+        EXPECT_NE(result.output.find("unsupported format"),
+                  std::string::npos)
+            << command << ": " << result.output;
+    }
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include "arch/design_space.hh"
 #include "base/binary_io.hh"
+#include "base/json.hh"
 #include "ml/linear_regression.hh"
 #include "ml/mlp.hh"
 #include "ml/scaler.hh"
@@ -97,6 +98,60 @@ TEST(BinaryIo, UnderflowThrows)
     w.u32(7);
     BinaryReader r(w.buffer());
     EXPECT_THROW(r.u64(), SerializationError);
+}
+
+TEST(BinaryIo, SealedImageRoundTripsAndNamesItsContent)
+{
+    const std::string payload = "per-program model bytes";
+    const std::string image = sealBytes("TESTMAGC", 3, payload);
+    // The header is magic, u32 version, u64 size, u64 checksum.
+    ASSERT_EQ(image.size(), 28 + payload.size());
+    EXPECT_EQ(image.substr(0, 8), "TESTMAGC");
+    EXPECT_EQ(unsealBytes(image, "TESTMAGC", 3, "ACDSE test image"),
+              payload);
+
+    auto rejection = [&](std::string_view bytes, std::string_view magic,
+                         std::uint32_t version) -> std::string {
+        try {
+            unsealBytes(bytes, magic, version, "ACDSE test image");
+        } catch (const SerializationError &err) {
+            return err.what();
+        }
+        return "accepted";
+    };
+    EXPECT_EQ(rejection(image, "OTHERMGC", 3),
+              "bad magic: not an ACDSE test image");
+    EXPECT_NE(rejection(image, "TESTMAGC", 4).find("version 3"),
+              std::string::npos);
+    EXPECT_NE(rejection(image.substr(0, image.size() - 1), "TESTMAGC", 3)
+                  .find("size mismatch"),
+              std::string::npos);
+    EXPECT_NE(rejection(image.substr(0, 20), "TESTMAGC", 3)
+                  .find("too small"),
+              std::string::npos);
+    std::string flipped = image;
+    flipped.back() ^= 0x01;
+    EXPECT_NE(rejection(flipped, "TESTMAGC", 3).find("checksum"),
+              std::string::npos);
+
+    // The model store frames its artifacts the same way.
+    ModelArtifact artifact;
+    artifact.add(Metric::Cycles, trainedPredictor());
+    const std::string bytes = encodeArtifact(artifact);
+    EXPECT_EQ(bytes.substr(0, 8), kArtifactMagic);
+    EXPECT_EQ(bytes,
+              sealBytes(kArtifactMagic, kArtifactVersion,
+                        unsealBytes(bytes, kArtifactMagic,
+                                    kArtifactVersion, "artifact")));
+}
+
+TEST(BinaryIo, ReadFileBytesIsWholeFileOrNothing)
+{
+    EXPECT_FALSE(readFileBytes(tempPath("acdse_no_such_file")));
+    const std::string path = tempPath("acdse_bytes.bin");
+    const std::string content("a\0b\nc", 5);
+    writeTextAtomic(path, content);
+    EXPECT_EQ(readFileBytes(path), content);
 }
 
 TEST(ModelStore, ScalerRoundTripIsExact)

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "base/check.hh"
 #include "base/parse.hh"
@@ -85,6 +86,19 @@ TEST(ParseF64, RejectsGarbageAndNonFinite)
     EXPECT_FALSE(parseF64("inf"));
     EXPECT_FALSE(parseF64("-inf"));
     EXPECT_FALSE(parseF64("1e999"));  // overflows to inf
+}
+
+TEST(Parse, SplitListSkipsEmptyItems)
+{
+    using List = std::vector<std::string>;
+    EXPECT_EQ(splitList("gzip,crafty,mcf", ','),
+              (List{"gzip", "crafty", "mcf"}));
+    EXPECT_EQ(splitList(",a,,b,", ','), (List{"a", "b"}));
+    EXPECT_EQ(splitList("", ','), List{});
+    EXPECT_EQ(splitList(",,", ','), List{});
+    EXPECT_EQ(splitList("0;1;12", ';'), (List{"0", "1", "12"}));
+    // Only the named separator splits.
+    EXPECT_EQ(splitList("a;b", ','), List{"a;b"});
 }
 
 TEST(ParseDeathTest, OrDieWrappersAreFatalWithContext)

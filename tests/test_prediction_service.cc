@@ -313,26 +313,6 @@ TEST(PredictionService, QueueFullShedsTyped)
                       .predict(queries[i]));
 }
 
-TEST(PredictionService, DrainsCountTowardPeriodicStatsDumps)
-{
-    const std::filesystem::path stats =
-        testdir::uniqueTempDir("acdse_service_drain_stats") /
-        "stats.json";
-    ServeOptions options;
-    options.threads = 1;
-    options.startDrainer = false;
-    options.statsPath = stats.string();
-    options.statsEveryBatches = 1;
-    PredictionService service(twoMetricArtifact(), options);
-
-    AsyncBatch batch(1);
-    ASSERT_EQ(service.submit(batch, DesignSpace::baseline()),
-              SubmitStatus::Accepted);
-    EXPECT_FALSE(std::filesystem::exists(stats));
-    EXPECT_EQ(service.drainOnce(), 1u);
-    EXPECT_TRUE(std::filesystem::exists(stats));
-}
-
 TEST(PredictionService, TenantsRouteToTheirOwnModels)
 {
     ModelArtifact alphaModel;

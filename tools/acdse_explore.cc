@@ -110,25 +110,6 @@ metricByKey(const std::string &key)
           "' (expected cycles, energy, ed or edd)");
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : list) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -169,10 +150,10 @@ parseArgs(int argc, char **argv)
             fixes.emplace_back(p, static_cast<int>(v));
         } else if (!std::strcmp(argv[i], "--metrics")) {
             options.metrics.clear();
-            for (const auto &name : splitList(value(i)))
+            for (const auto &name : splitList(value(i), ','))
                 options.metrics.push_back(metricByKey(name));
         } else if (!std::strcmp(argv[i], "--pareto")) {
-            const auto pair = splitList(value(i));
+            const auto pair = splitList(value(i), ',');
             if (pair.size() != 2)
                 fatal("--pareto expects two metrics, e.g. "
                       "cycles,energy");

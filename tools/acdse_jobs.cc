@@ -13,12 +13,14 @@
  * journal and forks N worker processes that drain the queue
  * (simulate-shard -> train-program -> fit-responses); once every job
  * is done the parent assembles the shard checkpoints into the shared
- * campaign cache. `resume` reloads the persisted plan -- the resolved
- * parameters, not the environment -- bumps the journal generation so
- * jobs abandoned by killed workers become claimable, and drains
- * whatever is left; because every handler is idempotent and
- * checkpoints atomically, the resumed artifacts are byte-identical to
- * an uninterrupted run. `status` prints a machine-readable JSON
+ * campaign cache and checks the run's one model artifact,
+ * `<prefix>.acdse`, which acdse-serve and acdse-explore load as is
+ * (`acdse-explore --model <prefix>.acdse`). `resume` reloads the
+ * persisted plan -- the resolved parameters, not the environment --
+ * bumps the journal generation so jobs abandoned by killed workers
+ * become claimable, and drains whatever is left; because every
+ * handler is idempotent and checkpoints atomically, the resumed
+ * artifacts are byte-identical to an uninterrupted run. `status` prints a machine-readable JSON
  * summary (schema acdse-jobs-status-v1) without touching the journal.
  *
  * Exit codes: 0 success; 1 error (corrupt journal, failed jobs, bad
@@ -91,25 +93,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : list) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -135,7 +118,7 @@ parseArgs(int argc, char **argv)
             options.workers = static_cast<std::size_t>(
                 parseU64OrDie("--workers", value(i)));
         } else if (!std::strcmp(argv[i], "--programs")) {
-            options.trainingPrograms = splitList(value(i));
+            options.trainingPrograms = splitList(value(i), ',');
         } else if (!std::strcmp(argv[i], "--target")) {
             options.target = value(i);
         } else if (!std::strcmp(argv[i], "--train")) {
@@ -402,6 +385,8 @@ runSession(const CampaignJobPlan &plan, const CliOptions &cli)
     }
     inform("campaign job run complete: cache at ",
            runner.campaign().cachePath());
+    if (plan.trains())
+        inform("model artifact at ", plan.artifactPath());
     return 0;
 }
 

@@ -35,6 +35,7 @@
  * Usage:
  *   acdse-serve --model trained.acdse [--input queries.csv]
  *               [--batch N] [--threads N] [--stats]
+ *               [--stats-out FILE [--stats-every N]]
  *               [--max-queue N] [--tenants NAME=FILE,...]
  *               [--hot-swap-watch]
  */
@@ -74,7 +75,7 @@ struct CliOptions
     bool hotSwapWatch = false;
     bool printStats = false;
     std::string statsOut;       //!< acdse-stats-v1 dump path
-    std::size_t statsEvery = 0; //!< periodic dump cadence in batches
+    std::size_t statsEvery = 0; //!< periodic dump cadence, input batches
     /** --tenants entries in declaration order: {name, model path}. */
     std::vector<std::pair<std::string, std::string>> tenants;
 };
@@ -295,11 +296,6 @@ main(int argc, char **argv)
     serve_options.threads = cli.threads;
     if (cli.maxQueue)
         serve_options.maxQueue = cli.maxQueue;
-    // Periodic dumps come straight from the service (its private
-    // registry); the final dump below also merges the global registry
-    // for the pool/ metrics.
-    serve_options.statsPath = cli.statsOut;
-    serve_options.statsEveryBatches = cli.statsEvery;
 
     std::ifstream file;
     std::istream *in = &std::cin;
@@ -355,6 +351,16 @@ main(int argc, char **argv)
         batchTenants.reserve(cli.batch);
         AsyncBatch async(cli.batch);
 
+        // --stats-out: the global registry (pool/ metrics) merged with
+        // the service's private one, written every --stats-every input
+        // batches from this loop and once more at exit.
+        auto writeStats = [&] {
+            obs::Snapshot snap = obs::Registry::global().snapshot();
+            snap.merge(service.statsSnapshot());
+            obs::writeStatsFile(cli.statsOut, snap);
+        };
+        std::size_t batches = 0;
+
         std::string line;
         std::size_t line_no = 0;
         auto flush = [&] {
@@ -387,6 +393,8 @@ main(int argc, char **argv)
             }
             batch.clear();
             batchTenants.clear();
+            if (cli.statsEvery != 0 && ++batches % cli.statsEvery == 0)
+                writeStats();
             for (WatchedModel &watch : watched)
                 watch.poll(service);
         };
@@ -455,11 +463,8 @@ main(int argc, char **argv)
                     service.requestLatencyQuantileMs(0.99));
             }
         }
-        if (!cli.statsOut.empty()) {
-            obs::Snapshot snap = obs::Registry::global().snapshot();
-            snap.merge(service.statsSnapshot());
-            obs::writeStatsFile(cli.statsOut, snap);
-        }
+        if (!cli.statsOut.empty())
+            writeStats();
     } catch (const SerializationError &err) {
         fatal("cannot serve '", cli.modelPath, "': ", err.what());
     }

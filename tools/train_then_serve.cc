@@ -52,25 +52,6 @@ struct CliOptions
     std::string statsOut; //!< acdse-stats-v1 dump path (empty = none)
 };
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : list) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -86,7 +67,7 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--target")) {
             options.target = value(i);
         } else if (!std::strcmp(argv[i], "--train-programs")) {
-            options.trainingPrograms = splitList(value(i));
+            options.trainingPrograms = splitList(value(i), ',');
         } else if (!std::strcmp(argv[i], "--train-sims")) {
             options.trainSims = static_cast<std::size_t>(
                 parseU64OrDie("--train-sims", value(i)));
