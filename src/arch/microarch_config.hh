@@ -83,8 +83,8 @@ class MicroarchConfig
     }
 
     /**
-     * Stable textual key, e.g. "4/96/32/..." -- used for the on-disk
-     * campaign cache and for deduplicating samples.
+     * Stable textual key, e.g. "4/96/32/..." -- hashed into every
+     * campaign store block and used for deduplicating samples.
      */
     std::string key() const;
 

@@ -84,7 +84,11 @@ tanhTable()
     return segments;
 }
 
-/** Out-of-line |x| >= 4 tail of fastTanh (rare for trained networks). */
+/**
+ * Out-of-line |x| >= 4 tail of fastTanh. Not rare: in perfbench's 32
+ * offline trainings, 9,755,374 of 20,480,000 hidden pre-activations
+ * (47.6%) took its std::exp path.
+ */
 double fastTanhTail(double x);
 
 } // namespace detail
@@ -92,8 +96,8 @@ double fastTanhTail(double x);
 /**
  * tanh(x) to ~5e-9 absolute accuracy over all of R.
  *
- * |x| < 4 (99.9% of trained-network pre-activations) is served from a
- * 256-interval cubic Hermite table built from std::tanh at first use
+ * |x| < 4 (about half of the hidden pre-activations in offline
+ * training) is served from a 256-interval cubic Hermite table built from std::tanh at first use
  * (step 1/64, a power of two, so the segment lookup is a multiply,
  * not a divide); larger magnitudes fall back to the exact identity
  * tanh(x) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), and |x| >= 19.0625

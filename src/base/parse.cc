@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <string>
 
 #include "base/logging.hh"
@@ -41,22 +40,6 @@ std::optional<std::int64_t>
 parseI64(std::string_view text)
 {
     return parseIntegral<std::int64_t>(text);
-}
-
-std::optional<double>
-parseF64(std::string_view text)
-{
-    double value{};
-    const char *first = text.data();
-    const char *last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || ptr != last || text.empty())
-        return std::nullopt;
-    // from_chars parses "nan" and "inf"; neither is a number any
-    // boundary in this codebase wants to let through.
-    if (!std::isfinite(value))
-        return std::nullopt;
-    return value;
 }
 
 std::vector<std::string>

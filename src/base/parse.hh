@@ -34,9 +34,6 @@ std::optional<std::uint64_t> parseU64(std::string_view text);
 /** Parse a full string as i64; nullopt on garbage or overflow. */
 std::optional<std::int64_t> parseI64(std::string_view text);
 
-/** Parse a full string as a finite double; nullopt otherwise. */
-std::optional<double> parseF64(std::string_view text);
-
 /**
  * The items of a @p sep separated list, in order. Empty items are
  * skipped, so "a,,b," gives {"a", "b"} and "" gives {}.

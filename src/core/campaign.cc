@@ -1,19 +1,19 @@
 #include "core/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "arch/design_space.hh"
 #include "base/binary_io.hh"
 #include "base/check.hh"
-#include "base/csv.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "base/thread_pool.hh"
@@ -28,6 +28,10 @@ namespace acdse
 
 namespace
 {
+
+/** The sealBytes() framing of one program's block in the store. */
+constexpr std::string_view kBlockMagic = "ACDSECEL";
+constexpr std::uint32_t kBlockVersion = 1;
 
 std::size_t
 envSize(const char *name, std::size_t fallback)
@@ -105,6 +109,13 @@ Campaign::Campaign(std::vector<std::string> programs,
         profileByName(name); // validates the name
     configs_ = DesignSpace::sampleValidConfigs(options_.numConfigs,
                                                options_.configSeed);
+    // Keys are '\n'-free, so '\n'-joining is an unambiguous encoding.
+    std::string keys;
+    for (const auto &config : configs_) {
+        keys += config.key();
+        keys += '\n';
+    }
+    configsHash_ = fnv1a64(keys);
     results_.resize(programs_.size() * configs_.size());
     computed_.assign(results_.size(), false);
     traces_.resize(programs_.size());
@@ -182,129 +193,90 @@ std::string
 Campaign::cachePath() const
 {
     std::ostringstream os;
-    // The numerics fingerprint invalidates caches across simulator and
-    // trace-generator changes. Unlike cacheKeyFor() this name
-    // deliberately omits the program set: the cache file is shared and
-    // merged across program subsets.
+    // The numerics fingerprint invalidates the store across simulator
+    // and trace-generator changes. Unlike cacheKeyFor() this prefix
+    // deliberately omits the program set: every campaign over these
+    // options shares the per-program blocks.
     char fingerprint[17];
     std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                   static_cast<unsigned long long>(numericsFingerprint()));
     os << options_.cacheDir << "/acdse_campaign_" << fingerprint << "_c"
        << options_.numConfigs << "_t" << options_.traceLength << "_w"
        << options_.warmupInstructions << "_s" << std::hex
-       << options_.configSeed << ".csv";
+       << options_.configSeed;
     return os.str();
 }
 
-std::size_t
-Campaign::loadCacheRowsFrom(const std::string &path)
+std::string
+Campaign::blockPath(const std::string &prefix,
+                    std::size_t programIdx) const
 {
-    CsvFile file;
-    if (!readCsv(path, file))
-        return 0;
-    if (file.header !=
-        std::vector<std::string>{"program", "config", "cycles",
-                                 "energy_nj"}) {
-        warn("ignoring campaign cache with unexpected header: ", path);
-        return 0;
-    }
+    return prefix + "." + programs_[programIdx] + ".cells";
+}
 
-    // Index configurations by key for O(1) row placement.
-    std::unordered_map<std::string, std::size_t> config_index;
-    for (std::size_t c = 0; c < configs_.size(); ++c)
-        config_index.emplace(configs_[c].key(), c);
-    std::unordered_map<std::string, std::size_t> program_index;
-    for (std::size_t p = 0; p < programs_.size(); ++p)
-        program_index.emplace(programs_[p], p);
-
+std::size_t
+Campaign::loadCacheRowsFrom(const std::string &prefix)
+{
+    const std::size_t n = configs_.size();
     std::size_t loaded = 0;
-    for (const auto &row : file.rows) {
-        auto pit = program_index.find(row[0]);
-        auto cit = config_index.find(row[1]);
-        if (pit == program_index.end() || cit == config_index.end())
+    for (std::size_t p = 0; p < programs_.size(); ++p) {
+        const std::optional<std::string> bytes =
+            readFileBytes(blockPath(prefix, p));
+        if (!bytes)
             continue;
-        // Malformed numbers are skipped, not fatal: a cache row is a
+        // A damaged or foreign block counts as absent: a block is a
         // disposable memo and the simulation can always be redone.
-        const auto cycles = parseF64(row[2]);
-        const auto energy = parseF64(row[3]);
-        if (!cycles || !energy || *cycles <= 0.0 || *energy <= 0.0)
+        std::vector<double> cycles, energy;
+        try {
+            BinaryReader reader(unsealBytes(*bytes, kBlockMagic,
+                                            kBlockVersion,
+                                            "ACDSE campaign block"));
+            if (reader.str() != programs_[p] ||
+                reader.u64() != configsHash_)
+                continue;
+            cycles = reader.f64vec();
+            energy = reader.f64vec();
+            if (!reader.exhausted() || cycles.size() != n ||
+                energy.size() != n)
+                continue;
+        } catch (const SerializationError &) {
             continue;
-        const std::size_t cell =
-            pit->second * configs_.size() + cit->second;
-        results_[cell] = Metrics::fromCyclesEnergy(*cycles, *energy);
-        computed_[cell] = true;
-        ++loaded;
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+            results_[p * n + c] =
+                Metrics::fromCyclesEnergy(cycles[c], energy[c]);
+            computed_[p * n + c] = true;
+        }
+        loaded += n;
     }
     return loaded;
-}
-
-bool
-Campaign::loadCache()
-{
-    const std::size_t loaded = loadCacheRowsFrom(cachePath());
-    if (!options_.quiet && loaded) {
-        inform("campaign cache: loaded ", loaded, " of ",
-               results_.size(), " simulations from ", cachePath());
-    }
-    return loaded == results_.size();
-}
-
-CsvFile
-Campaign::cacheRows(const std::vector<std::size_t> &cells) const
-{
-    CsvFile file;
-    file.header = {"program", "config", "cycles", "energy_nj"};
-    char buf[64];
-    for (const std::size_t cell : cells) {
-        ACDSE_CHECK(cell < results_.size(), "bad cell index");
-        if (!computed_[cell])
-            continue;
-        std::vector<std::string> row;
-        row.push_back(programs_[cell / configs_.size()]);
-        row.push_back(configs_[cell % configs_.size()].key());
-        std::snprintf(buf, sizeof(buf), "%.17g",
-                      results_[cell].cycles);
-        row.push_back(buf);
-        std::snprintf(buf, sizeof(buf), "%.17g",
-                      results_[cell].energyNj);
-        row.push_back(buf);
-        file.rows.push_back(std::move(row));
-    }
-    return file;
 }
 
 void
 Campaign::saveCache() const
 {
-    std::vector<std::size_t> all(results_.size());
-    for (std::size_t cell = 0; cell < all.size(); ++cell)
-        all[cell] = cell;
-    CsvFile file = cacheRows(all);
-
-    // Merge with any existing cache so that a campaign over a subset
-    // of programs never drops other programs' rows from the shared
-    // file. Foreign rows sort first, ours after, matching the
-    // pre-refactor row order byte for byte.
-    CsvFile existing;
-    if (readCsv(cachePath(), existing) &&
-        existing.header == file.header) {
-        std::unordered_set<std::string> ours;
-        for (const auto &name : programs_)
-            ours.insert(name);
-        std::vector<std::vector<std::string>> merged;
-        for (auto &row : existing.rows) {
-            if (!ours.contains(row[0]))
-                merged.push_back(std::move(row));
+    const std::size_t n = configs_.size();
+    std::vector<double> cycles(n), energy(n);
+    for (std::size_t p = 0; p < programs_.size(); ++p) {
+        if (!std::all_of(computed_.begin() + p * n,
+                         computed_.begin() + (p + 1) * n,
+                         [](char done) { return done != 0; }))
+            continue;
+        for (std::size_t c = 0; c < n; ++c) {
+            cycles[c] = results_[p * n + c].cycles;
+            energy[c] = results_[p * n + c].energyNj;
         }
-        for (auto &row : file.rows)
-            merged.push_back(std::move(row));
-        file.rows = std::move(merged);
+        BinaryWriter writer;
+        writer.str(programs_[p]);
+        writer.u64(configsHash_);
+        writer.f64vec(cycles);
+        writer.f64vec(energy);
+        // Atomic replace: processes racing on one ACDSE_CACHE_DIR may
+        // both save a block, but neither can leave a torn one behind.
+        writeTextAtomic(blockPath(cachePath(), p),
+                        sealBytes(kBlockMagic, kBlockVersion,
+                                  writer.buffer()));
     }
-
-    // Atomic replace: two experiment binaries racing on the same
-    // ACDSE_CACHE_DIR may both save, but neither can leave a truncated
-    // cache for the other (or a later run) to trip over.
-    writeCsvAtomic(cachePath(), file);
 }
 
 void
@@ -312,9 +284,11 @@ Campaign::ensureComputed()
 {
     if (allComputed_)
         return;
-    if (loadCache()) {
-        allComputed_ = true;
-        return;
+    const std::size_t loaded = loadCacheRowsFrom(cachePath());
+    if (!options_.quiet && loaded) {
+        inform("campaign store: loaded ", loaded, " of ",
+               results_.size(), " simulations from ", cachePath(),
+               ".*.cells");
     }
 
     // Collect pending work.

@@ -2,14 +2,26 @@
  * @file
  * The simulation campaign: the paper's 3,000 uniformly-sampled
  * configurations simulated for every benchmark (Section 3.3), here with
- * a configurable sample count, multithreaded execution and a disk cache
- * so every experiment binary reuses one set of simulations.
+ * a configurable sample count, multithreaded execution and a disk
+ * store so every experiment binary reuses one set of simulations.
+ *
+ * The store holds one sealed block per program (sealBytes(),
+ * base/binary_io.hh, magic "ACDSECEL"), at
+ * `<cachePath()>.<program>.cells`. The file name carries the numerics
+ * fingerprint, trace length, warm-up, configuration count and seed;
+ * the payload is the program name, an FNV-1a hash of the sampled
+ * configurations' key() in order, then the cycles and the energy of
+ * every configuration as raw IEEE-754 bits, in configuration order. A
+ * block that does not unseal or whose name or configuration hash
+ * disagrees with the campaign counts as absent and is simulated again.
+ * Campaigns over any program subset share the blocks, and the job
+ * server (src/jobs) writes the same blocks, one per simulate job.
  *
  * Scaling knobs (environment variables, all optional):
  *  - ACDSE_CONFIGS     sampled configurations   (default 800)
  *  - ACDSE_TRACE_LEN   timed instructions       (default 16000)
  *  - ACDSE_WARMUP      warm-up instructions     (default 4000)
- *  - ACDSE_CACHE_DIR   cache file directory     (default ".")
+ *  - ACDSE_CACHE_DIR   store directory          (default ".")
  *  - ACDSE_THREADS     worker threads           (default hw parallelism)
  */
 
@@ -21,7 +33,6 @@
 #include <vector>
 
 #include "arch/microarch_config.hh"
-#include "base/csv.hh"
 #include "sim/metrics.hh"
 #include "trace/trace.hh"
 
@@ -35,7 +46,7 @@ struct CampaignOptions
     std::size_t traceLength = 16000;   //!< timed instructions / program
     std::size_t warmupInstructions = 4000; //!< untimed warm-up prefix
     std::uint64_t configSeed = 0xac5e'0001; //!< sampling seed
-    std::string cacheDir = ".";        //!< where the cache file lives
+    std::string cacheDir = ".";        //!< where the store's blocks live
     /**
      * Explicit worker count; 0 uses the shared ThreadPool sizing rule
      * (ACDSE_THREADS, else hardware concurrency -- base/thread_pool).
@@ -51,8 +62,9 @@ struct CampaignOptions
  * A (programs x configurations) matrix of simulated Metrics.
  *
  * Results are computed lazily on first access (all missing cells in one
- * parallel batch) and persisted to a CSV cache keyed by the campaign
- * parameters, so repeated bench/example runs cost seconds, not minutes.
+ * parallel batch) and persisted to the per-program block store (see the
+ * file comment), so repeated bench/example runs cost seconds, not
+ * minutes.
  * Each program's trace is only an input to the fill: a fill that
  * simulates any cell of a program decodes its trace and drops it, so
  * the campaign keeps results, not traces (see trace()).
@@ -123,8 +135,9 @@ class Campaign
     //
     // A cell is one (program, configuration) pair, row-major:
     // cell = program * configs().size() + config. The job runner
-    // shards the cell range, computes shards in worker processes and
-    // feeds results back through loadCacheRowsFrom(), so
+    // simulates one program per job in worker processes, each through
+    // a one-program campaign that saves its block to the shared store,
+    // and reads the blocks back through loadCacheRowsFrom(), so
     // everything here must keep bit-identical semantics with
     // ensureComputed()'s own fill path.
 
@@ -153,9 +166,10 @@ class Campaign
                           {});
 
     /**
-     * The shared campaign cache CSV path for these options. Its name
-     * carries numericsFingerprint(), so caches written by a simulator
-     * with other numerics are never read.
+     * The prefix of the shared store's block files for these options
+     * (each program's block is `<prefix>.<program>.cells`). It carries
+     * numericsFingerprint(), so blocks written by a simulator with
+     * other numerics are never read.
      */
     std::string cachePath() const;
 
@@ -170,30 +184,27 @@ class Campaign
     static std::uint64_t numericsFingerprint();
 
     /**
-     * Load result rows from any campaign-cache-format CSV at @p path
-     * (the shared cache or a shard checkpoint). Rows for unknown
-     * programs/configs and malformed rows are skipped -- cache rows
-     * are disposable memos. @return the number of cells filled in.
+     * Load every program's block under the store prefix @p prefix
+     * (cachePath(), or another directory's). A block that is missing,
+     * fails to unseal or disagrees with this campaign's program or
+     * sampled configurations is skipped: its cells stay uncomputed.
+     * @return the number of cells filled in.
      */
-    std::size_t loadCacheRowsFrom(const std::string &path);
+    std::size_t loadCacheRowsFrom(const std::string &prefix);
 
     /**
-     * Cache-format rows (header + %.17g formatting, byte-identical to
-     * what saveCache() writes) for the computed cells among @p cells,
-     * in the given order. Shard checkpoints are written through this
-     * so a cache assembled from shards matches an uninterrupted run
-     * byte for byte.
+     * Write the block of every program whose cells are all computed
+     * into the store, each atomically. Blocks are whole programs, so
+     * the blocks of programs outside this campaign are never read or
+     * rewritten.
      */
-    CsvFile cacheRows(const std::vector<std::size_t> &cells) const;
-
-    /** Merge all computed cells into the shared cache, atomically. */
     void saveCache() const;
 
     /**
      * The campaign identity string: every sampling/simulation
      * parameter plus a hash of the program set. Two campaigns agree on
      * every cell's meaning iff their keys are equal, so job-system
-     * artifacts (journal, shard checkpoints, plans) embed this key in
+     * files (journal, plan, model checkpoints) embed this key in
      * their file names to keep concurrent runs with different
      * parameters in one ACDSE_CACHE_DIR from colliding.
      */
@@ -202,11 +213,15 @@ class Campaign
         const CampaignOptions &options);
 
   private:
-    bool loadCache();
+    /** The store path of program @p programIdx's block. */
+    std::string blockPath(const std::string &prefix,
+                          std::size_t programIdx) const;
 
     CampaignOptions options_;
     std::vector<std::string> programs_;
     std::vector<MicroarchConfig> configs_;
+    /** FNV-1a hash of the configurations' key()s, in order. */
+    std::uint64_t configsHash_ = 0;
     std::vector<Metrics> results_;      //!< row-major [program][config]
     // Per-cell validity. Deliberately vector<char>, not vector<bool>:
     // worker threads write distinct cells concurrently, and

@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,7 +23,7 @@ namespace acdse::jobs
 namespace
 {
 
-constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v2";
+constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v3";
 
 /** The sealBytes() framing of the per-program model checkpoints. */
 constexpr std::string_view kCheckpointMagic = "ACDSEPGM";
@@ -102,8 +103,8 @@ artifactTag(const CampaignJobPlan &plan)
 /**
  * The mid-job kill injection point (ACDSE_JOBS_KILL_IN="<id>@<cells>"):
  * raise SIGKILL once the running job @p jobId has completed that many
- * cells. Exercises crashes *inside* a shard, between the checkpoint
- * and the journal record.
+ * cells. Exercises crashes *inside* a simulate job, before its block
+ * is stored.
  */
 std::function<void(std::size_t)>
 killInHook(const std::string &jobId)
@@ -159,7 +160,6 @@ CampaignJobPlan::planHash() const
     std::string canon(kPlanFormat);
     canon += '|';
     canon += key();
-    canon += "|shard=" + std::to_string(shardCells);
     canon += "|train=" + joinIndices(trainIdx);
     canon += "|resp=" + joinIndices(responseIdx);
     canon += "|metrics=" + joinIndices(metrics);
@@ -170,34 +170,12 @@ CampaignJobPlan::planHash() const
     return buf;
 }
 
-std::size_t
-CampaignJobPlan::numShards() const
-{
-    return (numCells() + shardCells - 1) / shardCells;
-}
-
-std::vector<std::size_t>
-CampaignJobPlan::shardCellsOf(std::size_t shard) const
-{
-    ACDSE_CHECK(shard < numShards(), "bad shard index");
-    const std::size_t first = shard * shardCells;
-    const std::size_t last =
-        std::min(first + shardCells, numCells());
-    std::vector<std::size_t> cells;
-    cells.reserve(last - first);
-    for (std::size_t cell = first; cell < last; ++cell)
-        cells.push_back(cell);
-    return cells;
-}
-
 std::vector<JobSpec>
 CampaignJobPlan::jobs() const
 {
     std::vector<JobSpec> out;
-    for (std::size_t s = 0; s < numShards(); ++s) {
-        out.push_back({"sim" + std::to_string(s), "simulate-shard", 0,
-                       std::to_string(s)});
-    }
+    for (const auto &program : programs)
+        out.push_back({"sim_" + program, "simulate-shard", 0, program});
     for (const auto &program : trainPrograms()) {
         for (const std::size_t m : metrics) {
             out.push_back({"train_" + program + "_m" +
@@ -227,12 +205,6 @@ std::string
 CampaignJobPlan::journalName() const
 {
     return "acdse_jobs_" + key();
-}
-
-std::string
-CampaignJobPlan::shardPath(std::size_t shard) const
-{
-    return prefix() + ".shard" + std::to_string(shard) + ".csv";
 }
 
 std::string
@@ -267,7 +239,6 @@ CampaignJobPlan::save() const
     put("seed", std::to_string(options.configSeed));
     put("threads", std::to_string(options.threads));
     put("quiet", options.quiet ? "1" : "0");
-    put("shard_cells", std::to_string(shardCells));
     put("train_idx", joinIndices(trainIdx));
     put("response_idx", joinIndices(responseIdx));
     put("metrics", joinIndices(metrics));
@@ -323,7 +294,6 @@ CampaignJobPlan::load(const std::string &path)
         std::filesystem::path(path).parent_path().string();
     if (plan.options.cacheDir.empty())
         plan.options.cacheDir = ".";
-    plan.shardCells = static_cast<std::size_t>(getU64("shard_cells"));
     plan.trainIdx = splitIndices(get("train_idx"), "train_idx");
     plan.responseIdx =
         splitIndices(get("response_idx"), "response_idx");
@@ -350,7 +320,6 @@ CampaignJobPlan::validate() const
         require(seen.insert(name).second,
                 "duplicate program '" + name + "'");
     require(options.numConfigs > 0, "no configurations");
-    require(shardCells > 0, "shard_cells must be positive");
     for (const std::size_t m : metrics)
         require(m < kNumMetrics, "bad metric index");
     std::unordered_set<std::size_t> metricSet(metrics.begin(),
@@ -397,15 +366,20 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
         failOnce && spec.id == failOnce && attempt == 1) {
         throw JobError("injected failure for job '" + spec.id + "'");
     }
+    runJob(spec);
+}
 
+void
+CampaignJobRunner::runJob(const JobSpec &spec)
+{
     const obs::TraceSpan span(obs::Registry::global(),
                               "jobs/execute");
     if (spec.kind == "simulate-shard") {
-        const auto shard = parseU64(spec.arg);
-        if (!shard || *shard >= plan_.numShards())
+        if (std::find(plan_.programs.begin(), plan_.programs.end(),
+                      spec.arg) == plan_.programs.end())
             throw JobError("bad simulate-shard argument '" + spec.arg +
                            "'");
-        runSimulateShard(static_cast<std::size_t>(*shard), spec.id);
+        runSimulateShard(spec.arg, spec.id);
     } else if (spec.kind == "train-program") {
         const std::size_t sep = spec.arg.rfind(':');
         const auto metric = sep == std::string::npos
@@ -427,26 +401,25 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
 }
 
 void
-CampaignJobRunner::runSimulateShard(std::size_t shard,
+CampaignJobRunner::runSimulateShard(const std::string &program,
                                     const std::string &jobId)
 {
-    const std::vector<std::size_t> cells = plan_.shardCellsOf(shard);
-    Campaign &c = campaign();
+    // A one-program campaign shares the plan campaign's store prefix
+    // and sampled configurations, so its saveCache() writes exactly
+    // this program's block, and no other, straight into the store.
+    Campaign single({program}, plan_.options);
 
-    // Idempotence: a complete checkpoint means a previous attempt
-    // finished the work (the journal record may have been lost to a
-    // crash between rename and append). Its bytes are already the
+    // Idempotence: an intact block means a previous attempt finished
+    // the work (the journal record may have been lost to a crash
+    // between rename and append). Its bytes are already the
     // deterministic ground truth -- do not rewrite them.
-    c.loadCacheRowsFrom(plan_.shardPath(shard));
-    const bool complete =
-        std::all_of(cells.begin(), cells.end(), [&](std::size_t cell) {
-            return c.cellComputed(cell);
-        });
-    if (complete)
+    if (single.loadCacheRowsFrom(single.cachePath()) == single.numCells())
         return;
 
-    c.computeCells(cells, killInHook(jobId));
-    writeCsvAtomic(plan_.shardPath(shard), c.cacheRows(cells));
+    std::vector<std::size_t> cells(single.numCells());
+    std::iota(cells.begin(), cells.end(), std::size_t{0});
+    single.computeCells(cells, killInHook(jobId));
+    single.saveCache();
 }
 
 void
@@ -457,7 +430,7 @@ CampaignJobRunner::runTrainProgram(const std::string &program,
     if (loadCheckpoint(path))
         return; // idempotent re-execution
 
-    loadAllShards();
+    loadStore();
     const std::size_t programIdx = campaign().programIndex(program);
     requireCells(programIdx, plan_.trainIdx, "train-program");
 
@@ -486,7 +459,7 @@ CampaignJobRunner::runFitResponses()
         // Missing or damaged: (re)compute it.
     }
 
-    loadAllShards();
+    loadStore();
     const std::size_t newIdx =
         campaign().programIndex(plan_.newProgram);
     requireCells(newIdx, plan_.responseIdx, "fit-responses");
@@ -516,11 +489,10 @@ CampaignJobRunner::runFitResponses()
 }
 
 void
-CampaignJobRunner::loadAllShards()
+CampaignJobRunner::loadStore()
 {
     Campaign &c = campaign();
-    for (std::size_t s = 0; s < plan_.numShards(); ++s)
-        c.loadCacheRowsFrom(plan_.shardPath(s));
+    c.loadCacheRowsFrom(c.cachePath());
 }
 
 void
@@ -535,7 +507,7 @@ CampaignJobRunner::requireCells(
         if (!campaign_->cellComputed(cell)) {
             throw JobError(std::string(what) +
                            " needs cell " + std::to_string(cell) +
-                           " but no shard checkpoint provides it");
+                           " but no intact campaign block provides it");
         }
     }
 }
@@ -543,24 +515,11 @@ CampaignJobRunner::requireCells(
 void
 CampaignJobRunner::finalize()
 {
-    loadAllShards();
-    Campaign &c = campaign();
-    for (std::size_t cell = 0; cell < c.numCells(); ++cell) {
-        if (!c.cellComputed(cell)) {
-            throw JobError("campaign incomplete: cell " +
-                           std::to_string(cell) +
-                           " has no shard checkpoint");
-        }
-    }
-    c.saveCache();
-    if (!plan_.trains())
-        return;
-    try {
-        loadArtifact(plan_.artifactPath());
-    } catch (const SerializationError &e) {
-        throw JobError("model artifact " + plan_.artifactPath() +
-                       " does not load: " + e.what());
-    }
+    // Every handler is idempotent and cheap when its output is intact:
+    // rerunning the whole plan keeps intact blocks, checkpoints and
+    // artifact, and recomputes any damaged after its job was done.
+    for (const JobSpec &spec : plan_.jobs())
+        runJob(spec);
 }
 
 void

@@ -5,41 +5,47 @@
  * JobQueue (jobs/job_queue.hh).
  *
  * A CampaignJobPlan is the complete, persisted description of one
- * run: the campaign parameters, the cell sharding, and the training/
- * response split. It expands to three phases of jobs:
+ * run: the campaign parameters and the training/response split. It
+ * expands to three phases of jobs:
  *
- *   phase 0  simulate-shard   one job per contiguous cell shard;
- *                             writes `<prefix>.shard<i>.csv`
+ *   phase 0  simulate-shard   one job per program; writes the
+ *                             program's block into the campaign store,
+ *                             `<store>.<prog>.cells` (core/campaign.hh)
  *   phase 1  train-program    one job per (training program, metric);
  *                             writes `<prefix>.model_<prog>_m<m>.bin`
  *   phase 2  fit-responses    one job for all plan metrics; writes
  *                             the model artifact `<prefix>.acdse`
  *
- * Trained models on disk have one framing, sealBytes()
+ * Every file a job writes has one framing, sealBytes()
  * (base/binary_io.hh): magic, version, payload size and checksum. The
- * per-program checkpoints carry their own magic, and `<prefix>.acdse`
- * is an ordinary model-store artifact (serve/model_store.hh) that
- * acdse-serve and acdse-explore load as is.
+ * campaign blocks and the per-program checkpoints carry their own
+ * magics, and `<prefix>.acdse` is an ordinary model-store artifact
+ * (serve/model_store.hh) that acdse-serve and acdse-explore load as
+ * is. The campaign blocks are the shared store that
+ * Campaign::ensureComputed() reads, so once the queue drains there is
+ * nothing to merge.
  *
  * Every output lands via atomic rename and every handler first checks
- * whether its output already exists and is intact; a checkpoint or
- * artifact that fails its checksum counts as not done and is
- * recomputed, never reused. So jobs are idempotent: a SIGKILL at *any*
- * point loses at most in-flight work, and re-executing after resume
- * reproduces the same bytes (simulation and training are
+ * whether its output already exists and is intact; a block,
+ * checkpoint or artifact that fails its checksum counts as not done
+ * and is recomputed, never reused. So jobs are idempotent: a SIGKILL
+ * at *any* point loses at most in-flight work, and re-executing after
+ * resume reproduces the same bytes (simulation and training are
  * deterministic).
  *
  * `<prefix>` embeds the simulator numerics fingerprint
  * (Campaign::numericsFingerprint) and the campaign cache key -- every
  * sampling parameter plus a hash of the program set -- so runs with
  * other numerics, seeds or program sets in one ACDSE_CACHE_DIR can
- * never collide on shards, journal, plan or models.
+ * never collide on journal, plan or models. The store's blocks need no
+ * program-set key: a block holds one program's cells, which any
+ * campaign over the same parameters shares.
  *
  * Bit-identity contract, enforced by the crash suite: the campaign
- * cache CSV, the per-program checkpoints and the model artifact
- * produced by (a) an uninterrupted job run and (b) a killed-and-resumed
- * job run are byte-identical, and so are the cache and the artifact
- * that CampaignJobRunner::runInProcess() (the in-process
+ * blocks, the per-program checkpoints and the model artifact produced
+ * by (a) an uninterrupted job run and (b) a killed-and-resumed job run
+ * are byte-identical, and so are the blocks and the artifact that
+ * CampaignJobRunner::runInProcess() (the in-process
  * Campaign::ensureComputed + trainOffline path) writes.
  */
 
@@ -71,7 +77,6 @@ struct CampaignJobPlan
 {
     std::vector<std::string> programs; //!< all simulated programs
     CampaignOptions options;           //!< campaign parameters
-    std::size_t shardCells = 64;       //!< cells per simulate shard
     std::vector<std::size_t> trainIdx; //!< training config indices
     std::vector<std::size_t> responseIdx; //!< response config indices
     std::vector<std::size_t> metrics;  //!< metric indices to model
@@ -98,12 +103,6 @@ struct CampaignJobPlan
         return programs.size() * options.numConfigs;
     }
 
-    /** Number of simulate shards. */
-    std::size_t numShards() const;
-
-    /** The cell indices of one shard (contiguous, in order). */
-    std::vector<std::size_t> shardCellsOf(std::size_t shard) const;
-
     /** The full job set, in claim order. */
     std::vector<JobSpec> jobs() const;
 
@@ -112,7 +111,6 @@ struct CampaignJobPlan
     std::string prefix() const;
     std::string planPath() const;
     std::string journalName() const; //!< JobQueue name (not a path)
-    std::string shardPath(std::size_t shard) const;
     std::string modelPath(const std::string &program,
                           std::size_t metric) const;
     std::string artifactPath() const; //!< the servable `.acdse`
@@ -128,13 +126,13 @@ struct CampaignJobPlan
      */
     static CampaignJobPlan load(const std::string &path);
 
-    /** Validate invariants (index ranges, program names, sharding). */
+    /** Validate invariants (index ranges, program names). */
     void validate() const;
 };
 
 /**
  * Executes a plan's jobs. One runner per worker process; the held
- * Campaign accumulates loaded shard results across jobs, which only
+ * Campaign accumulates the store's blocks across jobs, which only
  * ever skips recomputation (handlers stay idempotent).
  */
 class CampaignJobRunner
@@ -154,9 +152,11 @@ class CampaignJobRunner
     void execute(const JobSpec &spec, int attempt);
 
     /**
-     * After the queue drains: assemble every shard into the shared
-     * campaign cache (Campaign::saveCache) and verify that the model
-     * artifact decodes. @throws JobError if anything is missing.
+     * After the queue drains: rerun every job of the plan in order,
+     * without fault injection. Each handler keeps its output when it
+     * is intact, so this only verifies a clean run, and it recomputes
+     * a block, checkpoint or artifact damaged after its job was
+     * journalled done.
      */
     void finalize();
 
@@ -172,12 +172,16 @@ class CampaignJobRunner
     Campaign &campaign();
 
   private:
-    void runSimulateShard(std::size_t shard, const std::string &jobId);
+    /** Validate @p spec's argument and run its handler. */
+    void runJob(const JobSpec &spec);
+
+    void runSimulateShard(const std::string &program,
+                          const std::string &jobId);
     void runTrainProgram(const std::string &program, std::size_t metric);
     void runFitResponses();
 
-    /** Load every shard checkpoint into the campaign. */
-    void loadAllShards();
+    /** Load every block of the campaign store into the campaign. */
+    void loadStore();
 
     /** Require cells (program x configIdx) to be computed. */
     void requireCells(std::size_t programIdx,

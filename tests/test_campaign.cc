@@ -1,14 +1,20 @@
 /**
  * @file
- * Unit tests for the simulation campaign and its disk cache.
+ * Unit tests for the simulation campaign and its per-program block
+ * store.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/design_space.hh"
+#include "base/binary_io.hh"
 #include "base/thread_pool.hh"
 #include "core/campaign.hh"
 #include "sim/simulator.hh"
@@ -59,8 +65,10 @@ TEST(Campaign, CacheRoundTripsExactly)
     }
     {
         // Second campaign must load from disk (results identical to
-        // the last bit thanks to %.17g serialisation).
+        // the last bit: the block stores raw IEEE-754 bits).
         Campaign campaign({"adpcm"}, options);
+        EXPECT_EQ(campaign.loadCacheRowsFrom(campaign.cachePath()),
+                  campaign.numCells());
         campaign.ensureComputed();
         EXPECT_EQ(campaign.metricRow(0, Metric::Cycles), first[0]);
         EXPECT_EQ(campaign.metricRow(0, Metric::Energy), first[1]);
@@ -81,27 +89,157 @@ TEST(Campaign, CacheIsPartiallyReusable)
     EXPECT_GT(campaign.result(1, 0).cycles, 0.0);
 }
 
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, // NOLINT(acdse-atomic-write)
+                      std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** The store file of @p program's block in @p campaign's store. */
+std::string
+blockFile(const Campaign &campaign, const std::string &program)
+{
+    return campaign.cachePath() + "." + program + ".cells";
+}
+
 TEST(Campaign, SubsetSaveDoesNotClobberSharedCache)
 {
-    // Two campaigns over different programs share one cache file; the
-    // second save must keep the first campaign's rows (merge-on-save).
+    // Campaigns over different programs share one store: each writes
+    // its own program's block and never rewrites another's.
     const CampaignOptions options = tinyOptions("acdse_t10");
+    std::string crcBlock;
     {
         Campaign campaign({"crc32"}, options);
         campaign.ensureComputed();
+        crcBlock = readBytes(blockFile(campaign, "crc32"));
     }
     {
         Campaign campaign({"sha"}, options);
         campaign.ensureComputed();
+        EXPECT_EQ(readBytes(blockFile(campaign, "crc32")), crcBlock);
     }
-    // A third campaign over both must find everything cached (no
-    // recomputation: results match fresh campaigns bit-for-bit).
+    // A third campaign over both finds every cell in the two blocks
+    // (no recomputation: results match fresh campaigns bit-for-bit),
+    // and so does a campaign over a subset of it.
     Campaign both({"crc32", "sha"}, options);
+    EXPECT_EQ(both.loadCacheRowsFrom(both.cachePath()), both.numCells());
     both.ensureComputed();
     Campaign fresh_crc({"crc32"}, tinyOptions("acdse_t10b"));
     fresh_crc.ensureComputed();
     EXPECT_EQ(both.metricRow(0, Metric::Cycles),
               fresh_crc.metricRow(0, Metric::Cycles));
+    EXPECT_EQ(readBytes(blockFile(fresh_crc, "crc32")), crcBlock);
+    Campaign sha({"sha"}, options);
+    EXPECT_EQ(sha.loadCacheRowsFrom(sha.cachePath()), sha.numCells());
+}
+
+/** A campaign small enough to recompute once per flipped bit. */
+CampaignOptions
+flipSweepOptions()
+{
+    CampaignOptions options = tinyOptions("acdse_t12");
+    options.numConfigs = 4;
+    options.traceLength = 400;
+    options.warmupInstructions = 100;
+    options.threads = 1;
+    return options;
+}
+
+TEST(Campaign, EveryBitFlipOfABlockIsRecomputed)
+{
+    // Single-bit rot anywhere in a block -- magic, version, size,
+    // checksum or payload -- makes the block absent: the campaign
+    // simulates the program again, to bit-identical cells, and stores
+    // a block byte-identical to the original.
+    const CampaignOptions options = flipSweepOptions();
+    std::vector<double> cycles, energy;
+    std::string block;
+    {
+        Campaign campaign({"adpcm"}, options);
+        campaign.ensureComputed();
+        cycles = campaign.metricRow(0, Metric::Cycles);
+        energy = campaign.metricRow(0, Metric::Energy);
+        block = readBytes(blockFile(campaign, "adpcm"));
+    }
+    ASSERT_GT(block.size(), 28u);
+    for (std::size_t offset = 0; offset < block.size(); ++offset) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            SCOPED_TRACE(::testing::Message()
+                         << "bit " << bit << " of byte " << offset);
+            std::string flipped = block;
+            flipped[offset] = static_cast<char>(
+                static_cast<unsigned char>(flipped[offset]) ^
+                (1u << bit));
+            Campaign campaign({"adpcm"}, options);
+            writeBytes(blockFile(campaign, "adpcm"), flipped);
+            ASSERT_EQ(campaign.loadCacheRowsFrom(campaign.cachePath()),
+                      0u);
+            campaign.ensureComputed();
+            ASSERT_EQ(campaign.metricRow(0, Metric::Cycles), cycles);
+            ASSERT_EQ(campaign.metricRow(0, Metric::Energy), energy);
+            ASSERT_TRUE(readBytes(blockFile(campaign, "adpcm")) == block);
+        }
+    }
+}
+
+TEST(Campaign, BlockForAnotherSampleOrProgramIsIgnored)
+{
+    // A block that unseals but whose header disagrees with the
+    // campaign -- another configuration sample, another program -- is
+    // never read as this campaign's cells.
+    const CampaignOptions options = tinyOptions("acdse_t13");
+    Campaign campaign({"crc32", "sha"}, options);
+    campaign.ensureComputed();
+    const std::string path = blockFile(campaign, "crc32");
+    const std::string block = readBytes(path);
+
+    BinaryReader reader(
+        unsealBytes(block, "ACDSECEL", 1, "ACDSE campaign block"));
+    const std::string program = reader.str();
+    const std::uint64_t configsHash = reader.u64();
+    const std::vector<double> cycles = reader.f64vec();
+    const std::vector<double> energy = reader.f64vec();
+    ASSERT_TRUE(reader.exhausted());
+    EXPECT_EQ(program, "crc32");
+    EXPECT_EQ(cycles, campaign.metricRow(0, Metric::Cycles));
+    EXPECT_EQ(energy, campaign.metricRow(0, Metric::Energy));
+    auto reseal = [&](const std::string &name, std::uint64_t hash) {
+        BinaryWriter writer;
+        writer.str(name);
+        writer.u64(hash);
+        writer.f64vec(cycles);
+        writer.f64vec(energy);
+        return sealBytes("ACDSECEL", 1, writer.buffer());
+    };
+    ASSERT_EQ(reseal(program, configsHash), block);
+
+    const std::size_t n = campaign.configs().size();
+    writeBytes(path, reseal(program, configsHash ^ 1));
+    Campaign otherSample({"crc32", "sha"}, options);
+    EXPECT_EQ(otherSample.loadCacheRowsFrom(otherSample.cachePath()), n);
+    EXPECT_FALSE(otherSample.cellComputed(0));
+    EXPECT_TRUE(otherSample.cellComputed(n));
+
+    // crc32's cells under sha's name: the program name disagrees.
+    writeBytes(path, block);
+    writeBytes(blockFile(campaign, "sha"), block);
+    Campaign otherProgram({"crc32", "sha"}, options);
+    EXPECT_EQ(otherProgram.loadCacheRowsFrom(otherProgram.cachePath()),
+              n);
+    EXPECT_TRUE(otherProgram.cellComputed(0));
+    EXPECT_FALSE(otherProgram.cellComputed(n));
 }
 
 void

@@ -438,8 +438,8 @@ TEST(CliServe, RejectsCorruptArtifact)
 }
 
 /**
- * The pinned tiny acdse-jobs invocation (8 jobs: 3 shards, 4 training
- * jobs, 1 fit). Deeper fault-injection coverage -- kill matrices,
+ * The pinned tiny acdse-jobs invocation (8 jobs: 3 simulate jobs, one
+ * per program, 4 training jobs, 1 fit). Deeper fault-injection coverage -- kill matrices,
  * journal corruption sweeps, bit-identity against a reference run --
  * lives in test_jobs_crash.cc; this suite covers the CLI surface:
  * exit codes, artifacts and the status schema.
@@ -454,7 +454,7 @@ jobsCmd(const std::string &subcommand)
 
 constexpr const char *kJobsRunArgs =
     "run --dir . --workers 2 --programs gzip,mcf --target vpr"
-    " --train 12 --responses 8 --shard-cells 30";
+    " --train 12 --responses 8";
 
 TEST(CliJobServer, RunProducesArtifactsAndStats)
 {
@@ -464,17 +464,18 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
                          " --stats-out stats.json"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
 
-    std::size_t plans = 0, journals = 0, shards = 0, artifacts = 0;
+    std::size_t plans = 0, journals = 0, blocks = 0, artifacts = 0;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
         plans += name.ends_with(".plan.csv");
         journals += name.ends_with(".journal");
-        shards += name.find(".shard") != std::string::npos;
+        blocks += name.starts_with("acdse_campaign_") &&
+                  name.ends_with(".cells");
         artifacts += name.ends_with(".acdse");
     }
     EXPECT_EQ(plans, 1u);
     EXPECT_EQ(journals, 1u);
-    EXPECT_EQ(shards, 3u);
+    EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
 
     // The parent and each worker wrote acdse-stats-v1 files; the

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for CSV reading/writing (the campaign cache format).
+ * Unit tests for CSV reading/writing (job plans, query and result
+ * files).
  */
 
 #include <gtest/gtest.h>

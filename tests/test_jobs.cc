@@ -481,7 +481,6 @@ smallPlan(const std::string &dir)
     plan.options.warmupInstructions = 200;
     plan.options.cacheDir = dir;
     plan.options.quiet = true;
-    plan.shardCells = 30;
     plan.trainIdx = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
     plan.responseIdx = {12, 13, 14, 15, 16, 17, 18, 19};
     plan.metrics = {0, 1};
@@ -505,8 +504,6 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
     EXPECT_NE(base.key(), otherPrograms.key());
     EXPECT_NE(base.journalName(), otherSeed.journalName());
     EXPECT_NE(base.planPath(), otherSeed.planPath());
-    EXPECT_NE(base.shardPath(0), otherSeed.shardPath(0));
-    EXPECT_NE(base.shardPath(0), otherPrograms.shardPath(0));
     EXPECT_NE(base.modelPath("gzip", 0),
               otherSeed.modelPath("gzip", 0));
     EXPECT_NE(base.artifactPath(), otherSeed.artifactPath());
@@ -531,16 +528,19 @@ TEST(JobsPlan, JobExpansionAndPhases)
 {
     const CampaignJobPlan plan = smallPlan(".");
     EXPECT_EQ(plan.numCells(), 72u);
-    EXPECT_EQ(plan.numShards(), 3u); // 30 + 30 + 12
-    EXPECT_EQ(plan.shardCellsOf(2).size(), 12u);
     EXPECT_EQ(plan.trainPrograms(),
               (std::vector<std::string>{"gzip", "mcf"}));
 
     const std::vector<JobSpec> jobs = plan.jobs();
-    // 3 shards + 2 training programs x 2 metrics + one fit for both
-    // metrics.
+    // One simulate job per program + 2 training programs x 2 metrics
+    // + one fit for both metrics.
     ASSERT_EQ(jobs.size(), 8u);
     EXPECT_EQ(jobs.back().kind, "fit-responses");
+    for (std::size_t p = 0; p < plan.programs.size(); ++p) {
+        EXPECT_EQ(jobs[p].id, "sim_" + plan.programs[p]);
+        EXPECT_EQ(jobs[p].kind, "simulate-shard");
+        EXPECT_EQ(jobs[p].arg, plan.programs[p]);
+    }
 
     // A simulate-only plan has neither training nor fit jobs.
     CampaignJobPlan simOnly = plan;

@@ -4,8 +4,8 @@
  * driving real `acdse-jobs` worker processes as subprocesses.
  *
  * The contract under test: a campaign job run SIGKILL'd at *any*
- * point -- between jobs (ACDSE_JOBS_KILL_AFTER), mid-shard inside the
- * simulator loop (ACDSE_JOBS_KILL_IN), or via artificial journal
+ * point -- between jobs (ACDSE_JOBS_KILL_AFTER), inside a simulate
+ * job's simulator loop (ACDSE_JOBS_KILL_IN), or via artificial journal
  * damage -- either resumes to artifacts byte-identical to an
  * uninterrupted run, or fails with a typed error. Never a silently
  * different result.
@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -87,8 +88,8 @@ readBytes(const fs::path &path)
 
 /**
  * The pinned tiny-campaign invocation every test shares: 3 programs x
- * 24 configs = 72 cells in 3 shards of 30, two metrics -> 8 jobs
- * (3 simulate-shard, 4 train-program, 1 fit-responses).
+ * 24 configs = 72 cells, one simulate job per program, two metrics ->
+ * 8 jobs (3 simulate-shard, 4 train-program, 1 fit-responses).
  */
 std::string
 jobsCmd(const std::string &subcommand)
@@ -103,7 +104,7 @@ runArgs(std::size_t workers)
 {
     return "run --dir . --workers " + std::to_string(workers) +
            " --programs gzip,mcf --target vpr"
-           " --train 12 --responses 8 --shard-cells 30";
+           " --train 12 --responses 8";
 }
 
 /** Find the single file in @p dir matching prefix/suffix. */
@@ -151,21 +152,27 @@ flipMiddleBit(const fs::path &path)
     out << bytes;
 }
 
+/** Whether @p name is a block of the campaign store. */
+bool
+isCampaignBlock(const std::string &name)
+{
+    return name.starts_with("acdse_campaign_") && name.ends_with(".cells");
+}
+
 /**
  * Assert the final artifacts in @p got are byte-identical to the
- * reference run: the merged campaign cache CSV, the model artifact
- * and all four per-program model checkpoints.
+ * reference run: the three campaign blocks, the model artifact and all
+ * four per-program model checkpoints.
  */
 void
 expectArtifactsMatchReference(const fs::path &got)
 {
     const fs::path &ref = referenceDir();
-    std::size_t cacheFiles = 0, artifacts = 0, models = 0;
+    std::size_t blocks = 0, artifacts = 0, models = 0;
     for (const auto &entry : fs::directory_iterator(ref)) {
         const std::string name = entry.path().filename().string();
-        if (name.starts_with("acdse_campaign_") &&
-            name.ends_with(".csv")) {
-            ++cacheFiles;
+        if (isCampaignBlock(name)) {
+            ++blocks;
         } else if (name.ends_with(".acdse")) {
             ++artifacts;
         } else if (name.find(".model_") != std::string::npos) {
@@ -177,7 +184,7 @@ expectArtifactsMatchReference(const fs::path &got)
         EXPECT_TRUE(readBytes(got / name) == readBytes(entry.path()))
             << name << " differs from the uninterrupted run";
     }
-    EXPECT_EQ(cacheFiles, 1u);
+    EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
     EXPECT_EQ(models, 4u);
 }
@@ -197,7 +204,7 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
 {
     // The job server and the in-process path
     // (Campaign::ensureComputed + trainOffline/fitResponses) must
-    // produce a byte-identical cache and model artifact.
+    // produce byte-identical campaign blocks and model artifact.
     const fs::path inproc = freshDir("acdse_crash_inprocess");
     jobs::CampaignJobPlan plan;
     plan.programs = {"gzip", "mcf", "vpr"};
@@ -207,7 +214,6 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
     plan.options.threads = 1;
     plan.options.quiet = true;
     plan.options.cacheDir = inproc.string();
-    plan.shardCells = 30;
     for (std::size_t c = 0; c < 12; ++c)
         plan.trainIdx.push_back(c);
     for (std::size_t c = 12; c < 20; ++c)
@@ -221,10 +227,8 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
     const fs::path &ref = referenceDir();
     for (const auto &entry : fs::directory_iterator(ref)) {
         const std::string name = entry.path().filename().string();
-        const bool cache = name.starts_with("acdse_campaign_") &&
-                           name.ends_with(".csv");
-        if (!cache && !name.ends_with(".acdse"))
-            continue; // in-process writes no shard/model checkpoints
+        if (!isCampaignBlock(name) && !name.ends_with(".acdse"))
+            continue; // in-process writes no model checkpoints
         ASSERT_TRUE(fs::exists(inproc / name)) << "missing " << name;
         EXPECT_TRUE(readBytes(inproc / name) ==
                     readBytes(entry.path()))
@@ -235,7 +239,7 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
 TEST(CrashResume, KillAtEveryJobBoundary)
 {
     // Kill the worker after every single job: the run crosses every
-    // shard/training boundary the plan has, one resume per boundary.
+    // simulate/training boundary the plan has, one resume per boundary.
     const fs::path dir = freshDir("acdse_crash_boundary");
     const std::string kill = "ACDSE_JOBS_KILL_AFTER=0:1 ";
     RunResult result = run(dir, kill + jobsCmd(runArgs(1)));
@@ -259,12 +263,12 @@ TEST(CrashResume, KillAtEveryJobBoundary)
 
 TEST(CrashResume, KillMidShard)
 {
-    // SIGKILL inside the simulation loop, 5 cells into shard 1: the
-    // partially simulated shard has no checkpoint, so resume redoes
-    // it from scratch and the artifacts still match bit for bit.
+    // SIGKILL inside the simulation loop, 5 cells into mcf's simulate
+    // job: the partially simulated program has no block, so resume
+    // redoes it from scratch and the artifacts still match bit for bit.
     const fs::path dir = freshDir("acdse_crash_midshard");
     RunResult result =
-        run(dir, "ACDSE_JOBS_KILL_IN=sim1@5 " + jobsCmd(runArgs(1)));
+        run(dir, "ACDSE_JOBS_KILL_IN=sim_mcf@5 " + jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 3) << result.output;
 
     const testjson::Value status = statusOf(dir, 0);
@@ -272,20 +276,23 @@ TEST(CrashResume, KillMidShard)
         << "the killed job should still be recorded as running";
     bool sawAbandoned = false;
     for (const auto &job : status.at("states").array) {
-        if (job.at("id").asString() == "sim1") {
+        if (job.at("id").asString() == "sim_mcf") {
             EXPECT_EQ(job.at("state").asString(), "running");
             sawAbandoned = true;
         }
     }
     EXPECT_TRUE(sawAbandoned);
-    // The interrupted shard left no checkpoint: atomic rename means
-    // the file appears complete or not at all.
-    bool shard1Checkpoint = false;
+    // The interrupted job left no block: atomic rename means the file
+    // appears complete or not at all.
+    std::size_t blocks = 0;
+    bool mcfBlock = false;
     for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().filename().string().ends_with(".shard1.csv"))
-            shard1Checkpoint = true;
+        const std::string name = entry.path().filename().string();
+        blocks += isCampaignBlock(name);
+        mcfBlock = mcfBlock || name.ends_with(".mcf.cells");
     }
-    EXPECT_FALSE(shard1Checkpoint);
+    EXPECT_EQ(blocks, 1u) << "only gzip's job ran to completion";
+    EXPECT_FALSE(mcfBlock);
 
     result = run(dir, jobsCmd("resume --dir . --workers 1"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -328,13 +335,14 @@ TEST(CrashResume, FailedJobRetriesAndSucceeds)
     // same session and the run still completes with identical bytes.
     const fs::path dir = freshDir("acdse_crash_retry");
     const RunResult result =
-        run(dir, "ACDSE_JOBS_FAIL_ONCE=sim0 " + jobsCmd(runArgs(1)));
+        run(dir, "ACDSE_JOBS_FAIL_ONCE=sim_gzip " + jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
     const testjson::Value status = statusOf(dir, 0);
     for (const auto &job : status.at("states").array) {
-        const int expected = job.at("id").asString() == "sim0" ? 2 : 1;
+        const int expected =
+            job.at("id").asString() == "sim_gzip" ? 2 : 1;
         EXPECT_EQ(job.at("attempts").asNumber(), expected)
             << job.at("id").asString();
     }
@@ -464,49 +472,108 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
-    // With the journal intact every job is done, so nothing rewrites a
-    // damaged artifact: the run ends in a typed error, not success.
+    // With the journal intact every job is done; the resume's
+    // finalize reruns the idempotent jobs, and the fit refits the
+    // damaged artifact from the intact checkpoints and blocks.
     flipMiddleBit(artifact);
     result = run(dir, jobsCmd("resume --dir . --workers 1"));
-    EXPECT_EQ(result.exitCode, 1) << result.output;
-    EXPECT_NE(result.output.find("checksum mismatch"), std::string::npos)
-        << result.output;
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    expectArtifactsMatchReference(dir);
+}
+
+TEST(CrashResume, DamagedBlockIsRecomputed)
+{
+    // One cycles cell of a finished run's campaign block plus one,
+    // with the journal and the artifact lost: the block fails its
+    // checksum, so the rerun simulates that program again instead of
+    // training on the wrong number, and every block, checkpoint and
+    // the artifact match the clean run byte for byte.
+    const fs::path dir = freshDir("acdse_crash_block");
+    RunResult result = run(dir, jobsCmd(runArgs(1)));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    const fs::path block = findFile(dir, "acdse_campaign_", ".gzip.cells");
+    std::string bytes = readBytes(block);
+    // Header (28 bytes), the program name (u64 length + "gzip"), the
+    // configuration hash (u64), the cycles vector's length (u64).
+    const std::size_t firstCycles = 28 + 8 + 4 + 8 + 8;
+    ASSERT_LT(firstCycles + sizeof(double), bytes.size());
+    double cycles = 0;
+    std::memcpy(&cycles, bytes.data() + firstCycles, sizeof(double));
+    ASSERT_GT(cycles, 1.0);
+    cycles += 1.0;
+    std::memcpy(bytes.data() + firstCycles, &cycles, sizeof(double));
+    {
+        std::ofstream out(block, // NOLINT(acdse-atomic-write)
+                          std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    fs::remove(findFile(dir, "acdse_jobs_", ".journal"));
+    fs::remove(findFile(dir, "acdse_jobs_", ".acdse"));
+
+    result = run(dir, jobsCmd(runArgs(1)));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    expectArtifactsMatchReference(dir);
+
+    // The same damage under a drained journal: finalize reruns the
+    // simulate job, which finds the block damaged and rewrites it.
+    {
+        std::ofstream out(block, // NOLINT(acdse-atomic-write)
+                          std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    expectArtifactsMatchReference(dir);
 }
 
 TEST(CrashResume, ParentLayoutIsATypedError)
 {
-    // A half-run directory laid out before checkpoints were sealed and
-    // the fit wrote one artifact: its plan (format v1, a key without
-    // the numerics fingerprint) must be refused, not resumed into a
-    // mix of old and new files.
-    const fs::path dir = freshDir("acdse_crash_v1_layout");
+    // Half-run directories laid out by earlier plan formats -- v1 (a
+    // key without the numerics fingerprint, unsealed checkpoints) and
+    // v2 (shard CSVs of shard_cells cells) -- must be refused, not
+    // resumed into a mix of old and new files.
+    const std::string campaign =
+        "c24_t1200_w200_sac5e0001_pda5036430e1719a9";
+    const std::string fingerprinted = "e2014853f6b53180_" + campaign;
+    const struct
     {
-        std::ofstream plan( // NOLINT(acdse-atomic-write)
-            dir / "acdse_jobs_c24_t1200_w200_sac5e0001_pda5036430e1719a9"
-                  ".plan.csv");
-        plan << "key,value\n"
-                "format,acdse-jobs-plan-v1\n"
-                "campaign,c24_t1200_w200_sac5e0001_pda5036430e1719a9\n"
-                "programs,gzip;mcf;vpr\n"
-                "configs,24\n"
-                "trace_len,1200\n"
-                "warmup,200\n"
-                "seed,2891841537\n"
-                "threads,0\n"
-                "quiet,1\n"
-                "shard_cells,30\n"
-                "train_idx,0;1;2;3;4;5;6;7;8;9;10;11\n"
-                "response_idx,12;13;14;15;16;17;18;19\n"
-                "metrics,0;1\n"
-                "new_program,vpr\n";
-    }
-    for (const char *command : {"resume --dir . --workers 1",
-                                "status --dir ."}) {
-        const RunResult result = run(dir, jobsCmd(command));
-        EXPECT_EQ(result.exitCode, 1) << command << ": " << result.output;
-        EXPECT_NE(result.output.find("unsupported format"),
-                  std::string::npos)
-            << command << ": " << result.output;
+        const char *format;
+        std::string key;
+    } layouts[] = {{"acdse-jobs-plan-v1", campaign},
+                   {"acdse-jobs-plan-v2", fingerprinted}};
+    for (const auto &layout : layouts) {
+        const fs::path dir = freshDir(std::string("acdse_crash_") +
+                                      layout.format + "_layout");
+        {
+            std::ofstream plan( // NOLINT(acdse-atomic-write)
+                dir / ("acdse_jobs_" + layout.key + ".plan.csv"));
+            plan << "key,value\n"
+                    "format," << layout.format << "\n"
+                    "campaign," << layout.key << "\n"
+                    "programs,gzip;mcf;vpr\n"
+                    "configs,24\n"
+                    "trace_len,1200\n"
+                    "warmup,200\n"
+                    "seed,2891841537\n"
+                    "threads,0\n"
+                    "quiet,1\n"
+                    "shard_cells,30\n"
+                    "train_idx,0;1;2;3;4;5;6;7;8;9;10;11\n"
+                    "response_idx,12;13;14;15;16;17;18;19\n"
+                    "metrics,0;1\n"
+                    "new_program,vpr\n";
+        }
+        for (const char *command : {"resume --dir . --workers 1",
+                                    "status --dir ."}) {
+            const RunResult result = run(dir, jobsCmd(command));
+            EXPECT_EQ(result.exitCode, 1)
+                << layout.format << " " << command << ": "
+                << result.output;
+            EXPECT_NE(result.output.find("unsupported format"),
+                      std::string::npos)
+                << layout.format << " " << command << ": "
+                << result.output;
+        }
     }
 }
 

@@ -69,25 +69,6 @@ TEST(ParseI64, RejectsGarbageAndOverflow)
     EXPECT_FALSE(parseI64("-9223372036854775809"));  // min - 1
 }
 
-TEST(ParseF64, AcceptsFiniteNumbers)
-{
-    EXPECT_DOUBLE_EQ(*parseF64("1.5"), 1.5);
-    EXPECT_DOUBLE_EQ(*parseF64("-2e10"), -2e10);
-    EXPECT_DOUBLE_EQ(*parseF64("0"), 0.0);
-    EXPECT_DOUBLE_EQ(*parseF64(".25"), 0.25);
-}
-
-TEST(ParseF64, RejectsGarbageAndNonFinite)
-{
-    EXPECT_FALSE(parseF64(""));
-    EXPECT_FALSE(parseF64("1.5.2"));
-    EXPECT_FALSE(parseF64("1e"));
-    EXPECT_FALSE(parseF64("nan"));
-    EXPECT_FALSE(parseF64("inf"));
-    EXPECT_FALSE(parseF64("-inf"));
-    EXPECT_FALSE(parseF64("1e999"));  // overflows to inf
-}
-
 TEST(Parse, SplitListSkipsEmptyItems)
 {
     using List = std::vector<std::string>;

@@ -4,17 +4,19 @@
  *
  *   acdse-jobs run    --dir D [--workers N] [--programs a,b,c]
  *                     [--target PROG] [--train T] [--responses R]
- *                     [--shard-cells K] [--sim-only] [--verbose]
- *                     [--stats-out FILE]
+ *                     [--sim-only] [--verbose] [--stats-out FILE]
  *   acdse-jobs resume --dir D [--workers N] [--plan FILE] [...]
  *   acdse-jobs status --dir D [--plan FILE]
  *
  * `run` persists a CampaignJobPlan into the directory, opens the job
  * journal and forks N worker processes that drain the queue
- * (simulate-shard -> train-program -> fit-responses); once every job
- * is done the parent assembles the shard checkpoints into the shared
- * campaign cache and checks the run's one model artifact,
- * `<prefix>.acdse`, which acdse-serve and acdse-explore load as is
+ * (simulate-shard, one per program -> train-program -> fit-responses).
+ * Each simulate job writes its program's sealed block straight into
+ * the directory's campaign store, the same blocks Campaign reads. Once
+ * every job is done the parent checks that every block is intact and
+ * reruns the idempotent fit, which keeps the run's one model artifact,
+ * `<prefix>.acdse`, or refits it when it is missing or damaged.
+ * acdse-serve and acdse-explore load that artifact as is
  * (`acdse-explore --model <prefix>.acdse`). `resume` reloads the
  * persisted plan -- the resolved parameters, not the environment --
  * bumps the journal generation so jobs abandoned by killed workers
@@ -71,7 +73,6 @@ struct CliOptions
     std::string target = "vpr";
     std::size_t trainSims = 32;
     std::size_t responses = 16;
-    std::size_t shardCells = 64;
     bool simOnly = false;
     bool verbose = false;
     std::string statsOut;
@@ -84,8 +85,8 @@ usage(const char *argv0)
         stderr,
         "usage: %s <run|resume|status> --dir DIR\n"
         "  run     [--workers N] [--programs a,b,c] [--target PROG]\n"
-        "          [--train T] [--responses R] [--shard-cells K]\n"
-        "          [--sim-only] [--verbose] [--stats-out FILE]\n"
+        "          [--train T] [--responses R] [--sim-only]\n"
+        "          [--verbose] [--stats-out FILE]\n"
         "  resume  [--workers N] [--plan FILE] [--verbose]\n"
         "          [--stats-out FILE]\n"
         "  status  [--plan FILE]\n",
@@ -127,9 +128,6 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--responses")) {
             options.responses = static_cast<std::size_t>(
                 parseU64OrDie("--responses", value(i)));
-        } else if (!std::strcmp(argv[i], "--shard-cells")) {
-            options.shardCells = static_cast<std::size_t>(
-                parseU64OrDie("--shard-cells", value(i)));
         } else if (!std::strcmp(argv[i], "--sim-only")) {
             options.simOnly = true;
         } else if (!std::strcmp(argv[i], "--verbose")) {
@@ -164,7 +162,6 @@ planFromCli(const CliOptions &cli)
     plan.options = CampaignOptions::fromEnvironment();
     plan.options.cacheDir = cli.dir;
     plan.options.quiet = !cli.verbose;
-    plan.shardCells = cli.shardCells;
 
     plan.programs = cli.trainingPrograms;
     if (!cli.simOnly) {
@@ -383,8 +380,8 @@ runSession(const CampaignJobPlan &plan, const CliOptions &cli)
         obs::writeStatsFile(cli.statsOut,
                             obs::Registry::global().snapshot());
     }
-    inform("campaign job run complete: cache at ",
-           runner.campaign().cachePath());
+    inform("campaign job run complete: store blocks at ",
+           runner.campaign().cachePath(), ".*.cells");
     if (plan.trains())
         inform("model artifact at ", plan.artifactPath());
     return 0;

@@ -9,9 +9,9 @@
 # perfbench/, perfbench built with --coverage; and run/, the campaign
 # caches and outputs of the runs. The entry points:
 #  - the paper benches (every bench_fig*, bench_table1_design_space,
-#    bench_ablation, bench_feature_based, bench_sampling_methods and
-#    bench_model_families) at ACDSE_CONFIGS=256 ACDSE_TRACE_LEN=8000
-#    ACDSE_REPEATS=1;
+#    bench_ablation, bench_feature_based, bench_sampling_methods,
+#    bench_model_families and bench_fidelity) at ACDSE_CONFIGS=256
+#    ACDSE_TRACE_LEN=8000 ACDSE_REPEATS=1;
 #  - the six examples;
 #  - acdse_cli_tests, which drives the four command-line tools;
 #  - perfbench's campaign, onboard and serve workloads, 1 s each.
@@ -51,7 +51,8 @@ for bench in "$work"/root/bench/bench_fig* \
              "$work/root/bench/bench_ablation" \
              "$work/root/bench/bench_feature_based" \
              "$work/root/bench/bench_sampling_methods" \
-             "$work/root/bench/bench_model_families"; do
+             "$work/root/bench/bench_model_families" \
+             "$work/root/bench/bench_fidelity"; do
     echo "== $(basename "$bench")"
     scaled "$bench"
 done

@@ -224,7 +224,7 @@ RULES = [
             r"\s*\("
         ),
         "use the checked parsers in base/parse.hh "
-        "(parseU64/parseI64/parseF64 or their OrDie forms)",
+        "(parseU64/parseI64 or their OrDie forms)",
         None,
     ),
     (
