@@ -3,8 +3,8 @@
  * Shared plumbing for the figure/table reproduction binaries: the
  * standard campaign (disk-cached), repeat counts, and uniform headers;
  * and for the throughput benches: environment-sized knobs, the
- * ACDSE_BENCH_JSON output path and a synthetic metric that trains
- * models without simulating.
+ * ACDSE_BENCH_JSON output path, and a synthetic metric and fitted
+ * ensemble that train models without simulating.
  *
  * Each binary regenerates one table or figure of the paper; see
  * DESIGN.md Section 4 for the full experiment index and EXPERIMENTS.md
@@ -19,8 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "arch/design_space.hh"
 #include "arch/microarch_config.hh"
 #include "base/parse.hh"
+#include "core/architecture_centric_predictor.hh"
 #include "core/campaign.hh"
 #include "trace/suites.hh"
 
@@ -113,6 +115,45 @@ syntheticMetric(const MicroarchConfig &config, double wide, double mem)
            mem * 60000.0 /
                std::sqrt(static_cast<double>(config.l2Bytes() / 1024)) +
            20000.0 / std::sqrt(static_cast<double>(config.robSize()));
+}
+
+/**
+ * A fitted @p num_models-ANN ensemble without any simulation: program
+ * j is syntheticMetric at wide = scale * (0.5 + 0.25 * (j + offset))
+ * and mem = 2.0 - 0.15 * j over 96 sampled training configurations,
+ * and the target is syntheticMetric at (scale, 1.0) over 32 responses.
+ * A bench gives each metric of an artifact its own @p offset, and a
+ * hot-swapped model version its own @p scale.
+ */
+inline ArchitectureCentricPredictor
+syntheticEnsemble(std::size_t num_models, std::size_t offset = 0,
+                  double scale = 1.0)
+{
+    const auto train = DesignSpace::sampleValidConfigs(96, 1);
+    const auto responses = DesignSpace::sampleValidConfigs(32, 2);
+
+    std::vector<ProgramTrainingSet> sets(num_models);
+    for (std::size_t j = 0; j < num_models; ++j) {
+        const double wide =
+            scale * (0.5 + 0.25 * static_cast<double>(j + offset));
+        const double mem = 2.0 - 0.15 * static_cast<double>(j);
+        // snprintf, not string concatenation: `"p" + std::to_string(j)`
+        // trips a GCC 12 -O3 -Wrestrict false positive (GCC PR105651).
+        char name[32];
+        std::snprintf(name, sizeof(name), "p%zu", j);
+        sets[j].name = name;
+        sets[j].configs = train;
+        for (const auto &config : train)
+            sets[j].values.push_back(syntheticMetric(config, wide, mem));
+    }
+    ArchitectureCentricPredictor predictor;
+    predictor.trainOffline(sets);
+
+    std::vector<double> response_values;
+    for (const auto &config : responses)
+        response_values.push_back(syntheticMetric(config, scale, 1.0));
+    predictor.fitResponses(responses, response_values);
+    return predictor;
 }
 
 /** Seed for repeat @p r (fixed base so every run is reproducible). */

@@ -42,38 +42,6 @@ using namespace acdse;
 namespace
 {
 
-/** Build one fitted ensemble without any simulation. */
-ArchitectureCentricPredictor
-syntheticPredictor(std::size_t num_models)
-{
-    const auto train = DesignSpace::sampleValidConfigs(96, 1);
-    const auto responses = DesignSpace::sampleValidConfigs(32, 2);
-
-    std::vector<ProgramTrainingSet> sets(num_models);
-    for (std::size_t j = 0; j < num_models; ++j) {
-        const double wide = 0.5 + 0.25 * static_cast<double>(j);
-        const double mem = 2.0 - 0.15 * static_cast<double>(j);
-        // snprintf, not string concatenation: `"p" + std::to_string(j)`
-        // trips a GCC 12 -O3 -Wrestrict false positive (GCC PR105651).
-        char name[32];
-        std::snprintf(name, sizeof(name), "p%zu", j);
-        sets[j].name = name;
-        sets[j].configs = train;
-        for (const auto &config : train)
-            sets[j].values.push_back(
-                bench::syntheticMetric(config, wide, mem));
-    }
-    ArchitectureCentricPredictor predictor;
-    predictor.trainOffline(sets);
-
-    std::vector<double> response_values;
-    for (const auto &config : responses)
-        response_values.push_back(
-            bench::syntheticMetric(config, 1.0, 1.0));
-    predictor.fitResponses(responses, response_values);
-    return predictor;
-}
-
 /** Work-unit size on the pooled paths (matches the serving chunk). */
 constexpr std::size_t kChunk = 256;
 
@@ -149,7 +117,7 @@ main()
 
     std::printf("building synthetic %zu-ANN ensemble...\n", num_models);
     const ArchitectureCentricPredictor predictor =
-        syntheticPredictor(num_models);
+        bench::syntheticEnsemble(num_models);
 
     const auto queries = DesignSpace::sampleValidConfigs(32768, 42);
     const std::size_t n = queries.size();

@@ -42,35 +42,11 @@ namespace
 ModelArtifact
 syntheticArtifact(std::size_t num_metrics, std::size_t num_models)
 {
-    const auto train = DesignSpace::sampleValidConfigs(96, 1);
-    const auto responses = DesignSpace::sampleValidConfigs(32, 2);
-
     ModelArtifact artifact;
     artifact.setTag("bench_serve_throughput synthetic");
     for (std::size_t m = 0; m < num_metrics; ++m) {
-        std::vector<ProgramTrainingSet> sets(num_models);
-        for (std::size_t j = 0; j < num_models; ++j) {
-            const double wide = 0.5 + 0.25 * static_cast<double>(j + m);
-            const double mem = 2.0 - 0.15 * static_cast<double>(j);
-            // snprintf, not string concatenation:
-            // `"p" + std::to_string(j)` trips a GCC 12 -O3 -Wrestrict
-            // false positive (GCC PR105651).
-            char name[32];
-            std::snprintf(name, sizeof(name), "p%zu", j);
-            sets[j].name = name;
-            sets[j].configs = train;
-            for (const auto &config : train)
-                sets[j].values.push_back(
-                    bench::syntheticMetric(config, wide, mem));
-        }
-        ArchitectureCentricPredictor predictor;
-        predictor.trainOffline(sets);
-        std::vector<double> response_values;
-        for (const auto &config : responses)
-            response_values.push_back(
-                bench::syntheticMetric(config, 1.0, 1.0));
-        predictor.fitResponses(responses, response_values);
-        artifact.add(static_cast<Metric>(m), std::move(predictor));
+        artifact.add(static_cast<Metric>(m),
+                     bench::syntheticEnsemble(num_models, m));
     }
     return artifact;
 }

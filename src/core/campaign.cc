@@ -16,6 +16,7 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
+#include "base/sync.hh"
 #include "base/thread_pool.hh"
 #include "obs/trace_span.hh"
 #include "sim/batch.hh"
@@ -360,6 +361,14 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
     obs::Registry::global().counter("campaign/sims-run")
         .add(pending.size());
     std::atomic<std::size_t> done{0};
+    // Workers reach their progress lines in any order, so verbose
+    // progress prints under a lock and drops a count below one already
+    // printed: the lines are monotonic. Quiet runs never take it.
+    struct
+    {
+        Mutex mutex;
+        std::size_t printed ACDSE_GUARDED_BY(mutex) = 0;
+    } report;
     SimulationOptions sim_options;
     sim_options.warmupInstructions = options_.warmupInstructions;
     const std::size_t report_every =
@@ -377,8 +386,12 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
         computed_[cell] = true;
         const std::size_t completed = done.fetch_add(1) + 1;
         if (!options_.quiet && completed % report_every == 0) {
-            inform("campaign: ", completed, "/", pending.size(),
-                   " simulations done");
+            const MutexLock lock(report.mutex);
+            if (completed > report.printed) {
+                report.printed = completed;
+                inform("campaign: ", completed, "/", pending.size(),
+                       " simulations done");
+            }
         }
         if (progress)
             progress(completed);

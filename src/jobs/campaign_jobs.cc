@@ -1,6 +1,7 @@
 #include "jobs/campaign_jobs.hh"
 
 #include <algorithm>
+#include <array>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "base/csv.hh"
 #include "base/json.hh"
 #include "base/parse.hh"
+#include "base/thread_pool.hh"
 #include "core/architecture_centric_predictor.hh"
 #include "obs/trace_span.hh"
 #include "serve/model_store.hh"
@@ -23,11 +25,19 @@ namespace acdse::jobs
 namespace
 {
 
-constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v3";
+constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v4";
 
-/** The sealBytes() framing of the per-program model checkpoints. */
+/**
+ * The sealBytes() framing of the per-program model checkpoints: one
+ * ProgramSpecificPredictor per metric, in kAllMetrics order.
+ */
 constexpr std::string_view kCheckpointMagic = "ACDSEPGM";
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
+
+/** One training program's models, indexed by metric. */
+using ProgramModels =
+    std::array<std::shared_ptr<const ProgramSpecificPredictor>,
+               kNumMetrics>;
 
 std::string
 joinList(const std::vector<std::string> &items)
@@ -41,53 +51,41 @@ joinList(const std::vector<std::string> &items)
     return out;
 }
 
-std::string
-joinIndices(const std::vector<std::size_t> &items)
-{
-    std::string out;
-    for (const std::size_t item : items) {
-        if (!out.empty())
-            out += ';';
-        out += std::to_string(item);
-    }
-    return out;
-}
-
+/** The indices `[begin, end)`. */
 std::vector<std::size_t>
-splitIndices(const std::string &text, const char *what)
+indexRange(std::size_t begin, std::size_t end)
 {
-    std::vector<std::size_t> out;
-    for (const auto &item : splitList(text, ';')) {
-        const auto value = parseU64(item);
-        if (!value)
-            throw JobError(std::string("bad ") + what +
-                           " entry in plan file: '" + item + "'");
-        out.push_back(static_cast<std::size_t>(*value));
-    }
+    std::vector<std::size_t> out(end - begin);
+    std::iota(out.begin(), out.end(), begin);
     return out;
 }
 
 /**
- * The checkpointed per-program model at @p path; nullptr when it is
- * missing or fails its checksum or parse. A damaged checkpoint counts
- * as never written.
+ * The checkpointed models of one training program at @p path;
+ * nullopt when the file is missing or fails its checksum or parse. A
+ * damaged checkpoint counts as never written.
  */
-std::shared_ptr<const ProgramSpecificPredictor>
+std::optional<ProgramModels>
 loadCheckpoint(const std::string &path)
 {
     const std::optional<std::string> bytes = readFileBytes(path);
     if (!bytes)
-        return nullptr;
+        return std::nullopt;
     try {
         BinaryReader reader(unsealBytes(*bytes, kCheckpointMagic,
                                         kCheckpointVersion,
                                         "ACDSE program-model checkpoint"));
-        auto model = std::make_shared<ProgramSpecificPredictor>();
-        model->load(reader);
-        return reader.exhausted() ? model : nullptr;
+        ProgramModels models;
+        for (auto &slot : models) {
+            auto model = std::make_shared<ProgramSpecificPredictor>();
+            model->load(reader);
+            slot = std::move(model);
+        }
+        if (reader.exhausted())
+            return models;
     } catch (const SerializationError &) {
-        return nullptr;
     }
+    return std::nullopt;
 }
 
 /** The provenance tag of a plan's model artifact. */
@@ -96,8 +94,8 @@ artifactTag(const CampaignJobPlan &plan)
 {
     return "acdse-jobs campaign=" + plan.key() +
            " target=" + plan.newProgram +
-           " T=" + std::to_string(plan.trainIdx.size()) +
-           " R=" + std::to_string(plan.responseIdx.size());
+           " T=" + std::to_string(plan.trainSims) +
+           " R=" + std::to_string(plan.responses);
 }
 
 /**
@@ -139,6 +137,24 @@ CampaignJobPlan::trainPrograms() const
     return out;
 }
 
+std::vector<std::size_t>
+CampaignJobPlan::trainIdx() const
+{
+    return indexRange(0, trainSims);
+}
+
+std::vector<std::size_t>
+CampaignJobPlan::responseIdx() const
+{
+    return indexRange(trainSims, trainSims + responses);
+}
+
+std::vector<std::size_t>
+CampaignJobPlan::heldOutIdx() const
+{
+    return indexRange(trainSims + responses, options.numConfigs);
+}
+
 std::string
 CampaignJobPlan::key() const
 {
@@ -160,9 +176,8 @@ CampaignJobPlan::planHash() const
     std::string canon(kPlanFormat);
     canon += '|';
     canon += key();
-    canon += "|train=" + joinIndices(trainIdx);
-    canon += "|resp=" + joinIndices(responseIdx);
-    canon += "|metrics=" + joinIndices(metrics);
+    canon += "|train=" + std::to_string(trainSims);
+    canon += "|resp=" + std::to_string(responses);
     canon += "|new=" + newProgram;
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
@@ -176,16 +191,11 @@ CampaignJobPlan::jobs() const
     std::vector<JobSpec> out;
     for (const auto &program : programs)
         out.push_back({"sim_" + program, "simulate-shard", 0, program});
-    for (const auto &program : trainPrograms()) {
-        for (const std::size_t m : metrics) {
-            out.push_back({"train_" + program + "_m" +
-                               std::to_string(m),
-                           "train-program", 1,
-                           program + ":" + std::to_string(m)});
-        }
-    }
-    if (trains())
-        out.push_back({"fit", "fit-responses", 2, joinIndices(metrics)});
+    if (!trains())
+        return out;
+    for (const auto &program : trainPrograms())
+        out.push_back({"train_" + program, "train-program", 1, program});
+    out.push_back({"fit", "fit-responses", 2, newProgram});
     return out;
 }
 
@@ -208,11 +218,9 @@ CampaignJobPlan::journalName() const
 }
 
 std::string
-CampaignJobPlan::modelPath(const std::string &program,
-                           std::size_t metric) const
+CampaignJobPlan::modelPath(const std::string &program) const
 {
-    return prefix() + ".model_" + program + "_m" +
-           std::to_string(metric) + ".bin";
+    return prefix() + ".model_" + program + ".bin";
 }
 
 std::string
@@ -237,11 +245,8 @@ CampaignJobPlan::save() const
     put("trace_len", std::to_string(options.traceLength));
     put("warmup", std::to_string(options.warmupInstructions));
     put("seed", std::to_string(options.configSeed));
-    put("threads", std::to_string(options.threads));
-    put("quiet", options.quiet ? "1" : "0");
-    put("train_idx", joinIndices(trainIdx));
-    put("response_idx", joinIndices(responseIdx));
-    put("metrics", joinIndices(metrics));
+    put("train", std::to_string(trainSims));
+    put("responses", std::to_string(responses));
     put("new_program", newProgram.empty() ? "-" : newProgram);
     writeCsvAtomic(planPath(), file);
 }
@@ -286,18 +291,14 @@ CampaignJobPlan::load(const std::string &path)
     plan.options.warmupInstructions =
         static_cast<std::size_t>(getU64("warmup"));
     plan.options.configSeed = getU64("seed");
-    plan.options.threads = static_cast<std::size_t>(getU64("threads"));
-    plan.options.quiet = getU64("quiet") != 0;
     // Rebind the artifact directory to wherever the plan actually
     // lives, so a run directory can be moved or mounted elsewhere.
     plan.options.cacheDir =
         std::filesystem::path(path).parent_path().string();
     if (plan.options.cacheDir.empty())
         plan.options.cacheDir = ".";
-    plan.trainIdx = splitIndices(get("train_idx"), "train_idx");
-    plan.responseIdx =
-        splitIndices(get("response_idx"), "response_idx");
-    plan.metrics = splitIndices(get("metrics"), "metrics");
+    plan.trainSims = static_cast<std::size_t>(getU64("train"));
+    plan.responses = static_cast<std::size_t>(getU64("responses"));
     const std::string &newProgram = get("new_program");
     plan.newProgram = newProgram == "-" ? "" : newProgram;
     if (get("campaign") != plan.key())
@@ -320,23 +321,17 @@ CampaignJobPlan::validate() const
         require(seen.insert(name).second,
                 "duplicate program '" + name + "'");
     require(options.numConfigs > 0, "no configurations");
-    for (const std::size_t m : metrics)
-        require(m < kNumMetrics, "bad metric index");
-    std::unordered_set<std::size_t> metricSet(metrics.begin(),
-                                              metrics.end());
-    require(metricSet.size() == metrics.size(), "duplicate metric");
-    for (const std::size_t i : trainIdx)
-        require(i < options.numConfigs, "train index out of range");
-    for (const std::size_t i : responseIdx)
-        require(i < options.numConfigs, "response index out of range");
     if (trains()) {
-        require(!trainIdx.empty(), "training plan without train_idx");
-        require(!responseIdx.empty(),
-                "training plan without response_idx");
+        require(responses > 0, "training plan without responses");
+        require(trainSims + responses <= options.numConfigs,
+                "T+R exceeds the campaign's configurations");
         require(seen.contains(newProgram),
                 "new_program is not in the program set");
         require(!trainPrograms().empty(),
                 "no training programs besides new_program");
+    } else {
+        require(responses == 0 && newProgram.empty(),
+                "simulate-only plan with responses or a new program");
     }
 }
 
@@ -381,17 +376,14 @@ CampaignJobRunner::runJob(const JobSpec &spec)
                            "'");
         runSimulateShard(spec.arg, spec.id);
     } else if (spec.kind == "train-program") {
-        const std::size_t sep = spec.arg.rfind(':');
-        const auto metric = sep == std::string::npos
-                                ? std::nullopt
-                                : parseU64(spec.arg.substr(sep + 1));
-        if (!metric || *metric >= kNumMetrics)
+        const std::vector<std::string> names = plan_.trainPrograms();
+        const auto it = std::find(names.begin(), names.end(), spec.arg);
+        if (!plan_.trains() || it == names.end())
             throw JobError("bad train-program argument '" + spec.arg +
                            "'");
-        runTrainProgram(spec.arg.substr(0, sep),
-                        static_cast<std::size_t>(*metric));
+        runTrainProgram(static_cast<std::size_t>(it - names.begin()));
     } else if (spec.kind == "fit-responses") {
-        if (spec.arg != joinIndices(plan_.metrics))
+        if (!plan_.trains() || spec.arg != plan_.newProgram)
             throw JobError("bad fit-responses argument '" + spec.arg +
                            "'");
         runFitResponses();
@@ -423,27 +415,40 @@ CampaignJobRunner::runSimulateShard(const std::string &program,
 }
 
 void
-CampaignJobRunner::runTrainProgram(const std::string &program,
-                                   std::size_t metric)
+CampaignJobRunner::runTrainProgram(std::size_t trainer)
 {
-    const std::string path = plan_.modelPath(program, metric);
+    const std::string program = plan_.trainPrograms()[trainer];
+    const std::string path = plan_.modelPath(program);
     if (loadCheckpoint(path))
         return; // idempotent re-execution
 
     loadStore();
-    const std::size_t programIdx = campaign().programIndex(program);
-    requireCells(programIdx, plan_.trainIdx, "train-program");
+    const Campaign &c = campaign();
+    const std::size_t programIdx = c.programIndex(program);
+    const std::vector<std::size_t> trainIdx = plan_.trainIdx();
+    requireCells(programIdx, trainIdx, "train-program");
 
     // The same per-program model construction trainOffline performs,
-    // so the checkpointed ensemble is bit-identical to the in-process
-    // one.
-    ProgramSpecificPredictor model(ArchCentricOptions{}.programModel);
-    model.train(campaign().configsAt(plan_.trainIdx),
-                campaign().metricAt(programIdx,
-                                    static_cast<Metric>(metric),
-                                    plan_.trainIdx));
+    // so the checkpointed ensembles are bit-identical to the
+    // in-process ones. Each metric's model is a pure function of its
+    // own training set, written to its own slot, so training them
+    // across the pool cannot change a bit. Each model is spanned under
+    // trainOffline's stage name for this training program.
+    const std::vector<MicroarchConfig> configs = c.configsAt(trainIdx);
+    std::vector<ProgramSpecificPredictor> models(
+        kNumMetrics,
+        ProgramSpecificPredictor(ArchCentricOptions{}.programModel));
+    obs::Stage &stage = obs::Registry::global().stage(
+        "train/program/" + std::to_string(trainer));
+    ThreadPool::global().parallelFor(0, kNumMetrics, [&](std::size_t m) {
+        const obs::TraceSpan span(stage);
+        models[m].train(configs, c.metricAt(programIdx,
+                                            static_cast<Metric>(m),
+                                            trainIdx));
+    });
     BinaryWriter writer;
-    model.save(writer);
+    for (const auto &model : models)
+        model.save(writer);
     writeTextAtomic(path, sealBytes(kCheckpointMagic, kCheckpointVersion,
                                     writer.buffer()));
 }
@@ -462,28 +467,32 @@ CampaignJobRunner::runFitResponses()
     loadStore();
     const std::size_t newIdx =
         campaign().programIndex(plan_.newProgram);
-    requireCells(newIdx, plan_.responseIdx, "fit-responses");
+    const std::vector<std::size_t> responseIdx = plan_.responseIdx();
+    requireCells(newIdx, responseIdx, "fit-responses");
+    const std::vector<std::string> names = plan_.trainPrograms();
+    std::vector<ProgramModels> programs;
+    for (const auto &name : names) {
+        std::optional<ProgramModels> models =
+            loadCheckpoint(plan_.modelPath(name));
+        if (!models) {
+            throw JobError("missing or corrupt model checkpoint " +
+                           plan_.modelPath(name));
+        }
+        programs.push_back(std::move(*models));
+    }
     ModelArtifact artifact;
     artifact.setTag(artifactTag(plan_));
-    for (const std::size_t m : plan_.metrics) {
-        std::vector<std::string> names = plan_.trainPrograms();
+    for (const Metric metric : kAllMetrics) {
         std::vector<std::shared_ptr<const ProgramSpecificPredictor>>
             models;
-        for (const auto &name : names) {
-            auto model = loadCheckpoint(plan_.modelPath(name, m));
-            if (!model) {
-                throw JobError("missing or corrupt model checkpoint " +
-                               plan_.modelPath(name, m));
-            }
-            models.push_back(std::move(model));
-        }
+        for (const ProgramModels &program : programs)
+            models.push_back(program[static_cast<std::size_t>(metric)]);
         ArchitectureCentricPredictor predictor;
-        predictor.useModels(std::move(names), std::move(models));
+        predictor.useModels(names, std::move(models));
         predictor.fitResponses(
-            campaign().configsAt(plan_.responseIdx),
-            campaign().metricAt(newIdx, static_cast<Metric>(m),
-                                plan_.responseIdx));
-        artifact.add(static_cast<Metric>(m), std::move(predictor));
+            campaign().configsAt(responseIdx),
+            campaign().metricAt(newIdx, metric, responseIdx));
+        artifact.add(metric, std::move(predictor));
     }
     saveArtifact(path, artifact);
 }
@@ -531,22 +540,22 @@ CampaignJobRunner::runInProcess()
         return;
 
     const std::size_t newIdx = c.programIndex(plan_.newProgram);
+    const std::vector<std::size_t> trainIdx = plan_.trainIdx();
+    const std::vector<std::size_t> responseIdx = plan_.responseIdx();
     ModelArtifact artifact;
     artifact.setTag(artifactTag(plan_));
-    for (const std::size_t m : plan_.metrics) {
-        const Metric metric = static_cast<Metric>(m);
+    for (const Metric metric : kAllMetrics) {
         std::vector<ProgramTrainingSet> sets;
         for (const auto &name : plan_.trainPrograms()) {
-            const std::size_t programIdx = c.programIndex(name);
-            sets.push_back({name, c.configsAt(plan_.trainIdx),
-                            c.metricAt(programIdx, metric,
-                                       plan_.trainIdx)});
+            sets.push_back({name, c.configsAt(trainIdx),
+                            c.metricAt(c.programIndex(name), metric,
+                                       trainIdx)});
         }
         ArchitectureCentricPredictor predictor;
         predictor.trainOffline(sets);
         predictor.fitResponses(
-            c.configsAt(plan_.responseIdx),
-            c.metricAt(newIdx, metric, plan_.responseIdx));
+            c.configsAt(responseIdx),
+            c.metricAt(newIdx, metric, responseIdx));
         artifact.add(metric, std::move(predictor));
     }
     saveArtifact(plan_.artifactPath(), artifact);

@@ -5,16 +5,20 @@
  * JobQueue (jobs/job_queue.hh).
  *
  * A CampaignJobPlan is the complete, persisted description of one
- * run: the campaign parameters and the training/response split. It
- * expands to three phases of jobs:
+ * run: the campaign parameters and the training/response split, T
+ * training configurations `[0, T)` per training program and R
+ * responses `[T, T+R)` of the new program (the paper's offline and
+ * online phases). A training plan models every metric. It expands to
+ * three phases of jobs:
  *
  *   phase 0  simulate-shard   one job per program; writes the
  *                             program's block into the campaign store,
  *                             `<store>.<prog>.cells` (core/campaign.hh)
- *   phase 1  train-program    one job per (training program, metric);
- *                             writes `<prefix>.model_<prog>_m<m>.bin`
- *   phase 2  fit-responses    one job for all plan metrics; writes
- *                             the model artifact `<prefix>.acdse`
+ *   phase 1  train-program    one job per training program; writes
+ *                             all its metrics' models to
+ *                             `<prefix>.model_<prog>.bin`
+ *   phase 2  fit-responses    one job; writes the model artifact
+ *                             `<prefix>.acdse`
  *
  * Every file a job writes has one framing, sealBytes()
  * (base/binary_io.hh): magic, version, payload size and checksum. The
@@ -72,18 +76,30 @@ class JobError : public std::runtime_error
     }
 };
 
-/** The persisted description of one campaign job run. */
+/**
+ * The persisted description of one campaign job run. The plan file
+ * holds what defines the jobs and their outputs; options.threads and
+ * options.quiet are the running process's, never persisted.
+ */
 struct CampaignJobPlan
 {
     std::vector<std::string> programs; //!< all simulated programs
     CampaignOptions options;           //!< campaign parameters
-    std::vector<std::size_t> trainIdx; //!< training config indices
-    std::vector<std::size_t> responseIdx; //!< response config indices
-    std::vector<std::size_t> metrics;  //!< metric indices to model
+    std::size_t trainSims = 0; //!< T: configs `[0, T)` train the ANNs
+    std::size_t responses = 0; //!< R: configs `[T, T+R)` fit the target
     std::string newProgram; //!< program whose responses are fitted
 
     /** Whether the plan trains models (else it is simulate-only). */
-    bool trains() const { return !metrics.empty(); }
+    bool trains() const { return trainSims > 0; }
+
+    /** The training configuration indices, `[0, T)`. */
+    std::vector<std::size_t> trainIdx() const;
+
+    /** The response configuration indices, `[T, T+R)`. */
+    std::vector<std::size_t> responseIdx() const;
+
+    /** The held-out configuration indices, `[T+R, numConfigs)`. */
+    std::vector<std::size_t> heldOutIdx() const;
 
     /** The training programs: every program except newProgram. */
     std::vector<std::string> trainPrograms() const;
@@ -111,8 +127,7 @@ struct CampaignJobPlan
     std::string prefix() const;
     std::string planPath() const;
     std::string journalName() const; //!< JobQueue name (not a path)
-    std::string modelPath(const std::string &program,
-                          std::size_t metric) const;
+    std::string modelPath(const std::string &program) const;
     std::string artifactPath() const; //!< the servable `.acdse`
     /** @} */
 
@@ -126,7 +141,7 @@ struct CampaignJobPlan
      */
     static CampaignJobPlan load(const std::string &path);
 
-    /** Validate invariants (index ranges, program names). */
+    /** Validate invariants (T+R within the campaign, program names). */
     void validate() const;
 };
 
@@ -163,7 +178,8 @@ class CampaignJobRunner
     /**
      * The equivalent computation without the job system: plain
      * Campaign::ensureComputed + ArchitectureCentricPredictor
-     * trainOffline/fitResponses, writing the same artifactPath().
+     * trainOffline/fitResponses for every metric, writing the same
+     * artifactPath().
      * Produces a byte-identical artifact to a drained job run.
      */
     void runInProcess();
@@ -177,7 +193,8 @@ class CampaignJobRunner
 
     void runSimulateShard(const std::string &program,
                           const std::string &jobId);
-    void runTrainProgram(const std::string &program, std::size_t metric);
+    /** Train trainPrograms()[@p trainer]'s models, one per metric. */
+    void runTrainProgram(std::size_t trainer);
     void runFitResponses();
 
     /** Load every block of the campaign store into the campaign. */

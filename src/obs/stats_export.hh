@@ -1,8 +1,9 @@
 /**
  * @file
  * JSON export of metric snapshots: schema `acdse-stats-v1`, emitted by
- * the `--stats-out` flags of acdse-serve and train_then_serve, by the
- * service's periodic dump, and (stages only) appended to BENCH_*.json.
+ * the `--stats-out` flags of acdse-serve, acdse-explore and acdse-jobs
+ * (one file for the parent, one per worker), by the service's
+ * periodic dump, and (stages only) appended to BENCH_*.json.
  *
  * Layout:
  *

@@ -7,9 +7,9 @@
  * is hours of work, while predicting any of the ~18 billion design
  * points afterwards is microseconds. The model store captures the
  * expensive half in a single artifact file so that training happens
- * once -- in train_then_serve or the acdse-jobs job server -- and
- * every later process (the
- * acdse-serve CLI, a benchmark, a test) loads it in milliseconds.
+ * once -- in the acdse-jobs job server -- and every later process
+ * (acdse-serve, acdse-explore, a benchmark, a test) loads it in
+ * milliseconds.
  *
  * An artifact file is a sealBytes() image (base/binary_io.hh): the
  * magic "ACDSEMDL", the format version kArtifactVersion, the payload

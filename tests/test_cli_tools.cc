@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end tests for the production CLI binaries, driven as real
- * subprocesses: train_then_serve trains and persists an artifact,
- * acdse-serve serves it, and both emit acdse-stats-v1 stats through
- * --stats-out. Also covers the bad-flag and corrupt-artifact error
- * paths (exit codes 2 and 1 respectively).
+ * subprocesses: acdse-jobs trains and persists an artifact,
+ * acdse-serve serves it and acdse-explore searches with it, and each
+ * emits acdse-stats-v1 stats through --stats-out. Also covers the
+ * bad-flag and corrupt-artifact error paths (exit codes 2 and 1
+ * respectively).
  *
  * Binary paths arrive as compile definitions (ACDSE_TOOL_*) from
  * tests/CMakeLists.txt, so the tests always run the binaries of the
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "json_reader.hh"
 #include "temp_dir.hh"
@@ -35,12 +37,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Number of training programs the e2e run uses (see trainCmd). */
-constexpr std::size_t kTrainPrograms = 2;
-
-/** Metrics train_then_serve trains (one ensemble per kAllMetrics). */
-constexpr std::size_t kMetricsTrained = 4;
 
 struct RunResult
 {
@@ -90,97 +86,35 @@ parseFile(const fs::path &path)
 }
 
 /**
- * The small train_then_serve invocation shared by the tests: two
- * training programs plus a target, a short synthetic trace, one
- * thread. ~seconds, not minutes.
+ * Train the small artifact the serve and explore tests share into
+ * @p dir as `model.acdse`: an acdse-jobs run over two training
+ * programs plus a target, a short synthetic trace, one thread.
+ * ~seconds, not minutes.
  */
-std::string
-trainCmd(const std::string &extra)
+RunResult
+trainModel(const fs::path &dir)
 {
-    return std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=56 "
-                       "ACDSE_TRACE_LEN=2000 ACDSE_WARMUP=400 "
-                       "ACDSE_CACHE_DIR=. ") +
-           ACDSE_TOOL_TRAIN_THEN_SERVE +
-           " --train-programs gzip,crafty --target vpr"
-           " --train-sims 24 --responses 16 " +
-           extra;
-}
-
-TEST(CliTrainThenServe, EndToEndWithStats)
-{
-    const fs::path dir = freshDir("acdse_cli_tts");
-    const RunResult result = run(
-        dir, trainCmd("--out model.acdse --stats-out stats.json"));
-    ASSERT_EQ(result.exitCode, 0) << result.output;
-    EXPECT_TRUE(fs::exists(dir / "model.acdse"));
-    ASSERT_TRUE(fs::exists(dir / "stats.json")) << result.output;
-    EXPECT_NE(result.output.find("held-out points: cycles rmae"),
-              std::string::npos)
-        << result.output;
-
-    const testjson::Value doc = parseFile(dir / "stats.json");
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
-    const testjson::Value &stages = doc.at("stages");
-
-    // One train/program/<i> stage per training program, each spanned
-    // once per trained metric.
-    std::size_t trainProgramStages = 0;
-    for (const auto &[path, stage] : stages.object) {
-        if (path.starts_with("train/program/")) {
-            ++trainProgramStages;
-            EXPECT_EQ(stage.at("count").asNumber(),
-                      static_cast<double>(kMetricsTrained))
-                << path;
-        }
-    }
-    EXPECT_EQ(trainProgramStages, kTrainPrograms);
-
-    // The campaign, training, fit and serve stages all saw real time.
-    EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(),
-              0.0);
-    EXPECT_GT(stages.at("train/offline").at("total_ms").asNumber(),
-              0.0);
-    EXPECT_EQ(stages.at("train/offline").at("count").asNumber(),
-              static_cast<double>(kMetricsTrained));
-    EXPECT_GT(stages.at("fit/responses").at("total_ms").asNumber(),
-              0.0);
-    EXPECT_GE(stages.at("serve/batch").at("count").asNumber(), 1.0);
-
-    // Self times are exclusive, so on a single-threaded run their sum
-    // across all stages cannot exceed the process wall time.
-    double selfSumMs = 0.0;
-    for (const auto &[path, stage] : stages.object) {
-        const double self = stage.at("self_ms").asNumber();
-        EXPECT_GE(self, 0.0) << path;
-        EXPECT_LE(self, stage.at("total_ms").asNumber() + 1e-9) << path;
-        selfSumMs += self;
-    }
-    EXPECT_LE(selfSumMs, result.wallSeconds * 1000.0);
-}
-
-TEST(CliTrainThenServe, RejectsUnknownFlag)
-{
-    const fs::path dir = freshDir("acdse_cli_tts_badflag");
     const RunResult result =
-        run(dir, std::string(ACDSE_TOOL_TRAIN_THEN_SERVE) +
-                     " --no-such-flag");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find("usage:"), std::string::npos);
-}
-
-TEST(CliTrainThenServe, RejectsBadValues)
-{
-    const fs::path dir = freshDir("acdse_cli_tts_badval");
-    // fatal() paths exit 1: zero T/R and a flag missing its value.
-    EXPECT_EQ(run(dir, trainCmd("--train-sims 0")).exitCode, 1);
-    EXPECT_EQ(run(dir, trainCmd("--out")).exitCode, 1);
+        run(dir, std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=56 "
+                             "ACDSE_TRACE_LEN=2000 ACDSE_WARMUP=400 ") +
+                     ACDSE_TOOL_JOBS +
+                     " run --dir . --workers 1 --programs gzip,crafty"
+                     " --target vpr --train 24 --responses 16");
+    fs::path artifact;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".acdse")
+            artifact = entry.path();
+    }
+    if (!artifact.empty())
+        fs::rename(artifact, dir / "model.acdse");
+    return result;
 }
 
 TEST(CliServe, ServesQueriesAndWritesStats)
 {
     const fs::path dir = freshDir("acdse_cli_serve");
     const RunResult trained =
-        run(dir, trainCmd("--out model.acdse"));
+        trainModel(dir);
     ASSERT_EQ(trained.exitCode, 0) << trained.output;
 
     // A header row, a comment and two valid Table-1 query rows.
@@ -233,7 +167,7 @@ TEST(CliServe, StatsEveryDumpsFromTheInputLoop)
     // exactly the 2 batches the one periodic dump covered. Closing the
     // pipe ends the run, and the exit dump covers all 3.
     const fs::path dir = freshDir("acdse_cli_serve_every");
-    const RunResult trained = run(dir, trainCmd("--out model.acdse"));
+    const RunResult trained = trainModel(dir);
     ASSERT_EQ(trained.exitCode, 0) << trained.output;
 
     const fs::path stats = dir / "stats.json";
@@ -274,7 +208,7 @@ TEST(CliServe, AsyncStatsReportTheDrains)
 {
     const fs::path dir = freshDir("acdse_cli_serve_async");
     const RunResult trained =
-        run(dir, trainCmd("--out model.acdse"));
+        trainModel(dir);
     ASSERT_EQ(trained.exitCode, 0) << trained.output;
     {
         std::ofstream queries(dir / "queries.csv");
@@ -319,7 +253,7 @@ TEST(CliServe, RejectsUnknownFlagAndMissingModel)
 TEST(CliExplore, ExploresArtifactAndWritesCsv)
 {
     const fs::path dir = freshDir("acdse_cli_explore");
-    const RunResult trained = run(dir, trainCmd("--out model.acdse"));
+    const RunResult trained = trainModel(dir);
     ASSERT_EQ(trained.exitCode, 0) << trained.output;
 
     // A small sampled exploration; results must not depend on the
@@ -374,7 +308,7 @@ TEST(CliExplore, ExploresArtifactAndWritesCsv)
 TEST(CliExplore, RefinedEnumerationOfReducedGrid)
 {
     const fs::path dir = freshDir("acdse_cli_explore_enum");
-    const RunResult trained = run(dir, trainCmd("--out model.acdse"));
+    const RunResult trained = trainModel(dir);
     ASSERT_EQ(trained.exitCode, 0) << trained.output;
 
     // Stride 4 + pins keeps the grid tiny; --refine rewrites top-k.
@@ -438,8 +372,9 @@ TEST(CliServe, RejectsCorruptArtifact)
 }
 
 /**
- * The pinned tiny acdse-jobs invocation (8 jobs: 3 simulate jobs, one
- * per program, 4 training jobs, 1 fit). Deeper fault-injection coverage -- kill matrices,
+ * The pinned tiny acdse-jobs invocation (6 jobs: 3 simulate jobs, one
+ * per program, 2 training jobs, one per training program, 1 fit).
+ * Deeper fault-injection coverage -- kill matrices,
  * journal corruption sweeps, bit-identity against a reference run --
  * lives in test_jobs_crash.cc; this suite covers the CLI surface:
  * exit codes, artifacts and the status schema.
@@ -495,7 +430,65 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
         if (doc.at("counters").has("jobs/dispatch"))
             dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
     }
-    EXPECT_EQ(dispatched, 8.0);
+    EXPECT_EQ(dispatched, 6.0);
+}
+
+TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
+{
+    // A training run ends with every metric's response training error
+    // and the target's error over the held-out configurations
+    // [T+R, N) = [20, 24). Single-threaded with one worker, each
+    // process's stage self times sum to at most the run's wall time.
+    const fs::path dir = freshDir("acdse_cli_jobs_report");
+    const RunResult result =
+        run(dir, jobsCmd(std::string(kJobsRunArgs) +
+                         " --workers 1 --stats-out stats.json"));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    for (const char *metric : {"cycles ", "energy ", "ED ", "EDD "}) {
+        EXPECT_NE(result.output.find(std::string("trained ") + metric),
+                  std::string::npos)
+            << metric << result.output;
+    }
+    EXPECT_NE(result.output.find("response training error"),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("held-out 4 points: cycles rmae"),
+              std::string::npos)
+        << result.output;
+
+    for (const char *name : {"stats.json", "stats.json.worker0"}) {
+        ASSERT_TRUE(fs::exists(dir / name)) << name;
+        const testjson::Value doc = parseFile(dir / name);
+        EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+        const testjson::Value &stages = doc.at("stages");
+        EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 6.0)
+            << name;
+        double selfSumMs = 0.0;
+        for (const auto &[path, stage] : stages.object) {
+            const double self = stage.at("self_ms").asNumber();
+            EXPECT_GE(self, 0.0) << name << " " << path;
+            EXPECT_LE(self, stage.at("total_ms").asNumber() + 1e-9)
+                << name << " " << path;
+            selfSumMs += self;
+        }
+        EXPECT_LE(selfSumMs, result.wallSeconds * 1000.0) << name;
+    }
+    // The worker simulated, trained and fitted; its stats say so: one
+    // train/program/<i> stage per training program, spanned once per
+    // metric, and one fit per metric.
+    const testjson::Value worker = parseFile(dir / "stats.json.worker0");
+    const testjson::Value &stages = worker.at("stages");
+    EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(), 0.0);
+    std::size_t trainProgramStages = 0;
+    for (const auto &[path, stage] : stages.object) {
+        if (path.starts_with("train/program/")) {
+            ++trainProgramStages;
+            EXPECT_EQ(stage.at("count").asNumber(), 4.0) << path;
+            EXPECT_GT(stage.at("total_ms").asNumber(), 0.0) << path;
+        }
+    }
+    EXPECT_EQ(trainProgramStages, 2u);
+    EXPECT_EQ(stages.at("fit/responses").at("count").asNumber(), 4.0);
 }
 
 TEST(CliJobServer, ArtifactServesAndExplores)
@@ -513,7 +506,7 @@ TEST(CliJobServer, ArtifactServesAndExplores)
         const std::string name = entry.path().filename().string();
         if (name.ends_with(".acdse"))
             artifact = name;
-        if (name.ends_with(".model_gzip_m0.bin"))
+        if (name.ends_with(".model_gzip.bin"))
             checkpoint = name;
     }
     ASSERT_FALSE(artifact.empty());
@@ -534,7 +527,7 @@ TEST(CliJobServer, ArtifactServesAndExplores)
     std::ifstream out(dir / "out.csv");
     std::string header;
     std::getline(out, header);
-    EXPECT_TRUE(header.ends_with(",cycles,energy")) << header;
+    EXPECT_TRUE(header.ends_with(",cycles,energy,ED,EDD")) << header;
 
     const RunResult explored =
         run(dir, std::string(ACDSE_TOOL_EXPLORE) + " --model " +
@@ -563,7 +556,7 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const testjson::Value doc = testjson::parse(result.output);
     EXPECT_EQ(doc.at("schema").asString(), "acdse-jobs-status-v1");
-    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 8.0);
+    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 6.0);
     EXPECT_EQ(doc.at("jobs").at("done").asNumber(), 2.0);
     EXPECT_FALSE(doc.at("drained").boolean);
     EXPECT_FALSE(doc.at("stuck").boolean);
@@ -571,13 +564,69 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
          {"simulate-shard", "train-program", "fit-responses"}) {
         EXPECT_TRUE(doc.at("kinds").has(kind)) << kind;
     }
-    EXPECT_EQ(doc.at("states").array.size(), 8u);
+    EXPECT_EQ(doc.at("states").array.size(), 6u);
 
     result = run(dir, jobsCmd("resume --dir . --workers 2"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     result = run(dir, jobsCmd("status --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     EXPECT_TRUE(testjson::parse(result.output).at("drained").boolean);
+}
+
+TEST(CliJobServer, ResumeTakesVerbosityFromItsFlag)
+{
+    // A run killed before its first job leaves every simulation to
+    // the resumes. A quiet resume (killed after gzip's job) reports no
+    // campaign progress, and `resume --verbose` reports it for the
+    // jobs it runs, whatever the first run's verbosity was.
+    const fs::path dir = freshDir("acdse_cli_jobs_verbose");
+    RunResult result = run(
+        dir, "ACDSE_JOBS_KILL_AFTER=0:0 " +
+                 jobsCmd(std::string(kJobsRunArgs) + " --verbose"
+                                                     " --workers 1"));
+    ASSERT_EQ(result.exitCode, 3) << result.output;
+
+    result = run(dir, "ACDSE_JOBS_KILL_AFTER=0:1 " +
+                          jobsCmd("resume --dir . --workers 1"));
+    ASSERT_EQ(result.exitCode, 3) << result.output;
+    EXPECT_EQ(result.output.find("simulations done"), std::string::npos)
+        << result.output;
+
+    result = run(dir, jobsCmd("resume --dir . --workers 1 --verbose"));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    EXPECT_NE(result.output.find("info: campaign: 24/24 simulations done"),
+              std::string::npos)
+        << result.output;
+}
+
+TEST(CliJobServer, VerboseProgressCountsUp)
+{
+    // Pool threads reach their progress lines in any order, the more
+    // so with more threads than cores and a pipe reader competing for
+    // them; the lines of a simulate job must still count up, and the
+    // last one reports every cell.
+    const fs::path dir = freshDir("acdse_cli_jobs_progress");
+    const RunResult result =
+        run(dir, std::string("ACDSE_THREADS=8 ACDSE_CONFIGS=400 "
+                             "ACDSE_TRACE_LEN=300 ACDSE_WARMUP=50 ") +
+                     ACDSE_TOOL_JOBS +
+                     " run --dir . --workers 1 --sim-only --programs gzip"
+                     " --verbose 2>&1 | cat");
+    // The exit code is cat's; the final 400/400 line shows the run
+    // finished.
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    std::istringstream log(result.output);
+    const std::string prefix = "info: campaign: ";
+    std::vector<std::size_t> counts;
+    for (std::string line; std::getline(log, line);) {
+        if (line.starts_with(prefix) &&
+            line.ends_with("/400 simulations done"))
+            counts.push_back(std::stoul(line.substr(prefix.size())));
+    }
+    ASSERT_FALSE(counts.empty()) << result.output;
+    for (std::size_t i = 1; i < counts.size(); ++i)
+        EXPECT_LT(counts[i - 1], counts[i]) << result.output;
+    EXPECT_EQ(counts.back(), 400u) << result.output;
 }
 
 TEST(CliJobServer, RejectsBadFlags)
@@ -600,6 +649,33 @@ TEST(CliJobServer, RejectsBadFlags)
     const RunResult result = run(dir, jobsCmd("status --dir ."));
     EXPECT_EQ(result.exitCode, 1);
     EXPECT_NE(result.output.find("no job plan"), std::string::npos);
+}
+
+TEST(CliJobServer, RejectsUnknownFlag)
+{
+    // An unknown flag of any subcommand exits 2 with the usage text.
+    const fs::path dir = freshDir("acdse_cli_jobs_unknownflag");
+    const std::string tool = ACDSE_TOOL_JOBS;
+    for (const char *subcommand : {"run", "resume", "status"}) {
+        const RunResult result =
+            run(dir, tool + " " + subcommand + " --no-such-flag");
+        EXPECT_EQ(result.exitCode, 2) << subcommand;
+        EXPECT_NE(result.output.find("usage:"), std::string::npos)
+            << subcommand << result.output;
+    }
+}
+
+TEST(CliJobServer, RejectsBadValues)
+{
+    // fatal() paths exit 1: an unparsable R, zero T, and T+R beyond
+    // the campaign's N = 24 configurations.
+    const fs::path dir = freshDir("acdse_cli_jobs_badvalue");
+    const std::string tool = ACDSE_TOOL_JOBS;
+    EXPECT_EQ(run(dir, tool + " run --responses nope").exitCode, 1);
+    EXPECT_EQ(run(dir, jobsCmd("run --dir . --train 0")).exitCode, 1);
+    EXPECT_EQ(run(dir, jobsCmd("run --dir . --train 20 --responses 8"))
+                  .exitCode,
+              1);
 }
 
 TEST(CliJobServer, RejectsCorruptJournal)

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,9 +482,8 @@ smallPlan(const std::string &dir)
     plan.options.warmupInstructions = 200;
     plan.options.cacheDir = dir;
     plan.options.quiet = true;
-    plan.trainIdx = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-    plan.responseIdx = {12, 13, 14, 15, 16, 17, 18, 19};
-    plan.metrics = {0, 1};
+    plan.trainSims = 12;
+    plan.responses = 8;
     plan.newProgram = "vpr";
     return plan;
 }
@@ -504,8 +504,7 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
     EXPECT_NE(base.key(), otherPrograms.key());
     EXPECT_NE(base.journalName(), otherSeed.journalName());
     EXPECT_NE(base.planPath(), otherSeed.planPath());
-    EXPECT_NE(base.modelPath("gzip", 0),
-              otherSeed.modelPath("gzip", 0));
+    EXPECT_NE(base.modelPath("gzip"), otherSeed.modelPath("gzip"));
     EXPECT_NE(base.artifactPath(), otherSeed.artifactPath());
     EXPECT_NE(base.planHash(), otherSeed.planHash());
 
@@ -531,20 +530,41 @@ TEST(JobsPlan, JobExpansionAndPhases)
     EXPECT_EQ(plan.trainPrograms(),
               (std::vector<std::string>{"gzip", "mcf"}));
 
+    // T and R name the configuration ranges; the rest is held out.
+    EXPECT_EQ(plan.trainIdx(),
+              (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                        10, 11}));
+    EXPECT_EQ(plan.responseIdx(),
+              (std::vector<std::size_t>{12, 13, 14, 15, 16, 17, 18,
+                                        19}));
+    EXPECT_EQ(plan.heldOutIdx(),
+              (std::vector<std::size_t>{20, 21, 22, 23}));
+
     const std::vector<JobSpec> jobs = plan.jobs();
-    // One simulate job per program + 2 training programs x 2 metrics
-    // + one fit for both metrics.
-    ASSERT_EQ(jobs.size(), 8u);
-    EXPECT_EQ(jobs.back().kind, "fit-responses");
+    // One simulate job per program, one training job per training
+    // program (all metrics) and one fit.
+    ASSERT_EQ(jobs.size(), 6u);
     for (std::size_t p = 0; p < plan.programs.size(); ++p) {
         EXPECT_EQ(jobs[p].id, "sim_" + plan.programs[p]);
         EXPECT_EQ(jobs[p].kind, "simulate-shard");
         EXPECT_EQ(jobs[p].arg, plan.programs[p]);
     }
+    const std::vector<std::string> trainers = plan.trainPrograms();
+    for (std::size_t t = 0; t < trainers.size(); ++t) {
+        const std::string &program = trainers[t];
+        EXPECT_EQ(jobs[3 + t].id, "train_" + program);
+        EXPECT_EQ(jobs[3 + t].kind, "train-program");
+        EXPECT_EQ(jobs[3 + t].arg, program);
+    }
+    EXPECT_EQ(jobs.back().kind, "fit-responses");
+    EXPECT_EQ(jobs.back().arg, "vpr");
 
     // A simulate-only plan has neither training nor fit jobs.
     CampaignJobPlan simOnly = plan;
-    simOnly.metrics.clear();
+    simOnly.trainSims = 0;
+    simOnly.responses = 0;
+    simOnly.newProgram.clear();
+    simOnly.validate();
     EXPECT_EQ(simOnly.jobs().size(), 3u);
     for (const auto &spec : jobs) {
         if (spec.kind == "simulate-shard")
@@ -559,7 +579,8 @@ TEST(JobsPlan, JobExpansionAndPhases)
 TEST(JobsPlan, SaveLoadRoundTripRebindsDirectory)
 {
     const fs::path dir = freshDir("acdse_jobs_plan_rt");
-    const CampaignJobPlan plan = smallPlan(dir.string());
+    CampaignJobPlan plan = smallPlan(dir.string());
+    plan.options.threads = 3;
     plan.save();
 
     const CampaignJobPlan loaded =
@@ -567,12 +588,26 @@ TEST(JobsPlan, SaveLoadRoundTripRebindsDirectory)
     EXPECT_EQ(loaded.programs, plan.programs);
     EXPECT_EQ(loaded.options.numConfigs, plan.options.numConfigs);
     EXPECT_EQ(loaded.options.configSeed, plan.options.configSeed);
-    EXPECT_EQ(loaded.trainIdx, plan.trainIdx);
-    EXPECT_EQ(loaded.responseIdx, plan.responseIdx);
-    EXPECT_EQ(loaded.metrics, plan.metrics);
+    EXPECT_EQ(loaded.trainSims, plan.trainSims);
+    EXPECT_EQ(loaded.responses, plan.responses);
     EXPECT_EQ(loaded.newProgram, plan.newProgram);
     EXPECT_EQ(loaded.planHash(), plan.planHash());
     EXPECT_EQ(loaded.options.cacheDir, dir.string());
+    // Verbosity and parallelism belong to the process that runs the
+    // plan, so a resume takes its own: neither is persisted.
+    EXPECT_EQ(loaded.options.threads, 0u);
+    EXPECT_FALSE(loaded.options.quiet);
+
+    // The plan file holds the format, the campaign key and the eight
+    // values that define the run, nothing else.
+    std::istringstream text(readBytes(fs::path(plan.planPath())));
+    std::vector<std::string> keys;
+    for (std::string line; std::getline(text, line);)
+        keys.push_back(line.substr(0, line.find(',')));
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "key", "format", "campaign", "programs",
+                        "configs", "trace_len", "warmup", "seed",
+                        "train", "responses", "new_program"}));
 
     // A moved run directory keeps working: cacheDir rebinds to the
     // plan's actual location.
@@ -627,7 +662,13 @@ TEST(JobsPlan, LoadRejectsDamagedPlans)
     invalid.newProgram = "not-a-program";
     EXPECT_THROW(invalid.validate(), JobError);
     invalid = plan;
-    invalid.trainIdx = {999};
+    invalid.trainSims = 17; // T+R = 25 > 24 configurations
+    EXPECT_THROW(invalid.validate(), JobError);
+    invalid = plan;
+    invalid.responses = 0;
+    EXPECT_THROW(invalid.validate(), JobError);
+    invalid = plan;
+    invalid.trainSims = 0; // simulate-only, yet names responses
     EXPECT_THROW(invalid.validate(), JobError);
     invalid = plan;
     invalid.programs = {"vpr"};

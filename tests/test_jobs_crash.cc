@@ -12,7 +12,7 @@
  *
  * Everything is pinned single-threaded with a tiny campaign (24
  * configurations x 3 programs, 1200-instruction traces) so one full
- * 8-job run takes tens of milliseconds; even the kill-at-every-
+ * 6-job run takes tens of milliseconds; even the kill-at-every-
  * boundary chain stays well inside CI budget.
  *
  * The binary path arrives as the ACDSE_TOOL_JOBS compile definition
@@ -88,8 +88,9 @@ readBytes(const fs::path &path)
 
 /**
  * The pinned tiny-campaign invocation every test shares: 3 programs x
- * 24 configs = 72 cells, one simulate job per program, two metrics ->
- * 8 jobs (3 simulate-shard, 4 train-program, 1 fit-responses).
+ * 24 configs = 72 cells, one simulate job per program, one training
+ * job per training program -> 6 jobs (3 simulate-shard, 2
+ * train-program, 1 fit-responses).
  */
 std::string
 jobsCmd(const std::string &subcommand)
@@ -161,8 +162,8 @@ isCampaignBlock(const std::string &name)
 
 /**
  * Assert the final artifacts in @p got are byte-identical to the
- * reference run: the three campaign blocks, the model artifact and all
- * four per-program model checkpoints.
+ * reference run: the three campaign blocks, the model artifact and
+ * both per-program model checkpoints.
  */
 void
 expectArtifactsMatchReference(const fs::path &got)
@@ -186,7 +187,7 @@ expectArtifactsMatchReference(const fs::path &got)
     }
     EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
-    EXPECT_EQ(models, 4u);
+    EXPECT_EQ(models, 2u);
 }
 
 /** Parse `acdse-jobs status` output for @p dir. */
@@ -214,11 +215,8 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
     plan.options.threads = 1;
     plan.options.quiet = true;
     plan.options.cacheDir = inproc.string();
-    for (std::size_t c = 0; c < 12; ++c)
-        plan.trainIdx.push_back(c);
-    for (std::size_t c = 12; c < 20; ++c)
-        plan.responseIdx.push_back(c);
-    plan.metrics = {0, 1};
+    plan.trainSims = 12;
+    plan.responses = 8;
     plan.newProgram = "vpr";
 
     jobs::CampaignJobRunner runner(plan);
@@ -249,16 +247,16 @@ TEST(CrashResume, KillAtEveryJobBoundary)
         result = run(dir, kill + jobsCmd("resume --dir . --workers 1"));
     }
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    // 8 jobs -> 8 killed sessions + 1 that finds the queue drained.
-    EXPECT_EQ(sessions, 9) << "kill chain length changed";
+    // 6 jobs -> 6 killed sessions + 1 that finds the queue drained.
+    EXPECT_EQ(sessions, 7) << "kill chain length changed";
     expectArtifactsMatchReference(dir);
 
     const testjson::Value status = statusOf(dir, 0);
     EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v1");
-    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 8.0);
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 6.0);
     EXPECT_TRUE(status.at("drained").boolean);
-    // Nine sessions = nine journal generations.
-    EXPECT_EQ(status.at("generation").asNumber(), 9.0);
+    // Seven sessions = seven journal generations.
+    EXPECT_EQ(status.at("generation").asNumber(), 7.0);
 }
 
 TEST(CrashResume, KillMidShard)
@@ -359,7 +357,7 @@ TEST(CrashResume, RecordedJournalSurvivesCorruptionSweep)
     const std::string bytes = readBytes(journalFile);
     ASSERT_GT(bytes.size(), 500u) << "journal suspiciously small";
     const auto reference = Journal::decode(bytes).records;
-    ASSERT_GE(reference.size(), 20u); // plan + 8 jobs + gen + 16 state
+    ASSERT_GE(reference.size(), 20u); // plan + 6 jobs + gen + 12 state
 
     const auto isPrefix =
         [&reference](
@@ -406,10 +404,10 @@ TEST(CrashResume, TruncatedJournalResumesIdentically)
 
     const fs::path journalFile = findFile(dir, "acdse_jobs_", ".journal");
     std::string bytes = readBytes(journalFile);
-    // Keep the plan, the 8 job records and the generation record (10
+    // Keep the plan, the 6 job records and the generation record (8
     // lines) plus 5 bytes of the next line to simulate the torn tail.
     std::size_t offset = 0;
-    for (int line = 0; line < 10; ++line)
+    for (int line = 0; line < 8; ++line)
         offset = bytes.find('\n', offset) + 1;
     ASSERT_LT(offset + 5, bytes.size());
     {
@@ -462,7 +460,7 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     RunResult result = run(dir, jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const fs::path checkpoint =
-        findFile(dir, "acdse_jobs_", ".model_gzip_m0.bin");
+        findFile(dir, "acdse_jobs_", ".model_gzip.bin");
     const fs::path artifact = findFile(dir, "acdse_jobs_", ".acdse");
     flipMiddleBit(checkpoint);
     flipMiddleBit(artifact);
@@ -529,9 +527,10 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
 TEST(CrashResume, ParentLayoutIsATypedError)
 {
     // Half-run directories laid out by earlier plan formats -- v1 (a
-    // key without the numerics fingerprint, unsealed checkpoints) and
-    // v2 (shard CSVs of shard_cells cells) -- must be refused, not
-    // resumed into a mix of old and new files.
+    // key without the numerics fingerprint, unsealed checkpoints), v2
+    // (shard CSVs of shard_cells cells) and v3 (one checkpoint per
+    // program and metric, index lists) -- must be refused, not resumed
+    // into a mix of old and new files.
     const std::string campaign =
         "c24_t1200_w200_sac5e0001_pda5036430e1719a9";
     const std::string fingerprinted = "e2014853f6b53180_" + campaign;
@@ -540,7 +539,8 @@ TEST(CrashResume, ParentLayoutIsATypedError)
         const char *format;
         std::string key;
     } layouts[] = {{"acdse-jobs-plan-v1", campaign},
-                   {"acdse-jobs-plan-v2", fingerprinted}};
+                   {"acdse-jobs-plan-v2", fingerprinted},
+                   {"acdse-jobs-plan-v3", fingerprinted}};
     for (const auto &layout : layouts) {
         const fs::path dir = freshDir(std::string("acdse_crash_") +
                                       layout.format + "_layout");

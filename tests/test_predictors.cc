@@ -13,6 +13,7 @@
 #include "base/statistics.hh"
 #include "core/architecture_centric_predictor.hh"
 #include "core/program_specific_predictor.hh"
+#include "obs/metrics.hh"
 
 namespace acdse
 {
@@ -156,6 +157,40 @@ TEST(ArchitectureCentric, WeightsHaveTrainingProgramArity)
                        values(configs(16, 11), 2.0, 1.0, 1000.0));
     EXPECT_EQ(model.weights().size(), 4u);
     EXPECT_EQ(model.trainingPrograms().size(), 4u);
+}
+
+TEST(ArchitectureCentric, TrainingAndFitEmitTheirStages)
+{
+    // One train/offline span per trainOffline, one train/program/<i>
+    // span per training set and one fit/responses span per fit: the
+    // stage tree the stats exports and perfbench's layers read.
+    const auto train_configs = configs(48, 15);
+    std::vector<ProgramTrainingSet> sets(3);
+    for (int j = 0; j < 3; ++j) {
+        sets[j].name = "p" + std::to_string(j);
+        sets[j].configs = train_configs;
+        sets[j].values = values(train_configs, 1.0 + j, 1.0, 1000.0);
+    }
+    obs::Registry &registry = obs::Registry::global();
+    const obs::Snapshot before = registry.snapshot();
+    ArchitectureCentricPredictor model;
+    model.trainOffline(sets);
+    model.fitResponses(configs(12, 16),
+                       values(configs(12, 16), 2.0, 1.0, 1000.0));
+    const obs::Snapshot delta = obs::diff(before, registry.snapshot());
+
+    auto count = [&](const std::string &stage) {
+        const auto it = delta.stages.find(stage);
+        return it == delta.stages.end() ? std::uint64_t{0}
+                                        : it->second.count;
+    };
+    EXPECT_EQ(count("train/offline"), 1u);
+    EXPECT_GT(delta.stages.at("train/offline").totalNs, 0u);
+    for (std::size_t i = 0; i < sets.size(); ++i)
+        EXPECT_EQ(count("train/program/" + std::to_string(i)), 1u) << i;
+    EXPECT_EQ(count("train/program/3"), 0u);
+    EXPECT_EQ(count("fit/responses"), 1u);
+    EXPECT_GT(delta.stages.at("fit/responses").totalNs, 0u);
 }
 
 TEST(ArchitectureCentric, UseModelsSharesTrainedAnns)

@@ -1,6 +1,7 @@
 /**
  * @file
- * acdse-jobs: the crash-safe campaign job server CLI.
+ * acdse-jobs: the crash-safe campaign job server CLI, and the one tool
+ * that turns a campaign into a servable model artifact.
  *
  *   acdse-jobs run    --dir D [--workers N] [--programs a,b,c]
  *                     [--target PROG] [--train T] [--responses R]
@@ -10,20 +11,27 @@
  *
  * `run` persists a CampaignJobPlan into the directory, opens the job
  * journal and forks N worker processes that drain the queue
- * (simulate-shard, one per program -> train-program -> fit-responses).
+ * (simulate-shard, one per program -> train-program, one per training
+ * program, for every metric -> fit-responses). The training programs
+ * each train on configurations `[0, T)`; the target's responses are
+ * configurations `[T, T+R)`.
  * Each simulate job writes its program's sealed block straight into
  * the directory's campaign store, the same blocks Campaign reads. Once
  * every job is done the parent checks that every block is intact and
  * reruns the idempotent fit, which keeps the run's one model artifact,
  * `<prefix>.acdse`, or refits it when it is missing or damaged.
  * acdse-serve and acdse-explore load that artifact as is
- * (`acdse-explore --model <prefix>.acdse`). `resume` reloads the
- * persisted plan -- the resolved parameters, not the environment --
- * bumps the journal generation so jobs abandoned by killed workers
- * become claimable, and drains whatever is left; because every
- * handler is idempotent and checkpoints atomically, the resumed
- * artifacts are byte-identical to an uninterrupted run. `status` prints a machine-readable JSON
- * summary (schema acdse-jobs-status-v1) without touching the journal.
+ * (`acdse-explore --model <prefix>.acdse`). A training run then
+ * prints each metric's response training error and the target's
+ * cycles error over the held-out configurations `[T+R, N)`.
+ * `resume` reloads the persisted plan -- the resolved parameters, not
+ * the environment; verbosity comes from its flag and parallelism from
+ * ACDSE_THREADS, as for `run` -- bumps the journal generation so jobs
+ * abandoned by killed workers become claimable, and drains whatever
+ * is left; because every handler is idempotent and checkpoints
+ * atomically, the resumed artifacts are byte-identical to an
+ * uninterrupted run. `status` prints a machine-readable JSON summary
+ * (schema acdse-jobs-status-v1) without touching the journal.
  *
  * Exit codes: 0 success; 1 error (corrupt journal, failed jobs, bad
  * plan); 2 usage; 3 interrupted -- a worker died abnormally and the
@@ -52,9 +60,11 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
+#include "base/statistics.hh"
 #include "jobs/campaign_jobs.hh"
 #include "jobs/job_queue.hh"
 #include "obs/stats_export.hh"
+#include "serve/model_store.hh"
 #include "trace/suites.hh"
 
 using namespace acdse;
@@ -170,10 +180,11 @@ planFromCli(const CliOptions &cli)
             plan.programs.push_back(cli.target);
         }
         plan.newProgram = cli.target;
-        plan.metrics = {0, 1}; // cycles and energy
+        if (cli.trainSims == 0 || cli.responses == 0)
+            fatal("--train and --responses must be positive");
         if (!std::getenv("ACDSE_CONFIGS")) {
-            // Enough for T training points and R responses while
-            // staying interactive (mirrors train_then_serve).
+            // Enough for T training points, R responses and 64
+            // held-out points while staying interactive.
             plan.options.numConfigs =
                 cli.trainSims + cli.responses + 64;
         }
@@ -182,10 +193,8 @@ planFromCli(const CliOptions &cli)
                   " configs but T+R needs ",
                   cli.trainSims + cli.responses);
         }
-        for (std::size_t c = 0; c < cli.trainSims; ++c)
-            plan.trainIdx.push_back(c);
-        for (std::size_t c = 0; c < cli.responses; ++c)
-            plan.responseIdx.push_back(cli.trainSims + c);
+        plan.trainSims = cli.trainSims;
+        plan.responses = cli.responses;
     }
     for (const auto &name : plan.programs)
         requireKnownProgram(name);
@@ -358,6 +367,45 @@ superviseWorkers(const CampaignJobPlan &plan, std::size_t workers,
     return worst == 0 ? 0 : 1;
 }
 
+/**
+ * Print what a training run yields: each metric's response training
+ * error, and the target's cycles prediction error over the held-out
+ * configurations `[T+R, N)`, which the simulate jobs filled but
+ * neither training nor the fit read.
+ */
+void
+reportTraining(CampaignJobRunner &runner)
+{
+    const CampaignJobPlan &plan = runner.plan();
+    const ModelArtifact artifact = loadArtifact(plan.artifactPath());
+    for (const Metric metric : kAllMetrics) {
+        std::printf("trained %-9s ensemble of %zu ANNs, response "
+                    "training error %.1f%%\n",
+                    metricName(metric), plan.trainPrograms().size(),
+                    artifact.predictor(metric).trainingErrorPercent());
+    }
+    const std::vector<std::size_t> heldOut = plan.heldOutIdx();
+    if (heldOut.empty()) {
+        std::printf("no held-out configurations (T+R = %zu)\n",
+                    plan.trainSims + plan.responses);
+        return;
+    }
+    Campaign &campaign = runner.campaign();
+    campaign.ensureComputed(); // loads the blocks finalize() checked
+    const std::size_t target = campaign.programIndex(plan.newProgram);
+    const ArchitectureCentricPredictor &cycles =
+        artifact.predictor(Metric::Cycles);
+    std::vector<double> predicted, actual;
+    for (const std::size_t config : heldOut) {
+        predicted.push_back(cycles.predict(campaign.configs()[config]));
+        actual.push_back(campaign.result(target, config).cycles);
+    }
+    std::printf("held-out %zu points: cycles rmae %.1f%%, "
+                "correlation %.3f\n",
+                heldOut.size(), stats::rmae(predicted, actual),
+                stats::correlation(predicted, actual));
+}
+
 int
 runSession(const CampaignJobPlan &plan, const CliOptions &cli)
 {
@@ -382,8 +430,10 @@ runSession(const CampaignJobPlan &plan, const CliOptions &cli)
     }
     inform("campaign job run complete: store blocks at ",
            runner.campaign().cachePath(), ".*.cells");
-    if (plan.trains())
+    if (plan.trains()) {
         inform("model artifact at ", plan.artifactPath());
+        reportTraining(runner);
+    }
     return 0;
 }
 
@@ -491,8 +541,8 @@ main(int argc, char **argv)
             }
             return runSession(plan, cli);
         }
-        const CampaignJobPlan plan =
-            CampaignJobPlan::load(findPlanFile(cli));
+        CampaignJobPlan plan = CampaignJobPlan::load(findPlanFile(cli));
+        plan.options.quiet = !cli.verbose;
         if (cli.command == "resume")
             return runSession(plan, cli);
         return statusCommand(plan);

@@ -13,7 +13,7 @@
 #    bench_model_families and bench_fidelity) at ACDSE_CONFIGS=256
 #    ACDSE_TRACE_LEN=8000 ACDSE_REPEATS=1;
 #  - the six examples;
-#  - acdse_cli_tests, which drives the four command-line tools;
+#  - acdse_cli_tests, which drives the three command-line tools;
 #  - perfbench's campaign, onboard and serve workloads, 1 s each.
 # The last step is check_coverage.py --list-unreached over both trees.
 # This is a measurement for reviews, not a CI gate.
