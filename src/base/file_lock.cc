@@ -40,6 +40,20 @@ FileLock::lock()
     }
 }
 
+bool
+FileLock::tryLock()
+{
+    while (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+        if (errno == EWOULDBLOCK)
+            return false;
+        if (errno != EINTR) {
+            panic("flock('", path_, "') failed: ",
+                  std::strerror(errno));
+        }
+    }
+    return true;
+}
+
 void
 FileLock::unlock()
 {

@@ -12,7 +12,8 @@
  * The lock is advisory -- it only orders participants that take it --
  * and it vanishes with the descriptor, so a SIGKILL'd holder can never
  * leave the lock stuck: the kernel releases it when the process dies.
- * That property is exactly what a crash-safe job queue needs.
+ * That property is exactly what a crash-safe job claim needs: a job
+ * whose worker died is claimable again the moment it died.
  *
  * The capability annotations make lock discipline visible to Clang's
  * -Wthread-safety analysis the same way the Mutex wrappers do.
@@ -34,7 +35,7 @@ class ACDSE_CAPABILITY("mutex") FileLock
     /**
      * Open (creating if absent) the lock file. Does not take the lock.
      * Panics if the file cannot be opened: the lock file lives next to
-     * the journal it guards, so an unopenable path is a caller bug.
+     * the outputs it guards, so an unopenable path is a caller bug.
      */
     explicit FileLock(std::string path);
 
@@ -46,6 +47,12 @@ class ACDSE_CAPABILITY("mutex") FileLock
 
     /** Block until the exclusive lock is held. */
     void lock() ACDSE_ACQUIRE();
+
+    /**
+     * Take the exclusive lock if no other descriptor holds it.
+     * @return whether the lock is now held; never blocks.
+     */
+    bool tryLock() ACDSE_TRY_ACQUIRE(true);
 
     /** Release the exclusive lock. */
     void unlock() ACDSE_RELEASE();

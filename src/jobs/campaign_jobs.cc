@@ -171,8 +171,8 @@ CampaignJobPlan::planHash() const
 {
     // Canonical encoding: everything that defines the job set and its
     // artifacts. Cosmetic settings (quiet, threads, cacheDir) are
-    // deliberately excluded so a resume under different parallelism
-    // or verbosity still matches the journal.
+    // deliberately excluded so a run under different parallelism or
+    // verbosity still matches the plan it resumes.
     std::string canon(kPlanFormat);
     canon += '|';
     canon += key();
@@ -209,12 +209,6 @@ std::string
 CampaignJobPlan::planPath() const
 {
     return prefix() + ".plan.csv";
-}
-
-std::string
-CampaignJobPlan::journalName() const
-{
-    return "acdse_jobs_" + key();
 }
 
 std::string
@@ -352,44 +346,53 @@ CampaignJobRunner::campaign()
     return *campaign_;
 }
 
-void
+bool
+CampaignJobRunner::done(const JobSpec &spec) const
+{
+    if (spec.kind == "simulate-shard") {
+        // A one-program campaign shares the plan campaign's store
+        // prefix and sampled configurations, so it reads exactly this
+        // program's block.
+        Campaign single({spec.arg}, plan_.options);
+        return single.loadCacheRowsFrom(single.cachePath()) ==
+               single.numCells();
+    }
+    if (spec.kind == "train-program")
+        return loadCheckpoint(plan_.modelPath(spec.arg)).has_value();
+    try {
+        loadArtifact(plan_.artifactPath());
+        return true;
+    } catch (const SerializationError &) {
+        return false; // missing or damaged
+    }
+}
+
+bool
 CampaignJobRunner::execute(const JobSpec &spec, int attempt)
 {
+    const obs::TraceSpan span(obs::Registry::global(),
+                              "jobs/execute");
+    // An intact output is the deterministic ground truth: never
+    // rewrite it.
+    if (done(spec))
+        return false;
     // Fault injection (tests only): fail the first attempt of one
     // job to exercise the retry path.
     if (const char *failOnce = std::getenv("ACDSE_JOBS_FAIL_ONCE");
         failOnce && spec.id == failOnce && attempt == 1) {
         throw JobError("injected failure for job '" + spec.id + "'");
     }
-    runJob(spec);
-}
-
-void
-CampaignJobRunner::runJob(const JobSpec &spec)
-{
-    const obs::TraceSpan span(obs::Registry::global(),
-                              "jobs/execute");
     if (spec.kind == "simulate-shard") {
-        if (std::find(plan_.programs.begin(), plan_.programs.end(),
-                      spec.arg) == plan_.programs.end())
-            throw JobError("bad simulate-shard argument '" + spec.arg +
-                           "'");
         runSimulateShard(spec.arg, spec.id);
     } else if (spec.kind == "train-program") {
         const std::vector<std::string> names = plan_.trainPrograms();
-        const auto it = std::find(names.begin(), names.end(), spec.arg);
-        if (!plan_.trains() || it == names.end())
-            throw JobError("bad train-program argument '" + spec.arg +
-                           "'");
-        runTrainProgram(static_cast<std::size_t>(it - names.begin()));
-    } else if (spec.kind == "fit-responses") {
-        if (!plan_.trains() || spec.arg != plan_.newProgram)
-            throw JobError("bad fit-responses argument '" + spec.arg +
-                           "'");
-        runFitResponses();
+        runTrainProgram(static_cast<std::size_t>(
+            std::find(names.begin(), names.end(), spec.arg) -
+            names.begin()));
     } else {
-        throw JobError("unknown job kind '" + spec.kind + "'");
+        runFitResponses();
     }
+    return true;
 }
 
 void
@@ -400,14 +403,6 @@ CampaignJobRunner::runSimulateShard(const std::string &program,
     // and sampled configurations, so its saveCache() writes exactly
     // this program's block, and no other, straight into the store.
     Campaign single({program}, plan_.options);
-
-    // Idempotence: an intact block means a previous attempt finished
-    // the work (the journal record may have been lost to a crash
-    // between rename and append). Its bytes are already the
-    // deterministic ground truth -- do not rewrite them.
-    if (single.loadCacheRowsFrom(single.cachePath()) == single.numCells())
-        return;
-
     std::vector<std::size_t> cells(single.numCells());
     std::iota(cells.begin(), cells.end(), std::size_t{0});
     single.computeCells(cells, killInHook(jobId));
@@ -418,10 +413,6 @@ void
 CampaignJobRunner::runTrainProgram(std::size_t trainer)
 {
     const std::string program = plan_.trainPrograms()[trainer];
-    const std::string path = plan_.modelPath(program);
-    if (loadCheckpoint(path))
-        return; // idempotent re-execution
-
     loadStore();
     const Campaign &c = campaign();
     const std::size_t programIdx = c.programIndex(program);
@@ -449,21 +440,14 @@ CampaignJobRunner::runTrainProgram(std::size_t trainer)
     BinaryWriter writer;
     for (const auto &model : models)
         model.save(writer);
-    writeTextAtomic(path, sealBytes(kCheckpointMagic, kCheckpointVersion,
-                                    writer.buffer()));
+    writeTextAtomic(plan_.modelPath(program),
+                    sealBytes(kCheckpointMagic, kCheckpointVersion,
+                              writer.buffer()));
 }
 
 void
 CampaignJobRunner::runFitResponses()
 {
-    const std::string path = plan_.artifactPath();
-    try {
-        loadArtifact(path);
-        return; // idempotent re-execution
-    } catch (const SerializationError &) {
-        // Missing or damaged: (re)compute it.
-    }
-
     loadStore();
     const std::size_t newIdx =
         campaign().programIndex(plan_.newProgram);
@@ -494,7 +478,7 @@ CampaignJobRunner::runFitResponses()
             campaign().metricAt(newIdx, metric, responseIdx));
         artifact.add(metric, std::move(predictor));
     }
-    saveArtifact(path, artifact);
+    saveArtifact(plan_.artifactPath(), artifact);
 }
 
 void
@@ -524,11 +508,10 @@ CampaignJobRunner::requireCells(
 void
 CampaignJobRunner::finalize()
 {
-    // Every handler is idempotent and cheap when its output is intact:
-    // rerunning the whole plan keeps intact blocks, checkpoints and
-    // artifact, and recomputes any damaged after its job was done.
-    for (const JobSpec &spec : plan_.jobs())
-        runJob(spec);
+    drainJobs(plan_.jobs(), plan_.prefix(),
+              [this](const JobSpec &spec, int attempt) {
+                  return execute(spec, attempt);
+              });
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * The campaign job server: campaign fill and offline training
- * restructured as typed, idempotent, crash-safe jobs over the
- * JobQueue (jobs/job_queue.hh).
+ * restructured as typed, idempotent, crash-safe jobs, drained by
+ * worker processes through per-job file locks (jobs/drain.hh).
  *
  * A CampaignJobPlan is the complete, persisted description of one
  * run: the campaign parameters and the training/response split, T
@@ -26,22 +26,22 @@
  * magics, and `<prefix>.acdse` is an ordinary model-store artifact
  * (serve/model_store.hh) that acdse-serve and acdse-explore load as
  * is. The campaign blocks are the shared store that
- * Campaign::ensureComputed() reads, so once the queue drains there is
+ * Campaign::ensureComputed() reads, so once the jobs drain there is
  * nothing to merge.
  *
- * Every output lands via atomic rename and every handler first checks
- * whether its output already exists and is intact; a block,
- * checkpoint or artifact that fails its checksum counts as not done
- * and is recomputed, never reused. So jobs are idempotent: a SIGKILL
- * at *any* point loses at most in-flight work, and re-executing after
- * resume reproduces the same bytes (simulation and training are
- * deterministic).
+ * The outputs are the one record of progress: a job is done exactly
+ * when its output exists and passes its checksum (done()). Every
+ * output lands via atomic rename, and a block, checkpoint or artifact
+ * that fails its checksum counts as not done and is recomputed, never
+ * reused. So jobs are idempotent: a SIGKILL at *any* point loses at
+ * most in-flight work, and re-executing after resume reproduces the
+ * same bytes (simulation and training are deterministic).
  *
  * `<prefix>` embeds the simulator numerics fingerprint
  * (Campaign::numericsFingerprint) and the campaign cache key -- every
  * sampling parameter plus a hash of the program set -- so runs with
  * other numerics, seeds or program sets in one ACDSE_CACHE_DIR can
- * never collide on journal, plan or models. The store's blocks need no
+ * never collide on plan, locks or models. The store's blocks need no
  * program-set key: a block holds one program's cells, which any
  * campaign over the same parameters shares.
  *
@@ -56,25 +56,14 @@
 #pragma once
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hh"
-#include "jobs/job_queue.hh"
+#include "jobs/drain.hh"
 
 namespace acdse::jobs
 {
-
-/** Thrown on unexecutable jobs (missing inputs, bad plan files). */
-class JobError : public std::runtime_error
-{
-  public:
-    explicit JobError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
 
 /**
  * The persisted description of one campaign job run. The plan file
@@ -110,7 +99,10 @@ struct CampaignJobPlan
      */
     std::string key() const;
 
-    /** FNV-1a hash of the canonical plan encoding, as hex. */
+    /**
+     * FNV-1a hash of the canonical plan encoding, as hex: equal for
+     * two plans exactly when they define the same jobs and outputs.
+     */
     std::string planHash() const;
 
     /** Total (program, configuration) cells. */
@@ -119,14 +111,13 @@ struct CampaignJobPlan
         return programs.size() * options.numConfigs;
     }
 
-    /** The full job set, in claim order. */
+    /** The full job set, in drain order. */
     std::vector<JobSpec> jobs() const;
 
     /** @name Artifact paths (all under options.cacheDir). */
     /** @{ */
     std::string prefix() const;
     std::string planPath() const;
-    std::string journalName() const; //!< JobQueue name (not a path)
     std::string modelPath(const std::string &program) const;
     std::string artifactPath() const; //!< the servable `.acdse`
     /** @} */
@@ -159,19 +150,25 @@ class CampaignJobRunner
     const CampaignJobPlan &plan() const { return plan_; }
 
     /**
-     * Execute one claimed job. Applies the fault-injection hooks
-     * (ACDSE_JOBS_FAIL_ONCE, ACDSE_JOBS_KILL_IN) before/while running
-     * the handler. @throws JobError (and anything the handlers throw)
-     * on failure; the caller records fail() and retries.
+     * Whether @p spec's output exists and is intact: its campaign
+     * block, checkpoint or artifact loads and passes its checksum.
+     * @p spec is one of plan().jobs().
      */
-    void execute(const JobSpec &spec, int attempt);
+    bool done(const JobSpec &spec) const;
 
     /**
-     * After the queue drains: rerun every job of the plan in order,
-     * without fault injection. Each handler keeps its output when it
-     * is intact, so this only verifies a clean run, and it recomputes
-     * a block, checkpoint or artifact damaged after its job was
-     * journalled done.
+     * The drain's executor (jobs/drain.hh): return false at once when
+     * @p spec is done(), else compute its output and return true.
+     * Applies the fault-injection hooks (ACDSE_JOBS_FAIL_ONCE,
+     * ACDSE_JOBS_KILL_IN) to the computation. @throws JobError (and
+     * anything the handlers throw) on failure; the drain retries.
+     */
+    bool execute(const JobSpec &spec, int attempt);
+
+    /**
+     * Drain every job of the plan through execute(). Run by the
+     * parent once its workers exit, it verifies a clean run, and
+     * recomputes any output damaged or left undone since.
      */
     void finalize();
 
@@ -188,9 +185,6 @@ class CampaignJobRunner
     Campaign &campaign();
 
   private:
-    /** Validate @p spec's argument and run its handler. */
-    void runJob(const JobSpec &spec);
-
     void runSimulateShard(const std::string &program,
                           const std::string &jobId);
     /** Train trainPrograms()[@p trainer]'s models, one per metric. */

@@ -1,38 +1,37 @@
 /**
  * @file
- * Unit and property tests for the job system substrate: the
- * checksummed journal (base/journal.hh), the journal-backed queue
- * state machine (jobs/job_queue.hh) and the campaign job plan
- * (jobs/campaign_jobs.hh).
+ * Unit and property tests for the job system: the advisory file lock
+ * (base/file_lock.hh), the per-job-lock drain (jobs/drain.hh) and the
+ * campaign job plan (jobs/campaign_jobs.hh).
  *
- * The journal corruption sweeps mirror test_model_store: every
- * truncation point and every sampled bit flip of an encoded journal
- * must yield either a verified *prefix* of the original records or a
- * typed JournalError -- never a silently different replay.
- *
- * The concurrency suite is the exactly-once property: any number of
- * JobQueue handles (one per thread here, one per process in the crash
- * suite) draining one journal execute every job exactly once per
- * successful attempt. These suites are in the PR TSan gate (the
- * `|Jobs` regex in CI), so they must stay sleep-free.
+ * The drain suites are the exactly-once property over fake jobs: any
+ * number of concurrent drains (one per thread here, one per process
+ * in the crash suite) run every job once, phase by phase, and rerun a
+ * job whose holder let go of it without writing its output. These
+ * suites are in the PR TSan gate (the `|Jobs` regex in CI), so they
+ * must stay sleep-free.
  */
 
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "base/binary_io.hh"
-#include "base/journal.hh"
+#include "base/file_lock.hh"
 #include "core/campaign.hh"
 #include "jobs/campaign_jobs.hh"
-#include "jobs/job_queue.hh"
+#include "jobs/drain.hh"
 #include "temp_dir.hh"
 
 namespace acdse
@@ -42,12 +41,9 @@ namespace
 
 namespace fs = std::filesystem;
 using jobs::CampaignJobPlan;
-using jobs::ClaimResult;
+using jobs::drainJobs;
 using jobs::JobError;
-using jobs::JobQueue;
 using jobs::JobSpec;
-using jobs::JobState;
-using jobs::QueueSnapshot;
 
 /** A new empty directory, unique to this process (tests/temp_dir.hh). */
 fs::path
@@ -66,343 +62,134 @@ readBytes(const fs::path &path)
     return text.str();
 }
 
-// ---------------------------------------------------------------------
-// JobsJournal
-// ---------------------------------------------------------------------
-
-TEST(JobsJournal, AppendReplayRoundTrip)
+/** Whether @p lock's tryLock() wins; a won lock is released again. */
+bool
+tryOnce(FileLock &lock)
 {
-    const fs::path dir = freshDir("acdse_jobs_journal_rt");
-    Journal journal((dir / "j.journal").string());
-    EXPECT_FALSE(journal.exists());
-    EXPECT_TRUE(journal.replay().records.empty()); // missing = empty
-
-    journal.append({"plan", "abc123"});
-    journal.append({"job", "sim0", "simulate-shard", "0", "0"});
-    journal.append({"gen", "1"});
-    EXPECT_TRUE(journal.exists());
-
-    const JournalReplay replay = journal.replay();
-    EXPECT_FALSE(replay.tornTail);
-    ASSERT_EQ(replay.records.size(), 3u);
-    EXPECT_EQ(replay.records[0],
-              (std::vector<std::string>{"plan", "abc123"}));
-    EXPECT_EQ(replay.records[1],
-              (std::vector<std::string>{"job", "sim0",
-                                        "simulate-shard", "0", "0"}));
-    EXPECT_EQ(replay.records[2],
-              (std::vector<std::string>{"gen", "1"}));
-}
-
-TEST(JobsJournal, TornTailIsDroppedAndRepairable)
-{
-    const fs::path dir = freshDir("acdse_jobs_journal_torn");
-    const fs::path path = dir / "j.journal";
-    Journal journal(path.string());
-    journal.append({"plan", "abc"});
-    journal.append({"done", "sim0"});
-
-    // Simulate a writer SIGKILL'd mid-append: valid lines plus a
-    // partial one, no trailing newline.
-    const std::string full = readBytes(path);
-    const std::string partial =
-        Journal::formatRecord({"done", "sim1"}).substr(0, 9);
-    {
-        std::ofstream out(path, // NOLINT(acdse-atomic-write)
-                          std::ios::binary | std::ios::app);
-        out << partial;
+    if (lock.tryLock()) {
+        lock.unlock();
+        return true;
     }
-
-    JournalReplay replay = journal.replay();
-    EXPECT_TRUE(replay.tornTail);
-    ASSERT_EQ(replay.records.size(), 2u);
-    EXPECT_EQ(replay.validBytes, full.size());
-
-    // repair() truncates the tail so a fresh append cannot splice
-    // onto partial bytes.
-    journal.repair(replay);
-    journal.append({"done", "sim2"});
-    replay = journal.replay();
-    EXPECT_FALSE(replay.tornTail);
-    ASSERT_EQ(replay.records.size(), 3u);
-    EXPECT_EQ(replay.records[2],
-              (std::vector<std::string>{"done", "sim2"}));
-}
-
-TEST(JobsJournal, DamagedInteriorLinesAreTypedErrors)
-{
-    const std::string good = Journal::formatRecord({"done", "sim0"});
-    // A record with a valid-looking shape but a wrong checksum.
-    std::string wrongCrc = good;
-    wrongCrc[wrongCrc.size() - 2] =
-        wrongCrc[wrongCrc.size() - 2] == '0' ? '1' : '0';
-    EXPECT_THROW(Journal::decode(wrongCrc), JournalError);
-    // Not hex at all.
-    EXPECT_THROW(Journal::decode("J1,done,sim0,zzzz\n"), JournalError);
-    // No checksum separator.
-    EXPECT_THROW(Journal::decode("J1donesim0\n"), JournalError);
-    // Wrong magic with a checksum that matches its content: decode
-    // must still reject the record type.
-    std::string content = "J2,done,sim0";
-    char crc[17];
-    std::snprintf(crc, sizeof(crc), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(content)));
-    EXPECT_THROW(Journal::decode(content + "," + crc + "\n"),
-                 JournalError);
+    return false;
 }
 
 /**
- * Build a representative journal image: the record mix a real
- * campaign run leaves behind.
+ * Holds a lock file's flock on a descriptor of its own until release()
+ * closes that descriptor without unlocking, as a dying process does.
  */
-std::string
-recordedJournalImage()
+class LockHolder
 {
-    std::string bytes;
-    bytes += Journal::formatRecord({"plan", "00ff00ff00ff00ff"});
-    bytes += Journal::formatRecord(
-        {"job", "sim0", "simulate-shard", "0", "0"});
-    bytes += Journal::formatRecord(
-        {"job", "train_gzip_m0", "train-program", "1", "gzip:0"});
-    bytes += Journal::formatRecord(
-        {"job", "fit_m0", "fit-responses", "2", "0"});
-    bytes += Journal::formatRecord({"gen", "1"});
-    bytes += Journal::formatRecord({"start", "sim0", "1", "1"});
-    bytes += Journal::formatRecord({"fail", "sim0"});
-    bytes += Journal::formatRecord({"start", "sim0", "1", "2"});
-    bytes += Journal::formatRecord({"done", "sim0"});
-    bytes += Journal::formatRecord({"gen", "2"});
-    bytes += Journal::formatRecord({"start", "train_gzip_m0", "2", "1"});
-    return bytes;
+  public:
+    explicit LockHolder(const std::string &path)
+        : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644))
+    {
+        EXPECT_GE(fd_, 0) << path;
+        EXPECT_EQ(::flock(fd_, LOCK_EX), 0) << path;
+    }
+
+    ~LockHolder() { release(); }
+
+    LockHolder(const LockHolder &) = delete;
+    LockHolder &operator=(const LockHolder &) = delete;
+
+    void release()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        fd_ = -1;
+    }
+
+  private:
+    int fd_ = -1;
+};
+
+// ---------------------------------------------------------------------
+// FileLock
+// ---------------------------------------------------------------------
+
+TEST(FileLock, TryLockFailsWhileAnotherDescriptorHoldsIt)
+{
+    const std::string path =
+        (freshDir("acdse_filelock_held") / "x.lock").string();
+    FileLock first(path);
+    FileLock second(path);
+    first.lock();
+    EXPECT_FALSE(tryOnce(second));
+    first.unlock();
 }
 
-/** Whether @p got is a prefix of the reference record list. */
-testing::AssertionResult
-isRecordPrefix(const std::vector<std::vector<std::string>> &reference,
-               const std::vector<std::vector<std::string>> &got)
+TEST(FileLock, TryLockSucceedsAfterUnlock)
 {
-    if (got.size() > reference.size())
-        return testing::AssertionFailure()
-               << "replay has " << got.size() << " records, original "
-               << reference.size();
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        if (got[i] != reference[i])
-            return testing::AssertionFailure()
-                   << "record " << i << " differs from the original";
-    }
-    return testing::AssertionSuccess();
+    const std::string path =
+        (freshDir("acdse_filelock_unlock") / "x.lock").string();
+    FileLock first(path);
+    FileLock second(path);
+    first.lock();
+    first.unlock();
+    EXPECT_TRUE(tryOnce(second));
+    // The lock is free again for the first descriptor too.
+    EXPECT_TRUE(tryOnce(first));
 }
 
-TEST(JobsJournal, EveryTruncationReplaysAVerifiedPrefix)
+TEST(FileLock, TryLockSucceedsAfterHolderCloses)
 {
-    const std::string bytes = recordedJournalImage();
-    const auto reference = Journal::decode(bytes).records;
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        const JournalReplay replay =
-            Journal::decode(std::string_view(bytes).substr(0, cut));
-        EXPECT_TRUE(isRecordPrefix(reference, replay.records))
-            << "at truncation " << cut;
-        // A cut mid-line leaves partial bytes and must be flagged as
-        // a torn tail; a cut at a record boundary just looks like a
-        // shorter (complete) journal.
-        EXPECT_EQ(replay.tornTail, replay.validBytes < cut)
-            << "at truncation " << cut;
-        EXPECT_LE(replay.validBytes, cut);
-    }
-}
-
-TEST(JobsJournal, EveryBitFlipIsPrefixOrTypedError)
-{
-    const std::string bytes = recordedJournalImage();
-    const auto reference = Journal::decode(bytes).records;
-    // Every byte, a sample of bit positions (the sweep over all eight
-    // bits triples the runtime for no new failure modes).
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-        for (const unsigned bit : {0u, 3u, 7u}) {
-            std::string flipped = bytes;
-            flipped[pos] = static_cast<char>(
-                static_cast<unsigned char>(flipped[pos]) ^ (1u << bit));
-            try {
-                const JournalReplay replay = Journal::decode(flipped);
-                // Accepted: every surviving record must be verbatim
-                // from the original -- a flip may only cost a suffix
-                // (by turning a byte into/away from a newline), never
-                // alter a record silently.
-                EXPECT_TRUE(isRecordPrefix(reference, replay.records))
-                    << "flip at byte " << pos << " bit " << bit;
-            } catch (const JournalError &) {
-                // Typed rejection is the other acceptable outcome.
-            }
-        }
-    }
+    const std::string path =
+        (freshDir("acdse_filelock_close") / "x.lock").string();
+    LockHolder holder(path);
+    FileLock probe(path);
+    EXPECT_FALSE(tryOnce(probe));
+    holder.release();
+    EXPECT_TRUE(tryOnce(probe));
 }
 
 // ---------------------------------------------------------------------
-// JobsQueue
+// JobsDrain: exactly-once, phase by phase, over fake jobs
 // ---------------------------------------------------------------------
 
+/** @p count jobs `job<j>` with argument j, @p perPhase to a phase. */
 std::vector<JobSpec>
-threePhaseJobs()
+fakeJobs(std::size_t count, std::size_t perPhase)
 {
-    return {
-        {"sim0", "simulate-shard", 0, "0"},
-        {"sim1", "simulate-shard", 0, "1"},
-        {"train0", "train-program", 1, "gzip:0"},
-        {"fit0", "fit-responses", 2, "0"},
-    };
-}
-
-TEST(JobsQueue, PhaseBarrierOrdersClaims)
-{
-    const fs::path dir = freshDir("acdse_jobs_queue_phase");
-    JobQueue queue(dir.string(), "q");
-    EXPECT_EQ(queue.open("hash1", threePhaseJobs()), 1u);
-
-    JobSpec job;
-    int attempt = 0;
-    ASSERT_EQ(queue.claim(job, attempt), ClaimResult::Claimed);
-    EXPECT_EQ(job.id, "sim0");
-    EXPECT_EQ(attempt, 1);
-    ASSERT_EQ(queue.claim(job, attempt), ClaimResult::Claimed);
-    EXPECT_EQ(job.id, "sim1");
-
-    // Phase 1 must wait for the running phase-0 jobs.
-    EXPECT_EQ(queue.claim(job, attempt), ClaimResult::Wait);
-    queue.complete("sim0");
-    EXPECT_EQ(queue.claim(job, attempt), ClaimResult::Wait);
-    queue.complete("sim1");
-
-    ASSERT_EQ(queue.claim(job, attempt), ClaimResult::Claimed);
-    EXPECT_EQ(job.id, "train0");
-    queue.complete("train0");
-    ASSERT_EQ(queue.claim(job, attempt), ClaimResult::Claimed);
-    EXPECT_EQ(job.id, "fit0");
-    queue.complete("fit0");
-    EXPECT_EQ(queue.claim(job, attempt), ClaimResult::Drained);
-
-    const QueueSnapshot snap = queue.snapshot();
-    EXPECT_TRUE(snap.drained());
-    EXPECT_FALSE(snap.stuck());
-    EXPECT_EQ(snap.planHash, "hash1");
-}
-
-TEST(JobsQueue, RetriesUntilPermanentFailure)
-{
-    const fs::path dir = freshDir("acdse_jobs_queue_retry");
-    JobQueue queue(dir.string(), "q");
-    queue.open("h", {{"solo", "simulate-shard", 0, "0"}});
-
-    JobSpec job;
-    int attempt = 0;
-    for (int expected = 1; expected <= JobQueue::kMaxAttempts;
-         ++expected) {
-        ASSERT_EQ(queue.claim(job, attempt), ClaimResult::Claimed);
-        EXPECT_EQ(attempt, expected);
-        queue.fail("solo");
+    std::vector<JobSpec> out;
+    for (std::size_t j = 0; j < count; ++j) {
+        out.push_back({"job" + std::to_string(j), "fake", j / perPhase,
+                       std::to_string(j)});
     }
-    EXPECT_EQ(queue.claim(job, attempt), ClaimResult::Stuck);
-    const QueueSnapshot snap = queue.snapshot();
-    EXPECT_TRUE(snap.stuck());
-    ASSERT_EQ(snap.jobs.size(), 1u);
-    EXPECT_EQ(snap.jobs[0].state, JobState::Failed);
-    EXPECT_EQ(snap.jobs[0].attempts, JobQueue::kMaxAttempts);
+    return out;
 }
 
-TEST(JobsQueue, ResumeReclaimsAbandonedJobs)
+TEST(JobsDrain, EveryJobRunsExactlyOncePhaseByPhase)
 {
-    const fs::path dir = freshDir("acdse_jobs_queue_abandon");
-    const auto jobs = threePhaseJobs();
-    JobSpec job;
-    int attempt = 0;
-    {
-        JobQueue session1(dir.string(), "q");
-        EXPECT_EQ(session1.open("h", jobs), 1u);
-        ASSERT_EQ(session1.claim(job, attempt), ClaimResult::Claimed);
-        EXPECT_EQ(job.id, "sim0");
-        // The session dies here without completing sim0.
-    }
-    JobQueue session2(dir.string(), "q");
-    EXPECT_EQ(session2.open("h", jobs), 2u);
-    // sim0 is Running at generation 1 < 2: abandoned, so the new
-    // session reclaims it first (claim scans in plan order).
-    ASSERT_EQ(session2.claim(job, attempt), ClaimResult::Claimed)
-        << "running-at-older-generation job must be reclaimable";
-    EXPECT_EQ(job.id, "sim0");
-    EXPECT_EQ(attempt, 2);
-    ASSERT_EQ(session2.claim(job, attempt), ClaimResult::Claimed);
-    EXPECT_EQ(job.id, "sim1");
-    EXPECT_EQ(attempt, 1);
-}
-
-TEST(JobsQueue, RejectsForeignPlansAndJobSets)
-{
-    const fs::path dir = freshDir("acdse_jobs_queue_foreign");
-    JobQueue queue(dir.string(), "q");
-    queue.open("hash1", threePhaseJobs());
-
-    JobQueue other(dir.string(), "q");
-    EXPECT_THROW(other.open("hash2", threePhaseJobs()), JournalError);
-    auto fewer = threePhaseJobs();
-    fewer.pop_back();
-    EXPECT_THROW(other.open("hash1", fewer), JournalError);
-    EXPECT_THROW(other.attach("hash2"), JournalError);
-    EXPECT_NO_THROW(other.attach("hash1"));
-}
-
-TEST(JobsQueue, SnapshotIsReadOnly)
-{
-    const fs::path dir = freshDir("acdse_jobs_queue_snapshot");
-    JobQueue queue(dir.string(), "q");
-    queue.open("h", threePhaseJobs());
-    const std::string before =
-        readBytes(fs::path(queue.journalPath()));
-    const QueueSnapshot snap = queue.snapshot();
-    EXPECT_EQ(snap.generation, 1u);
-    EXPECT_EQ(readBytes(fs::path(queue.journalPath())), before);
-}
-
-// ---------------------------------------------------------------------
-// JobsConcurrency: the exactly-once property
-// ---------------------------------------------------------------------
-
-TEST(JobsConcurrency, EveryJobExecutesExactlyOnce)
-{
-    const fs::path dir = freshDir("acdse_jobs_conc_once");
+    const fs::path dir = freshDir("acdse_jobs_drain_once");
     constexpr std::size_t kJobs = 48;
+    constexpr std::size_t kPerPhase = 24;
     constexpr std::size_t kThreads = 4;
-    std::vector<JobSpec> jobs;
-    for (std::size_t j = 0; j < kJobs; ++j) {
-        jobs.push_back({"job" + std::to_string(j), "simulate-shard",
-                        j / 24, std::to_string(j)});
-    }
-    {
-        JobQueue opener(dir.string(), "q");
-        opener.open("h", jobs);
-    }
+    const std::vector<JobSpec> specs = fakeJobs(kJobs, kPerPhase);
+    const std::string prefix = (dir / "q").string();
 
+    // A job's "output" is its execution count: intact once non-zero.
     std::vector<std::atomic<int>> executions(kJobs);
+    std::atomic<std::size_t> phase0Done{0};
+    std::atomic<bool> phase1Early{false};
+    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
+        const std::size_t j = std::stoul(spec.arg);
+        if (executions[j].load() > 0)
+            return false;
+        if (spec.phase == 1 && phase0Done.load() != kPerPhase)
+            phase1Early.store(true);
+        executions[j].fetch_add(1);
+        if (spec.phase == 0)
+            phase0Done.fetch_add(1);
+        return true;
+    };
+
+    std::vector<std::size_t> computed(kThreads, 0);
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&dir, &executions] {
-            // Each worker holds its own queue handle (own lock fd),
-            // exactly like a worker process would.
-            JobQueue queue(dir.string(), "q");
-            queue.attach("h");
-            for (;;) {
-                JobSpec job;
-                int attempt = 0;
-                const ClaimResult result = queue.claim(job, attempt);
-                if (result == ClaimResult::Drained ||
-                    result == ClaimResult::Stuck) {
-                    break;
-                }
-                if (result == ClaimResult::Wait) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                executions[std::stoul(job.arg)].fetch_add(1);
-                queue.complete(job.id);
-            }
+        // Each drain opens its own lock descriptors, exactly like a
+        // worker process would.
+        workers.emplace_back([&, t] {
+            computed[t] = drainJobs(specs, prefix, execute);
         });
     }
     for (auto &worker : workers)
@@ -410,62 +197,109 @@ TEST(JobsConcurrency, EveryJobExecutesExactlyOnce)
 
     for (std::size_t j = 0; j < kJobs; ++j)
         EXPECT_EQ(executions[j].load(), 1) << "job " << j;
-    JobQueue check(dir.string(), "q");
-    EXPECT_TRUE(check.snapshot().drained());
+    EXPECT_FALSE(phase1Early.load())
+        << "a phase-1 job started before phase 0 was done";
+    std::size_t total = 0;
+    for (const std::size_t n : computed)
+        total += n;
+    EXPECT_EQ(total, kJobs) << "drains counted jobs they found intact";
+
+    // A drain over intact outputs computes, and counts, nothing.
+    EXPECT_EQ(drainJobs(specs, prefix, execute), 0u);
+    for (std::size_t j = 0; j < kJobs; ++j)
+        EXPECT_EQ(executions[j].load(), 1) << "job " << j;
 }
 
-TEST(JobsConcurrency, FailedAttemptsRetryWithoutDoubleExecution)
+TEST(JobsDrain, JobReleasedWithoutOutputIsRerun)
 {
-    const fs::path dir = freshDir("acdse_jobs_conc_retry");
+    // A holder takes job a's lock and lets go of it (its descriptor
+    // closes, as when its process dies) without writing a's output,
+    // while the drain is computing b. Pass 1 skipped a as held; pass 2
+    // must take its lock and compute it before phase 1's c.
+    const fs::path dir = freshDir("acdse_jobs_drain_released");
+    const std::string prefix = (dir / "q").string();
+    const std::vector<JobSpec> specs = {{"a", "fake", 0, "0"},
+                                        {"b", "fake", 0, "1"},
+                                        {"c", "fake", 1, "2"}};
+    LockHolder holder(jobs::jobLockPath(prefix, specs[0]));
+
+    std::vector<std::string> order;
+    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
+        for (const std::string &id : order) {
+            if (id == spec.id)
+                return false; // intact
+        }
+        if (spec.id == "b")
+            holder.release();
+        order.push_back(spec.id);
+        return true;
+    };
+    EXPECT_EQ(drainJobs(specs, prefix, execute), 3u);
+    EXPECT_EQ(order, (std::vector<std::string>{"b", "a", "c"}));
+}
+
+TEST(JobsDrain, FailedAttemptsRetryWithoutDoubleExecution)
+{
+    // Every third job throws on its first attempt; the drain that
+    // holds it runs it exactly once more, in place.
+    const fs::path dir = freshDir("acdse_jobs_drain_retry");
     constexpr std::size_t kJobs = 30;
     constexpr std::size_t kThreads = 4;
-    std::vector<JobSpec> jobs;
-    for (std::size_t j = 0; j < kJobs; ++j) {
-        jobs.push_back({"job" + std::to_string(j), "simulate-shard", 0,
-                        std::to_string(j)});
-    }
-    {
-        JobQueue opener(dir.string(), "q");
-        opener.open("h", jobs);
-    }
+    const std::vector<JobSpec> specs = fakeJobs(kJobs, kJobs);
+    const std::string prefix = (dir / "q").string();
 
-    // Every third job fails its first attempt; the queue must hand it
-    // out exactly once more.
-    std::vector<std::atomic<int>> executions(kJobs);
+    std::vector<std::atomic<int>> attempts(kJobs);
+    std::vector<std::atomic<bool>> written(kJobs);
+    const jobs::JobExecutor execute = [&](const JobSpec &spec,
+                                          int attempt) {
+        const std::size_t j = std::stoul(spec.arg);
+        if (written[j].load())
+            return false;
+        attempts[j].fetch_add(1);
+        if (j % 3 == 0 && attempt == 1)
+            throw std::runtime_error("injected failure");
+        written[j].store(true);
+        return true;
+    };
+    std::vector<std::size_t> computed(kThreads, 0);
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&dir, &executions] {
-            JobQueue queue(dir.string(), "q");
-            queue.attach("h");
-            for (;;) {
-                JobSpec job;
-                int attempt = 0;
-                const ClaimResult result = queue.claim(job, attempt);
-                if (result == ClaimResult::Drained ||
-                    result == ClaimResult::Stuck) {
-                    break;
-                }
-                if (result == ClaimResult::Wait) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                const std::size_t idx = std::stoul(job.arg);
-                executions[idx].fetch_add(1);
-                if (idx % 3 == 0 && attempt == 1)
-                    queue.fail(job.id);
-                else
-                    queue.complete(job.id);
-            }
+        workers.emplace_back([&, t] {
+            computed[t] = drainJobs(specs, prefix, execute);
         });
     }
     for (auto &worker : workers)
         worker.join();
 
+    std::size_t total = 0;
+    for (const std::size_t n : computed)
+        total += n;
+    EXPECT_EQ(total, kJobs);
     for (std::size_t j = 0; j < kJobs; ++j)
-        EXPECT_EQ(executions[j].load(), j % 3 == 0 ? 2 : 1)
-            << "job " << j;
-    JobQueue check(dir.string(), "q");
-    EXPECT_TRUE(check.snapshot().drained());
+        EXPECT_EQ(attempts[j].load(), j % 3 == 0 ? 2 : 1) << "job " << j;
+}
+
+TEST(JobsDrain, ThreeFailuresFailTheDrain)
+{
+    // A job that throws on every attempt stops the drain after
+    // kMaxAttempts attempts, before any later phase runs.
+    const fs::path dir = freshDir("acdse_jobs_drain_fail");
+    const std::vector<JobSpec> specs = {{"bad", "fake", 0, "0"},
+                                        {"later", "fake", 1, "1"}};
+    int badAttempts = 0;
+    bool laterRan = false;
+    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
+        if (spec.id == "later") {
+            laterRan = true;
+            return true;
+        }
+        ++badAttempts;
+        throw std::runtime_error("always fails");
+    };
+    EXPECT_THROW(drainJobs(specs, (dir / "q").string(), execute),
+                 JobError);
+    EXPECT_EQ(badAttempts, jobs::kMaxAttempts);
+    EXPECT_FALSE(laterRan);
 }
 
 // ---------------------------------------------------------------------
@@ -502,7 +336,6 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
 
     EXPECT_NE(base.key(), otherSeed.key());
     EXPECT_NE(base.key(), otherPrograms.key());
-    EXPECT_NE(base.journalName(), otherSeed.journalName());
     EXPECT_NE(base.planPath(), otherSeed.planPath());
     EXPECT_NE(base.modelPath("gzip"), otherSeed.modelPath("gzip"));
     EXPECT_NE(base.artifactPath(), otherSeed.artifactPath());
@@ -510,7 +343,7 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
 
     // The key is the simulator numerics fingerprint, then Campaign's
     // own cache key: job directories from a build with other numerics
-    // never share a prefix, journal or plan hash with this one.
+    // never share a prefix, lock file or plan hash with this one.
     char fingerprint[17];
     std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                   static_cast<unsigned long long>(
@@ -519,7 +352,8 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
               std::string(fingerprint) + "_" +
                   Campaign::cacheKeyFor(base.programs, base.options));
     EXPECT_NE(base.prefix().find(fingerprint), std::string::npos);
-    EXPECT_EQ(base.journalName(), "acdse_jobs_" + base.key());
+    EXPECT_EQ(jobs::jobLockPath(base.prefix(), base.jobs().front()),
+              base.prefix() + ".sim_gzip.lock");
     EXPECT_EQ(base.artifactPath(), base.prefix() + ".acdse");
 }
 

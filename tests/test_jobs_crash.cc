@@ -4,11 +4,11 @@
  * driving real `acdse-jobs` worker processes as subprocesses.
  *
  * The contract under test: a campaign job run SIGKILL'd at *any*
- * point -- between jobs (ACDSE_JOBS_KILL_AFTER), inside a simulate
- * job's simulator loop (ACDSE_JOBS_KILL_IN), or via artificial journal
- * damage -- either resumes to artifacts byte-identical to an
- * uninterrupted run, or fails with a typed error. Never a silently
- * different result.
+ * point -- between jobs (ACDSE_JOBS_KILL_AFTER) or inside a simulate
+ * job's simulator loop (ACDSE_JOBS_KILL_IN) -- or one whose outputs
+ * were damaged afterwards either resumes to artifacts byte-identical
+ * to an uninterrupted run, or fails with a typed error. Never a
+ * silently different result.
  *
  * Everything is pinned single-threaded with a tiny campaign (24
  * configurations x 3 programs, 1200-instruction traces) so one full
@@ -24,15 +24,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstring>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "base/journal.hh"
+#include "base/binary_io.hh"
 #include "jobs/campaign_jobs.hh"
 #include "json_reader.hh"
 #include "temp_dir.hh"
@@ -247,16 +248,14 @@ TEST(CrashResume, KillAtEveryJobBoundary)
         result = run(dir, kill + jobsCmd("resume --dir . --workers 1"));
     }
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    // 6 jobs -> 6 killed sessions + 1 that finds the queue drained.
+    // 6 jobs -> 6 killed sessions + 1 that finds every output intact.
     EXPECT_EQ(sessions, 7) << "kill chain length changed";
     expectArtifactsMatchReference(dir);
 
     const testjson::Value status = statusOf(dir, 0);
-    EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v1");
+    EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v2");
     EXPECT_EQ(status.at("jobs").at("done").asNumber(), 6.0);
     EXPECT_TRUE(status.at("drained").boolean);
-    // Seven sessions = seven journal generations.
-    EXPECT_EQ(status.at("generation").asNumber(), 7.0);
 }
 
 TEST(CrashResume, KillMidShard)
@@ -269,17 +268,19 @@ TEST(CrashResume, KillMidShard)
         run(dir, "ACDSE_JOBS_KILL_IN=sim_mcf@5 " + jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 3) << result.output;
 
+    // The dead worker's lock died with it: the killed job is pending,
+    // not running, and nothing else has started.
     const testjson::Value status = statusOf(dir, 0);
-    EXPECT_EQ(status.at("jobs").at("running").asNumber(), 1.0)
-        << "the killed job should still be recorded as running";
-    bool sawAbandoned = false;
+    EXPECT_EQ(status.at("jobs").at("running").asNumber(), 0.0);
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 1.0);
+    bool sawKilled = false;
     for (const auto &job : status.at("states").array) {
         if (job.at("id").asString() == "sim_mcf") {
-            EXPECT_EQ(job.at("state").asString(), "running");
-            sawAbandoned = true;
+            EXPECT_EQ(job.at("state").asString(), "pending");
+            sawKilled = true;
         }
     }
-    EXPECT_TRUE(sawAbandoned);
+    EXPECT_TRUE(sawKilled);
     // The interrupted job left no block: atomic rename means the file
     // appears complete or not at all.
     std::size_t blocks = 0;
@@ -330,132 +331,95 @@ TEST(CrashResume, MultiWorkerKillAndResume)
 TEST(CrashResume, FailedJobRetriesAndSucceeds)
 {
     // A job that throws on its first attempt is retried inside the
-    // same session and the run still completes with identical bytes.
+    // same worker and the run still completes with identical bytes.
     const fs::path dir = freshDir("acdse_crash_retry");
     const RunResult result =
         run(dir, "ACDSE_JOBS_FAIL_ONCE=sim_gzip " + jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
+    EXPECT_NE(result.output.find("job 'sim_gzip' attempt 1 failed"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("attempt 2 failed"), std::string::npos)
+        << result.output;
     expectArtifactsMatchReference(dir);
-
-    const testjson::Value status = statusOf(dir, 0);
-    for (const auto &job : status.at("states").array) {
-        const int expected =
-            job.at("id").asString() == "sim_gzip" ? 2 : 1;
-        EXPECT_EQ(job.at("attempts").asNumber(), expected)
-            << job.at("id").asString();
-    }
+    EXPECT_TRUE(statusOf(dir, 0).at("drained").boolean);
 }
 
-TEST(CrashResume, RecordedJournalSurvivesCorruptionSweep)
+/**
+ * One record of the job journal an earlier build kept next to the
+ * plan: `J1,<fields>,<fnv1a64 of everything before it, hex>`.
+ */
+std::string
+journalRecord(const std::vector<std::string> &fields)
 {
-    // Satellite 2, over a *real* recorded journal (the reference
-    // run's): every truncation and a 3-bit-per-byte flip sweep must
-    // decode to a verified prefix of the original records or throw
-    // JournalError -- silent divergence is the one forbidden outcome.
-    const fs::path journalFile =
-        findFile(referenceDir(), "acdse_jobs_", ".journal");
-    const std::string bytes = readBytes(journalFile);
-    ASSERT_GT(bytes.size(), 500u) << "journal suspiciously small";
-    const auto reference = Journal::decode(bytes).records;
-    ASSERT_GE(reference.size(), 20u); // plan + 6 jobs + gen + 12 state
-
-    const auto isPrefix =
-        [&reference](
-            const std::vector<std::vector<std::string>> &got) {
-            if (got.size() > reference.size())
-                return false;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                if (got[i] != reference[i])
-                    return false;
-            }
-            return true;
-        };
-
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        const JournalReplay replay =
-            Journal::decode(std::string_view(bytes).substr(0, cut));
-        EXPECT_TRUE(isPrefix(replay.records)) << "truncation " << cut;
-    }
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-        for (const unsigned bit : {0u, 3u, 7u}) {
-            std::string flipped = bytes;
-            flipped[pos] = static_cast<char>(
-                static_cast<unsigned char>(flipped[pos]) ^ (1u << bit));
-            try {
-                EXPECT_TRUE(isPrefix(Journal::decode(flipped).records))
-                    << "flip at byte " << pos << " bit " << bit;
-            } catch (const JournalError &) {
-                // Typed rejection: acceptable.
-            }
-        }
-    }
+    std::string line = "J1";
+    for (const std::string &field : fields)
+        line += "," + field;
+    char crc[17];
+    std::snprintf(crc, sizeof(crc), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(line)));
+    return line + "," + crc + "\n";
 }
 
-TEST(CrashResume, TruncatedJournalResumesIdentically)
+TEST(CrashResume, LeftoverJournalIsIgnored)
 {
-    // Chop whole records plus a partial line off a killed run's
-    // journal -- the torn-write shape a crash can leave. Resume must
-    // treat the lost suffix as never-happened work and still converge
-    // to identical artifacts.
-    const fs::path dir = freshDir("acdse_crash_truncate");
+    // A run directory killed part-way that also holds the journal and
+    // queue lock an earlier build left there, a journal that records
+    // every job as done. The outputs alone say what is done: resume
+    // computes the missing ones, leaves the leftovers as they are and
+    // ends byte-identical to the uninterrupted run.
+    const fs::path dir = freshDir("acdse_crash_leftover_journal");
     RunResult result =
         run(dir, "ACDSE_JOBS_KILL_AFTER=0:4 " + jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 3) << result.output;
 
-    const fs::path journalFile = findFile(dir, "acdse_jobs_", ".journal");
-    std::string bytes = readBytes(journalFile);
-    // Keep the plan, the 6 job records and the generation record (8
-    // lines) plus 5 bytes of the next line to simulate the torn tail.
-    std::size_t offset = 0;
-    for (int line = 0; line < 8; ++line)
-        offset = bytes.find('\n', offset) + 1;
-    ASSERT_LT(offset + 5, bytes.size());
+    const testjson::Value status = statusOf(dir, 0);
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 4.0);
+    EXPECT_EQ(status.at("jobs").at("pending").asNumber(), 2.0);
+
+    const fs::path plan = findFile(dir, "acdse_jobs_", ".plan.csv");
+    std::string base = plan.filename().string();
+    base.resize(base.size() - std::string(".plan.csv").size());
+    const struct
     {
-        std::ofstream out(journalFile, // NOLINT(acdse-atomic-write)
-                          std::ios::binary | std::ios::trunc);
-        out << bytes.substr(0, offset + 5);
+        const char *id, *kind, *phase, *arg;
+    } jobs[] = {{"sim_gzip", "simulate-shard", "0", "gzip"},
+                {"sim_mcf", "simulate-shard", "0", "mcf"},
+                {"sim_vpr", "simulate-shard", "0", "vpr"},
+                {"train_gzip", "train-program", "1", "gzip"},
+                {"train_mcf", "train-program", "1", "mcf"},
+                {"fit", "fit-responses", "2", "vpr"}};
+    std::string journal =
+        journalRecord({"plan", status.at("plan").asString()});
+    for (const auto &job : jobs)
+        journal += journalRecord({"job", job.id, job.kind, job.phase,
+                                  job.arg});
+    journal += journalRecord({"gen", "1"});
+    for (const auto &job : jobs) {
+        journal += journalRecord({"start", job.id, "1", "1"});
+        journal += journalRecord({"done", job.id});
     }
+    {
+        std::ofstream out( // NOLINT(acdse-atomic-write)
+            dir / (base + ".journal"), std::ios::binary);
+        out << journal;
+        std::ofstream lock( // NOLINT(acdse-atomic-write)
+            dir / (base + ".lock"), std::ios::binary);
+    }
+    EXPECT_EQ(statusOf(dir, 0).at("jobs").at("done").asNumber(), 4.0)
+        << "status must not read the journal";
 
     result = run(dir, jobsCmd("resume --dir . --workers 1"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
-}
-
-TEST(CrashResume, CorruptedJournalIsATypedErrorNotAWrongResume)
-{
-    // Flip one interior bit of a killed run's journal: status and
-    // resume must both fail with exit 1 (typed JournalError), not
-    // carry on from damaged state.
-    const fs::path dir = freshDir("acdse_crash_bitflip");
-    RunResult result =
-        run(dir, "ACDSE_JOBS_KILL_AFTER=0:4 " + jobsCmd(runArgs(1)));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
-
-    const fs::path journalFile = findFile(dir, "acdse_jobs_", ".journal");
-    std::string bytes = readBytes(journalFile);
-    // A content byte inside the second record (the first job line).
-    const std::size_t target = bytes.find('\n') + 4;
-    ASSERT_LT(target, bytes.size());
-    bytes[target] = static_cast<char>(
-        static_cast<unsigned char>(bytes[target]) ^ 0x01u);
-    {
-        std::ofstream out(journalFile, // NOLINT(acdse-atomic-write)
-                          std::ios::binary | std::ios::trunc);
-        out << bytes;
-    }
-
-    result = run(dir, jobsCmd("status --dir ."));
-    EXPECT_EQ(result.exitCode, 1) << result.output;
-    EXPECT_NE(result.output.find("error"), std::string::npos);
-    result = run(dir, jobsCmd("resume --dir . --workers 1"));
-    EXPECT_EQ(result.exitCode, 1) << result.output;
+    EXPECT_EQ(readBytes(dir / (base + ".journal")), journal);
 }
 
 TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
 {
-    // Bit rot in a per-program checkpoint and in the model artifact,
-    // with the journal lost: the rerun must treat both files as not
-    // done and rewrite them, never train on or keep the damaged bytes.
+    // Bit rot in a per-program checkpoint and in the model artifact
+    // of a finished run: the rerun must treat both files as not done
+    // and rewrite them, never train on or keep the damaged bytes.
     const fs::path dir = freshDir("acdse_crash_bitrot");
     RunResult result = run(dir, jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -464,15 +428,14 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     const fs::path artifact = findFile(dir, "acdse_jobs_", ".acdse");
     flipMiddleBit(checkpoint);
     flipMiddleBit(artifact);
-    fs::remove(findFile(dir, "acdse_jobs_", ".journal"));
 
     result = run(dir, jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
-    // With the journal intact every job is done; the resume's
-    // finalize reruns the idempotent jobs, and the fit refits the
-    // damaged artifact from the intact checkpoints and blocks.
+    // The same damage to the artifact alone: resume finds every other
+    // output intact, and the fit refits the artifact from the intact
+    // checkpoints and blocks.
     flipMiddleBit(artifact);
     result = run(dir, jobsCmd("resume --dir . --workers 1"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -482,10 +445,10 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
 TEST(CrashResume, DamagedBlockIsRecomputed)
 {
     // One cycles cell of a finished run's campaign block plus one,
-    // with the journal and the artifact lost: the block fails its
-    // checksum, so the rerun simulates that program again instead of
-    // training on the wrong number, and every block, checkpoint and
-    // the artifact match the clean run byte for byte.
+    // with the artifact lost: the block fails its checksum, so the
+    // rerun simulates that program again instead of training on the
+    // wrong number, and every block, checkpoint and the artifact
+    // match the clean run byte for byte.
     const fs::path dir = freshDir("acdse_crash_block");
     RunResult result = run(dir, jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -505,15 +468,14 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
                           std::ios::binary | std::ios::trunc);
         out << bytes;
     }
-    fs::remove(findFile(dir, "acdse_jobs_", ".journal"));
     fs::remove(findFile(dir, "acdse_jobs_", ".acdse"));
 
     result = run(dir, jobsCmd(runArgs(1)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
-    // The same damage under a drained journal: finalize reruns the
-    // simulate job, which finds the block damaged and rewrites it.
+    // The same damage with every other output intact: resume finds
+    // the block damaged and simulates it again.
     {
         std::ofstream out(block, // NOLINT(acdse-atomic-write)
                           std::ios::binary | std::ios::trunc);

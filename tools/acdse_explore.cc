@@ -29,6 +29,8 @@
  */
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,7 +117,7 @@ parseArgs(int argc, char **argv)
 {
     CliOptions options;
     std::size_t stride = 1;
-    std::vector<std::pair<Param, int>> fixes;
+    std::vector<std::pair<Param, std::int64_t>> fixes;
     auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             fatal("missing value after ", argv[i]);
@@ -147,7 +149,7 @@ parseArgs(int argc, char **argv)
             const Param p = paramByKey(assign.substr(0, eq));
             const auto v =
                 parseI64OrDie("--fix", assign.substr(eq + 1));
-            fixes.emplace_back(p, static_cast<int>(v));
+            fixes.emplace_back(p, v);
         } else if (!std::strcmp(argv[i], "--metrics")) {
             options.metrics.clear();
             for (const auto &name : splitList(value(i), ','))
@@ -199,9 +201,10 @@ parseArgs(int argc, char **argv)
     // pin values are fatal here rather than deep in the engine.
     explore::SubSpace space = explore::SubSpace::strided(stride);
     for (const auto &[p, v] : fixes) {
-        if (!paramSpec(p).contains(v))
+        if (v < INT_MIN || v > INT_MAX ||
+            !paramSpec(p).contains(static_cast<int>(v)))
             fatal(v, " is not a legal value for ", paramSpec(p).name);
-        space.fix(p, v);
+        space.fix(p, static_cast<int>(v));
     }
     options.engine.space = std::move(space);
 

@@ -9,38 +9,39 @@
  *   acdse-jobs resume --dir D [--workers N] [--plan FILE] [...]
  *   acdse-jobs status --dir D [--plan FILE]
  *
- * `run` persists a CampaignJobPlan into the directory, opens the job
- * journal and forks N worker processes that drain the queue
+ * `run` persists a CampaignJobPlan into the directory and forks N
+ * worker processes that drain its jobs phase by phase
  * (simulate-shard, one per program -> train-program, one per training
- * program, for every metric -> fit-responses). The training programs
+ * program, for every metric -> fit-responses), each job claimed
+ * through its own lock file (jobs/drain.hh). The training programs
  * each train on configurations `[0, T)`; the target's responses are
  * configurations `[T, T+R)`.
  * Each simulate job writes its program's sealed block straight into
  * the directory's campaign store, the same blocks Campaign reads. Once
- * every job is done the parent checks that every block is intact and
- * reruns the idempotent fit, which keeps the run's one model artifact,
- * `<prefix>.acdse`, or refits it when it is missing or damaged.
+ * the workers exit the parent drains the plan once more, which keeps
+ * every intact block, checkpoint and the run's one model artifact,
+ * `<prefix>.acdse`, and recomputes any that is missing or damaged.
  * acdse-serve and acdse-explore load that artifact as is
  * (`acdse-explore --model <prefix>.acdse`). A training run then
  * prints each metric's response training error and the target's
  * cycles error over the held-out configurations `[T+R, N)`.
  * `resume` reloads the persisted plan -- the resolved parameters, not
  * the environment; verbosity comes from its flag and parallelism from
- * ACDSE_THREADS, as for `run` -- bumps the journal generation so jobs
- * abandoned by killed workers become claimable, and drains whatever
- * is left; because every handler is idempotent and checkpoints
- * atomically, the resumed artifacts are byte-identical to an
+ * ACDSE_THREADS, as for `run` -- and drains whatever outputs are not
+ * intact yet; because every handler is deterministic and its output
+ * lands atomically, the resumed artifacts are byte-identical to an
  * uninterrupted run. `status` prints a machine-readable JSON summary
- * (schema acdse-jobs-status-v1) without touching the journal.
+ * (schema acdse-jobs-status-v2) that it derives from the files: a job
+ * is done when its output is intact, running when its lock is held,
+ * pending otherwise.
  *
- * Exit codes: 0 success; 1 error (corrupt journal, failed jobs, bad
+ * Exit codes: 0 success; 1 error (a job failed three times, bad
  * plan); 2 usage; 3 interrupted -- a worker died abnormally and the
  * run is resumable.
  */
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,7 +49,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -57,12 +57,12 @@
 
 #include <csignal>
 
+#include "base/file_lock.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "base/statistics.hh"
 #include "jobs/campaign_jobs.hh"
-#include "jobs/job_queue.hh"
 #include "obs/stats_export.hh"
 #include "serve/model_store.hh"
 #include "trace/suites.hh"
@@ -76,7 +76,7 @@ namespace
 struct CliOptions
 {
     std::string command;  //!< run | resume | status
-    std::string dir = "."; //!< the shared cache/journal directory
+    std::string dir = "."; //!< the shared run directory
     std::string planFile; //!< explicit plan path (resume/status)
     std::size_t workers = 2;
     std::vector<std::string> trainingPrograms{"gzip", "crafty", "mcf"};
@@ -231,16 +231,17 @@ findPlanFile(const CliOptions &cli)
 }
 
 /**
- * The worker-process body: drain the queue until it is empty or
- * stuck. Never returns. Exits via std::exit so that atexit hooks
- * (coverage flushing among them) run even in forked children.
+ * The worker-process body: drain the plan's jobs. Never returns.
+ * Exits via std::exit so that atexit hooks (coverage flushing among
+ * them) run even in forked children.
  */
 [[noreturn]] void
 workerMain(const CampaignJobPlan &plan, std::size_t workerIdx,
            const std::string &statsOut)
 {
-    // Fault injection (tests only): die at a job boundary after
-    // completing this many jobs (ACDSE_JOBS_KILL_AFTER="<w>:<k>").
+    // Fault injection (tests only): die at a job boundary once this
+    // worker has computed that many jobs (ACDSE_JOBS_KILL_AFTER=
+    // "<w>:<k>"); jobs found intact do not count.
     std::size_t killAfter = std::numeric_limits<std::size_t>::max();
     if (const char *spec = std::getenv("ACDSE_JOBS_KILL_AFTER");
         spec && *spec) {
@@ -256,49 +257,18 @@ workerMain(const CampaignJobPlan &plan, std::size_t workerIdx,
 
     int exitCode = 0;
     try {
-        // A fresh queue handle: a fork-inherited one would share the
-        // parent's lock file description and no longer exclude.
-        JobQueue queue(plan.options.cacheDir, plan.journalName());
-        queue.attach(plan.planHash());
         CampaignJobRunner runner(plan);
-        std::size_t completed = 0;
-        for (bool draining = true; draining;) {
-            if (completed >= killAfter)
-                ::raise(SIGKILL);
-            JobSpec spec;
-            int attempt = 0;
-            switch (queue.claim(spec, attempt)) {
-              case ClaimResult::Claimed:
-                try {
-                    runner.execute(spec, attempt);
-                } catch (const JournalError &) {
-                    throw;
-                } catch (const std::exception &e) {
-                    warn("worker ", workerIdx, ": job '", spec.id,
-                         "' attempt ", attempt, " failed: ", e.what());
-                    queue.fail(spec.id);
-                    break;
-                }
-                queue.complete(spec.id);
-                ++completed;
-                break;
-              case ClaimResult::Wait:
-                // Another worker holds the remaining jobs of this
-                // phase; poll until it finishes or dies.
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-                break;
-              case ClaimResult::Drained:
-                draining = false;
-                break;
-              case ClaimResult::Stuck:
-                warn("worker ", workerIdx,
-                     ": queue is stuck (a job failed permanently)");
-                exitCode = 1;
-                draining = false;
-                break;
-            }
-        }
+        if (killAfter == 0)
+            ::raise(SIGKILL);
+        std::size_t computed = 0;
+        drainJobs(plan.jobs(), plan.prefix(),
+                  [&](const JobSpec &spec, int attempt) {
+                      if (!runner.execute(spec, attempt))
+                          return false;
+                      if (++computed >= killAfter)
+                          ::raise(SIGKILL);
+                      return true;
+                  });
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: worker %zu: %s\n", workerIdx,
                      e.what());
@@ -340,24 +310,18 @@ superviseWorkers(const CampaignJobPlan &plan, std::size_t workers,
 
     bool signaled = false;
     int worst = 0;
-    std::vector<pid_t> alive = children;
-    while (!alive.empty()) {
+    for (std::size_t alive = children.size(); alive > 0;) {
         int status = 0;
-        const pid_t pid = ::waitpid(-1, &status, 0);
-        if (pid < 0) {
+        if (::waitpid(-1, &status, 0) < 0) {
             if (errno == EINTR)
                 continue;
             fatal("waitpid failed: ", std::strerror(errno));
         }
-        alive.erase(std::remove(alive.begin(), alive.end(), pid),
-                    alive.end());
+        --alive;
+        // A dead worker's lock died with it: its siblings take its
+        // job over in their second pass.
         if (WIFSIGNALED(status)) {
-            // A dead worker's claimed jobs stay Running for this
-            // generation: the siblings would wait forever, so stop
-            // the whole session -- it resumes cleanly.
             signaled = true;
-            for (const pid_t child : alive)
-                ::kill(child, SIGKILL);
         } else if (WIFEXITED(status)) {
             worst = std::max(worst, WEXITSTATUS(status));
         }
@@ -409,9 +373,6 @@ reportTraining(CampaignJobRunner &runner)
 int
 runSession(const CampaignJobPlan &plan, const CliOptions &cli)
 {
-    JobQueue queue(plan.options.cacheDir, plan.journalName());
-    queue.open(plan.planHash(), plan.jobs());
-
     const int outcome =
         superviseWorkers(plan, cli.workers, cli.statsOut);
     if (outcome == 3) {
@@ -437,82 +398,70 @@ runSession(const CampaignJobPlan &plan, const CliOptions &cli)
     return 0;
 }
 
-const char *
-stateName(JobState state)
-{
-    switch (state) {
-      case JobState::Pending: return "pending";
-      case JobState::Running: return "running";
-      case JobState::Done: return "done";
-      case JobState::Failed: return "failed";
-    }
-    return "unknown";
-}
-
 int
 statusCommand(const CampaignJobPlan &plan)
 {
-    JobQueue queue(plan.options.cacheDir, plan.journalName());
-    QueueSnapshot snap = queue.snapshot();
-    if (snap.jobs.empty()) {
-        // Journal never opened: report the plan's jobs as pending.
-        for (const auto &spec : plan.jobs())
-            snap.jobs.push_back({spec, JobState::Pending, 0, 0});
-        snap.planHash = plan.planHash();
+    const CampaignJobRunner runner(plan);
+    const std::vector<JobSpec> jobs = plan.jobs();
+    std::vector<const char *> states;
+    for (const JobSpec &spec : jobs) {
+        const char *state = "done";
+        if (!runner.done(spec)) {
+            FileLock lock(jobLockPath(plan.prefix(), spec));
+            state = "running";
+            if (lock.tryLock()) {
+                lock.unlock();
+                state = "pending";
+            }
+        }
+        states.push_back(state);
     }
+    const auto count = [&](std::string_view state,
+                           std::string_view kind = {}) {
+        std::uint64_t n = 0;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            n += states[j] == state &&
+                 (kind.empty() || jobs[j].kind == kind);
+        }
+        return n;
+    };
 
     JsonWriter w;
     w.beginObject()
-        .key("schema").value("acdse-jobs-status-v1")
-        .key("plan").value(snap.planHash)
+        .key("schema").value("acdse-jobs-status-v2")
+        .key("plan").value(plan.planHash())
         .key("campaign").value(plan.key())
-        .key("generation").value(
-            static_cast<std::uint64_t>(snap.generation))
         .key("jobs");
     w.beginObject()
-        .key("total").value(static_cast<std::uint64_t>(
-            snap.jobs.size()))
-        .key("pending").value(static_cast<std::uint64_t>(
-            snap.countIn(JobState::Pending)))
-        .key("running").value(static_cast<std::uint64_t>(
-            snap.countIn(JobState::Running)))
-        .key("done").value(static_cast<std::uint64_t>(
-            snap.countIn(JobState::Done)))
-        .key("failed").value(static_cast<std::uint64_t>(
-            snap.countIn(JobState::Failed)))
+        .key("total").value(static_cast<std::uint64_t>(jobs.size()))
+        .key("pending").value(count("pending"))
+        .key("running").value(count("running"))
+        .key("done").value(count("done"))
         .endObject();
     w.key("kinds").beginObject();
     for (const char *kind :
          {"simulate-shard", "train-program", "fit-responses"}) {
-        std::uint64_t total = 0, done = 0;
-        for (const auto &job : snap.jobs) {
-            if (job.spec.kind != kind)
-                continue;
-            ++total;
-            if (job.state == JobState::Done)
-                ++done;
-        }
+        std::uint64_t total = 0;
+        for (const JobSpec &spec : jobs)
+            total += spec.kind == kind;
         w.key(kind).beginObject()
             .key("total").value(total)
-            .key("done").value(done)
+            .key("done").value(count("done", kind))
             .endObject();
     }
     w.endObject();
     w.key("states").beginArray();
-    for (const auto &job : snap.jobs) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
         w.beginObject()
-            .key("id").value(job.spec.id)
-            .key("state").value(stateName(job.state))
-            .key("attempts").value(
-                static_cast<std::uint64_t>(job.attempts))
+            .key("id").value(jobs[j].id)
+            .key("state").value(states[j])
             .endObject();
     }
     w.endArray()
-        .key("drained").value(snap.drained())
-        .key("stuck").value(snap.stuck())
+        .key("drained").value(count("done") == jobs.size())
         .endObject();
     std::printf("%s\n", w.str().c_str());
-    return snap.stuck() ? 1 : 0;
+    return 0;
 }
 
 } // namespace
