@@ -144,7 +144,6 @@ PredictionService::PredictionService(ModelArtifact artifact,
       requestsAccepted_(registry_.counter("serve/requests")),
       requestsShed_(registry_.counter("serve/shed")),
       batchPoints_(registry_.histogram("serve/batch-points")),
-      queueWaitNs_(registry_.histogram("serve/queue-wait-ns")),
       requestLatencyNs_(registry_.histogram("serve/request-latency-ns")),
       latencyReservoir_(registry_.reservoir("serve/request-latency")),
       ring_(options_.maxQueue),
@@ -231,27 +230,30 @@ PredictionService::computeRange(
 }
 
 std::vector<PredictionRow>
-PredictionService::predict(const std::vector<MicroarchConfig> &queries)
+PredictionService::predict(const std::vector<MicroarchConfig> &queries,
+                           TenantId tenant, std::uint64_t *version)
 {
+    ACDSE_CHECK(tenant < models_.tenantCount(), "predict() for tenant ",
+                tenant, ", which was never registered");
     const std::uint64_t start = obs::nowNs();
+
+    // Pin one model snapshot for the whole batch: a concurrent
+    // publish() swaps the *next* batch, never splits this one.
+    const std::shared_ptr<const ServedModel> served = model(tenant);
+    if (version != nullptr)
+        *version = served != nullptr ? served->version : 0;
     std::vector<PredictionRow> rows(queries.size());
     if (queries.empty())
         return rows;
 
-    // Pin one model snapshot for the whole batch: a concurrent
-    // publish() swaps the *next* batch, never splits this one.
-    const std::shared_ptr<const ServedModel> served =
-        model(kDefaultTenant);
-    const ModelArtifact &artifact = served->artifact;
-
-    if (pool_.workers() == 0 || queries.size() <= kInlineBelow) {
-        computeRange(artifact, queries, rows, 0, queries.size());
+    if (served == nullptr) {
+        // Registered, nothing published yet: NaN rows, as the drain
+        // serves them.
+        for (PredictionRow &row : rows)
+            row.values.fill(std::numeric_limits<double>::quiet_NaN());
+    } else if (pool_.workers() == 0 || queries.size() <= kInlineBelow) {
+        computeRange(served->artifact, queries, rows, 0, queries.size());
     } else {
-        // Time spent waiting for the batch mutex is the service's
-        // queueing latency: concurrent callers serialise here.
-        const std::uint64_t lockStart = obs::nowNs();
-        MutexLock batch_lock(batchMutex_);
-        queueWaitNs_.record(obs::nowNs() - lockStart);
         const std::size_t num_chunks =
             (queries.size() + kChunk - 1) / kChunk;
         // Chunks write disjoint row ranges, so the batch result is
@@ -262,10 +264,14 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
             const obs::TraceSpan chunkSpan(chunkStage_);
             const std::size_t begin = chunk * kChunk;
             const std::size_t end = std::min(begin + kChunk, queries.size());
-            computeRange(artifact, queries, rows, begin, end);
+            computeRange(served->artifact, queries, rows, begin, end);
         });
     }
 
+    registry_
+        .counter("serve/tenant/" + models_.tenantNames()[tenant] +
+                 "/points")
+        .add(queries.size());
     recordBatch(queries.size(), obs::nowNs() - start);
     return rows;
 }

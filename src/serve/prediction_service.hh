@@ -10,22 +10,23 @@
  *
  * Request paths:
  *
- *  - predict(): the synchronous batch path. The caller's batch is
- *    split into fixed-size chunks and parallelFor()d across the
- *    service's ThreadPool; every chunk writes a disjoint slice of the
- *    result vector, which is both lock-free and bit-deterministic at
- *    any thread count.
+ *  - predict(): the synchronous batch path for an in-process batch of
+ *    any one tenant. The caller's batch is split into fixed-size
+ *    chunks and parallelFor()d across the service's ThreadPool; every
+ *    chunk writes a disjoint slice of the result vector, which is both
+ *    lock-free and bit-deterministic at any thread count. There is no
+ *    batch lock: concurrent callers share the pool.
  *
  *  - submit()/AsyncBatch: the ingest path for many concurrent
- *    producers. Each request travels a bounded lock-free MPSC ring
- *    (serve/ring_buffer.hh) to a dedicated drainer thread that groups
- *    the drained requests by tenant. Both paths score through the one
- *    batch scorer, predictRows(): each SIMD block, a short group's
- *    padded tail included, is transposed once for all metrics, so
- *    results are bit-identical to per-point prediction. A full ring
- *    fails submit() with SubmitStatus::QueueFull immediately (typed
- *    load-shedding, never unbounded queueing), counted under
- *    serve/shed.
+ *    producers of single requests. Each request travels a bounded
+ *    lock-free MPSC ring (serve/ring_buffer.hh) to a dedicated
+ *    drainer thread that groups the drained requests by tenant. Both
+ *    paths score through the one batch scorer, predictRows(): each
+ *    SIMD block, a short group's padded tail included, is transposed
+ *    once for all metrics, so results are bit-identical to per-point
+ *    prediction. A full ring fails submit() with
+ *    SubmitStatus::QueueFull immediately (typed load-shedding, never
+ *    unbounded queueing), counted under serve/shed.
  *
  * Hot swap: models live in a ModelRegistry (serve/model_table.hh).
  * publish() atomically replaces a tenant's model; batches in flight
@@ -88,9 +89,11 @@ struct ServeOptions
     std::size_t maxQueue = std::size_t{1} << 14;
 
     /**
-     * Spin the drainer thread up on construction. Tests that need a
-     * deterministic ingest schedule (e.g. proving QueueFull fires)
-     * set this false and pump the queue with drainOnce().
+     * Spin the drainer thread up on construction. A process that
+     * never calls submit() (acdse-serve, which serves every row
+     * through predict()) sets this false, and so do tests that need a
+     * deterministic ingest schedule (e.g. proving QueueFull fires):
+     * they pump the queue with drainOnce().
      */
     bool startDrainer = true;
 };
@@ -237,13 +240,13 @@ static_assert(MpscRing<ServeRequest>::slotBytes() == kCacheLine,
  * artifacts.
  *
  * Thread model: the service owns a ThreadPool that parallelises
- * *within* one predict() batch; concurrent predict() callers are
- * serialised on batchMutex_ (a simplicity choice -- the artifacts are
- * shared read-only). submit() is safe from any number of threads
- * concurrently with everything else, including publish(). The drainer
- * thread is the ring's single consumer; destruction stops it, drains
- * the ring to completion (no accepted request is ever dropped) and
- * joins.
+ * *within* one predict() batch; concurrent predict() callers each run
+ * their own parallelFor() on it (the artifacts are shared read-only,
+ * and every batch writes only its own rows). predict() and submit()
+ * are safe from any number of threads concurrently with everything
+ * else, including publish(). The drainer thread is the ring's single
+ * consumer; destruction stops it, drains the ring to completion (no
+ * accepted request is ever dropped) and joins.
  */
 class PredictionService
 {
@@ -302,15 +305,18 @@ class PredictionService
     std::size_t queueCapacity() const { return ring_.capacity(); }
 
     /**
-     * Predict every default-tenant metric for a batch of query
+     * Predict every metric of @p tenant's model for a batch of query
      * points; returns one row per query, in order, served from one
      * model snapshot (a publish() during the batch takes effect on
-     * the next one). Not reentrant from inside its own batch
-     * (ACDSE_EXCLUDES: callers must not already hold the batch lock).
+     * the next one). When @p version is not null it receives the
+     * version of that snapshot. A registered tenant with nothing
+     * published gets NaN rows and version 0, as on the drain path; an
+     * unregistered id panics.
      */
     std::vector<PredictionRow> predict(
-        const std::vector<MicroarchConfig> &queries)
-        ACDSE_EXCLUDES(batchMutex_);
+        const std::vector<MicroarchConfig> &queries,
+        TenantId tenant = kDefaultTenant,
+        std::uint64_t *version = nullptr);
 
     /**
      * Enqueue one query on the async ingest path. On Accepted the
@@ -383,9 +389,6 @@ class PredictionService
     ModelRegistry models_;
     ThreadPool pool_;
 
-    // Serialises public predict() callers.
-    Mutex batchMutex_;
-
     // Serving metrics: a private registry (declared before the
     // references into it) so per-service stats stay isolated from the
     // global registry and resettable.
@@ -397,7 +400,6 @@ class PredictionService
     obs::Counter &requestsAccepted_;
     obs::Counter &requestsShed_;
     obs::Histogram &batchPoints_;
-    obs::Histogram &queueWaitNs_;
     obs::Histogram &requestLatencyNs_;
     obs::Reservoir &latencyReservoir_;
 

@@ -3,7 +3,8 @@
  * End-to-end tests for the production CLI binaries, driven as real
  * subprocesses: acdse-jobs trains and persists an artifact,
  * acdse-serve serves it and acdse-explore searches with it, and each
- * emits acdse-stats-v1 stats through --stats-out. Also covers the
+ * emits acdse-stats-v1 stats through --stats-out. acdse-serve's
+ * tenant routing and hot-swap watch run here too. Also covers the
  * bad-flag and corrupt-artifact error paths (exit codes 2 and 1
  * respectively).
  *
@@ -12,7 +13,8 @@
  * same build tree. Runs are pinned to ACDSE_THREADS=1 and a tiny
  * campaign so one end-to-end pass stays in CI budget; single-threaded
  * runs also make the "self times sum to <= wall time" stage-tree
- * invariant exact.
+ * invariant exact. The thread-count comparisons add a run at
+ * ACDSE_THREADS=2.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_reader.hh"
@@ -87,27 +90,76 @@ parseFile(const fs::path &path)
 
 /**
  * Train the small artifact the serve and explore tests share into
- * @p dir as `model.acdse`: an acdse-jobs run over two training
- * programs plus a target, a short synthetic trace, one thread.
+ * @p dir as @p name: an acdse-jobs run over two training programs
+ * (@p programs) plus a target, a short synthetic trace, one thread.
  * ~seconds, not minutes.
  */
 RunResult
-trainModel(const fs::path &dir)
+trainModel(const fs::path &dir, const std::string &name = "model.acdse",
+           const std::string &programs = "gzip,crafty")
 {
+    const fs::path work = dir / (name + ".d");
+    fs::create_directories(work);
     const RunResult result =
-        run(dir, std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=56 "
-                             "ACDSE_TRACE_LEN=2000 ACDSE_WARMUP=400 ") +
-                     ACDSE_TOOL_JOBS +
-                     " run --dir . --workers 1 --programs gzip,crafty"
-                     " --target vpr --train 24 --responses 16");
-    fs::path artifact;
-    for (const auto &entry : fs::directory_iterator(dir)) {
+        run(work, std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=56 "
+                              "ACDSE_TRACE_LEN=2000 ACDSE_WARMUP=400 ") +
+                      ACDSE_TOOL_JOBS +
+                      " run --dir . --workers 1 --programs " + programs +
+                      " --target vpr --train 24 --responses 16");
+    for (const auto &entry : fs::directory_iterator(work)) {
         if (entry.path().extension() == ".acdse")
-            artifact = entry.path();
+            fs::rename(entry.path(), dir / name);
     }
-    if (!artifact.empty())
-        fs::rename(artifact, dir / "model.acdse");
     return result;
+}
+
+/**
+ * Query row @p i: 13 legal Table-1 values, cycled per parameter so
+ * that consecutive rows differ.
+ */
+std::string
+queryRow(std::size_t i)
+{
+    const int width[] = {2, 4, 6, 8};
+    const int bpred[] = {1, 2, 4, 8, 16, 32};
+    const int btb[] = {1, 2, 4};
+    const int branches[] = {8, 16, 24, 32};
+    const int cache[] = {8, 16, 32, 64, 128};
+    const int l2[] = {256, 512, 1024, 2048, 4096};
+    const auto n = [&](std::size_t period, std::size_t div = 1) {
+        return static_cast<int>((i / div) % period);
+    };
+    std::ostringstream row;
+    row << width[n(4)] << ',' << 32 + 8 * n(17) << ',' << 8 + 8 * n(10)
+        << ',' << 8 + 8 * n(10, 3) << ',' << 40 + 8 * n(16) << ','
+        << 2 + 2 * n(8) << ',' << 1 + n(8) << ',' << bpred[n(6)] << ','
+        << btb[n(3)] << ',' << branches[n(4, 2)] << ',' << cache[n(5)]
+        << ',' << cache[n(5, 2)] << ',' << l2[n(5, 5)];
+    return row.str();
+}
+
+/** The lines of @p path, empty ones dropped. */
+std::vector<std::string>
+readLines(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty())
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+/** The whole of @p path as one string. */
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 TEST(CliServe, ServesQueriesAndWritesStats)
@@ -157,6 +209,41 @@ TEST(CliServe, ServesQueriesAndWritesStats)
         doc.at("histograms").at("serve/batch-points").at("count")
             .asNumber(),
         1.0);
+
+    // --batch 5 over 20 rows: four predict() batches.
+    {
+        std::ofstream many(dir / "twenty.csv");
+        for (std::size_t i = 0; i < 20; ++i)
+            many << queryRow(i) << "\n";
+    }
+    const RunResult batched = run(
+        dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_SERVE +
+                 " --model model.acdse --input twenty.csv --batch 5"
+                 " --stats > twenty.out");
+    ASSERT_EQ(batched.exitCode, 0) << batched.output;
+    EXPECT_NE(batched.output.find("stats: 4 batches, 20 points"),
+              std::string::npos)
+        << batched.output;
+
+    // A 256-row batch at two threads runs on the service's pool (over
+    // 128 rows); its output is byte-identical to the one-thread run.
+    {
+        std::ofstream wide(dir / "wide.csv");
+        for (std::size_t i = 0; i < 300; ++i)
+            wide << queryRow(i) << "\n";
+    }
+    const std::string wide = std::string(ACDSE_TOOL_SERVE) +
+                             " --model model.acdse --input wide.csv";
+    const RunResult one =
+        run(dir, "ACDSE_THREADS=1 " + wide + " > wide1.csv");
+    ASSERT_EQ(one.exitCode, 0) << one.output;
+    const RunResult two =
+        run(dir, "ACDSE_THREADS=2 " + wide + " > wide2.csv");
+    ASSERT_EQ(two.exitCode, 0) << two.output;
+    EXPECT_NE(two.output.find("pool of 2 threads"), std::string::npos)
+        << two.output;
+    EXPECT_EQ(readLines(dir / "wide1.csv").size(), 301u);
+    EXPECT_EQ(slurp(dir / "wide1.csv"), slurp(dir / "wide2.csv"));
 }
 
 TEST(CliServe, StatsEveryDumpsFromTheInputLoop)
@@ -204,35 +291,163 @@ TEST(CliServe, StatsEveryDumpsFromTheInputLoop)
         3.0);
 }
 
-TEST(CliServe, AsyncStatsReportTheDrains)
+/** @p line split at every comma. */
+std::vector<std::string>
+cells(const std::string &line)
 {
-    const fs::path dir = freshDir("acdse_cli_serve_async");
-    const RunResult trained =
-        trainModel(dir);
-    ASSERT_EQ(trained.exitCode, 0) << trained.output;
+    std::vector<std::string> out;
+    std::istringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');)
+        out.push_back(cell);
+    return out;
+}
+
+/** Cells [begin, end) of @p row joined by commas. */
+std::string
+join(const std::vector<std::string> &row, std::size_t begin,
+     std::size_t end)
+{
+    std::string out;
+    for (std::size_t i = begin; i < end; ++i)
+        out += (i > begin ? "," : "") + row[i];
+    return out;
+}
+
+TEST(CliServe, TenantsRouteRowsAndStampVersions)
+{
+    // Two tenants on different artifacts, rows interleaved so that
+    // every 3-row batch mixes them. Each row must carry exactly the
+    // metrics `--model` gives for its tenant's artifact alone.
+    const fs::path dir = freshDir("acdse_cli_serve_tenants");
+    ASSERT_EQ(trainModel(dir, "a.acdse", "gzip,crafty").exitCode, 0);
+    ASSERT_EQ(trainModel(dir, "b.acdse", "gzip,mcf").exitCode, 0);
+
+    const std::string tenantOf = "abbabaabab";
     {
-        std::ofstream queries(dir / "queries.csv");
-        for (int i = 0; i < 20; ++i)
-            queries << "4,96,32,24,80,8,4,16,4,16,32,32,2048\n";
+        std::ofstream plain(dir / "plain.csv");
+        std::ofstream routed(dir / "tenants.csv");
+        routed << "tenant,width,rob,iq,lsq,rf,rfrd,rfwr,bpred,btb,br,"
+                  "il1,dl1,l2\n";
+        for (std::size_t i = 0; i < tenantOf.size(); ++i) {
+            plain << queryRow(i) << "\n";
+            routed << tenantOf[i] << ',' << queryRow(i) << "\n";
+        }
     }
-    // --max-queue routes every batch through the ingest ring, so the
-    // work is done by drains, not predict() batches.
-    const RunResult served = run(
-        dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_SERVE +
-                 " --model model.acdse --input queries.csv --batch 5"
-                 " --max-queue 64 --stats > out.csv");
-    ASSERT_EQ(served.exitCode, 0) << served.output;
-    const std::string prefix = "stats: ";
-    const std::size_t at = served.output.find(prefix);
-    ASSERT_NE(at, std::string::npos) << served.output;
-    std::istringstream line(served.output.substr(at + prefix.size()));
-    unsigned long long drains = 0;
-    std::string unit;
-    line >> drains >> unit;
-    EXPECT_EQ(unit, "drains,") << served.output;
-    EXPECT_GT(drains, 0u) << served.output;
-    EXPECT_NE(served.output.find("20 points"), std::string::npos)
-        << served.output;
+    const std::string serve =
+        std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_SERVE;
+    for (const char *name : {"a", "b"}) {
+        const RunResult alone =
+            run(dir, serve + " --model " + name +
+                         ".acdse --input plain.csv > " + name + ".out");
+        ASSERT_EQ(alone.exitCode, 0) << alone.output;
+    }
+    const RunResult routed =
+        run(dir, serve + " --tenants a=a.acdse,b=b.acdse"
+                         " --input tenants.csv --batch 3 > routed.out");
+    ASSERT_EQ(routed.exitCode, 0) << routed.output;
+
+    const auto lines = readLines(dir / "routed.out");
+    const auto aLines = readLines(dir / "a.out");
+    const auto bLines = readLines(dir / "b.out");
+    ASSERT_EQ(lines.size(), tenantOf.size() + 1);
+    ASSERT_EQ(aLines.size(), lines.size());
+    ASSERT_EQ(bLines.size(), lines.size());
+
+    // The header gains a leading tenant column and a version column
+    // between the parameters and the metrics.
+    const auto plainHeader = cells(aLines[0]);
+    EXPECT_EQ(lines[0],
+              "tenant," + join(plainHeader, 0, 13) + ",version," +
+                  join(plainHeader, 13, plainHeader.size()));
+
+    // Version 1 is the default tenant (the first --tenants file);
+    // tenants a and b are published next, as versions 2 and 3.
+    for (std::size_t i = 0; i < tenantOf.size(); ++i) {
+        const auto row = cells(lines[i + 1]);
+        const bool isA = tenantOf[i] == 'a';
+        const auto alone = cells((isA ? aLines : bLines)[i + 1]);
+        ASSERT_EQ(row.size(), alone.size() + 2) << lines[i + 1];
+        EXPECT_EQ(row[0], std::string(1, tenantOf[i]));
+        EXPECT_EQ(join(row, 1, 14), queryRow(i));
+        EXPECT_EQ(row[14], isA ? "2" : "3") << lines[i + 1];
+        EXPECT_EQ(join(row, 15, row.size()),
+                  join(alone, 13, alone.size()))
+            << "row " << i;
+    }
+    // The two artifacts differ, so the routing check has teeth.
+    EXPECT_NE(aLines[1], bLines[1]);
+
+    // Line 1 with an unknown tenant is a header; after it, bad routing.
+    {
+        std::ofstream bad(dir / "unknown.csv");
+        bad << "a," << queryRow(0) << "\nc," << queryRow(1) << "\n";
+    }
+    const RunResult unknown =
+        run(dir, serve + " --tenants a=a.acdse,b=b.acdse"
+                         " --input unknown.csv > /dev/null");
+    EXPECT_EQ(unknown.exitCode, 1) << unknown.output;
+    EXPECT_NE(unknown.output.find("line 2: unknown tenant 'c'"),
+              std::string::npos)
+        << unknown.output;
+}
+
+TEST(CliServe, HotSwapWatchRepublishesBetweenBatches)
+{
+    // Stdin is a pipeline that writes two rows, waits until the server
+    // has loaded the watched file, replaces it, then writes two more.
+    // The watch polls after each one-row batch, so the first row is
+    // served by the old version and the last by the new one.
+    const fs::path dir = freshDir("acdse_cli_serve_hotswap");
+    ASSERT_EQ(trainModel(dir, "a.acdse", "gzip,crafty").exitCode, 0);
+    ASSERT_EQ(trainModel(dir, "b.acdse", "gzip,mcf").exitCode, 0);
+    fs::copy_file(dir / "a.acdse", dir / "m.acdse");
+    // An old stamp, so the replacement's stamp differs at any
+    // file-system timestamp granularity.
+    fs::last_write_time(dir / "m.acdse",
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(1));
+
+    const std::string rows = "printf 'a," + queryRow(0) + "\\na," +
+                             queryRow(1) + "\\n'";
+    const std::string moreRows = "printf 'a," + queryRow(2) + "\\na," +
+                                 queryRow(3) + "\\n'";
+    const RunResult swapped = run(
+        dir, "{ " + rows +
+                 "; i=0; until grep -q serving serve.log 2>/dev/null ||"
+                 " [ $i -ge 6000 ]; do sleep 0.01; i=$((i+1)); done;"
+                 " cp b.acdse m.tmp && mv m.tmp m.acdse; " +
+                 moreRows + "; } | ACDSE_THREADS=1 " + ACDSE_TOOL_SERVE +
+                 " --tenants a=m.acdse --hot-swap-watch --batch 1"
+                 " > out.csv 2> serve.log");
+    ASSERT_EQ(swapped.exitCode, 0)
+        << swapped.output << slurp(dir / "serve.log");
+    EXPECT_NE(slurp(dir / "serve.log")
+                  .find("hot-swapped 'm.acdse' as version 3"),
+              std::string::npos)
+        << slurp(dir / "serve.log");
+
+    const auto lines = readLines(dir / "out.csv");
+    ASSERT_EQ(lines.size(), 5u);
+    std::vector<unsigned long> versions;
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        versions.push_back(std::stoul(cells(lines[i])[14]));
+    EXPECT_EQ(versions.front(), 2u);
+    EXPECT_EQ(versions.back(), 3u);
+    EXPECT_TRUE(std::is_sorted(versions.begin(), versions.end()));
+
+    // The last row's metrics are the replacement artifact's.
+    {
+        std::ofstream last(dir / "last.csv");
+        last << queryRow(3) << "\n";
+    }
+    const RunResult alone =
+        run(dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_SERVE +
+                     " --model b.acdse --input last.csv > last.out");
+    ASSERT_EQ(alone.exitCode, 0) << alone.output;
+    const auto aloneRow = cells(readLines(dir / "last.out").back());
+    const auto lastRow = cells(lines.back());
+    EXPECT_EQ(join(lastRow, 15, lastRow.size()),
+              join(aloneRow, 13, aloneRow.size()));
 }
 
 TEST(CliServe, RejectsUnknownFlagAndMissingModel)
@@ -250,6 +465,26 @@ TEST(CliServe, RejectsUnknownFlagAndMissingModel)
               1);
 }
 
+TEST(CliServe, RejectsBadValues)
+{
+    // A --batch beyond its bound is refused by name before any buffer
+    // is sized for it.
+    const fs::path dir = freshDir("acdse_cli_serve_badvalue");
+    const std::string base =
+        std::string(ACDSE_TOOL_SERVE) + " --model x.acdse";
+    for (const char *batch : {"0", "65537", "4294967296", "5000000000"}) {
+        const RunResult result = run(dir, base + " --batch " + batch);
+        EXPECT_EQ(result.exitCode, 1) << batch;
+        EXPECT_NE(result.output.find("--batch must be in 1..65536"),
+                  std::string::npos)
+            << batch << ": " << result.output;
+    }
+    // The width comes from ACDSE_THREADS alone and there is no ring
+    // mode: --threads and --max-queue are unknown flags.
+    EXPECT_EQ(run(dir, base + " --threads 2").exitCode, 2);
+    EXPECT_EQ(run(dir, base + " --max-queue 99999999999999").exitCode, 2);
+}
+
 TEST(CliExplore, ExploresArtifactAndWritesCsv)
 {
     const fs::path dir = freshDir("acdse_cli_explore");
@@ -261,31 +496,24 @@ TEST(CliExplore, ExploresArtifactAndWritesCsv)
     const std::string explore_cmd =
         std::string(ACDSE_TOOL_EXPLORE) +
         " --model model.acdse --samples 3000 --topk 4 --seed 9";
-    const RunResult explored =
-        run(dir, explore_cmd + " --threads 1 --stats-out stats.json");
+    const RunResult explored = run(
+        dir, "ACDSE_THREADS=1 " + explore_cmd + " --stats-out stats.json");
     ASSERT_EQ(explored.exitCode, 0) << explored.output;
     const RunResult explored2 =
-        run(dir, explore_cmd + " --threads 2 --frontier-out f2.csv"
-                               " --topk-out t2.csv");
+        run(dir, "ACDSE_THREADS=2 " + explore_cmd +
+                     " --frontier-out f2.csv --topk-out t2.csv");
     ASSERT_EQ(explored2.exitCode, 0) << explored2.output;
 
-    auto slurp = [&](const char *name) {
-        std::ifstream in(dir / name);
-        EXPECT_TRUE(in.good()) << name;
-        std::ostringstream text;
-        text << in.rdbuf();
-        return text.str();
-    };
-    const std::string frontier = slurp("frontier.csv");
+    const std::string frontier = slurp(dir / "frontier.csv");
     EXPECT_TRUE(frontier.starts_with(
         "width,rob,iq,lsq,rf,rfrd,rfwr,bpred,btb,br,il1,dl1,l2,"
         "cycles,energy"))
         << frontier.substr(0, 120);
-    EXPECT_EQ(frontier, slurp("f2.csv"));
-    const std::string topk = slurp("topk.csv");
+    EXPECT_EQ(frontier, slurp(dir / "f2.csv"));
+    const std::string topk = slurp(dir / "topk.csv");
     EXPECT_TRUE(topk.starts_with("metric,rank,width"))
         << topk.substr(0, 120);
-    EXPECT_EQ(topk, slurp("t2.csv"));
+    EXPECT_EQ(topk, slurp(dir / "t2.csv"));
     // Default --metrics cycles,energy at --topk 4: header + 8 rows.
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(topk.begin(), topk.end(), '\n')),
@@ -313,11 +541,10 @@ TEST(CliExplore, RefinedEnumerationOfReducedGrid)
 
     // Stride 4 + pins keeps the grid tiny; --refine rewrites top-k.
     const RunResult explored = run(
-        dir, std::string(ACDSE_TOOL_EXPLORE) +
+        dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_EXPLORE +
                  " --model model.acdse --mode enumerate --stride 4"
                  " --fix width=4 --fix l2=1024 --metrics cycles"
-                 " --pareto cycles,cycles --topk 3 --refine"
-                 " --threads 1");
+                 " --pareto cycles,cycles --topk 3 --refine");
     ASSERT_EQ(explored.exitCode, 0) << explored.output;
     EXPECT_TRUE(fs::exists(dir / "frontier.csv"));
     EXPECT_TRUE(fs::exists(dir / "topk.csv"));
@@ -341,6 +568,24 @@ TEST(CliExplore, RejectsBadFlagsAndValues)
     EXPECT_EQ(run(dir, base + " --metrics watts").exitCode, 1);
     EXPECT_EQ(run(dir, base + " --fix width=5").exitCode, 1);
     EXPECT_EQ(run(dir, base + " --metrics ed,edd").exitCode, 1);
+    // Values the engine cannot run are refused by flag before the
+    // model is read: no samples, a zero stride, a top-k list too long
+    // to buffer, and a sampled sub-space with no valid point.
+    const std::pair<const char *, const char *> refused[] = {
+        {" --samples 0", "--samples must be positive"},
+        {" --stride 0", "--stride must be positive"},
+        {" --topk 20000000000", "--topk must be at most 65536"},
+        {" --fix rob=32 --fix iq=80", "--stride/--fix has no valid point"},
+    };
+    for (const auto &[flags, message] : refused) {
+        const RunResult result = run(dir, base + flags);
+        EXPECT_EQ(result.exitCode, 1) << flags;
+        EXPECT_NE(result.output.find(message), std::string::npos)
+            << flags << ": " << result.output;
+    }
+    // The width comes from ACDSE_THREADS, and the tile size is fixed.
+    EXPECT_EQ(run(dir, base + " --threads 2").exitCode, 2);
+    EXPECT_EQ(run(dir, base + " --tile 1024").exitCode, 2);
     // A --fix value outside int is refused as such, before the model
     // is read, not truncated: 2^32 + 2 would wrap to width 2.
     for (const char *value : {"4294967298", "-4294967294"}) {
@@ -540,8 +785,8 @@ TEST(CliJobServer, ArtifactServesAndExplores)
     EXPECT_TRUE(header.ends_with(",cycles,energy,ED,EDD")) << header;
 
     const RunResult explored =
-        run(dir, std::string(ACDSE_TOOL_EXPLORE) + " --model " +
-                     artifact + " --samples 500 --topk 2 --threads 1");
+        run(dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_EXPLORE +
+                     " --model " + artifact + " --samples 500 --topk 2");
     ASSERT_EQ(explored.exitCode, 0) << explored.output;
     EXPECT_TRUE(fs::exists(dir / "frontier.csv"));
 

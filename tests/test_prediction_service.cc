@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the prediction service: served predictions match the
- * underlying predictors exactly (single- and multi-threaded), absent
- * metrics come back NaN, and the serving counters add up.
+ * underlying predictors exactly (single- and multi-threaded, on both
+ * request paths, for every tenant), absent metrics come back NaN, and
+ * the serving counters add up.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "arch/design_space.hh"
 #include "serve/prediction_service.hh"
@@ -375,6 +379,152 @@ TEST(PredictionService, TenantsRouteToTheirOwnModels)
               queries.size());
     EXPECT_EQ(snap.counters.at("serve/tenant/bare/points"),
               queries.size());
+}
+
+TEST(PredictionService, PredictRoutesTenants)
+{
+    ModelArtifact alphaModel;
+    alphaModel.add(Metric::Cycles, trainedPredictor(1.0, 1.0));
+    ModelArtifact betaModel;
+    betaModel.add(Metric::Cycles, trainedPredictor(2.0, 0.5));
+
+    // Two threads and 200 points: each batch runs on the pool.
+    ServeOptions options;
+    options.threads = 2;
+    PredictionService service(alphaModel, options);
+    const TenantId beta = service.registerTenant("beta");
+    service.publish(beta, betaModel);
+
+    const auto queries = DesignSpace::sampleValidConfigs(200, 14);
+    AsyncBatch async(2 * queries.size());
+    for (const auto &query : queries) {
+        ASSERT_EQ(service.submit(async, kDefaultTenant, query),
+                  SubmitStatus::Accepted);
+        ASSERT_EQ(service.submit(async, beta, query),
+                  SubmitStatus::Accepted);
+    }
+    async.wait();
+
+    std::uint64_t alphaVersion = 0, betaVersion = 0;
+    const auto alphaRows = service.predict(queries, kDefaultTenant,
+                                           &alphaVersion);
+    const auto betaRows = service.predict(queries, beta, &betaVersion);
+    EXPECT_EQ(alphaVersion, 1u);
+    EXPECT_EQ(betaVersion, 2u);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        const double alpha =
+            alphaModel.predictor(Metric::Cycles).predict(queries[i]);
+        const double betaValue =
+            betaModel.predictor(Metric::Cycles).predict(queries[i]);
+        ASSERT_NE(alpha, betaValue);
+        EXPECT_EQ(alphaRows[i].get(Metric::Cycles), alpha);
+        EXPECT_EQ(betaRows[i].get(Metric::Cycles), betaValue);
+        EXPECT_EQ(alphaRows[i].get(Metric::Cycles),
+                  async.rows()[2 * i].get(Metric::Cycles));
+        EXPECT_EQ(betaRows[i].get(Metric::Cycles),
+                  async.rows()[2 * i + 1].get(Metric::Cycles));
+    }
+    // Both paths count the tenant's points.
+    const obs::Snapshot snap = service.statsSnapshot();
+    EXPECT_EQ(snap.counters.at("serve/tenant/beta/points"),
+              2 * queries.size());
+}
+
+TEST(PredictionService, ConcurrentPredictCallersAreExact)
+{
+    // predict() takes no lock: callers on several threads each run
+    // their pooled batch (over 128 points) on the one shared pool, for
+    // two tenants, and every row equals the one-thread reference.
+    ModelArtifact betaModel;
+    betaModel.add(Metric::Cycles, trainedPredictor(2.0, 0.5));
+    ServeOptions options;
+    options.threads = 3;
+    PredictionService service(twoMetricArtifact(), options);
+    const TenantId beta = service.registerTenant("beta");
+    service.publish(beta, betaModel);
+
+    const auto queries = DesignSpace::sampleValidConfigs(300, 17);
+    const auto expectedDefault = service.predict(queries);
+    const auto expectedBeta = service.predict(queries, beta);
+
+    constexpr int kCallers = 4;
+    constexpr int kRounds = 10;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            const TenantId tenant = c % 2 ? beta : kDefaultTenant;
+            const auto &expected = c % 2 ? expectedBeta : expectedDefault;
+            for (int round = 0; round < kRounds; ++round) {
+                const auto rows = service.predict(queries, tenant);
+                for (std::size_t i = 0; i < rows.size(); ++i) {
+                    if (rows[i].get(Metric::Cycles) !=
+                        expected[i].get(Metric::Cycles))
+                        mismatches.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(service.statsSnapshot().counters.at("serve/points"),
+              (2 + kCallers * kRounds) * queries.size());
+}
+
+TEST(PredictionService, PredictUnpublishedTenantIsNaN)
+{
+    ServeOptions options;
+    options.threads = 1;
+    PredictionService service(twoMetricArtifact(), options);
+    const TenantId bare = service.registerTenant("bare");
+
+    std::uint64_t version = 99;
+    const auto rows = service.predict(
+        DesignSpace::sampleValidConfigs(3, 15), bare, &version);
+    EXPECT_EQ(version, 0u);
+    ASSERT_EQ(rows.size(), 3u);
+    for (const PredictionRow &row : rows) {
+        for (Metric metric : kAllMetrics)
+            EXPECT_TRUE(std::isnan(row.get(metric)));
+    }
+}
+
+TEST(PredictionServiceDeathTest, PredictRejectsUnregisteredTenant)
+{
+    ServeOptions options;
+    options.threads = 1;
+    options.startDrainer = false;
+    PredictionService service(twoMetricArtifact(), options);
+    EXPECT_DEATH(service.predict({DesignSpace::baseline()}, TenantId{7}),
+                 "never registered");
+}
+
+TEST(PredictionService, PredictReportsItsPinnedVersion)
+{
+    // Publish A, then B: predict() for A's tenant reports A's version,
+    // not the registry's latest.
+    ServeOptions options;
+    options.threads = 1;
+    PredictionService service(twoMetricArtifact(), options);
+    const TenantId a = service.registerTenant("a");
+    const TenantId b = service.registerTenant("b");
+    const std::uint64_t versionA = service.publish(a, twoMetricArtifact());
+    const std::uint64_t versionB = service.publish(b, twoMetricArtifact());
+    ASSERT_LT(versionA, versionB);
+    ASSERT_EQ(service.currentVersion(), versionB);
+
+    const auto queries = DesignSpace::sampleValidConfigs(4, 16);
+    std::uint64_t reported = 0;
+    service.predict(queries, a, &reported);
+    EXPECT_EQ(reported, versionA);
+    service.predict(queries, b, &reported);
+    EXPECT_EQ(reported, versionB);
+    service.predict(queries, kDefaultTenant, &reported);
+    EXPECT_EQ(reported, 1u);
+    // An empty batch still reports the snapshot it would use.
+    service.predict({}, a, &reported);
+    EXPECT_EQ(reported, versionA);
 }
 
 TEST(PredictionService, AsyncLatencyMetricsPopulate)

@@ -21,11 +21,11 @@
  *   acdse-explore --model FILE [--mode sample|enumerate]
  *                 [--samples N] [--stride K] [--fix NAME=VALUE]...
  *                 [--metrics a,b] [--pareto X,Y] [--topk K] [--refine]
- *                 [--tile N] [--seed S] [--threads N]
- *                 [--frontier-out FILE] [--topk-out FILE]
+ *                 [--seed S] [--frontier-out FILE] [--topk-out FILE]
  *                 [--stats-out FILE]
  *
- * Results are bit-identical at any --threads value.
+ * The engine runs on the shared thread pool, ACDSE_THREADS wide;
+ * results are bit-identical at any width.
  */
 
 #include <chrono>
@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "base/csv.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
-#include "base/thread_pool.hh"
 #include "explore/explorer.hh"
 #include "explore/refine.hh"
 #include "obs/stats_export.hh"
@@ -53,13 +51,15 @@ using namespace acdse;
 namespace
 {
 
+/** Largest --topk: bounds each top-k list and its up-front buffer. */
+constexpr std::uint64_t kMaxTopK = 65536;
+
 struct CliOptions
 {
     std::string modelPath;
     explore::ExploreOptions engine;
     std::vector<Metric> metrics{Metric::Cycles, Metric::Energy};
     bool refine = false;
-    std::size_t threads = 0; //!< 0 = the shared global pool
     std::string frontierOut = "frontier.csv";
     std::string topkOut = "topk.csv";
     std::string statsOut; //!< acdse-stats-v1 dump path (empty = none)
@@ -73,15 +73,16 @@ usage(const char *argv0)
         "usage: %s --model FILE [--mode sample|enumerate]\n"
         "          [--samples N] [--stride K] [--fix NAME=VALUE]...\n"
         "          [--metrics a,b] [--pareto X,Y] [--topk K]\n"
-        "          [--refine] [--tile N] [--seed S] [--threads N]\n"
-        "          [--frontier-out FILE] [--topk-out FILE]\n"
-        "          [--stats-out FILE]\n"
+        "          [--refine] [--seed S] [--frontier-out FILE]\n"
+        "          [--topk-out FILE] [--stats-out FILE]\n"
         "\n"
         "Explore the design space with a trained model artifact:\n"
         "predicted Pareto frontier and per-metric top-k as CSV.\n"
+        "--samples and --stride must be positive; --topk is at most\n"
+        "%llu. Runs on ACDSE_THREADS threads (default: all cores).\n"
         "Parameter names for --fix: width,rob,iq,lsq,rf,rfrd,rfwr,\n"
         "bpred,btb,br,il1,dl1,l2.\n",
-        argv0);
+        argv0, static_cast<unsigned long long>(kMaxTopK));
     std::exit(2);
 }
 
@@ -138,9 +139,13 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--samples")) {
             options.engine.samples =
                 parseU64OrDie("--samples", value(i));
+            if (options.engine.samples == 0)
+                fatal("--samples must be positive");
         } else if (!std::strcmp(argv[i], "--stride")) {
             stride = static_cast<std::size_t>(
                 parseU64OrDie("--stride", value(i)));
+            if (stride == 0)
+                fatal("--stride must be positive");
         } else if (!std::strcmp(argv[i], "--fix")) {
             const std::string assign = value(i);
             const auto eq = assign.find('=');
@@ -162,18 +167,14 @@ parseArgs(int argc, char **argv)
             options.engine.paretoX = metricByKey(pair[0]);
             options.engine.paretoY = metricByKey(pair[1]);
         } else if (!std::strcmp(argv[i], "--topk")) {
-            options.engine.topK = static_cast<std::size_t>(
-                parseU64OrDie("--topk", value(i)));
+            const std::uint64_t topk = parseU64OrDie("--topk", value(i));
+            if (topk > kMaxTopK)
+                fatal("--topk must be at most ", kMaxTopK, ", got ", topk);
+            options.engine.topK = static_cast<std::size_t>(topk);
         } else if (!std::strcmp(argv[i], "--refine")) {
             options.refine = true;
-        } else if (!std::strcmp(argv[i], "--tile")) {
-            options.engine.tileSize = static_cast<std::size_t>(
-                parseU64OrDie("--tile", value(i)));
         } else if (!std::strcmp(argv[i], "--seed")) {
             options.engine.seed = parseU64OrDie("--seed", value(i));
-        } else if (!std::strcmp(argv[i], "--threads")) {
-            options.threads = static_cast<std::size_t>(
-                parseU64OrDie("--threads", value(i)));
         } else if (!std::strcmp(argv[i], "--frontier-out")) {
             options.frontierOut = value(i);
         } else if (!std::strcmp(argv[i], "--topk-out")) {
@@ -194,8 +195,6 @@ parseArgs(int argc, char **argv)
     }
     if (options.metrics.empty())
         fatal("--metrics must name at least one metric");
-    if (options.engine.tileSize == 0)
-        fatal("--tile must be positive");
 
     // Sub-space construction: stride first, then pins on top. Illegal
     // pin values are fatal here rather than deep in the engine.
@@ -206,6 +205,12 @@ parseArgs(int argc, char **argv)
             fatal(v, " is not a legal value for ", paramSpec(p).name);
         space.fix(p, static_cast<int>(v));
     }
+    // Enumerating an empty grid reports 0 points; sampling one cannot
+    // draw any.
+    if (options.engine.mode == explore::Mode::Sample &&
+        space.validPoints() == 0)
+        fatal("the sub-space given by --stride/--fix has no valid "
+              "point to sample");
     options.engine.space = std::move(space);
 
     bool has_x = false, has_y = false;
@@ -277,15 +282,7 @@ writeTopkCsv(const std::string &path, const explore::ExploreResult &result)
 int
 main(int argc, char **argv)
 {
-    CliOptions cli = parseArgs(argc, argv);
-
-    // An explicit --threads value gets its own pool; otherwise the
-    // engine uses the shared global one (ACDSE_THREADS).
-    std::optional<ThreadPool> pool;
-    if (cli.threads) {
-        pool.emplace(cli.threads);
-        cli.engine.pool = &*pool;
-    }
+    const CliOptions cli = parseArgs(argc, argv);
 
     try {
         const ModelArtifact artifact = loadArtifact(cli.modelPath);

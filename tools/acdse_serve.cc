@@ -11,33 +11,29 @@
  *
  * A header row and '#' comment lines are skipped. Output is CSV: the
  * 13 echoed parameters followed by one column per metric the artifact
- * carries. Rows are processed in batches (--batch) across the service
- * thread pool, so piping a large file through this binary exercises
- * the same hot path as bench_serve_throughput.
+ * carries. Rows are read in batches of --batch rows, and every batch
+ * is served through PredictionService::predict() across the service
+ * thread pool (ACDSE_THREADS wide), so piping a large file through
+ * this binary exercises the same hot path as bench_serve_throughput.
  *
- * Serving-front-end modes on top of that:
- *
- *  - --max-queue N routes batches through the lock-free ingest ring
- *    and the drainer thread (PredictionService::submit) instead of
- *    the synchronous predict() path; a full ring is retried, so the
- *    CLI never drops a row.
+ * Modes on top of that:
  *
  *  - --tenants name=model.acdse,... serves several models at once.
  *    Input rows gain a leading tenant-name column and output rows
- *    echo it plus the model version that served them. Tenant mode
- *    always uses the ingest ring.
+ *    echo it plus the model version that served them. Each batch is
+ *    grouped by tenant, predict() runs once per tenant, and the rows
+ *    are written back in input order.
  *
  *  - --hot-swap-watch polls the model file(s) between batches and
- *    republishes on any modification-time change: in-flight batches
- *    finish on the old version, later ones see the new one, and a
- *    half-written file is warned about and retried rather than fatal.
+ *    republishes on any modification-time change: a batch is served
+ *    by one version, later ones see the new one, and a half-written
+ *    file is warned about and retried rather than fatal.
  *
  * Usage:
  *   acdse-serve --model trained.acdse [--input queries.csv]
- *               [--batch N] [--threads N] [--stats]
+ *               [--batch N] [--stats]
  *               [--stats-out FILE [--stats-every N]]
- *               [--max-queue N] [--tenants NAME=FILE,...]
- *               [--hot-swap-watch]
+ *               [--tenants NAME=FILE,...] [--hot-swap-watch]
  */
 
 #include <climits>
@@ -49,7 +45,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,13 +60,14 @@ using namespace acdse;
 namespace
 {
 
+/** Most rows one --batch may hold: bounds the batch buffers. */
+constexpr std::uint64_t kMaxBatch = 65536;
+
 struct CliOptions
 {
     std::string modelPath;
     std::string inputPath = "-";
     std::size_t batch = 256;
-    std::size_t threads = 0;  // 0 = ServeOptions default
-    std::size_t maxQueue = 0; // 0 = synchronous predict() path
     bool hotSwapWatch = false;
     bool printStats = false;
     std::string statsOut;       //!< acdse-stats-v1 dump path
@@ -86,16 +82,17 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --model FILE [--input FILE|-] [--batch N]\n"
-        "          [--threads N] [--stats] [--stats-out FILE]\n"
-        "          [--stats-every N] [--max-queue N]\n"
+        "          [--stats] [--stats-out FILE] [--stats-every N]\n"
         "          [--tenants NAME=FILE,...] [--hot-swap-watch]\n"
         "\n"
         "Serve design-point predictions from a trained model artifact.\n"
         "Reads CSV rows of the 13 Table-1 parameters from --input\n"
         "(default stdin) and writes predictions as CSV to stdout.\n"
+        "--batch N rows (1..%llu, default 256) are served per batch\n"
+        "on ACDSE_THREADS threads (default: all cores).\n"
         "With --tenants, rows carry a leading tenant-name column and\n"
         "outputs echo the tenant and the serving model version.\n",
-        argv0);
+        argv0, static_cast<unsigned long long>(kMaxBatch));
     std::exit(2);
 }
 
@@ -134,16 +131,11 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--input")) {
             options.inputPath = value(i);
         } else if (!std::strcmp(argv[i], "--batch")) {
-            options.batch = static_cast<std::size_t>(
-                parseU64OrDie("--batch", value(i)));
-        } else if (!std::strcmp(argv[i], "--threads")) {
-            options.threads = static_cast<std::size_t>(
-                parseU64OrDie("--threads", value(i)));
-        } else if (!std::strcmp(argv[i], "--max-queue")) {
-            options.maxQueue = static_cast<std::size_t>(
-                parseU64OrDie("--max-queue", value(i)));
-            if (options.maxQueue == 0)
-                fatal("--max-queue must be positive");
+            const std::uint64_t batch = parseU64OrDie("--batch", value(i));
+            if (batch == 0 || batch > kMaxBatch)
+                fatal("--batch must be in 1..", kMaxBatch, ", got ",
+                      batch);
+            options.batch = static_cast<std::size_t>(batch);
         } else if (!std::strcmp(argv[i], "--tenants")) {
             options.tenants = parseTenantsSpec(value(i));
         } else if (!std::strcmp(argv[i], "--hot-swap-watch")) {
@@ -169,8 +161,6 @@ parseArgs(int argc, char **argv)
     }
     if (options.modelPath.empty())
         options.modelPath = options.tenants.front().second;
-    if (options.batch == 0)
-        fatal("--batch must be positive");
     if (options.statsEvery != 0 && options.statsOut.empty())
         fatal("--stats-every needs --stats-out");
     return options;
@@ -288,14 +278,11 @@ main(int argc, char **argv)
 {
     const CliOptions cli = parseArgs(argc, argv);
     const bool tenantMode = !cli.tenants.empty();
-    // Tenant routing happens in the drainer, so tenant mode always
-    // rides the ingest ring.
-    const bool asyncMode = tenantMode || cli.maxQueue != 0;
 
+    // Every row goes through predict(); nothing is ever submit()ted,
+    // so no drainer thread is started.
     ServeOptions serve_options;
-    serve_options.threads = cli.threads;
-    if (cli.maxQueue)
-        serve_options.maxQueue = cli.maxQueue;
+    serve_options.startDrainer = false;
 
     std::ifstream file;
     std::istream *in = &std::cin;
@@ -339,17 +326,18 @@ main(int argc, char **argv)
         inform("serving '", cli.modelPath, "' (",
                artifact.tag().empty() ? "untagged" : artifact.tag(),
                "), ", metrics.size(), " metrics, pool of ",
-               service.poolThreads() + 1, " threads",
-               asyncMode ? ", async ingest ring of " : "",
-               asyncMode ? std::to_string(service.queueCapacity())
-                         : std::string());
+               service.poolThreads() + 1, " threads");
         writeHeader(metrics, tenantMode);
 
         std::vector<MicroarchConfig> batch;
         std::vector<TenantId> batchTenants;
         batch.reserve(cli.batch);
         batchTenants.reserve(cli.batch);
-        AsyncBatch async(cli.batch);
+        // One tenant's share of a batch, and where its rows go back.
+        std::vector<MicroarchConfig> group;
+        std::vector<std::size_t> slots;
+        std::vector<PredictionRow> rows;
+        std::vector<std::uint64_t> versions;
 
         // --stats-out: the global registry (pool/ metrics) merged with
         // the service's private one, written every --stats-every input
@@ -366,30 +354,32 @@ main(int argc, char **argv)
         auto flush = [&] {
             if (batch.empty())
                 return;
-            if (asyncMode) {
-                async.reset();
+            rows.resize(batch.size());
+            versions.resize(batch.size());
+            for (TenantId tenant = 0; tenant < tenantNames.size();
+                 ++tenant) {
+                group.clear();
+                slots.clear();
                 for (std::size_t i = 0; i < batch.size(); ++i) {
-                    // A full ring sheds; the CLI's contract is to
-                    // serve every input row, so back off and retry
-                    // until the drainer makes room.
-                    while (service.submit(async, batchTenants[i],
-                                          batch[i]) ==
-                           SubmitStatus::QueueFull)
-                        std::this_thread::yield();
+                    if (batchTenants[i] == tenant) {
+                        group.push_back(batch[i]);
+                        slots.push_back(i);
+                    }
                 }
-                async.wait();
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    writeRow(batch[i], async.rows()[i], metrics,
-                             tenantMode
-                                 ? tenantNames[batchTenants[i]]
-                                       .c_str()
-                                 : nullptr,
-                             async.versions()[i]);
+                if (group.empty())
+                    continue;
+                std::uint64_t version = 0;
+                const auto served = service.predict(group, tenant, &version);
+                for (std::size_t k = 0; k < slots.size(); ++k) {
+                    rows[slots[k]] = served[k];
+                    versions[slots[k]] = version;
                 }
-            } else {
-                const auto rows = service.predict(batch);
-                for (std::size_t i = 0; i < batch.size(); ++i)
-                    writeRow(batch[i], rows[i], metrics, nullptr, 0);
+            }
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                writeRow(batch[i], rows[i], metrics,
+                         tenantMode ? tenantNames[batchTenants[i]].c_str()
+                                    : nullptr,
+                         versions[i]);
             }
             batch.clear();
             batchTenants.clear();
@@ -431,37 +421,23 @@ main(int argc, char **argv)
 
         if (cli.printStats) {
             // Span durations are exact ns (count, sum, min, max); only
-            // their bucket edges are log-scaled. Sync batches run under
-            // serve/batch, async ones under the drainer's serve/drain.
+            // their bucket edges are log-scaled. Each predict() call
+            // is one serve/batch span.
             const obs::Snapshot snap = service.statsSnapshot();
-            const char *unit = asyncMode ? "drain" : "batch";
-            const char *units = asyncMode ? "drains" : "batches";
-            const obs::HistogramSnapshot &batches =
-                snap.stages.at(std::string("serve/") + unit).spans;
+            const obs::HistogramSnapshot &spans =
+                snap.stages.at("serve/batch").spans;
             const auto points =
                 static_cast<double>(snap.counters.at("serve/points"));
             std::fprintf(
                 stderr,
-                "stats: %llu %s, %.0f points, "
-                "mean %.3f ms/%s (min %.3f, max %.3f), "
+                "stats: %llu batches, %.0f points, "
+                "mean %.3f ms/batch (min %.3f, max %.3f), "
                 "%.0f points/s\n",
-                static_cast<unsigned long long>(batches.count), units,
-                points, batches.mean() / 1e6, unit,
-                static_cast<double>(batches.min) / 1e6,
-                static_cast<double>(batches.max) / 1e6,
-                batches.sum
-                    ? points * 1e9 / static_cast<double>(batches.sum)
-                    : 0.0);
-            if (asyncMode) {
-                std::fprintf(
-                    stderr,
-                    "async: %llu accepted, %llu shed, p99 %.3f ms\n",
-                    static_cast<unsigned long long>(
-                        snap.counters.at("serve/requests")),
-                    static_cast<unsigned long long>(
-                        snap.counters.at("serve/shed")),
-                    service.requestLatencyQuantileMs(0.99));
-            }
+                static_cast<unsigned long long>(spans.count), points,
+                spans.mean() / 1e6, static_cast<double>(spans.min) / 1e6,
+                static_cast<double>(spans.max) / 1e6,
+                spans.sum ? points * 1e9 / static_cast<double>(spans.sum)
+                          : 0.0);
         }
         if (!cli.statsOut.empty())
             writeStats();
