@@ -93,9 +93,6 @@ CampaignOptions::fromEnvironment()
         envSize("ACDSE_TRACE_LEN", options.traceLength);
     options.warmupInstructions =
         envSize("ACDSE_WARMUP", options.warmupInstructions);
-    // threads stays 0 here: the ThreadPool sizing rule (which itself
-    // honours ACDSE_THREADS) resolves it, the same way every other
-    // subsystem sizes its parallelism.
     if (const char *dir = std::getenv("ACDSE_CACHE_DIR"); dir && *dir)
         options.cacheDir = dir;
     return options;
@@ -347,15 +344,6 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
         }
     }
 
-    // The shared pool unless the campaign pins an explicit width (as
-    // the determinism tests do, comparing 1-thread vs N-thread runs).
-    ThreadPool *pool = &ThreadPool::global();
-    std::unique_ptr<ThreadPool> pinned;
-    if (options_.threads && options_.threads != pool->threads()) {
-        pinned = std::make_unique<ThreadPool>(options_.threads);
-        pool = pinned.get();
-    }
-
     const obs::TraceSpan span(obs::Registry::global(),
                               "campaign/fill");
     obs::Registry::global().counter("campaign/sims-run")
@@ -373,7 +361,7 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
     sim_options.warmupInstructions = options_.warmupInstructions;
     const std::size_t report_every =
         std::max<std::size_t>(1, pending.size() / 10);
-    pool->parallelFor(0, pending.size(), [&](std::size_t i) {
+    ThreadPool::global().parallelFor(0, pending.size(), [&](std::size_t i) {
         const std::size_t cell = pending[i];
         SimulationResult result;
         simulateBatch(

@@ -47,11 +47,6 @@ struct CampaignOptions
     std::size_t warmupInstructions = 4000; //!< untimed warm-up prefix
     std::uint64_t configSeed = 0xac5e'0001; //!< sampling seed
     std::string cacheDir = ".";        //!< where the store's blocks live
-    /**
-     * Explicit worker count; 0 uses the shared ThreadPool sizing rule
-     * (ACDSE_THREADS, else hardware concurrency -- base/thread_pool).
-     */
-    std::size_t threads = 0;
     bool quiet = false;                //!< suppress progress messages
 
     /** Defaults with any ACDSE_* environment overrides applied. */

@@ -51,8 +51,11 @@ TileGenerator::TileGenerator(const SubSpace &space, Mode mode,
         ACDSE_CHECK(space_.validPoints() > 0,
                     "sub-space has no valid points to sample");
     }
-    const std::uint64_t stream =
-        mode_ == Mode::Enumerate ? raw_ : samples_;
+    std::uint64_t stream = mode_ == Mode::Enumerate ? raw_ : samples_;
+    // A sub-space without a valid point enumerates nothing: filtering
+    // its every raw point would only confirm that.
+    if (space_.validPoints() == 0)
+        stream = 0;
     tiles_ = static_cast<std::size_t>((stream + tileSize_ - 1) /
                                       tileSize_);
 

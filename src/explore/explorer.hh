@@ -107,7 +107,8 @@ struct ExploreResult
  * explore() so reduced-space exactness tests can audit the stream
  * itself: in Enumerate mode the tiles partition the raw mixed-radix
  * index range of the sub-space and together visit every valid point
- * exactly once; in Sample mode every tile holds exactly tileSize valid
+ * exactly once (a sub-space with no valid point has no tiles); in
+ * Sample mode every tile holds exactly tileSize valid
  * uniform draws (the last tile takes the remainder) from an RNG
  * derived from (seed, tile index), so tile contents are independent of
  * the thread that produces them. Sampling is with replacement, across

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -122,6 +123,20 @@ killInHook(const std::string &jobId)
         if (completed >= threshold)
             ::raise(SIGKILL);
     };
+}
+
+/**
+ * The job-boundary kill injection point (ACDSE_JOBS_KILL_AFTER=<k>):
+ * the count of computed jobs after which the process raises SIGKILL;
+ * the maximum when unset or unparsable. Jobs found intact do not count.
+ */
+std::size_t
+killAfterJobs()
+{
+    const char *spec = std::getenv("ACDSE_JOBS_KILL_AFTER");
+    const auto jobs = spec && *spec ? parseU64(spec) : std::nullopt;
+    return jobs ? static_cast<std::size_t>(*jobs)
+                : std::numeric_limits<std::size_t>::max();
 }
 
 } // namespace
@@ -376,6 +391,13 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
     // rewrite it.
     if (done(spec))
         return false;
+    // Fault injection (tests only): die at a job boundary, the last
+    // computed output landed and its lock still held, once this process
+    // has computed that many jobs (ACDSE_JOBS_KILL_AFTER=<k>); with
+    // k = 0 before its first.
+    const std::size_t killAfter = killAfterJobs();
+    if (computed_ >= killAfter)
+        ::raise(SIGKILL);
     // Fault injection (tests only): fail the first attempt of one
     // job to exercise the retry path.
     if (const char *failOnce = std::getenv("ACDSE_JOBS_FAIL_ONCE");
@@ -392,6 +414,8 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
     } else {
         runFitResponses();
     }
+    if (++computed_ >= killAfter)
+        ::raise(SIGKILL);
     return true;
 }
 
@@ -506,7 +530,7 @@ CampaignJobRunner::requireCells(
 }
 
 void
-CampaignJobRunner::finalize()
+CampaignJobRunner::drain()
 {
     drainJobs(plan_.jobs(), plan_.prefix(),
               [this](const JobSpec &spec, int attempt) {

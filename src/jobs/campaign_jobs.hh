@@ -1,8 +1,9 @@
 /**
  * @file
  * The campaign job server: campaign fill and offline training
- * restructured as typed, idempotent, crash-safe jobs, drained by
- * worker processes through per-job file locks (jobs/drain.hh).
+ * restructured as typed, idempotent, crash-safe jobs, drained through
+ * per-job file locks (jobs/drain.hh) by every process running the
+ * plan, each job parallel across that process's ThreadPool.
  *
  * A CampaignJobPlan is the complete, persisted description of one
  * run: the campaign parameters and the training/response split, T
@@ -67,8 +68,8 @@ namespace acdse::jobs
 
 /**
  * The persisted description of one campaign job run. The plan file
- * holds what defines the jobs and their outputs; options.threads and
- * options.quiet are the running process's, never persisted.
+ * holds what defines the jobs and their outputs; options.quiet is the
+ * running process's, never persisted.
  */
 struct CampaignJobPlan
 {
@@ -137,9 +138,9 @@ struct CampaignJobPlan
 };
 
 /**
- * Executes a plan's jobs. One runner per worker process; the held
- * Campaign accumulates the store's blocks across jobs, which only
- * ever skips recomputation (handlers stay idempotent).
+ * Executes a plan's jobs. One runner per process; the held Campaign
+ * accumulates the store's blocks across jobs, which only ever skips
+ * recomputation (handlers stay idempotent).
  */
 class CampaignJobRunner
 {
@@ -159,18 +160,22 @@ class CampaignJobRunner
     /**
      * The drain's executor (jobs/drain.hh): return false at once when
      * @p spec is done(), else compute its output and return true.
-     * Applies the fault-injection hooks (ACDSE_JOBS_FAIL_ONCE,
-     * ACDSE_JOBS_KILL_IN) to the computation. @throws JobError (and
-     * anything the handlers throw) on failure; the drain retries.
+     * Applies the fault-injection hooks to the computation:
+     * ACDSE_JOBS_FAIL_ONCE=<id> throws on that job's first attempt,
+     * ACDSE_JOBS_KILL_IN=<id>@<cells> raises SIGKILL inside that
+     * simulate job, and ACDSE_JOBS_KILL_AFTER=<k> raises it once this
+     * runner has computed k jobs. @throws JobError (and anything the
+     * handlers throw) on failure; the drain retries.
      */
     bool execute(const JobSpec &spec, int attempt);
 
     /**
-     * Drain every job of the plan through execute(). Run by the
-     * parent once its workers exit, it verifies a clean run, and
-     * recomputes any output damaged or left undone since.
+     * Drain every job of the plan through execute(), sharing the work
+     * with any other process draining the same directory: computes
+     * every output that is missing or damaged and keeps every intact
+     * one.
      */
-    void finalize();
+    void drain();
 
     /**
      * The equivalent computation without the job system: plain
@@ -201,6 +206,7 @@ class CampaignJobRunner
 
     CampaignJobPlan plan_;
     std::unique_ptr<Campaign> campaign_;
+    std::size_t computed_ = 0; //!< jobs execute() computed
 };
 
 } // namespace acdse::jobs

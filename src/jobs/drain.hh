@@ -1,7 +1,9 @@
 /**
  * @file
  * How the campaign job server runs a fixed set of jobs across any
- * number of worker processes (or threads) sharing one directory.
+ * number of processes (or threads) sharing one directory: each
+ * `acdse-jobs run`/`resume` is one drain, and a second one started on
+ * the same directory shares the work.
  *
  * A job has no state of its own: it is done when its output exists
  * and is intact, and the executor checks that itself. Each job has a
@@ -11,7 +13,7 @@
  * order and, within each phase:
  *
  *   pass 1  runs every job whose lock it wins without waiting
- *           (tryLock), so concurrent workers spread over the phase;
+ *           (tryLock), so concurrent drains spread over the phase;
  *   pass 2  takes each job's lock, blocking, and runs it again.
  *
  * The executor runs under the job's lock and returns at once when the

@@ -153,7 +153,6 @@ flipSweepOptions()
     options.numConfigs = 4;
     options.traceLength = 400;
     options.warmupInstructions = 100;
-    options.threads = 1;
     return options;
 }
 

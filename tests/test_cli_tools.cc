@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -104,7 +105,7 @@ trainModel(const fs::path &dir, const std::string &name = "model.acdse",
         run(work, std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=56 "
                               "ACDSE_TRACE_LEN=2000 ACDSE_WARMUP=400 ") +
                       ACDSE_TOOL_JOBS +
-                      " run --dir . --workers 1 --programs " + programs +
+                      " run --dir . --programs " + programs +
                       " --target vpr --train 24 --responses 16");
     for (const auto &entry : fs::directory_iterator(work)) {
         if (entry.path().extension() == ".acdse")
@@ -643,8 +644,11 @@ jobsCmd(const std::string &subcommand)
 }
 
 constexpr const char *kJobsRunArgs =
-    "run --dir . --workers 2 --programs gzip,mcf --target vpr"
-    " --train 12 --responses 8";
+    "run --dir . --programs gzip,mcf --target vpr --train 12"
+    " --responses 8";
+
+/** sh's exit status for a command that SIGKILL ended. */
+constexpr int kKilledExit = 128 + SIGKILL;
 
 TEST(CliJobServer, RunProducesArtifactsAndStats)
 {
@@ -668,36 +672,32 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
     EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
 
-    // The parent and each worker wrote acdse-stats-v1 files; the
-    // workers' ones carry the jobs/dispatch counter.
-    ASSERT_TRUE(fs::exists(dir / "stats.json"));
-    const testjson::Value parent = parseFile(dir / "stats.json");
-    EXPECT_EQ(parent.at("schema").asString(), "acdse-stats-v1");
-    double dispatched = 0;
-    for (std::size_t w = 0; w < 2; ++w) {
-        const fs::path workerStats =
-            dir / ("stats.json.worker" + std::to_string(w));
-        ASSERT_TRUE(fs::exists(workerStats));
-        const testjson::Value doc = parseFile(workerStats);
-        EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
-        // A worker that lost every claim race registers no
-        // jobs/dispatch counter at all; only the sum is deterministic.
-        if (doc.at("counters").has("jobs/dispatch"))
-            dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
-    }
-    EXPECT_EQ(dispatched, 6.0);
+    // The run writes one acdse-stats-v1 file, and it covers the whole
+    // run: the campaign fill, each training program's models and every
+    // computed job.
+    std::size_t statsFiles = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        statsFiles += entry.path().filename().string().starts_with("stats");
+    EXPECT_EQ(statsFiles, 1u);
+    const testjson::Value doc = parseFile(dir / "stats.json");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    const testjson::Value &stages = doc.at("stages");
+    EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(), 0.0);
+    EXPECT_TRUE(stages.has("train/program/0"));
+    EXPECT_TRUE(stages.has("train/program/1"));
+    EXPECT_EQ(doc.at("counters").at("jobs/dispatch").asNumber(), 6.0);
 }
 
 TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
 {
     // A training run ends with every metric's response training error
     // and the target's error over the held-out configurations
-    // [T+R, N) = [20, 24). Single-threaded with one worker, each
-    // process's stage self times sum to at most the run's wall time.
+    // [T+R, N) = [20, 24). Single-threaded, the stage self times sum
+    // to at most the run's wall time.
     const fs::path dir = freshDir("acdse_cli_jobs_report");
     const RunResult result =
         run(dir, jobsCmd(std::string(kJobsRunArgs) +
-                         " --workers 1 --stats-out stats.json"));
+                         " --stats-out stats.json"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     for (const char *metric : {"cycles ", "energy ", "ED ", "EDD "}) {
         EXPECT_NE(result.output.find(std::string("trained ") + metric),
@@ -711,28 +711,22 @@ TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
               std::string::npos)
         << result.output;
 
-    for (const char *name : {"stats.json", "stats.json.worker0"}) {
-        ASSERT_TRUE(fs::exists(dir / name)) << name;
-        const testjson::Value doc = parseFile(dir / name);
-        EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
-        const testjson::Value &stages = doc.at("stages");
-        EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 6.0)
-            << name;
-        double selfSumMs = 0.0;
-        for (const auto &[path, stage] : stages.object) {
-            const double self = stage.at("self_ms").asNumber();
-            EXPECT_GE(self, 0.0) << name << " " << path;
-            EXPECT_LE(self, stage.at("total_ms").asNumber() + 1e-9)
-                << name << " " << path;
-            selfSumMs += self;
-        }
-        EXPECT_LE(selfSumMs, result.wallSeconds * 1000.0) << name;
+    ASSERT_TRUE(fs::exists(dir / "stats.json"));
+    const testjson::Value doc = parseFile(dir / "stats.json");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    const testjson::Value &stages = doc.at("stages");
+    EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 6.0);
+    double selfSumMs = 0.0;
+    for (const auto &[path, stage] : stages.object) {
+        const double self = stage.at("self_ms").asNumber();
+        EXPECT_GE(self, 0.0) << path;
+        EXPECT_LE(self, stage.at("total_ms").asNumber() + 1e-9) << path;
+        selfSumMs += self;
     }
-    // The worker simulated, trained and fitted; its stats say so: one
+    EXPECT_LE(selfSumMs, result.wallSeconds * 1000.0);
+    // The run simulated, trained and fitted; its stats say so: one
     // train/program/<i> stage per training program, spanned once per
     // metric, and one fit per metric.
-    const testjson::Value worker = parseFile(dir / "stats.json.worker0");
-    const testjson::Value &stages = worker.at("stages");
     EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(), 0.0);
     std::size_t trainProgramStages = 0;
     for (const auto &[path, stage] : stages.object) {
@@ -801,11 +795,8 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
 {
     const fs::path dir = freshDir("acdse_cli_jobs_resume");
     RunResult result = run(
-        dir, "ACDSE_JOBS_KILL_AFTER=0:2 " +
-                 jobsCmd(std::string(kJobsRunArgs) + " --workers 1"));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
-    EXPECT_NE(result.output.find("resume"), std::string::npos)
-        << "interrupted runs should print the resume hint";
+        dir, "ACDSE_JOBS_KILL_AFTER=2 " + jobsCmd(kJobsRunArgs));
+    ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
 
     result = run(dir, jobsCmd("status --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -828,7 +819,7 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
     }
     EXPECT_EQ(doc.at("states").array.size(), 6u);
 
-    result = run(dir, jobsCmd("resume --dir . --workers 2"));
+    result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     result = run(dir, jobsCmd("status --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -843,18 +834,17 @@ TEST(CliJobServer, ResumeTakesVerbosityFromItsFlag)
     // jobs it runs, whatever the first run's verbosity was.
     const fs::path dir = freshDir("acdse_cli_jobs_verbose");
     RunResult result = run(
-        dir, "ACDSE_JOBS_KILL_AFTER=0:0 " +
-                 jobsCmd(std::string(kJobsRunArgs) + " --verbose"
-                                                     " --workers 1"));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
+        dir, "ACDSE_JOBS_KILL_AFTER=0 " +
+                 jobsCmd(std::string(kJobsRunArgs) + " --verbose"));
+    ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
 
-    result = run(dir, "ACDSE_JOBS_KILL_AFTER=0:1 " +
-                          jobsCmd("resume --dir . --workers 1"));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
+    result = run(dir, "ACDSE_JOBS_KILL_AFTER=1 " +
+                          jobsCmd("resume --dir ."));
+    ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
     EXPECT_EQ(result.output.find("simulations done"), std::string::npos)
         << result.output;
 
-    result = run(dir, jobsCmd("resume --dir . --workers 1 --verbose"));
+    result = run(dir, jobsCmd("resume --dir . --verbose"));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     EXPECT_NE(result.output.find("info: campaign: 24/24 simulations done"),
               std::string::npos)
@@ -872,7 +862,7 @@ TEST(CliJobServer, VerboseProgressCountsUp)
         run(dir, std::string("ACDSE_THREADS=8 ACDSE_CONFIGS=400 "
                              "ACDSE_TRACE_LEN=300 ACDSE_WARMUP=50 ") +
                      ACDSE_TOOL_JOBS +
-                     " run --dir . --workers 1 --sim-only --programs gzip"
+                     " run --dir . --sim-only --programs gzip"
                      " --verbose 2>&1 | cat");
     // The exit code is cat's; the final 400/400 line shows the run
     // finished.
@@ -898,11 +888,14 @@ TEST(CliJobServer, RejectsBadFlags)
     EXPECT_EQ(run(dir, tool).exitCode, 2);
     EXPECT_EQ(run(dir, tool + " frobnicate").exitCode, 2);
     EXPECT_EQ(run(dir, tool + " run --bogus").exitCode, 2);
+    EXPECT_EQ(run(dir, tool + " run --train").exitCode, 2);
+    // One process drains the plan: there is no worker count to pick.
     EXPECT_EQ(run(dir, tool + " run --workers").exitCode, 2);
-    // fatal() paths exit 1: unparsable count, zero workers, unknown
-    // benchmark program.
-    EXPECT_EQ(run(dir, tool + " run --workers nope").exitCode, 1);
-    EXPECT_EQ(run(dir, tool + " run --workers 0").exitCode, 1);
+    EXPECT_EQ(run(dir, tool + " run --workers 2").exitCode, 2);
+    EXPECT_EQ(run(dir, tool + " resume --workers 2").exitCode, 2);
+    // fatal() paths exit 1: unparsable count, unknown benchmark
+    // program.
+    EXPECT_EQ(run(dir, tool + " run --train nope").exitCode, 1);
     EXPECT_EQ(
         run(dir, jobsCmd("run --dir . --programs not-a-benchmark"))
             .exitCode,
@@ -938,6 +931,33 @@ TEST(CliJobServer, RejectsBadValues)
     EXPECT_EQ(run(dir, jobsCmd("run --dir . --train 20 --responses 8"))
                   .exitCode,
               1);
+}
+
+TEST(CliJobServer, RunCreatesItsDirectory)
+{
+    // `run --dir` creates a missing directory, parents included; a
+    // --dir that names a regular file is a fatal error that names it.
+    const fs::path dir = freshDir("acdse_cli_jobs_mkdir");
+    const RunResult created = run(
+        dir, jobsCmd("run --dir new/run --sim-only --programs gzip"));
+    ASSERT_EQ(created.exitCode, 0) << created.output;
+    std::size_t blocks = 0;
+    for (const auto &entry : fs::directory_iterator(dir / "new" / "run"))
+        blocks += entry.path().extension() == ".cells";
+    EXPECT_EQ(blocks, 1u);
+
+    {
+        std::ofstream file(dir / "plain");
+        file << "not a directory\n";
+    }
+    const RunResult refused = run(
+        dir, jobsCmd("run --dir plain --sim-only --programs gzip"));
+    EXPECT_EQ(refused.exitCode, 1) << refused.output;
+    EXPECT_NE(refused.output.find("fatal: --dir 'plain'"),
+              std::string::npos)
+        << refused.output;
+    EXPECT_EQ(refused.output.find("panic"), std::string::npos)
+        << refused.output;
 }
 
 } // namespace

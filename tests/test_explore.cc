@@ -313,6 +313,29 @@ TEST(Explore, MatchesBruteForceOnReducedGrid)
     }
 }
 
+TEST(Explore, EnumerateOfAnEmptySubSpaceGeneratesNothing)
+{
+    // rob=32 with iq=80 breaks IQ <= ROB at every one of the sub-space's
+    // ~10^9 raw points: enumeration must not generate and filter them.
+    SubSpace space = SubSpace::full();
+    space.fix(Param::RobSize, 32);
+    space.fix(Param::IqSize, 80);
+    ASSERT_EQ(space.validPoints(), 0u);
+    ASSERT_GT(space.rawPoints(), 0u);
+    ExploreOptions options;
+    options.mode = Mode::Enumerate;
+    options.space = space;
+    const ExploreResult result =
+        explore::explore(twoEnsembles(), options);
+    EXPECT_EQ(result.stats.tiles, 0u);
+    EXPECT_EQ(result.stats.generated, 0u);
+    EXPECT_EQ(result.stats.predicted, 0u);
+    EXPECT_TRUE(result.frontier.empty());
+    ASSERT_EQ(result.topk.size(), 2u);
+    for (const auto &best : result.topk)
+        EXPECT_TRUE(best.empty());
+}
+
 TEST(Explore, RefineImprovesOrKeepsTopkSeeds)
 {
     const auto ensembles = twoEnsembles();

@@ -413,8 +413,7 @@ TEST(JobsPlan, JobExpansionAndPhases)
 TEST(JobsPlan, SaveLoadRoundTripRebindsDirectory)
 {
     const fs::path dir = freshDir("acdse_jobs_plan_rt");
-    CampaignJobPlan plan = smallPlan(dir.string());
-    plan.options.threads = 3;
+    const CampaignJobPlan plan = smallPlan(dir.string());
     plan.save();
 
     const CampaignJobPlan loaded =
@@ -427,9 +426,8 @@ TEST(JobsPlan, SaveLoadRoundTripRebindsDirectory)
     EXPECT_EQ(loaded.newProgram, plan.newProgram);
     EXPECT_EQ(loaded.planHash(), plan.planHash());
     EXPECT_EQ(loaded.options.cacheDir, dir.string());
-    // Verbosity and parallelism belong to the process that runs the
-    // plan, so a resume takes its own: neither is persisted.
-    EXPECT_EQ(loaded.options.threads, 0u);
+    // Verbosity belongs to the process that runs the plan, so a resume
+    // takes its own: it is not persisted.
     EXPECT_FALSE(loaded.options.quiet);
 
     // The plan file holds the format, the campaign key and the eight

@@ -1,7 +1,7 @@
 /**
  * @file
  * Kill/resume fault-injection suite for the campaign job server,
- * driving real `acdse-jobs` worker processes as subprocesses.
+ * driving real `acdse-jobs` processes as subprocesses.
  *
  * The contract under test: a campaign job run SIGKILL'd at *any*
  * point -- between jobs (ACDSE_JOBS_KILL_AFTER) or inside a simulate
@@ -17,13 +17,14 @@
  *
  * The binary path arrives as the ACDSE_TOOL_JOBS compile definition
  * from tests/CMakeLists.txt. The suite name deliberately avoids the
- * `Jobs` substring: these tests fork multi-process trees and belong
+ * `Jobs` substring: these tests run concurrent processes and belong
  * in the regular test job, not the TSan `-R` regex.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +32,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/binary_io.hh"
@@ -50,6 +52,9 @@ struct RunResult
     int exitCode = -1;
     std::string output; //!< merged stdout+stderr
 };
+
+/** sh's exit status for a command that SIGKILL ended. */
+constexpr int kKilledExit = 128 + SIGKILL;
 
 /** Run @p command under `sh -c` in @p dir, capturing exit + output. */
 RunResult
@@ -101,12 +106,29 @@ jobsCmd(const std::string &subcommand)
            ACDSE_TOOL_JOBS + " " + subcommand;
 }
 
-std::string
-runArgs(std::size_t workers)
+constexpr const char *kRunArgs =
+    "run --dir . --programs gzip,mcf --target vpr --train 12"
+    " --responses 8";
+
+/**
+ * Run the shell commands @p a and @p b as two concurrent processes in
+ * @p dir, logging to `a.log` and `b.log`. @return their exit statuses.
+ */
+std::pair<int, int>
+runConcurrently(const fs::path &dir, const std::string &a,
+                const std::string &b)
 {
-    return "run --dir . --workers " + std::to_string(workers) +
-           " --programs gzip,mcf --target vpr"
-           " --train 12 --responses 8";
+    const RunResult result = run(
+        dir, "{ " + a + " > a.log 2>&1; echo $? > a.code; } & { " + b +
+                 " > b.log 2>&1; echo $? > b.code; }; wait");
+    EXPECT_EQ(result.exitCode, 0) << result.output;
+    const auto code = [&](const char *name) {
+        std::ifstream in(dir / name);
+        int value = -1;
+        in >> value;
+        return value;
+    };
+    return {code("a.code"), code("b.code")};
 }
 
 /** Find the single file in @p dir matching prefix/suffix. */
@@ -126,15 +148,15 @@ findFile(const fs::path &dir, const std::string &prefix,
 }
 
 /**
- * The uninterrupted single-worker reference run, built once per test
- * binary. Every fault-injection test byte-compares against this.
+ * The uninterrupted reference run, built once per test binary. Every
+ * fault-injection test byte-compares against this.
  */
 const fs::path &
 referenceDir()
 {
     static const fs::path dir = [] {
         const fs::path d = freshDir("acdse_crash_reference");
-        const RunResult result = run(d, jobsCmd(runArgs(1)));
+        const RunResult result = run(d, jobsCmd(kRunArgs));
         EXPECT_EQ(result.exitCode, 0) << result.output;
         return d;
     }();
@@ -213,7 +235,6 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
     plan.options.numConfigs = 24;
     plan.options.traceLength = 1200;
     plan.options.warmupInstructions = 200;
-    plan.options.threads = 1;
     plan.options.quiet = true;
     plan.options.cacheDir = inproc.string();
     plan.trainSims = 12;
@@ -237,15 +258,15 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
 
 TEST(CrashResume, KillAtEveryJobBoundary)
 {
-    // Kill the worker after every single job: the run crosses every
+    // Kill the process after every single job: the run crosses every
     // simulate/training boundary the plan has, one resume per boundary.
     const fs::path dir = freshDir("acdse_crash_boundary");
-    const std::string kill = "ACDSE_JOBS_KILL_AFTER=0:1 ";
-    RunResult result = run(dir, kill + jobsCmd(runArgs(1)));
+    const std::string kill = "ACDSE_JOBS_KILL_AFTER=1 ";
+    RunResult result = run(dir, kill + jobsCmd(kRunArgs));
     int sessions = 1;
-    while (result.exitCode == 3 && sessions < 40) {
+    while (result.exitCode == kKilledExit && sessions < 40) {
         ++sessions;
-        result = run(dir, kill + jobsCmd("resume --dir . --workers 1"));
+        result = run(dir, kill + jobsCmd("resume --dir ."));
     }
     ASSERT_EQ(result.exitCode, 0) << result.output;
     // 6 jobs -> 6 killed sessions + 1 that finds every output intact.
@@ -265,10 +286,10 @@ TEST(CrashResume, KillMidShard)
     // redoes it from scratch and the artifacts still match bit for bit.
     const fs::path dir = freshDir("acdse_crash_midshard");
     RunResult result =
-        run(dir, "ACDSE_JOBS_KILL_IN=sim_mcf@5 " + jobsCmd(runArgs(1)));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
+        run(dir, "ACDSE_JOBS_KILL_IN=sim_mcf@5 " + jobsCmd(kRunArgs));
+    ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
 
-    // The dead worker's lock died with it: the killed job is pending,
+    // The dead process's lock died with it: the killed job is pending,
     // not running, and nothing else has started.
     const testjson::Value status = statusOf(dir, 0);
     EXPECT_EQ(status.at("jobs").at("running").asNumber(), 0.0);
@@ -293,48 +314,63 @@ TEST(CrashResume, KillMidShard)
     EXPECT_EQ(blocks, 1u) << "only gzip's job ran to completion";
     EXPECT_FALSE(mcfBlock);
 
-    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 }
 
 TEST(CrashResume, MultiWorkerKillAndResume)
 {
-    // Satellite 1's worker matrix: with 1, 2 and 4 workers, kill
-    // worker 0 after its first job, resume with the same worker
-    // count, and require byte-identical artifacts every time.
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-        const fs::path dir = freshDir(
-            "acdse_crash_multi" + std::to_string(workers));
-        RunResult result = run(
-            dir, "ACDSE_JOBS_KILL_AFTER=0:1 " + jobsCmd(runArgs(workers)));
-        if (workers == 1) {
-            // Single worker: the kill is deterministic.
-            ASSERT_EQ(result.exitCode, 3) << result.output;
-        } else {
-            // Worker 0 is all but certain to win a claim; tolerate
-            // the race where siblings drain the queue first.
-            ASSERT_TRUE(result.exitCode == 3 || result.exitCode == 0)
-                << result.output;
-        }
-        if (result.exitCode == 3) {
-            result = run(dir,
-                         jobsCmd("resume --dir . --workers " +
-                                 std::to_string(workers)));
-            ASSERT_EQ(result.exitCode, 0)
-                << workers << " workers: " << result.output;
-        }
-        expectArtifactsMatchReference(dir);
+    // Two acdse-jobs processes drain one directory; one dies by SIGKILL
+    // after its first computed job, holding that job's lock. The
+    // survivor takes over whatever the dead one held or never reached,
+    // exits 0, and every output matches the uninterrupted run.
+    const fs::path dir = freshDir("acdse_crash_multi");
+    const auto [killed, survivor] = runConcurrently(
+        dir, "ACDSE_JOBS_KILL_AFTER=1 " + jobsCmd(kRunArgs),
+        jobsCmd(std::string(kRunArgs) + " --stats-out b.json"));
+    // The survivor may drain every job before the other computes one.
+    ASSERT_TRUE(killed == kKilledExit || killed == 0) << killed;
+    ASSERT_EQ(survivor, 0) << readBytes(dir / "b.log");
+    // It computes every job but the one the dead process stored.
+    const testjson::Value stats = testjson::parse(readBytes(dir / "b.json"));
+    EXPECT_EQ(stats.at("counters").at("jobs/dispatch").asNumber(),
+              killed == 0 ? 6.0 : 5.0);
+    expectArtifactsMatchReference(dir);
+    EXPECT_TRUE(statusOf(dir, 0).at("drained").boolean);
+}
+
+TEST(CrashResume, ConcurrentDrainsComputeEachJobOnce)
+{
+    // Two live processes on one directory share the work: their
+    // jobs/dispatch counters add up to the plan's 6 jobs, so no job is
+    // computed twice, and the outputs match the uninterrupted run.
+    const fs::path dir = freshDir("acdse_crash_concurrent");
+    const auto [a, b] = runConcurrently(
+        dir, jobsCmd(std::string(kRunArgs) + " --stats-out a.json"),
+        jobsCmd(std::string(kRunArgs) + " --stats-out b.json"));
+    ASSERT_EQ(a, 0) << readBytes(dir / "a.log");
+    ASSERT_EQ(b, 0) << readBytes(dir / "b.log");
+    double dispatched = 0;
+    for (const char *name : {"a.json", "b.json"}) {
+        const testjson::Value doc =
+            testjson::parse(readBytes(dir / name));
+        // A process that found every job taken or done registers no
+        // jobs/dispatch counter at all.
+        if (doc.at("counters").has("jobs/dispatch"))
+            dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
     }
+    EXPECT_EQ(dispatched, 6.0);
+    expectArtifactsMatchReference(dir);
 }
 
 TEST(CrashResume, FailedJobRetriesAndSucceeds)
 {
     // A job that throws on its first attempt is retried inside the
-    // same worker and the run still completes with identical bytes.
+    // same process and the run still completes with identical bytes.
     const fs::path dir = freshDir("acdse_crash_retry");
     const RunResult result =
-        run(dir, "ACDSE_JOBS_FAIL_ONCE=sim_gzip " + jobsCmd(runArgs(1)));
+        run(dir, "ACDSE_JOBS_FAIL_ONCE=sim_gzip " + jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     EXPECT_NE(result.output.find("job 'sim_gzip' attempt 1 failed"),
               std::string::npos)
@@ -370,8 +406,8 @@ TEST(CrashResume, LeftoverJournalIsIgnored)
     // ends byte-identical to the uninterrupted run.
     const fs::path dir = freshDir("acdse_crash_leftover_journal");
     RunResult result =
-        run(dir, "ACDSE_JOBS_KILL_AFTER=0:4 " + jobsCmd(runArgs(1)));
-    ASSERT_EQ(result.exitCode, 3) << result.output;
+        run(dir, "ACDSE_JOBS_KILL_AFTER=4 " + jobsCmd(kRunArgs));
+    ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
 
     const testjson::Value status = statusOf(dir, 0);
     EXPECT_EQ(status.at("jobs").at("done").asNumber(), 4.0);
@@ -409,7 +445,7 @@ TEST(CrashResume, LeftoverJournalIsIgnored)
     EXPECT_EQ(statusOf(dir, 0).at("jobs").at("done").asNumber(), 4.0)
         << "status must not read the journal";
 
-    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
     EXPECT_EQ(readBytes(dir / (base + ".journal")), journal);
@@ -421,7 +457,7 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     // of a finished run: the rerun must treat both files as not done
     // and rewrite them, never train on or keep the damaged bytes.
     const fs::path dir = freshDir("acdse_crash_bitrot");
-    RunResult result = run(dir, jobsCmd(runArgs(1)));
+    RunResult result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const fs::path checkpoint =
         findFile(dir, "acdse_jobs_", ".model_gzip.bin");
@@ -429,7 +465,7 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     flipMiddleBit(checkpoint);
     flipMiddleBit(artifact);
 
-    result = run(dir, jobsCmd(runArgs(1)));
+    result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
@@ -437,7 +473,7 @@ TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
     // output intact, and the fit refits the artifact from the intact
     // checkpoints and blocks.
     flipMiddleBit(artifact);
-    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 }
@@ -450,7 +486,7 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
     // wrong number, and every block, checkpoint and the artifact
     // match the clean run byte for byte.
     const fs::path dir = freshDir("acdse_crash_block");
-    RunResult result = run(dir, jobsCmd(runArgs(1)));
+    RunResult result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const fs::path block = findFile(dir, "acdse_campaign_", ".gzip.cells");
     std::string bytes = readBytes(block);
@@ -470,7 +506,7 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
     }
     fs::remove(findFile(dir, "acdse_jobs_", ".acdse"));
 
-    result = run(dir, jobsCmd(runArgs(1)));
+    result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
@@ -481,7 +517,7 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
                           std::ios::binary | std::ios::trunc);
         out << bytes;
     }
-    result = run(dir, jobsCmd("resume --dir . --workers 1"));
+    result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 }
@@ -525,7 +561,7 @@ TEST(CrashResume, ParentLayoutIsATypedError)
                     "metrics,0;1\n"
                     "new_program,vpr\n";
         }
-        for (const char *command : {"resume --dir . --workers 1",
+        for (const char *command : {"resume --dir .",
                                     "status --dir ."}) {
             const RunResult result = run(dir, jobsCmd(command));
             EXPECT_EQ(result.exitCode, 1)

@@ -3,25 +3,26 @@
  * acdse-jobs: the crash-safe campaign job server CLI, and the one tool
  * that turns a campaign into a servable model artifact.
  *
- *   acdse-jobs run    --dir D [--workers N] [--programs a,b,c]
- *                     [--target PROG] [--train T] [--responses R]
- *                     [--sim-only] [--verbose] [--stats-out FILE]
- *   acdse-jobs resume --dir D [--workers N] [--plan FILE] [...]
+ *   acdse-jobs run    --dir D [--programs a,b,c] [--target PROG]
+ *                     [--train T] [--responses R] [--sim-only]
+ *                     [--verbose] [--stats-out FILE]
+ *   acdse-jobs resume --dir D [--plan FILE] [--verbose]
+ *                     [--stats-out FILE]
  *   acdse-jobs status --dir D [--plan FILE]
  *
- * `run` persists a CampaignJobPlan into the directory and forks N
- * worker processes that drain its jobs phase by phase
+ * `run` persists a CampaignJobPlan into the directory, creating it if
+ * need be, and drains its jobs in this process, phase by phase
  * (simulate-shard, one per program -> train-program, one per training
  * program, for every metric -> fit-responses), each job claimed
- * through its own lock file (jobs/drain.hh). The training programs
- * each train on configurations `[0, T)`; the target's responses are
- * configurations `[T, T+R)`.
+ * through its own lock file (jobs/drain.hh) and run across the whole
+ * ThreadPool (ACDSE_THREADS). The training programs each train on
+ * configurations `[0, T)`; the target's responses are configurations
+ * `[T, T+R)`.
  * Each simulate job writes its program's sealed block straight into
- * the directory's campaign store, the same blocks Campaign reads. Once
- * the workers exit the parent drains the plan once more, which keeps
- * every intact block, checkpoint and the run's one model artifact,
- * `<prefix>.acdse`, and recomputes any that is missing or damaged.
- * acdse-serve and acdse-explore load that artifact as is
+ * the directory's campaign store, the same blocks Campaign reads. The
+ * drain keeps every intact block, checkpoint and the run's one model
+ * artifact, `<prefix>.acdse`, and recomputes any that is missing or
+ * damaged. acdse-serve and acdse-explore load that artifact as is
  * (`acdse-explore --model <prefix>.acdse`). A training run then
  * prints each metric's response training error and the target's
  * cycles error over the held-out configurations `[T+R, N)`.
@@ -30,32 +31,24 @@
  * ACDSE_THREADS, as for `run` -- and drains whatever outputs are not
  * intact yet; because every handler is deterministic and its output
  * lands atomically, the resumed artifacts are byte-identical to an
- * uninterrupted run. `status` prints a machine-readable JSON summary
- * (schema acdse-jobs-status-v2) that it derives from the files: a job
- * is done when its output is intact, running when its lock is held,
- * pending otherwise.
+ * uninterrupted run. A `resume` started beside a running `run` or
+ * `resume` on the same directory shares the work with it, job by job:
+ * that is how to add job-level parallelism. `status` prints a
+ * machine-readable JSON summary (schema acdse-jobs-status-v2) that it
+ * derives from the files: a job is done when its output is intact,
+ * running when its lock is held, pending otherwise.
  *
- * Exit codes: 0 success; 1 error (a job failed three times, bad
- * plan); 2 usage; 3 interrupted -- a worker died abnormally and the
- * run is resumable.
+ * Exit codes: 0 success; 1 error (a job failed three times, bad plan,
+ * bad --dir); 2 usage. A killed run ends by its signal; resume it.
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <limits>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
 
 #include "base/file_lock.hh"
 #include "base/json.hh"
@@ -78,7 +71,6 @@ struct CliOptions
     std::string command;  //!< run | resume | status
     std::string dir = "."; //!< the shared run directory
     std::string planFile; //!< explicit plan path (resume/status)
-    std::size_t workers = 2;
     std::vector<std::string> trainingPrograms{"gzip", "crafty", "mcf"};
     std::string target = "vpr";
     std::size_t trainSims = 32;
@@ -94,11 +86,10 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s <run|resume|status> --dir DIR\n"
-        "  run     [--workers N] [--programs a,b,c] [--target PROG]\n"
-        "          [--train T] [--responses R] [--sim-only]\n"
-        "          [--verbose] [--stats-out FILE]\n"
-        "  resume  [--workers N] [--plan FILE] [--verbose]\n"
+        "  run     [--programs a,b,c] [--target PROG] [--train T]\n"
+        "          [--responses R] [--sim-only] [--verbose]\n"
         "          [--stats-out FILE]\n"
+        "  resume  [--plan FILE] [--verbose] [--stats-out FILE]\n"
         "  status  [--plan FILE]\n",
         argv0);
     std::exit(2);
@@ -125,9 +116,6 @@ parseArgs(int argc, char **argv)
             options.dir = value(i);
         } else if (!std::strcmp(argv[i], "--plan")) {
             options.planFile = value(i);
-        } else if (!std::strcmp(argv[i], "--workers")) {
-            options.workers = static_cast<std::size_t>(
-                parseU64OrDie("--workers", value(i)));
         } else if (!std::strcmp(argv[i], "--programs")) {
             options.trainingPrograms = splitList(value(i), ',');
         } else if (!std::strcmp(argv[i], "--target")) {
@@ -148,8 +136,6 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (options.workers == 0)
-        fatal("--workers must be positive");
     return options;
 }
 
@@ -231,107 +217,6 @@ findPlanFile(const CliOptions &cli)
 }
 
 /**
- * The worker-process body: drain the plan's jobs. Never returns.
- * Exits via std::exit so that atexit hooks (coverage flushing among
- * them) run even in forked children.
- */
-[[noreturn]] void
-workerMain(const CampaignJobPlan &plan, std::size_t workerIdx,
-           const std::string &statsOut)
-{
-    // Fault injection (tests only): die at a job boundary once this
-    // worker has computed that many jobs (ACDSE_JOBS_KILL_AFTER=
-    // "<w>:<k>"); jobs found intact do not count.
-    std::size_t killAfter = std::numeric_limits<std::size_t>::max();
-    if (const char *spec = std::getenv("ACDSE_JOBS_KILL_AFTER");
-        spec && *spec) {
-        const std::string text(spec);
-        const std::size_t colon = text.find(':');
-        const auto w = parseU64(text.substr(0, colon));
-        const auto k = colon == std::string::npos
-                           ? std::nullopt
-                           : parseU64(text.substr(colon + 1));
-        if (w && k && *w == workerIdx)
-            killAfter = static_cast<std::size_t>(*k);
-    }
-
-    int exitCode = 0;
-    try {
-        CampaignJobRunner runner(plan);
-        if (killAfter == 0)
-            ::raise(SIGKILL);
-        std::size_t computed = 0;
-        drainJobs(plan.jobs(), plan.prefix(),
-                  [&](const JobSpec &spec, int attempt) {
-                      if (!runner.execute(spec, attempt))
-                          return false;
-                      if (++computed >= killAfter)
-                          ::raise(SIGKILL);
-                      return true;
-                  });
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: worker %zu: %s\n", workerIdx,
-                     e.what());
-        exitCode = 1;
-    }
-    if (!statsOut.empty()) {
-        obs::writeStatsFile(statsOut + ".worker" +
-                                std::to_string(workerIdx),
-                            obs::Registry::global().snapshot());
-    }
-    std::exit(exitCode);
-}
-
-/**
- * Fork the workers and supervise them. @return 0 when every worker
- * drained cleanly, 1 when any reported an error, 3 when any died
- * abnormally (the run is resumable).
- */
-int
-superviseWorkers(const CampaignJobPlan &plan, std::size_t workers,
-                 const std::string &statsOut)
-{
-    // No threads may exist on this side of the fork: the parent
-    // deliberately constructs no Campaign (and thus no thread pool)
-    // before the workers are running.
-    std::fflush(nullptr);
-    std::vector<pid_t> children;
-    for (std::size_t w = 0; w < workers; ++w) {
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            for (const pid_t child : children)
-                ::kill(child, SIGKILL);
-            fatal("fork failed: ", std::strerror(errno));
-        }
-        if (pid == 0)
-            workerMain(plan, w, statsOut); // never returns
-        children.push_back(pid);
-    }
-
-    bool signaled = false;
-    int worst = 0;
-    for (std::size_t alive = children.size(); alive > 0;) {
-        int status = 0;
-        if (::waitpid(-1, &status, 0) < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("waitpid failed: ", std::strerror(errno));
-        }
-        --alive;
-        // A dead worker's lock died with it: its siblings take its
-        // job over in their second pass.
-        if (WIFSIGNALED(status)) {
-            signaled = true;
-        } else if (WIFEXITED(status)) {
-            worst = std::max(worst, WEXITSTATUS(status));
-        }
-    }
-    if (signaled)
-        return 3;
-    return worst == 0 ? 0 : 1;
-}
-
-/**
  * Print what a training run yields: each metric's response training
  * error, and the target's cycles prediction error over the held-out
  * configurations `[T+R, N)`, which the simulate jobs filled but
@@ -355,7 +240,7 @@ reportTraining(CampaignJobRunner &runner)
         return;
     }
     Campaign &campaign = runner.campaign();
-    campaign.ensureComputed(); // loads the blocks finalize() checked
+    campaign.ensureComputed(); // loads the blocks drain() checked
     const std::size_t target = campaign.programIndex(plan.newProgram);
     const ArchitectureCentricPredictor &cycles =
         artifact.predictor(Metric::Cycles);
@@ -373,18 +258,8 @@ reportTraining(CampaignJobRunner &runner)
 int
 runSession(const CampaignJobPlan &plan, const CliOptions &cli)
 {
-    const int outcome =
-        superviseWorkers(plan, cli.workers, cli.statsOut);
-    if (outcome == 3) {
-        inform("interrupted; resume with: acdse-jobs resume --dir ",
-               plan.options.cacheDir);
-        return 3;
-    }
-    if (outcome != 0)
-        return outcome;
-
     CampaignJobRunner runner(plan);
-    runner.finalize();
+    runner.drain();
     if (!cli.statsOut.empty()) {
         obs::writeStatsFile(cli.statsOut,
                             obs::Registry::global().snapshot());
@@ -473,9 +348,12 @@ main(int argc, char **argv)
     try {
         if (cli.command == "run") {
             CampaignJobPlan plan = planFromCli(cli);
+            std::error_code ec;
+            std::filesystem::create_directories(cli.dir, ec);
+            if (!std::filesystem::is_directory(cli.dir, ec))
+                fatal("--dir '", cli.dir, "' is not a directory");
             // An existing plan for the same campaign key must agree;
             // refusing beats silently replacing a half-run's plan.
-            std::error_code ec;
             if (std::filesystem::exists(plan.planPath(), ec)) {
                 const CampaignJobPlan existing =
                     CampaignJobPlan::load(plan.planPath());
