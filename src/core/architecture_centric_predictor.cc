@@ -44,11 +44,9 @@ ArchitectureCentricPredictor::trainOffline(
     ThreadPool::global().parallelFor(
         0, trainingSets.size(), [&](std::size_t i) {
             const obs::TraceSpan span(*stages[i]);
-            auto model = std::make_shared<ProgramSpecificPredictor>(
-                options_.programModel);
-            model->train(trainingSets[i].configs,
-                         trainingSets[i].values);
-            models[i] = std::move(model);
+            models[i] = trainEnsembleMember(options_.programModel,
+                                            trainingSets[i].configs,
+                                            trainingSets[i].values);
         });
     programNames_.clear();
     for (const auto &set : trainingSets)

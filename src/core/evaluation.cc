@@ -134,10 +134,8 @@ Evaluator::trainProgramModel(std::size_t programIdx, Metric metric,
 
     auto opts = options_.programModel;
     opts.mlp.seed = derived ^ 0xdecafbadULL;
-    auto model = std::make_shared<ProgramSpecificPredictor>(opts);
-    model->train(campaign_.configsAt(idx),
-                 campaign_.metricAt(programIdx, metric, idx));
-    return model;
+    return trainEnsembleMember(opts, campaign_.configsAt(idx),
+                               campaign_.metricAt(programIdx, metric, idx));
 }
 
 std::shared_ptr<const ProgramSpecificPredictor>

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "arch/microarch_config.hh"
@@ -103,6 +104,21 @@ class ProgramSpecificPredictor
     ProgramSpecificOptions options_;
     Mlp mlp_;
 };
+
+/**
+ * One ensemble member: a predictor with @p options trained on one
+ * program's (@p configs, @p values). Every builder of a member calls
+ * this, so a member is the same bits whichever builds it.
+ */
+inline std::shared_ptr<const ProgramSpecificPredictor>
+trainEnsembleMember(const ProgramSpecificOptions &options,
+                    const std::vector<MicroarchConfig> &configs,
+                    const std::vector<double> &values)
+{
+    auto model = std::make_shared<ProgramSpecificPredictor>(options);
+    model->train(configs, values);
+    return model;
+}
 
 } // namespace acdse
 

@@ -443,27 +443,24 @@ CampaignJobRunner::runTrainProgram(std::size_t trainer)
     const std::vector<std::size_t> trainIdx = plan_.trainIdx();
     requireCells(programIdx, trainIdx, "train-program");
 
-    // The same per-program model construction trainOffline performs,
-    // so the checkpointed ensembles are bit-identical to the
-    // in-process ones. Each metric's model is a pure function of its
-    // own training set, written to its own slot, so training them
-    // across the pool cannot change a bit. Each model is spanned under
+    // trainOffline's member builder and options, so the checkpointed
+    // ensembles are bit-identical to the in-process ones. Each metric's
+    // model is a pure function of its own training set, so training
+    // them across the pool cannot change a bit; each is spanned under
     // trainOffline's stage name for this training program.
     const std::vector<MicroarchConfig> configs = c.configsAt(trainIdx);
-    std::vector<ProgramSpecificPredictor> models(
-        kNumMetrics,
-        ProgramSpecificPredictor(ArchCentricOptions{}.programModel));
+    ProgramModels models;
     obs::Stage &stage = obs::Registry::global().stage(
         "train/program/" + std::to_string(trainer));
     ThreadPool::global().parallelFor(0, kNumMetrics, [&](std::size_t m) {
         const obs::TraceSpan span(stage);
-        models[m].train(configs, c.metricAt(programIdx,
-                                            static_cast<Metric>(m),
-                                            trainIdx));
+        models[m] = trainEnsembleMember(
+            ArchCentricOptions{}.programModel, configs,
+            c.metricAt(programIdx, static_cast<Metric>(m), trainIdx));
     });
     BinaryWriter writer;
     for (const auto &model : models)
-        model.save(writer);
+        model->save(writer);
     writeTextAtomic(plan_.modelPath(program),
                     sealBytes(kCheckpointMagic, kCheckpointVersion,
                               writer.buffer()));

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "base/check.hh"
 #include "base/logging.hh"
@@ -41,7 +42,7 @@ constexpr std::size_t kChunk = 64;
  */
 constexpr std::size_t kInlineBelow = 128;
 
-/** Buffers for scoreQueries(), reused across one call's groups. */
+/** Buffers for scoreTenantRuns(), reused across one call's runs. */
 struct ScoreScratch
 {
     std::vector<double> features; //!< row-major query features
@@ -50,36 +51,72 @@ struct ScoreScratch
 };
 
 /**
- * Predict every metric of @p artifact for @p n queries in one
- * predictRows() pass, which transposes each SIMD block (a short tail
- * padded) once for all metrics: row(i) receives query(i)'s values,
- * NaN for metrics the artifact lacks. Bit-identical to the scalar
- * per-point predict.
+ * Order rows [0, keys.size()) by tenant into sorted (tenant << 32 |
+ * row) keys: each tenant's rows form one run, in row order.
  */
-template <typename QueryAt, typename RowAt>
+template <typename TenantAt>
 void
-scoreQueries(const ModelArtifact &artifact, std::size_t n,
-             QueryAt &&query, RowAt &&row, ScoreScratch &scratch)
+orderByTenant(std::span<std::uint64_t> keys, TenantAt &&tenant)
 {
-    scratch.features.resize(n * kNumParams);
-    for (std::size_t i = 0; i < n; ++i) {
-        query(i).featuresInto(&scratch.features[i * kNumParams]);
-        row(i).values.fill(std::numeric_limits<double>::quiet_NaN());
-    }
-    // An artifact holds at most one entry per metric.
-    const auto &entries = artifact.entries();
-    std::array<const ArchitectureCentricPredictor *, kNumMetrics>
-        predictors{};
-    for (std::size_t k = 0; k < entries.size(); ++k)
-        predictors[k] = &entries[k].predictor;
-    scratch.out.resize(entries.size() * n);
-    predictRows({predictors.data(), entries.size()},
-                scratch.features.data(), n, scratch.out.data(),
-                scratch.batch);
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-        const auto metric = static_cast<std::size_t>(entries[k].metric);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i] = (std::uint64_t{tenant(i)} << 32) | i;
+    std::sort(keys.begin(), keys.end());
+}
+
+/**
+ * The one tenant-grouping scorer, behind predict() and the drain: each
+ * run of one tenant in @p keys (a stretch of orderByTenant()'s output)
+ * is one predictRows() pass over its model in @p table, bit-identical
+ * to per-point prediction at any run length. row(r) gets query(r)'s
+ * values (NaN for metrics the artifact lacks, or for a tenant with
+ * nothing published) and version(r) the model's version (0 if none);
+ * onRun(tenant, n) is told each run's size.
+ */
+template <typename QueryAt, typename RowAt, typename VersionAt,
+          typename OnRun>
+void
+scoreTenantRuns(const ModelTable &table,
+                std::span<const std::uint64_t> keys, QueryAt &&query,
+                RowAt &&row, VersionAt &&version, OnRun &&onRun,
+                ScoreScratch &scratch)
+{
+    for (std::size_t begin = 0, end = 0; begin < keys.size();
+         begin = end) {
+        const auto tenant = static_cast<TenantId>(keys[begin] >> 32);
+        end = std::lower_bound(keys.begin() + begin, keys.end(),
+                               (std::uint64_t{tenant} + 1) << 32) -
+              keys.begin();
+        const std::size_t n = end - begin;
+        const auto at = [&](std::size_t i) {
+            return static_cast<std::uint32_t>(keys[begin + i]);
+        };
+        const ServedModel *served = table.modelFor(tenant);
+        for (std::size_t i = 0; i < n; ++i) {
+            row(at(i)).values.fill(std::numeric_limits<double>::quiet_NaN());
+            version(at(i)) = served != nullptr ? served->version : 0;
+        }
+        onRun(tenant, n);
+        if (served == nullptr)
+            continue;
+
+        scratch.features.resize(n * kNumParams);
         for (std::size_t i = 0; i < n; ++i)
-            row(i).values[metric] = scratch.out[k * n + i];
+            query(at(i)).featuresInto(&scratch.features[i * kNumParams]);
+        // An artifact holds at most one entry per metric.
+        const auto &entries = served->artifact.entries();
+        std::array<const ArchitectureCentricPredictor *, kNumMetrics>
+            predictors{};
+        for (std::size_t k = 0; k < entries.size(); ++k)
+            predictors[k] = &entries[k].predictor;
+        scratch.out.resize(entries.size() * n);
+        predictRows({predictors.data(), entries.size()},
+                    scratch.features.data(), n, scratch.out.data(),
+                    scratch.batch);
+        for (std::size_t k = 0; k < entries.size(); ++k) {
+            const auto metric = static_cast<std::size_t>(entries[k].metric);
+            for (std::size_t i = 0; i < n; ++i)
+                row(at(i)).values[metric] = scratch.out[k * n + i];
+        }
     }
 }
 
@@ -90,7 +127,7 @@ struct PredictionService::DrainScratch
     DrainScratch() : requests(kDrainBatch) { order.reserve(kDrainBatch); }
 
     std::vector<ServeRequest> requests; //!< popInto() target
-    std::vector<std::uint64_t> order;   //!< (tenant << 32 | index) keys
+    std::vector<std::uint64_t> order;   //!< orderByTenant() keys
     ScoreScratch score;
 };
 
@@ -212,67 +249,70 @@ PredictionService::publish(TenantId tenant, ModelArtifact artifact)
     return models_.publish(tenant, std::move(artifact));
 }
 
-void
-PredictionService::computeRange(
-    const ModelArtifact &artifact,
-    const std::vector<MicroarchConfig> &queries,
-    std::vector<PredictionRow> &rows, std::size_t begin,
-    std::size_t end) const
-{
-    ScoreScratch scratch;
-    scoreQueries(
-        artifact, end - begin,
-        [&](std::size_t i) -> const MicroarchConfig & {
-            return queries[begin + i];
-        },
-        [&](std::size_t i) -> PredictionRow & { return rows[begin + i]; },
-        scratch);
-}
-
 std::vector<PredictionRow>
 PredictionService::predict(const std::vector<MicroarchConfig> &queries,
-                           TenantId tenant, std::uint64_t *version)
+                           std::span<const TenantId> tenants,
+                           std::vector<std::uint64_t> *versions)
 {
-    ACDSE_CHECK(tenant < models_.tenantCount(), "predict() for tenant ",
-                tenant, ", which was never registered");
+    const std::size_t n = queries.size();
+    ACDSE_CHECK(tenants.empty() || tenants.size() == n, "predict() got ",
+                tenants.size(), " tenants for ", n, " queries");
+    ACDSE_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+                "predict() batch of ", n, " rows overflows a row key");
     const std::uint64_t start = obs::nowNs();
 
-    // Pin one model snapshot for the whole batch: a concurrent
-    // publish() swaps the *next* batch, never splits this one.
-    const std::shared_ptr<const ServedModel> served = model(tenant);
-    if (version != nullptr)
-        *version = served != nullptr ? served->version : 0;
-    std::vector<PredictionRow> rows(queries.size());
-    if (queries.empty())
+    // Pin one model snapshot for the whole call: a concurrent
+    // publish() swaps the *next* call, never splits this one.
+    const std::shared_ptr<const ModelTable> table = models_.table();
+    std::vector<std::uint64_t> ownVersions;
+    std::vector<std::uint64_t> &version =
+        versions != nullptr ? *versions : ownVersions;
+    version.resize(n);
+    std::vector<PredictionRow> rows(n);
+    if (n == 0)
         return rows;
 
-    if (served == nullptr) {
-        // Registered, nothing published yet: NaN rows, as the drain
-        // serves them.
-        for (PredictionRow &row : rows)
-            row.values.fill(std::numeric_limits<double>::quiet_NaN());
-    } else if (pool_.workers() == 0 || queries.size() <= kInlineBelow) {
-        computeRange(served->artifact, queries, rows, 0, queries.size());
+    std::vector<std::uint64_t> keys(n);
+    orderByTenant(keys, [&](std::size_t i) {
+        return tenants.empty() ? kDefaultTenant : tenants[i];
+    });
+    // The largest id sorts last.
+    ACDSE_CHECK((keys.back() >> 32) < table->tenantCount(),
+                "predict() for tenant ", keys.back() >> 32,
+                ", which was never registered");
+    const std::vector<std::string> names = models_.tenantNames();
+    const auto score = [&](std::size_t begin, std::size_t end) {
+        ScoreScratch scratch;
+        scoreTenantRuns(
+            *table, std::span(keys).subspan(begin, end - begin),
+            [&](std::size_t i) -> const MicroarchConfig & {
+                return queries[i];
+            },
+            [&](std::size_t i) -> PredictionRow & { return rows[i]; },
+            [&](std::size_t i) -> std::uint64_t & { return version[i]; },
+            [&](TenantId tenant, std::size_t points) {
+                registry_
+                    .counter("serve/tenant/" + names[tenant] + "/points")
+                    .add(points);
+            },
+            scratch);
+    };
+    if (pool_.workers() == 0 || n <= kInlineBelow) {
+        score(0, n);
     } else {
-        const std::size_t num_chunks =
-            (queries.size() + kChunk - 1) / kChunk;
-        // Chunks write disjoint row ranges, so the batch result is
-        // identical at every thread count; parallelFor blocks until
-        // the last chunk finished, so queries/rows never outlive the
-        // workers touching them.
-        pool_.parallelFor(0, num_chunks, [&](std::size_t chunk) {
-            const obs::TraceSpan chunkSpan(chunkStage_);
-            const std::size_t begin = chunk * kChunk;
-            const std::size_t end = std::min(begin + kChunk, queries.size());
-            computeRange(served->artifact, queries, rows, begin, end);
-        });
+        // Chunks of the ordered rows write disjoint rows, so the result
+        // is identical at every thread count; parallelFor blocks until
+        // the last chunk finished, so nothing the chunks touch outlives
+        // the workers touching it.
+        pool_.parallelFor(0, (n + kChunk - 1) / kChunk,
+                          [&](std::size_t chunk) {
+                              const obs::TraceSpan chunkSpan(chunkStage_);
+                              const std::size_t begin = chunk * kChunk;
+                              score(begin, std::min(begin + kChunk, n));
+                          });
     }
 
-    registry_
-        .counter("serve/tenant/" + models_.tenantNames()[tenant] +
-                 "/points")
-        .add(queries.size());
-    recordBatch(queries.size(), obs::nowNs() - start);
+    recordBatch(n, obs::nowNs() - start);
     return rows;
 }
 
@@ -391,55 +431,25 @@ PredictionService::serveDrained(const ServeRequest *requests,
     // last such pin drops (serve/model_table.hh).
     const std::shared_ptr<const ModelTable> table = models_.table();
 
-    // Group requests by tenant so each group runs its model's SIMD
-    // block kernels over contiguous feature rows: sorting (tenant,
-    // arrival index) keys keeps arrival order within a tenant and,
-    // unlike std::stable_sort, needs no temporary buffer.
-    std::vector<std::uint64_t> &order = drainScratch_->order;
-    order.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        order[i] = (std::uint64_t{requests[i].tenant} << 32) | i;
-    std::sort(order.begin(), order.end());
-
-    std::size_t groupBegin = 0;
-    while (groupBegin < count) {
-        const auto tenant = static_cast<TenantId>(order[groupBegin] >> 32);
-        std::size_t groupEnd = groupBegin + 1;
-        while (groupEnd < count && (order[groupEnd] >> 32) == tenant)
-            ++groupEnd;
-        const std::size_t n = groupEnd - groupBegin;
-        const ServedModel *served = table->modelFor(tenant);
-        const auto request = [&](std::size_t i) -> const ServeRequest & {
-            return requests[static_cast<std::uint32_t>(
-                order[groupBegin + i])];
-        };
-
-        const auto row = [&](std::size_t i) -> PredictionRow & {
-            return request(i).batch->rowData()[request(i).index];
-        };
-
-        // The whole group in one pass, a short group as one padded
-        // block; bit-identical to predict(). A registered tenant with
-        // nothing published yet gets NaN rows stamped version 0 rather
-        // than a failed request.
-        if (served != nullptr) {
-            scoreQueries(
-                served->artifact, n,
-                [&](std::size_t i) -> const MicroarchConfig & {
-                    return request(i).config;
-                },
-                row, drainScratch_->score);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (served == nullptr)
-                row(i).values.fill(std::numeric_limits<double>::quiet_NaN());
-            request(i).batch->versionData()[request(i).index] =
-                served != nullptr ? served->version : 0;
-        }
-
-        tenantCounter(tenant).add(n);
-        groupBegin = groupEnd;
-    }
+    std::vector<std::uint64_t> &keys = drainScratch_->order;
+    keys.resize(count);
+    orderByTenant(keys,
+                  [&](std::size_t i) { return requests[i].tenant; });
+    scoreTenantRuns(
+        *table, keys,
+        [&](std::size_t i) -> const MicroarchConfig & {
+            return requests[i].config;
+        },
+        [&](std::size_t i) -> PredictionRow & {
+            return requests[i].batch->rowData()[requests[i].index];
+        },
+        [&](std::size_t i) -> std::uint64_t & {
+            return requests[i].batch->versionData()[requests[i].index];
+        },
+        [&](TenantId tenant, std::size_t n) {
+            tenantCounter(tenant).add(n);
+        },
+        drainScratch_->score);
 
     for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t latency =

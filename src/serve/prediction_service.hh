@@ -10,19 +10,20 @@
  *
  * Request paths:
  *
- *  - predict(): the synchronous batch path for an in-process batch of
- *    any one tenant. The caller's batch is split into fixed-size
- *    chunks and parallelFor()d across the service's ThreadPool; every
- *    chunk writes a disjoint slice of the result vector, which is both
- *    lock-free and bit-deterministic at any thread count. There is no
- *    batch lock: concurrent callers share the pool.
+ *  - predict(): the synchronous batch path for an in-process batch
+ *    whose rows may each name a different tenant. The rows are
+ *    ordered by tenant once and split into fixed-size chunks,
+ *    parallelFor()d across the service's ThreadPool; every chunk
+ *    writes disjoint rows, which is both lock-free and
+ *    bit-deterministic at any thread count. There is no batch lock:
+ *    concurrent callers share the pool.
  *
  *  - submit()/AsyncBatch: the ingest path for many concurrent
  *    producers of single requests. Each request travels a bounded
  *    lock-free MPSC ring (serve/ring_buffer.hh) to a dedicated
- *    drainer thread that groups the drained requests by tenant. Both
- *    paths score through the one batch scorer, predictRows(): each
- *    SIMD block, a short group's padded tail included, is transposed
+ *    drainer thread. Both paths score each tenant's run of rows
+ *    through one routine and batch scorer, predictRows(): each
+ *    SIMD block, a short run's padded tail included, is transposed
  *    once for all metrics, so results are bit-identical to per-point
  *    prediction. A full ring fails submit() with
  *    SubmitStatus::QueueFull immediately (typed load-shedding, never
@@ -305,18 +306,18 @@ class PredictionService
     std::size_t queueCapacity() const { return ring_.capacity(); }
 
     /**
-     * Predict every metric of @p tenant's model for a batch of query
-     * points; returns one row per query, in order, served from one
-     * model snapshot (a publish() during the batch takes effect on
-     * the next one). When @p version is not null it receives the
-     * version of that snapshot. A registered tenant with nothing
-     * published gets NaN rows and version 0, as on the drain path; an
-     * unregistered id panics.
+     * Predict every metric for a batch of query points, one row per
+     * query in order; row i is served by tenants[i]'s model (an empty
+     * @p tenants means the default tenant for every row). One model
+     * snapshot serves the whole call (a concurrent publish() takes
+     * effect on the next), and @p versions, when not null, receives
+     * each row's version. A tenant with nothing published gets NaN
+     * rows and version 0, as on the drain; an unregistered id panics.
      */
     std::vector<PredictionRow> predict(
         const std::vector<MicroarchConfig> &queries,
-        TenantId tenant = kDefaultTenant,
-        std::uint64_t *version = nullptr);
+        std::span<const TenantId> tenants = {},
+        std::vector<std::uint64_t> *versions = nullptr);
 
     /**
      * Enqueue one query on the async ingest path. On Accepted the
@@ -364,12 +365,6 @@ class PredictionService
     double requestLatencyQuantileMs(double q) const;
 
   private:
-    /** Predict queries[begin, end) into rows with @p artifact. */
-    void computeRange(const ModelArtifact &artifact,
-                      const std::vector<MicroarchConfig> &queries,
-                      std::vector<PredictionRow> &rows,
-                      std::size_t begin, std::size_t end) const;
-
     /** Fold one finished batch into the registry. */
     void recordBatch(std::size_t points, std::uint64_t elapsedNs);
 

@@ -378,6 +378,57 @@ TEST(CliServe, TenantsRouteRowsAndStampVersions)
     // The two artifacts differ, so the routing check has teeth.
     EXPECT_NE(aLines[1], bLines[1]);
 
+    // Four tenants over two files, 300 rows in --batch 256: one
+    // predict() per input batch, pooled at width 4. The output is the
+    // same bytes at widths 1 and 4, and every row is its file's row.
+    const std::string four = "abcd";
+    {
+        std::ofstream plain(dir / "plain300.csv");
+        std::ofstream routed(dir / "four.csv");
+        for (std::size_t i = 0; i < 300; ++i) {
+            plain << queryRow(i) << "\n";
+            routed << four[i % 4] << ',' << queryRow(i) << "\n";
+        }
+    }
+    for (const char *name : {"a", "b"}) {
+        const RunResult alone =
+            run(dir, serve + " --model " + name +
+                         ".acdse --input plain300.csv > " + name +
+                         "300.out");
+        ASSERT_EQ(alone.exitCode, 0) << alone.output;
+    }
+    for (const char *threads : {"1", "4"}) {
+        const RunResult routedFour = run(
+            dir, std::string("ACDSE_THREADS=") + threads + " " +
+                     ACDSE_TOOL_SERVE +
+                     " --tenants a=a.acdse,b=b.acdse,c=a.acdse,d=b.acdse"
+                     " --input four.csv --batch 256 --stats > four" +
+                     threads + ".out");
+        ASSERT_EQ(routedFour.exitCode, 0) << routedFour.output;
+        // 300 rows at --batch 256 are two predict() calls.
+        EXPECT_NE(routedFour.output.find("stats: 2 batches, 300 points"),
+                  std::string::npos)
+            << routedFour.output;
+    }
+    EXPECT_EQ(slurp(dir / "four1.out"), slurp(dir / "four4.out"));
+    const auto fourLines = readLines(dir / "four1.out");
+    const auto a300 = readLines(dir / "a300.out");
+    const auto b300 = readLines(dir / "b300.out");
+    ASSERT_EQ(fourLines.size(), 301u);
+    ASSERT_EQ(a300.size(), 301u);
+    ASSERT_EQ(b300.size(), 301u);
+    // Versions: default 1 (a.acdse), then a, b, c, d as 2..5.
+    for (std::size_t i = 0; i < 300; ++i) {
+        const auto row = cells(fourLines[i + 1]);
+        const bool fromA = i % 2 == 0;
+        const auto alone = cells((fromA ? a300 : b300)[i + 1]);
+        ASSERT_EQ(row.size(), alone.size() + 2) << fourLines[i + 1];
+        EXPECT_EQ(row[0], std::string(1, four[i % 4]));
+        EXPECT_EQ(row[14], std::to_string(2 + i % 4)) << fourLines[i + 1];
+        EXPECT_EQ(join(row, 15, row.size()), join(alone, 13, alone.size()))
+            << "row " << i;
+    }
+
     // Line 1 with an unknown tenant is a header; after it, bad routing.
     {
         std::ofstream bad(dir / "unknown.csv");
@@ -479,6 +530,22 @@ TEST(CliServe, RejectsBadValues)
         EXPECT_NE(result.output.find("--batch must be in 1..65536"),
                   std::string::npos)
             << batch << ": " << result.output;
+    }
+    // A --tenants entry that repeats a name, or names the default
+    // tenant that --model serves, is refused by entry.
+    for (const auto &[spec, message] :
+         {std::pair<std::string, std::string>{
+              "a=x.acdse,a=y.acdse",
+              "entry 'a=y.acdse' repeats tenant 'a'"},
+          {"default=y.acdse",
+           "entry 'default=y.acdse' repeats tenant 'default' (--model "
+           "serves 'default')"}}) {
+        const RunResult result = run(dir, base + " --tenants " + spec);
+        EXPECT_EQ(result.exitCode, 1) << spec;
+        EXPECT_NE(result.output.find("fatal"), std::string::npos)
+            << result.output;
+        EXPECT_NE(result.output.find(message), std::string::npos)
+            << spec << ": " << result.output;
     }
     // The width comes from ACDSE_THREADS alone and there is no ring
     // mode: --threads and --max-queue are unknown flags.

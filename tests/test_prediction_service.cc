@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -52,6 +53,13 @@ trainedPredictor(double wide, double mem)
         responses.push_back(synthetic(c, wide, mem));
     predictor.fitResponses(rc, responses);
     return predictor;
+}
+
+/** @p n rows' tenant column, every row naming @p tenant. */
+std::vector<TenantId>
+allRows(std::size_t n, TenantId tenant)
+{
+    return std::vector<TenantId>(n, tenant);
 }
 
 ModelArtifact
@@ -405,13 +413,17 @@ TEST(PredictionService, PredictRoutesTenants)
     }
     async.wait();
 
-    std::uint64_t alphaVersion = 0, betaVersion = 0;
-    const auto alphaRows = service.predict(queries, kDefaultTenant,
-                                           &alphaVersion);
-    const auto betaRows = service.predict(queries, beta, &betaVersion);
-    EXPECT_EQ(alphaVersion, 1u);
-    EXPECT_EQ(betaVersion, 2u);
+    std::vector<std::uint64_t> alphaVersions, betaVersions;
+    const auto alphaRows =
+        service.predict(queries, allRows(queries.size(), kDefaultTenant),
+                        &alphaVersions);
+    const auto betaRows = service.predict(
+        queries, allRows(queries.size(), beta), &betaVersions);
+    ASSERT_EQ(alphaVersions.size(), queries.size());
+    ASSERT_EQ(betaVersions.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(alphaVersions[i], 1u);
+        EXPECT_EQ(betaVersions[i], 2u);
         const double alpha =
             alphaModel.predictor(Metric::Cycles).predict(queries[i]);
         const double betaValue =
@@ -445,7 +457,8 @@ TEST(PredictionService, ConcurrentPredictCallersAreExact)
 
     const auto queries = DesignSpace::sampleValidConfigs(300, 17);
     const auto expectedDefault = service.predict(queries);
-    const auto expectedBeta = service.predict(queries, beta);
+    const std::vector<TenantId> betaRows = allRows(queries.size(), beta);
+    const auto expectedBeta = service.predict(queries, betaRows);
 
     constexpr int kCallers = 4;
     constexpr int kRounds = 10;
@@ -453,10 +466,11 @@ TEST(PredictionService, ConcurrentPredictCallersAreExact)
     std::vector<std::thread> callers;
     for (int c = 0; c < kCallers; ++c) {
         callers.emplace_back([&, c] {
-            const TenantId tenant = c % 2 ? beta : kDefaultTenant;
+            const std::vector<TenantId> tenants =
+                allRows(queries.size(), c % 2 ? beta : kDefaultTenant);
             const auto &expected = c % 2 ? expectedBeta : expectedDefault;
             for (int round = 0; round < kRounds; ++round) {
-                const auto rows = service.predict(queries, tenant);
+                const auto rows = service.predict(queries, tenants);
                 for (std::size_t i = 0; i < rows.size(); ++i) {
                     if (rows[i].get(Metric::Cycles) !=
                         expected[i].get(Metric::Cycles))
@@ -479,10 +493,11 @@ TEST(PredictionService, PredictUnpublishedTenantIsNaN)
     PredictionService service(twoMetricArtifact(), options);
     const TenantId bare = service.registerTenant("bare");
 
-    std::uint64_t version = 99;
+    std::vector<std::uint64_t> versions(3, 99);
     const auto rows = service.predict(
-        DesignSpace::sampleValidConfigs(3, 15), bare, &version);
-    EXPECT_EQ(version, 0u);
+        DesignSpace::sampleValidConfigs(3, 15), allRows(3, bare),
+        &versions);
+    EXPECT_EQ(versions, std::vector<std::uint64_t>(3, 0));
     ASSERT_EQ(rows.size(), 3u);
     for (const PredictionRow &row : rows) {
         for (Metric metric : kAllMetrics)
@@ -496,8 +511,13 @@ TEST(PredictionServiceDeathTest, PredictRejectsUnregisteredTenant)
     options.threads = 1;
     options.startDrainer = false;
     PredictionService service(twoMetricArtifact(), options);
-    EXPECT_DEATH(service.predict({DesignSpace::baseline()}, TenantId{7}),
+    EXPECT_DEATH(service.predict({DesignSpace::baseline()}, allRows(1, 7)),
                  "never registered");
+    // One bad id among valid ones fails the whole call.
+    const std::vector<TenantId> mixed{kDefaultTenant, 7, kDefaultTenant};
+    EXPECT_DEATH(service.predict(DesignSpace::sampleValidConfigs(3, 18),
+                                 mixed),
+                 "tenant 7, which was never registered");
 }
 
 TEST(PredictionService, PredictReportsItsPinnedVersion)
@@ -515,16 +535,196 @@ TEST(PredictionService, PredictReportsItsPinnedVersion)
     ASSERT_EQ(service.currentVersion(), versionB);
 
     const auto queries = DesignSpace::sampleValidConfigs(4, 16);
-    std::uint64_t reported = 0;
-    service.predict(queries, a, &reported);
-    EXPECT_EQ(reported, versionA);
-    service.predict(queries, b, &reported);
-    EXPECT_EQ(reported, versionB);
-    service.predict(queries, kDefaultTenant, &reported);
-    EXPECT_EQ(reported, 1u);
-    // An empty batch still reports the snapshot it would use.
-    service.predict({}, a, &reported);
-    EXPECT_EQ(reported, versionA);
+    std::vector<std::uint64_t> reported;
+    service.predict(queries, allRows(4, a), &reported);
+    EXPECT_EQ(reported, std::vector<std::uint64_t>(4, versionA));
+    service.predict(queries, allRows(4, b), &reported);
+    EXPECT_EQ(reported, std::vector<std::uint64_t>(4, versionB));
+    service.predict(queries, {}, &reported);
+    EXPECT_EQ(reported, std::vector<std::uint64_t>(4, 1u));
+    // An empty batch has no row to stamp: no versions come back.
+    service.predict({}, {}, &reported);
+    EXPECT_TRUE(reported.empty());
+}
+
+/**
+ * Mixed-tenant predict() against each tenant alone and the async
+ * path. Three published tenants and one with nothing published take
+ * rows round-robin, so every 64-row chunk of a pooled call spans
+ * tenants; @p rows <= 128 runs inline, more runs on the pool.
+ */
+void
+checkMixedTenantBatch(std::size_t rows)
+{
+    ModelArtifact betaModel;
+    betaModel.add(Metric::Cycles, trainedPredictor(2.0, 0.5));
+    ServeOptions options;
+    options.threads = 4;
+    PredictionService service(twoMetricArtifact(), options);
+    const TenantId beta = service.registerTenant("beta");
+    const TenantId bare = service.registerTenant("bare");
+    const TenantId gamma = service.registerTenant("gamma");
+    const std::uint64_t betaVersion = service.publish(beta, betaModel);
+    const std::uint64_t gammaVersion =
+        service.publish(gamma, twoMetricArtifact());
+    const std::vector<TenantId> order{kDefaultTenant, beta, bare, gamma};
+
+    const auto queries = DesignSpace::sampleValidConfigs(rows, 19);
+    std::vector<TenantId> tenants(rows);
+    for (std::size_t i = 0; i < rows; ++i)
+        tenants[i] = order[i % order.size()];
+    std::vector<std::uint64_t> versions;
+    const auto mixed = service.predict(queries, tenants, &versions);
+    ASSERT_EQ(mixed.size(), rows);
+    ASSERT_EQ(versions.size(), rows);
+
+    // Each tenant's own batch, and the drain, give the same bits.
+    std::vector<std::vector<PredictionRow>> alone(order.size());
+    std::vector<std::vector<std::uint64_t>> aloneVersions(order.size());
+    for (std::size_t t = 0; t < order.size(); ++t)
+        alone[t] = service.predict(queries, allRows(rows, order[t]),
+                                   &aloneVersions[t]);
+    AsyncBatch async(rows);
+    for (std::size_t i = 0; i < rows; ++i)
+        ASSERT_EQ(service.submit(async, tenants[i], queries[i]),
+                  SubmitStatus::Accepted);
+    async.wait();
+
+    const std::uint64_t expectedVersion[] = {1, betaVersion, 0,
+                                             gammaVersion};
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t t = i % order.size();
+        EXPECT_EQ(versions[i], expectedVersion[t]) << "row " << i;
+        EXPECT_EQ(versions[i], aloneVersions[t][i]) << "row " << i;
+        EXPECT_EQ(versions[i], async.versions()[i]) << "row " << i;
+        for (Metric metric : kAllMetrics) {
+            const double value = mixed[i].get(metric);
+            if (std::isnan(alone[t][i].get(metric))) {
+                EXPECT_TRUE(std::isnan(value)) << "row " << i;
+                EXPECT_TRUE(std::isnan(async.rows()[i].get(metric)));
+                continue;
+            }
+            EXPECT_EQ(value, alone[t][i].get(metric)) << "row " << i;
+            EXPECT_EQ(value, async.rows()[i].get(metric)) << "row " << i;
+        }
+    }
+    // beta's model differs from the default's, so routing has teeth.
+    EXPECT_NE(mixed[1].get(Metric::Cycles), alone[0][1].get(Metric::Cycles));
+
+    // The unpublished tenant's points are counted too: its share of
+    // the mixed call and of the drain, and its own batch.
+    const obs::Snapshot snap = service.statsSnapshot();
+    EXPECT_EQ(snap.stages.at("serve/batch").count, 1u + order.size());
+    EXPECT_EQ(snap.counters.at("serve/tenant/bare/points"),
+              rows + (rows + 1) / order.size() * 2);
+}
+
+TEST(PredictionService, MixedTenantInlineBatchMatchesEachTenantAlone)
+{
+    checkMixedTenantBatch(127);
+}
+
+TEST(PredictionService, MixedTenantPooledBatchMatchesEachTenantAlone)
+{
+    checkMixedTenantBatch(700);
+}
+
+TEST(PredictionService, MixedTenantCallersRaceAPublisher)
+{
+    // A publisher alternates two artifacts on tenants a and b while
+    // four callers predict() mixed batches. Versions are registry-
+    // global and a and b are published in lockstep, so each version
+    // names its artifact: X for a's and Y for b's first publishes,
+    // then swapped on every round. Within one call all rows of a
+    // tenant carry one version, each caller's versions per tenant
+    // never go backwards, and every row is exact for its version.
+    ModelArtifact x;
+    x.add(Metric::Cycles, trainedPredictor(1.0, 1.0));
+    ModelArtifact y;
+    y.add(Metric::Cycles, trainedPredictor(2.0, 0.5));
+    ServeOptions options;
+    options.threads = 3;
+    options.startDrainer = false;
+    PredictionService service(x, options);
+    const TenantId a = service.registerTenant("a");
+    const TenantId b = service.registerTenant("b");
+    ASSERT_EQ(service.publish(a, x), 2u);
+    ASSERT_EQ(service.publish(b, y), 3u);
+
+    const auto queries = DesignSpace::sampleValidConfigs(300, 20);
+    const std::vector<TenantId> order{kDefaultTenant, a, b};
+    std::vector<TenantId> tenants(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        tenants[i] = order[(i * 7 / 5) % order.size()];
+    const std::vector<double> expectedX = [&] {
+        std::vector<double> values;
+        for (const auto &query : queries)
+            values.push_back(x.predictor(Metric::Cycles).predict(query));
+        return values;
+    }();
+    const std::vector<double> expectedY = [&] {
+        std::vector<double> values;
+        for (const auto &query : queries)
+            values.push_back(y.predictor(Metric::Cycles).predict(query));
+        return values;
+    }();
+    // Version v >= 2 of a (even) or b (odd) is publish round
+    // k = (v - 2) / 2; a serves X on even rounds, b on odd ones.
+    const auto servesX = [&](TenantId tenant, std::uint64_t version) {
+        if (tenant == kDefaultTenant)
+            return true;
+        const bool evenRound = ((version - 2) / 2) % 2 == 0;
+        return tenant == a ? evenRound : !evenRound;
+    };
+
+    std::atomic<bool> stop{false};
+    std::thread publisher([&] {
+        for (int round = 1; !stop.load(); ++round) {
+            service.publish(a, round % 2 ? y : x);
+            service.publish(b, round % 2 ? x : y);
+        }
+    });
+    while (service.currentVersion() < 8)
+        std::this_thread::yield();
+    constexpr int kCallers = 4;
+    constexpr int kRounds = 25;
+    std::atomic<int> splitCalls{0}, backwards{0}, mismatches{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&] {
+            std::array<std::uint64_t, 3> seen{};
+            std::vector<std::uint64_t> versions;
+            for (int round = 0; round < kRounds; ++round) {
+                const auto rows =
+                    service.predict(queries, tenants, &versions);
+                std::array<std::uint64_t, 3> call{};
+                for (std::size_t i = 0; i < rows.size(); ++i) {
+                    const TenantId t = tenants[i];
+                    if (call[t] == 0)
+                        call[t] = versions[i];
+                    if (versions[i] != call[t])
+                        splitCalls.fetch_add(1);
+                    const double expected = servesX(t, versions[i])
+                                                ? expectedX[i]
+                                                : expectedY[i];
+                    if (rows[i].get(Metric::Cycles) != expected)
+                        mismatches.fetch_add(1);
+                }
+                for (std::size_t t = 0; t < order.size(); ++t) {
+                    if (call[t] < seen[t])
+                        backwards.fetch_add(1);
+                    seen[t] = call[t];
+                }
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    stop.store(true);
+    publisher.join();
+    EXPECT_EQ(splitCalls.load(), 0);
+    EXPECT_EQ(backwards.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(PredictionService, AsyncLatencyMetricsPopulate)

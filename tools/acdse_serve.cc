@@ -20,9 +20,9 @@
  *
  *  - --tenants name=model.acdse,... serves several models at once.
  *    Input rows gain a leading tenant-name column and output rows
- *    echo it plus the model version that served them. Each batch is
- *    grouped by tenant, predict() runs once per tenant, and the rows
- *    are written back in input order.
+ *    echo it plus the model version that served them. A batch of
+ *    mixed tenants is still one predict() call, which routes each row
+ *    to its tenant's model; rows are written in input order.
  *
  *  - --hot-swap-watch polls the model file(s) between batches and
  *    republishes on any modification-time change: a batch is served
@@ -36,6 +36,7 @@
  *               [--tenants NAME=FILE,...] [--hot-swap-watch]
  */
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -108,8 +109,15 @@ parseTenantsSpec(const std::string &spec)
             eq + 1 == entry.size())
             fatal("--tenants entry '", entry,
                   "' is not NAME=FILE");
-        tenants.emplace_back(entry.substr(0, eq),
-                             entry.substr(eq + 1));
+        std::string name = entry.substr(0, eq);
+        // A repeated name would serve only its last file.
+        if (name == "default" ||
+            std::ranges::any_of(tenants, [&](const auto &earlier) {
+                return earlier.first == name;
+            }))
+            fatal("--tenants entry '", entry, "' repeats tenant '", name,
+                  "' (--model serves 'default')");
+        tenants.emplace_back(std::move(name), entry.substr(eq + 1));
     }
     if (tenants.empty())
         fatal("--tenants needs at least one NAME=FILE entry");
@@ -301,11 +309,11 @@ main(int argc, char **argv)
         std::vector<std::string> tenantNames{"default"};
         if (tenantMode) {
             for (const auto &[name, path] : cli.tenants) {
+                // Names are new and not "default" (parseTenantsSpec),
+                // so the ids are 1, 2, ... in entry order.
                 const TenantId tenant = service.registerTenant(name);
                 service.publish(tenant, loadArtifact(path));
-                if (tenant >= tenantNames.size())
-                    tenantNames.resize(tenant + 1);
-                tenantNames[tenant] = name;
+                tenantNames.push_back(name);
                 if (cli.hotSwapWatch)
                     watched.push_back({tenant, path, {}});
             }
@@ -331,13 +339,9 @@ main(int argc, char **argv)
 
         std::vector<MicroarchConfig> batch;
         std::vector<TenantId> batchTenants;
+        std::vector<std::uint64_t> versions;
         batch.reserve(cli.batch);
         batchTenants.reserve(cli.batch);
-        // One tenant's share of a batch, and where its rows go back.
-        std::vector<MicroarchConfig> group;
-        std::vector<std::size_t> slots;
-        std::vector<PredictionRow> rows;
-        std::vector<std::uint64_t> versions;
 
         // --stats-out: the global registry (pool/ metrics) merged with
         // the service's private one, written every --stats-every input
@@ -354,27 +358,8 @@ main(int argc, char **argv)
         auto flush = [&] {
             if (batch.empty())
                 return;
-            rows.resize(batch.size());
-            versions.resize(batch.size());
-            for (TenantId tenant = 0; tenant < tenantNames.size();
-                 ++tenant) {
-                group.clear();
-                slots.clear();
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    if (batchTenants[i] == tenant) {
-                        group.push_back(batch[i]);
-                        slots.push_back(i);
-                    }
-                }
-                if (group.empty())
-                    continue;
-                std::uint64_t version = 0;
-                const auto served = service.predict(group, tenant, &version);
-                for (std::size_t k = 0; k < slots.size(); ++k) {
-                    rows[slots[k]] = served[k];
-                    versions[slots[k]] = version;
-                }
-            }
+            const std::vector<PredictionRow> rows =
+                service.predict(batch, batchTenants, &versions);
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 writeRow(batch[i], rows[i], metrics,
                          tenantMode ? tenantNames[batchTenants[i]].c_str()
