@@ -8,9 +8,9 @@
  * predictor loaded from an artifact must produce predictions identical
  * to the freshly-trained one.
  *
- * sealBytes()/unsealBytes() frame an encoded payload as a file: every
- * trained model on disk (the model store's artifacts, the job server's
- * per-program checkpoints) goes through that one pair.
+ * sealBytes()/unsealBytes() frame an encoded payload as a file: the
+ * model store's artifacts and the campaign store's blocks both go
+ * through that one pair.
  *
  * Errors while *decoding* (truncated buffer, absurd lengths, a failed
  * checksum) throw SerializationError rather than panic(): corrupt input

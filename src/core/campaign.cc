@@ -316,7 +316,7 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
                        const std::function<void(std::size_t)> &progress)
 {
     // Filter to genuinely pending work (idempotent re-execution: a
-    // resumed job may ask for cells a checkpoint already restored).
+    // resumed job may ask for cells a stored block already restored).
     std::vector<std::size_t> pending;
     pending.reserve(cells.size());
     for (const std::size_t cell : cells) {

@@ -199,7 +199,7 @@ class Campaign
      * The campaign identity string: every sampling/simulation
      * parameter plus a hash of the program set. Two campaigns agree on
      * every cell's meaning iff their keys are equal, so job-system
-     * files (plan, job locks, model checkpoints) embed this key in
+     * files (plan, job locks, model artifact) embed this key in
      * their file names to keep concurrent runs with different
      * parameters in one ACDSE_CACHE_DIR from colliding.
      */

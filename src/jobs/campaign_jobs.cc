@@ -1,7 +1,5 @@
 #include "jobs/campaign_jobs.hh"
 
-#include <algorithm>
-#include <array>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -28,18 +26,6 @@ namespace
 
 constexpr std::string_view kPlanFormat = "acdse-jobs-plan-v4";
 
-/**
- * The sealBytes() framing of the per-program model checkpoints: one
- * ProgramSpecificPredictor per metric, in kAllMetrics order.
- */
-constexpr std::string_view kCheckpointMagic = "ACDSEPGM";
-constexpr std::uint32_t kCheckpointVersion = 2;
-
-/** One training program's models, indexed by metric. */
-using ProgramModels =
-    std::array<std::shared_ptr<const ProgramSpecificPredictor>,
-               kNumMetrics>;
-
 std::string
 joinList(const std::vector<std::string> &items)
 {
@@ -59,34 +45,6 @@ indexRange(std::size_t begin, std::size_t end)
     std::vector<std::size_t> out(end - begin);
     std::iota(out.begin(), out.end(), begin);
     return out;
-}
-
-/**
- * The checkpointed models of one training program at @p path;
- * nullopt when the file is missing or fails its checksum or parse. A
- * damaged checkpoint counts as never written.
- */
-std::optional<ProgramModels>
-loadCheckpoint(const std::string &path)
-{
-    const std::optional<std::string> bytes = readFileBytes(path);
-    if (!bytes)
-        return std::nullopt;
-    try {
-        BinaryReader reader(unsealBytes(*bytes, kCheckpointMagic,
-                                        kCheckpointVersion,
-                                        "ACDSE program-model checkpoint"));
-        ProgramModels models;
-        for (auto &slot : models) {
-            auto model = std::make_shared<ProgramSpecificPredictor>();
-            model->load(reader);
-            slot = std::move(model);
-        }
-        if (reader.exhausted())
-            return models;
-    } catch (const SerializationError &) {
-    }
-    return std::nullopt;
 }
 
 /** The provenance tag of a plan's model artifact. */
@@ -206,11 +164,8 @@ CampaignJobPlan::jobs() const
     std::vector<JobSpec> out;
     for (const auto &program : programs)
         out.push_back({"sim_" + program, "simulate-shard", 0, program});
-    if (!trains())
-        return out;
-    for (const auto &program : trainPrograms())
-        out.push_back({"train_" + program, "train-program", 1, program});
-    out.push_back({"fit", "fit-responses", 2, newProgram});
+    if (trains())
+        out.push_back({"fit", "train-and-fit", 1, newProgram});
     return out;
 }
 
@@ -224,12 +179,6 @@ std::string
 CampaignJobPlan::planPath() const
 {
     return prefix() + ".plan.csv";
-}
-
-std::string
-CampaignJobPlan::modelPath(const std::string &program) const
-{
-    return prefix() + ".model_" + program + ".bin";
 }
 
 std::string
@@ -332,7 +281,9 @@ CampaignJobPlan::validate() const
     require(options.numConfigs > 0, "no configurations");
     if (trains()) {
         require(responses > 0, "training plan without responses");
-        require(trainSims + responses <= options.numConfigs,
+        // T + R <= N, written so that no sum can wrap.
+        require(responses <= options.numConfigs &&
+                    trainSims <= options.numConfigs - responses,
                 "T+R exceeds the campaign's configurations");
         require(seen.contains(newProgram),
                 "new_program is not in the program set");
@@ -372,8 +323,6 @@ CampaignJobRunner::done(const JobSpec &spec) const
         return single.loadCacheRowsFrom(single.cachePath()) ==
                single.numCells();
     }
-    if (spec.kind == "train-program")
-        return loadCheckpoint(plan_.modelPath(spec.arg)).has_value();
     try {
         loadArtifact(plan_.artifactPath());
         return true;
@@ -404,16 +353,10 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
         failOnce && spec.id == failOnce && attempt == 1) {
         throw JobError("injected failure for job '" + spec.id + "'");
     }
-    if (spec.kind == "simulate-shard") {
+    if (spec.kind == "simulate-shard")
         runSimulateShard(spec.arg, spec.id);
-    } else if (spec.kind == "train-program") {
-        const std::vector<std::string> names = plan_.trainPrograms();
-        runTrainProgram(static_cast<std::size_t>(
-            std::find(names.begin(), names.end(), spec.arg) -
-            names.begin()));
-    } else {
-        runFitResponses();
-    }
+    else
+        runTrainAndFit();
     if (++computed_ >= killAfter)
         ::raise(SIGKILL);
     return true;
@@ -434,69 +377,54 @@ CampaignJobRunner::runSimulateShard(const std::string &program,
 }
 
 void
-CampaignJobRunner::runTrainProgram(std::size_t trainer)
+CampaignJobRunner::runTrainAndFit()
 {
-    const std::string program = plan_.trainPrograms()[trainer];
     loadStore();
     const Campaign &c = campaign();
-    const std::size_t programIdx = c.programIndex(program);
-    const std::vector<std::size_t> trainIdx = plan_.trainIdx();
-    requireCells(programIdx, trainIdx, "train-program");
-
-    // trainOffline's member builder and options, so the checkpointed
-    // ensembles are bit-identical to the in-process ones. Each metric's
-    // model is a pure function of its own training set, so training
-    // them across the pool cannot change a bit; each is spanned under
-    // trainOffline's stage name for this training program.
-    const std::vector<MicroarchConfig> configs = c.configsAt(trainIdx);
-    ProgramModels models;
-    obs::Stage &stage = obs::Registry::global().stage(
-        "train/program/" + std::to_string(trainer));
-    ThreadPool::global().parallelFor(0, kNumMetrics, [&](std::size_t m) {
-        const obs::TraceSpan span(stage);
-        models[m] = trainEnsembleMember(
-            ArchCentricOptions{}.programModel, configs,
-            c.metricAt(programIdx, static_cast<Metric>(m), trainIdx));
-    });
-    BinaryWriter writer;
-    for (const auto &model : models)
-        model->save(writer);
-    writeTextAtomic(plan_.modelPath(program),
-                    sealBytes(kCheckpointMagic, kCheckpointVersion,
-                              writer.buffer()));
-}
-
-void
-CampaignJobRunner::runFitResponses()
-{
-    loadStore();
-    const std::size_t newIdx =
-        campaign().programIndex(plan_.newProgram);
-    const std::vector<std::size_t> responseIdx = plan_.responseIdx();
-    requireCells(newIdx, responseIdx, "fit-responses");
     const std::vector<std::string> names = plan_.trainPrograms();
-    std::vector<ProgramModels> programs;
-    for (const auto &name : names) {
-        std::optional<ProgramModels> models =
-            loadCheckpoint(plan_.modelPath(name));
-        if (!models) {
-            throw JobError("missing or corrupt model checkpoint " +
-                           plan_.modelPath(name));
-        }
-        programs.push_back(std::move(*models));
+    const std::vector<std::size_t> trainIdx = plan_.trainIdx();
+    const std::vector<std::size_t> responseIdx = plan_.responseIdx();
+    const std::size_t newIdx = c.programIndex(plan_.newProgram);
+    for (const auto &name : names)
+        requireCells(c.programIndex(name), trainIdx, "train-and-fit");
+    requireCells(newIdx, responseIdx, "train-and-fit");
+
+    // trainOffline's member builder, options and stage names, so the
+    // ensembles are bit-identical to the in-process ones. Each member
+    // is a pure function of its own training set, written to its own
+    // slot, so training every (metric, program) member across the
+    // pool cannot change a bit. Stages are interned before the fan-out
+    // so the workers only touch registered (wait-free) stages.
+    const std::size_t programs = names.size();
+    std::vector<obs::Stage *> stages(programs);
+    for (std::size_t p = 0; p < programs; ++p) {
+        stages[p] = &obs::Registry::global().stage(
+            "train/program/" + std::to_string(p));
     }
+    const std::vector<MicroarchConfig> configs = c.configsAt(trainIdx);
+    // members[m * programs + p]: metric m's model of names[p].
+    std::vector<std::shared_ptr<const ProgramSpecificPredictor>> members(
+        kNumMetrics * programs);
+    ThreadPool::global().parallelFor(
+        0, members.size(), [&](std::size_t task) {
+            const std::size_t p = task % programs;
+            const obs::TraceSpan span(*stages[p]);
+            members[task] = trainEnsembleMember(
+                ArchCentricOptions{}.programModel, configs,
+                c.metricAt(c.programIndex(names[p]),
+                           static_cast<Metric>(task / programs),
+                           trainIdx));
+        });
+
     ModelArtifact artifact;
     artifact.setTag(artifactTag(plan_));
-    for (const Metric metric : kAllMetrics) {
-        std::vector<std::shared_ptr<const ProgramSpecificPredictor>>
-            models;
-        for (const ProgramModels &program : programs)
-            models.push_back(program[static_cast<std::size_t>(metric)]);
+    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+        const Metric metric = static_cast<Metric>(m);
+        const auto first = members.begin() + m * programs;
         ArchitectureCentricPredictor predictor;
-        predictor.useModels(names, std::move(models));
-        predictor.fitResponses(
-            campaign().configsAt(responseIdx),
-            campaign().metricAt(newIdx, metric, responseIdx));
+        predictor.useModels(names, {first, first + programs});
+        predictor.fitResponses(c.configsAt(responseIdx),
+                               c.metricAt(newIdx, metric, responseIdx));
         artifact.add(metric, std::move(predictor));
     }
     saveArtifact(plan_.artifactPath(), artifact);

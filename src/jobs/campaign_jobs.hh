@@ -10,46 +10,49 @@
  * training configurations `[0, T)` per training program and R
  * responses `[T, T+R)` of the new program (the paper's offline and
  * online phases). A training plan models every metric. It expands to
- * three phases of jobs:
+ * two phases of jobs:
  *
  *   phase 0  simulate-shard   one job per program; writes the
  *                             program's block into the campaign store,
  *                             `<store>.<prog>.cells` (core/campaign.hh)
- *   phase 1  train-program    one job per training program; writes
- *                             all its metrics' models to
- *                             `<prefix>.model_<prog>.bin`
- *   phase 2  fit-responses    one job; writes the model artifact
- *                             `<prefix>.acdse`
+ *   phase 1  train-and-fit    one job, id `fit`; trains every
+ *                             (training program, metric) ensemble
+ *                             member across the pool, fits the
+ *                             target's responses per metric and writes
+ *                             the model artifact `<prefix>.acdse`
+ *
+ * Simulation is the costly part of a run, so it is the part cut into
+ * per-program jobs; training and the fit are cheap next to it and are
+ * redone whole if a run dies before the artifact lands.
  *
  * Every file a job writes has one framing, sealBytes()
  * (base/binary_io.hh): magic, version, payload size and checksum. The
- * campaign blocks and the per-program checkpoints carry their own
- * magics, and `<prefix>.acdse` is an ordinary model-store artifact
- * (serve/model_store.hh) that acdse-serve and acdse-explore load as
- * is. The campaign blocks are the shared store that
- * Campaign::ensureComputed() reads, so once the jobs drain there is
- * nothing to merge.
+ * campaign blocks carry their own magic, and `<prefix>.acdse` is an
+ * ordinary model-store artifact (serve/model_store.hh) that
+ * acdse-serve and acdse-explore load as is. The campaign blocks are
+ * the shared store that Campaign::ensureComputed() reads, so once the
+ * jobs drain there is nothing to merge.
  *
  * The outputs are the one record of progress: a job is done exactly
  * when its output exists and passes its checksum (done()). Every
- * output lands via atomic rename, and a block, checkpoint or artifact
- * that fails its checksum counts as not done and is recomputed, never
- * reused. So jobs are idempotent: a SIGKILL at *any* point loses at
- * most in-flight work, and re-executing after resume reproduces the
- * same bytes (simulation and training are deterministic).
+ * output lands via atomic rename, and a block or artifact that fails
+ * its checksum counts as not done and is recomputed, never reused. So
+ * jobs are idempotent: a SIGKILL at *any* point loses at most
+ * in-flight work, and re-executing after resume reproduces the same
+ * bytes (simulation and training are deterministic).
  *
  * `<prefix>` embeds the simulator numerics fingerprint
  * (Campaign::numericsFingerprint) and the campaign cache key -- every
  * sampling parameter plus a hash of the program set -- so runs with
  * other numerics, seeds or program sets in one ACDSE_CACHE_DIR can
- * never collide on plan, locks or models. The store's blocks need no
- * program-set key: a block holds one program's cells, which any
+ * never collide on plan, locks or artifacts. The store's blocks need
+ * no program-set key: a block holds one program's cells, which any
  * campaign over the same parameters shares.
  *
  * Bit-identity contract, enforced by the crash suite: the campaign
- * blocks, the per-program checkpoints and the model artifact produced
- * by (a) an uninterrupted job run and (b) a killed-and-resumed job run
- * are byte-identical, and so are the blocks and the artifact that
+ * blocks and the model artifact produced by (a) an uninterrupted job
+ * run and (b) a killed-and-resumed job run are byte-identical, and so
+ * are the blocks and the artifact that
  * CampaignJobRunner::runInProcess() (the in-process
  * Campaign::ensureComputed + trainOffline path) writes.
  */
@@ -119,7 +122,6 @@ struct CampaignJobPlan
     /** @{ */
     std::string prefix() const;
     std::string planPath() const;
-    std::string modelPath(const std::string &program) const;
     std::string artifactPath() const; //!< the servable `.acdse`
     /** @} */
 
@@ -152,7 +154,7 @@ class CampaignJobRunner
 
     /**
      * Whether @p spec's output exists and is intact: its campaign
-     * block, checkpoint or artifact loads and passes its checksum.
+     * block or the artifact loads and passes its checksum.
      * @p spec is one of plan().jobs().
      */
     bool done(const JobSpec &spec) const;
@@ -192,9 +194,11 @@ class CampaignJobRunner
   private:
     void runSimulateShard(const std::string &program,
                           const std::string &jobId);
-    /** Train trainPrograms()[@p trainer]'s models, one per metric. */
-    void runTrainProgram(std::size_t trainer);
-    void runFitResponses();
+    /**
+     * Train every training program's model of every metric, fit the
+     * new program's responses and write the artifact.
+     */
+    void runTrainAndFit();
 
     /** Load every block of the campaign store into the campaign. */
     void loadStore();

@@ -245,6 +245,30 @@ TEST(CliServe, ServesQueriesAndWritesStats)
         << two.output;
     EXPECT_EQ(readLines(dir / "wide1.csv").size(), 301u);
     EXPECT_EQ(slurp(dir / "wide1.csv"), slurp(dir / "wide2.csv"));
+
+    // The same rows, header and comment with CRLF line endings serve
+    // byte-identically to their LF form.
+    {
+        std::ofstream lf(dir / "lf.csv", std::ios::binary);
+        std::ofstream crlf(dir / "crlf.csv", std::ios::binary);
+        for (const std::string &line :
+             {std::string("width,rob,iq,lsq,rf,rfrd,rfwr,bpred,btb,br,"
+                          "il1,dl1,l2"),
+              std::string("# comment line"), queryRow(0), queryRow(1),
+              queryRow(2)}) {
+            lf << line << "\n";
+            crlf << line << "\r\n";
+        }
+    }
+    const std::string serve = std::string("ACDSE_THREADS=1 ") +
+                              ACDSE_TOOL_SERVE + " --model model.acdse";
+    const RunResult lfRun = run(dir, serve + " --input lf.csv > lf.out");
+    ASSERT_EQ(lfRun.exitCode, 0) << lfRun.output;
+    const RunResult crlfRun =
+        run(dir, serve + " --input crlf.csv > crlf.out");
+    ASSERT_EQ(crlfRun.exitCode, 0) << crlfRun.output;
+    EXPECT_EQ(readLines(dir / "lf.out").size(), 4u);
+    EXPECT_EQ(slurp(dir / "crlf.out"), slurp(dir / "lf.out"));
 }
 
 TEST(CliServe, StatsEveryDumpsFromTheInputLoop)
@@ -636,6 +660,14 @@ TEST(CliExplore, RejectsBadFlagsAndValues)
     EXPECT_EQ(run(dir, base + " --metrics watts").exitCode, 1);
     EXPECT_EQ(run(dir, base + " --fix width=5").exitCode, 1);
     EXPECT_EQ(run(dir, base + " --metrics ed,edd").exitCode, 1);
+    // A repeated metric would write its top-k rows twice.
+    const RunResult repeated =
+        run(dir, base + " --metrics cycles,cycles --pareto cycles,cycles");
+    EXPECT_EQ(repeated.exitCode, 1);
+    EXPECT_NE(repeated.output.find("fatal: --metrics 'cycles,cycles' "
+                                   "repeats metric 'cycles'"),
+              std::string::npos)
+        << repeated.output;
     // Values the engine cannot run are refused by flag before the
     // model is read: no samples, a zero stride, a top-k list too long
     // to buffer, and a sampled sub-space with no valid point.
@@ -695,8 +727,8 @@ TEST(CliServe, RejectsCorruptArtifact)
 }
 
 /**
- * The pinned tiny acdse-jobs invocation (6 jobs: 3 simulate jobs, one
- * per program, 2 training jobs, one per training program, 1 fit).
+ * The pinned tiny acdse-jobs invocation (4 jobs: 3 simulate jobs, one
+ * per program, and 1 job that trains and fits).
  * Deeper fault-injection coverage -- kill matrices, damaged outputs,
  * bit-identity against a reference run --
  * lives in test_jobs_crash.cc; this suite covers the CLI surface:
@@ -726,6 +758,7 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
     ASSERT_EQ(result.exitCode, 0) << result.output;
 
     std::size_t plans = 0, locks = 0, blocks = 0, artifacts = 0;
+    std::size_t models = 0;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
         plans += name.ends_with(".plan.csv");
@@ -733,11 +766,13 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
         blocks += name.starts_with("acdse_campaign_") &&
                   name.ends_with(".cells");
         artifacts += name.ends_with(".acdse");
+        models += name.find(".model_") != std::string::npos;
     }
     EXPECT_EQ(plans, 1u);
-    EXPECT_EQ(locks, 6u); // one per job
+    EXPECT_EQ(locks, 4u); // one per job
     EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
+    EXPECT_EQ(models, 0u); // no per-program model files
 
     // The run writes one acdse-stats-v1 file, and it covers the whole
     // run: the campaign fill, each training program's models and every
@@ -752,7 +787,7 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
     EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(), 0.0);
     EXPECT_TRUE(stages.has("train/program/0"));
     EXPECT_TRUE(stages.has("train/program/1"));
-    EXPECT_EQ(doc.at("counters").at("jobs/dispatch").asNumber(), 6.0);
+    EXPECT_EQ(doc.at("counters").at("jobs/dispatch").asNumber(), 4.0);
 }
 
 TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
@@ -782,7 +817,7 @@ TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
     const testjson::Value doc = parseFile(dir / "stats.json");
     EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
     const testjson::Value &stages = doc.at("stages");
-    EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 6.0);
+    EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 4.0);
     double selfSumMs = 0.0;
     for (const auto &[path, stage] : stages.object) {
         const double self = stage.at("self_ms").asNumber();
@@ -810,23 +845,23 @@ TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
 TEST(CliJobServer, ArtifactServesAndExplores)
 {
     // The job server's end product is an ordinary model artifact:
-    // acdse-serve and acdse-explore load it as is. A per-program
-    // checkpoint is framed under another magic, so handing one to
-    // acdse-serve is a clean "bad magic" error, not a misparse.
+    // acdse-serve and acdse-explore load it as is. A campaign block is
+    // framed under another magic, so handing one to acdse-serve is a
+    // clean "bad magic" error, not a misparse.
     const fs::path dir = freshDir("acdse_cli_jobs_serve");
     const RunResult result =
         run(dir, jobsCmd(std::string(kJobsRunArgs)));
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    std::string artifact, checkpoint;
+    std::string artifact, block;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
         if (name.ends_with(".acdse"))
             artifact = name;
-        if (name.ends_with(".model_gzip.bin"))
-            checkpoint = name;
+        if (name.ends_with(".gzip.cells"))
+            block = name;
     }
     ASSERT_FALSE(artifact.empty());
-    ASSERT_FALSE(checkpoint.empty());
+    ASSERT_FALSE(block.empty());
     EXPECT_NE(result.output.find(artifact), std::string::npos)
         << result.output;
 
@@ -852,7 +887,7 @@ TEST(CliJobServer, ArtifactServesAndExplores)
     EXPECT_TRUE(fs::exists(dir / "frontier.csv"));
 
     const RunResult refused =
-        run(dir, serve + " --model " + checkpoint + " > /dev/null");
+        run(dir, serve + " --model " + block + " > /dev/null");
     EXPECT_EQ(refused.exitCode, 1);
     EXPECT_NE(refused.output.find("bad magic"), std::string::npos)
         << refused.output;
@@ -868,10 +903,10 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
     result = run(dir, jobsCmd("status --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     const testjson::Value doc = testjson::parse(result.output);
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-jobs-status-v2");
-    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 6.0);
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-jobs-status-v3");
+    EXPECT_EQ(doc.at("jobs").at("total").asNumber(), 4.0);
     EXPECT_EQ(doc.at("jobs").at("done").asNumber(), 2.0);
-    EXPECT_EQ(doc.at("jobs").at("pending").asNumber(), 4.0);
+    EXPECT_EQ(doc.at("jobs").at("pending").asNumber(), 2.0);
     EXPECT_EQ(doc.at("jobs").at("running").asNumber(), 0.0);
     EXPECT_FALSE(doc.at("drained").boolean);
     // The state comes from the files alone: no journal generation,
@@ -880,11 +915,15 @@ TEST(CliJobServer, StatusSchemaAndResumeAfterKill)
         EXPECT_FALSE(doc.has(gone)) << gone;
         EXPECT_FALSE(doc.at("jobs").has(gone)) << gone;
     }
-    for (const char *kind :
-         {"simulate-shard", "train-program", "fit-responses"}) {
-        EXPECT_TRUE(doc.at("kinds").has(kind)) << kind;
-    }
-    EXPECT_EQ(doc.at("states").array.size(), 6u);
+    // The kinds are the plan's: 3 simulate jobs (2 done) and the
+    // one job that trains and fits.
+    const testjson::Value &kinds = doc.at("kinds");
+    EXPECT_EQ(kinds.object.size(), 2u);
+    EXPECT_EQ(kinds.at("simulate-shard").at("total").asNumber(), 3.0);
+    EXPECT_EQ(kinds.at("simulate-shard").at("done").asNumber(), 2.0);
+    EXPECT_EQ(kinds.at("train-and-fit").at("total").asNumber(), 1.0);
+    EXPECT_EQ(kinds.at("train-and-fit").at("done").asNumber(), 0.0);
+    EXPECT_EQ(doc.at("states").array.size(), 4u);
 
     result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
@@ -998,6 +1037,28 @@ TEST(CliJobServer, RejectsBadValues)
     EXPECT_EQ(run(dir, jobsCmd("run --dir . --train 20 --responses 8"))
                   .exitCode,
               1);
+    // A T+R that wraps past 2^64 is refused by flag before anything
+    // is simulated, with N from ACDSE_CONFIGS and with the default
+    // N = T+R+64 alike.
+    for (const char *env : {"ACDSE_CONFIGS=40 ", ""}) {
+        for (const char *flags :
+             {" --train 18446744073709551615 --responses 2",
+              " --train 2 --responses 18446744073709551615",
+              " --train 18446744073709551552 --responses 1"}) {
+            const RunResult result = run(
+                dir, std::string(env) + "ACDSE_THREADS=1 " + tool +
+                         " run --dir wrap --programs gzip" + flags);
+            EXPECT_EQ(result.exitCode, 1) << env << flags;
+            EXPECT_NE(result.output.find("fatal: "), std::string::npos)
+                << env << flags << ": " << result.output;
+            EXPECT_NE(result.output.find("--train"), std::string::npos)
+                << env << flags << ": " << result.output;
+            EXPECT_NE(result.output.find("--responses"),
+                      std::string::npos)
+                << env << flags << ": " << result.output;
+            EXPECT_FALSE(fs::exists(dir / "wrap")) << env << flags;
+        }
+    }
 }
 
 TEST(CliJobServer, RunCreatesItsDirectory)

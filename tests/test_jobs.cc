@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -337,7 +338,6 @@ TEST(JobsPlan, CacheKeySeparatesSeedsAndProgramSets)
     EXPECT_NE(base.key(), otherSeed.key());
     EXPECT_NE(base.key(), otherPrograms.key());
     EXPECT_NE(base.planPath(), otherSeed.planPath());
-    EXPECT_NE(base.modelPath("gzip"), otherSeed.modelPath("gzip"));
     EXPECT_NE(base.artifactPath(), otherSeed.artifactPath());
     EXPECT_NE(base.planHash(), otherSeed.planHash());
 
@@ -375,39 +375,27 @@ TEST(JobsPlan, JobExpansionAndPhases)
               (std::vector<std::size_t>{20, 21, 22, 23}));
 
     const std::vector<JobSpec> jobs = plan.jobs();
-    // One simulate job per program, one training job per training
-    // program (all metrics) and one fit.
-    ASSERT_EQ(jobs.size(), 6u);
+    // One simulate job per program in phase 0, then one job that
+    // trains every metric's ensemble and fits the target in phase 1.
+    ASSERT_EQ(jobs.size(), plan.programs.size() + 1);
     for (std::size_t p = 0; p < plan.programs.size(); ++p) {
         EXPECT_EQ(jobs[p].id, "sim_" + plan.programs[p]);
         EXPECT_EQ(jobs[p].kind, "simulate-shard");
+        EXPECT_EQ(jobs[p].phase, 0u);
         EXPECT_EQ(jobs[p].arg, plan.programs[p]);
     }
-    const std::vector<std::string> trainers = plan.trainPrograms();
-    for (std::size_t t = 0; t < trainers.size(); ++t) {
-        const std::string &program = trainers[t];
-        EXPECT_EQ(jobs[3 + t].id, "train_" + program);
-        EXPECT_EQ(jobs[3 + t].kind, "train-program");
-        EXPECT_EQ(jobs[3 + t].arg, program);
-    }
-    EXPECT_EQ(jobs.back().kind, "fit-responses");
+    EXPECT_EQ(jobs.back().id, "fit");
+    EXPECT_EQ(jobs.back().kind, "train-and-fit");
+    EXPECT_EQ(jobs.back().phase, 1u);
     EXPECT_EQ(jobs.back().arg, "vpr");
 
-    // A simulate-only plan has neither training nor fit jobs.
+    // A simulate-only plan has no training job.
     CampaignJobPlan simOnly = plan;
     simOnly.trainSims = 0;
     simOnly.responses = 0;
     simOnly.newProgram.clear();
     simOnly.validate();
     EXPECT_EQ(simOnly.jobs().size(), 3u);
-    for (const auto &spec : jobs) {
-        if (spec.kind == "simulate-shard")
-            EXPECT_EQ(spec.phase, 0u);
-        else if (spec.kind == "train-program")
-            EXPECT_EQ(spec.phase, 1u);
-        else
-            EXPECT_EQ(spec.phase, 2u);
-    }
 }
 
 TEST(JobsPlan, SaveLoadRoundTripRebindsDirectory)
@@ -505,6 +493,36 @@ TEST(JobsPlan, LoadRejectsDamagedPlans)
     invalid = plan;
     invalid.programs = {"vpr"};
     EXPECT_THROW(invalid.validate(), JobError);
+    // T + R beyond N must not wrap past the check: T = 2^64 - 1 with
+    // R = 2 sums to 1, and R alone may exceed N.
+    invalid = plan;
+    invalid.trainSims = std::numeric_limits<std::size_t>::max();
+    invalid.responses = 2;
+    EXPECT_THROW(invalid.validate(), JobError);
+    invalid = plan;
+    invalid.trainSims = 1;
+    invalid.responses = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(invalid.validate(), JobError);
+}
+
+TEST(JobsPlan, LoadRejectsWrappingTrainPlusResponses)
+{
+    // A plan file whose T + R wraps past 2^64 is refused on load, as
+    // the validate() it runs would refuse the plan itself.
+    const fs::path dir = freshDir("acdse_jobs_plan_wrap");
+    const CampaignJobPlan plan = smallPlan(dir.string());
+    plan.save();
+    std::string text = readBytes(fs::path(plan.planPath()));
+    const std::string needle = "train,12\n";
+    const std::size_t at = text.find(needle);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, needle.size(), "train,18446744073709551615\n");
+    {
+        std::ofstream out(plan.planPath(), // NOLINT(acdse-atomic-write)
+                          std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+    EXPECT_THROW(CampaignJobPlan::load(plan.planPath()), JobError);
 }
 
 } // namespace

@@ -12,7 +12,7 @@
  *
  * Everything is pinned single-threaded with a tiny campaign (24
  * configurations x 3 programs, 1200-instruction traces) so one full
- * 6-job run takes tens of milliseconds; even the kill-at-every-
+ * 4-job run takes tens of milliseconds; even the kill-at-every-
  * boundary chain stays well inside CI budget.
  *
  * The binary path arrives as the ACDSE_TOOL_JOBS compile definition
@@ -35,7 +35,9 @@
 #include <utility>
 #include <vector>
 
+#include "arch/design_space.hh"
 #include "base/binary_io.hh"
+#include "core/program_specific_predictor.hh"
 #include "jobs/campaign_jobs.hh"
 #include "json_reader.hh"
 #include "temp_dir.hh"
@@ -94,9 +96,8 @@ readBytes(const fs::path &path)
 
 /**
  * The pinned tiny-campaign invocation every test shares: 3 programs x
- * 24 configs = 72 cells, one simulate job per program, one training
- * job per training program -> 6 jobs (3 simulate-shard, 2
- * train-program, 1 fit-responses).
+ * 24 configs = 72 cells, one simulate job per program and one job
+ * that trains and fits -> 4 jobs (3 simulate-shard, 1 train-and-fit).
  */
 std::string
 jobsCmd(const std::string &subcommand)
@@ -185,32 +186,30 @@ isCampaignBlock(const std::string &name)
 
 /**
  * Assert the final artifacts in @p got are byte-identical to the
- * reference run: the three campaign blocks, the model artifact and
- * both per-program model checkpoints.
+ * reference run: the three campaign blocks and the model artifact,
+ * the only sealed files a run writes.
  */
 void
 expectArtifactsMatchReference(const fs::path &got)
 {
     const fs::path &ref = referenceDir();
-    std::size_t blocks = 0, artifacts = 0, models = 0;
+    std::size_t blocks = 0, artifacts = 0;
     for (const auto &entry : fs::directory_iterator(ref)) {
         const std::string name = entry.path().filename().string();
-        if (isCampaignBlock(name)) {
+        EXPECT_EQ(name.find(".model_"), std::string::npos)
+            << "a run wrote a per-program model file " << name;
+        if (isCampaignBlock(name))
             ++blocks;
-        } else if (name.ends_with(".acdse")) {
+        else if (name.ends_with(".acdse"))
             ++artifacts;
-        } else if (name.find(".model_") != std::string::npos) {
-            ++models;
-        } else {
+        else
             continue;
-        }
         ASSERT_TRUE(fs::exists(got / name)) << "missing " << name;
         EXPECT_TRUE(readBytes(got / name) == readBytes(entry.path()))
             << name << " differs from the uninterrupted run";
     }
     EXPECT_EQ(blocks, 3u);
     EXPECT_EQ(artifacts, 1u);
-    EXPECT_EQ(models, 2u);
 }
 
 /** Parse `acdse-jobs status` output for @p dir. */
@@ -248,7 +247,7 @@ TEST(CrashResume, InProcessPathMatchesJobServer)
     for (const auto &entry : fs::directory_iterator(ref)) {
         const std::string name = entry.path().filename().string();
         if (!isCampaignBlock(name) && !name.ends_with(".acdse"))
-            continue; // in-process writes no model checkpoints
+            continue;
         ASSERT_TRUE(fs::exists(inproc / name)) << "missing " << name;
         EXPECT_TRUE(readBytes(inproc / name) ==
                     readBytes(entry.path()))
@@ -269,13 +268,13 @@ TEST(CrashResume, KillAtEveryJobBoundary)
         result = run(dir, kill + jobsCmd("resume --dir ."));
     }
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    // 6 jobs -> 6 killed sessions + 1 that finds every output intact.
-    EXPECT_EQ(sessions, 7) << "kill chain length changed";
+    // 4 jobs -> 4 killed sessions + 1 that finds every output intact.
+    EXPECT_EQ(sessions, 5) << "kill chain length changed";
     expectArtifactsMatchReference(dir);
 
     const testjson::Value status = statusOf(dir, 0);
-    EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v2");
-    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 6.0);
+    EXPECT_EQ(status.at("schema").asString(), "acdse-jobs-status-v3");
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 4.0);
     EXPECT_TRUE(status.at("drained").boolean);
 }
 
@@ -335,7 +334,7 @@ TEST(CrashResume, MultiWorkerKillAndResume)
     // It computes every job but the one the dead process stored.
     const testjson::Value stats = testjson::parse(readBytes(dir / "b.json"));
     EXPECT_EQ(stats.at("counters").at("jobs/dispatch").asNumber(),
-              killed == 0 ? 6.0 : 5.0);
+              killed == 0 ? 4.0 : 3.0);
     expectArtifactsMatchReference(dir);
     EXPECT_TRUE(statusOf(dir, 0).at("drained").boolean);
 }
@@ -343,7 +342,7 @@ TEST(CrashResume, MultiWorkerKillAndResume)
 TEST(CrashResume, ConcurrentDrainsComputeEachJobOnce)
 {
     // Two live processes on one directory share the work: their
-    // jobs/dispatch counters add up to the plan's 6 jobs, so no job is
+    // jobs/dispatch counters add up to the plan's 4 jobs, so no job is
     // computed twice, and the outputs match the uninterrupted run.
     const fs::path dir = freshDir("acdse_crash_concurrent");
     const auto [a, b] = runConcurrently(
@@ -360,7 +359,7 @@ TEST(CrashResume, ConcurrentDrainsComputeEachJobOnce)
         if (doc.at("counters").has("jobs/dispatch"))
             dispatched += doc.at("counters").at("jobs/dispatch").asNumber();
     }
-    EXPECT_EQ(dispatched, 6.0);
+    EXPECT_EQ(dispatched, 4.0);
     expectArtifactsMatchReference(dir);
 }
 
@@ -406,11 +405,11 @@ TEST(CrashResume, LeftoverJournalIsIgnored)
     // ends byte-identical to the uninterrupted run.
     const fs::path dir = freshDir("acdse_crash_leftover_journal");
     RunResult result =
-        run(dir, "ACDSE_JOBS_KILL_AFTER=4 " + jobsCmd(kRunArgs));
+        run(dir, "ACDSE_JOBS_KILL_AFTER=2 " + jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, kKilledExit) << result.output;
 
     const testjson::Value status = statusOf(dir, 0);
-    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 4.0);
+    EXPECT_EQ(status.at("jobs").at("done").asNumber(), 2.0);
     EXPECT_EQ(status.at("jobs").at("pending").asNumber(), 2.0);
 
     const fs::path plan = findFile(dir, "acdse_jobs_", ".plan.csv");
@@ -442,7 +441,7 @@ TEST(CrashResume, LeftoverJournalIsIgnored)
         std::ofstream lock( // NOLINT(acdse-atomic-write)
             dir / (base + ".lock"), std::ios::binary);
     }
-    EXPECT_EQ(statusOf(dir, 0).at("jobs").at("done").asNumber(), 4.0)
+    EXPECT_EQ(statusOf(dir, 0).at("jobs").at("done").asNumber(), 2.0)
         << "status must not read the journal";
 
     result = run(dir, jobsCmd("resume --dir ."));
@@ -451,31 +450,74 @@ TEST(CrashResume, LeftoverJournalIsIgnored)
     EXPECT_EQ(readBytes(dir / (base + ".journal")), journal);
 }
 
-TEST(CrashResume, DamagedCheckpointAndArtifactAreRecomputed)
+TEST(CrashResume, DamagedArtifactIsRecomputed)
 {
-    // Bit rot in a per-program checkpoint and in the model artifact
-    // of a finished run: the rerun must treat both files as not done
-    // and rewrite them, never train on or keep the damaged bytes.
+    // Bit rot in the model artifact of a finished run: the rerun must
+    // treat it as not done and rewrite it, never keep the damaged
+    // bytes.
     const fs::path dir = freshDir("acdse_crash_bitrot");
     RunResult result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    const fs::path checkpoint =
-        findFile(dir, "acdse_jobs_", ".model_gzip.bin");
     const fs::path artifact = findFile(dir, "acdse_jobs_", ".acdse");
-    flipMiddleBit(checkpoint);
     flipMiddleBit(artifact);
 
     result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
 
-    // The same damage to the artifact alone: resume finds every other
-    // output intact, and the fit refits the artifact from the intact
-    // checkpoints and blocks.
+    // The same damage under resume: every block is intact, and the
+    // training job retrains and refits the artifact from them.
     flipMiddleBit(artifact);
     result = run(dir, jobsCmd("resume --dir ."));
     ASSERT_EQ(result.exitCode, 0) << result.output;
     expectArtifactsMatchReference(dir);
+}
+
+TEST(CrashResume, LeftoverModelCheckpointsAreIgnored)
+{
+    // A directory an earlier build left killed between its per-program
+    // training jobs and its fit: every block, one `.model_<prog>.bin`
+    // checkpoint per training program and no artifact. The checkpoints
+    // are intact in that build's format (sealBytes() under magic
+    // ACDSEPGM, version 2, one model per metric) but hold other models
+    // than this plan trains, so an artifact fitted on them would
+    // differ. Resume trains afresh, ends byte-identical to the
+    // uninterrupted run and leaves the leftovers as they are.
+    const fs::path dir = freshDir("acdse_crash_leftover_checkpoints");
+    RunResult result = run(dir, jobsCmd(kRunArgs));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    const fs::path artifact = findFile(dir, "acdse_jobs_", ".acdse");
+    fs::remove(artifact);
+
+    const std::vector<MicroarchConfig> configs =
+        DesignSpace::sampleValidConfigs(12, 7);
+    std::vector<double> values;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        values.push_back(1000.0 + 10.0 * static_cast<double>(i));
+    ProgramSpecificPredictor stale;
+    stale.train(configs, values);
+    BinaryWriter writer;
+    for (std::size_t m = 0; m < kNumMetrics; ++m)
+        stale.save(writer);
+    const std::string checkpoint =
+        sealBytes("ACDSEPGM", 2, writer.buffer());
+    std::string base = artifact.filename().string();
+    base.resize(base.size() - std::string(".acdse").size());
+    for (const char *program : {"gzip", "mcf"}) {
+        std::ofstream out( // NOLINT(acdse-atomic-write)
+            dir / (base + ".model_" + program + ".bin"),
+            std::ios::binary);
+        out << checkpoint;
+    }
+
+    result = run(dir, jobsCmd("resume --dir ."));
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    expectArtifactsMatchReference(dir);
+    for (const char *program : {"gzip", "mcf"}) {
+        EXPECT_EQ(readBytes(dir / (base + ".model_" + program + ".bin")),
+                  checkpoint)
+            << program;
+    }
 }
 
 TEST(CrashResume, DamagedBlockIsRecomputed)
@@ -483,8 +525,8 @@ TEST(CrashResume, DamagedBlockIsRecomputed)
     // One cycles cell of a finished run's campaign block plus one,
     // with the artifact lost: the block fails its checksum, so the
     // rerun simulates that program again instead of training on the
-    // wrong number, and every block, checkpoint and the artifact
-    // match the clean run byte for byte.
+    // wrong number, and every block and the artifact match the clean
+    // run byte for byte.
     const fs::path dir = freshDir("acdse_crash_block");
     RunResult result = run(dir, jobsCmd(kRunArgs));
     ASSERT_EQ(result.exitCode, 0) << result.output;

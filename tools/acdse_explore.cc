@@ -28,6 +28,7 @@
  * results are bit-identical at any width.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cstdint>
@@ -56,7 +57,7 @@ constexpr std::uint64_t kMaxTopK = 65536;
 
 struct CliOptions
 {
-    std::string modelPath;
+    std::string modelFile;
     explore::ExploreOptions engine;
     std::vector<Metric> metrics{Metric::Cycles, Metric::Energy};
     bool refine = false;
@@ -126,7 +127,7 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--model")) {
-            options.modelPath = value(i);
+            options.modelFile = value(i);
         } else if (!std::strcmp(argv[i], "--mode")) {
             const std::string mode = value(i);
             if (mode == "sample")
@@ -157,8 +158,16 @@ parseArgs(int argc, char **argv)
             fixes.emplace_back(p, v);
         } else if (!std::strcmp(argv[i], "--metrics")) {
             options.metrics.clear();
-            for (const auto &name : splitList(value(i), ','))
-                options.metrics.push_back(metricByKey(name));
+            const std::string list = value(i);
+            for (const auto &name : splitList(list, ',')) {
+                const Metric metric = metricByKey(name);
+                // A repeated metric would write its top-k rows twice.
+                if (std::ranges::find(options.metrics, metric) !=
+                    options.metrics.end())
+                    fatal("--metrics '", list, "' repeats metric '",
+                          name, "'");
+                options.metrics.push_back(metric);
+            }
         } else if (!std::strcmp(argv[i], "--pareto")) {
             const auto pair = splitList(value(i), ',');
             if (pair.size() != 2)
@@ -189,7 +198,7 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (options.modelPath.empty()) {
+    if (options.modelFile.empty()) {
         warn("--model is required");
         usage(argv[0]);
     }
@@ -285,11 +294,11 @@ main(int argc, char **argv)
     const CliOptions cli = parseArgs(argc, argv);
 
     try {
-        const ModelArtifact artifact = loadArtifact(cli.modelPath);
+        const ModelArtifact artifact = loadArtifact(cli.modelFile);
         std::vector<explore::MetricEnsemble> ensembles;
         for (Metric metric : cli.metrics) {
             if (!artifact.has(metric))
-                fatal("artifact '", cli.modelPath,
+                fatal("artifact '", cli.modelFile,
                       "' has no predictor for '", metricName(metric),
                       "'");
             const ArchitectureCentricPredictor &predictor =
@@ -299,7 +308,7 @@ main(int argc, char **argv)
                       "' has no fitted responses");
             ensembles.push_back({metric, &predictor});
         }
-        inform("exploring with '", cli.modelPath, "' (",
+        inform("exploring with '", cli.modelFile, "' (",
                artifact.tag().empty() ? "untagged" : artifact.tag(),
                "), ", ensembles.size(), " metrics, ",
                cli.engine.mode == explore::Mode::Enumerate
@@ -359,7 +368,7 @@ main(int argc, char **argv)
                         cli.statsOut.c_str());
         }
     } catch (const SerializationError &err) {
-        fatal("cannot explore with '", cli.modelPath, "': ",
+        fatal("cannot explore with '", cli.modelFile, "': ",
               err.what());
     }
     return 0;

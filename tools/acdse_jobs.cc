@@ -12,17 +12,17 @@
  *
  * `run` persists a CampaignJobPlan into the directory, creating it if
  * need be, and drains its jobs in this process, phase by phase
- * (simulate-shard, one per program -> train-program, one per training
- * program, for every metric -> fit-responses), each job claimed
- * through its own lock file (jobs/drain.hh) and run across the whole
- * ThreadPool (ACDSE_THREADS). The training programs each train on
- * configurations `[0, T)`; the target's responses are configurations
- * `[T, T+R)`.
+ * (simulate-shard, one per program -> train-and-fit, one job that
+ * trains every training program's models for every metric and fits
+ * the target), each job claimed through its own lock file
+ * (jobs/drain.hh) and run across the whole ThreadPool (ACDSE_THREADS).
+ * The training programs each train on configurations `[0, T)`; the
+ * target's responses are configurations `[T, T+R)`.
  * Each simulate job writes its program's sealed block straight into
  * the directory's campaign store, the same blocks Campaign reads. The
- * drain keeps every intact block, checkpoint and the run's one model
- * artifact, `<prefix>.acdse`, and recomputes any that is missing or
- * damaged. acdse-serve and acdse-explore load that artifact as is
+ * drain keeps every intact block and the run's one model artifact,
+ * `<prefix>.acdse`, and recomputes any that is missing or damaged.
+ * acdse-serve and acdse-explore load that artifact as is
  * (`acdse-explore --model <prefix>.acdse`). A training run then
  * prints each metric's response training error and the target's
  * cycles error over the held-out configurations `[T+R, N)`.
@@ -34,7 +34,7 @@
  * uninterrupted run. A `resume` started beside a running `run` or
  * `resume` on the same directory shares the work with it, job by job:
  * that is how to add job-level parallelism. `status` prints a
- * machine-readable JSON summary (schema acdse-jobs-status-v2) that it
+ * machine-readable JSON summary (schema acdse-jobs-status-v3) that it
  * derives from the files: a job is done when its output is intact,
  * running when its lock is held, pending otherwise.
  *
@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,16 +169,24 @@ planFromCli(const CliOptions &cli)
         plan.newProgram = cli.target;
         if (cli.trainSims == 0 || cli.responses == 0)
             fatal("--train and --responses must be positive");
+        // Whether T + R + extra fits in n, written so no sum can wrap.
+        const auto fits = [&](std::size_t extra, std::size_t n) {
+            return extra <= n && cli.responses <= n - extra &&
+                   cli.trainSims <= n - extra - cli.responses;
+        };
         if (!std::getenv("ACDSE_CONFIGS")) {
             // Enough for T training points, R responses and 64
             // held-out points while staying interactive.
+            if (!fits(64, std::numeric_limits<std::size_t>::max()))
+                fatal("--train ", cli.trainSims, " + --responses ",
+                      cli.responses, " overflows the campaign size");
             plan.options.numConfigs =
                 cli.trainSims + cli.responses + 64;
         }
-        if (plan.options.numConfigs < cli.trainSims + cli.responses) {
+        if (!fits(0, plan.options.numConfigs)) {
             fatal("campaign has ", plan.options.numConfigs,
-                  " configs but T+R needs ",
-                  cli.trainSims + cli.responses);
+                  " configs but --train ", cli.trainSims,
+                  " + --responses ", cli.responses, " exceed them");
         }
         plan.trainSims = cli.trainSims;
         plan.responses = cli.responses;
@@ -291,11 +300,12 @@ statusCommand(const CampaignJobPlan &plan)
         }
         states.push_back(state);
     }
+    // Jobs in @p state (any when empty) of @p kind (any when empty).
     const auto count = [&](std::string_view state,
                            std::string_view kind = {}) {
         std::uint64_t n = 0;
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            n += states[j] == state &&
+            n += (state.empty() || states[j] == state) &&
                  (kind.empty() || jobs[j].kind == kind);
         }
         return n;
@@ -303,7 +313,7 @@ statusCommand(const CampaignJobPlan &plan)
 
     JsonWriter w;
     w.beginObject()
-        .key("schema").value("acdse-jobs-status-v2")
+        .key("schema").value("acdse-jobs-status-v3")
         .key("plan").value(plan.planHash())
         .key("campaign").value(plan.key())
         .key("jobs");
@@ -314,14 +324,14 @@ statusCommand(const CampaignJobPlan &plan)
         .key("done").value(count("done"))
         .endObject();
     w.key("kinds").beginObject();
-    for (const char *kind :
-         {"simulate-shard", "train-program", "fit-responses"}) {
-        std::uint64_t total = 0;
-        for (const JobSpec &spec : jobs)
-            total += spec.kind == kind;
-        w.key(kind).beginObject()
-            .key("total").value(total)
-            .key("done").value(count("done", kind))
+    std::vector<std::string_view> kinds;
+    for (const JobSpec &spec : jobs) {
+        if (std::ranges::find(kinds, spec.kind) != kinds.end())
+            continue;
+        kinds.push_back(spec.kind);
+        w.key(spec.kind).beginObject()
+            .key("total").value(count({}, spec.kind))
+            .key("done").value(count("done", spec.kind))
             .endObject();
     }
     w.endObject();

@@ -9,12 +9,13 @@
  *   width,ROB,IQ,LSQ,RF,RF rd,RF wr,bpred(K),BTB(K),branches,
  *   IL1(KB),DL1(KB),L2(KB)
  *
- * A header row and '#' comment lines are skipped. Output is CSV: the
- * 13 echoed parameters followed by one column per metric the artifact
- * carries. Rows are read in batches of --batch rows, and every batch
- * is served through PredictionService::predict() across the service
- * thread pool (ACDSE_THREADS wide), so piping a large file through
- * this binary exercises the same hot path as bench_serve_throughput.
+ * Lines may end in LF or CRLF. A header row and '#' comment lines are
+ * skipped. Output is CSV: the 13 echoed parameters followed by one
+ * column per metric the artifact carries. Rows are read in batches of
+ * --batch rows, and every batch is served through
+ * PredictionService::predict() across the service thread pool
+ * (ACDSE_THREADS wide), so piping a large file through this binary
+ * exercises the same hot path as bench_serve_throughput.
  *
  * Modes on top of that:
  *
@@ -66,7 +67,7 @@ constexpr std::uint64_t kMaxBatch = 65536;
 
 struct CliOptions
 {
-    std::string modelPath;
+    std::string modelFile;
     std::string inputPath = "-";
     std::size_t batch = 256;
     bool hotSwapWatch = false;
@@ -135,7 +136,7 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--model")) {
-            options.modelPath = value(i);
+            options.modelFile = value(i);
         } else if (!std::strcmp(argv[i], "--input")) {
             options.inputPath = value(i);
         } else if (!std::strcmp(argv[i], "--batch")) {
@@ -163,12 +164,12 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (options.modelPath.empty() && options.tenants.empty()) {
+    if (options.modelFile.empty() && options.tenants.empty()) {
         warn("--model (or --tenants) is required");
         usage(argv[0]);
     }
-    if (options.modelPath.empty())
-        options.modelPath = options.tenants.front().second;
+    if (options.modelFile.empty())
+        options.modelFile = options.tenants.front().second;
     if (options.statsEvery != 0 && options.statsOut.empty())
         fatal("--stats-every needs --stats-out");
     return options;
@@ -303,7 +304,7 @@ main(int argc, char **argv)
 
     try {
         PredictionService service =
-            PredictionService::fromFile(cli.modelPath, serve_options);
+            PredictionService::fromFile(cli.modelFile, serve_options);
 
         std::vector<WatchedModel> watched;
         std::vector<std::string> tenantNames{"default"};
@@ -318,7 +319,7 @@ main(int argc, char **argv)
                     watched.push_back({tenant, path, {}});
             }
         } else if (cli.hotSwapWatch) {
-            watched.push_back({kDefaultTenant, cli.modelPath, {}});
+            watched.push_back({kDefaultTenant, cli.modelFile, {}});
         }
         // Seed the watchers' timestamps so the first poll is a no-op
         // for an unchanged file.
@@ -331,7 +332,7 @@ main(int argc, char **argv)
         const std::vector<Metric> metrics = service.metrics();
         const ModelArtifact &artifact =
             service.model()->artifact;
-        inform("serving '", cli.modelPath, "' (",
+        inform("serving '", cli.modelFile, "' (",
                artifact.tag().empty() ? "untagged" : artifact.tag(),
                "), ", metrics.size(), " metrics, pool of ",
                service.poolThreads() + 1, " threads");
@@ -375,6 +376,8 @@ main(int argc, char **argv)
         };
         while (std::getline(*in, line)) {
             ++line_no;
+            if (line.ends_with('\r'))
+                line.pop_back(); // CRLF input
             if (line.empty() || line[0] == '#')
                 continue;
             const auto cells = splitCsvLine(line);
@@ -427,7 +430,7 @@ main(int argc, char **argv)
         if (!cli.statsOut.empty())
             writeStats();
     } catch (const SerializationError &err) {
-        fatal("cannot serve '", cli.modelPath, "': ", err.what());
+        fatal("cannot serve '", cli.modelFile, "': ", err.what());
     }
     return 0;
 }
