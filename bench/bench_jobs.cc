@@ -43,8 +43,7 @@ main()
     }
     // The no-op jobs' outputs: a job is intact once its flag is set.
     std::vector<char> intact(numJobs, 0);
-    const jobs::JobExecutor execute = [&](const jobs::JobSpec &spec,
-                                          int) {
+    const jobs::JobExecutor execute = [&](const jobs::JobSpec &spec) {
         char &flag = intact[std::stoul(spec.arg)];
         if (flag)
             return false;

@@ -62,9 +62,6 @@ class BinaryWriter
     /** The encoded bytes so far. */
     const std::string &buffer() const { return buffer_; }
 
-    /** Move the encoded bytes out (the writer becomes empty). */
-    std::string takeBuffer() { return std::move(buffer_); }
-
   private:
     std::string buffer_;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal CSV reading/writing, used for the on-disk simulation-campaign
- * cache. Values are plain (no quoting) since we only store identifiers
- * and numbers.
+ * Minimal CSV reading/writing, used for the job server's plan file and
+ * acdse-explore's top-k and frontier outputs. Values are plain (no
+ * quoting) since we only store identifiers and numbers.
  */
 
 #pragma once

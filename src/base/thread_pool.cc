@@ -32,7 +32,6 @@ thread_local bool tl_for_caller = false;
 struct PoolMetrics
 {
     obs::Counter &tasksRun;
-    obs::Gauge &queueDepth;
     obs::Histogram &queueWaitNs;
 };
 
@@ -43,7 +42,6 @@ poolMetrics()
     // referenced wait-free metrics mutate after.
     static PoolMetrics metrics{ // NOLINT(acdse-local-static)
         obs::Registry::global().counter("pool/tasks-run"),
-        obs::Registry::global().gauge("pool/queue-depth"),
         obs::Registry::global().histogram("pool/queue-wait-ns")};
     return metrics;
 }
@@ -137,8 +135,6 @@ ThreadPool::workerLoop()
                 return; // stop_ set and nothing left: drained teardown
             task = std::move(queue_.front());
             queue_.pop_front();
-            poolMetrics().queueDepth.set(
-                static_cast<std::int64_t>(queue_.size()));
         }
         PoolMetrics &metrics = poolMetrics();
         metrics.tasksRun.add(1);
@@ -214,8 +210,6 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         MutexLock lock(mutex_);
         for (std::size_t h = 0; h < helpers; ++h)
             queue_.push_back(Task{[job] { drain(*job); }, stamp});
-        poolMetrics().queueDepth.set(
-            static_cast<std::int64_t>(queue_.size()));
     }
     // One wake-up per queued helper: a short loop on a wide pool must
     // not wake every sleeping worker to find the queue already empty.

@@ -332,7 +332,7 @@ CampaignJobRunner::done(const JobSpec &spec) const
 }
 
 bool
-CampaignJobRunner::execute(const JobSpec &spec, int attempt)
+CampaignJobRunner::execute(const JobSpec &spec)
 {
     const obs::TraceSpan span(obs::Registry::global(),
                               "jobs/execute");
@@ -347,12 +347,6 @@ CampaignJobRunner::execute(const JobSpec &spec, int attempt)
     const std::size_t killAfter = killAfterJobs();
     if (computed_ >= killAfter)
         ::raise(SIGKILL);
-    // Fault injection (tests only): fail the first attempt of one
-    // job to exercise the retry path.
-    if (const char *failOnce = std::getenv("ACDSE_JOBS_FAIL_ONCE");
-        failOnce && spec.id == failOnce && attempt == 1) {
-        throw JobError("injected failure for job '" + spec.id + "'");
-    }
     if (spec.kind == "simulate-shard")
         runSimulateShard(spec.arg, spec.id);
     else
@@ -458,9 +452,7 @@ void
 CampaignJobRunner::drain()
 {
     drainJobs(plan_.jobs(), plan_.prefix(),
-              [this](const JobSpec &spec, int attempt) {
-                  return execute(spec, attempt);
-              });
+              [this](const JobSpec &spec) { return execute(spec); });
 }
 
 void

@@ -163,13 +163,13 @@ class CampaignJobRunner
      * The drain's executor (jobs/drain.hh): return false at once when
      * @p spec is done(), else compute its output and return true.
      * Applies the fault-injection hooks to the computation:
-     * ACDSE_JOBS_FAIL_ONCE=<id> throws on that job's first attempt,
      * ACDSE_JOBS_KILL_IN=<id>@<cells> raises SIGKILL inside that
      * simulate job, and ACDSE_JOBS_KILL_AFTER=<k> raises it once this
-     * runner has computed k jobs. @throws JobError (and anything the
-     * handlers throw) on failure; the drain retries.
+     * runner has computed k jobs. @throws JobError when an input the
+     * job needs is missing; the drain ends, and the next run or
+     * resume is the retry.
      */
-    bool execute(const JobSpec &spec, int attempt);
+    bool execute(const JobSpec &spec);
 
     /**
      * Drain every job of the plan through execute(), sharing the work

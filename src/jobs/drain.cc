@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/file_lock.hh"
-#include "base/logging.hh"
 #include "obs/metrics.hh"
 
 namespace acdse::jobs
@@ -13,25 +12,16 @@ namespace
 {
 
 /**
- * Run @p spec, whose lock the caller holds, retrying a throwing
- * attempt. @return whether the executor computed the output.
+ * Run @p spec, whose lock the caller holds, once.
+ * @return whether the executor computed the output.
  */
 bool
 runHeld(const JobSpec &spec, const JobExecutor &execute)
 {
-    for (int attempt = 1;; ++attempt) {
-        try {
-            return execute(spec, attempt);
-        } catch (const std::exception &e) {
-            warn("job '", spec.id, "' attempt ", attempt,
-                 " failed: ", e.what());
-            if (attempt == kMaxAttempts) {
-                throw JobError("job '" + spec.id + "' failed " +
-                               std::to_string(kMaxAttempts) +
-                               " times: " + e.what());
-            }
-            obs::Registry::global().counter("jobs/retries").add(1);
-        }
+    try {
+        return execute(spec);
+    } catch (const std::exception &e) {
+        throw JobError("job '" + spec.id + "' failed: " + e.what());
     }
 }
 

@@ -57,25 +57,25 @@ struct JobSpec
     bool operator==(const JobSpec &) const = default;
 };
 
-/** Attempts a drain gives a throwing job before it gives up. */
-inline constexpr int kMaxAttempts = 3;
-
 /**
- * Runs one job under its lock; @p attempt counts from 1 within one
- * drain. @return false when the output was already intact (nothing
- * was computed), true when it was computed. Throws on failure.
+ * Runs one job under its lock. @return false when the output was
+ * already intact (nothing was computed), true when it was computed.
+ * Throws on failure.
  */
-using JobExecutor = std::function<bool(const JobSpec &, int attempt)>;
+using JobExecutor = std::function<bool(const JobSpec &)>;
 
 /** The lock file of @p spec among the jobs under @p prefix. */
 std::string jobLockPath(const std::string &prefix, const JobSpec &spec);
 
 /**
  * Run @p jobs to completion, phase by phase, sharing the work with
- * any concurrent drain over the same @p prefix. A job whose executor
- * throws is retried in place, up to kMaxAttempts attempts.
+ * any concurrent drain over the same @p prefix. Each job runs once: a
+ * throwing executor ends the drain, with the job's lock released and
+ * no job of a later phase started. Jobs are deterministic, so the
+ * next drain (`resume`) is the retry.
  * @return the jobs this call computed (not those it found intact).
- * @throws JobError when a job fails kMaxAttempts times.
+ * @throws JobError naming the job and carrying the executor's message
+ *         when an executor throws.
  */
 std::size_t drainJobs(const std::vector<JobSpec> &jobs,
                       const std::string &prefix,

@@ -225,8 +225,6 @@ Snapshot::merge(const Snapshot &other)
 {
     for (const auto &[name, value] : other.counters)
         counters[name] += value;
-    for (const auto &[name, value] : other.gauges)
-        gauges[name] = value;
     for (const auto &[name, hist] : other.histograms) {
         HistogramSnapshot &mine = histograms[name];
         const bool was_empty = mine.count == 0;
@@ -314,7 +312,6 @@ diff(const Snapshot &before, const Snapshot &after)
         out.counters[name] =
             value - (it == before.counters.end() ? 0 : it->second);
     }
-    out.gauges = after.gauges;
     for (const auto &[name, hist] : after.histograms) {
         const auto it = before.histograms.find(name);
         out.histograms[name] = diffHistogram(
@@ -355,20 +352,18 @@ Registry::global()
 void
 Registry::checkUnique(std::string_view name, int kind) const
 {
-    // Caller holds mutex_ exclusively. Kind: 0 counter, 1 gauge,
-    // 2 histogram, 3 stage, 4 reservoir. A name must not be
-    // re-interned as a different kind.
+    // Caller holds mutex_ exclusively. Kind: 0 counter, 1 histogram,
+    // 2 stage, 3 reservoir. A name must not be re-interned as a
+    // different kind.
     ACDSE_CHECK(kind == 0 || !counters_.contains(name), "metric '",
                 std::string(name),
                 "' already registered as a counter");
-    ACDSE_CHECK(kind == 1 || !gauges_.contains(name), "metric '",
-                std::string(name), "' already registered as a gauge");
-    ACDSE_CHECK(kind == 2 || !histograms_.contains(name), "metric '",
+    ACDSE_CHECK(kind == 1 || !histograms_.contains(name), "metric '",
                 std::string(name),
                 "' already registered as a histogram");
-    ACDSE_CHECK(kind == 3 || !stages_.contains(name), "metric '",
+    ACDSE_CHECK(kind == 2 || !stages_.contains(name), "metric '",
                 std::string(name), "' already registered as a stage");
-    ACDSE_CHECK(kind == 4 || !reservoirs_.contains(name), "metric '",
+    ACDSE_CHECK(kind == 3 || !reservoirs_.contains(name), "metric '",
                 std::string(name),
                 "' already registered as a reservoir");
 }
@@ -390,22 +385,6 @@ Registry::counter(std::string_view name)
     return *slot;
 }
 
-Gauge &
-Registry::gauge(std::string_view name)
-{
-    {
-        ReaderLock lock(mutex_);
-        if (const auto it = gauges_.find(name); it != gauges_.end())
-            return *it->second;
-    }
-    WriterLock lock(mutex_);
-    checkUnique(name, 1);
-    auto &slot = gauges_[std::string(name)];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 Histogram &
 Registry::histogram(std::string_view name)
 {
@@ -416,7 +395,7 @@ Registry::histogram(std::string_view name)
             return *it->second;
     }
     WriterLock lock(mutex_);
-    checkUnique(name, 2);
+    checkUnique(name, 1);
     auto &slot = histograms_[std::string(name)];
     if (!slot)
         slot = std::make_unique<Histogram>();
@@ -433,7 +412,7 @@ Registry::reservoir(std::string_view name)
             return *it->second;
     }
     WriterLock lock(mutex_);
-    checkUnique(name, 4);
+    checkUnique(name, 3);
     auto &slot = reservoirs_[std::string(name)];
     if (!slot)
         slot = std::make_unique<Reservoir>();
@@ -449,7 +428,7 @@ Registry::stage(std::string_view path)
             return *it->second;
     }
     WriterLock lock(mutex_);
-    checkUnique(path, 3);
+    checkUnique(path, 2);
     auto &slot = stages_[std::string(path)];
     if (!slot)
         slot = std::make_unique<Stage>(std::string(path));
@@ -463,8 +442,6 @@ Registry::snapshot() const
     Snapshot out;
     for (const auto &[name, counter] : counters_)
         out.counters[name] = counter->value();
-    for (const auto &[name, gauge] : gauges_)
-        out.gauges[name] = gauge->value();
     for (const auto &[name, histogram] : histograms_)
         out.histograms[name] = histogram->read();
     for (const auto &[name, res] : reservoirs_)
@@ -486,8 +463,6 @@ Registry::reset()
     ReaderLock lock(mutex_);
     for (const auto &[name, counter] : counters_)
         counter->reset();
-    for (const auto &[name, gauge] : gauges_)
-        gauge->reset();
     for (const auto &[name, histogram] : histograms_)
         histogram->reset();
     for (const auto &[name, res] : reservoirs_)

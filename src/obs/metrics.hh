@@ -1,6 +1,6 @@
 /**
  * @file
- * The metrics registry: wait-free counters, gauges and log-bucketed
+ * The metrics registry: wait-free counters and log-bucketed
  * histograms for watching where the framework's time and simulations
  * go (see README "Observability").
  *
@@ -12,7 +12,7 @@
  *    a momentarily inconsistent but monotone view, which is fine for
  *    statistics and clean under TSan.
  *
- *  - Registration is cold. Registry::counter()/gauge()/histogram()/
+ *  - Registration is cold. Registry::counter()/histogram()/reservoir()/
  *    stage() intern by name under a shared_mutex and return references
  *    with stable addresses; instrumented code looks its metrics up
  *    once (static reference, constructor) and then only touches the
@@ -82,31 +82,6 @@ class Counter
     };
 
     std::array<Slot, kShards> slots_{};
-};
-
-/** A signed instantaneous value (queue depth, models resident, ...). */
-class Gauge
-{
-  public:
-    void set(std::int64_t v) noexcept
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void add(std::int64_t delta) noexcept
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const noexcept
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 /** Aggregated read of one Histogram (or a diff of two reads). */
@@ -291,26 +266,25 @@ struct StageSnapshot
 struct Snapshot
 {
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
     std::map<std::string, HistogramSnapshot> histograms;
     std::map<std::string, ReservoirSnapshot> reservoirs;
     std::map<std::string, StageSnapshot> stages;
 
     /**
      * Fold @p other in: counters/histograms/stages with the same name
-     * add up, gauges take the other's value. Used to combine the
-     * global registry with a service's private one for export.
+     * add up. Used to combine the global registry with a service's
+     * private one for export.
      */
     void merge(const Snapshot &other);
 };
 
 /**
  * Interval between two snapshots of the same registry: counters,
- * histogram counts/sums/buckets and stage times subtract; gauges keep
- * the @p after value; histogram min/max keep the @p after values
- * (extrema cannot be un-merged and stay lifetime extrema); reservoirs
- * keep the @p after sample wholesale (individual samples cannot be
- * subtracted) with only the offer count differenced.
+ * histogram counts/sums/buckets and stage times subtract; histogram
+ * min/max keep the @p after values (extrema cannot be un-merged and
+ * stay lifetime extrema); reservoirs keep the @p after sample
+ * wholesale (individual samples cannot be subtracted) with only the
+ * offer count differenced.
  */
 Snapshot diff(const Snapshot &before, const Snapshot &after);
 
@@ -332,7 +306,6 @@ class Registry
 
     /** Intern a metric by name; a name has exactly one kind. */
     Counter &counter(std::string_view name);
-    Gauge &gauge(std::string_view name);
     Histogram &histogram(std::string_view name);
     Reservoir &reservoir(std::string_view name);
     Stage &stage(std::string_view path);
@@ -351,8 +324,6 @@ class Registry
     mutable SharedMutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>, std::less<>>
         counters_ ACDSE_GUARDED_BY(mutex_);
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-        ACDSE_GUARDED_BY(mutex_);
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms_ ACDSE_GUARDED_BY(mutex_);
     std::map<std::string, std::unique_ptr<Reservoir>, std::less<>>

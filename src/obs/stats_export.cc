@@ -75,10 +75,6 @@ statsToJson(const Snapshot &snapshot)
     for (const auto &[name, value] : snapshot.counters)
         writer.key(name).value(value);
     writer.endObject();
-    writer.key("gauges").beginObject();
-    for (const auto &[name, value] : snapshot.gauges)
-        writer.key(name).value(value);
-    writer.endObject();
     writer.key("histograms").beginObject();
     for (const auto &[name, hist] : snapshot.histograms) {
         writer.key(name);

@@ -1,16 +1,15 @@
 /**
  * @file
- * JSON export of metric snapshots: schema `acdse-stats-v1`, emitted by
+ * JSON export of metric snapshots: schema `acdse-stats-v2`, emitted by
  * the `--stats-out` flags of acdse-serve, acdse-explore and acdse-jobs
- * (one file for the parent, one per worker), by the service's
- * periodic dump, and (stages only) appended to BENCH_*.json.
+ * (one file per process), by the service's periodic dump, and (stages
+ * only) appended to BENCH_*.json.
  *
  * Layout:
  *
  *   {
- *     "schema": "acdse-stats-v1",
+ *     "schema": "acdse-stats-v2",
  *     "counters":   { "<name>": <u64>, ... },
- *     "gauges":     { "<name>": <i64>, ... },
  *     "histograms": { "<name>": { "count": <u64>, "sum": <u64>,
  *                                 "min": <u64>, "max": <u64>,
  *                                 "mean": <double>,
@@ -51,9 +50,9 @@ namespace acdse::obs
 {
 
 /** Schema tag written into every stats document. */
-inline constexpr std::string_view kStatsSchema = "acdse-stats-v1";
+inline constexpr std::string_view kStatsSchema = "acdse-stats-v2";
 
-/** Serialise @p snapshot as a complete acdse-stats-v1 document. */
+/** Serialise @p snapshot as a complete acdse-stats-v2 document. */
 std::string statsToJson(const Snapshot &snapshot);
 
 /** Atomically write statsToJson(@p snapshot) to @p path. */

@@ -153,7 +153,7 @@ class MpscRing
 
     /**
      * Instantaneous occupancy estimate (exact when quiescent); for
-     * gauges and tests, not for flow-control decisions.
+     * metrics and tests, not for flow-control decisions.
      */
     std::size_t approxSize() const noexcept
     {

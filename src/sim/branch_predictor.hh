@@ -45,12 +45,6 @@ class GsharePredictor
     /** @{ */
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t mispredicts() const { return mispredicts_; }
-    double
-    mispredictRate() const
-    {
-        return lookups_ ? static_cast<double>(mispredicts_) / lookups_
-                        : 0.0;
-    }
     /** @} */
 
     /** Bytes of counter storage held (its capacity). */

@@ -80,17 +80,10 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
-    double missRate() const
-    {
-        return accesses_ ? static_cast<double>(misses_) / accesses_ : 0.0;
-    }
     /** @} */
 
     /** Forget all contents and statistics. */
     void reset();
-
-    /** Number of sets. */
-    int numSets() const { return sets_; }
 
     /** Bytes of set storage held (its capacity, not the geometry's). */
     std::size_t
@@ -201,7 +194,6 @@ class CacheHierarchy
 
     /** @name Latencies derived from the Cacti model. */
     /** @{ */
-    int il1Latency() const { return il1Latency_; }
     int dl1Latency() const { return dl1Latency_; }
     int l2Latency() const { return l2Latency_; }
     int memLatency() const { return memLatency_; }

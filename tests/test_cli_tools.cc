@@ -3,7 +3,7 @@
  * End-to-end tests for the production CLI binaries, driven as real
  * subprocesses: acdse-jobs trains and persists an artifact,
  * acdse-serve serves it and acdse-explore searches with it, and each
- * emits acdse-stats-v1 stats through --stats-out. acdse-serve's
+ * emits acdse-stats-v2 stats through --stats-out. acdse-serve's
  * tenant routing and hot-swap watch run here too. Also covers the
  * bad-flag and corrupt-artifact error paths (exit codes 2 and 1
  * respectively).
@@ -200,7 +200,7 @@ TEST(CliServe, ServesQueriesAndWritesStats)
     EXPECT_EQ(rows, 3u);
 
     const testjson::Value doc = parseFile(dir / "serve_stats.json");
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v2");
     EXPECT_GE(
         doc.at("stages").at("serve/batch").at("count").asNumber(),
         1.0);
@@ -612,7 +612,7 @@ TEST(CliExplore, ExploresArtifactAndWritesCsv)
               9u);
 
     const testjson::Value doc = parseFile(dir / "stats.json");
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v2");
     EXPECT_EQ(doc.at("counters")
                   .at("explore/points-predicted")
                   .asNumber(),
@@ -635,8 +635,8 @@ TEST(CliExplore, RefinedEnumerationOfReducedGrid)
     const RunResult explored = run(
         dir, std::string("ACDSE_THREADS=1 ") + ACDSE_TOOL_EXPLORE +
                  " --model model.acdse --mode enumerate --stride 4"
-                 " --fix width=4 --fix l2=1024 --metrics cycles"
-                 " --pareto cycles,cycles --topk 3 --refine");
+                 " --fix width=4 --fix l2=1024 --metrics cycles,energy"
+                 " --pareto cycles,energy --topk 3 --refine");
     ASSERT_EQ(explored.exitCode, 0) << explored.output;
     EXPECT_TRUE(fs::exists(dir / "frontier.csv"));
     EXPECT_TRUE(fs::exists(dir / "topk.csv"));
@@ -676,6 +676,11 @@ TEST(CliExplore, RejectsBadFlagsAndValues)
         {" --stride 0", "--stride must be positive"},
         {" --topk 20000000000", "--topk must be at most 65536"},
         {" --fix rob=32 --fix iq=80", "--stride/--fix has no valid point"},
+        // Contradictory or degenerate repeats: the last --fix would
+        // win, and one metric against itself is a one-point frontier.
+        {" --fix rob=32 --fix rob=64", "fatal: --fix repeats parameter 'rob'"},
+        {" --pareto cycles,cycles",
+         "fatal: --pareto 'cycles,cycles' repeats metric 'cycles'"},
     };
     for (const auto &[flags, message] : refused) {
         const RunResult result = run(dir, base + flags);
@@ -774,7 +779,7 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
     EXPECT_EQ(artifacts, 1u);
     EXPECT_EQ(models, 0u); // no per-program model files
 
-    // The run writes one acdse-stats-v1 file, and it covers the whole
+    // The run writes one acdse-stats-v2 file, and it covers the whole
     // run: the campaign fill, each training program's models and every
     // computed job.
     std::size_t statsFiles = 0;
@@ -782,7 +787,7 @@ TEST(CliJobServer, RunProducesArtifactsAndStats)
         statsFiles += entry.path().filename().string().starts_with("stats");
     EXPECT_EQ(statsFiles, 1u);
     const testjson::Value doc = parseFile(dir / "stats.json");
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v2");
     const testjson::Value &stages = doc.at("stages");
     EXPECT_GT(stages.at("campaign/fill").at("total_ms").asNumber(), 0.0);
     EXPECT_TRUE(stages.has("train/program/0"));
@@ -815,7 +820,7 @@ TEST(CliJobServer, TrainingRunReportsHeldOutAndStats)
 
     ASSERT_TRUE(fs::exists(dir / "stats.json"));
     const testjson::Value doc = parseFile(dir / "stats.json");
-    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v1");
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v2");
     const testjson::Value &stages = doc.at("stages");
     EXPECT_GE(stages.at("jobs/execute").at("count").asNumber(), 4.0);
     double selfSumMs = 0.0;
@@ -1059,6 +1064,15 @@ TEST(CliJobServer, RejectsBadValues)
             EXPECT_FALSE(fs::exists(dir / "wrap")) << env << flags;
         }
     }
+    // A plan the job server rejects leaves no --dir behind.
+    const RunResult duplicate = run(
+        dir, jobsCmd("run --dir dup --programs gzip,gzip --train 8"
+                     " --responses 4"));
+    EXPECT_EQ(duplicate.exitCode, 1) << duplicate.output;
+    EXPECT_NE(duplicate.output.find("duplicate program 'gzip'"),
+              std::string::npos)
+        << duplicate.output;
+    EXPECT_FALSE(fs::exists(dir / "dup"));
 }
 
 TEST(CliJobServer, RunCreatesItsDirectory)

@@ -172,7 +172,7 @@ TEST(JobsDrain, EveryJobRunsExactlyOncePhaseByPhase)
     std::vector<std::atomic<int>> executions(kJobs);
     std::atomic<std::size_t> phase0Done{0};
     std::atomic<bool> phase1Early{false};
-    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
+    const jobs::JobExecutor execute = [&](const JobSpec &spec) {
         const std::size_t j = std::stoul(spec.arg);
         if (executions[j].load() > 0)
             return false;
@@ -225,7 +225,7 @@ TEST(JobsDrain, JobReleasedWithoutOutputIsRerun)
     LockHolder holder(jobs::jobLockPath(prefix, specs[0]));
 
     std::vector<std::string> order;
-    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
+    const jobs::JobExecutor execute = [&](const JobSpec &spec) {
         for (const std::string &id : order) {
             if (id == spec.id)
                 return false; // intact
@@ -241,66 +241,126 @@ TEST(JobsDrain, JobReleasedWithoutOutputIsRerun)
 
 TEST(JobsDrain, FailedAttemptsRetryWithoutDoubleExecution)
 {
-    // Every third job throws on its first attempt; the drain that
-    // holds it runs it exactly once more, in place.
+    // Every third job throws on its first execution. The drain that
+    // ran it ends in a JobError naming the job, and a sibling or a
+    // later drain computes it. Rounds of concurrent drains repeat
+    // until one round has no failure; across all of them every job is
+    // computed exactly once.
     const fs::path dir = freshDir("acdse_jobs_drain_retry");
     constexpr std::size_t kJobs = 30;
     constexpr std::size_t kThreads = 4;
     const std::vector<JobSpec> specs = fakeJobs(kJobs, kJobs);
     const std::string prefix = (dir / "q").string();
 
-    std::vector<std::atomic<int>> attempts(kJobs);
-    std::vector<std::atomic<bool>> written(kJobs);
-    const jobs::JobExecutor execute = [&](const JobSpec &spec,
-                                          int attempt) {
-        const std::size_t j = std::stoul(spec.arg);
-        if (written[j].load())
-            return false;
-        attempts[j].fetch_add(1);
-        if (j % 3 == 0 && attempt == 1)
-            throw std::runtime_error("injected failure");
-        written[j].store(true);
-        return true;
-    };
-    std::vector<std::size_t> computed(kThreads, 0);
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            computed[t] = drainJobs(specs, prefix, execute);
+    // Executions that found the output missing, and those that wrote it.
+    std::vector<std::atomic<int>> calls(kJobs);
+    std::vector<std::atomic<int>> computes(kJobs);
+    // The executor of one drain; @p threw records the job it threw on.
+    const auto executorFor = [&](std::string &threw) {
+        return jobs::JobExecutor([&](const JobSpec &spec) {
+            const std::size_t j = std::stoul(spec.arg);
+            if (computes[j].load() > 0)
+                return false;
+            if (calls[j].fetch_add(1) == 0 && j % 3 == 0) {
+                threw = spec.id;
+                throw std::runtime_error("injected failure");
+            }
+            computes[j].fetch_add(1);
+            return true;
         });
-    }
-    for (auto &worker : workers)
-        worker.join();
+    };
 
-    std::size_t total = 0;
-    for (const std::size_t n : computed)
-        total += n;
-    EXPECT_EQ(total, kJobs);
-    for (std::size_t j = 0; j < kJobs; ++j)
-        EXPECT_EQ(attempts[j].load(), j % 3 == 0 ? 2 : 1) << "job " << j;
+    std::size_t failures = 0;
+    for (std::size_t round = 0;; ++round) {
+        ASSERT_LE(round, kJobs) << "the drains stopped making progress";
+        std::vector<std::string> threw(kThreads);
+        std::vector<std::string> errors(kThreads);
+        std::vector<std::thread> workers;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            workers.emplace_back([&, t] {
+                try {
+                    drainJobs(specs, prefix, executorFor(threw[t]));
+                } catch (const JobError &e) {
+                    errors[t] = e.what();
+                }
+            });
+        }
+        for (auto &worker : workers)
+            worker.join();
+
+        std::size_t roundFailures = 0;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(errors[t].empty(), threw[t].empty()) << errors[t];
+            if (threw[t].empty())
+                continue;
+            ++roundFailures;
+            EXPECT_NE(errors[t].find("job '" + threw[t] + "'"),
+                      std::string::npos)
+                << errors[t];
+            EXPECT_NE(errors[t].find("injected failure"),
+                      std::string::npos)
+                << errors[t];
+        }
+        failures += roundFailures;
+        if (roundFailures == 0)
+            break;
+    }
+
+    // Each throwing job threw once, ending exactly one drain, and was
+    // computed by one more execution.
+    EXPECT_EQ(failures, kJobs / 3);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+        EXPECT_EQ(computes[j].load(), 1) << "job " << j;
+        EXPECT_EQ(calls[j].load(), j % 3 == 0 ? 2 : 1) << "job " << j;
+    }
+    // A drain over intact outputs computes nothing.
+    std::string threw;
+    EXPECT_EQ(drainJobs(specs, prefix, executorFor(threw)), 0u);
+    EXPECT_TRUE(threw.empty());
 }
 
-TEST(JobsDrain, ThreeFailuresFailTheDrain)
+TEST(JobsDrain, FailingJobFailsTheDrain)
 {
-    // A job that throws on every attempt stops the drain after
-    // kMaxAttempts attempts, before any later phase runs.
+    // A throwing job runs once: the drain rethrows it as a JobError
+    // naming the job, before any later phase runs, with the job's lock
+    // released. The next drain computes it once.
     const fs::path dir = freshDir("acdse_jobs_drain_fail");
+    const std::string prefix = (dir / "q").string();
     const std::vector<JobSpec> specs = {{"bad", "fake", 0, "0"},
                                         {"later", "fake", 1, "1"}};
-    int badAttempts = 0;
-    bool laterRan = false;
-    const jobs::JobExecutor execute = [&](const JobSpec &spec, int) {
-        if (spec.id == "later") {
-            laterRan = true;
-            return true;
+    bool failing = true;
+    int badCalls = 0;
+    int badComputes = 0;
+    int laterComputes = 0;
+    const jobs::JobExecutor execute = [&](const JobSpec &spec) {
+        int &computes = spec.id == "bad" ? badComputes : laterComputes;
+        if (computes > 0)
+            return false;
+        if (spec.id == "bad") {
+            ++badCalls;
+            if (failing)
+                throw std::runtime_error("always fails");
         }
-        ++badAttempts;
-        throw std::runtime_error("always fails");
+        ++computes;
+        return true;
     };
-    EXPECT_THROW(drainJobs(specs, (dir / "q").string(), execute),
-                 JobError);
-    EXPECT_EQ(badAttempts, jobs::kMaxAttempts);
-    EXPECT_FALSE(laterRan);
+    try {
+        drainJobs(specs, prefix, execute);
+        ADD_FAILURE() << "the drain did not throw";
+    } catch (const JobError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("job 'bad'"), std::string::npos) << what;
+        EXPECT_NE(what.find("always fails"), std::string::npos) << what;
+    }
+    EXPECT_EQ(badCalls, 1);
+    EXPECT_EQ(laterComputes, 0);
+    FileLock lock(jobs::jobLockPath(prefix, specs[0]));
+    EXPECT_TRUE(tryOnce(lock)) << "the failed job's lock is still held";
+
+    failing = false;
+    EXPECT_EQ(drainJobs(specs, prefix, execute), 2u);
+    EXPECT_EQ(badComputes, 1);
+    EXPECT_EQ(laterComputes, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -16,9 +16,12 @@
  * boundary chain stays well inside CI budget.
  *
  * The binary path arrives as the ACDSE_TOOL_JOBS compile definition
- * from tests/CMakeLists.txt. The suite name deliberately avoids the
- * `Jobs` substring: these tests run concurrent processes and belong
- * in the regular test job, not the TSan `-R` regex.
+ * from tests/CMakeLists.txt. The CrashResume suite name deliberately
+ * avoids the `Jobs` substring: these tests run concurrent processes
+ * and belong in the regular test job, not the TSan `-R` regex. The
+ * JobsThreads suite is in that regex on purpose: it runs one process
+ * on a 4-thread pool, so a TSan build checks the pooled simulate and
+ * train loops of a real run.
  */
 
 #include <gtest/gtest.h>
@@ -98,12 +101,13 @@ readBytes(const fs::path &path)
  * The pinned tiny-campaign invocation every test shares: 3 programs x
  * 24 configs = 72 cells, one simulate job per program and one job
  * that trains and fits -> 4 jobs (3 simulate-shard, 1 train-and-fit).
+ * It runs on @p threads pool threads.
  */
 std::string
-jobsCmd(const std::string &subcommand)
+jobsCmd(const std::string &subcommand, int threads = 1)
 {
-    return std::string("ACDSE_THREADS=1 ACDSE_CONFIGS=24 "
-                       "ACDSE_TRACE_LEN=1200 ACDSE_WARMUP=200 ") +
+    return "ACDSE_THREADS=" + std::to_string(threads) +
+           " ACDSE_CONFIGS=24 ACDSE_TRACE_LEN=1200 ACDSE_WARMUP=200 " +
            ACDSE_TOOL_JOBS + " " + subcommand;
 }
 
@@ -363,21 +367,14 @@ TEST(CrashResume, ConcurrentDrainsComputeEachJobOnce)
     expectArtifactsMatchReference(dir);
 }
 
-TEST(CrashResume, FailedJobRetriesAndSucceeds)
+TEST(JobsThreads, FourThreadRunMatchesSingleThreadRun)
 {
-    // A job that throws on its first attempt is retried inside the
-    // same process and the run still completes with identical bytes.
-    const fs::path dir = freshDir("acdse_crash_retry");
-    const RunResult result =
-        run(dir, "ACDSE_JOBS_FAIL_ONCE=sim_gzip " + jobsCmd(kRunArgs));
+    // The same plan on a 4-thread pool: every campaign block and the
+    // artifact are byte-identical to the single-threaded reference.
+    const fs::path dir = freshDir("acdse_jobs_threads");
+    const RunResult result = run(dir, jobsCmd(kRunArgs, 4));
     ASSERT_EQ(result.exitCode, 0) << result.output;
-    EXPECT_NE(result.output.find("job 'sim_gzip' attempt 1 failed"),
-              std::string::npos)
-        << result.output;
-    EXPECT_EQ(result.output.find("attempt 2 failed"), std::string::npos)
-        << result.output;
     expectArtifactsMatchReference(dir);
-    EXPECT_TRUE(statusOf(dir, 0).at("drained").boolean);
 }
 
 /**

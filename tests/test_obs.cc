@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the observability layer (src/obs): counter, gauge and
+ * Unit tests for the observability layer (src/obs): counter and
  * histogram exactness, log2 bucket edges, span nesting/attribution,
  * multi-thread aggregation (run under TSan via the Obs* name in the
- * sanitizer matrix), snapshot merge/diff algebra, the acdse-stats-v1
+ * sanitizer matrix), snapshot merge/diff algebra, the acdse-stats-v2
  * JSON round-trip.
  */
 
@@ -34,16 +34,6 @@ TEST(ObsCounter, AddsExactly)
     EXPECT_EQ(counter.value(), 42u);
     counter.reset();
     EXPECT_EQ(counter.value(), 0u);
-}
-
-TEST(ObsGauge, SetAndAdd)
-{
-    Gauge gauge;
-    gauge.set(7);
-    gauge.add(-10);
-    EXPECT_EQ(gauge.value(), -3);
-    gauge.reset();
-    EXPECT_EQ(gauge.value(), 0);
 }
 
 TEST(ObsHistogram, BucketEdges)
@@ -128,8 +118,6 @@ TEST(ObsRegistry, InternsByName)
     Counter &a = registry.counter("x/count");
     Counter &b = registry.counter("x/count");
     EXPECT_EQ(&a, &b);
-    Gauge &g = registry.gauge("x/depth");
-    EXPECT_EQ(&g, &registry.gauge("x/depth"));
     Stage &s = registry.stage("x/stage");
     EXPECT_EQ(&s, &registry.stage("x/stage"));
     EXPECT_EQ(s.path(), "x/stage");
@@ -139,7 +127,6 @@ TEST(ObsRegistryDeathTest, RejectsKindCollision)
 {
     Registry registry;
     registry.counter("name");
-    EXPECT_DEATH(registry.gauge("name"), "already registered");
     EXPECT_DEATH(registry.histogram("name"), "already registered");
 }
 
@@ -147,13 +134,11 @@ TEST(ObsRegistry, ResetZeroesButKeepsNames)
 {
     Registry registry;
     registry.counter("c").add(5);
-    registry.gauge("g").set(5);
     registry.histogram("h").record(5);
     registry.reset();
     const Snapshot snap = registry.snapshot();
     ASSERT_TRUE(snap.counters.contains("c"));
     EXPECT_EQ(snap.counters.at("c"), 0u);
-    EXPECT_EQ(snap.gauges.at("g"), 0);
     EXPECT_EQ(snap.histograms.at("h").count, 0u);
 }
 
@@ -248,7 +233,6 @@ TEST(ObsExport, StatsJsonRoundTrips)
 {
     Registry registry;
     registry.counter("work/items").add(12);
-    registry.gauge("work/depth").set(-2);
     registry.histogram("work/ns").record(100);
     registry.histogram("work/ns").record(3000);
     Stage &stage_ref = registry.stage("work/stage");
@@ -258,18 +242,16 @@ TEST(ObsExport, StatsJsonRoundTrips)
 
     const std::string json = statsToJson(registry.snapshot());
     const testjson::Value doc = testjson::parse(json);
-    EXPECT_EQ(doc.at("schema").asString(), kStatsSchema);
+    EXPECT_EQ(doc.at("schema").asString(), "acdse-stats-v2");
     ASSERT_TRUE(doc.at("counters").isObject());
-    ASSERT_TRUE(doc.at("gauges").isObject());
+    EXPECT_FALSE(doc.has("gauges"));
     ASSERT_TRUE(doc.at("histograms").isObject());
     ASSERT_TRUE(doc.at("stages").isObject());
 
     const double items = doc.at("counters").at("work/items").asNumber();
-    const double depth = doc.at("gauges").at("work/depth").asNumber();
     const testjson::Value &hist = doc.at("histograms").at("work/ns");
     const testjson::Value &stage = doc.at("stages").at("work/stage");
     EXPECT_EQ(items, 12.0);
-    EXPECT_EQ(depth, -2.0);
     EXPECT_EQ(hist.at("count").asNumber(), 2.0);
     EXPECT_EQ(hist.at("sum").asNumber(), 3100.0);
     EXPECT_EQ(hist.at("min").asNumber(), 100.0);

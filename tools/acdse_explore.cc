@@ -152,7 +152,13 @@ parseArgs(int argc, char **argv)
             const auto eq = assign.find('=');
             if (eq == std::string::npos)
                 fatal("--fix expects NAME=VALUE, got '", assign, "'");
-            const Param p = paramByKey(assign.substr(0, eq));
+            const std::string key = assign.substr(0, eq);
+            const Param p = paramByKey(key);
+            // A second pin of one parameter would silently win.
+            for (const auto &fix : fixes) {
+                if (fix.first == p)
+                    fatal("--fix repeats parameter '", key, "'");
+            }
             const auto v =
                 parseI64OrDie("--fix", assign.substr(eq + 1));
             fixes.emplace_back(p, v);
@@ -169,12 +175,17 @@ parseArgs(int argc, char **argv)
                 options.metrics.push_back(metric);
             }
         } else if (!std::strcmp(argv[i], "--pareto")) {
-            const auto pair = splitList(value(i), ',');
+            const std::string list = value(i);
+            const auto pair = splitList(list, ',');
             if (pair.size() != 2)
                 fatal("--pareto expects two metrics, e.g. "
                       "cycles,energy");
             options.engine.paretoX = metricByKey(pair[0]);
             options.engine.paretoY = metricByKey(pair[1]);
+            // One metric against itself has a one-point frontier.
+            if (options.engine.paretoX == options.engine.paretoY)
+                fatal("--pareto '", list, "' repeats metric '", pair[0],
+                      "'");
         } else if (!std::strcmp(argv[i], "--topk")) {
             const std::uint64_t topk = parseU64OrDie("--topk", value(i));
             if (topk > kMaxTopK)

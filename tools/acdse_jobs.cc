@@ -38,8 +38,9 @@
  * derives from the files: a job is done when its output is intact,
  * running when its lock is held, pending otherwise.
  *
- * Exit codes: 0 success; 1 error (a job failed three times, bad plan,
- * bad --dir); 2 usage. A killed run ends by its signal; resume it.
+ * Exit codes: 0 success; 1 error (a job failed, bad plan, bad --dir);
+ * 2 usage. A killed run ends by its signal. `resume` retries a failed
+ * or killed run.
  */
 
 #include <algorithm>
@@ -55,7 +56,7 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
-#include "base/statistics.hh"
+#include "core/evaluation.hh"
 #include "jobs/campaign_jobs.hh"
 #include "obs/stats_export.hh"
 #include "serve/model_store.hh"
@@ -251,17 +252,12 @@ reportTraining(CampaignJobRunner &runner)
     Campaign &campaign = runner.campaign();
     campaign.ensureComputed(); // loads the blocks drain() checked
     const std::size_t target = campaign.programIndex(plan.newProgram);
-    const ArchitectureCentricPredictor &cycles =
-        artifact.predictor(Metric::Cycles);
-    std::vector<double> predicted, actual;
-    for (const std::size_t config : heldOut) {
-        predicted.push_back(cycles.predict(campaign.configs()[config]));
-        actual.push_back(campaign.result(target, config).cycles);
-    }
+    const PredictionQuality quality = scorePredictionsBatched(
+        campaign, target, Metric::Cycles, heldOut,
+        artifact.predictor(Metric::Cycles));
     std::printf("held-out %zu points: cycles rmae %.1f%%, "
                 "correlation %.3f\n",
-                heldOut.size(), stats::rmae(predicted, actual),
-                stats::correlation(predicted, actual));
+                heldOut.size(), quality.rmaePercent, quality.correlation);
 }
 
 int
@@ -358,6 +354,8 @@ main(int argc, char **argv)
     try {
         if (cli.command == "run") {
             CampaignJobPlan plan = planFromCli(cli);
+            // A rejected plan leaves no --dir behind.
+            plan.validate();
             std::error_code ec;
             std::filesystem::create_directories(cli.dir, ec);
             if (!std::filesystem::is_directory(cli.dir, ec))

@@ -42,8 +42,8 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          writeCsvAtomic() or the model store's
                          saveArtifact(), not raw std::ofstream/fopen.
                          (Allowlisted: base/json.cc, which implements
-                         the primitive, and base/csv.cc's non-atomic
-                         writeCsv(); tests may write scratch files.)
+                         the primitive; tests may write scratch
+                         files.)
 
   acdse-pragma-once      Every header uses #pragma once, not include
                          guards.
@@ -158,10 +158,9 @@ SOURCE_SUFFIXES = {".cc", ".cpp", ".hh", ".h"}
 # engine's self-test; they are not project sources.
 FIXTURE_DIR = Path("tools/lint/fixtures")
 
-# Files allowed to do raw file writes: the atomic-write primitives
-# themselves.
+# Files allowed to do raw file writes: the atomic-write primitive
+# itself.
 ATOMIC_WRITE_IMPLS = {
-    Path("src/base/csv.cc"),
     Path("src/base/json.cc"),
 }
 
